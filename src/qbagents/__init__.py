@@ -62,7 +62,6 @@ from .postulate import (
     apply_postulate,
     classical_postulate,
     is_valid_state,
-    likelihood_row,
     phi_matrix,
     quantum_postulate,
     sqrt_phi,

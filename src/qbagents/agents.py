@@ -6,6 +6,23 @@ parameter region, a menu of actions (conditional probability matrices), and a
 utility function over (action, outcome) pairs.  Choice maximizes expected
 utility; ties within ``TIE_TOL`` are broken uniformly at random, which is what
 turns a flat utility function into uniformly random action choice.
+
+Everything the step loop needs is validated and precomputed when the agent is
+built, so a step does only arithmetic:
+
+* every action must give nonnegative probabilities in every valid state
+  (``min_likelihood``), and a particle ensemble must start uniform, the prior
+  that resample-move assumes;
+* each action's likelihood rows ``R[j] @ Phi`` are stored, and likelihoods on
+  the ensemble's points are cached per point set: grid and delta points never
+  move, so each (action, outcome) vector is computed once, while particles
+  keep their embedded reference probabilities until resample-move moves them;
+* the posterior mean is cached per ensemble, and the predictive is the
+  likelihood at that mean (exact, since the likelihood is affine in the
+  parameter), so a choice costs one point instead of a pass over the ensemble;
+* a single-action menu draws nothing, and a menu without a utility table,
+  whose expected utilities all equal the default utility, draws the
+  tie-break index directly.
 """
 
 from __future__ import annotations
@@ -14,10 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import as_cond_prob_matrix, as_prob_vector
+from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector
 from .errors import ValidationError
 from .inference import ParticleEnsemble
-from .postulate import PhysicalPostulate, ensemble_compatible, likelihood_matrix
+from .postulate import (
+    PhysicalPostulate,
+    ensemble_compatible,
+    likelihood_matrix,
+    likelihoods,
+    min_likelihood,
+    ref_probs_of_points,
+)
 
 TIE_TOL = 1e-12
 
@@ -72,8 +96,9 @@ class UtilityFn:
 class Agent:
     """Postulate + belief ensemble + action menu + utility function.
 
-    Value-semantic record; the interaction loop replaces ``ensemble`` after
-    each update.
+    The interaction loop replaces ``ensemble`` after each update; the caches
+    key on the ensemble and its points, so assigning a new one invalidates
+    them.
     """
 
     id: str
@@ -93,9 +118,30 @@ class Agent:
                     f"dimension {action.matrix.shape[1]}, postulate expects "
                     f"{self.postulate.n_outcomes}")
             self.utility.row(action)
-        if not ensemble_compatible(self.postulate, self.ensemble.region):
+        ens = self.ensemble
+        if not ensemble_compatible(self.postulate, ens.region):
             raise ValidationError(
                 f"agent {self.id!r}: ensemble region incompatible with postulate")
+        for action in self.menu:
+            lowest = min_likelihood(self.postulate, action.matrix)
+            if lowest < -PROB_TOL:
+                raise ValidationError(
+                    f"agent {self.id!r}: action {action.name!r} gives a negative "
+                    f"probability ({lowest:.3e}); not physically valid for this "
+                    "postulate")
+        if not (ens.grid or ens.atoms) and (ens.evidence.counts
+                                            or np.ptp(ens.weights) > 0):
+            raise ValidationError(
+                f"agent {self.id!r}: a particle ensemble must start uniform "
+                "(equal weights, no evidence), the prior resample-move assumes")
+        phi = self.postulate.phi
+        self._rows = tuple(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)])
+                           for a in self.menu)
+        self._points = None  # the point set the likelihood cache belongs to
+        self._probs = None  # its reference probabilities, for moving particles
+        self._likes = {}  # (action index, outcome) -> likelihood, for fixed points
+        self._mean_of = None  # the ensemble whose mean is cached
+        self._mean = None
 
     def action(self, name: str) -> Action:
         for a in self.menu:
@@ -103,11 +149,48 @@ class Agent:
                 return a
         raise ValidationError(f"agent {self.id!r}: no action named {name!r}")
 
+    def _index(self, action: Action) -> int:
+        for i, a in enumerate(self.menu):
+            if a is action:
+                return i
+        raise ValidationError(f"agent {self.id!r}: {action.name!r} is not on the menu")
+
+    def mean(self) -> np.ndarray:
+        """Posterior mean of the current ensemble, computed once per ensemble."""
+        if self._mean_of is not self.ensemble:
+            self.remember_mean(self.ensemble.weights @ self.ensemble.points)
+        return self._mean
+
+    def remember_mean(self, mean: np.ndarray):
+        """Record the current ensemble's mean, e.g. from a posterior summary."""
+        self._mean_of = self.ensemble
+        self._mean = mean
+
+    def likelihood(self, action: Action, j: int) -> np.ndarray:
+        """p(j | theta) of a menu action at every point of the current ensemble."""
+        ens = self.ensemble
+        if ens.points is not self._points:
+            probs = ref_probs_of_points(self.postulate, ens.points)
+            fixed = ens.grid or ens.atoms
+            self._points = ens.points
+            self._probs = None if fixed else probs
+            self._likes = {(a, k): likelihoods(probs, row)
+                           for a, rows in enumerate(self._rows)
+                           for k, row in enumerate(rows)} if fixed else {}
+        a = self._index(action)
+        if self._probs is None:
+            return self._likes[a, j]
+        return likelihoods(self._probs, self._rows[a][j])
+
 
 def predictive(agent: Agent, action: Action) -> np.ndarray:
-    """Posterior predictive q(j) = sum_i w_i p(j | theta_i) for a menu action."""
-    like = likelihood_matrix(agent.postulate, action.matrix, agent.ensemble.points)
-    return as_prob_vector(agent.ensemble.weights @ like, name="predictive")
+    """Posterior predictive q(j) = sum_i w_i p(j | theta_i) for a menu action.
+
+    The likelihood is affine in theta, so the sum equals the likelihood at the
+    posterior mean: one point instead of the whole ensemble.
+    """
+    like = likelihood_matrix(agent.postulate, action.matrix, agent.mean())
+    return as_prob_vector(like[0], name="predictive")
 
 
 def expected_utility(agent: Agent, action: Action) -> float:
@@ -115,15 +198,25 @@ def expected_utility(agent: Agent, action: Action) -> float:
 
 
 def choose_action(agent: Agent, rng: np.random.Generator) -> Action:
-    """An expected-utility maximizer; ties broken uniformly at random."""
-    utilities = np.array([expected_utility(agent, a) for a in agent.menu])
+    """An expected-utility maximizer; ties broken uniformly at random.
+
+    Without a utility table every expected utility equals the default utility
+    up to rounding, so all actions tie and the tie-break index is drawn
+    directly.
+    """
+    menu = agent.menu
+    if len(menu) == 1:
+        return menu[0]
+    if not agent.utility.table:
+        return menu[rng.integers(len(menu))]
+    utilities = np.array([expected_utility(agent, a) for a in menu])
     best = utilities.max()
     tied = np.flatnonzero(utilities >= best - TIE_TOL)
     if tied.size == 1:
-        return agent.menu[tied[0]]
-    return agent.menu[tied[rng.integers(tied.size)]]
+        return menu[tied[0]]
+    return menu[tied[rng.integers(tied.size)]]
 
 
 def broadcast_point(agent: Agent) -> np.ndarray:
     """The signal an agent emits: the mean of their current belief density."""
-    return agent.ensemble.weights @ agent.ensemble.points
+    return agent.mean()

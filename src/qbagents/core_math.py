@@ -40,7 +40,7 @@ def as_prob_vector(entries, *, tol: float = PROB_TOL,
     Returns a read-only float array.  Raises ``ValidationError`` for entries
     outside [-tol, 1 + tol] or a total farther than ``tol`` from 1.
     """
-    p = np.asarray(entries, dtype=float).ravel().copy()
+    p = np.asarray(entries, dtype=float).ravel()
     if p.size == 0:
         raise ValidationError(f"{name}: empty")
     if not np.all(np.isfinite(p)):
@@ -52,9 +52,15 @@ def as_prob_vector(entries, *, tol: float = PROB_TOL,
     total = float(p.sum())
     if abs(total - 1.0) > max(tol, tol * p.size):
         raise ValidationError(f"{name}: sums to {total!r}, expected 1")
-    np.clip(p, 0.0, None, out=p)
+    return _readonly(renormalized(p))
+
+
+def renormalized(entries) -> np.ndarray:
+    """Entries clipped at zero and rescaled to sum to one: the arithmetic of
+    ``as_prob_vector`` without its checks, for vectors valid by construction."""
+    p = np.clip(np.asarray(entries, dtype=float).ravel(), 0.0, None)
     p /= p.sum()
-    return _readonly(p)
+    return p
 
 
 def as_cond_prob_matrix(rows, *, tol: float = PROB_TOL) -> np.ndarray:

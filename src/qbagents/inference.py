@@ -10,21 +10,24 @@ Beliefs are represented as weighted point sets.  Two flavors exist:
   size degrades.
 
 Updates multiply weights by the postulate likelihood of the observed outcome
-and renormalize.  Every update records the observation in a compact tally of
-(postulate, conditional matrix, outcome) counts, which is what the move step
-needs to evaluate the current posterior density at proposed points: all
-shipped scenarios start from uniform priors over their support, so the target
-is proportional to the accumulated likelihood inside the region.
+and renormalize; a caller that already holds that likelihood (an agent's
+cache) passes it in.  Every update also counts the observation in the
+ensemble's ``Evidence``: counts keyed by (action, outcome) next to each
+action's likelihood rows ``R[j] @ Phi``.  That is what the move step needs to
+evaluate the current posterior density at proposed points: one embedding of
+the points, then one dot product and one log per observed cell.  The move
+step targets uniform prior times likelihood, so agents reject particle
+ensembles that do not start uniform (see ``Agent``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ValidationError
-from .postulate import PhysicalPostulate, likelihood_values
+from .postulate import PhysicalPostulate, likelihood_values, likelihoods
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
@@ -37,13 +40,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One kind of recorded outcome and how many times it occurred."""
+class Evidence:
+    """The observations behind a posterior, as counts keyed by (action, outcome).
 
-    postulate: PhysicalPostulate
-    matrix: np.ndarray
-    outcome: int
-    count: int
+    ``actions[a]`` holds the postulate, conditional matrix and likelihood rows
+    ``R[j] @ Phi`` of the a-th distinct action observed; ``counts`` maps each
+    observed (action, outcome) cell to its count, in the order first observed
+    (the order ``log_posterior_density`` sums them in).
+    """
+
+    actions: tuple = ()
+    counts: dict = field(default_factory=dict)
+
+    def add(self, post: PhysicalPostulate, R, j: int) -> "Evidence":
+        """These counts plus one observation of outcome j of action R."""
+        actions = self.actions
+        for a, (p, m, _rows) in enumerate(actions):
+            if p is post and (m is R or np.array_equal(m, R)):
+                break
+        else:
+            m = R if isinstance(R, np.ndarray) and not R.flags.writeable else (
+                _readonly(np.array(R, dtype=float)))
+            rows = np.stack([m[k] @ post.phi for k in range(m.shape[0])])
+            a = len(actions)
+            actions += ((post, m, rows),)
+        counts = dict(self.counts)
+        counts[a, j] = counts.get((a, j), 0) + 1
+        return Evidence(actions, counts)
 
 
 @dataclass(frozen=True)
@@ -60,7 +83,7 @@ class ParticleEnsemble:
     region: object
     grid: bool = False
     atoms: bool = False
-    observations: tuple[Observation, ...] = ()
+    evidence: Evidence = field(default_factory=Evidence)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -98,7 +121,7 @@ class ParticleEnsemble:
 
 
 def _bless(ens: ParticleEnsemble, *, points=None, weights=None,
-           observations=None) -> ParticleEnsemble:
+           evidence=None) -> ParticleEnsemble:
     # Validation bypass for the update loop: inputs derive from an already
     # validated ensemble, so region membership and normalization hold.
     out = object.__new__(ParticleEnsemble)
@@ -107,8 +130,7 @@ def _bless(ens: ParticleEnsemble, *, points=None, weights=None,
     object.__setattr__(out, "region", ens.region)
     object.__setattr__(out, "grid", ens.grid)
     object.__setattr__(out, "atoms", ens.atoms)
-    object.__setattr__(out, "observations",
-                       ens.observations if observations is None else observations)
+    object.__setattr__(out, "evidence", ens.evidence if evidence is None else evidence)
     return out
 
 
@@ -171,51 +193,39 @@ def delta_ensemble(points, weights, region) -> ParticleEnsemble:
     return ParticleEnsemble(pts, w / w.sum(), region, atoms=True)
 
 
-def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int) -> ParticleEnsemble:
+def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
+                 like: np.ndarray | None = None) -> ParticleEnsemble:
     """Reweight by the likelihood of outcome j; points never move here.
 
-    Raises ``ImpossibleOutcomeError`` when the total posterior weight
-    underflows, i.e. the outcome contradicts the entire support.
+    ``like`` is that likelihood at ``ens.points`` when the caller has it
+    cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError`` when
+    the total posterior weight underflows, i.e. the outcome contradicts the
+    entire support.
     """
-    like = likelihood_values(post, R, j, ens.points)
+    if like is None:
+        like = likelihood_values(post, R, j, ens.points)
     w = ens.weights * like
     total = w.sum()
     if not np.isfinite(total) or total < 1e-300:
         raise ImpossibleOutcomeError(
             f"outcome {j} has zero probability on the whole support")
-    return _bless(ens, weights=w / total,
-                  observations=_record(ens.observations, post, R, j))
-
-
-def _record(observations, post, R, j) -> tuple[Observation, ...]:
-    matrix = np.asarray(R, dtype=float)
-    out = []
-    found = False
-    for obs in observations:
-        if (obs.postulate is post and obs.outcome == j
-                and obs.matrix.shape == matrix.shape
-                and np.array_equal(obs.matrix, matrix)):
-            out.append(replace(obs, count=obs.count + 1))
-            found = True
-        else:
-            out.append(obs)
-    if not found:
-        out.append(Observation(post, _readonly(matrix.copy()), j, 1))
-    return tuple(out)
+    return _bless(ens, weights=w / total, evidence=ens.evidence.add(post, R, j))
 
 
 def log_posterior_density(ens: ParticleEnsemble, points) -> np.ndarray:
     """Unnormalized log density of the accumulated posterior at given points.
 
-    Uniform prior over the region is assumed (the shipped scenarios all start
-    uniform on their support); points outside the region get -inf.
+    The prior is uniform over the region: agents only accept particle
+    ensembles that start with equal weights and no evidence.  Points outside
+    the region get -inf.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, ens.dim)
+    probs = ens.region.to_ref_probs(pts)
     logp = np.zeros(pts.shape[0])
-    for obs in ens.observations:
-        like = likelihood_values(obs.postulate, obs.matrix, obs.outcome, pts)
-        with np.errstate(divide="ignore"):
-            logp += obs.count * np.log(like)
+    actions = ens.evidence.actions
+    with np.errstate(divide="ignore"):
+        for (a, j), count in ens.evidence.counts.items():
+            logp += count * np.log(likelihoods(probs, actions[a][2][j]))
     logp[~ens.region.contains(pts)] = -np.inf
     return logp
 

@@ -24,6 +24,15 @@ Cross-species regularizations (a qubit party facing a two-outcome party):
   (0, 0, 2 theta - 1), a state on the z axis;
 * ``support_restriction``: identity at interaction time; the constraint lives
   in the prior, whose support must already sit inside the quantum region.
+
+Validation happens when agents and the ``RunSpec`` are built, never per step:
+agents check their actions and priors, the spec checks that every exogenous
+source point is a valid state for its receiver, and agent broadcasts (means
+of, or draws from, valid ensembles) are valid by construction.  A step is
+then arithmetic: the choice uses the agent's cached mean, the outcome draw
+skips the checks of ``apply_postulate``, the update takes the agent's cached
+likelihood, and the posterior-summary mean of one step is the next step's
+broadcast.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .inference import bayes_update, maybe_resample, posterior_summary
 from .postulate import (
     PhysicalPostulate,
     apply_postulate,
+    is_valid_state,
     ref_probs_of_points,
 )
 from .quantum import bloch_to_density, frequency_operator, trace_distance
@@ -80,12 +90,17 @@ def regularize(kind: str, point: np.ndarray) -> np.ndarray:
 
 
 def sample_outcome(post: PhysicalPostulate, broadcast: np.ndarray, R,
-                   regularization: str, rng: np.random.Generator) -> int:
+                   regularization: str, rng: np.random.Generator, *,
+                   validate: bool = True) -> int:
     """Draw an outcome with the probabilities the receiver's postulate assigns
-    at the (regularized) broadcast point."""
+    at the (regularized) broadcast point.
+
+    ``validate`` is passed on to ``apply_postulate``; the run loop turns it
+    off, since its broadcasts and actions are checked when they are built.
+    """
     point = regularize(regularization, broadcast)
     probs = ref_probs_of_points(post, point)[0]
-    q = apply_postulate(post, probs, R)
+    q = apply_postulate(post, probs, R, validate=validate)
     return int(rng.choice(q.size, p=q))
 
 
@@ -94,11 +109,9 @@ class AgentStepRecord:
     agent_id: str
     action: str
     outcome: int
-    outcome_label: str
     mean: tuple[float, ...]
     std: tuple[float, ...]
     semi_major: float
-    cov_trace: float
     ess: float
 
 
@@ -149,6 +162,17 @@ class RunSpec:
                 raise ValidationError(f"unknown regularization {reg!r}")
         if self.n_steps < 0:
             raise ValidationError("n_steps must be nonnegative")
+        for i, slot in enumerate(self.slots):
+            receiver = self.slots[1 - i]
+            if _is_agent(slot) or not _is_agent(receiver):
+                continue
+            point = regularize(self.incoming_reg[1 - i], slot.point)
+            post = receiver.postulate
+            if not (np.all(np.isfinite(point))
+                    and is_valid_state(post, ref_probs_of_points(post, point)[0])):
+                raise ValidationError(
+                    f"source {slot.id!r}: point {slot.point.tolist()} is not a "
+                    f"valid state for agent {receiver.id!r}")
 
 
 def _is_agent(slot) -> bool:
@@ -181,9 +205,10 @@ def _receive_and_update(agent: Agent, incoming: np.ndarray, reg: str,
                         streams, step: int) -> tuple[Action, int]:
     action = choose_action(agent, streams["choice"])
     outcome = sample_outcome(agent.postulate, incoming, action.matrix, reg,
-                             streams["outcome"])
+                             streams["outcome"], validate=False)
     try:
-        ens = bayes_update(agent.ensemble, agent.postulate, action.matrix, outcome)
+        ens = bayes_update(agent.ensemble, agent.postulate, action.matrix, outcome,
+                           agent.likelihood(action, outcome))
     except ImpossibleOutcomeError as err:
         err.step = step
         err.agent_id = agent.id
@@ -225,15 +250,14 @@ def run(spec: RunSpec) -> Trace:
                 continue
             action, outcome = step_agents[i]
             s = summaries[i]
+            slot.remember_mean(s.mean)
             rec_agents.append(AgentStepRecord(
                 agent_id=slot.id,
                 action=action.name,
                 outcome=outcome,
-                outcome_label=action.outcomes[outcome],
                 mean=tuple(float(x) for x in s.mean),
                 std=tuple(float(x) for x in s.std),
                 semi_major=s.semi_major,
-                cov_trace=float(np.trace(s.covariance)),
                 ess=slot.ensemble.ess(),
             ))
         metrics = _metrics(spec.metrics_kind, slots, summaries, counts, step)

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .core_math import PROB_TOL, as_prob_vector
+from .core_math import PROB_TOL, as_prob_vector, renormalized
 from .errors import DimensionMismatchError, RegionError, ValidationError
 from .quantum import (
     OP_TOL,
+    TETRA_VERTICES,
     ReferenceAction,
     bloch_from_sic_probs,
     conditional_matrix,
@@ -259,20 +260,27 @@ def _density_from_ref_probs(post: PhysicalPostulate, p: np.ndarray) -> np.ndarra
 
 
 def apply_postulate(post: PhysicalPostulate, p, R, *,
-                    check_state: bool = True) -> np.ndarray:
+                    validate: bool = True) -> np.ndarray:
     """Outcome probabilities q = R (Phi p) for an action with conditional
     matrix R, given reference probabilities p.
 
-    Raises ``RegionError`` when p is not a valid state for the postulate and
+    Both p and q are clipped at zero and renormalized, which absorbs rounding
+    drift.  With ``validate`` (the default) this is a checked boundary: it
+    raises ``ValidationError`` for a p that is not a probability vector,
+    ``RegionError`` when p is not a valid state for the postulate, and
     ``ValidationError`` when the result has a negative entry beyond tolerance
     (the conditional matrix is then not physically valid for this postulate).
+    The run loop passes ``validate=False``: its actions were checked when the
+    agent was built and its broadcasts are valid states by construction.
     """
-    vec = as_prob_vector(p, name="reference probabilities")
     matrix = np.asarray(R, dtype=float)
+    if not validate:
+        return renormalized(matrix @ (post.phi @ renormalized(p)))
+    vec = as_prob_vector(p, name="reference probabilities")
     if matrix.ndim != 2 or matrix.shape[1] != post.n_outcomes:
         raise DimensionMismatchError(
             f"conditional matrix shape {matrix.shape} vs N = {post.n_outcomes}")
-    if check_state and not is_valid_state(post, vec):
+    if not is_valid_state(post, vec):
         raise RegionError("reference probabilities outside the physically valid region")
     q = matrix @ (post.phi @ vec)
     if q.min() < -PROB_TOL:
@@ -280,6 +288,25 @@ def apply_postulate(post: PhysicalPostulate, p, R, *,
             f"conditional matrix produced a negative probability ({q.min():.3e}); "
             "not physically valid for this postulate")
     return as_prob_vector(q, name="outcome probabilities")
+
+
+def min_likelihood(post: PhysicalPostulate, R) -> float:
+    """The smallest probability the action R assigns any outcome in any valid
+    state of the postulate.
+
+    Exact, because q = R (Phi p) is affine in the state.  Classical states
+    fill the simplex, whose extreme points are its vertices, so the minimum
+    is the smallest entry of R Phi (at the interval endpoints for a coin).
+    Quantum states fill the Bloch ball, where outcome j has probability
+    c0 + c . r with c0 = sum(row_j) / 4 and c = row_j @ n / 4 (the
+    tetrahedral embedding), whose minimum is c0 - |c|.
+    """
+    rows = np.asarray(R, dtype=float) @ post.phi
+    if not post.is_quantum:
+        return float(rows.min())
+    c0 = rows.sum(axis=1) / 4.0
+    c = rows @ TETRA_VERTICES / 4.0
+    return float(np.min(c0 - np.linalg.norm(c, axis=1)))
 
 
 def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
@@ -310,34 +337,30 @@ def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
 LIKELIHOOD_DUST = 1e-12
 
 
-def likelihood_values(post: PhysicalPostulate, R, j: int, points) -> np.ndarray:
-    """Vectorized p(j | theta) over parameter points.
+def likelihoods(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``probs @ rows``: likelihoods from embedded reference probabilities and
+    likelihood rows ``R[j] @ Phi`` (one row, or a matrix with one per column).
 
     Values within ``LIKELIHOOD_DUST`` of zero are snapped to exactly zero:
     cancellation in the quasiprobability form leaves order 1e-16 residue where
     the true likelihood vanishes, and a nominally dead hypothesis must not be
     resurrected by renormalization.
     """
-    matrix = np.asarray(R, dtype=float)
-    probs = ref_probs_of_points(post, points)
-    row = matrix[j] @ post.phi
-    values = probs @ row
+    values = probs @ rows
     values[np.abs(values) < LIKELIHOOD_DUST] = 0.0
     return np.clip(values, 0.0, None)
 
 
-def likelihood_row(post: PhysicalPostulate, R, j: int, theta) -> float:
-    """Probability of outcome j of the action R at one parameter point."""
-    return float(likelihood_values(post, R, j, theta)[0])
+def likelihood_values(post: PhysicalPostulate, R, j: int, points) -> np.ndarray:
+    """Vectorized p(j | theta) over parameter points."""
+    matrix = np.asarray(R, dtype=float)
+    return likelihoods(ref_probs_of_points(post, points), matrix[j] @ post.phi)
 
 
 def likelihood_matrix(post: PhysicalPostulate, R, points) -> np.ndarray:
     """All outcome likelihoods at once: (n_points, n_outcomes(R))."""
     matrix = np.asarray(R, dtype=float)
-    probs = ref_probs_of_points(post, points)
-    values = probs @ (matrix @ post.phi).T
-    values[np.abs(values) < LIKELIHOOD_DUST] = 0.0
-    return np.clip(values, 0.0, None)
+    return likelihoods(ref_probs_of_points(post, points), (matrix @ post.phi).T)
 
 
 def ensemble_compatible(post: PhysicalPostulate, region) -> bool:

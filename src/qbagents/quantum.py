@@ -82,17 +82,6 @@ def check_povm(effects, *, tol: float = OP_TOL) -> tuple[np.ndarray, ...]:
     return ops
 
 
-def project_to_density(m, *, tol: float = OP_TOL) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize; repairs accumulated drift."""
-    a = check_hermitian(m, tol=1e-8, name="operator")
-    eigs, vecs = np.linalg.eigh(a)
-    if eigs.min() < -1e-6:
-        raise ValidationError(f"operator too far from positive: min eig {eigs.min():.3e}")
-    eigs = np.clip(eigs, 0.0, None)
-    out = (vecs * eigs) @ vecs.conj().T
-    return _readonly(out / out.trace().real)
-
-
 def born_probabilities(rho, effects) -> np.ndarray:
     """Outcome probabilities tr(rho D_j) of a POVM on a state."""
     r = np.asarray(rho, dtype=complex)

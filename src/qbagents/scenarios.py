@@ -291,6 +291,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         if isinstance(block, SourceSpec):
             if len(block.point) not in (1, 3):
                 problems.append(f"source {block.id!r}: point must have 1 or 3 components")
+            elif not (0.0 <= block.point[0] <= 1.0 if len(block.point) == 1
+                      else np.linalg.norm(block.point) <= 1.0 + 1e-9):
+                problems.append(f"source {block.id!r}: point outside [0, 1] "
+                                "or the Bloch ball")
             spaces.append("interval" if len(block.point) == 1 else "ball")
             continue
         spaces.append(_prior_space(block.prior))
@@ -336,6 +340,9 @@ def _validate_agent(block: AgentSpec) -> list[str]:
         problems.append(f"{pid}: unknown menu {block.menu!r}")
     elif n in MENUS_BY_N and block.menu not in MENUS_BY_N[n]:
         problems.append(f"{pid}: menu {block.menu!r} incompatible with N={n}")
+    elif block.menu == "sharp_paulis" and block.postulate == "quantum":
+        problems.append(f"{pid}: menu 'sharp_paulis' gives negative probabilities "
+                        "under the quantum postulate")
     ukind = block.utility.get("kind")
     if ukind not in ("uniform", "table"):
         problems.append(f"{pid}: unknown utility kind {ukind!r}")

@@ -12,11 +12,29 @@ from qbagents.agents import (
     expected_utility,
     predictive,
 )
+from dataclasses import replace
+
 from qbagents.core_math import BetaParams, beta_pdf
 from qbagents.errors import ValidationError
-from qbagents.inference import delta_ensemble, grid_ensemble, sample_uniform
-from qbagents.postulate import Interval, QubitBall, classical_postulate, quantum_postulate
+from qbagents.inference import (
+    Evidence,
+    ParticleEnsemble,
+    bayes_update,
+    delta_ensemble,
+    grid_ensemble,
+    maybe_resample,
+    sample_uniform,
+)
+from qbagents.postulate import (
+    Interval,
+    QubitBall,
+    classical_postulate,
+    likelihood_matrix,
+    likelihood_values,
+    quantum_postulate,
+)
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
+from qbagents.scenarios import _menu
 
 QUANTUM = quantum_postulate()
 CLASSICAL2 = classical_postulate(2)
@@ -57,6 +75,25 @@ class TestPredictive:
         q = predictive(agent, agent.action("flip"))
         assert q[0] == pytest.approx(0.7705, abs=2e-4)
         assert q[1] == pytest.approx(0.2295, abs=2e-4)
+
+
+    @pytest.mark.parametrize("make", ["ball", "grid"])
+    def test_mean_likelihood_equals_ensemble_average(self, make):
+        # linearity: the likelihood at the mean is the weighted average of
+        # the likelihoods over the ensemble
+        if make == "ball":
+            agent = ball_agent(rng_seed=5, n=3000)
+            agent.ensemble = bayes_update(agent.ensemble, QUANTUM,
+                                          agent.action("X").matrix, 0)
+        else:
+            ens = grid_ensemble(Interval(), 10_001,
+                                pdf=lambda t: beta_pdf(t, BetaParams(3, 5)))
+            agent = Agent("c", CLASSICAL2, ens, flip_menu())
+        ens = agent.ensemble
+        for action in agent.menu:
+            full = ens.weights @ likelihood_matrix(agent.postulate, action.matrix,
+                                                   ens.points)
+            assert np.allclose(predictive(agent, action), full, atol=1e-12, rtol=0)
 
 
 class TestExpectedUtility:
@@ -127,6 +164,63 @@ class TestChooseAction:
         assert tie_sets[0] == tie_sets[1]
 
 
+class TestChoiceStream:
+    def test_single_action_menu_draws_nothing(self):
+        agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
+        rng = np.random.default_rng(40)
+        before = rng.bit_generator.state
+        assert choose_action(agent, rng).name == "flip"
+        assert rng.bit_generator.state == before
+
+    def test_uniform_utility_draws_one_integer(self):
+        agent = ball_agent(rng_seed=6, n=300)
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(20):
+            name = choose_action(agent, rng).name
+            assert name == "XYZ"[twin.integers(3)]
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestLikelihoodCache:
+    def test_cache_refreshes_after_resample_moves_particles(self):
+        agent = ball_agent(rng_seed=7, n=500)
+        action = agent.action("Z")
+        rng = np.random.default_rng(42)
+        moved = 0
+        for _ in range(40):
+            points = agent.ensemble.points
+            ens = bayes_update(agent.ensemble, QUANTUM, action.matrix, 0,
+                               agent.likelihood(action, 0))
+            agent.ensemble = maybe_resample(ens, rng)
+            if agent.ensemble.points is not points:
+                moved += 1
+                for j in (0, 1):
+                    assert np.array_equal(
+                        agent.likelihood(action, j),
+                        likelihood_values(QUANTUM, action.matrix, j,
+                                          agent.ensemble.points))
+        assert moved > 0
+
+    def test_grid_cache_matches_likelihood_values(self):
+        agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 1001), flip_menu())
+        action = agent.menu[0]
+        for j in (0, 1, 0):
+            expected = likelihood_values(CLASSICAL2, action.matrix, j,
+                                         agent.ensemble.points)
+            assert np.array_equal(agent.likelihood(action, j), expected)
+            agent.ensemble = bayes_update(agent.ensemble, CLASSICAL2,
+                                          action.matrix, j, expected)
+
+    def test_assigning_an_ensemble_invalidates_caches(self):
+        agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
+        action = agent.menu[0]
+        agent.likelihood(action, 0)
+        assert broadcast_point(agent)[0] == pytest.approx(0.5)
+        agent.ensemble = delta_ensemble([[0.2], [0.9]], [0.5, 0.5], Interval())
+        assert np.array_equal(agent.likelihood(action, 0), [0.2, 0.9])
+        assert broadcast_point(agent)[0] == pytest.approx(0.55)
+
+
 class TestAgentValidation:
     def test_menu_dimension_checked(self):
         ens = grid_ensemble(Interval(), 51)
@@ -148,6 +242,36 @@ class TestAgentValidation:
         with pytest.raises(ValidationError):
             Agent("a", CLASSICAL2, ens, flip_menu(),
                   UtilityFn({"flip": (1.0, 2.0, 3.0)}))
+
+    def test_quantum_sharp_actions_rejected(self):
+        # sharp Pauli matrices give negative probabilities on most of the ball
+        ens = sample_uniform(QubitBall(), 100, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="negative probability"):
+            Agent("q", QUANTUM, ens, _menu("sharp_paulis"))
+
+    def test_classical_sharp_actions_accepted(self):
+        ens = sample_uniform(QubitBall(), 100, np.random.default_rng(0))
+        Agent("c", classical_postulate(4), ens, _menu("sharp_paulis"))
+
+    def test_nonuniform_particle_prior_rejected(self):
+        ens = sample_uniform(QubitBall(), 100, np.random.default_rng(1))
+        w = np.linspace(1.0, 2.0, 100)
+        skewed = ParticleEnsemble(ens.points, w / w.sum(), QubitBall())
+        with pytest.raises(ValidationError, match="uniform"):
+            Agent("a", QUANTUM, skewed, pauli_menu())
+
+    def test_particle_prior_with_counts_rejected(self):
+        ens = sample_uniform(QubitBall(), 100, np.random.default_rng(2))
+        r_z = pauli_menu()[2].matrix
+        seen = replace(ens, evidence=Evidence().add(QUANTUM, r_z, 0))
+        with pytest.raises(ValidationError, match="uniform"):
+            Agent("a", QUANTUM, seen, pauli_menu())
+
+    def test_nonuniform_grid_and_atoms_accepted(self):
+        ens = grid_ensemble(Interval(), 51, pdf=lambda t: beta_pdf(t, BetaParams(2, 5)))
+        Agent("c", CLASSICAL2, ens, flip_menu())
+        Agent("d", CLASSICAL2, delta_ensemble([[0.1], [0.8]], [0.3, 0.7], Interval()),
+              flip_menu())
 
     def test_broadcast_is_posterior_mean(self):
         params = BetaParams(772, 230)

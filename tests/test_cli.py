@@ -66,6 +66,18 @@ def test_run_rejects_bad_config(runner, tmp_path):
     assert any("N=2 is not the square of an integer" in v for v in err["violations"])
 
 
+def test_run_rejects_quantum_sharp_menu(runner, tmp_path):
+    cfg = default_config("quinn_clara_sharp", seed=1)
+    cfg = replace(cfg, agents=(replace(cfg.agents[0], menu="sharp_paulis"),
+                               cfg.agents[1]))
+    path = tmp_path / "sharp.json"
+    path.write_text(emit_config(cfg))
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert any("sharp_paulis" in v for v in err["violations"])
+
+
 def test_run_reports_polarization(runner, tmp_path):
     # seed chosen so the simultaneous two-sided-coin scenario polarizes
     for seed in range(10):

@@ -1,0 +1,106 @@
+"""Golden digests: the determinism contract as a byte-level oracle.
+
+For every registry scenario and seeds 1-3, at ``n_steps = min(default, 200)``,
+the sha256 of every file that ``emit_trace`` and ``emit_plot_data`` write is
+pinned in ``golden_digests.json``.  Runs that polarize under prior sampling pin
+the step and agent of their ``ImpossibleOutcomeError`` instead.  A change that
+alters any of these bytes changes behaviour and has to say so.
+
+The runs happen in a child process with one BLAS thread: a threaded BLAS
+splits the reductions over 10,001 points between threads, which changes their
+rounding, so the bytes would otherwise depend on the core count.  They still
+depend on the BLAS build and the CPU kernel it selects; on another platform,
+regenerate the digests from a known-good commit first.
+
+Regenerate (only for a deliberate behaviour change):
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import os
+import sys
+
+BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS")}
+if __name__ == "__main__":
+    os.environ.update(BLAS_ENV)  # before numpy loads
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import subprocess  # noqa: E402
+import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+import pytest  # noqa: E402
+
+from qbagents.errors import ImpossibleOutcomeError  # noqa: E402
+from qbagents.scenarios import REGISTRY, default_config, run_config  # noqa: E402
+from qbagents.trace_io import emit_plot_data, emit_trace  # noqa: E402
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(HERE, "golden_digests.json")
+SRC = os.path.join(os.path.dirname(HERE), "src")
+SEEDS = (1, 2, 3)
+MAX_STEPS = 200
+CASES = [(name, seed) for name in sorted(REGISTRY) for seed in SEEDS]
+
+
+def golden_record(scenario: str, seed: int, out_dir: str) -> dict:
+    """{file name: sha256} of one run's emitted files, or its polarization point."""
+    cfg = default_config(scenario, seed)
+    cfg = replace(cfg, n_steps=min(cfg.n_steps, MAX_STEPS))
+    try:
+        trace = run_config(cfg)
+    except ImpossibleOutcomeError as err:
+        return {"impossible_outcome": {"step": err.step, "agent": err.agent_id}}
+    paths = emit_trace(trace, out_dir)
+    paths.update(emit_plot_data(trace, out_dir))
+    digests = {}
+    for path in paths.values():
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def _key(scenario: str, seed: int) -> str:
+    return f"{scenario}/seed{seed}"
+
+
+def golden_table() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {_key(name, seed): golden_record(name, seed, os.path.join(tmp, _key(name, seed)))
+                for name, seed in CASES}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    return json.loads(out.stdout)
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(_key(name, seed) for name, seed in CASES)
+
+
+@pytest.mark.parametrize("scenario,seed", CASES)
+def test_emitted_bytes_match_golden(golden, emitted, scenario, seed):
+    assert emitted[_key(scenario, seed)] == golden[_key(scenario, seed)]
+
+
+if __name__ == "__main__":
+    table = golden_table()
+    if sys.argv[1:] == ["--write"]:
+        with open(GOLDEN_PATH, "w", encoding="utf8") as fh:
+            json.dump(table, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    else:
+        json.dump(table, sys.stdout, sort_keys=True)

@@ -6,6 +6,7 @@ from qbagents.errors import ImpossibleOutcomeError, ValidationError
 from qbagents.inference import (
     ParticleEnsemble,
     bayes_update,
+    log_posterior_density,
     delta_ensemble,
     grid_ensemble,
     maybe_resample,
@@ -16,6 +17,7 @@ from qbagents.postulate import (
     Interval,
     QubitBall,
     classical_postulate,
+    likelihood_values,
     quantum_postulate,
 )
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
@@ -150,6 +152,33 @@ class TestPosteriorSummary:
         s = posterior_summary(ens)
         assert s.mean[0] == pytest.approx(0.5, abs=1e-9)
         assert s.std[0] == pytest.approx(np.sqrt(1 / 12), abs=1e-4)
+
+
+class TestEvidence:
+    def test_counts_keyed_by_action_and_outcome_in_first_seen_order(self):
+        ens = sample_uniform(QubitBall(), 50, np.random.default_rng(13))
+        for ax, j in (("Z", 1), ("X", 0), ("Z", 1), ("Z", 0), ("X", 0)):
+            ens = bayes_update(ens, QUANTUM, PAULI[ax], j)
+        assert list(ens.evidence.counts.items()) == [((0, 1), 2), ((1, 0), 2), ((0, 0), 1)]
+        assert [m is PAULI[ax] for (_p, m, _r), ax in zip(ens.evidence.actions, "ZX")] == [True, True]
+
+    def test_log_density_matches_per_observation_sum(self):
+        # reference: the sum over observed cells of count * log(likelihood),
+        # in first-seen order, each likelihood computed from scratch
+        rng = np.random.default_rng(14)
+        ens = sample_uniform(QubitBall(), 400, rng)
+        cells = {}
+        for _ in range(30):
+            ax, j = "XYZ"[rng.integers(3)], int(rng.integers(2))
+            ens = bayes_update(ens, QUANTUM, PAULI[ax], j)
+            cells[ax, j] = cells.get((ax, j), 0) + 1
+        pts = QubitBall().sample(1000, rng) * 1.05
+        reference = np.zeros(len(pts))
+        with np.errstate(divide="ignore"):
+            for (ax, j), count in cells.items():
+                reference += count * np.log(likelihood_values(QUANTUM, PAULI[ax], j, pts))
+        reference[np.linalg.norm(pts, axis=1) > 1.0 + 1e-9] = -np.inf
+        assert np.array_equal(log_posterior_density(ens, pts), reference)
 
 
 class TestResampleMove:

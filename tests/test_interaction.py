@@ -116,6 +116,26 @@ class TestSampleOutcome:
                            "none", np.random.default_rng(4))
 
 
+class TestSourceValidation:
+    @pytest.mark.parametrize("point", [[1.5], [float("nan")], [0.7, 0.7]])
+    def test_source_outside_valid_states_rejected_at_build(self, point):
+        src = ExogenousSource("s", np.array(point))
+        with pytest.raises(ValidationError):
+            pair_spec([coin_agent("a", n=11), src], metrics="coin_tomography")
+
+    def test_regularized_source_checked(self):
+        # the scalar 1.0 embeds as the z pole, a valid state; a Bloch point
+        # of norm 1.2 is not one
+        qubit = Agent("q", QUANTUM, sample_uniform(QubitBall(), 50, np.random.default_rng(0)),
+                      (Action("X", conditional_matrix(pauli_povm("X"), sic_d2()),
+                              ("+1", "-1")),))
+        pair_spec([ExogenousSource("s", np.array([1.0])), qubit],
+                  regs=("none", "z_embedding"), metrics="none")
+        with pytest.raises(ValidationError):
+            pair_spec([ExogenousSource("s", np.array([1.2, 0.0, 0.0])), qubit],
+                      metrics="none")
+
+
 class TestExpectationSteps:
     def test_two_certain_agents_stay_certain(self):
         a = Agent("a", CLASSICAL2, delta_ensemble([[1.0]], [1.0], Interval()), flip_menu())

@@ -15,7 +15,8 @@ from qbagents.postulate import (
     ensemble_compatible,
     is_valid_state,
     likelihood_matrix,
-    likelihood_row,
+    likelihood_values,
+    min_likelihood,
     phi_matrix,
     quantum_postulate,
     sqrt_phi,
@@ -165,17 +166,17 @@ class TestApplyPostulate:
 
 class TestLikelihood:
     def test_classical_bernoulli(self):
-        assert likelihood_row(CLASSICAL2, np.eye(2), 0, 0.3) == pytest.approx(0.3)
-        assert likelihood_row(CLASSICAL2, np.eye(2), 1, 0.3) == pytest.approx(0.7)
+        assert likelihood_values(CLASSICAL2, np.eye(2), 0, 0.3)[0] == pytest.approx(0.3)
+        assert likelihood_values(CLASSICAL2, np.eye(2), 1, 0.3)[0] == pytest.approx(0.7)
 
     def test_quantum_eigenstate(self):
-        assert likelihood_row(QUANTUM, R_X, 0, [1.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert likelihood_values(QUANTUM, R_X, 0, [1.0, 0.0, 0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quantum_center(self):
         for axis in "XYZ":
             r = conditional_matrix(pauli_povm(axis), sic_d2())
             for j in (0, 1):
-                assert likelihood_row(QUANTUM, r, j, [0.0, 0.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
+                assert likelihood_values(QUANTUM, r, j, [0.0, 0.0, 0.0])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -183,6 +184,37 @@ class TestLikelihood:
         pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True) * 1.001)
         like = likelihood_matrix(QUANTUM, R_X, pts)
         assert np.allclose(like.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestMinLikelihood:
+    def test_pauli_actions_touch_zero_on_the_ball(self):
+        for axis in "XYZ":
+            r = conditional_matrix(pauli_povm(axis), sic_d2())
+            assert min_likelihood(QUANTUM, r) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sharp_actions_negative_for_quantum_only(self):
+        root = sqrt_phi(phi_matrix(sic_d2()))
+        sharp = conditional_matrix(pauli_povm("X"), sic_d2()) @ root
+        assert min_likelihood(QUANTUM, sharp) < -0.1
+        assert min_likelihood(classical_postulate(4), sharp) > -1e-12
+
+    def test_exact_against_sampled_ball(self):
+        # the analytic minimum bounds every sampled state and is attained on
+        # the sphere
+        rng = np.random.default_rng(5)
+        root = sqrt_phi(phi_matrix(sic_d2()))
+        pts = rng.normal(size=(200_000, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        for axis in "XYZ":
+            sharp = conditional_matrix(pauli_povm(axis), sic_d2()) @ root
+            probs = sic_probs_from_bloch(pts)
+            sampled = (probs @ (sharp @ QUANTUM.phi).T).min()
+            exact = min_likelihood(QUANTUM, sharp)
+            assert exact <= sampled + 1e-12
+            assert sampled - exact < 1e-3
+
+    def test_classical_interval_endpoints(self):
+        assert min_likelihood(CLASSICAL2, [[0.9, 0.2], [0.1, 0.8]]) == pytest.approx(0.1)
 
 
 class TestValidity:

@@ -81,6 +81,22 @@ class TestValidation:
             parse_config(json.dumps(data))
         assert any("support_restriction" in v for v in err.value.violations)
 
+    def test_quantum_sharp_menu_rejected(self):
+        data = json.loads(emit_config(default_config("quinn_clara_sharp")))
+        data["agents"][0]["menu"] = "sharp_paulis"
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert any("sharp_paulis" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize("point", [[1.5], [float("nan")], [0.0, 0.0, 1.2]])
+    def test_source_point_outside_states_rejected(self, point):
+        name = "coin_tomography" if len(point) == 1 else "qubit_tomography"
+        data = json.loads(emit_config(default_config(name)))
+        data["agents"][1]["point"] = point
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert any("point outside" in v for v in err.value.violations)
+
     def test_negative_steps(self):
         data = json.loads(emit_config(default_config("coin_tomography")))
         data["n_steps"] = -1
