@@ -54,11 +54,9 @@ from .interaction import (
     sample_outcome,
 )
 from .postulate import (
-    FullSimplex,
     Interval,
     PhysicalPostulate,
     QubitBall,
-    ZChord,
     apply_postulate,
     classical_postulate,
     is_valid_state,

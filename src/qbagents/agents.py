@@ -14,9 +14,10 @@ built, so a step does only arithmetic:
   (``min_likelihood``), and a particle ensemble must start uniform, the prior
   that resample-move assumes;
 * each action's likelihood rows ``R[j] @ Phi`` are stored, and likelihoods on
-  the ensemble's points are cached per point set: grid and delta points never
-  move, so each (action, outcome) vector is computed once, while particles
-  keep their embedded reference probabilities until resample-move moves them;
+  the ensemble's points are cached per point set: the points are embedded
+  once, and each (action, outcome) vector is computed the first time it is
+  asked for and kept until the points change (grid and delta points never
+  move; particles move only when resample-move rejuvenates them);
 * the posterior mean is cached per ensemble, and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
   parameter), so a choice costs one point instead of a pass over the ensemble;
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector
+from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector, readonly
 from .errors import ValidationError
 from .inference import ParticleEnsemble
 from .postulate import (
@@ -87,10 +88,6 @@ class UtilityFn:
             raise ValidationError(f"utility row for {action.name!r} is not finite")
         return out
 
-    @classmethod
-    def uniform(cls) -> "UtilityFn":
-        return cls()
-
 
 @dataclass
 class Agent:
@@ -105,7 +102,7 @@ class Agent:
     postulate: PhysicalPostulate
     ensemble: ParticleEnsemble
     menu: tuple[Action, ...]
-    utility: UtilityFn = field(default_factory=UtilityFn.uniform)
+    utility: UtilityFn = field(default_factory=UtilityFn)
 
     def __post_init__(self):
         self.menu = tuple(self.menu)
@@ -138,8 +135,8 @@ class Agent:
         self._rows = tuple(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)])
                            for a in self.menu)
         self._points = None  # the point set the likelihood cache belongs to
-        self._probs = None  # its reference probabilities, for moving particles
-        self._likes = {}  # (action index, outcome) -> likelihood, for fixed points
+        self._probs = None  # its reference probabilities
+        self._likes = {}  # (action index, outcome) -> likelihood at those points
         self._mean_of = None  # the ensemble whose mean is cached
         self._mean = None
 
@@ -168,19 +165,16 @@ class Agent:
 
     def likelihood(self, action: Action, j: int) -> np.ndarray:
         """p(j | theta) of a menu action at every point of the current ensemble."""
-        ens = self.ensemble
-        if ens.points is not self._points:
-            probs = ref_probs_of_points(self.postulate, ens.points)
-            fixed = ens.grid or ens.atoms
-            self._points = ens.points
-            self._probs = None if fixed else probs
-            self._likes = {(a, k): likelihoods(probs, row)
-                           for a, rows in enumerate(self._rows)
-                           for k, row in enumerate(rows)} if fixed else {}
+        points = self.ensemble.points
+        if points is not self._points:
+            self._points = points
+            self._probs = ref_probs_of_points(self.postulate, points)
+            self._likes = {}
         a = self._index(action)
-        if self._probs is None:
-            return self._likes[a, j]
-        return likelihoods(self._probs, self._rows[a][j])
+        like = self._likes.get((a, j))
+        if like is None:
+            like = self._likes[a, j] = readonly(likelihoods(self._probs, self._rows[a][j]))
+        return like
 
 
 def predictive(agent: Agent, action: Action) -> np.ndarray:

@@ -35,12 +35,16 @@ import numpy as np
 from scipy import special
 
 from .core_math import (
+    DEFAULT_GRID_POINTS,
     BetaParams,
     Density1D,
     beta_mean,
-    regularized_incomplete_beta,
+    kolmogorov_distance,
 )
 from .errors import ValidationError
+
+CHI_GRID = 101  # points on [0, 1] where chi is checked
+CLAIM_TOL = 1e-12  # slack on the mean-contraction and chi margins
 
 
 @dataclass(frozen=True)
@@ -154,27 +158,21 @@ def chi_edge_terms(k: int, l: int, n_total: int) -> tuple[float, float]:
     return first_sum, second_sum
 
 
-def kolmogorov_contraction_check(k: int, l: int, n_total: int, *,
-                                 grid_points: int = 10_001) -> tuple[float, float]:
+def kolmogorov_contraction_check(k: int, l: int, n_total: int) -> tuple[float, float]:
     """(K between priors, K between expected posteriors) for uniform-start agents.
 
     Priors are Beta(k+1, N-k+1) and Beta(l+1, N-l+1); the expected posteriors
     are the corresponding two-component mixtures.  The first value dominates
     the second, and the domination holds pointwise in the CDF difference, so a
-    grid supremum preserves the ordering at any resolution.
+    supremum over the 10,001-point grid preserves the ordering.
     """
     _check_counts(k, l, n_total, strict=False)
-    theta = np.linspace(0.0, 1.0, grid_points)
-    n = n_total
-    cdf_a = special.betainc(k + 1, n - k + 1, theta)
-    cdf_b = special.betainc(l + 1, n - l + 1, theta)
-    k_prior = float(np.max(np.abs(cdf_a - cdf_b)))
-    exp_a = ((l + 1) * special.betainc(k + 2, n - k + 1, theta)
-             + (n - l + 1) * special.betainc(k + 1, n - k + 2, theta)) / (n + 2)
-    exp_b = ((k + 1) * special.betainc(l + 2, n - l + 1, theta)
-             + (n - k + 1) * special.betainc(l + 1, n - l + 2, theta)) / (n + 2)
-    k_post = float(np.max(np.abs(exp_a - exp_b)))
-    return k_prior, k_post
+    prior_a = BetaParams(k + 1, n_total - k + 1)
+    prior_b = BetaParams(l + 1, n_total - l + 1)
+    theta = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+    exp_a = expected_posterior(prior_a, beta_mean(prior_b)).cdf(theta)
+    exp_b = expected_posterior(prior_b, beta_mean(prior_a)).cdf(theta)
+    return kolmogorov_distance(prior_a, prior_b), float(np.max(np.abs(exp_a - exp_b)))
 
 
 def _check_counts(k: int, l: int, n_total: int, *, strict: bool):
@@ -190,8 +188,7 @@ def _check_counts(k: int, l: int, n_total: int, *, strict: bool):
 
 
 def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
-                           n_beta_pairs: int = 10_000, seed: int = 0,
-                           chi_grid: int = 101, tol: float = 1e-12) -> list[dict]:
+                           n_beta_pairs: int = 10_000, seed: int = 0) -> list[dict]:
     """Run the full battery of closed-form agreement checks.
 
     Returns one row per claim: name, pass flag, and the worst observed margin.
@@ -206,16 +203,16 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
         before, after = mean_contraction_gap(a, b)
         worst = min(worst, before - after)
     rows.append({"claim": f"mean contraction ({n_beta_pairs} random Beta pairs)",
-                 "passed": bool(worst >= -tol), "margin": float(worst)})
+                 "passed": bool(worst >= -CLAIM_TOL), "margin": float(worst)})
 
-    xs = np.linspace(0.0, 1.0, chi_grid)
+    xs = np.linspace(0.0, 1.0, CHI_GRID)
     worst = np.inf
     for n in range(1, chi_max_n + 1):
         for k in range(1, n + 1):
             for l in range(0, k):
                 worst = min(worst, float(np.min(chi(xs, k, l, n))))
     rows.append({"claim": f"chi >= 0 on grid (N <= {chi_max_n})",
-                 "passed": bool(worst >= -tol), "margin": float(worst)})
+                 "passed": bool(worst >= -CLAIM_TOL), "margin": float(worst)})
 
     worst = np.inf
     for n in range(1, kdist_max_n + 1):

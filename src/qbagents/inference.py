@@ -5,9 +5,8 @@ Beliefs are represented as weighted point sets.  Two flavors exist:
 * grid ensembles (1-D regions only): a fixed uniform grid whose weights track
   the density exactly at the grid points; these are never resampled, since
   reweighting alone keeps the representation faithful;
-* particle ensembles (the Bloch ball and other multi-dimensional regions):
-  weighted samples refreshed by a resample-move step when the effective sample
-  size degrades.
+* particle ensembles (the Bloch ball): weighted samples refreshed by a
+  resample-move step when the effective sample size degrades.
 
 Updates multiply weights by the postulate likelihood of the observed outcome
 and renormalize; a caller that already holds that likelihood (an agent's
@@ -26,17 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core_math import readonly
 from .errors import ImpossibleOutcomeError, ValidationError
 from .postulate import PhysicalPostulate, likelihood_values, likelihoods
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
 PROPOSAL_SCALE = 0.5
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ class Evidence:
                 break
         else:
             m = R if isinstance(R, np.ndarray) and not R.flags.writeable else (
-                _readonly(np.array(R, dtype=float)))
+                readonly(np.array(R, dtype=float)))
             rows = np.stack([m[k] @ post.phi for k in range(m.shape[0])])
             a = len(actions)
             actions += ((post, m, rows),)
@@ -104,8 +99,8 @@ class ParticleEnsemble:
         total = w.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "points", _readonly(pts.copy()))
-        object.__setattr__(self, "weights", _readonly(w / total))
+        object.__setattr__(self, "points", readonly(pts.copy()))
+        object.__setattr__(self, "weights", readonly(w / total))
 
     @property
     def n(self) -> int:
@@ -125,8 +120,8 @@ def _bless(ens: ParticleEnsemble, *, points=None, weights=None,
     # Validation bypass for the update loop: inputs derive from an already
     # validated ensemble, so region membership and normalization hold.
     out = object.__new__(ParticleEnsemble)
-    object.__setattr__(out, "points", ens.points if points is None else _readonly(points))
-    object.__setattr__(out, "weights", ens.weights if weights is None else _readonly(weights))
+    object.__setattr__(out, "points", ens.points if points is None else readonly(points))
+    object.__setattr__(out, "weights", ens.weights if weights is None else readonly(weights))
     object.__setattr__(out, "region", ens.region)
     object.__setattr__(out, "grid", ens.grid)
     object.__setattr__(out, "atoms", ens.atoms)
@@ -139,13 +134,12 @@ class PosteriorSummary:
     """Weighted mean, covariance, and the standard deviation ellipsoid.
 
     Axis lengths are the eigenvalues of the covariance square root (sorted
-    descending); axes holds the matching eigenvectors as columns.
+    descending).
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     axis_lengths: np.ndarray
-    axes: np.ndarray
 
     @property
     def semi_major(self) -> float:
@@ -238,35 +232,30 @@ def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
     if ens.dim == 1:
         var = float(w @ centered[:, 0] ** 2)
         return PosteriorSummary(
-            mean=_readonly(mean),
-            covariance=_readonly(np.array([[var]])),
-            axis_lengths=_readonly(np.array([np.sqrt(max(var, 0.0))])),
-            axes=_readonly(np.ones((1, 1))),
+            mean=readonly(mean),
+            covariance=readonly(np.array([[var]])),
+            axis_lengths=readonly(np.array([np.sqrt(max(var, 0.0))])),
         )
     cov = (centered * w[:, None]).T @ centered
     cov = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    eigvals = np.clip(eigvals, 0.0, None)
+    eigvals = np.clip(np.linalg.eigh(cov)[0], 0.0, None)
     order = np.argsort(eigvals)[::-1]
     return PosteriorSummary(
-        mean=_readonly(mean),
-        covariance=_readonly(cov),
-        axis_lengths=_readonly(np.sqrt(eigvals[order])),
-        axes=_readonly(eigvecs[:, order].copy()),
+        mean=readonly(mean),
+        covariance=readonly(cov),
+        axis_lengths=readonly(np.sqrt(eigvals[order])),
     )
 
 
-def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator, *,
-                   sweeps: int = RESAMPLE_SWEEPS,
-                   scale_factor: float = PROPOSAL_SCALE) -> ParticleEnsemble:
+def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator) -> ParticleEnsemble:
     """Resample-move step, triggered when ESS drops below n/2.
 
     Systematic resampling restores equal weights, then a Gaussian random-walk
-    Metropolis pass (scale = ``scale_factor`` times the per-dimension posterior
-    standard deviation, ``sweeps`` sweeps, proposals outside the region
-    rejected) rejuvenates particle diversity while targeting the current
-    posterior.  Exact representations (grids, delta mixtures) and healthy
-    particle sets pass through unchanged.
+    Metropolis pass (scale = ``PROPOSAL_SCALE`` times the per-dimension
+    posterior standard deviation, ``RESAMPLE_SWEEPS`` sweeps, proposals
+    outside the region rejected) rejuvenates particle diversity while
+    targeting the current posterior.  Exact representations (grids, delta
+    mixtures) and healthy particle sets pass through unchanged.
     """
     if ens.grid or ens.atoms or ens.ess() >= ens.n / 2:
         return ens
@@ -274,11 +263,11 @@ def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator, *,
     idx = _systematic_indices(ens.weights, rng)
     pts = ens.points[idx].copy()
     equal = np.full(ens.n, 1.0 / ens.n)
-    scale = scale_factor * summary.std
+    scale = PROPOSAL_SCALE * summary.std
     if not np.any(scale > 0):
         return _bless(ens, points=pts, weights=equal)
     logp = log_posterior_density(ens, pts)
-    for _ in range(sweeps):
+    for _ in range(RESAMPLE_SWEEPS):
         proposal = pts + rng.normal(size=pts.shape) * scale
         logp_prop = log_posterior_density(ens, proposal)
         with np.errstate(invalid="ignore"):

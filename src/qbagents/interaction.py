@@ -148,7 +148,6 @@ class RunSpec:
     slots: tuple
     incoming_reg: tuple[str, str]
     mode: str = EXPECTATION
-    summary_interval: int = 10
     metrics_kind: str = "none"
     config: dict = field(default_factory=dict)
 
@@ -237,10 +236,7 @@ def run(spec: RunSpec) -> Trace:
                                           slot.ensemble.weights.copy())]
 
     for step in range(1, spec.n_steps + 1):
-        if spec.mode == PRIOR_TURNS:
-            step_agents = _turn_based_step(spec, slots, streams, counts, step)
-        else:
-            step_agents = _simultaneous_step(spec, slots, streams, counts, step)
+        step_agents = _step(spec, slots, streams, counts, step)
         summaries = [posterior_summary(s.ensemble) if _is_agent(s) else None
                      for s in slots]
         rec_agents = []
@@ -283,28 +279,24 @@ def run(spec: RunSpec) -> Trace:
     return trace
 
 
-def _simultaneous_step(spec, slots, streams, counts, step):
-    broadcasts = [_self_broadcast(slot, spec.mode, streams[i]["broadcast"])
-                  for i, slot in enumerate(slots)]
-    results = [None, None]
-    for i, slot in enumerate(slots):
-        if not _is_agent(slot):
-            continue
-        action, outcome = _receive_and_update(
-            slot, broadcasts[1 - i], spec.incoming_reg[i], streams[i], step)
-        counts[i][(action.name, outcome)] = counts[i].get((action.name, outcome), 0) + 1
-        results[i] = (action, outcome)
-    return results
+def _step(spec, slots, streams, counts, step):
+    # Simultaneous modes take both broadcasts before either update, and slot 0
+    # updates first (so it is the agent an ImpossibleOutcomeError names when
+    # both outcomes are impossible).  Turn mode takes each broadcast as it is
+    # sent: slot 0 broadcasts to slot 1, which updates, then slot 1 broadcasts
+    # its refreshed beliefs back to slot 0.
+    def broadcast(i):
+        return _self_broadcast(slots[i], spec.mode, streams[i]["broadcast"])
 
-
-def _turn_based_step(spec, slots, streams, counts, step):
-    # One round: slot 0 broadcasts to slot 1, which updates; then slot 1
-    # broadcasts its refreshed beliefs back to slot 0.
+    if spec.mode == PRIOR_TURNS:
+        sent, order = None, ((0, 1), (1, 0))
+    else:
+        sent, order = [broadcast(i) for i in range(2)], ((1, 0), (0, 1))
     results = [None, None]
-    for sender, receiver in ((0, 1), (1, 0)):
+    for sender, receiver in order:
         if not _is_agent(slots[receiver]):
             continue
-        point = _self_broadcast(slots[sender], spec.mode, streams[sender]["broadcast"])
+        point = broadcast(sender) if sent is None else sent[sender]
         action, outcome = _receive_and_update(
             slots[receiver], point, spec.incoming_reg[receiver],
             streams[receiver], step)
@@ -344,43 +336,39 @@ def _axis_counts(counts: dict) -> dict:
 
 
 def _metrics(kind: str, slots, summaries, counts, step: int) -> dict:
-    out = _metrics_raw(kind, slots, summaries, counts, step)
-    return {k: float(v) for k, v in out.items()}
-
-
-def _metrics_raw(kind: str, slots, summaries, counts, step: int) -> dict:
     if kind == "none":
-        return {}
-    if kind == "coin_tomography":
+        out = {}
+    elif kind == "coin_tomography":
         # Slot 0 is the learner; slot 1 is the source side (an exogenous
         # source or the delta-prior agent standing in for one).
         mean = summaries[0].mean[0]
         heads = sum(c for (name, j), c in counts[0].items() if j == 0)
         freq = heads / step
-        return {
+        out = {
             "dist_to_frequency": abs(mean - freq),
             "dist_to_source": abs(mean - _source_point(slots[1], summaries[1])[0]),
             "running_frequency": freq,
         }
-    if kind == "qubit_tomography":
+    elif kind == "qubit_tomography":
         state = _mean_state(summaries[0])
         source_state = bloch_to_density(_source_point(slots[1], summaries[1]))
         freq_op, _missing = frequency_operator(_axis_counts(counts[0]))
-        return {
+        out = {
             "dist_to_frequency": trace_distance(state, freq_op),
             "dist_to_source": trace_distance(state, source_state),
         }
-    if kind == "pair_1d":
-        return {"mean_gap": abs(summaries[0].mean[0] - summaries[1].mean[0])}
-    if kind == "pair_ball":
-        return {"mean_trace_distance": trace_distance(_mean_state(summaries[0]),
-                                                      _mean_state(summaries[1]))}
-    if kind == "z_marginal":
+    elif kind == "pair_1d":
+        out = {"mean_gap": abs(summaries[0].mean[0] - summaries[1].mean[0])}
+    elif kind == "pair_ball":
+        out = {"mean_trace_distance": trace_distance(_mean_state(summaries[0]),
+                                                     _mean_state(summaries[1]))}
+    elif kind == "z_marginal":
         ball = 0 if summaries[0].mean.size == 3 else 1
-        chord = 1 - ball
         c_ball = summaries[ball].mean[2]
-        theta = summaries[chord].mean[0]
+        theta = summaries[1 - ball].mean[0]
         embedded = bloch_to_density(np.array([0.0, 0.0, 2.0 * theta - 1.0]))
         marginal = bloch_to_density(np.array([0.0, 0.0, np.clip(c_ball, -1.0, 1.0)]))
-        return {"z_gap": trace_distance(embedded, marginal)}
-    raise ValidationError(f"unknown metrics kind {kind!r}")
+        out = {"z_gap": trace_distance(embedded, marginal)}
+    else:
+        raise ValidationError(f"unknown metrics kind {kind!r}")
+    return {k: float(v) for k, v in out.items()}

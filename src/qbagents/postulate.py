@@ -23,9 +23,6 @@ how to embed parameter points into reference probability vectors:
 
 * ``Interval(lo, hi)``: theta in [lo, hi], embedded as (theta, 1 - theta).
 * ``QubitBall()``: Bloch points, embedded as tetrahedral SIC probabilities.
-* ``FullSimplex(n)``: probability vectors, embedded as themselves.
-* ``ZChord()``: the z-axis chord of the Bloch ball; the image of a
-  two-outcome agent's beliefs inside the qubit picture.
 """
 
 from __future__ import annotations
@@ -35,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .core_math import PROB_TOL, as_prob_vector, renormalized
+from .core_math import PROB_TOL, as_prob_vector, readonly, renormalized
 from .errors import DimensionMismatchError, RegionError, ValidationError
 from .quantum import (
+    BALL_TOL,
     OP_TOL,
     TETRA_VERTICES,
     ReferenceAction,
@@ -46,13 +44,6 @@ from .quantum import (
     sic_d2,
     sic_probs_from_bloch,
 )
-
-BALL_TOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -103,58 +94,6 @@ class QubitBall:
 
 
 @dataclass(frozen=True)
-class FullSimplex:
-    """The whole n-outcome probability simplex."""
-
-    n_outcomes: int
-
-    def __post_init__(self):
-        if self.n_outcomes < 2:
-            raise ValidationError("simplex needs at least 2 outcomes")
-
-    @property
-    def dim(self) -> int:
-        return self.n_outcomes
-
-    @property
-    def ref_dim(self) -> int:
-        return self.n_outcomes
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, self.n_outcomes)
-        ok_entries = np.all(pts >= -PROB_TOL, axis=1)
-        ok_sum = np.abs(pts.sum(axis=1) - 1.0) <= PROB_TOL * self.n_outcomes
-        return ok_entries & ok_sum
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.dirichlet(np.ones(self.n_outcomes), size=n)
-
-    def to_ref_probs(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float).reshape(-1, self.n_outcomes)
-
-
-@dataclass(frozen=True)
-class ZChord:
-    """Bloch points on the z axis; where a two-outcome agent's broadcasts land."""
-
-    dim = 3
-    ref_dim = 4
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        on_axis = (np.abs(pts[:, 0]) <= BALL_TOL) & (np.abs(pts[:, 1]) <= BALL_TOL)
-        return on_axis & (np.abs(pts[:, 2]) <= 1.0 + BALL_TOL)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        pts = np.zeros((n, 3))
-        pts[:, 2] = rng.uniform(-1.0, 1.0, size=n)
-        return pts
-
-    def to_ref_probs(self, points) -> np.ndarray:
-        return sic_probs_from_bloch(np.asarray(points, dtype=float).reshape(-1, 3))
-
-
-@dataclass(frozen=True)
 class PhysicalPostulate:
     """The rule q = R (Phi p), classical (Phi = I) or quantum (Phi from a
     reference action)."""
@@ -181,7 +120,7 @@ class PhysicalPostulate:
                 raise ValidationError("quantum postulate requires a reference action")
             if phi.min() >= 0:
                 raise ValidationError("quantum Phi must contain a negative entry")
-        object.__setattr__(self, "phi", _readonly(phi.copy()))
+        object.__setattr__(self, "phi", readonly(phi.copy()))
 
     @property
     def is_quantum(self) -> bool:
@@ -206,7 +145,7 @@ def phi_matrix(ref: ReferenceAction) -> np.ndarray:
     phi = np.linalg.inv(inv_phi)
     if np.max(np.abs(phi.sum(axis=0) - np.ones(n))) > 1e-9:
         raise ValidationError("Phi columns do not sum to one")
-    return _readonly(phi)
+    return readonly(phi)
 
 
 def quantum_postulate(ref: ReferenceAction | None = None) -> PhysicalPostulate:
@@ -229,7 +168,7 @@ def sqrt_phi(phi) -> np.ndarray:
     root = root.real
     if np.max(np.abs(root @ root - m)) > 1e-10:
         raise ValidationError("square root verification failed")
-    return _readonly(root)
+    return readonly(root)
 
 
 def is_valid_state(post: PhysicalPostulate, p) -> bool:
@@ -365,12 +304,4 @@ def likelihood_matrix(post: PhysicalPostulate, R, points) -> np.ndarray:
 
 def ensemble_compatible(post: PhysicalPostulate, region) -> bool:
     """Whether beliefs over the region are valid states for the postulate."""
-    if post.is_quantum:
-        return isinstance(region, (QubitBall, ZChord)) and post.n_outcomes == 4
-    if isinstance(region, Interval):
-        return post.n_outcomes == 2
-    if isinstance(region, FullSimplex):
-        return post.n_outcomes == region.n_outcomes
-    if isinstance(region, (QubitBall, ZChord)):
-        return post.n_outcomes == 4
-    return False
+    return region.ref_dim == post.n_outcomes

@@ -20,10 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_math import as_cond_prob_matrix, as_prob_vector
+from .core_math import as_cond_prob_matrix, as_prob_vector, readonly
 from .errors import DimensionMismatchError, ValidationError
 
 OP_TOL = 1e-10
+BALL_TOL = 1e-9  # slack on the Bloch radius, |r| <= 1 + BALL_TOL
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,14 +33,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # Bloch vectors of the four tetrahedral states, rows n_i with |n_i| = 1.
-TETRA_VERTICES = np.array(
-    [[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float) / math.sqrt(3)
-TETRA_VERTICES.flags.writeable = False
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+TETRA_VERTICES = readonly(np.array(
+    [[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float) / math.sqrt(3))
 
 
 def check_hermitian(m, *, tol: float = OP_TOL, name: str = "operator") -> np.ndarray:
@@ -49,24 +44,24 @@ def check_hermitian(m, *, tol: float = OP_TOL, name: str = "operator") -> np.nda
         raise ValidationError(f"{name}: expected a square matrix, got {a.shape}")
     if np.max(np.abs(a - a.conj().T)) > tol:
         raise ValidationError(f"{name}: not Hermitian within {tol}")
-    return _readonly(a.copy())
+    return readonly(a.copy())
 
 
-def check_density(m, *, tol: float = OP_TOL, name: str = "density operator") -> np.ndarray:
-    """Validate positivity (min eigenvalue >= -tol) and unit trace."""
-    a = check_hermitian(m, tol=tol, name=name)
+def check_density(m, *, name: str = "density operator") -> np.ndarray:
+    """Validate positivity (min eigenvalue >= -OP_TOL) and unit trace."""
+    a = check_hermitian(m, name=name)
     eigs = np.linalg.eigvalsh(a)
-    if eigs.min() < -tol:
+    if eigs.min() < -OP_TOL:
         raise ValidationError(f"{name}: negative eigenvalue {eigs.min():.3e}")
     tr = a.trace().real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > OP_TOL:
         raise ValidationError(f"{name}: trace {tr!r}, expected 1")
     return a
 
 
-def check_povm(effects, *, tol: float = OP_TOL) -> tuple[np.ndarray, ...]:
+def check_povm(effects) -> tuple[np.ndarray, ...]:
     """Validate a POVM: positive semidefinite effects summing to the identity."""
-    ops = tuple(check_hermitian(e, tol=tol, name=f"effect {k}")
+    ops = tuple(check_hermitian(e, name=f"effect {k}")
                 for k, e in enumerate(effects))
     if not ops:
         raise ValidationError("POVM: no effects")
@@ -74,10 +69,10 @@ def check_povm(effects, *, tol: float = OP_TOL) -> tuple[np.ndarray, ...]:
     for k, e in enumerate(ops):
         if e.shape[0] != d:
             raise DimensionMismatchError("POVM: effects of mixed dimension")
-        if np.linalg.eigvalsh(e).min() < -tol:
+        if np.linalg.eigvalsh(e).min() < -OP_TOL:
             raise ValidationError(f"POVM effect {k}: not positive semidefinite")
     total = sum(ops)
-    if np.max(np.abs(total - np.eye(d))) > tol * max(1, len(ops)):
+    if np.max(np.abs(total - np.eye(d))) > OP_TOL * max(1, len(ops)):
         raise ValidationError("POVM: effects do not sum to the identity")
     return ops
 
@@ -179,15 +174,15 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def bloch_to_density(point, *, tol: float = OP_TOL) -> np.ndarray:
+def bloch_to_density(point) -> np.ndarray:
     """Map a Bloch point (a, b, c) with norm <= 1 to its qubit state."""
     p = np.asarray(point, dtype=float).ravel()
     if p.shape != (3,):
         raise DimensionMismatchError(f"Bloch point must have 3 components, got {p.shape}")
-    if np.linalg.norm(p) > 1.0 + max(tol, 1e-9):
+    if np.linalg.norm(p) > 1.0 + BALL_TOL:
         raise ValidationError(f"Bloch point outside the unit ball: |r| = {np.linalg.norm(p)!r}")
     a, b, c = p
-    return _readonly(0.5 * (ID2 + a * PAULI_X + b * PAULI_Y + c * PAULI_Z))
+    return readonly(0.5 * (ID2 + a * PAULI_X + b * PAULI_Y + c * PAULI_Z))
 
 
 def density_to_bloch(rho) -> np.ndarray:
@@ -195,7 +190,7 @@ def density_to_bloch(rho) -> np.ndarray:
     r = np.asarray(rho, dtype=complex)
     if r.shape != (2, 2):
         raise DimensionMismatchError(f"expected a 2x2 state, got {r.shape}")
-    return _readonly(np.array([np.trace(r @ PAULIS[ax]).real for ax in "XYZ"]))
+    return readonly(np.array([np.trace(r @ PAULIS[ax]).real for ax in "XYZ"]))
 
 
 def sic_probs_from_bloch(points: np.ndarray) -> np.ndarray:
@@ -232,14 +227,14 @@ def frequency_operator(counts) -> tuple[np.ndarray, tuple[str, ...]]:
         else:
             vec[k] = (n_plus - n_minus) / total
     op = 0.5 * (ID2 + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
-    return _readonly(op), tuple(missing)
+    return readonly(op), tuple(missing)
 
 
 def random_density(rng: np.random.Generator, d: int = 2) -> np.ndarray:
     """Random full-rank density operator (Hilbert-Schmidt style)."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
-    return _readonly(rho / rho.trace().real)
+    return readonly(rho / rho.trace().real)
 
 
 def random_povm(rng: np.random.Generator, d: int = 2,
@@ -252,4 +247,4 @@ def random_povm(rng: np.random.Generator, d: int = 2,
     total = sum(raw)
     eigs, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T
-    return tuple(_readonly(inv_sqrt @ a @ inv_sqrt) for a in raw)
+    return tuple(readonly(inv_sqrt @ a @ inv_sqrt) for a in raw)

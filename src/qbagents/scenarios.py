@@ -245,8 +245,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             ))
     return ScenarioConfig(
         scenario=data.get("scenario", ""),
-        seed=int(data.get("seed", 0)),
-        n_steps=int(data.get("n_steps", 0)),
+        seed=data.get("seed", 0),
+        n_steps=data.get("n_steps", 0),
         agents=tuple(agents),
         interaction=data.get("interaction", EXPECTATION),
         summary_interval=int(data.get("summary_interval", 10)),
@@ -277,8 +277,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     problems: list[str] = []
     if config.scenario not in REGISTRY:
         problems.append(f"unknown scenario {config.scenario!r}")
-    if config.n_steps < 0:
-        problems.append("n_steps must be nonnegative")
+    for key in ("seed", "n_steps"):
+        value = getattr(config, key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            problems.append(f"{key} must be an integer >= 0, got {value!r}")
     if config.summary_interval < 1:
         problems.append("summary_interval must be at least 1")
     if config.interaction not in MODES:
@@ -336,7 +338,8 @@ def _validate_agent(block: AgentSpec) -> list[str]:
         problems.append(f"{pid}: unknown prior kind {kind!r}")
     else:
         problems.extend(f"{pid}: {msg}" for msg in _validate_prior(block))
-    if block.menu not in MENUS_BY_N.get(2, ()) + MENUS_BY_N.get(4, ()):
+    known_menu = block.menu in MENUS_BY_N[2] + MENUS_BY_N[4]
+    if not known_menu:
         problems.append(f"{pid}: unknown menu {block.menu!r}")
     elif n in MENUS_BY_N and block.menu not in MENUS_BY_N[n]:
         problems.append(f"{pid}: menu {block.menu!r} incompatible with N={n}")
@@ -351,14 +354,27 @@ def _validate_agent(block: AgentSpec) -> list[str]:
         if not isinstance(values, dict) or not values:
             problems.append(f"{pid}: utility table must be a nonempty mapping")
         else:
+            sizes = {a.name: a.n_outcomes for a in _menu(block.menu)} if known_menu else {}
             for name, row in values.items():
-                if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in row):
-                    problems.append(f"{pid}: non-finite utility for action {name!r}")
+                if not (isinstance(row, (list, tuple)) and all(map(_is_number, row))):
+                    problems.append(f"{pid}: utility for action {name!r} must be a "
+                                    "list of finite numbers")
+                elif known_menu and name not in sizes:
+                    problems.append(f"{pid}: utility for action {name!r}, which is "
+                                    f"not on menu {block.menu!r}")
+                elif known_menu and len(row) != sizes[name]:
+                    problems.append(f"{pid}: utility for action {name!r} has "
+                                    f"{len(row)} values, expected {sizes[name]}")
     if block.regularization not in REGULARIZATIONS:
         problems.append(f"{pid}: unknown regularization {block.regularization!r}")
     if block.n_particles is not None and block.n_particles < 2:
         problems.append(f"{pid}: n_particles must be at least 2")
     return problems
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _validate_prior(block: AgentSpec) -> list[str]:
@@ -370,8 +386,17 @@ def _validate_prior(block: AgentSpec) -> list[str]:
         lo, hi = prior.get("lo", 0.0), prior.get("hi", 1.0)
         if not (0.0 <= lo < hi <= 1.0):
             problems.append(f"invalid interval [{lo}, {hi}]")
-    if kind == "grid_pdf" and prior.get("name") not in GRID_PDFS:
-        problems.append(f"unknown grid pdf {prior.get('name')!r}")
+    if kind == "grid_pdf":
+        name = prior.get("name")
+        allowed = {"kind", "name", "peak"} if name == "triangular" else {"kind", "name"}
+        extra = sorted(set(prior) - allowed)
+        peak = prior.get("peak")
+        if name not in GRID_PDFS:
+            problems.append(f"unknown grid pdf {name!r}")
+        elif extra:
+            problems.append(f"grid pdf {name!r}: unknown parameters {extra}")
+        elif "peak" in prior and not (_is_number(peak) and 0.0 < peak < 1.0):
+            problems.append(f"triangular peak must lie in (0, 1), got {peak!r}")
     if kind == "grid_beta" and not (prior.get("alpha", 0) > 0 and prior.get("beta", 0) > 0):
         problems.append("Beta parameters must be positive")
     if kind == "delta":
@@ -553,7 +578,6 @@ def build_runtime(config: ScenarioConfig) -> RunSpec:
         slots=tuple(slots),
         incoming_reg=tuple(regs),
         mode=config.interaction,
-        summary_interval=config.summary_interval,
         metrics_kind=entry.metrics_kind,
         config=config.to_dict(),
     )
@@ -580,11 +604,14 @@ class BatchResult:
                 "aggregates": self.aggregates}
 
 
-def batch(config: ScenarioConfig, n_seeds: int, *, early_step: int = 10) -> BatchResult:
+EARLY_STEP = 10
+
+
+def batch(config: ScenarioConfig, n_seeds: int) -> BatchResult:
     """Run ``n_seeds`` replicas with seeds master, master+1, ... and aggregate.
 
     Per-seed failures (belief polarization) are recorded, not fatal.  Each row
-    carries the final metrics and the metrics at ``early_step`` for trend
+    carries the final metrics and the metrics at ``EARLY_STEP`` for trend
     comparisons; aggregates hold the median and quartiles of every numeric
     final metric across the successful seeds.
     """
@@ -605,7 +632,7 @@ def batch(config: ScenarioConfig, n_seeds: int, *, early_step: int = 10) -> Batc
             continue
         early = {}
         for rec in trace.records:
-            if rec.step == min(early_step, config.n_steps):
+            if rec.step == min(EARLY_STEP, config.n_steps):
                 early = dict(rec.metrics)
                 break
         rows.append({

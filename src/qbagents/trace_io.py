@@ -37,14 +37,6 @@ def _write_csv(path: str, header: list[str], rows) -> str:
     return path
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return format_float(value)
-
-
 def _step_columns(trace: Trace) -> tuple[list[str], list[list[str]]]:
     agent_ids = []
     dims = {}

@@ -149,7 +149,7 @@ def test_criterion_4_qubit_tomography():
 
 def test_criterion_5_classical_agreement():
     cfg = default_config("classical_pair", seed=3000)
-    result = batch(cfg, 200, early_step=10)
+    result = batch(cfg, 200)
     assert result.aggregates["n_errors"] == 0
     finals = [r["final_metrics"]["mean_gap"] for r in result.rows]
     earlies = [r["early_metrics"]["mean_gap"] for r in result.rows]

@@ -78,6 +78,22 @@ def test_run_rejects_quantum_sharp_menu(runner, tmp_path):
     assert any("sharp_paulis" in v for v in err["violations"])
 
 
+@pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
+def test_config_holes_exit_2(runner, tmp_path, command):
+    data = json.loads(emit_config(default_config("quantum_pair_biasedZ", seed=1)))
+    data["seed"] = -1
+    data["agents"][1]["utility"]["values"] = {"Z": 1.0}
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, [command[0], str(path), *command[1:],
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["violations"] == [
+        "seed must be an integer >= 0, got -1",
+        "agent 'bob': utility for action 'Z' must be a list of finite numbers"]
+
+
 def test_run_reports_polarization(runner, tmp_path):
     # seed chosen so the simultaneous two-sided-coin scenario polarizes
     for seed in range(10):

@@ -3,8 +3,11 @@
 For every registry scenario and seeds 1-3, at ``n_steps = min(default, 200)``,
 the sha256 of every file that ``emit_trace`` and ``emit_plot_data`` write is
 pinned in ``golden_digests.json``.  Runs that polarize under prior sampling pin
-the step and agent of their ``ImpossibleOutcomeError`` instead.  A change that
-alters any of these bytes changes behaviour and has to say so.
+the step and agent of their ``ImpossibleOutcomeError`` instead.  The same file
+pins the ``emit_batch`` JSON of a 3-seed ``batch`` at ``BATCH_STEPS`` steps for
+a grid, a particle and a polarizing scenario: its early metrics, final
+summaries and error rows.  A change that alters any of these bytes changes
+behaviour and has to say so.
 
 The runs happen in a child process with one BLAS thread: a threaded BLAS
 splits the reductions over 10,001 points between threads, which changes their
@@ -34,8 +37,8 @@ from dataclasses import replace  # noqa: E402
 import pytest  # noqa: E402
 
 from qbagents.errors import ImpossibleOutcomeError  # noqa: E402
-from qbagents.scenarios import REGISTRY, default_config, run_config  # noqa: E402
-from qbagents.trace_io import emit_plot_data, emit_trace  # noqa: E402
+from qbagents.scenarios import REGISTRY, batch, default_config, run_config  # noqa: E402
+from qbagents.trace_io import emit_batch, emit_plot_data, emit_trace  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_digests.json")
@@ -43,6 +46,13 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 SEEDS = (1, 2, 3)
 MAX_STEPS = 200
 CASES = [(name, seed) for name in sorted(REGISTRY) for seed in SEEDS]
+BATCH_SCENARIOS = ("classical_pair", "prior_coins_simultaneous", "quantum_pair_biasedZ")
+BATCH_STEPS = 20
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def golden_record(scenario: str, seed: int, out_dir: str) -> dict:
@@ -55,21 +65,32 @@ def golden_record(scenario: str, seed: int, out_dir: str) -> dict:
         return {"impossible_outcome": {"step": err.step, "agent": err.agent_id}}
     paths = emit_trace(trace, out_dir)
     paths.update(emit_plot_data(trace, out_dir))
-    digests = {}
-    for path in paths.values():
-        with open(path, "rb") as fh:
-            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
-    return dict(sorted(digests.items()))
+    return dict(sorted((os.path.basename(p), _sha256(p)) for p in paths.values()))
+
+
+def batch_digest(scenario: str, out_dir: str) -> str:
+    """sha256 of the batch JSON for seeds SEEDS at BATCH_STEPS steps."""
+    cfg = replace(default_config(scenario, SEEDS[0]), n_steps=BATCH_STEPS)
+    return _sha256(emit_batch(batch(cfg, len(SEEDS)), out_dir))
 
 
 def _key(scenario: str, seed: int) -> str:
     return f"{scenario}/seed{seed}"
 
 
+def _batch_key(scenario: str) -> str:
+    return f"batch/{scenario}"
+
+
 def golden_table() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        return {_key(name, seed): golden_record(name, seed, os.path.join(tmp, _key(name, seed)))
-                for name, seed in CASES}
+        table = {}
+        for name, seed in CASES:
+            key = _key(name, seed)
+            table[key] = golden_record(name, seed, os.path.join(tmp, key))
+        for name in BATCH_SCENARIOS:
+            table[_batch_key(name)] = batch_digest(name, os.path.join(tmp, "batch"))
+        return table
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +109,18 @@ def emitted():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(_key(name, seed) for name, seed in CASES)
+    assert sorted(golden) == sorted([_key(name, seed) for name, seed in CASES]
+                                    + [_batch_key(name) for name in BATCH_SCENARIOS])
 
 
 @pytest.mark.parametrize("scenario,seed", CASES)
 def test_emitted_bytes_match_golden(golden, emitted, scenario, seed):
     assert emitted[_key(scenario, seed)] == golden[_key(scenario, seed)]
+
+
+@pytest.mark.parametrize("scenario", BATCH_SCENARIOS)
+def test_batch_json_matches_golden(golden, emitted, scenario):
+    assert emitted[_batch_key(scenario)] == golden[_batch_key(scenario)]
 
 
 if __name__ == "__main__":

@@ -208,6 +208,20 @@ class TestPriorSampling:
         sigma = np.sqrt(n * 0.25)
         assert abs(errors - n / 2) < 3 * sigma
 
+    @pytest.mark.parametrize("first,second", [("heads", "tails"), ("tails", "heads")])
+    def test_simultaneous_step_updates_slot_0_first(self, first, second):
+        # Each agent is certain of the opposite coin, so both draw an impossible
+        # outcome in step 1; the error names whichever agent sits in slot 0.
+        def certain(name):
+            theta = 1.0 if name == "heads" else 0.0
+            return Agent(name, CLASSICAL2, delta_ensemble([[theta]], [1.0], Interval()),
+                         flip_menu())
+
+        slots = [certain(first), certain(second)]
+        with pytest.raises(ImpossibleOutcomeError) as info:
+            run(pair_spec(slots, mode=PRIOR_SIMULTANEOUS, n_steps=3))
+        assert (info.value.step, info.value.agent_id) == (1, first)
+
     def test_turn_based_agrees_after_one_round(self):
         for seed in range(100):
             slots = [self.two_sided("a"), self.two_sided("b")]

@@ -5,11 +5,9 @@ import pytest
 
 from qbagents.errors import RegionError, ValidationError
 from qbagents.postulate import (
-    FullSimplex,
     Interval,
     PhysicalPostulate,
     QubitBall,
-    ZChord,
     apply_postulate,
     classical_postulate,
     ensemble_compatible,
@@ -242,25 +240,13 @@ class TestRegions:
         assert ball.contains([[0.5, 0.5, 0.5]])[0]
         assert not ball.contains([[1.0, 1.0, 1.0]])[0]
 
-    def test_zchord_membership(self):
-        chord = ZChord()
-        assert chord.contains([[0.0, 0.0, -0.8]])[0]
-        assert not chord.contains([[0.1, 0.0, 0.5]])[0]
-
-    def test_simplex_sample_and_membership(self):
-        region = FullSimplex(4)
-        pts = region.sample(100, np.random.default_rng(0))
-        assert np.all(region.contains(pts))
-
     def test_interval_embedding(self):
         p = Interval().to_ref_probs([0.3])
         assert np.allclose(p, [[0.3, 0.7]])
 
     def test_compatibility_table(self):
         assert ensemble_compatible(QUANTUM, QubitBall())
-        assert ensemble_compatible(QUANTUM, ZChord())
         assert not ensemble_compatible(QUANTUM, Interval())
         assert ensemble_compatible(CLASSICAL2, Interval())
         assert not ensemble_compatible(CLASSICAL2, QubitBall())
         assert ensemble_compatible(classical_postulate(4), QubitBall())
-        assert ensemble_compatible(classical_postulate(4), FullSimplex(4))

@@ -104,6 +104,43 @@ class TestValidation:
             parse_config(json.dumps(data))
         assert any("n_steps" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("seed", 1.7), ("seed", "3"),
+                                           ("n_steps", "10"), ("n_steps", True),
+                                           ("n_steps", 2.0)])
+    def test_seed_and_steps_must_be_nonnegative_integers(self, key, value):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data[key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [f"{key} must be an integer >= 0, got {value!r}"]
+
+    @pytest.mark.parametrize("values,message", [
+        ({"W": [1.0, 2.0]}, "'W', which is not on menu 'paulis'"),
+        ({"Z": [1.0, 2.0, 3.0]}, "'Z' has 3 values, expected 2"),
+        ({"Z": 1.0}, "'Z' must be a list of finite numbers"),
+        ({"Z": [1.0, None]}, "'Z' must be a list of finite numbers"),
+    ])
+    def test_utility_table_checked_against_menu(self, values, message):
+        data = json.loads(emit_config(default_config("quantum_pair_biasedZ")))
+        data["agents"][1]["utility"]["values"] = values
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [f"agent 'bob': utility for action {message}"]
+
+    @pytest.mark.parametrize("slot,extra,message", [
+        (0, {"peak": 0.5}, "grid pdf 'semicircle': unknown parameters ['peak']"),
+        (1, {"width": 0.1}, "grid pdf 'triangular': unknown parameters ['width']"),
+        (1, {"peak": 1.0}, "triangular peak must lie in (0, 1), got 1.0"),
+        (1, {"peak": "high"}, "triangular peak must lie in (0, 1), got 'high'"),
+    ])
+    def test_grid_pdf_parameters_checked(self, slot, extra, message):
+        data = json.loads(emit_config(default_config("classical_pair")))
+        data["agents"][slot]["prior"].update(extra)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        agent = data["agents"][slot]["id"]
+        assert err.value.violations == [f"agent {agent!r}: {message}"]
+
     def test_all_violations_reported_at_once(self):
         data = json.loads(emit_config(default_config("coin_tomography")))
         data["scenario"] = "nope"
