@@ -35,9 +35,9 @@ import numpy as np
 from scipy import special
 
 from .core_math import (
-    DEFAULT_GRID_POINTS,
     BetaParams,
     Density1D,
+    beta_cdf_row,
     beta_mean,
     kolmogorov_distance,
 )
@@ -63,13 +63,13 @@ class ExpectedPosterior:
             return w1 * beta_mean(c1) + w2 * beta_mean(c2)
         return self.density.mean()
 
-    def cdf(self, x) -> np.ndarray:
+    def cdf(self) -> np.ndarray:
+        """Mixture CDF at the default grid's points, from memoized Beta rows."""
         if self.kind != "beta_mixture":
             raise ValidationError("grid expected posteriors expose cdf via density")
         w1, w2 = self.mixture_weights
         c1, c2 = self.components
-        return (w1 * special.betainc(c1.alpha, c1.beta, x)
-                + w2 * special.betainc(c2.alpha, c2.beta, x))
+        return w1 * beta_cdf_row(c1) + w2 * beta_cdf_row(c2)
 
 
 def _mean_of(prior) -> float:
@@ -126,17 +126,19 @@ def chi(x, k: int, l: int, n_total: int):
     out = np.zeros_like(xv)
     if np.any(interior):
         xi = xv[interior]
+        log_x, log_1mx = np.log(xi), np.log1p(-xi)
         total = np.zeros_like(xi)
         for j in range(l + 1, k + 1):
-            total += _g(xi, j, n_total + 1 - j)
-        total -= (k - l) * (_g(xi, l + 1, n_total + 1 - l)
-                            + _g(xi, k + 1, n_total + 1 - k))
+            total += _g(log_x, log_1mx, j, n_total + 1 - j)
+        total -= (k - l) * (_g(log_x, log_1mx, l + 1, n_total + 1 - l)
+                            + _g(log_x, log_1mx, k + 1, n_total + 1 - k))
         out[interior] = total
     return float(out[0]) if scalar else out
 
 
-def _g(x: np.ndarray, p: int, q: int) -> np.ndarray:
-    logv = (p * np.log(x) + q * np.log1p(-x)
+def _g(log_x: np.ndarray, log_1mx: np.ndarray, p: int, q: int) -> np.ndarray:
+    """x^p (1-x)^q / (p! q!) from ``log x`` and ``log(1 - x)``."""
+    logv = (p * log_x + q * log_1mx
             - special.gammaln(p + 1) - special.gammaln(q + 1))
     return np.exp(logv)
 
@@ -169,9 +171,8 @@ def kolmogorov_contraction_check(k: int, l: int, n_total: int) -> tuple[float, f
     _check_counts(k, l, n_total, strict=False)
     prior_a = BetaParams(k + 1, n_total - k + 1)
     prior_b = BetaParams(l + 1, n_total - l + 1)
-    theta = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    exp_a = expected_posterior(prior_a, beta_mean(prior_b)).cdf(theta)
-    exp_b = expected_posterior(prior_b, beta_mean(prior_a)).cdf(theta)
+    exp_a = expected_posterior(prior_a, beta_mean(prior_b)).cdf()
+    exp_b = expected_posterior(prior_b, beta_mean(prior_a)).cdf()
     return kolmogorov_distance(prior_a, prior_b), float(np.max(np.abs(exp_a - exp_b)))
 
 
@@ -192,7 +193,14 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
     """Run the full battery of closed-form agreement checks.
 
     Returns one row per claim: name, pass flag, and the worst observed margin.
+    The three counts must be integers >= 1 and the seed an integer >= 0.
     """
+    bounds = {"chi_max_n": (chi_max_n, 1), "kdist_max_n": (kdist_max_n, 1),
+              "n_beta_pairs": (n_beta_pairs, 1), "seed": (seed, 0)}
+    for name, (value, least) in bounds.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < least):
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     rows = []
     rng = np.random.Generator(np.random.Philox(seed))
 

@@ -86,11 +86,11 @@ def batch_cmd(config_path, n_seeds, out_dir):
 
 
 @main.command("verify-appendix")
-@click.option("--chi-max-n", default=25, show_default=True)
-@click.option("--kdist-max-n", default=15, show_default=True)
-@click.option("--pairs", default=10_000, show_default=True,
+@click.option("--chi-max-n", default=25, show_default=True, type=click.IntRange(min=1))
+@click.option("--kdist-max-n", default=15, show_default=True, type=click.IntRange(min=1))
+@click.option("--pairs", default=10_000, show_default=True, type=click.IntRange(min=1),
               help="Random Beta pairs for the mean-contraction check.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def verify_appendix_cmd(chi_max_n, kdist_max_n, pairs, seed):
     """Numerically verify the closed-form agreement results."""
     rows = verify_appendix_claims(chi_max_n=chi_max_n, kdist_max_n=kdist_max_n,

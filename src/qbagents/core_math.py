@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import ValidationError
 
 PROB_TOL = 1e-9
 DEFAULT_GRID_POINTS = 10_001
+BETA_CDF_CACHE_ROWS = 40  # rows kept by ``beta_cdf_row``, 80 kB each on the default grid
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -111,6 +113,18 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=BETA_CDF_CACHE_ROWS)
+def beta_cdf_row(p: BetaParams) -> np.ndarray:
+    """The CDF of ``p`` at the ``DEFAULT_GRID_POINTS`` uniform points of [0, 1].
+
+    Memoized and read-only: the appendix battery asks for each of its few
+    distinct integer-parameter rows many times.  The least recently used row
+    goes once ``BETA_CDF_CACHE_ROWS`` are held.
+    """
+    x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+    return readonly(special.betainc(p.alpha, p.beta, x))
+
+
 def beta_pdf(theta, p: BetaParams):
     """Beta density evaluated pointwise (vectorized)."""
     t = np.asarray(theta, dtype=float)
@@ -176,16 +190,15 @@ def kolmogorov_distance(a, b) -> float:
     """Supremum distance between the CDFs of two densities on [0, 1].
 
     For two ``BetaParams`` the analytic CDFs are compared on the default
-    10,001-point grid; with a ``Density1D`` the supremum is taken over its
-    grid points only, which is adequate at that resolution and avoids
-    root-finding.  Two grid densities must share a grid.
+    10,001-point grid, from the rows ``beta_cdf_row`` memoizes; with a
+    ``Density1D`` the supremum is taken over its grid points only, which is
+    adequate at that resolution and avoids root-finding.  Two grid densities
+    must share a grid.
     """
     a_beta = isinstance(a, BetaParams)
     b_beta = isinstance(b, BetaParams)
     if a_beta and b_beta:
-        x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-        diff = special.betainc(a.alpha, a.beta, x) - special.betainc(b.alpha, b.beta, x)
-        return float(np.max(np.abs(diff)))
+        return float(np.max(np.abs(beta_cdf_row(a) - beta_cdf_row(b))))
     if a_beta or b_beta:
         dens, bp = (b, a) if a_beta else (a, b)
         if not isinstance(dens, Density1D):

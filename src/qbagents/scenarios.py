@@ -249,7 +249,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         n_steps=data.get("n_steps", 0),
         agents=tuple(agents),
         interaction=data.get("interaction", EXPECTATION),
-        summary_interval=int(data.get("summary_interval", 10)),
+        summary_interval=data.get("summary_interval", 10),
         out_dir=data.get("out_dir"),
     )
 
@@ -277,12 +277,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     problems: list[str] = []
     if config.scenario not in REGISTRY:
         problems.append(f"unknown scenario {config.scenario!r}")
-    for key in ("seed", "n_steps"):
+    for key, least in (("seed", 0), ("n_steps", 0), ("summary_interval", 1)):
         value = getattr(config, key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            problems.append(f"{key} must be an integer >= 0, got {value!r}")
-    if config.summary_interval < 1:
-        problems.append("summary_interval must be at least 1")
+        if not _is_int_at_least(value, least):
+            problems.append(f"{key} must be an integer >= {least}, got {value!r}")
     if config.interaction not in MODES:
         problems.append(f"unknown interaction mode {config.interaction!r}")
     if len(config.agents) != 2:
@@ -367,9 +365,14 @@ def _validate_agent(block: AgentSpec) -> list[str]:
                                     f"{len(row)} values, expected {sizes[name]}")
     if block.regularization not in REGULARIZATIONS:
         problems.append(f"{pid}: unknown regularization {block.regularization!r}")
-    if block.n_particles is not None and block.n_particles < 2:
-        problems.append(f"{pid}: n_particles must be at least 2")
+    if block.n_particles is not None and not _is_int_at_least(block.n_particles, 2):
+        problems.append(f"{pid}: n_particles must be an integer >= 2, "
+                        f"got {block.n_particles!r}")
     return problems
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _is_number(value) -> bool:
@@ -384,7 +387,7 @@ def _validate_prior(block: AgentSpec) -> list[str]:
     space = _prior_space(prior)
     if kind == "grid_uniform":
         lo, hi = prior.get("lo", 0.0), prior.get("hi", 1.0)
-        if not (0.0 <= lo < hi <= 1.0):
+        if not (_is_number(lo) and _is_number(hi) and 0.0 <= lo < hi <= 1.0):
             problems.append(f"invalid interval [{lo}, {hi}]")
     if kind == "grid_pdf":
         name = prior.get("name")
@@ -397,8 +400,9 @@ def _validate_prior(block: AgentSpec) -> list[str]:
             problems.append(f"grid pdf {name!r}: unknown parameters {extra}")
         elif "peak" in prior and not (_is_number(peak) and 0.0 < peak < 1.0):
             problems.append(f"triangular peak must lie in (0, 1), got {peak!r}")
-    if kind == "grid_beta" and not (prior.get("alpha", 0) > 0 and prior.get("beta", 0) > 0):
-        problems.append("Beta parameters must be positive")
+    if kind == "grid_beta" and not all(_is_number(v) and v > 0 for v in
+                                       (prior.get("alpha", 0), prior.get("beta", 0))):
+        problems.append("Beta parameters must be positive numbers")
     if kind == "delta":
         pts = np.asarray(prior.get("points", []), dtype=float)
         if pts.size == 0:

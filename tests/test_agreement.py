@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from qbagents.agreement import (
     chi,
@@ -11,7 +12,13 @@ from qbagents.agreement import (
     mean_contraction_gap,
     verify_appendix_claims,
 )
-from qbagents.core_math import BetaParams, Density1D
+from qbagents.core_math import (
+    BETA_CDF_CACHE_ROWS,
+    DEFAULT_GRID_POINTS,
+    BetaParams,
+    Density1D,
+    beta_cdf_row,
+)
 from qbagents.errors import ValidationError
 
 
@@ -161,6 +168,52 @@ class TestKolmogorovContraction:
                     assert k_prior >= k_post - 1e-10
 
 
+class TestBetaCdfRows:
+    def test_row_equals_betainc(self):
+        x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+        for alpha, beta in [(1, 1), (3, 5), (0.7, 12.5), (17, 1)]:
+            row = beta_cdf_row(BetaParams(alpha, beta))
+            assert row.tobytes() == special.betainc(alpha, beta, x).tobytes()
+
+    def test_row_is_read_only_and_shared(self):
+        row = beta_cdf_row(BetaParams(2, 9))
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        assert beta_cdf_row(BetaParams(2.0, 9.0)) is row
+
+    def test_mixture_cdf_is_weighted_row_sum(self):
+        exp = expected_posterior(BetaParams(4, 3), 0.3)
+        x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+        direct = 0.3 * special.betainc(5, 3, x) + 0.7 * special.betainc(4, 4, x)
+        assert exp.cdf().tobytes() == direct.tobytes()
+
+    def test_grid_expected_posterior_has_no_mixture_cdf(self):
+        exp = expected_posterior(Density1D.from_beta(BetaParams(3, 2), n=101), 0.4)
+        with pytest.raises(ValidationError):
+            exp.cdf()
+
+    def test_default_battery_stays_within_bound(self):
+        # N is the outer loop, so each distinct row misses once: 152 rows for N <= 15.
+        beta_cdf_row.cache_clear()
+        verify_appendix_claims(chi_max_n=1, n_beta_pairs=1)
+        info = beta_cdf_row.cache_info()
+        assert info.misses == 152
+        assert info.hits == 6 * 1495 - 152
+        assert info.currsize <= BETA_CDF_CACHE_ROWS == info.maxsize
+
+
 def test_verify_claims_small_battery():
     rows = verify_appendix_claims(chi_max_n=6, kdist_max_n=4, n_beta_pairs=500)
     assert all(r["passed"] for r in rows)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"chi_max_n": 0}, {"kdist_max_n": 0}, {"n_beta_pairs": -3}, {"n_beta_pairs": 0},
+    {"seed": -1}, {"seed": 1.5}, {"kdist_max_n": True}, {"chi_max_n": "3"},
+])
+def test_verify_claims_rejects_bad_counts(kwargs):
+    name, value = next(iter(kwargs.items()))
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        verify_appendix_claims(**{"chi_max_n": 2, "kdist_max_n": 2,
+                                  "n_beta_pairs": 10, **kwargs})

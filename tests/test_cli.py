@@ -127,3 +127,32 @@ def test_verify_appendix_passes(runner):
     assert result.exit_code == 0, result.output
     assert result.output.count("PASS") == 4
     assert "FAIL" not in result.output
+
+
+@pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
+@pytest.mark.parametrize("slot,key,value,message", [
+    (None, "summary_interval", "x", "summary_interval must be an integer >= 1, got 'x'"),
+    (None, "summary_interval", 2.7, "summary_interval must be an integer >= 1, got 2.7"),
+    (0, "n_particles", 2.5, "agent 'agent': n_particles must be an integer >= 2, got 2.5"),
+    (0, "prior", {"kind": "grid_uniform", "lo": "a"},
+     "agent 'agent': invalid interval [a, 1.0]"),
+])
+def test_type_holes_exit_2(runner, tmp_path, command, slot, key, value, message):
+    data = json.loads(emit_config(default_config("coin_tomography", seed=1)))
+    (data if slot is None else data["agents"][slot])[key] = value
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, [command[0], str(path), *command[1:],
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["violations"] == [message]
+
+
+@pytest.mark.parametrize("args", [["--pairs", "-3"], ["--pairs", "0"],
+                                  ["--chi-max-n", "0"], ["--kdist-max-n", "0"],
+                                  ["--seed", "-1"]])
+def test_verify_appendix_rejects_bad_counts(runner, args):
+    result = runner.invoke(main, ["verify-appendix", *args])
+    assert result.exit_code == 2
+    assert "PASS" not in result.output
+    assert args[0] in result.output

@@ -114,6 +114,40 @@ class TestValidation:
             parse_config(json.dumps(data))
         assert err.value.violations == [f"{key} must be an integer >= 0, got {value!r}"]
 
+    @pytest.mark.parametrize("value", [0, "x", 2.7, True, 10.0])
+    def test_summary_interval_must_be_positive_integer(self, value):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["summary_interval"] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [
+            f"summary_interval must be an integer >= 1, got {value!r}"]
+
+    @pytest.mark.parametrize("value", [2.5, 1, "5", True])
+    def test_n_particles_must_be_integer_at_least_2(self, value):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["agents"][0]["n_particles"] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        agent = data["agents"][0]["id"]
+        assert err.value.violations == [
+            f"agent {agent!r}: n_particles must be an integer >= 2, got {value!r}"]
+
+    @pytest.mark.parametrize("prior,message", [
+        ({"kind": "grid_uniform", "lo": "a"}, "invalid interval [a, 1.0]"),
+        ({"kind": "grid_uniform", "hi": None}, "invalid interval [0.0, None]"),
+        ({"kind": "grid_uniform", "lo": 0.5, "hi": 0.5}, "invalid interval [0.5, 0.5]"),
+        ({"kind": "grid_beta", "alpha": "a", "beta": 2.0},
+         "Beta parameters must be positive numbers"),
+    ])
+    def test_interval_and_beta_prior_numbers_checked(self, prior, message):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["agents"][0]["prior"] = prior
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        agent = data["agents"][0]["id"]
+        assert err.value.violations == [f"agent {agent!r}: {message}"]
+
     @pytest.mark.parametrize("values,message", [
         ({"W": [1.0, 2.0]}, "'W', which is not on menu 'paulis'"),
         ({"Z": [1.0, 2.0, 3.0]}, "'Z' has 3 values, expected 2"),
