@@ -61,7 +61,7 @@ def as_prob_vector(entries, *, name: str = "probability vector") -> np.ndarray:
 def renormalized(entries) -> np.ndarray:
     """Entries clipped at zero and rescaled to sum to one: the arithmetic of
     ``as_prob_vector`` without its checks, for vectors valid by construction."""
-    p = np.clip(np.asarray(entries, dtype=float).ravel(), 0.0, None)
+    p = np.maximum(np.asarray(entries, dtype=float).ravel(), 0.0)
     p /= p.sum()
     return p
 

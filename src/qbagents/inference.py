@@ -21,6 +21,7 @@ ensembles that do not start uniform (see ``Agent``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +148,7 @@ class PosteriorSummary:
 
     @property
     def std(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
 def sample_uniform(region, n: int, rng: np.random.Generator) -> ParticleEnsemble:
@@ -200,10 +201,11 @@ def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
         like = likelihood_values(post, R, j, ens.points)
     w = ens.weights * like
     total = w.sum()
-    if not np.isfinite(total) or total < 1e-300:
+    if not math.isfinite(total) or total < 1e-300:
         raise ImpossibleOutcomeError(
             f"outcome {j} has zero probability on the whole support")
-    return _bless(ens, weights=w / total, evidence=ens.evidence.add(post, R, j))
+    w /= total
+    return _bless(ens, weights=w, evidence=ens.evidence.add(post, R, j))
 
 
 def log_posterior_density(ens: ParticleEnsemble, points) -> np.ndarray:

@@ -30,9 +30,16 @@ agents check their actions and priors, the spec checks that every exogenous
 source point is a valid state for its receiver, and agent broadcasts (means
 of, or draws from, valid ensembles) are valid by construction.  A step is
 then arithmetic: the choice uses the agent's cached mean, the outcome draw
-skips the checks of ``apply_postulate``, the update takes the agent's cached
-likelihood, and the posterior-summary mean of one step is the next step's
-broadcast.
+skips the checks of ``apply_postulate`` and of ``Generator.choice``
+(``rng.draw_index``), the update takes the agent's cached likelihood, and the
+posterior-summary mean of one step is the next step's broadcast.
+
+``run(spec, record_steps)`` records a step (posterior summaries, ESS,
+metrics) only if it is named or the last one; ``None``, the default, records
+every step.  So ``batch``, which reports two steps, skips the summaries of the
+other thousand.  An unrecorded step changes nothing downstream: the next
+broadcast is the agent's mean ``weights @ points``, the expression the
+summary's mean takes.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .postulate import (
     ref_probs_of_points,
 )
 from .quantum import bloch_to_density, frequency_operator, trace_distance
-from .rng import agent_streams
+from .rng import agent_streams, draw_index
 
 REGULARIZATIONS = ("none", "z_projection", "z_embedding", "support_restriction")
 
@@ -101,7 +108,7 @@ def sample_outcome(post: PhysicalPostulate, broadcast: np.ndarray, R,
     point = regularize(regularization, broadcast)
     probs = ref_probs_of_points(post, point)[0]
     q = apply_postulate(post, probs, R, validate=validate)
-    return int(rng.choice(q.size, p=q))
+    return draw_index(q, rng)
 
 
 @dataclass(frozen=True)
@@ -196,8 +203,7 @@ def _self_broadcast(slot, mode: str, rng) -> np.ndarray:
     if mode == EXPECTATION:
         return broadcast_point(slot)
     ens = slot.ensemble
-    idx = rng.choice(ens.n, p=ens.weights)
-    return ens.points[idx]
+    return ens.points[draw_index(ens.weights, rng)]
 
 
 def _receive_and_update(agent: Agent, incoming: np.ndarray, reg: str,
@@ -216,16 +222,22 @@ def _receive_and_update(agent: Agent, incoming: np.ndarray, reg: str,
     return action, outcome
 
 
-def run(spec: RunSpec) -> Trace:
+def run(spec: RunSpec, record_steps=None) -> Trace:
     """Execute a two-slot scenario and return its trace.
 
+    ``record_steps`` is the set of steps whose records the trace keeps, the
+    last step always among them; ``None`` keeps every step.  Grid snapshots
+    and ``trace.final`` do not depend on it.
+
     Deterministic: identical (config, seed) produce identical traces, including
-    every sampled outcome.
+    every sampled outcome, and a record kept under ``record_steps`` equals the
+    record of the same step in the full run.
     """
     slots = spec.slots
     streams = [agent_streams(spec.seed, i) for i in range(2)]
     trace = Trace(spec.scenario, spec.seed, dict(spec.config), spec.mode)
     counts = [{} for _ in slots]
+    keep = None if record_steps is None else set(record_steps) | {spec.n_steps}
 
     snapshot_steps = _snapshot_steps(spec.n_steps)
     for i, slot in enumerate(slots):
@@ -237,27 +249,8 @@ def run(spec: RunSpec) -> Trace:
 
     for step in range(1, spec.n_steps + 1):
         step_agents = _step(spec, slots, streams, counts, step)
-        summaries = [posterior_summary(s.ensemble) if _is_agent(s) else None
-                     for s in slots]
-        rec_agents = []
-        for i, slot in enumerate(slots):
-            if not _is_agent(slot):
-                rec_agents.append(None)
-                continue
-            action, outcome = step_agents[i]
-            s = summaries[i]
-            slot.remember_mean(s.mean)
-            rec_agents.append(AgentStepRecord(
-                agent_id=slot.id,
-                action=action.name,
-                outcome=outcome,
-                mean=tuple(float(x) for x in s.mean),
-                std=tuple(float(x) for x in s.std),
-                semi_major=s.semi_major,
-                ess=slot.ensemble.ess(),
-            ))
-        metrics = _metrics(spec.metrics_kind, slots, summaries, counts, step)
-        trace.records.append(InteractionRecord(step, tuple(rec_agents), metrics))
+        if keep is None or step in keep:
+            trace.records.append(_record(spec, slots, step_agents, counts, step))
         if step in snapshot_steps:
             for slot in slots:
                 if _is_agent(slot) and slot.ensemble.grid:
@@ -277,6 +270,30 @@ def run(spec: RunSpec) -> Trace:
         "last_metrics": trace.records[-1].metrics if trace.records else {},
     }
     return trace
+
+
+def _record(spec, slots, step_agents, counts, step) -> InteractionRecord:
+    summaries = [posterior_summary(s.ensemble) if _is_agent(s) else None
+                 for s in slots]
+    rec_agents = []
+    for i, slot in enumerate(slots):
+        if not _is_agent(slot):
+            rec_agents.append(None)
+            continue
+        action, outcome = step_agents[i]
+        s = summaries[i]
+        slot.remember_mean(s.mean)
+        rec_agents.append(AgentStepRecord(
+            agent_id=slot.id,
+            action=action.name,
+            outcome=outcome,
+            mean=tuple(float(x) for x in s.mean),
+            std=tuple(float(x) for x in s.std),
+            semi_major=s.semi_major,
+            ess=slot.ensemble.ess(),
+        ))
+    metrics = _metrics(spec.metrics_kind, slots, summaries, counts, step)
+    return InteractionRecord(step, tuple(rec_agents), metrics)
 
 
 def _step(spec, slots, streams, counts, step):

@@ -266,7 +266,7 @@ def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
     if k == n:
         return pts
     if k == 1 and n == 2:
-        return np.hstack([pts, 1.0 - pts])
+        return np.concatenate((pts, 1.0 - pts), axis=-1)
     if k == 3 and n == 4:
         return sic_probs_from_bloch(pts)
     raise DimensionMismatchError(
@@ -287,7 +287,7 @@ def likelihoods(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     values = probs @ rows
     values[np.abs(values) < LIKELIHOOD_DUST] = 0.0
-    return np.clip(values, 0.0, None)
+    return np.maximum(values, 0.0)
 
 
 def likelihood_values(post: PhysicalPostulate, R, j: int, points) -> np.ndarray:

@@ -6,6 +6,11 @@ counter-based Philox generator, so distinct names give statistically
 independent sequences and the same (seed, name path) always reproduces the
 same stream.  This isolation is what makes a pair interaction with a delta
 source reproduce the single-agent run bit for bit.
+
+``draw_index`` is the weighted index draw of ``Generator.choice(p.size, p=p)``
+without its checks of ``p``: the same cumulative sum, the same single
+``random()`` from the stream, the same search, hence the same index and the
+same stream state afterwards.
 """
 
 from __future__ import annotations
@@ -31,3 +36,12 @@ def agent_streams(master_seed: int, slot: int) -> dict[str, np.random.Generator]
     """All named streams owned by the agent in the given slot."""
     names = ("init", "choice", "outcome", "resample", "broadcast")
     return {name: stream(master_seed, "agent", slot, name) for name in names}
+
+
+def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probabilities ``p``, as ``rng.choice(p.size, p=p)``
+    draws it but without validating ``p``: the caller guarantees a nonnegative
+    vector that sums to one."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))

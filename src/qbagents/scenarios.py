@@ -230,8 +230,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     agents = []
     for block in data.get("agents", []):
         if block.get("source"):
-            agents.append(SourceSpec(block.get("id", "source"),
-                                     tuple(float(x) for x in block.get("point", []))))
+            point = block.get("point", [])
+            agents.append(SourceSpec(block.get("id", "source"), tuple(point)
+                                     if isinstance(point, (list, tuple)) else point))
         else:
             agents.append(AgentSpec(
                 id=block.get("id", "agent"),
@@ -288,7 +289,17 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         return problems
     spaces = []
     for block in config.agents:
+        if not isinstance(block.id, str):
+            kind = "source" if isinstance(block, SourceSpec) else "agent"
+            problems.append(f"{kind} id must be a string, got {block.id!r}")
         if isinstance(block, SourceSpec):
+            point = block.point
+            if not (isinstance(point, (list, tuple)) and all(map(_is_real, point))):
+                shown = list(point) if isinstance(point, tuple) else point
+                problems.append(f"source {block.id!r}: point must be a list of numbers, "
+                                f"got {shown!r}")
+                spaces.append("unknown")
+                continue
             if len(block.point) not in (1, 3):
                 problems.append(f"source {block.id!r}: point must have 1 or 3 components")
             elif not (0.0 <= block.point[0] <= 1.0 if len(block.point) == 1
@@ -375,9 +386,12 @@ def _is_int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_real(value) and math.isfinite(value)
 
 
 def _validate_prior(block: AgentSpec) -> list[str]:
@@ -414,6 +428,8 @@ def _validate_prior(block: AgentSpec) -> list[str]:
             flat = pts.reshape(-1)
             if np.any(flat < 0.0) or np.any(flat > 1.0):
                 problems.append("delta prior point outside [0, 1]")
+        problems.extend(_validate_delta_weights(
+            prior.get("weights"), pts.reshape(-1, 3 if space == "ball" else 1).shape[0]))
     if block.regularization == "support_restriction" and space != "ball":
         problems.append("support_restriction requires a prior supported inside "
                         "the Bloch-ball region")
@@ -422,6 +438,20 @@ def _validate_prior(block: AgentSpec) -> list[str]:
     if block.postulate == "classical" and block.n_outcomes == 2 and space != "interval":
         problems.append(f"prior kind {kind!r} needs a scalar parameter")
     return problems
+
+
+def _validate_delta_weights(weights, n_points: int) -> list[str]:
+    # Absent, null or empty weights mean equal weights (see ``_build_ensemble``).
+    if weights is None or (isinstance(weights, (list, tuple)) and not weights):
+        return []
+    if not (isinstance(weights, (list, tuple)) and all(map(_is_number, weights))):
+        return [f"delta prior weights must be a list of finite numbers, got {weights!r}"]
+    if len(weights) != n_points:
+        return [f"delta prior has {len(weights)} weights for {n_points} points"]
+    if min(weights) < 0 or sum(weights) <= 0:
+        return [f"delta prior weights must be nonnegative and not all zero, "
+                f"got {weights!r}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +647,19 @@ def batch(config: ScenarioConfig, n_seeds: int) -> BatchResult:
     Per-seed failures (belief polarization) are recorded, not fatal.  Each row
     carries the final metrics and the metrics at ``EARLY_STEP`` for trend
     comparisons; aggregates hold the median and quartiles of every numeric
-    final metric across the successful seeds.
+    final metric across the successful seeds.  Only those two steps are
+    recorded (see ``interaction.run``), so the rows are those that full runs
+    of the same seeds give.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds must be at least 1")
+    early_step = min(EARLY_STEP, config.n_steps)
     rows = []
     for i in range(n_seeds):
         seed = config.seed + i
         try:
-            trace = run_config(replace(config, seed=seed))
+            trace = run(build_runtime(replace(config, seed=seed)),
+                        record_steps={early_step})
         except ImpossibleOutcomeError as err:
             rows.append({"seed": seed, "error": "impossible_outcome",
                          "step": err.step, "agent": err.agent_id})
@@ -634,11 +668,8 @@ def batch(config: ScenarioConfig, n_seeds: int) -> BatchResult:
             rows.append({"seed": seed, "error": type(err).__name__,
                          "message": str(err)})
             continue
-        early = {}
-        for rec in trace.records:
-            if rec.step == min(EARLY_STEP, config.n_steps):
-                early = dict(rec.metrics)
-                break
+        early = next((dict(rec.metrics) for rec in trace.records
+                      if rec.step == early_step), {})
         rows.append({
             "seed": seed,
             "final_metrics": dict(trace.final["last_metrics"]),

@@ -136,6 +136,14 @@ def test_verify_appendix_passes(runner):
     (0, "n_particles", 2.5, "agent 'agent': n_particles must be an integer >= 2, got 2.5"),
     (0, "prior", {"kind": "grid_uniform", "lo": "a"},
      "agent 'agent': invalid interval [a, 1.0]"),
+    (1, "point", ["a"], "source 'source': point must be a list of numbers, got ['a']"),
+    (1, "point", ["0.5"], "source 'source': point must be a list of numbers, got ['0.5']"),
+    (0, "id", [1], "agent id must be a string, got [1]"),
+    (0, "prior", {"kind": "delta", "points": [0.2, 0.8], "weights": [1.0]},
+     "agent 'agent': delta prior has 1 weights for 2 points"),
+    (0, "prior", {"kind": "delta", "points": [0.2, 0.8], "weights": [-0.5, 1.5]},
+     "agent 'agent': delta prior weights must be nonnegative and not all zero, "
+     "got [-0.5, 1.5]"),
 ])
 def test_type_holes_exit_2(runner, tmp_path, command, slot, key, value, message):
     data = json.loads(emit_config(default_config("coin_tomography", seed=1)))

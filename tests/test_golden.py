@@ -4,10 +4,13 @@ For every registry scenario and seeds 1-3, at ``n_steps = min(default, 200)``,
 the sha256 of every file that ``emit_trace`` and ``emit_plot_data`` write is
 pinned in ``golden_digests.json``.  Runs that polarize under prior sampling pin
 the step and agent of their ``ImpossibleOutcomeError`` instead.  The same file
-pins the ``emit_batch`` JSON of a 3-seed ``batch`` at ``BATCH_STEPS`` steps for
-a grid, a particle and a polarizing scenario: its early metrics, final
-summaries and error rows.  A change that alters any of these bytes changes
-behaviour and has to say so.
+pins the ``emit_batch`` JSON of a 3-seed ``batch`` for each of ``BATCH_CASES``:
+its early metrics, final summaries and error rows.  The cases cover a grid
+pair, a particle pair with resample-move, polarizing delta priors under both
+prior-sampling modes, prior sampling over 10,001 grid and 10,000 particle
+weights, and a run shorter than ``EARLY_STEP``, whose early and final steps
+coincide.  A change that alters any of these bytes changes behaviour and has
+to say so.
 
 The runs happen in a child process with one BLAS thread: a threaded BLAS
 splits the reductions over 10,001 points between threads, which changes their
@@ -46,8 +49,20 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 SEEDS = (1, 2, 3)
 MAX_STEPS = 200
 CASES = [(name, seed) for name in sorted(REGISTRY) for seed in SEEDS]
-BATCH_SCENARIOS = ("classical_pair", "prior_coins_simultaneous", "quantum_pair_biasedZ")
 BATCH_STEPS = 20
+# batch case -> (scenario, n_steps, prior given to both agents, or None to
+# keep the registry's)
+BATCH_CASES = {
+    "classical_pair": ("classical_pair", BATCH_STEPS, None),
+    "classical_pair/steps5": ("classical_pair", 5, None),
+    "prior_coins_simultaneous": ("prior_coins_simultaneous", BATCH_STEPS, None),
+    "prior_coins_simultaneous/semicircle": (
+        "prior_coins_simultaneous", BATCH_STEPS, {"kind": "grid_pdf", "name": "semicircle"}),
+    "prior_qubits_turns": ("prior_qubits_turns", BATCH_STEPS, None),
+    "prior_qubits_turns/uniform_ball": (
+        "prior_qubits_turns", BATCH_STEPS, {"kind": "uniform_ball"}),
+    "quantum_pair_biasedZ": ("quantum_pair_biasedZ", BATCH_STEPS, None),
+}
 
 
 def _sha256(path: str) -> str:
@@ -68,9 +83,12 @@ def golden_record(scenario: str, seed: int, out_dir: str) -> dict:
     return dict(sorted((os.path.basename(p), _sha256(p)) for p in paths.values()))
 
 
-def batch_digest(scenario: str, out_dir: str) -> str:
-    """sha256 of the batch JSON for seeds SEEDS at BATCH_STEPS steps."""
-    cfg = replace(default_config(scenario, SEEDS[0]), n_steps=BATCH_STEPS)
+def batch_digest(case: str, out_dir: str) -> str:
+    """sha256 of the batch JSON of one of ``BATCH_CASES`` for seeds SEEDS."""
+    scenario, n_steps, prior = BATCH_CASES[case]
+    cfg = replace(default_config(scenario, SEEDS[0]), n_steps=n_steps)
+    if prior is not None:
+        cfg = replace(cfg, agents=tuple(replace(a, prior=prior) for a in cfg.agents))
     return _sha256(emit_batch(batch(cfg, len(SEEDS)), out_dir))
 
 
@@ -78,8 +96,8 @@ def _key(scenario: str, seed: int) -> str:
     return f"{scenario}/seed{seed}"
 
 
-def _batch_key(scenario: str) -> str:
-    return f"batch/{scenario}"
+def _batch_key(case: str) -> str:
+    return f"batch/{case}"
 
 
 def golden_table() -> dict:
@@ -88,8 +106,8 @@ def golden_table() -> dict:
         for name, seed in CASES:
             key = _key(name, seed)
             table[key] = golden_record(name, seed, os.path.join(tmp, key))
-        for name in BATCH_SCENARIOS:
-            table[_batch_key(name)] = batch_digest(name, os.path.join(tmp, "batch"))
+        for case in BATCH_CASES:
+            table[_batch_key(case)] = batch_digest(case, os.path.join(tmp, "batch"))
         return table
 
 
@@ -110,7 +128,7 @@ def emitted():
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted([_key(name, seed) for name, seed in CASES]
-                                    + [_batch_key(name) for name in BATCH_SCENARIOS])
+                                    + [_batch_key(case) for case in BATCH_CASES])
 
 
 @pytest.mark.parametrize("scenario,seed", CASES)
@@ -118,9 +136,9 @@ def test_emitted_bytes_match_golden(golden, emitted, scenario, seed):
     assert emitted[_key(scenario, seed)] == golden[_key(scenario, seed)]
 
 
-@pytest.mark.parametrize("scenario", BATCH_SCENARIOS)
-def test_batch_json_matches_golden(golden, emitted, scenario):
-    assert emitted[_batch_key(scenario)] == golden[_batch_key(scenario)]
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batch_json_matches_golden(golden, emitted, case):
+    assert emitted[_batch_key(case)] == golden[_batch_key(case)]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from qbagents import interaction
 from qbagents.agents import Action, Agent, broadcast_point
 from qbagents.errors import ImpossibleOutcomeError, RegionError, ValidationError
 from qbagents.core_math import BetaParams, beta_pdf
@@ -18,7 +19,7 @@ from qbagents.interaction import (
 )
 from qbagents.postulate import Interval, QubitBall, classical_postulate, quantum_postulate
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
-from qbagents.scenarios import build_runtime, default_config, run_config
+from qbagents.scenarios import AgentSpec, build_runtime, default_config, run_config
 
 QUANTUM = quantum_postulate()
 CLASSICAL2 = classical_postulate(2)
@@ -264,3 +265,66 @@ class TestSourceSlot:
         heads = outcomes.count(0)
         assert 10 <= heads <= 30
         assert t1.records[-1].metrics["running_frequency"] == heads / 30
+
+
+def _small_config(name, seed, n_steps, prior=None):
+    """A registry config at ``n_steps`` with small ensembles (301-point grids,
+    400 particles) and, optionally, ``prior`` for both agents."""
+    cfg = replace(default_config(name, seed), n_steps=n_steps)
+    agents = []
+    for block in cfg.agents:
+        if isinstance(block, AgentSpec):
+            block = replace(block, prior=prior or block.prior)
+            kind = block.prior["kind"]
+            n = 301 if kind.startswith("grid") else 400 if kind == "uniform_ball" else None
+            block = replace(block, n_particles=n)
+        agents.append(block)
+    return replace(cfg, agents=tuple(agents))
+
+
+RECORD_CASES = [("classical_pair", None), ("coin_tomography", None),
+                ("quantum_pair_biasedZ", None), ("quinn_clark", None),
+                ("prior_qubits_turns", {"kind": "uniform_ball"})]
+
+
+class TestRecordSteps:
+    @pytest.mark.parametrize("steps", [set(), {1}, {3, 10, 17}, {20}])
+    @pytest.mark.parametrize("name,prior", RECORD_CASES)
+    def test_kept_records_equal_full_run(self, name, prior, steps):
+        n_steps = 20
+        cfg = _small_config(name, seed=5, n_steps=n_steps, prior=prior)
+        full = run(build_runtime(cfg))
+        part = run(build_runtime(cfg), record_steps=steps)
+        assert [r.step for r in part.records] == sorted(steps | {n_steps})
+        for rec in part.records:
+            assert rec == full.records[rec.step - 1]
+        assert part.final == full.final
+        assert part.initial == full.initial
+        assert part.curves.keys() == full.curves.keys()
+        for aid, snaps in part.curves.items():
+            for (s1, x1, w1), (s2, x2, w2) in zip(snaps, full.curves[aid], strict=True):
+                assert s1 == s2 and np.array_equal(x1, x2) and np.array_equal(w1, w2)
+        assert part.clouds.keys() == full.clouds.keys()
+        for aid, (pts, w) in part.clouds.items():
+            assert np.array_equal(pts, full.clouds[aid][0])
+            assert np.array_equal(w, full.clouds[aid][1])
+
+    def test_zero_steps_keep_nothing(self):
+        trace = run(pair_spec([coin_agent("a"), coin_agent("b")], n_steps=0),
+                    record_steps={1})
+        assert trace.records == []
+        assert trace.final["last_metrics"] == {}
+
+    def test_unrecorded_steps_are_not_summarized(self, monkeypatch):
+        calls = []
+        original = interaction.posterior_summary
+
+        def counting(ens):
+            calls.append(ens)
+            return original(ens)
+
+        monkeypatch.setattr(interaction, "posterior_summary", counting)
+        run(build_runtime(_small_config("classical_pair", seed=1, n_steps=30)),
+            record_steps={10})
+        # Two agents, summarized at the start, at steps 10 and 30, and at the end.
+        assert len(calls) == 8

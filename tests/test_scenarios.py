@@ -9,6 +9,7 @@ from qbagents.errors import ConfigError, ImpossibleOutcomeError
 from qbagents.inference import DEFAULT_BALL_PARTICLES
 from qbagents.core_math import DEFAULT_GRID_POINTS
 from qbagents.scenarios import (
+    EARLY_STEP,
     REGISTRY,
     batch,
     build_runtime,
@@ -175,6 +176,55 @@ class TestValidation:
         agent = data["agents"][slot]["id"]
         assert err.value.violations == [f"agent {agent!r}: {message}"]
 
+    @pytest.mark.parametrize("point,shown", [(["a"], "['a']"), (["0.5"], "['0.5']"),
+                                             ([True], "[True]"), (0.5, "0.5")])
+    def test_source_point_must_be_numbers(self, point, shown):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["agents"][1]["point"] = point
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [
+            f"source 'source': point must be a list of numbers, got {shown}"]
+
+    @pytest.mark.parametrize("slot,kind,value", [(0, "agent", [1]), (0, "agent", 7),
+                                                 (1, "source", None)])
+    def test_ids_must_be_strings(self, slot, kind, value):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["agents"][slot]["id"] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [f"{kind} id must be a string, got {value!r}"]
+
+    @pytest.mark.parametrize("points,weights,message", [
+        ([0.2, 0.8], [1.0], "delta prior has 1 weights for 2 points"),
+        ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0, 1.0],
+         "delta prior has 3 weights for 2 points"),
+        ([0.2, 0.8], [-0.5, 1.5],
+         "delta prior weights must be nonnegative and not all zero, got [-0.5, 1.5]"),
+        ([0.2, 0.8], [0.0, 0.0],
+         "delta prior weights must be nonnegative and not all zero, got [0.0, 0.0]"),
+        ([0.2, 0.8], [1.0, "a"],
+         "delta prior weights must be a list of finite numbers, got [1.0, 'a']"),
+        ([0.2, 0.8], 1.0, "delta prior weights must be a list of finite numbers, got 1.0"),
+    ])
+    def test_delta_weights_checked(self, points, weights, message):
+        name = "coin_tomography" if np.ndim(points) == 1 else "qubit_tomography"
+        data = json.loads(emit_config(default_config(name)))
+        data["agents"][0]["prior"] = {"kind": "delta", "points": points,
+                                      "weights": weights}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [f"agent 'agent': {message}"]
+
+    @pytest.mark.parametrize("weights", [None, [], [1, 3], [0.0, 2.5]])
+    def test_valid_delta_weights_run(self, weights):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["n_steps"] = 3
+        data["agents"][0]["prior"] = {"kind": "delta", "points": [0.2, 0.8],
+                                      "weights": weights}
+        trace = run_config(parse_config(json.dumps(data)))
+        assert len(trace.records) == 3
+
     def test_all_violations_reported_at_once(self):
         data = json.loads(emit_config(default_config("coin_tomography")))
         data["scenario"] = "nope"
@@ -279,6 +329,31 @@ class TestBatch:
         trace = run_config(cfg)
         assert result.rows[0]["final_metrics"] == trace.final["last_metrics"]
         assert result.aggregates["n_errors"] == 0
+
+    @pytest.mark.parametrize("name,n_steps", [("classical_pair", 25),
+                                              ("classical_pair", 4),
+                                              ("quantum_pair_biasedZ", 15),
+                                              ("prior_coins_simultaneous", 6)])
+    def test_rows_equal_rows_of_full_runs(self, name, n_steps):
+        cfg = replace(small_config(name, seed=31), n_steps=n_steps)
+        result = batch(cfg, 4)
+        for i, row in enumerate(result.rows):
+            seed = cfg.seed + i
+            try:
+                trace = run_config(replace(cfg, seed=seed))
+            except ImpossibleOutcomeError as err:
+                assert row == {"seed": seed, "error": "impossible_outcome",
+                               "step": err.step, "agent": err.agent_id}
+                continue
+            early = trace.records[min(EARLY_STEP, n_steps) - 1]
+            assert row == {
+                "seed": seed,
+                "final_metrics": trace.final["last_metrics"],
+                "early_metrics": early.metrics,
+                "final_summaries": {
+                    aid: {"mean": s["mean"], "semi_major": s["semi_major"]}
+                    for aid, s in trace.final["summaries"].items()},
+            }
 
     def test_errors_recorded_not_fatal(self):
         cfg = replace(default_config("prior_coins_simultaneous", seed=0), n_steps=5)
