@@ -5,18 +5,27 @@ Beliefs are represented as weighted point sets.  Two flavors exist:
 * grid ensembles (1-D regions only): a fixed uniform grid whose weights track
   the density exactly at the grid points; these are never resampled, since
   reweighting alone keeps the representation faithful;
-* particle ensembles (the Bloch ball): weighted samples refreshed by a
-  resample-move step when the effective sample size degrades.
+* particle ensembles (the Bloch ball): weighted samples refreshed with a
+  new, equally weighted cloud when the effective sample size degrades.
 
 Updates multiply weights by the postulate likelihood of the observed outcome
 and renormalize; a caller that already holds that likelihood (an agent's
 cache) passes it in.  Every update also counts the observation in the
 ensemble's ``Evidence``: counts keyed by (action, outcome) next to each
-action's likelihood rows ``R[j] @ Phi``.  That is what the move step needs to
-evaluate the current posterior density at proposed points: one embedding of
-the points, then one dot product and one log per observed cell.  The move
-step targets uniform prior times likelihood, so agents reject particle
-ensembles that do not start uniform (see ``Agent``).
+action's likelihood rows ``R[j] @ Phi`` and their classification by Bloch
+axis, made once per distinct action.
+
+The refresh (``maybe_resample``) takes one of two paths.  When every observed
+outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
+of a quantum agent), the posterior is a product of three Beta laws truncated
+to the ball, and the refresh draws from it exactly.  All other evidence (the
+SIC reference action, and classical Pauli and sharp Pauli actions, whose
+axis factors are 1 +- k r_a with k < 1) goes to resample-move: systematic
+resampling plus Metropolis sweeps, which evaluate the current posterior
+density at proposed points from the counts (one embedding of the points,
+then one dot product and one log per observed cell).  Both paths assume a
+uniform prior, so agents reject particle ensembles that do not start uniform
+(see ``Agent``).
 """
 
 from __future__ import annotations
@@ -28,11 +37,18 @@ import numpy as np
 
 from .core_math import readonly
 from .errors import ImpossibleOutcomeError, ValidationError
-from .postulate import PhysicalPostulate, likelihood_values, likelihoods
+from .postulate import (
+    PhysicalPostulate,
+    QubitBall,
+    bloch_axes,
+    likelihood_values,
+    likelihoods,
+)
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
 PROPOSAL_SCALE = 0.5
+EXACT_MAX_DRAWS = 100  # candidates per particle before the exact refresh gives up
 
 
 @dataclass(frozen=True)
@@ -40,17 +56,20 @@ class Evidence:
     """The observations behind a posterior, as counts keyed by (action, outcome).
 
     ``actions[a]`` holds the postulate, conditional matrix and likelihood rows
-    ``R[j] @ Phi`` of the a-th distinct action observed; ``counts`` maps each
-    observed (action, outcome) cell to its count, in the order first observed
-    (the order ``log_posterior_density`` sums them in).
+    ``R[j] @ Phi`` of the a-th distinct action observed, and ``axes[a]`` the
+    ``bloch_axes`` classification of those rows, made once when the action is
+    first seen; ``counts`` maps each observed (action, outcome) cell to its
+    count, in the order first observed (the order ``log_posterior_density``
+    sums them in).
     """
 
     actions: tuple = ()
     counts: dict = field(default_factory=dict)
+    axes: tuple = ()
 
     def add(self, post: PhysicalPostulate, R, j: int) -> "Evidence":
         """These counts plus one observation of outcome j of action R."""
-        actions = self.actions
+        actions, axes = self.actions, self.axes
         for a, (p, m, _rows) in enumerate(actions):
             if p is post and (m is R or np.array_equal(m, R)):
                 break
@@ -60,9 +79,22 @@ class Evidence:
             rows = np.stack([m[k] @ post.phi for k in range(m.shape[0])])
             a = len(actions)
             actions += ((post, m, rows),)
+            axes += (bloch_axes(rows),)
         counts = dict(self.counts)
         counts[a, j] = counts.get((a, j), 0) + 1
-        return Evidence(actions, counts)
+        return Evidence(actions, counts, axes)
+
+    def axis_counts(self) -> np.ndarray | None:
+        """Counts ``[[n+_x, n-_x], [n+_y, n-_y], [n+_z, n-_z]]`` of outcomes
+        whose likelihood is proportional to (1 + r_a) and (1 - r_a), or None
+        when some observed outcome's likelihood is not of that form."""
+        counts = np.zeros((3, 2))
+        for (a, j), count in self.counts.items():
+            axis = self.axes[a][j]
+            if axis is None:
+                return None
+            counts[axis[0], 0 if axis[1] > 0 else 1] += count
+        return counts
 
 
 @dataclass(frozen=True)
@@ -252,19 +284,40 @@ def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
 def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator) -> ParticleEnsemble:
     """Resample-move step, triggered when ESS drops below n/2.
 
-    Systematic resampling restores equal weights, then a Gaussian random-walk
-    Metropolis pass (scale = ``PROPOSAL_SCALE`` times the per-dimension
-    posterior standard deviation, ``RESAMPLE_SWEEPS`` sweeps, proposals
-    outside the region rejected) rejuvenates particle diversity while
-    targeting the current posterior.  Exact representations (grids, delta
-    mixtures) and healthy particle sets pass through unchanged.
+    Exact representations (grids, delta mixtures) and healthy particle sets
+    pass through unchanged, and the stream is not touched.  Otherwise the
+    ensemble gets n equally weighted points from one of two paths:
+
+    * exact refresh, for Bloch-ball particles whose every observed outcome
+      has a likelihood c0 (1 +- r_a) on one axis a (see ``bloch_axes``): the
+      quantum ``paulis`` and ``paulis_zx`` menus.  The posterior under the
+      uniform prior is then a product of three Beta laws truncated to the
+      ball, and ``sample_axis_posterior`` draws n i.i.d. points from it;
+    * resample-move, for all other evidence (the ``sic_reference`` menu, and
+      classical ``paulis`` and ``sharp_paulis``, whose axis factors are
+      (1 +- k r_a) with k = 1/3 and 1/sqrt(3)), and when the exact draw runs
+      out of candidates: systematic resampling restores equal weights, then
+      a Gaussian random-walk Metropolis pass (scale = ``PROPOSAL_SCALE``
+      times the per-dimension posterior standard deviation,
+      ``RESAMPLE_SWEEPS`` sweeps, proposals outside the region rejected)
+      rejuvenates particle diversity while targeting the current posterior.
+
+    The k < 1 factors are left to resample-move: their Beta laws are
+    truncated to [(1 - k)/2, (1 + k)/2], and an inverse-CDF draw
+    (``betaincinv``) costs more than the Metropolis sweeps and underflows at
+    counts in the thousands.
     """
     if ens.grid or ens.atoms or ens.ess() >= ens.n / 2:
         return ens
+    equal = np.full(ens.n, 1.0 / ens.n)
+    counts = ens.evidence.axis_counts() if isinstance(ens.region, QubitBall) else None
+    if counts is not None:
+        pts = sample_axis_posterior(counts, ens.n, rng)
+        if pts is not None:
+            return _bless(ens, points=pts, weights=equal)
     summary = posterior_summary(ens)
     idx = _systematic_indices(ens.weights, rng)
     pts = ens.points[idx].copy()
-    equal = np.full(ens.n, 1.0 / ens.n)
     scale = PROPOSAL_SCALE * summary.std
     if not np.any(scale > 0):
         return _bless(ens, points=pts, weights=equal)
@@ -278,6 +331,38 @@ def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator) -> ParticleE
         pts[accept] = proposal[accept]
         logp[accept] = logp_prop[accept]
     return _bless(ens, points=pts, weights=equal)
+
+
+def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarray | None:
+    """n i.i.d. Bloch points from the uniform-ball prior times
+    prod_a (1 + r_a)^(n+_a) (1 - r_a)^(n-_a), ``counts[a] = (n+_a, n-_a)``.
+
+    Each axis is r_a = 2 B_a - 1 with B_a ~ Beta(n+_a + 1, n-_a + 1), drawn
+    axis by axis (uniform on [-1, 1] for an axis without counts); points
+    with |r|^2 > 1 are rejected, in rounds sized from the acceptance so far,
+    until n are kept.  Returns None when ``EXACT_MAX_DRAWS * n`` candidates
+    have not given n points (evidence that pushes the axis product almost
+    wholly outside the ball).
+    """
+    counts = np.asarray(counts, dtype=float)
+    alpha, beta = counts[:, 0] + 1.0, counts[:, 1] + 1.0
+    parts, kept, drawn = [], 0, 0
+    while kept < n:
+        budget = EXACT_MAX_DRAWS * n - drawn
+        if budget <= 0:
+            return None
+        size = n if not kept else math.ceil(1.2 * (n - kept) * drawn / kept) + 16
+        size = min(size, budget)
+        r = np.empty((size, 3))
+        for a in range(3):
+            # Beta(1, 1) is uniform, and numpy's Beta sampler is slow there
+            r[:, a] = (rng.uniform(-1.0, 1.0, size) if not counts[a].any()
+                       else 2.0 * rng.beta(alpha[a], beta[a], size) - 1.0)
+        r = r[np.einsum("ij,ij->i", r, r) <= 1.0][:n - kept]
+        parts.append(r)
+        kept += r.shape[0]
+        drawn += size
+    return np.concatenate(parts)
 
 
 def _systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

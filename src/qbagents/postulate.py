@@ -248,6 +248,34 @@ def min_likelihood(post: PhysicalPostulate, R) -> float:
     return float(np.min(c0 - np.linalg.norm(c, axis=1)))
 
 
+AXIS_TOL = 1e-9
+
+
+def bloch_axes(rows) -> tuple:
+    """For each likelihood row ``R[j] @ Phi`` of a 4-outcome action: (axis,
+    sign) when its likelihood on the Bloch ball is c0 (1 + sign r_axis) with
+    sign = +-1, else None.
+
+    Through the tetrahedral embedding the likelihood is c0 + c . r with
+    c0 = sum(row) / 4 and c = row @ n / 4 (as in ``min_likelihood``).
+    Quantum Pauli rows give |c| / c0 = 1 - 4e-16, so the ratio is compared
+    within ``AXIS_TOL`` and snapped to +-1.  Classical Pauli rows (ratio
+    1/3), classical sharp Pauli rows (1/sqrt(3)) and the SIC reference rows
+    (no single axis) give None.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[1] != 4:
+        return (None,) * rows.shape[0]
+    out = []
+    for row in rows:
+        c0 = row.sum() / 4.0
+        k = (row @ TETRA_VERTICES / 4.0) / c0 if c0 > 0 else np.zeros(3)
+        axis = int(np.argmax(np.abs(k)))
+        aligned = np.all(np.abs(np.abs(k) - np.eye(3)[axis]) <= AXIS_TOL)
+        out.append((axis, int(np.sign(k[axis]))) if aligned else None)
+    return tuple(out)
+
+
 def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
     """Embed parameter points into reference probability vectors.
 

@@ -93,11 +93,27 @@ def _prior_space(prior: dict) -> str:
     if kind in ("uniform_ball", "four_delta_xz"):
         return "ball"
     if kind == "delta":
-        pts = np.asarray(prior.get("points", []), dtype=float)
-        if pts.ndim == 2 and pts.shape[1] == 3:
-            return "ball"
-        return "interval"
+        pts = _delta_points(prior)
+        if pts is None:
+            return "unknown"
+        return "ball" if pts.shape[1] == 3 else "interval"
     return "unknown"
+
+
+def _delta_points(prior: dict) -> np.ndarray | None:
+    """A delta prior's points as an (n, 1) or (n, 3) array, or None unless
+    they are a list of finite numbers or a list of 1- or 3-component lists of
+    them."""
+    pts = prior.get("points", [])
+    if not isinstance(pts, (list, tuple)):
+        return None
+    if all(map(_is_number, pts)):
+        return np.asarray(pts, dtype=float).reshape(-1, 1)
+    if not all(isinstance(p, (list, tuple)) and all(map(_is_number, p)) for p in pts):
+        return None
+    if len({len(p) for p in pts}) != 1 or len(pts[0]) not in (1, 3):
+        return None
+    return np.asarray(pts, dtype=float)
 
 
 def _build_ensemble(prior: dict, n_particles, init_rng):
@@ -121,9 +137,7 @@ def _build_ensemble(prior: dict, n_particles, init_rng):
         return sample_uniform(QubitBall(), n_particles or DEFAULT_BALL_PARTICLES,
                               init_rng)
     if kind == "delta":
-        pts = np.asarray(prior["points"], dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        pts = _delta_points(prior)
         weights = prior.get("weights") or [1.0 / len(pts)] * len(pts)
         region = QubitBall() if pts.shape[1] == 3 else Interval(0.0, 1.0)
         return delta_ensemble(pts, weights, region)
@@ -237,7 +251,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             agents.append(AgentSpec(
                 id=block.get("id", "agent"),
                 postulate=block.get("postulate", ""),
-                n_outcomes=int(block.get("n_outcomes", 0)),
+                n_outcomes=block.get("n_outcomes", 0),
                 prior=dict(block.get("prior", {})),
                 menu=block.get("menu", ""),
                 utility=dict(block.get("utility", {"kind": "uniform"})),
@@ -287,6 +301,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     if len(config.agents) != 2:
         problems.append(f"exactly 2 agent blocks required, got {len(config.agents)}")
         return problems
+    ids = [block.id for block in config.agents if isinstance(block.id, str)]
+    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+        problems.append(f"id {dup!r} is used by more than one agent or source; "
+                        "ids must be distinct")
     spaces = []
     for block in config.agents:
         if not isinstance(block.id, str):
@@ -316,13 +334,15 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         reg = block.regularization
         other = spaces[1 - i]
         mine = spaces[i]
+        if "unknown" in (mine, other):
+            continue  # the malformed prior or point is reported already
         if reg == "z_projection" and (mine != "interval" or other != "ball"):
             problems.append(f"agent {block.id!r}: z_projection needs a scalar agent "
                             "receiving from a Bloch-ball agent")
         if reg == "z_embedding" and (mine != "ball" or other != "interval"):
             problems.append(f"agent {block.id!r}: z_embedding needs a Bloch-ball agent "
                             "receiving from a scalar agent")
-        if reg == "none" and mine != other and mine != "unknown" and other != "unknown":
+        if reg == "none" and mine != other:
             problems.append(f"agent {block.id!r}: incompatible parameter spaces "
                             "require a regularization")
     return problems
@@ -334,10 +354,11 @@ def _validate_agent(block: AgentSpec) -> list[str]:
     if block.postulate not in ("classical", "quantum"):
         problems.append(f"{pid}: unknown postulate {block.postulate!r}")
     n = block.n_outcomes
-    if n < 2:
-        problems.append(f"{pid}: n_outcomes must be at least 2")
-    if block.postulate == "quantum":
-        root = math.isqrt(max(n, 0))
+    if not _is_int_at_least(n, 2):
+        problems.append(f"{pid}: n_outcomes must be an integer >= 2, got {n!r}")
+        n = None
+    if block.postulate == "quantum" and n is not None:
+        root = math.isqrt(n)
         if root * root != n:
             problems.append(f"{pid}: N={n} is not the square of an integer")
         elif n != 4:
@@ -418,18 +439,18 @@ def _validate_prior(block: AgentSpec) -> list[str]:
                                        (prior.get("alpha", 0), prior.get("beta", 0))):
         problems.append("Beta parameters must be positive numbers")
     if kind == "delta":
-        pts = np.asarray(prior.get("points", []), dtype=float)
+        pts = _delta_points(prior)
+        if pts is None:
+            return [f"delta prior points must be a list of finite numbers or of 1- or "
+                    f"3-component lists of them, got {prior.get('points')!r}"]
         if pts.size == 0:
             problems.append("delta prior needs at least one point")
         elif space == "ball":
-            if np.any(np.linalg.norm(pts.reshape(-1, 3), axis=1) > 1.0 + 1e-9):
+            if np.any(np.linalg.norm(pts, axis=1) > 1.0 + 1e-9):
                 problems.append("delta prior point outside the Bloch ball")
-        else:
-            flat = pts.reshape(-1)
-            if np.any(flat < 0.0) or np.any(flat > 1.0):
-                problems.append("delta prior point outside [0, 1]")
-        problems.extend(_validate_delta_weights(
-            prior.get("weights"), pts.reshape(-1, 3 if space == "ball" else 1).shape[0]))
+        elif np.any(pts < 0.0) or np.any(pts > 1.0):
+            problems.append("delta prior point outside [0, 1]")
+        problems.extend(_validate_delta_weights(prior.get("weights"), pts.shape[0]))
     if block.regularization == "support_restriction" and space != "ball":
         problems.append("support_restriction requires a prior supported inside "
                         "the Bloch-ball region")

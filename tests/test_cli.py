@@ -144,6 +144,14 @@ def test_verify_appendix_passes(runner):
     (0, "prior", {"kind": "delta", "points": [0.2, 0.8], "weights": [-0.5, 1.5]},
      "agent 'agent': delta prior weights must be nonnegative and not all zero, "
      "got [-0.5, 1.5]"),
+    (0, "prior", {"kind": "delta", "points": ["a"]},
+     "agent 'agent': delta prior points must be a list of finite numbers or of 1- "
+     "or 3-component lists of them, got ['a']"),
+    (0, "n_outcomes", "two", "agent 'agent': n_outcomes must be an integer >= 2, "
+     "got 'two'"),
+    (0, "n_outcomes", 2.7, "agent 'agent': n_outcomes must be an integer >= 2, got 2.7"),
+    (1, "id", "agent", "id 'agent' is used by more than one agent or source; ids "
+     "must be distinct"),
 ])
 def test_type_holes_exit_2(runner, tmp_path, command, slot, key, value, message):
     data = json.loads(emit_config(default_config("coin_tomography", seed=1)))

@@ -1,0 +1,260 @@
+"""The exact refresh of Pauli-axis qubit agents and the choice of refresh path.
+
+Under the uniform ball prior, outcomes whose likelihood is c0 (1 +- r_a) on
+one Bloch axis give the posterior prod_a (1 + r_a)^(n+_a) (1 - r_a)^(n-_a)
+truncated to the ball.  The exactness gate compares clouds drawn by
+``sample_axis_posterior`` with a quadrature of that density: the integral
+over one axis is a difference of regularized incomplete Beta functions, and
+the other two axes are integrated on a trapezoid grid that spans the mass of
+their Beta factors.
+"""
+
+import numpy as np
+import pytest
+from scipy import stats
+from scipy.special import betainc
+
+from qbagents.inference import (
+    PROPOSAL_SCALE,
+    RESAMPLE_SWEEPS,
+    _systematic_indices,
+    bayes_update,
+    log_posterior_density,
+    maybe_resample,
+    posterior_summary,
+    sample_axis_posterior,
+    sample_uniform,
+)
+from qbagents.postulate import QubitBall, bloch_axes, classical_postulate, quantum_postulate
+from qbagents.quantum import TETRA_VERTICES
+from qbagents.scenarios import _menu
+
+QUANTUM = quantum_postulate()
+CLASSICAL4 = classical_postulate(4)
+N = 10_000
+NODES = 801
+
+
+def _rows(post, menu):
+    return [a.matrix @ post.phi for a in _menu(menu)]
+
+
+def _source_counts(point, n_obs, axes, seed):
+    """Counts of n_obs Pauli outcomes on random axes from a Bloch point."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((3, 2))
+    for _ in range(n_obs):
+        a = axes[rng.integers(len(axes))]
+        counts[a, 0 if rng.random() < (1 + point[a]) / 2 else 1] += 1
+    return counts
+
+
+COUNT_VECTORS = {
+    "no_evidence": np.zeros((3, 2)),
+    "three_on_x": np.array([[2, 1], [0, 0], [0, 0]], dtype=float),
+    "plus_source_500": _source_counts((1.0, 0.0, 0.0), 500, (0, 1, 2), seed=5),
+    "boundary_xz": _source_counts((0.6, 0.0, 0.8), 600, (0, 2), seed=6),
+}
+
+
+def _axis_nodes(alpha, beta):
+    """Trapezoid nodes and weights in B = (1 + r) / 2 over the mass of Beta."""
+    lo = stats.beta.ppf(1e-14, alpha, beta)
+    hi = stats.beta.isf(1e-14, alpha, beta)
+    b = np.linspace(lo, hi, NODES)
+    w = np.full(NODES, b[1] - b[0])
+    w[[0, -1]] /= 2
+    return b, w * stats.beta.pdf(b, alpha, beta)
+
+
+def _inner(alpha, beta, h, k):
+    """E[r^k; |r| <= h] for r = 2B - 1, B ~ Beta(alpha, beta), elementwise in h."""
+    lo, hi = (1 - h) / 2, (1 + h) / 2
+
+    def mass(shift):
+        return betainc(alpha + shift, beta, hi) - betainc(alpha + shift, beta, lo)
+
+    p0 = mass(0)
+    if k == 0:
+        return p0
+    e1 = alpha / (alpha + beta) * mass(1)
+    if k == 1:
+        return 2 * e1 - p0
+    e2 = alpha * (alpha + 1) / ((alpha + beta) * (alpha + beta + 1)) * mass(2)
+    return 4 * e2 - 4 * e1 + p0
+
+
+def _grid(counts, u, v, inner):
+    """Nodes, weights and ball half-widths on the (u, v) grid, with axis
+    ``inner`` integrated out."""
+    alpha, beta = counts[:, 0] + 1, counts[:, 1] + 1
+    bu, wu = _axis_nodes(alpha[u], beta[u])
+    bv, wv = _axis_nodes(alpha[v], beta[v])
+    ru, rv = 2 * bu - 1, 2 * bv - 1
+    h = np.sqrt(np.clip(1 - ru[:, None] ** 2 - rv[None, :] ** 2, 0, None))
+    return (bu, bv), (ru, rv), wu[:, None] * wv[None, :], h, (alpha[inner], beta[inner])
+
+
+def truncated_moments(counts):
+    """Mean and covariance of the truncated axis-product density, by quadrature."""
+    u, v = 0, 1
+    _b, (ru, rv), w, h, (a, b) = _grid(counts, u, v, 2)
+    g0, g1, g2 = (w * _inner(a, b, h, k) for k in (0, 1, 2))
+    z = g0.sum()
+    m = np.zeros(3)
+    s = np.zeros((3, 3))
+    m[u], m[v], m[2] = (ru @ g0.sum(1)) / z, (g0.sum(0) @ rv) / z, g1.sum() / z
+    s[u, u] = (ru ** 2 @ g0.sum(1)) / z
+    s[v, v] = (g0.sum(0) @ rv ** 2) / z
+    s[2, 2] = g2.sum() / z
+    s[u, v] = s[v, u] = ru @ g0 @ rv / z
+    s[u, 2] = s[2, u] = (ru @ g1.sum(1)) / z
+    s[v, 2] = s[2, v] = (g1.sum(0) @ rv) / z
+    return m, s - np.outer(m, m)
+
+
+def marginal_cdf(counts, axis):
+    """CDF of the r_axis marginal of the truncated density, by quadrature."""
+    (bu, _bv), _r, w, h, (a, b) = _grid(counts, axis, (axis + 1) % 3, (axis + 2) % 3)
+    mass = (w * _inner(a, b, h, 0)).sum(1)
+    cdf = np.concatenate(([0.0], np.cumsum((mass[1:] + mass[:-1]) / 2)))
+    cdf /= cdf[-1]
+    return lambda r: np.interp((1 + np.asarray(r)) / 2, bu, cdf)
+
+
+class TestBlochAxes:
+    @pytest.mark.parametrize("menu", ["paulis", "paulis_zx"])
+    def test_quantum_paulis_are_axis_aligned(self, menu):
+        expected = {"X": 0, "Y": 1, "Z": 2}
+        for action, rows in zip(_menu(menu), _rows(QUANTUM, menu)):
+            axis = expected[action.name]
+            assert bloch_axes(rows) == ((axis, 1), (axis, -1))
+
+    @pytest.mark.parametrize("post,menu", [(QUANTUM, "sic_reference"),
+                                           (CLASSICAL4, "paulis"),
+                                           (CLASSICAL4, "sharp_paulis"),
+                                           (CLASSICAL4, "sic_reference")])
+    def test_other_rows_fall_back(self, post, menu):
+        for rows in _rows(post, menu):
+            assert set(bloch_axes(rows)) == {None}
+
+    def test_unit_ratio_is_matched_within_tolerance(self):
+        # the quantum Pauli rows miss |k| = 1 by a few ulps, so a test for an
+        # exact 1.0 would classify no action at all
+        ratios = [np.abs(r @ TETRA_VERTICES).max() / r.sum()
+                  for rows in _rows(QUANTUM, "paulis") for r in rows]
+        assert any(k != 1.0 for k in ratios)
+        assert np.allclose(ratios, 1.0, rtol=0, atol=1e-15)
+
+
+class TestExactnessGate:
+    @pytest.mark.parametrize("name", COUNT_VECTORS)
+    def test_moments_match_quadrature(self, name):
+        counts = COUNT_VECTORS[name]
+        pts = sample_axis_posterior(counts, N, np.random.default_rng(20))
+        assert pts.shape == (N, 3)
+        assert np.all(np.einsum("ij,ij->i", pts, pts) <= 1.0)
+        mean, cov = truncated_moments(counts)
+        centered = pts - pts.mean(axis=0)
+        se_mean = pts.std(axis=0) / np.sqrt(N)
+        assert np.all(np.abs(pts.mean(axis=0) - mean) < 4 * se_mean)
+        for i in range(3):
+            for j in range(i, 3):
+                prod = centered[:, i] * centered[:, j]
+                se = prod.std() / np.sqrt(N)
+                assert abs(prod.mean() - cov[i, j]) < 4 * se, (i, j)
+
+    @pytest.mark.parametrize("name", COUNT_VECTORS)
+    @pytest.mark.parametrize("axis", range(3))
+    def test_axis_marginals_pass_ks(self, name, axis):
+        counts = COUNT_VECTORS[name]
+        pts = sample_axis_posterior(counts, N, np.random.default_rng(21))
+        result = stats.kstest(pts[:, axis], marginal_cdf(counts, axis))
+        assert result.pvalue > 0.001
+
+    def test_quadrature_of_the_uniform_ball(self):
+        mean, cov = truncated_moments(np.zeros((3, 2)))
+        assert np.allclose(mean, 0, atol=1e-9)
+        assert np.allclose(cov, np.eye(3) / 5, atol=1e-6)
+
+
+def _pauli_ensemble(seed, cells, n=N, post=QUANTUM, menu="paulis"):
+    """A uniform ball cloud updated with the given (action index, outcome) cells."""
+    ens = sample_uniform(QubitBall(), n, np.random.default_rng(seed))
+    actions = _menu(menu)
+    for a, j in cells:
+        ens = bayes_update(ens, post, actions[a].matrix, j)
+    return ens
+
+
+def _parent_resample_move(ens, rng):
+    # Systematic resampling plus random-walk Metropolis, as resample-move ran
+    # before the exact path existed: the fallback must reproduce it bit for bit.
+    summary = posterior_summary(ens)
+    pts = ens.points[_systematic_indices(ens.weights, rng)].copy()
+    scale = PROPOSAL_SCALE * summary.std
+    logp = log_posterior_density(ens, pts)
+    for _ in range(RESAMPLE_SWEEPS):
+        proposal = pts + rng.normal(size=pts.shape) * scale
+        logp_prop = log_posterior_density(ens, proposal)
+        with np.errstate(invalid="ignore"):
+            accept = np.log(rng.uniform(size=ens.n)) < (logp_prop - logp)
+        accept &= np.isfinite(logp_prop)
+        pts[accept] = proposal[accept]
+        logp[accept] = logp_prop[accept]
+    return pts
+
+
+class TestPathSelection:
+    def test_pauli_evidence_takes_the_exact_path(self):
+        cells = [(0, 0)] * 6 + [(2, 1)] * 3 + [(1, 0)]
+        ens = _pauli_ensemble(30, cells)
+        assert ens.ess() < ens.n / 2
+        assert np.array_equal(ens.evidence.axis_counts(), [[6, 0], [1, 0], [0, 3]])
+        out = maybe_resample(ens, np.random.default_rng(31))
+        expected = sample_axis_posterior([[6, 0], [1, 0], [0, 3]], ens.n,
+                                         np.random.default_rng(31))
+        assert np.array_equal(out.points, expected)
+        assert np.all(out.weights == 1.0 / ens.n)
+
+    def test_non_firing_resample_leaves_the_stream_untouched(self):
+        ens = _pauli_ensemble(32, [(0, 0)])
+        assert ens.ess() >= ens.n / 2
+        rng = np.random.default_rng(33)
+        before = rng.bit_generator.state
+        assert maybe_resample(ens, rng) is ens
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("post,menu", [(QUANTUM, "sic_reference"),
+                                           (CLASSICAL4, "paulis"),
+                                           (CLASSICAL4, "sharp_paulis")])
+    def test_fallback_is_the_parent_resample_move(self, post, menu):
+        n_actions = len(_menu(menu))
+        rng = np.random.default_rng(34)
+        cells = [(int(rng.integers(n_actions)), 0) for _ in range(40)]
+        ens = _pauli_ensemble(35, cells, n=2000, post=post, menu=menu)
+        assert ens.evidence.axis_counts() is None
+        assert ens.ess() < ens.n / 2
+        out = maybe_resample(ens, np.random.default_rng(36))
+        assert np.array_equal(out.points, _parent_resample_move(ens, np.random.default_rng(36)))
+
+    def test_mixed_evidence_falls_back(self):
+        # one SIC observation among Pauli ones rules out the axis product
+        ens = _pauli_ensemble(37, [(2, 0)] * 8, n=2000)
+        ens = bayes_update(ens, QUANTUM, _menu("sic_reference")[0].matrix, 1)
+        assert ens.evidence.axis_counts() is None
+        out = maybe_resample(ens, np.random.default_rng(38))
+        assert np.array_equal(out.points, _parent_resample_move(ens, np.random.default_rng(38)))
+
+    def test_exact_draw_gives_up_when_the_product_leaves_the_ball(self):
+        # Beta(201, 1) on x and z puts the axis product near (1, 0, 1), where
+        # about 1e-20 of it lies in the ball: the draw spends its candidate
+        # budget, and resample-move runs on the stream it leaves
+        counts = [[200, 0], [0, 0], [200, 0]]
+        ens = _pauli_ensemble(40, [(0, 0)] * 200 + [(2, 0)] * 200, n=50)
+        assert np.array_equal(ens.evidence.axis_counts(), counts)
+        rng = np.random.default_rng(41)
+        assert sample_axis_posterior(counts, ens.n, rng) is None
+        out = maybe_resample(ens, np.random.default_rng(41))
+        assert np.array_equal(out.points, _parent_resample_move(ens, rng))
+        assert out.ess() == pytest.approx(out.n)

@@ -18,9 +18,11 @@ rounding, so the bytes would otherwise depend on the core count.  They still
 depend on the BLAS build and the CPU kernel it selects; on another platform,
 regenerate the digests from a known-good commit first.
 
-Regenerate (only for a deliberate behaviour change):
+Regenerate (only for a deliberate behaviour change), every digest or only the
+named keys, leaving the others as they are:
 
     PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write qubit_tomography/seed1 batch/classical_pair
 """
 
 import os
@@ -100,6 +102,9 @@ def _batch_key(case: str) -> str:
     return f"batch/{case}"
 
 
+KEYS = [_key(name, seed) for name, seed in CASES] + [_batch_key(case) for case in BATCH_CASES]
+
+
 def golden_table() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
@@ -109,6 +114,24 @@ def golden_table() -> dict:
         for case in BATCH_CASES:
             table[_batch_key(case)] = batch_digest(case, os.path.join(tmp, "batch"))
         return table
+
+
+def rewrite_golden(keys: list, path: str = GOLDEN_PATH, table=golden_table):
+    """Replace the digests of ``keys`` in the file at ``path`` with those of
+    ``table()``, leaving all others untouched; with no keys, write every
+    digest afresh."""
+    unknown = sorted(set(keys) - set(KEYS))
+    if unknown:
+        raise SystemExit(f"unknown golden keys: {unknown}")
+    golden = {}
+    if keys:
+        with open(path, encoding="utf8") as fh:
+            golden = json.load(fh)
+    fresh = table()
+    golden.update({key: fresh[key] for key in keys or KEYS})
+    with open(path, "w", encoding="utf8") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +150,26 @@ def emitted():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted([_key(name, seed) for name, seed in CASES]
-                                    + [_batch_key(case) for case in BATCH_CASES])
+    assert sorted(golden) == sorted(KEYS)
+
+
+def test_rewrite_replaces_only_the_named_keys(golden, tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    named = ["quinn_clark/seed2", "batch/classical_pair"]
+    rewrite_golden(named, str(path), table=lambda: {k: f"new {k}" for k in KEYS})
+    rewritten = json.loads(path.read_text())
+    assert {k for k in golden if rewritten[k] != golden[k]} == set(named)
+    assert all(rewritten[k] == f"new {k}" for k in named)
+
+
+def test_rewrite_rejects_unknown_keys(golden, tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    with pytest.raises(SystemExit, match="no_such_scenario/seed1"):
+        rewrite_golden(["qubit_tomography/seed1", "no_such_scenario/seed1"], str(path),
+                       table=lambda: {k: "new" for k in KEYS})
+    assert json.loads(path.read_text()) == golden
 
 
 @pytest.mark.parametrize("scenario,seed", CASES)
@@ -142,10 +183,7 @@ def test_batch_json_matches_golden(golden, emitted, case):
 
 
 if __name__ == "__main__":
-    table = golden_table()
-    if sys.argv[1:] == ["--write"]:
-        with open(GOLDEN_PATH, "w", encoding="utf8") as fh:
-            json.dump(table, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    if sys.argv[1:2] == ["--write"]:
+        rewrite_golden(sys.argv[2:])
     else:
-        json.dump(table, sys.stdout, sort_keys=True)
+        json.dump(golden_table(), sys.stdout, sort_keys=True)

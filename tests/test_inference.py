@@ -23,6 +23,7 @@ from qbagents.postulate import (
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
 
 CLASSICAL2 = classical_postulate(2)
+CLASSICAL4 = classical_postulate(4)
 QUANTUM = quantum_postulate()
 FLIP = np.eye(2)
 PAULI = {ax: conditional_matrix(pauli_povm(ax), sic_d2()) for ax in "XYZ"}
@@ -204,10 +205,12 @@ class TestResampleMove:
         assert out.ess() >= out.n / 2
 
     def test_moments_preserved(self):
-        # repeated resampling trials keep mean and covariance within MC error
+        # repeated resample-move trials keep mean and covariance within MC
+        # error; classical Pauli evidence (1 + r_z / 3), because quantum Pauli
+        # evidence takes the exact refresh (tests/test_exact_refresh.py)
         ens = sample_uniform(QubitBall(), 4000, np.random.default_rng(11))
         for _ in range(25):
-            ens = bayes_update(ens, QUANTUM, PAULI["Z"], 0)
+            ens = bayes_update(ens, CLASSICAL4, PAULI["Z"], 0)
             if ens.ess() < ens.n / 2:
                 break
         assert ens.ess() < ens.n / 2  # the move step triggers

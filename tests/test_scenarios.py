@@ -195,6 +195,57 @@ class TestValidation:
             parse_config(json.dumps(data))
         assert err.value.violations == [f"{kind} id must be a string, got {value!r}"]
 
+    @pytest.mark.parametrize("name,slot", [("coin_tomography", 1),
+                                           ("classical_pair", 1)])
+    def test_ids_must_be_distinct(self, name, slot):
+        # a shared id would merge two blocks' summaries and curves in the trace
+        data = json.loads(emit_config(default_config(name)))
+        data["agents"][slot]["id"] = data["agents"][0]["id"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [
+            f"id {data['agents'][0]['id']!r} is used by more than one agent or "
+            "source; ids must be distinct"]
+
+    @pytest.mark.parametrize("points", [["a"], [[0.1, "b", 0.2]], "0.5", 0.5, [True],
+                                        [[0.0, 0.0, 1.0], [0.5]], [[0.2, 0.3]],
+                                        [[[0.5]]], [float("nan")]])
+    def test_delta_points_must_be_numbers(self, points):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["agents"][0]["prior"] = {"kind": "delta", "points": points}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [
+            "agent 'agent': delta prior points must be a list of finite numbers or "
+            f"of 1- or 3-component lists of them, got {points!r}"]
+
+    def test_malformed_prior_gives_no_regularization_violation(self):
+        # clark's z_projection cannot be checked against a prior of no known
+        # space; the prior's own violation is the only one
+        data = json.loads(emit_config(default_config("quinn_clark")))
+        data["agents"][1]["prior"] = {"kind": "delta", "points": ["a"]}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert len(err.value.violations) == 1
+        assert "delta prior points" in err.value.violations[0]
+
+    @pytest.mark.parametrize("points", [[0.2, 0.8], [[0.2], [0.8]]])
+    def test_valid_delta_points_run(self, points):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["n_steps"] = 3
+        data["agents"][0]["prior"] = {"kind": "delta", "points": points}
+        trace = run_config(parse_config(json.dumps(data)))
+        assert len(trace.records) == 3
+
+    @pytest.mark.parametrize("value", ["two", 2.7, 2.0, 1, True, None, [2]])
+    def test_n_outcomes_must_be_integer_at_least_2(self, value):
+        data = json.loads(emit_config(default_config("coin_tomography")))
+        data["agents"][0]["n_outcomes"] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [
+            f"agent 'agent': n_outcomes must be an integer >= 2, got {value!r}"]
+
     @pytest.mark.parametrize("points,weights,message", [
         ([0.2, 0.8], [1.0], "delta prior has 1 weights for 2 points"),
         ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0, 1.0],
