@@ -34,7 +34,7 @@ import numpy as np
 
 from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector, readonly
 from .errors import ValidationError
-from .inference import ParticleEnsemble
+from .inference import ParticleEnsemble, posterior_mean
 from .postulate import (
     PhysicalPostulate,
     ensemble_compatible,
@@ -155,7 +155,7 @@ class Agent:
     def mean(self) -> np.ndarray:
         """Posterior mean of the current ensemble, computed once per ensemble."""
         if self._mean_of is not self.ensemble:
-            self.remember_mean(self.ensemble.weights @ self.ensemble.points)
+            self.remember_mean(posterior_mean(self.ensemble))
         return self._mean
 
     def remember_mean(self, mean: np.ndarray):

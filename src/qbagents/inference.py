@@ -258,13 +258,26 @@ def log_posterior_density(ens: ParticleEnsemble, points) -> np.ndarray:
     return logp
 
 
+def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
+    """The weighted mean of the points.
+
+    A 1-D sum goes through ``einsum``, whose rounding does not depend on the
+    BLAS thread count (a threaded ``gemv`` splits the 10,001-point grid sums
+    between threads and rounds them differently); the Bloch mean stays a
+    matrix product, which rounds the same at any thread count.
+    """
+    if ens.dim == 1:
+        return np.array([np.einsum("i,i->", ens.weights, ens.points[:, 0])])
+    return ens.weights @ ens.points
+
+
 def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
     """Weighted mean and covariance with the ellipsoid decomposition."""
     w = ens.weights
-    mean = w @ ens.points
+    mean = posterior_mean(ens)
     centered = ens.points - mean
     if ens.dim == 1:
-        var = float(w @ centered[:, 0] ** 2)
+        var = float(np.einsum("i,i->", w, centered[:, 0] ** 2))
         return PosteriorSummary(
             mean=readonly(mean),
             covariance=readonly(np.array([[var]])),

@@ -12,10 +12,10 @@ weights, and a run shorter than ``EARLY_STEP``, whose early and final steps
 coincide.  A change that alters any of these bytes changes behaviour and has
 to say so.
 
-The runs happen in a child process with one BLAS thread: a threaded BLAS
-splits the reductions over 10,001 points between threads, which changes their
-rounding, so the bytes would otherwise depend on the core count.  They still
-depend on the BLAS build and the CPU kernel it selects; on another platform,
+The runs happen in a child process with one BLAS thread.  The bytes do not
+depend on the thread count (``test_blas_threads.py``), but they do depend on
+the BLAS build and the CPU kernel it selects, and one thread keeps the
+platform that computes them as plain as possible; on another platform,
 regenerate the digests from a known-good commit first.
 
 Regenerate (only for a deliberate behaviour change), every digest or only the
