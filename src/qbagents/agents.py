@@ -13,12 +13,14 @@ built, so a step does only arithmetic:
 * every action must give nonnegative probabilities in every valid state
   (``min_likelihood``), and a particle ensemble must start uniform, the prior
   that resample-move assumes;
-* each action's likelihood rows ``R[j] @ Phi`` are stored, and likelihoods on
-  the ensemble's points are cached per point set: the points are embedded
-  once, and each (action, outcome) vector is computed the first time it is
-  asked for and kept until the points change (grid and delta points never
-  move; particles move only when resample-move rejuvenates them);
-* the posterior mean is cached per ensemble, and the predictive is the
+* each action's likelihood rows ``R[j] @ Phi`` are stored with their
+  ``bloch_axes`` classes, and composed with the region's affine embedding
+  as Python floats for the outcome kernel (``Agent.outcome_probs``);
+* likelihoods on the ensemble's points are cached per point set: the points
+  are embedded once, and each (action, outcome) vector is computed the first
+  time it is asked for and kept until the points change (grid and delta
+  points never move; particles move only when the refresh replaces them);
+* the posterior mean is cached per weights array, and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
   parameter), so a choice costs one point instead of a pass over the ensemble;
 * a single-action menu draws nothing, and a menu without a utility table,
@@ -34,13 +36,15 @@ import numpy as np
 
 from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector, readonly
 from .errors import ValidationError
-from .inference import ParticleEnsemble, posterior_mean
+from .inference import Evidence, ParticleEnsemble, posterior_mean
 from .postulate import (
     PhysicalPostulate,
+    bloch_axes,
     ensemble_compatible,
     likelihood_matrix,
     likelihoods,
     min_likelihood,
+    outcome_probs,
     ref_probs_of_points,
 )
 
@@ -93,9 +97,10 @@ class UtilityFn:
 class Agent:
     """Postulate + belief ensemble + action menu + utility function.
 
-    The interaction loop replaces ``ensemble`` after each update; the caches
-    key on the ensemble and its points, so assigning a new one invalidates
-    them.
+    ``counts`` is the one count store of observed (menu index, outcome) cells,
+    in first-observed order, and ``evidence`` the refresh's view of it.  The
+    caches key on the ensemble's points and weights arrays, which updates and
+    refreshes replace.
     """
 
     id: str
@@ -108,6 +113,10 @@ class Agent:
         self.menu = tuple(self.menu)
         if not self.menu:
             raise ValidationError(f"agent {self.id!r}: empty action menu")
+        ens = self.ensemble
+        if not ensemble_compatible(self.postulate, ens.region):
+            raise ValidationError(
+                f"agent {self.id!r}: ensemble region incompatible with postulate")
         for action in self.menu:
             if action.matrix.shape[1] != self.postulate.n_outcomes:
                 raise ValidationError(
@@ -115,29 +124,31 @@ class Agent:
                     f"dimension {action.matrix.shape[1]}, postulate expects "
                     f"{self.postulate.n_outcomes}")
             self.utility.row(action)
-        ens = self.ensemble
-        if not ensemble_compatible(self.postulate, ens.region):
-            raise ValidationError(
-                f"agent {self.id!r}: ensemble region incompatible with postulate")
-        for action in self.menu:
             lowest = min_likelihood(self.postulate, action.matrix)
             if lowest < -PROB_TOL:
                 raise ValidationError(
                     f"agent {self.id!r}: action {action.name!r} gives a negative "
                     f"probability ({lowest:.3e}); not physically valid for this "
                     "postulate")
-        if not (ens.grid or ens.atoms) and (ens.evidence.counts
-                                            or np.ptp(ens.weights) > 0):
+        if not (ens.grid or ens.atoms) and np.ptp(ens.weights) > 0:
             raise ValidationError(
                 f"agent {self.id!r}: a particle ensemble must start uniform "
-                "(equal weights, no evidence), the prior resample-move assumes")
+                "(equal weights), the prior resample-move assumes")
         phi = self.postulate.phi
-        self._rows = tuple(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)])
-                           for a in self.menu)
+        rows = tuple(readonly(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)]))
+                     for a in self.menu)
+        self.counts = {}
+        self.evidence = Evidence(rows, tuple(map(bloch_axes, rows)), self.counts)
+        # The embedding is affine, so an outcome's probability is its row of
+        # coefficients (constant, gradient) dotted with (1, theta).
+        dim = ens.region.dim
+        affine = ens.region.to_ref_probs(np.vstack([np.zeros(dim), np.eye(dim)]))
+        affine[1:] -= affine[0]
+        self._kernel_rows = tuple((r @ affine.T).tolist() for r in rows)
         self._points = None  # the point set the likelihood cache belongs to
         self._probs = None  # its reference probabilities
         self._likes = {}  # (action index, outcome) -> likelihood at those points
-        self._mean_of = None  # the ensemble whose mean is cached
+        self._mean_of = None  # the weights whose mean is cached
         self._mean = None
 
     def action(self, name: str) -> Action:
@@ -146,35 +157,30 @@ class Agent:
                 return a
         raise ValidationError(f"agent {self.id!r}: no action named {name!r}")
 
-    def _index(self, action: Action) -> int:
-        for i, a in enumerate(self.menu):
-            if a is action:
-                return i
-        raise ValidationError(f"agent {self.id!r}: {action.name!r} is not on the menu")
-
     def mean(self) -> np.ndarray:
-        """Posterior mean of the current ensemble, computed once per ensemble."""
-        if self._mean_of is not self.ensemble:
-            self.remember_mean(posterior_mean(self.ensemble))
+        """Posterior mean of the current ensemble, computed once per weights."""
+        if self._mean_of is not self.ensemble.weights:
+            self._mean_of, self._mean = self.ensemble.weights, posterior_mean(self.ensemble)
         return self._mean
 
-    def remember_mean(self, mean: np.ndarray):
-        """Record the current ensemble's mean, e.g. from a posterior summary."""
-        self._mean_of = self.ensemble
-        self._mean = mean
-
-    def likelihood(self, action: Action, j: int) -> np.ndarray:
-        """p(j | theta) of a menu action at every point of the current ensemble."""
+    def likelihood(self, a: int, j: int) -> np.ndarray:
+        """p(j | theta) of menu action ``a`` at the ensemble's points."""
         points = self.ensemble.points
         if points is not self._points:
             self._points = points
             self._probs = ref_probs_of_points(self.postulate, points)
             self._likes = {}
-        a = self._index(action)
         like = self._likes.get((a, j))
         if like is None:
-            like = self._likes[a, j] = readonly(likelihoods(self._probs, self._rows[a][j]))
+            like = self._likes[a, j] = readonly(likelihoods(self._probs,
+                                                            self.evidence.rows[a][j]))
         return like
+
+    def outcome_probs(self, a: int, point) -> list[float]:
+        """Unchecked outcome probabilities of menu action ``a`` at a valid
+        state of the agent's region, from the stored rows ``R[j] @ Phi``
+        composed with the region's embedding."""
+        return outcome_probs(self._kernel_rows[a], [1.0, *point.tolist()])
 
 
 def predictive(agent: Agent, action: Action) -> np.ndarray:
@@ -191,8 +197,9 @@ def expected_utility(agent: Agent, action: Action) -> float:
     return float(agent.utility.row(action) @ predictive(agent, action))
 
 
-def choose_action(agent: Agent, rng: np.random.Generator) -> Action:
-    """An expected-utility maximizer; ties broken uniformly at random.
+def choose_action(agent: Agent, rng: np.random.Generator) -> int:
+    """The menu index of an expected-utility maximizer; ties broken uniformly
+    at random.
 
     Without a utility table every expected utility equals the default utility
     up to rounding, so all actions tie and the tie-break index is drawn
@@ -200,15 +207,12 @@ def choose_action(agent: Agent, rng: np.random.Generator) -> Action:
     """
     menu = agent.menu
     if len(menu) == 1:
-        return menu[0]
+        return 0
     if not agent.utility.table:
-        return menu[rng.integers(len(menu))]
+        return int(rng.integers(len(menu)))
     utilities = np.array([expected_utility(agent, a) for a in menu])
-    best = utilities.max()
-    tied = np.flatnonzero(utilities >= best - TIE_TOL)
-    if tied.size == 1:
-        return menu[tied[0]]
-    return menu[tied[rng.integers(tied.size)]]
+    tied = np.flatnonzero(utilities >= utilities.max() - TIE_TOL)
+    return int(tied[0] if tied.size == 1 else tied[rng.integers(tied.size)])
 
 
 def broadcast_point(agent: Agent) -> np.ndarray:

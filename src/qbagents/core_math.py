@@ -55,15 +55,9 @@ def as_prob_vector(entries, *, name: str = "probability vector") -> np.ndarray:
     total = float(p.sum())
     if abs(total - 1.0) > PROB_TOL * p.size:
         raise ValidationError(f"{name}: sums to {total!r}, expected 1")
-    return readonly(renormalized(p))
-
-
-def renormalized(entries) -> np.ndarray:
-    """Entries clipped at zero and rescaled to sum to one: the arithmetic of
-    ``as_prob_vector`` without its checks, for vectors valid by construction."""
-    p = np.maximum(np.asarray(entries, dtype=float).ravel(), 0.0)
+    p = np.maximum(p, 0.0)
     p /= p.sum()
-    return p
+    return readonly(p)
 
 
 def as_cond_prob_matrix(rows) -> np.ndarray:

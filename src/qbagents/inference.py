@@ -8,12 +8,14 @@ Beliefs are represented as weighted point sets.  Two flavors exist:
 * particle ensembles (the Bloch ball): weighted samples refreshed with a
   new, equally weighted cloud when the effective sample size degrades.
 
-Updates multiply weights by the postulate likelihood of the observed outcome
-and renormalize; a caller that already holds that likelihood (an agent's
-cache) passes it in.  Every update also counts the observation in the
-ensemble's ``Evidence``: counts keyed by (action, outcome) next to each
-action's likelihood rows ``R[j] @ Phi`` and their classification by Bloch
-axis, made once per distinct action.
+An update replaces an ensemble's weights, in place, by their product with
+the postulate likelihood of the observed outcome, renormalized; a caller
+that already holds that likelihood (an agent's cache) passes it in.  The
+observations belong to the agent, not to the ensemble: its one count store,
+keyed by (menu index, outcome), and its actions' likelihood rows
+``R[j] @ Phi`` with their classification by Bloch axis, made once when the
+agent is built.  ``Evidence`` is the refresh's view of them, reading the
+counts live.
 
 The refresh (``maybe_resample``) takes one of two paths.  When every observed
 outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
@@ -30,6 +32,7 @@ uniform prior, so agents reject particle ensembles that do not start uniform
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -37,13 +40,7 @@ import numpy as np
 
 from .core_math import readonly
 from .errors import ImpossibleOutcomeError, ValidationError
-from .postulate import (
-    PhysicalPostulate,
-    QubitBall,
-    bloch_axes,
-    likelihood_values,
-    likelihoods,
-)
+from .postulate import PhysicalPostulate, QubitBall, likelihood_values, likelihoods
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
@@ -53,36 +50,15 @@ EXACT_MAX_DRAWS = 100  # candidates per particle before the exact refresh gives 
 
 @dataclass(frozen=True)
 class Evidence:
-    """The observations behind a posterior, as counts keyed by (action, outcome).
+    """The refresh's view of an agent's observations: ``rows[a]``, the
+    likelihood rows ``R[j] @ Phi`` of menu action a, ``axes[a]``, their
+    ``bloch_axes`` classes, and the agent's live ``counts`` of (menu index,
+    outcome) cells in first-observed order, the order
+    ``log_posterior_density`` sums them in."""
 
-    ``actions[a]`` holds the postulate, conditional matrix and likelihood rows
-    ``R[j] @ Phi`` of the a-th distinct action observed, and ``axes[a]`` the
-    ``bloch_axes`` classification of those rows, made once when the action is
-    first seen; ``counts`` maps each observed (action, outcome) cell to its
-    count, in the order first observed (the order ``log_posterior_density``
-    sums them in).
-    """
-
-    actions: tuple = ()
-    counts: dict = field(default_factory=dict)
+    rows: tuple = ()
     axes: tuple = ()
-
-    def add(self, post: PhysicalPostulate, R, j: int) -> "Evidence":
-        """These counts plus one observation of outcome j of action R."""
-        actions, axes = self.actions, self.axes
-        for a, (p, m, _rows) in enumerate(actions):
-            if p is post and (m is R or np.array_equal(m, R)):
-                break
-        else:
-            m = R if isinstance(R, np.ndarray) and not R.flags.writeable else (
-                readonly(np.array(R, dtype=float)))
-            rows = np.stack([m[k] @ post.phi for k in range(m.shape[0])])
-            a = len(actions)
-            actions += ((post, m, rows),)
-            axes += (bloch_axes(rows),)
-        counts = dict(self.counts)
-        counts[a, j] = counts.get((a, j), 0) + 1
-        return Evidence(actions, counts, axes)
+    counts: dict = field(default_factory=dict)
 
     def axis_counts(self) -> np.ndarray | None:
         """Counts ``[[n+_x, n-_x], [n+_y, n-_y], [n+_z, n-_z]]`` of outcomes
@@ -97,13 +73,15 @@ class Evidence:
         return counts
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ParticleEnsemble:
     """Weighted points over a parameter region representing a belief density.
 
     ``grid`` marks a fixed 1-D quadrature grid and ``atoms`` a delta mixture;
     both are exact representations whose weights alone carry the density, so
-    the resample-move step leaves them untouched.
+    the resample-move step leaves them untouched.  ``bayes_update`` replaces
+    ``weights`` with a new read-only array, so an array once read never
+    changes.
     """
 
     points: np.ndarray
@@ -111,7 +89,6 @@ class ParticleEnsemble:
     region: object
     grid: bool = False
     atoms: bool = False
-    evidence: Evidence = field(default_factory=Evidence)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -132,8 +109,8 @@ class ParticleEnsemble:
         total = w.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "points", readonly(pts.copy()))
-        object.__setattr__(self, "weights", readonly(w / total))
+        self.points = readonly(pts.copy())
+        self.weights = readonly(w / total)
 
     @property
     def n(self) -> int:
@@ -146,20 +123,6 @@ class ParticleEnsemble:
     def ess(self) -> float:
         """Effective sample size 1 / sum(w^2)."""
         return float(1.0 / np.sum(self.weights ** 2))
-
-
-def _bless(ens: ParticleEnsemble, *, points=None, weights=None,
-           evidence=None) -> ParticleEnsemble:
-    # Validation bypass for the update loop: inputs derive from an already
-    # validated ensemble, so region membership and normalization hold.
-    out = object.__new__(ParticleEnsemble)
-    object.__setattr__(out, "points", ens.points if points is None else readonly(points))
-    object.__setattr__(out, "weights", ens.weights if weights is None else readonly(weights))
-    object.__setattr__(out, "region", ens.region)
-    object.__setattr__(out, "grid", ens.grid)
-    object.__setattr__(out, "atoms", ens.atoms)
-    object.__setattr__(out, "evidence", ens.evidence if evidence is None else evidence)
-    return out
 
 
 @dataclass(frozen=True)
@@ -213,62 +176,59 @@ def grid_ensemble(region, n: int, pdf=None) -> ParticleEnsemble:
 
 def delta_ensemble(points, weights, region) -> ParticleEnsemble:
     """Mixture of point masses (a single point gives an exogenous-style delta)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
     w = np.asarray(weights, dtype=float).ravel()
-    return ParticleEnsemble(pts, w / w.sum(), region, atoms=True)
+    return ParticleEnsemble(points, w / w.sum(), region, atoms=True)
 
 
 def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
                  like: np.ndarray | None = None) -> ParticleEnsemble:
-    """Reweight by the likelihood of outcome j; points never move here.
+    """Reweight ``ens`` in place by the likelihood of outcome j and return it;
+    points never move here.
 
     ``like`` is that likelihood at ``ens.points`` when the caller has it
-    cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError`` when
-    the total posterior weight underflows, i.e. the outcome contradicts the
-    entire support.
+    cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError``,
+    leaving ``ens`` as it was, when the total posterior weight underflows,
+    i.e. the outcome contradicts the entire support.
     """
     if like is None:
         like = likelihood_values(post, R, j, ens.points)
     w = ens.weights * like
-    total = w.sum()
+    total = np.add.reduce(w)
     if not math.isfinite(total) or total < 1e-300:
         raise ImpossibleOutcomeError(
             f"outcome {j} has zero probability on the whole support")
     w /= total
-    return _bless(ens, weights=w, evidence=ens.evidence.add(post, R, j))
+    ens.weights = readonly(w)
+    return ens
 
 
-def log_posterior_density(ens: ParticleEnsemble, points) -> np.ndarray:
-    """Unnormalized log density of the accumulated posterior at given points.
+def log_posterior_density(ens: ParticleEnsemble, points,
+                          evidence: Evidence) -> np.ndarray:
+    """Unnormalized log density at given points of the posterior that
+    ``evidence`` gives over the ensemble's region.
 
     The prior is uniform over the region: agents only accept particle
-    ensembles that start with equal weights and no evidence.  Points outside
-    the region get -inf.
+    ensembles that start with equal weights.  Points outside the region get
+    -inf.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, ens.dim)
     probs = ens.region.to_ref_probs(pts)
     logp = np.zeros(pts.shape[0])
-    actions = ens.evidence.actions
     with np.errstate(divide="ignore"):
-        for (a, j), count in ens.evidence.counts.items():
-            logp += count * np.log(likelihoods(probs, actions[a][2][j]))
+        for (a, j), count in evidence.counts.items():
+            logp += count * np.log(likelihoods(probs, evidence.rows[a][j]))
     logp[~ens.region.contains(pts)] = -np.inf
     return logp
 
 
 def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
-    """The weighted mean of the points.
-
-    A 1-D sum goes through ``einsum``, whose rounding does not depend on the
-    BLAS thread count (a threaded ``gemv`` splits the 10,001-point grid sums
-    between threads and rounds them differently); the Bloch mean stays a
-    matrix product, which rounds the same at any thread count.
-    """
-    if ens.dim == 1:
-        return np.array([np.einsum("i,i->", ens.weights, ens.points[:, 0])])
-    return ens.weights @ ens.points
+    """The weighted mean of the points.  A 1-D sum goes through ``einsum``,
+    which rounds the same at any BLAS thread count; a threaded ``gemv`` splits
+    the 10,001-point grid sums between threads and rounds them differently."""
+    w, pts = ens.weights, ens.points
+    if pts.shape[1] == 1:
+        return np.einsum("i,i->", w, pts[:, 0]).reshape(1)
+    return w @ pts
 
 
 def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
@@ -277,14 +237,10 @@ def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
     mean = posterior_mean(ens)
     centered = ens.points - mean
     if ens.dim == 1:
-        var = float(np.einsum("i,i->", w, centered[:, 0] ** 2))
-        return PosteriorSummary(
-            mean=readonly(mean),
-            covariance=readonly(np.array([[var]])),
-            axis_lengths=readonly(np.array([np.sqrt(max(var, 0.0))])),
-        )
-    cov = (centered * w[:, None]).T @ centered
-    cov = 0.5 * (cov + cov.T)
+        cov = np.array([[np.einsum("i,i->", w, centered[:, 0] ** 2)]])
+    else:
+        cov = (centered * w[:, None]).T @ centered
+        cov = 0.5 * (cov + cov.T)
     eigvals = np.clip(np.linalg.eigh(cov)[0], 0.0, None)
     order = np.argsort(eigvals)[::-1]
     return PosteriorSummary(
@@ -294,12 +250,14 @@ def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
     )
 
 
-def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator) -> ParticleEnsemble:
+def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
+                   rng: np.random.Generator) -> ParticleEnsemble:
     """Resample-move step, triggered when ESS drops below n/2.
 
     Exact representations (grids, delta mixtures) and healthy particle sets
-    pass through unchanged, and the stream is not touched.  Otherwise the
-    ensemble gets n equally weighted points from one of two paths:
+    are returned as they are, and the stream is not touched.  Otherwise a new
+    ensemble gets n equally weighted points, drawn from the posterior that
+    ``evidence`` (the agent's observations) gives, by one of two paths:
 
     * exact refresh, for Bloch-ball particles whose every observed outcome
       has a likelihood c0 (1 +- r_a) on one axis a (see ``bloch_axes``): the
@@ -323,27 +281,36 @@ def maybe_resample(ens: ParticleEnsemble, rng: np.random.Generator) -> ParticleE
     if ens.grid or ens.atoms or ens.ess() >= ens.n / 2:
         return ens
     equal = np.full(ens.n, 1.0 / ens.n)
-    counts = ens.evidence.axis_counts() if isinstance(ens.region, QubitBall) else None
+    counts = evidence.axis_counts() if isinstance(ens.region, QubitBall) else None
     if counts is not None:
         pts = sample_axis_posterior(counts, ens.n, rng)
         if pts is not None:
-            return _bless(ens, points=pts, weights=equal)
+            return _refreshed(ens, pts, equal)
     summary = posterior_summary(ens)
     idx = _systematic_indices(ens.weights, rng)
     pts = ens.points[idx].copy()
     scale = PROPOSAL_SCALE * summary.std
     if not np.any(scale > 0):
-        return _bless(ens, points=pts, weights=equal)
-    logp = log_posterior_density(ens, pts)
+        return _refreshed(ens, pts, equal)
+    logp = log_posterior_density(ens, pts, evidence)
     for _ in range(RESAMPLE_SWEEPS):
         proposal = pts + rng.normal(size=pts.shape) * scale
-        logp_prop = log_posterior_density(ens, proposal)
+        logp_prop = log_posterior_density(ens, proposal, evidence)
         with np.errstate(invalid="ignore"):
             accept = np.log(rng.uniform(size=ens.n)) < (logp_prop - logp)
         accept &= np.isfinite(logp_prop)
         pts[accept] = proposal[accept]
         logp[accept] = logp_prop[accept]
-    return _bless(ens, points=pts, weights=equal)
+    return _refreshed(ens, pts, equal)
+
+
+def _refreshed(ens: ParticleEnsemble, points: np.ndarray,
+               weights: np.ndarray) -> ParticleEnsemble:
+    # The constructor would check region membership, which the refresh
+    # guarantees, and renormalize the weights 1/n, whose sum is rarely 1.
+    out = copy.copy(ens)
+    out.points, out.weights = readonly(points), readonly(weights)
+    return out
 
 
 def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarray | None:

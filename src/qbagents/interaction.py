@@ -26,20 +26,26 @@ Cross-species regularizations (a qubit party facing a two-outcome party):
   in the prior, whose support must already sit inside the quantum region.
 
 Validation happens when agents and the ``RunSpec`` are built, never per step:
-agents check their actions and priors, the spec checks that every exogenous
-source point is a valid state for its receiver, and agent broadcasts (means
-of, or draws from, valid ensembles) are valid by construction.  A step is
-then arithmetic: the choice uses the agent's cached mean, the outcome draw
-skips the checks of ``apply_postulate`` and of ``Generator.choice``
-(``rng.draw_index``), the update takes the agent's cached likelihood, and the
-posterior-summary mean of one step is the next step's broadcast.
+agents check their actions and priors, the spec checks every exogenous source
+point against its receiver and resolves each slot's regularization to one
+function, and agent broadcasts (means of, or draws from, valid ensembles) are
+valid by construction.  ``regularize`` and ``sample_outcome`` are the checked
+forms of the same maps and draw, for points from outside.
+
+A step is then a flat kernel over agent-owned state: the choice uses the
+agent's cached mean, the outcome kernel evaluates the receiver's stored rows
+``R[j] @ Phi`` at the embedded broadcast (``Agent.outcome_probs``) and draws
+with one ``random()`` (``rng.draw_outcome``), the update reweights the
+ensemble in place by the cached likelihood, and the agent counts the outcome
+in its one count store, keyed by (menu index, outcome), which the refresh,
+the metrics and the trace read.
 
 ``run(spec, record_steps)`` records a step (posterior summaries, ESS,
 metrics) only if it is named or the last one; ``None``, the default, records
 every step.  So ``batch``, which reports two steps, skips the summaries of the
-other thousand.  An unrecorded step changes nothing downstream: the next
-broadcast is the agent's mean ``weights @ points``, the expression the
-summary's mean takes.
+other thousand.  An unrecorded step changes nothing downstream: every
+broadcast is the agent's mean (``inference.posterior_mean``), the expression
+the summary's mean takes.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import Action, Agent, broadcast_point, choose_action
+from .agents import Agent, broadcast_point, choose_action
 from .errors import ImpossibleOutcomeError, ValidationError
 from .inference import bayes_update, maybe_resample, posterior_summary
 from .postulate import (
@@ -58,9 +64,7 @@ from .postulate import (
     ref_probs_of_points,
 )
 from .quantum import bloch_to_density, frequency_operator, trace_distance
-from .rng import agent_streams, draw_index
-
-REGULARIZATIONS = ("none", "z_projection", "z_embedding", "support_restriction")
+from .rng import agent_streams, draw_index, draw_outcome
 
 EXPECTATION = "expectation"
 PRIOR_SIMULTANEOUS = "prior_simultaneous"
@@ -79,36 +83,43 @@ class ExogenousSource:
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float).ravel())
 
 
+# Each regularization's map of a broadcast into the receiver's parameter
+# space, unchecked, and the point size it takes (None: any).  A RunSpec
+# resolves its slots' maps once; the config check has fixed the sizes.
+REGULARIZERS = {
+    "none": (lambda p: p, None),
+    "z_projection": (lambda p: np.array([(1.0 + p[2]) / 2.0]), 3),
+    "z_embedding": (lambda p: np.array([0.0, 0.0, 2.0 * p[0] - 1.0]), 1),
+    "support_restriction": (lambda p: p, None),
+}
+REGULARIZATIONS = tuple(REGULARIZERS)
+
+
 def regularize(kind: str, point: np.ndarray) -> np.ndarray:
-    """Map an incoming broadcast into the receiver's parameter space."""
-    if kind in ("none", "support_restriction"):
+    """Map an incoming broadcast into the receiver's parameter space, after
+    checking the kind and the size of the point."""
+    if kind not in REGULARIZATIONS:
+        raise ValidationError(f"unknown regularization {kind!r}")
+    fn, size = REGULARIZERS[kind]
+    if size is None:
         return point
-    if kind == "z_projection":
-        p = np.asarray(point, dtype=float).ravel()
-        if p.size != 3:
-            raise ValidationError("z_projection expects a Bloch point")
-        return np.array([(1.0 + p[2]) / 2.0])
-    if kind == "z_embedding":
-        p = np.asarray(point, dtype=float).ravel()
-        if p.size != 1:
-            raise ValidationError("z_embedding expects a scalar parameter")
-        return np.array([0.0, 0.0, 2.0 * p[0] - 1.0])
-    raise ValidationError(f"unknown regularization {kind!r}")
+    p = np.asarray(point, dtype=float).ravel()
+    if p.size != size:
+        raise ValidationError(f"{kind} expects a point of size {size}, got {p.size}")
+    return fn(p)
 
 
 def sample_outcome(post: PhysicalPostulate, broadcast: np.ndarray, R,
-                   regularization: str, rng: np.random.Generator, *,
-                   validate: bool = True) -> int:
+                   regularization: str, rng: np.random.Generator) -> int:
     """Draw an outcome with the probabilities the receiver's postulate assigns
     at the (regularized) broadcast point.
 
-    ``validate`` is passed on to ``apply_postulate``; the run loop turns it
-    off, since its broadcasts and actions are checked when they are built.
+    The checked form of the run loop's outcome kernel: ``regularize`` and
+    ``apply_postulate`` check the point and the action.
     """
     point = regularize(regularization, broadcast)
-    probs = ref_probs_of_points(post, point)[0]
-    q = apply_postulate(post, probs, R, validate=validate)
-    return draw_index(q, rng)
+    q = apply_postulate(post, ref_probs_of_points(post, point)[0], R)
+    return draw_outcome(q.tolist(), rng)
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,7 @@ class RunSpec:
     mode: str = EXPECTATION
     metrics_kind: str = "none"
     config: dict = field(default_factory=dict)
+    regularizers: tuple = field(init=False, repr=False)  # one map per slot
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -166,6 +178,7 @@ class RunSpec:
         for reg in self.incoming_reg:
             if reg not in REGULARIZATIONS:
                 raise ValidationError(f"unknown regularization {reg!r}")
+        self.regularizers = tuple(REGULARIZERS[reg][0] for reg in self.incoming_reg)
         if self.n_steps < 0:
             raise ValidationError("n_steps must be nonnegative")
         for i, slot in enumerate(self.slots):
@@ -197,29 +210,23 @@ def _summary_dict(agent: Agent) -> dict:
     }
 
 
-def _self_broadcast(slot, mode: str, rng) -> np.ndarray:
-    if not _is_agent(slot):
-        return slot.point
-    if mode == EXPECTATION:
-        return broadcast_point(slot)
-    ens = slot.ensemble
-    return ens.points[draw_index(ens.weights, rng)]
-
-
-def _receive_and_update(agent: Agent, incoming: np.ndarray, reg: str,
-                        streams, step: int) -> tuple[Action, int]:
-    action = choose_action(agent, streams["choice"])
-    outcome = sample_outcome(agent.postulate, incoming, action.matrix, reg,
-                             streams["outcome"], validate=False)
+def _receive_and_update(agent: Agent, point: np.ndarray, streams,
+                        step: int) -> tuple[str, int]:
+    # ``point`` is the broadcast already mapped into the agent's parameter
+    # space by its slot's regularizer.
+    a = choose_action(agent, streams["choice"])
+    action = agent.menu[a]
+    outcome = draw_outcome(agent.outcome_probs(a, point), streams["outcome"])
     try:
         ens = bayes_update(agent.ensemble, agent.postulate, action.matrix, outcome,
-                           agent.likelihood(action, outcome))
+                           agent.likelihood(a, outcome))
     except ImpossibleOutcomeError as err:
         err.step = step
         err.agent_id = agent.id
         raise
-    agent.ensemble = maybe_resample(ens, streams["resample"])
-    return action, outcome
+    agent.counts[a, outcome] = agent.counts.get((a, outcome), 0) + 1
+    agent.ensemble = maybe_resample(ens, agent.evidence, streams["resample"])
+    return action.name, outcome
 
 
 def run(spec: RunSpec, record_steps=None) -> Trace:
@@ -236,27 +243,23 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     slots = spec.slots
     streams = [agent_streams(spec.seed, i) for i in range(2)]
     trace = Trace(spec.scenario, spec.seed, dict(spec.config), spec.mode)
-    counts = [{} for _ in slots]
     keep = None if record_steps is None else set(record_steps) | {spec.n_steps}
 
-    snapshot_steps = _snapshot_steps(spec.n_steps)
-    for i, slot in enumerate(slots):
-        if _is_agent(slot):
-            trace.initial[slot.id] = _summary_dict(slot)
-            if slot.ensemble.grid:
-                trace.curves[slot.id] = [(0, slot.ensemble.points[:, 0].copy(),
-                                          slot.ensemble.weights.copy())]
+    def snapshot(step):
+        for slot in slots:
+            if _is_agent(slot) and slot.ensemble.grid:
+                trace.curves.setdefault(slot.id, []).append(
+                    (step, slot.ensemble.points[:, 0].copy(), slot.ensemble.weights.copy()))
 
+    trace.initial = {s.id: _summary_dict(s) for s in slots if _is_agent(s)}
+    snapshot(0)
+    snapshot_steps = _snapshot_steps(spec.n_steps)
     for step in range(1, spec.n_steps + 1):
-        step_agents = _step(spec, slots, streams, counts, step)
+        step_agents = _step(spec, slots, streams, step)
         if keep is None or step in keep:
-            trace.records.append(_record(spec, slots, step_agents, counts, step))
+            trace.records.append(_record(spec, slots, step_agents, step))
         if step in snapshot_steps:
-            for slot in slots:
-                if _is_agent(slot) and slot.ensemble.grid:
-                    trace.curves[slot.id].append(
-                        (step, slot.ensemble.points[:, 0].copy(),
-                         slot.ensemble.weights.copy()))
+            snapshot(step)
 
     for slot in slots:
         if _is_agent(slot) and not slot.ensemble.grid:
@@ -265,14 +268,14 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     trace.final = {
         "summaries": {s.id: _summary_dict(s) for s in slots if _is_agent(s)},
         "outcome_counts": [
-            {f"{name}:{j}": c for (name, j), c in sorted(counts[i].items())}
-            for i in range(2)],
+            {f"{name}:{j}": c for (name, j), c in sorted(_named_counts(s).items())}
+            for s in slots],
         "last_metrics": trace.records[-1].metrics if trace.records else {},
     }
     return trace
 
 
-def _record(spec, slots, step_agents, counts, step) -> InteractionRecord:
+def _record(spec, slots, step_agents, step) -> InteractionRecord:
     summaries = [posterior_summary(s.ensemble) if _is_agent(s) else None
                  for s in slots]
     rec_agents = []
@@ -282,44 +285,48 @@ def _record(spec, slots, step_agents, counts, step) -> InteractionRecord:
             continue
         action, outcome = step_agents[i]
         s = summaries[i]
-        slot.remember_mean(s.mean)
         rec_agents.append(AgentStepRecord(
             agent_id=slot.id,
-            action=action.name,
+            action=action,
             outcome=outcome,
             mean=tuple(float(x) for x in s.mean),
             std=tuple(float(x) for x in s.std),
             semi_major=s.semi_major,
             ess=slot.ensemble.ess(),
         ))
-    metrics = _metrics(spec.metrics_kind, slots, summaries, counts, step)
+    metrics = _metrics(spec.metrics_kind, slots, summaries, step)
     return InteractionRecord(step, tuple(rec_agents), metrics)
 
 
-def _step(spec, slots, streams, counts, step):
+def _step(spec, slots, streams, step):
     # Simultaneous modes take both broadcasts before either update, and slot 0
     # updates first (so it is the agent an ImpossibleOutcomeError names when
     # both outcomes are impossible).  Turn mode takes each broadcast as it is
     # sent: slot 0 broadcasts to slot 1, which updates, then slot 1 broadcasts
     # its refreshed beliefs back to slot 0.
     def broadcast(i):
-        return _self_broadcast(slots[i], spec.mode, streams[i]["broadcast"])
+        slot = slots[i]
+        if not _is_agent(slot):
+            return slot.point
+        if spec.mode == EXPECTATION:
+            return broadcast_point(slot)
+        ens = slot.ensemble
+        return ens.points[draw_index(ens.weights, streams[i]["broadcast"])]
 
     if spec.mode == PRIOR_TURNS:
         sent, order = None, ((0, 1), (1, 0))
     else:
-        sent, order = [broadcast(i) for i in range(2)], ((1, 0), (0, 1))
+        # a broadcast that no agent receives (an agent's, sent to a source)
+        # is not computed
+        sent = [broadcast(i) if _is_agent(slots[1 - i]) else None for i in range(2)]
+        order = ((1, 0), (0, 1))
     results = [None, None]
     for sender, receiver in order:
         if not _is_agent(slots[receiver]):
             continue
         point = broadcast(sender) if sent is None else sent[sender]
-        action, outcome = _receive_and_update(
-            slots[receiver], point, spec.incoming_reg[receiver],
-            streams[receiver], step)
-        key = (action.name, outcome)
-        counts[receiver][key] = counts[receiver].get(key, 0) + 1
-        results[receiver] = (action, outcome)
+        results[receiver] = _receive_and_update(
+            slots[receiver], spec.regularizers[receiver](point), streams[receiver], step)
     return results
 
 
@@ -344,22 +351,22 @@ def _mean_state(summary) -> np.ndarray:
     return bloch_to_density(bloch)
 
 
-def _axis_counts(counts: dict) -> dict:
+def _named_counts(slot) -> dict:
+    """An agent's counts keyed by (action name, outcome); empty for a source."""
     out = {}
-    for axis in "xyz":
-        name = axis.upper()
-        out[axis] = (counts.get((name, 0), 0), counts.get((name, 1), 0))
+    for (a, j), count in (slot.counts.items() if _is_agent(slot) else ()):
+        out[slot.menu[a].name, j] = out.get((slot.menu[a].name, j), 0) + count
     return out
 
 
-def _metrics(kind: str, slots, summaries, counts, step: int) -> dict:
+def _metrics(kind: str, slots, summaries, step: int) -> dict:
     if kind == "none":
         out = {}
     elif kind == "coin_tomography":
         # Slot 0 is the learner; slot 1 is the source side (an exogenous
         # source or the delta-prior agent standing in for one).
         mean = summaries[0].mean[0]
-        heads = sum(c for (name, j), c in counts[0].items() if j == 0)
+        heads = sum(c for (_a, j), c in slots[0].counts.items() if j == 0)
         freq = heads / step
         out = {
             "dist_to_frequency": abs(mean - freq),
@@ -369,7 +376,9 @@ def _metrics(kind: str, slots, summaries, counts, step: int) -> dict:
     elif kind == "qubit_tomography":
         state = _mean_state(summaries[0])
         source_state = bloch_to_density(_source_point(slots[1], summaries[1]))
-        freq_op, _missing = frequency_operator(_axis_counts(counts[0]))
+        named = _named_counts(slots[0])
+        freq_op, _missing = frequency_operator(
+            {ax.lower(): (named.get((ax, 0), 0), named.get((ax, 1), 0)) for ax in "XYZ"})
         out = {
             "dist_to_frequency": trace_distance(state, freq_op),
             "dist_to_source": trace_distance(state, source_state),

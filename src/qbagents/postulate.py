@@ -27,12 +27,13 @@ how to embed parameter points into reference probability vectors:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
-from .core_math import PROB_TOL, as_prob_vector, readonly, renormalized
+from .core_math import PROB_TOL, as_prob_vector, readonly
 from .errors import DimensionMismatchError, RegionError, ValidationError
 from .quantum import (
     BALL_TOL,
@@ -198,35 +199,43 @@ def _density_from_ref_probs(post: PhysicalPostulate, p: np.ndarray) -> np.ndarra
     return sum(a * s for a, s in zip(alpha, post.ref.post_states))
 
 
-def apply_postulate(post: PhysicalPostulate, p, R, *,
-                    validate: bool = True) -> np.ndarray:
+def apply_postulate(post: PhysicalPostulate, p, R) -> np.ndarray:
     """Outcome probabilities q = R (Phi p) for an action with conditional
     matrix R, given reference probabilities p.
 
-    Both p and q are clipped at zero and renormalized, which absorbs rounding
-    drift.  With ``validate`` (the default) this is a checked boundary: it
-    raises ``ValidationError`` for a p that is not a probability vector,
-    ``RegionError`` when p is not a valid state for the postulate, and
-    ``ValidationError`` when the result has a negative entry beyond tolerance
-    (the conditional matrix is then not physically valid for this postulate).
-    The run loop passes ``validate=False``: its actions were checked when the
-    agent was built and its broadcasts are valid states by construction.
+    A checked boundary: it raises ``ValidationError`` for a p that is not a
+    probability vector, ``RegionError`` when p is not a valid state for the
+    postulate, and ``ValidationError`` when the result has a negative entry
+    beyond tolerance (the conditional matrix is then not physically valid
+    for this postulate).  The values are those of the unchecked kernel
+    ``outcome_probs``, renormalized.
     """
-    matrix = np.asarray(R, dtype=float)
-    if not validate:
-        return renormalized(matrix @ (post.phi @ renormalized(p)))
     vec = as_prob_vector(p, name="reference probabilities")
+    matrix = np.asarray(R, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != post.n_outcomes:
         raise DimensionMismatchError(
             f"conditional matrix shape {matrix.shape} vs N = {post.n_outcomes}")
     if not is_valid_state(post, vec):
         raise RegionError("reference probabilities outside the physically valid region")
-    q = matrix @ (post.phi @ vec)
-    if q.min() < -PROB_TOL:
+    rows = matrix @ post.phi
+    lowest = float((rows @ vec).min())
+    if lowest < -PROB_TOL:
         raise ValidationError(
-            f"conditional matrix produced a negative probability ({q.min():.3e}); "
+            f"conditional matrix produced a negative probability ({lowest:.3e}); "
             "not physically valid for this postulate")
-    return as_prob_vector(q, name="outcome probabilities")
+    return as_prob_vector(outcome_probs(rows.tolist(), vec.tolist()),
+                          name="outcome probabilities")
+
+
+def outcome_probs(rows, p) -> list[float]:
+    """Outcome probabilities ``q_j = rows[j] . p`` over Python floats from
+    likelihood rows ``R[j] @ Phi`` and reference probabilities p: the
+    unchecked kernel of an outcome draw.  As in ``likelihoods``, values
+    within ``LIKELIHOOD_DUST`` of zero are snapped to zero and negative ones
+    clipped, so no outcome is drawn that the update treats as impossible.
+    """
+    return [v if (v := sum(map(operator.mul, row, p), 0.0)) >= LIKELIHOOD_DUST else 0.0
+            for row in rows]
 
 
 def min_likelihood(post: PhysicalPostulate, R) -> float:

@@ -10,7 +10,8 @@ source reproduce the single-agent run bit for bit.
 ``draw_index`` is the weighted index draw of ``Generator.choice(p.size, p=p)``
 without its checks of ``p``: the same cumulative sum, the same single
 ``random()`` from the stream, the same search, hence the same index and the
-same stream state afterwards.
+same stream state afterwards.  ``draw_outcome`` is the same draw over a few
+Python floats, the outcome probabilities of one step.
 """
 
 from __future__ import annotations
@@ -45,3 +46,17 @@ def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def draw_outcome(q, rng: np.random.Generator) -> int:
+    """``draw_index`` over a few nonnegative Python floats ``q``, unnormalized:
+    the first index whose cumulative sum over the total exceeds one
+    ``random()`` (the ``side="right"`` search; a zero entry is never drawn)."""
+    total = sum(q)
+    u = rng.random()
+    acc = 0.0
+    for i in range(len(q) - 1):
+        acc += q[i]
+        if u < acc / total:
+            return i
+    return len(q) - 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -204,11 +204,7 @@ class AgentSpec:
     n_particles: int | None = None
 
     def to_dict(self) -> dict:
-        return {"id": self.id, "postulate": self.postulate,
-                "n_outcomes": self.n_outcomes, "prior": self.prior,
-                "menu": self.menu, "utility": self.utility,
-                "regularization": self.regularization,
-                "n_particles": self.n_particles}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -238,9 +234,37 @@ class ScenarioConfig:
                 "out_dir": self.out_dir}
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
+CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
+SOURCE_KEYS = {"id", "source", "point"}
+AGENT_KEYS = {f.name for f in fields(AgentSpec)} | {"source"}
+
+
+def _shape_problems(data) -> list[str]:
+    """What keeps a JSON document from being read as a config: a root, an
+    ``agents`` list or a block that is not of its JSON type, and keys the
+    schema does not know."""
     if not isinstance(data, dict):
-        raise ConfigError(["config root must be a JSON object"])
+        return ["config root must be a JSON object"]
+    problems = [f"unknown config key {k!r}" for k in data if k not in CONFIG_KEYS]
+    blocks = data.get("agents", [])
+    if not isinstance(blocks, list):
+        return problems + [f"agents must be a list of objects, got {blocks!r}"]
+    for i, block in enumerate(blocks):
+        if not isinstance(block, dict):
+            problems.append(f"agents[{i}] must be an object, got {block!r}")
+            continue
+        known = SOURCE_KEYS if block.get("source") else AGENT_KEYS
+        problems += [f"agents[{i}]: unknown key {k!r}" for k in block if k not in known]
+        problems += [f"agents[{i}]: {k} must be an object, got {block[k]!r}"
+                     for k in ("prior", "utility")
+                     if k in known and k in block and not isinstance(block[k], dict)]
+    return problems
+
+
+def config_from_dict(data: dict) -> ScenarioConfig:
+    problems = _shape_problems(data)
+    if problems:
+        raise ConfigError(problems)
     agents = []
     for block in data.get("agents", []):
         if block.get("source"):
@@ -248,25 +272,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             agents.append(SourceSpec(block.get("id", "source"), tuple(point)
                                      if isinstance(point, (list, tuple)) else point))
         else:
-            agents.append(AgentSpec(
-                id=block.get("id", "agent"),
-                postulate=block.get("postulate", ""),
-                n_outcomes=block.get("n_outcomes", 0),
-                prior=dict(block.get("prior", {})),
-                menu=block.get("menu", ""),
-                utility=dict(block.get("utility", {"kind": "uniform"})),
-                regularization=block.get("regularization", "none"),
-                n_particles=block.get("n_particles"),
-            ))
-    return ScenarioConfig(
-        scenario=data.get("scenario", ""),
-        seed=data.get("seed", 0),
-        n_steps=data.get("n_steps", 0),
-        agents=tuple(agents),
-        interaction=data.get("interaction", EXPECTATION),
-        summary_interval=data.get("summary_interval", 10),
-        out_dir=data.get("out_dir"),
-    )
+            given = {k: v for k, v in block.items() if k != "source"}
+            agents.append(AgentSpec(**{"id": "agent", "postulate": "", "n_outcomes": 0,
+                                       "prior": {}, "menu": "", **given}))
+    return ScenarioConfig(**{"scenario": "", "seed": 0, "n_steps": 0, **data,
+                             "agents": tuple(agents)})
 
 
 def emit_config(config: ScenarioConfig) -> str:
@@ -290,8 +300,10 @@ def parse_config(text: str) -> ScenarioConfig:
 def validate_config(config: ScenarioConfig) -> list[str]:
     """All violations in the config; empty when valid."""
     problems: list[str] = []
-    if config.scenario not in REGISTRY:
+    if not isinstance(config.scenario, str) or config.scenario not in REGISTRY:
         problems.append(f"unknown scenario {config.scenario!r}")
+    if config.out_dir is not None and not isinstance(config.out_dir, str):
+        problems.append(f"out_dir must be a string or null, got {config.out_dir!r}")
     for key, least in (("seed", 0), ("n_steps", 0), ("summary_interval", 1)):
         value = getattr(config, key)
         if not _is_int_at_least(value, least):
@@ -429,7 +441,7 @@ def _validate_prior(block: AgentSpec) -> list[str]:
         allowed = {"kind", "name", "peak"} if name == "triangular" else {"kind", "name"}
         extra = sorted(set(prior) - allowed)
         peak = prior.get("peak")
-        if name not in GRID_PDFS:
+        if not isinstance(name, str) or name not in GRID_PDFS:
             problems.append(f"unknown grid pdf {name!r}")
         elif extra:
             problems.append(f"grid pdf {name!r}: unknown parameters {extra}")

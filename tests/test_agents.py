@@ -12,12 +12,9 @@ from qbagents.agents import (
     expected_utility,
     predictive,
 )
-from dataclasses import replace
-
 from qbagents.core_math import BetaParams, beta_pdf
 from qbagents.errors import ValidationError
 from qbagents.inference import (
-    Evidence,
     ParticleEnsemble,
     bayes_update,
     delta_ensemble,
@@ -125,7 +122,7 @@ class TestChooseAction:
         counts = {"X": 0, "Y": 0, "Z": 0}
         n = 10_000
         for _ in range(n):
-            counts[choose_action(agent, rng).name] += 1
+            counts[agent.menu[choose_action(agent, rng)].name] += 1
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         for c in counts.values():
             assert abs(c - n / 3) < 3 * sigma
@@ -135,19 +132,19 @@ class TestChooseAction:
         agent = Agent("b", QUANTUM, ens, pauli_menu(),
                       UtilityFn({"Z": (0.98, 1.02)}))
         rng = np.random.default_rng(31)
-        assert all(choose_action(agent, rng).name == "Z" for _ in range(100))
+        assert all(agent.menu[choose_action(agent, rng)].name == "Z" for _ in range(100))
 
     def test_z_never_chosen_when_dominated(self):
         ens = delta_ensemble([[0.0, 0.0, 1.0]], [1.0], QubitBall())
         agent = Agent("b", QUANTUM, ens, pauli_menu(),
                       UtilityFn({"Z": (0.98, 1.02)}))
         rng = np.random.default_rng(32)
-        assert all(choose_action(agent, rng).name != "Z" for _ in range(200))
+        assert all(agent.menu[choose_action(agent, rng)].name != "Z" for _ in range(200))
 
     def test_same_seed_same_choice(self):
         agent = ball_agent(rng_seed=4, n=200)
-        a = [choose_action(agent, np.random.default_rng(77)).name for _ in range(1)]
-        b = [choose_action(agent, np.random.default_rng(77)).name for _ in range(1)]
+        a = [agent.menu[choose_action(agent, np.random.default_rng(77))].name for _ in range(1)]
+        b = [agent.menu[choose_action(agent, np.random.default_rng(77))].name for _ in range(1)]
         assert a == b
 
     @settings(max_examples=60, deadline=None)
@@ -169,14 +166,14 @@ class TestChoiceStream:
         agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
         rng = np.random.default_rng(40)
         before = rng.bit_generator.state
-        assert choose_action(agent, rng).name == "flip"
+        assert agent.menu[choose_action(agent, rng)].name == "flip"
         assert rng.bit_generator.state == before
 
     def test_uniform_utility_draws_one_integer(self):
         agent = ball_agent(rng_seed=6, n=300)
         rng, twin = np.random.default_rng(41), np.random.default_rng(41)
         for _ in range(20):
-            name = choose_action(agent, rng).name
+            name = agent.menu[choose_action(agent, rng)].name
             assert name == "XYZ"[twin.integers(3)]
             assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -187,16 +184,18 @@ class TestLikelihoodCache:
         action = agent.action("Z")
         rng = np.random.default_rng(42)
         moved = 0
+        a = agent.menu.index(action)
         for _ in range(40):
             points = agent.ensemble.points
             ens = bayes_update(agent.ensemble, QUANTUM, action.matrix, 0,
-                               agent.likelihood(action, 0))
-            agent.ensemble = maybe_resample(ens, rng)
+                               agent.likelihood(a, 0))
+            agent.counts[a, 0] = agent.counts.get((a, 0), 0) + 1
+            agent.ensemble = maybe_resample(ens, agent.evidence, rng)
             if agent.ensemble.points is not points:
                 moved += 1
                 for j in (0, 1):
                     assert np.array_equal(
-                        agent.likelihood(action, j),
+                        agent.likelihood(a, j),
                         likelihood_values(QUANTUM, action.matrix, j,
                                           agent.ensemble.points))
         assert moved > 0
@@ -207,18 +206,24 @@ class TestLikelihoodCache:
         for j in (0, 1, 0):
             expected = likelihood_values(CLASSICAL2, action.matrix, j,
                                          agent.ensemble.points)
-            assert np.array_equal(agent.likelihood(action, j), expected)
+            assert np.array_equal(agent.likelihood(0, j), expected)
             agent.ensemble = bayes_update(agent.ensemble, CLASSICAL2,
                                           action.matrix, j, expected)
 
     def test_assigning_an_ensemble_invalidates_caches(self):
         agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
-        action = agent.menu[0]
-        agent.likelihood(action, 0)
+        agent.likelihood(0, 0)
         assert broadcast_point(agent)[0] == pytest.approx(0.5)
         agent.ensemble = delta_ensemble([[0.2], [0.9]], [0.5, 0.5], Interval())
-        assert np.array_equal(agent.likelihood(action, 0), [0.2, 0.9])
+        assert np.array_equal(agent.likelihood(0, 0), [0.2, 0.9])
         assert broadcast_point(agent)[0] == pytest.approx(0.55)
+
+    def test_in_place_update_invalidates_the_mean(self):
+        agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
+        assert broadcast_point(agent)[0] == pytest.approx(0.5)
+        bayes_update(agent.ensemble, CLASSICAL2, np.eye(2), 0, agent.likelihood(0, 0))
+        theta = agent.ensemble.points[:, 0]
+        assert broadcast_point(agent)[0] == pytest.approx((theta ** 2).sum() / theta.sum())
 
 
 class TestAgentValidation:
@@ -259,13 +264,6 @@ class TestAgentValidation:
         skewed = ParticleEnsemble(ens.points, w / w.sum(), QubitBall())
         with pytest.raises(ValidationError, match="uniform"):
             Agent("a", QUANTUM, skewed, pauli_menu())
-
-    def test_particle_prior_with_counts_rejected(self):
-        ens = sample_uniform(QubitBall(), 100, np.random.default_rng(2))
-        r_z = pauli_menu()[2].matrix
-        seen = replace(ens, evidence=Evidence().add(QUANTUM, r_z, 0))
-        with pytest.raises(ValidationError, match="uniform"):
-            Agent("a", QUANTUM, seen, pauli_menu())
 
     def test_nonuniform_grid_and_atoms_accepted(self):
         ens = grid_ensemble(Interval(), 51, pdf=lambda t: beta_pdf(t, BetaParams(2, 5)))

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from qbagents.cli import main
 from qbagents.scenarios import default_config, emit_config
+from test_scenarios import SHAPE_HOLES, config_with
 
 
 @pytest.fixture
@@ -172,3 +173,14 @@ def test_verify_appendix_rejects_bad_counts(runner, args):
     assert result.exit_code == 2
     assert "PASS" not in result.output
     assert args[0] in result.output
+
+
+@pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
+@pytest.mark.parametrize("path,value,message", SHAPE_HOLES)
+def test_shape_holes_exit_2(runner, tmp_path, command, path, value, message):
+    config = tmp_path / "holes.json"
+    config.write_text(config_with(path, value))
+    result = runner.invoke(main, [command[0], str(config), *command[1:],
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["violations"] == [message]

@@ -9,11 +9,15 @@ the other two axes are integrated on a trapezoid grid that spans the mass of
 their Beta factors.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import betainc
 
+from qbagents import inference
+from qbagents.agents import Agent
 from qbagents.inference import (
     PROPOSAL_SCALE,
     RESAMPLE_SWEEPS,
@@ -27,7 +31,7 @@ from qbagents.inference import (
 )
 from qbagents.postulate import QubitBall, bloch_axes, classical_postulate, quantum_postulate
 from qbagents.quantum import TETRA_VERTICES
-from qbagents.scenarios import _menu
+from qbagents.scenarios import _menu, default_config, run_config
 
 QUANTUM = quantum_postulate()
 CLASSICAL4 = classical_postulate(4)
@@ -178,25 +182,35 @@ class TestExactnessGate:
         assert np.allclose(cov, np.eye(3) / 5, atol=1e-6)
 
 
-def _pauli_ensemble(seed, cells, n=N, post=QUANTUM, menu="paulis"):
-    """A uniform ball cloud updated with the given (action index, outcome) cells."""
-    ens = sample_uniform(QubitBall(), n, np.random.default_rng(seed))
-    actions = _menu(menu)
+def observe(agent, a, j):
+    """Outcome j of menu action a, as the run loop takes it: the update, then
+    the count in the agent's store."""
+    bayes_update(agent.ensemble, agent.postulate, agent.menu[a].matrix, j,
+                 agent.likelihood(a, j))
+    agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
+
+
+def _pauli_agent(seed, cells, n=N, post=QUANTUM, menu="paulis"):
+    """An agent on a uniform ball cloud that has observed the given (menu
+    index, outcome) cells."""
+    agent = Agent("a", post, sample_uniform(QubitBall(), n, np.random.default_rng(seed)),
+                  _menu(menu))
     for a, j in cells:
-        ens = bayes_update(ens, post, actions[a].matrix, j)
-    return ens
+        observe(agent, a, j)
+    return agent
 
 
-def _parent_resample_move(ens, rng):
+def _parent_resample_move(agent, rng):
     # Systematic resampling plus random-walk Metropolis, as resample-move ran
     # before the exact path existed: the fallback must reproduce it bit for bit.
+    ens = agent.ensemble
     summary = posterior_summary(ens)
     pts = ens.points[_systematic_indices(ens.weights, rng)].copy()
     scale = PROPOSAL_SCALE * summary.std
-    logp = log_posterior_density(ens, pts)
+    logp = log_posterior_density(ens, pts, agent.evidence)
     for _ in range(RESAMPLE_SWEEPS):
         proposal = pts + rng.normal(size=pts.shape) * scale
-        logp_prop = log_posterior_density(ens, proposal)
+        logp_prop = log_posterior_density(ens, proposal, agent.evidence)
         with np.errstate(invalid="ignore"):
             accept = np.log(rng.uniform(size=ens.n)) < (logp_prop - logp)
         accept &= np.isfinite(logp_prop)
@@ -208,21 +222,23 @@ def _parent_resample_move(ens, rng):
 class TestPathSelection:
     def test_pauli_evidence_takes_the_exact_path(self):
         cells = [(0, 0)] * 6 + [(2, 1)] * 3 + [(1, 0)]
-        ens = _pauli_ensemble(30, cells)
+        agent = _pauli_agent(30, cells)
+        ens = agent.ensemble
         assert ens.ess() < ens.n / 2
-        assert np.array_equal(ens.evidence.axis_counts(), [[6, 0], [1, 0], [0, 3]])
-        out = maybe_resample(ens, np.random.default_rng(31))
+        assert np.array_equal(agent.evidence.axis_counts(), [[6, 0], [1, 0], [0, 3]])
+        out = maybe_resample(ens, agent.evidence, np.random.default_rng(31))
         expected = sample_axis_posterior([[6, 0], [1, 0], [0, 3]], ens.n,
                                          np.random.default_rng(31))
         assert np.array_equal(out.points, expected)
         assert np.all(out.weights == 1.0 / ens.n)
 
     def test_non_firing_resample_leaves_the_stream_untouched(self):
-        ens = _pauli_ensemble(32, [(0, 0)])
+        agent = _pauli_agent(32, [(0, 0)])
+        ens = agent.ensemble
         assert ens.ess() >= ens.n / 2
         rng = np.random.default_rng(33)
         before = rng.bit_generator.state
-        assert maybe_resample(ens, rng) is ens
+        assert maybe_resample(ens, agent.evidence, rng) is ens
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("post,menu", [(QUANTUM, "sic_reference"),
@@ -232,29 +248,57 @@ class TestPathSelection:
         n_actions = len(_menu(menu))
         rng = np.random.default_rng(34)
         cells = [(int(rng.integers(n_actions)), 0) for _ in range(40)]
-        ens = _pauli_ensemble(35, cells, n=2000, post=post, menu=menu)
-        assert ens.evidence.axis_counts() is None
+        agent = _pauli_agent(35, cells, n=2000, post=post, menu=menu)
+        ens = agent.ensemble
+        assert agent.evidence.axis_counts() is None
         assert ens.ess() < ens.n / 2
-        out = maybe_resample(ens, np.random.default_rng(36))
-        assert np.array_equal(out.points, _parent_resample_move(ens, np.random.default_rng(36)))
+        out = maybe_resample(ens, agent.evidence, np.random.default_rng(36))
+        assert np.array_equal(out.points,
+                              _parent_resample_move(agent, np.random.default_rng(36)))
 
     def test_mixed_evidence_falls_back(self):
         # one SIC observation among Pauli ones rules out the axis product
-        ens = _pauli_ensemble(37, [(2, 0)] * 8, n=2000)
-        ens = bayes_update(ens, QUANTUM, _menu("sic_reference")[0].matrix, 1)
-        assert ens.evidence.axis_counts() is None
-        out = maybe_resample(ens, np.random.default_rng(38))
-        assert np.array_equal(out.points, _parent_resample_move(ens, np.random.default_rng(38)))
+        menu = _menu("paulis") + _menu("sic_reference")
+        agent = Agent("a", QUANTUM, sample_uniform(QubitBall(), 2000, np.random.default_rng(37)),
+                      menu)
+        for a, j in [(2, 0)] * 8 + [(3, 1)]:
+            observe(agent, a, j)
+        assert agent.evidence.axis_counts() is None
+        out = maybe_resample(agent.ensemble, agent.evidence, np.random.default_rng(38))
+        assert np.array_equal(out.points,
+                              _parent_resample_move(agent, np.random.default_rng(38)))
 
     def test_exact_draw_gives_up_when_the_product_leaves_the_ball(self):
         # Beta(201, 1) on x and z puts the axis product near (1, 0, 1), where
         # about 1e-20 of it lies in the ball: the draw spends its candidate
         # budget, and resample-move runs on the stream it leaves
         counts = [[200, 0], [0, 0], [200, 0]]
-        ens = _pauli_ensemble(40, [(0, 0)] * 200 + [(2, 0)] * 200, n=50)
-        assert np.array_equal(ens.evidence.axis_counts(), counts)
+        agent = _pauli_agent(40, [(0, 0)] * 200 + [(2, 0)] * 200, n=50)
+        assert np.array_equal(agent.evidence.axis_counts(), counts)
         rng = np.random.default_rng(41)
-        assert sample_axis_posterior(counts, ens.n, rng) is None
-        out = maybe_resample(ens, np.random.default_rng(41))
-        assert np.array_equal(out.points, _parent_resample_move(ens, rng))
+        assert sample_axis_posterior(counts, agent.ensemble.n, rng) is None
+        out = maybe_resample(agent.ensemble, agent.evidence, np.random.default_rng(41))
+        assert np.array_equal(out.points, _parent_resample_move(agent, rng))
         assert out.ess() == pytest.approx(out.n)
+
+
+class TestFallbackReached:
+    """Registry runs reach the Metropolis fallback exactly when their evidence
+    is not Pauli-axis: a view of the agent's counts that lost the action
+    classes would send fallback evidence to the exact draw, and no benchmark
+    workload runs a fallback scenario."""
+
+    @pytest.mark.parametrize("name,reached", [("quinn_clark", True),
+                                              ("quinn_clara_sharp", True),
+                                              ("quantum_pair_biasedZ", False)])
+    def test_fallback_calls(self, monkeypatch, name, reached):
+        calls = []
+        original = inference.log_posterior_density
+
+        def counting(*args):
+            calls.append(args[1].shape[0])
+            return original(*args)
+
+        monkeypatch.setattr(inference, "log_posterior_density", counting)
+        run_config(replace(default_config(name), n_steps=50))
+        assert bool(calls) == reached

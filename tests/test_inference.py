@@ -3,7 +3,9 @@ import pytest
 
 from qbagents.core_math import BetaParams, beta_mean, beta_posterior
 from qbagents.errors import ImpossibleOutcomeError, ValidationError
+from qbagents.agents import Action, Agent
 from qbagents.inference import (
+    Evidence,
     ParticleEnsemble,
     bayes_update,
     log_posterior_density,
@@ -27,6 +29,21 @@ CLASSICAL4 = classical_postulate(4)
 QUANTUM = quantum_postulate()
 FLIP = np.eye(2)
 PAULI = {ax: conditional_matrix(pauli_povm(ax), sic_d2()) for ax in "XYZ"}
+
+
+def pauli_agent(post, n, rng):
+    """An agent with the X, Y, Z menu on n uniform Bloch particles."""
+    menu = tuple(Action(ax, PAULI[ax], ("+1", "-1")) for ax in "XYZ")
+    return Agent("a", post, sample_uniform(QubitBall(), n, rng), menu)
+
+
+def observe(agent, name, j):
+    """Outcome j of the named action, as the run loop takes it: the update,
+    then the count in the agent's store."""
+    a = [action.name for action in agent.menu].index(name)
+    bayes_update(agent.ensemble, agent.postulate, agent.menu[a].matrix, j,
+                 agent.likelihood(a, j))
+    agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
 
 
 class FreeSpace:
@@ -79,12 +96,24 @@ class TestBayesUpdate:
         assert np.max(np.abs(out.weights - expected)) < 1e-12
 
     def test_updates_commute(self):
-        ens = grid_ensemble(Interval(), 501)
-        heads_then_tails = bayes_update(bayes_update(ens, CLASSICAL2, FLIP, 0),
+        # bayes_update reweights in place, so each order starts from its own prior
+        heads_then_tails = bayes_update(bayes_update(grid_ensemble(Interval(), 501),
+                                                     CLASSICAL2, FLIP, 0),
                                         CLASSICAL2, FLIP, 1)
-        tails_then_heads = bayes_update(bayes_update(ens, CLASSICAL2, FLIP, 1),
+        tails_then_heads = bayes_update(bayes_update(grid_ensemble(Interval(), 501),
+                                                     CLASSICAL2, FLIP, 1),
                                         CLASSICAL2, FLIP, 0)
+        assert heads_then_tails is not tails_then_heads
         assert np.max(np.abs(heads_then_tails.weights - tails_then_heads.weights)) < 1e-12
+
+    def test_update_is_in_place_and_keeps_old_weights(self):
+        ens = grid_ensemble(Interval(), 101)
+        before = ens.weights
+        assert bayes_update(ens, CLASSICAL2, FLIP, 0) is ens
+        assert ens.weights is not before
+        assert np.array_equal(before, np.full(101, 1 / 101) / np.full(101, 1 / 101).sum())
+        with pytest.raises(ImpossibleOutcomeError):
+            bayes_update(delta_ensemble([[0.0]], [1.0], Interval()), CLASSICAL2, FLIP, 0)
 
     def test_impossible_outcome(self):
         ens = delta_ensemble([[0.0]], [1.0], Interval())
@@ -113,11 +142,11 @@ class TestBayesUpdate:
 
     def test_region_membership_preserved(self):
         rng = np.random.default_rng(5)
-        ens = sample_uniform(QubitBall(), 2000, rng)
+        agent = pauli_agent(QUANTUM, 2000, rng)
         for j in (0, 1, 0):
-            ens = bayes_update(ens, QUANTUM, PAULI["X"], j)
-            ens = maybe_resample(ens, rng)
-            assert np.all(ens.region.contains(ens.points))
+            observe(agent, "X", j)
+            agent.ensemble = maybe_resample(agent.ensemble, agent.evidence, rng)
+            assert np.all(agent.ensemble.region.contains(agent.ensemble.points))
 
 
 class TestPosteriorSummary:
@@ -156,22 +185,25 @@ class TestPosteriorSummary:
 
 
 class TestEvidence:
-    def test_counts_keyed_by_action_and_outcome_in_first_seen_order(self):
-        ens = sample_uniform(QubitBall(), 50, np.random.default_rng(13))
+    def test_counts_keyed_by_menu_index_and_outcome_in_first_seen_order(self):
+        agent = pauli_agent(QUANTUM, 50, np.random.default_rng(13))
         for ax, j in (("Z", 1), ("X", 0), ("Z", 1), ("Z", 0), ("X", 0)):
-            ens = bayes_update(ens, QUANTUM, PAULI[ax], j)
-        assert list(ens.evidence.counts.items()) == [((0, 1), 2), ((1, 0), 2), ((0, 0), 1)]
-        assert [m is PAULI[ax] for (_p, m, _r), ax in zip(ens.evidence.actions, "ZX")] == [True, True]
+            observe(agent, ax, j)
+        assert list(agent.counts.items()) == [((2, 1), 2), ((0, 0), 2), ((2, 0), 1)]
+        assert agent.evidence.counts is agent.counts
+        assert [np.array_equal(agent.evidence.rows[a],
+                               np.stack([PAULI[ax][j] @ QUANTUM.phi for j in (0, 1)]))
+                for a, ax in enumerate("XYZ")] == [True] * 3
 
     def test_log_density_matches_per_observation_sum(self):
         # reference: the sum over observed cells of count * log(likelihood),
         # in first-seen order, each likelihood computed from scratch
         rng = np.random.default_rng(14)
-        ens = sample_uniform(QubitBall(), 400, rng)
+        agent = pauli_agent(QUANTUM, 400, rng)
         cells = {}
         for _ in range(30):
             ax, j = "XYZ"[rng.integers(3)], int(rng.integers(2))
-            ens = bayes_update(ens, QUANTUM, PAULI[ax], j)
+            observe(agent, ax, j)
             cells[ax, j] = cells.get((ax, j), 0) + 1
         pts = QubitBall().sample(1000, rng) * 1.05
         reference = np.zeros(len(pts))
@@ -179,20 +211,21 @@ class TestEvidence:
             for (ax, j), count in cells.items():
                 reference += count * np.log(likelihood_values(QUANTUM, PAULI[ax], j, pts))
         reference[np.linalg.norm(pts, axis=1) > 1.0 + 1e-9] = -np.inf
-        assert np.array_equal(log_posterior_density(ens, pts), reference)
+        assert np.array_equal(log_posterior_density(agent.ensemble, pts, agent.evidence),
+                              reference)
 
 
 class TestResampleMove:
     def test_equal_weights_identity(self):
         ens = sample_uniform(QubitBall(), 500, np.random.default_rng(7))
-        assert maybe_resample(ens, np.random.default_rng(8)) is ens
+        assert maybe_resample(ens, Evidence(), np.random.default_rng(8)) is ens
 
     def test_grid_identity(self):
         ens = grid_ensemble(Interval(), 101)
         skewed = bayes_update(ens, CLASSICAL2, FLIP, 0)
         for _ in range(40):
             skewed = bayes_update(skewed, CLASSICAL2, FLIP, 0)
-        assert maybe_resample(skewed, np.random.default_rng(9)) is skewed
+        assert maybe_resample(skewed, Evidence(), np.random.default_rng(9)) is skewed
 
     def test_degenerate_weights_restore_ess(self):
         rng = np.random.default_rng(10)
@@ -201,23 +234,24 @@ class TestResampleMove:
         w[7] = 1.0
         w /= w.sum()
         ens = ParticleEnsemble(ens.points, w, QubitBall())
-        out = maybe_resample(ens, rng)
+        out = maybe_resample(ens, Evidence(), rng)
         assert out.ess() >= out.n / 2
 
     def test_moments_preserved(self):
         # repeated resample-move trials keep mean and covariance within MC
         # error; classical Pauli evidence (1 + r_z / 3), because quantum Pauli
         # evidence takes the exact refresh (tests/test_exact_refresh.py)
-        ens = sample_uniform(QubitBall(), 4000, np.random.default_rng(11))
+        agent = pauli_agent(CLASSICAL4, 4000, np.random.default_rng(11))
+        ens = agent.ensemble
         for _ in range(25):
-            ens = bayes_update(ens, CLASSICAL4, PAULI["Z"], 0)
+            observe(agent, "Z", 0)
             if ens.ess() < ens.n / 2:
                 break
         assert ens.ess() < ens.n / 2  # the move step triggers
         target = posterior_summary(ens)
         means, covs = [], []
         for trial in range(30):
-            out = maybe_resample(ens, np.random.default_rng(200 + trial))
+            out = maybe_resample(ens, agent.evidence, np.random.default_rng(200 + trial))
             assert out.ess() == pytest.approx(out.n)
             s = posterior_summary(out)
             means.append(s.mean)
@@ -232,7 +266,7 @@ class TestResampleMove:
 
     def test_atoms_never_move(self):
         ens = delta_ensemble([[0.0], [1.0]], [0.999, 0.001], Interval())
-        out = maybe_resample(ens, np.random.default_rng(12))
+        out = maybe_resample(ens, Evidence(), np.random.default_rng(12))
         assert out is ens
 
 
@@ -246,13 +280,13 @@ class TestTomographyConsistency:
         d30, d200 = [], []
         for seed in range(5):
             streams = np.random.default_rng(1000 + seed)
-            ens = sample_uniform(QubitBall(), 2000, np.random.default_rng(seed))
+            agent = pauli_agent(QUANTUM, 2000, np.random.default_rng(seed))
             for step in range(1, 201):
-                r = PAULI["XYZ"[streams.integers(3)]]
-                p0 = float(likelihood_values(QUANTUM, r, 0, source)[0])
+                ax = "XYZ"[streams.integers(3)]
+                p0 = float(likelihood_values(QUANTUM, PAULI[ax], 0, source)[0])
                 j = 0 if streams.uniform() < p0 else 1
-                ens = bayes_update(ens, QUANTUM, r, j)
-                ens = maybe_resample(ens, streams)
+                observe(agent, ax, j)
+                agent.ensemble = ens = maybe_resample(agent.ensemble, agent.evidence, streams)
                 if step == 30:
                     d30.append(np.linalg.norm(ens.weights @ ens.points - source))
             d200.append(np.linalg.norm(ens.weights @ ens.points - source))

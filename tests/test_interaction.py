@@ -17,9 +17,16 @@ from qbagents.interaction import (
     run,
     sample_outcome,
 )
-from qbagents.postulate import Interval, QubitBall, classical_postulate, quantum_postulate
+from qbagents.postulate import (
+    Interval,
+    QubitBall,
+    apply_postulate,
+    classical_postulate,
+    quantum_postulate,
+    ref_probs_of_points,
+)
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
-from qbagents.scenarios import AgentSpec, build_runtime, default_config, run_config
+from qbagents.scenarios import AgentSpec, _menu, build_runtime, default_config, run_config
 
 QUANTUM = quantum_postulate()
 CLASSICAL2 = classical_postulate(2)
@@ -115,6 +122,56 @@ class TestSampleOutcome:
             sample_outcome(QUANTUM, np.array([1.2, 0.0, 0.0]),
                            conditional_matrix(pauli_povm("X"), sic_d2()),
                            "none", np.random.default_rng(4))
+
+
+# (postulate, menu, region of the receiver) of every agent kind the registry
+# builds, and for each region the regularizations a broadcast reaches it by,
+# with the space the broadcast comes from
+KERNEL_AGENTS = [(CLASSICAL2, "flip", "interval"), (CLASSICAL2, "z_reference", "interval"),
+                 (QUANTUM, "paulis", "ball"), (QUANTUM, "paulis_zx", "ball"),
+                 (QUANTUM, "sic_reference", "ball"),
+                 (classical_postulate(4), "paulis", "ball"),
+                 (classical_postulate(4), "paulis_zx", "ball"),
+                 (classical_postulate(4), "sharp_paulis", "ball"),
+                 (classical_postulate(4), "sic_reference", "ball")]
+KERNEL_REGS = {"interval": [("none", "interval"), ("z_projection", "ball")],
+               "ball": [("none", "ball"), ("support_restriction", "ball"),
+                        ("z_embedding", "interval")]}
+
+
+def _kernel_points(space, rng):
+    """500 random valid states of a space plus its boundary points."""
+    if space == "interval":
+        return [np.array([t]) for t in [0.0, 0.5, 1.0, *rng.random(500)]]
+    axes = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
+    surface = [v / np.linalg.norm(v) for v in rng.normal(size=(20, 3))]
+    return [np.zeros(3), *axes, *surface, *QubitBall().sample(500, rng)]
+
+
+class TestOutcomeKernel:
+    @pytest.mark.parametrize("post,menu,region", KERNEL_AGENTS)
+    def test_kernel_equals_the_checked_postulate(self, post, menu, region):
+        rng = np.random.default_rng(17)
+        ens = (grid_ensemble(Interval(), 11) if region == "interval"
+               else sample_uniform(QubitBall(), 10, rng))
+        agent = Agent("a", post, ens, _menu(menu))
+        for reg, space in KERNEL_REGS[region]:
+            for x in _kernel_points(space, rng):
+                point = regularize(reg, x)
+                p = ref_probs_of_points(post, point)[0]
+                for a, action in enumerate(agent.menu):
+                    q = np.array(agent.outcome_probs(a, point))
+                    checked = apply_postulate(post, p, action.matrix)
+                    assert np.max(np.abs(q - checked)) <= 1e-15, (reg, x, action.name)
+                    direct = action.matrix @ (post.phi @ p)
+                    assert np.max(np.abs(q - np.maximum(direct, 0.0))) <= 1e-12
+                    # dust where the probability vanishes is snapped to zero
+                    assert np.all(q[np.abs(direct) < 1e-12] == 0.0)
+
+    def test_sample_outcome_checks_the_kind(self):
+        with pytest.raises(ValidationError):
+            sample_outcome(CLASSICAL2, np.array([0.5]), np.eye(2), "project",
+                           np.random.default_rng(5))
 
 
 class TestSourceValidation:

@@ -3,7 +3,7 @@ import pytest
 
 from qbagents.core_math import DEFAULT_GRID_POINTS
 from qbagents.inference import DEFAULT_BALL_PARTICLES
-from qbagents.rng import draw_index, stream
+from qbagents.rng import draw_index, draw_outcome, stream
 from qbagents.scenarios import semicircle_pdf
 
 
@@ -50,3 +50,24 @@ class TestDrawIndex:
         assert type(index) is int and index == 1
         theirs.random()
         assert _state(ours) == _state(theirs)
+
+
+class TestDrawOutcome:
+    def test_one_random_per_draw_and_the_index_of_draw_index(self):
+        gen = np.random.default_rng(8)
+        for seed in range(2000):
+            q = gen.random(gen.choice([2, 4]))
+            q[gen.random(q.size) < 0.3] = 0.0
+            if not q.any():
+                q[gen.integers(q.size)] = 1.0
+            ours, theirs = _pair(seed)
+            twin = stream(seed, "draw")
+            index = draw_outcome(q.tolist(), ours)
+            assert index == draw_index(q / q.sum(), theirs)
+            assert q[index] > 0
+            twin.random()
+            assert _state(ours) == _state(twin)
+
+    def test_returns_int(self):
+        index = draw_outcome([0.0, 1.0, 0.0], stream(3, "draw"))
+        assert index == 1 and type(index) is int

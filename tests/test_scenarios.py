@@ -49,7 +49,39 @@ class TestConfigRoundTrip:
         assert validate_config(REGISTRY[name].default) == []
 
 
+# (path into the coin_tomography config, value put there, the one violation)
+SHAPE_HOLES = [
+    (("agents", 0, "prior"), [1], "agents[0]: prior must be an object, got [1]"),
+    (("agents", 0, "utility"), [1], "agents[0]: utility must be an object, got [1]"),
+    (("agents",), 5, "agents must be a list of objects, got 5"),
+    (("agents", 1), "x", "agents[1] must be an object, got 'x'"),
+    (("scenario",), ["x"], "unknown scenario ['x']"),
+    (("n_stepz",), 5, "unknown config key 'n_stepz'"),
+    (("agents", 0, "colour"), "red", "agents[0]: unknown key 'colour'"),
+    (("agents", 1, "menu"), "flip", "agents[1]: unknown key 'menu'"),
+    (("out_dir",), 5, "out_dir must be a string or null, got 5"),
+    (("agents", 0, "prior"), {"kind": "grid_pdf", "name": [1]},
+     "agent 'agent': unknown grid pdf [1]"),
+]
+
+
+def config_with(path, value) -> str:
+    """The coin_tomography config text with ``value`` put at ``path``."""
+    data = json.loads(emit_config(default_config("coin_tomography", seed=1)))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(data)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("path,value,message", SHAPE_HOLES)
+    def test_malformed_shape_is_one_config_error(self, path, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_with(path, value))
+        assert err.value.violations == [message]
+
     def test_minimal_valid_config(self):
         cfg = default_config("coin_tomography", seed=42)
         assert parse_config(emit_config(cfg)).seed == 42
