@@ -11,11 +11,12 @@ Everything the step loop needs is validated and precomputed when the agent is
 built, so a step does only arithmetic:
 
 * every action must give nonnegative probabilities in every valid state
-  (``min_likelihood``), and a particle ensemble must start uniform, the prior
-  that resample-move assumes;
+  (``min_likelihood``), and a particle ensemble must start uniform and not
+  be an update's or a refresh's result, the prior that resample-move assumes;
 * each action's likelihood rows ``R[j] @ Phi`` are stored with their
   ``bloch_axes`` classes, and composed with the region's affine embedding
-  as Python floats for the outcome kernel (``Agent.outcome_probs``);
+  as Python floats (``kernel_rows``), the rows ``postulate.outcome_probs``
+  evaluates at (1, theta);
 * likelihoods on the ensemble's points are cached per point set: the points
   are embedded once, and each (action, outcome) vector is computed the first
   time it is asked for and kept until the points change (grid and delta
@@ -44,7 +45,6 @@ from .postulate import (
     likelihood_matrix,
     likelihoods,
     min_likelihood,
-    outcome_probs,
     ref_probs_of_points,
 )
 
@@ -113,6 +113,8 @@ class Agent:
         self.menu = tuple(self.menu)
         if not self.menu:
             raise ValidationError(f"agent {self.id!r}: empty action menu")
+        if len({a.name for a in self.menu}) < len(self.menu):
+            raise ValidationError(f"agent {self.id!r}: action names must be distinct")
         ens = self.ensemble
         if not ensemble_compatible(self.postulate, ens.region):
             raise ValidationError(
@@ -130,10 +132,10 @@ class Agent:
                     f"agent {self.id!r}: action {action.name!r} gives a negative "
                     f"probability ({lowest:.3e}); not physically valid for this "
                     "postulate")
-        if not (ens.grid or ens.atoms) and np.ptp(ens.weights) > 0:
+        if not (ens.grid or ens.atoms) and (ens.posterior or np.ptp(ens.weights) > 0):
             raise ValidationError(
                 f"agent {self.id!r}: a particle ensemble must start uniform "
-                "(equal weights), the prior resample-move assumes")
+                "(equal weights, no evidence), the prior resample-move assumes")
         phi = self.postulate.phi
         rows = tuple(readonly(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)]))
                      for a in self.menu)
@@ -144,7 +146,7 @@ class Agent:
         dim = ens.region.dim
         affine = ens.region.to_ref_probs(np.vstack([np.zeros(dim), np.eye(dim)]))
         affine[1:] -= affine[0]
-        self._kernel_rows = tuple((r @ affine.T).tolist() for r in rows)
+        self.kernel_rows = tuple((r @ affine.T).tolist() for r in rows)
         self._points = None  # the point set the likelihood cache belongs to
         self._probs = None  # its reference probabilities
         self._likes = {}  # (action index, outcome) -> likelihood at those points
@@ -175,12 +177,6 @@ class Agent:
             like = self._likes[a, j] = readonly(likelihoods(self._probs,
                                                             self.evidence.rows[a][j]))
         return like
-
-    def outcome_probs(self, a: int, point) -> list[float]:
-        """Unchecked outcome probabilities of menu action ``a`` at a valid
-        state of the agent's region, from the stored rows ``R[j] @ Phi``
-        composed with the region's embedding."""
-        return outcome_probs(self._kernel_rows[a], [1.0, *point.tolist()])
 
 
 def predictive(agent: Agent, action: Action) -> np.ndarray:

@@ -8,9 +8,9 @@ Beliefs are represented as weighted point sets.  Two flavors exist:
 * particle ensembles (the Bloch ball): weighted samples refreshed with a
   new, equally weighted cloud when the effective sample size degrades.
 
-An update replaces an ensemble's weights, in place, by their product with
-the postulate likelihood of the observed outcome, renormalized; a caller
-that already holds that likelihood (an agent's cache) passes it in.  The
+An update returns a new ensemble whose weights are the old ones times the
+postulate likelihood of the observed outcome, renormalized; a caller that
+already holds that likelihood (an agent's cache) passes it in.  The
 observations belong to the agent, not to the ensemble: its one count store,
 keyed by (menu index, outcome), and its actions' likelihood rows
 ``R[j] @ Phi`` with their classification by Bloch axis, made once when the
@@ -27,12 +27,11 @@ resampling plus Metropolis sweeps, which evaluate the current posterior
 density at proposed points from the counts (one embedding of the points,
 then one dot product and one log per observed cell).  Both paths assume a
 uniform prior, so agents reject particle ensembles that do not start uniform
-(see ``Agent``).
+or that an update or a refresh returned (see ``Agent``).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -73,15 +72,15 @@ class Evidence:
         return counts
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ParticleEnsemble:
     """Weighted points over a parameter region representing a belief density.
 
     ``grid`` marks a fixed 1-D quadrature grid and ``atoms`` a delta mixture;
     both are exact representations whose weights alone carry the density, so
-    the resample-move step leaves them untouched.  ``bayes_update`` replaces
-    ``weights`` with a new read-only array, so an array once read never
-    changes.
+    the resample-move step leaves them untouched.  ``posterior`` marks an
+    ensemble that an update or a refresh returned: it has absorbed evidence,
+    even when its weights are equal again, so it is not a prior.
     """
 
     points: np.ndarray
@@ -89,6 +88,7 @@ class ParticleEnsemble:
     region: object
     grid: bool = False
     atoms: bool = False
+    posterior: bool = field(default=False, init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -109,8 +109,8 @@ class ParticleEnsemble:
         total = w.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
-        self.points = readonly(pts.copy())
-        self.weights = readonly(w / total)
+        object.__setattr__(self, "points", readonly(pts.copy()))
+        object.__setattr__(self, "weights", readonly(w / total))
 
     @property
     def n(self) -> int:
@@ -182,13 +182,12 @@ def delta_ensemble(points, weights, region) -> ParticleEnsemble:
 
 def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
                  like: np.ndarray | None = None) -> ParticleEnsemble:
-    """Reweight ``ens`` in place by the likelihood of outcome j and return it;
-    points never move here.
+    """Reweight by the likelihood of outcome j; points never move here.
 
     ``like`` is that likelihood at ``ens.points`` when the caller has it
-    cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError``,
-    leaving ``ens`` as it was, when the total posterior weight underflows,
-    i.e. the outcome contradicts the entire support.
+    cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError`` when
+    the total posterior weight underflows, i.e. the outcome contradicts the
+    entire support.
     """
     if like is None:
         like = likelihood_values(post, R, j, ens.points)
@@ -198,8 +197,7 @@ def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
         raise ImpossibleOutcomeError(
             f"outcome {j} has zero probability on the whole support")
     w /= total
-    ens.weights = readonly(w)
-    return ens
+    return _refreshed(ens, w)
 
 
 def log_posterior_density(ens: ParticleEnsemble, points,
@@ -208,8 +206,8 @@ def log_posterior_density(ens: ParticleEnsemble, points,
     ``evidence`` gives over the ensemble's region.
 
     The prior is uniform over the region: agents only accept particle
-    ensembles that start with equal weights.  Points outside the region get
-    -inf.
+    ensembles with equal weights that are not ``posterior``.  Points outside
+    the region get -inf.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, ens.dim)
     probs = ens.region.to_ref_probs(pts)
@@ -285,13 +283,13 @@ def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
     if counts is not None:
         pts = sample_axis_posterior(counts, ens.n, rng)
         if pts is not None:
-            return _refreshed(ens, pts, equal)
+            return _refreshed(ens, equal, pts)
     summary = posterior_summary(ens)
     idx = _systematic_indices(ens.weights, rng)
     pts = ens.points[idx].copy()
     scale = PROPOSAL_SCALE * summary.std
     if not np.any(scale > 0):
-        return _refreshed(ens, pts, equal)
+        return _refreshed(ens, equal, pts)
     logp = log_posterior_density(ens, pts, evidence)
     for _ in range(RESAMPLE_SWEEPS):
         proposal = pts + rng.normal(size=pts.shape) * scale
@@ -301,15 +299,22 @@ def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
         accept &= np.isfinite(logp_prop)
         pts[accept] = proposal[accept]
         logp[accept] = logp_prop[accept]
-    return _refreshed(ens, pts, equal)
+    return _refreshed(ens, equal, pts)
 
 
-def _refreshed(ens: ParticleEnsemble, points: np.ndarray,
-               weights: np.ndarray) -> ParticleEnsemble:
-    # The constructor would check region membership, which the refresh
-    # guarantees, and renormalize the weights 1/n, whose sum is rarely 1.
-    out = copy.copy(ens)
-    out.points, out.weights = readonly(points), readonly(weights)
+def _refreshed(ens: ParticleEnsemble, weights: np.ndarray,
+               points: np.ndarray | None = None) -> ParticleEnsemble:
+    # A copy of ``ens`` marked posterior, with new weights and, from a
+    # refresh, new points.  The constructor would check region membership,
+    # which updates and refreshes guarantee, and renormalize weights that
+    # already sum to one (or are 1/n, whose sum is rarely 1).
+    out = object.__new__(ParticleEnsemble)
+    state = out.__dict__
+    state.update(ens.__dict__)
+    state["weights"] = readonly(weights)
+    state["posterior"] = True
+    if points is not None:
+        state["points"] = readonly(points)
     return out
 
 

@@ -34,11 +34,12 @@ forms of the same maps and draw, for points from outside.
 
 A step is then a flat kernel over agent-owned state: the choice uses the
 agent's cached mean, the outcome kernel evaluates the receiver's stored rows
-``R[j] @ Phi`` at the embedded broadcast (``Agent.outcome_probs``) and draws
-with one ``random()`` (``rng.draw_outcome``), the update reweights the
-ensemble in place by the cached likelihood, and the agent counts the outcome
-in its one count store, keyed by (menu index, outcome), which the refresh,
-the metrics and the trace read.
+``R[j] @ Phi`` at the embedded broadcast (``postulate.outcome_probs`` on the
+agent's ``kernel_rows``) and draws with one ``random()``
+(``rng.draw_outcome``), the update returns the ensemble reweighted by the
+cached likelihood, and the agent counts the outcome in its one count store,
+keyed by (menu index, outcome), which the refresh, the metrics and the trace
+read.
 
 ``run(spec, record_steps)`` records a step (posterior summaries, ESS,
 metrics) only if it is named or the last one; ``None``, the default, records
@@ -61,6 +62,7 @@ from .postulate import (
     PhysicalPostulate,
     apply_postulate,
     is_valid_state,
+    outcome_probs,
     ref_probs_of_points,
 )
 from .quantum import bloch_to_density, frequency_operator, trace_distance
@@ -84,29 +86,27 @@ class ExogenousSource:
 
 
 # Each regularization's map of a broadcast into the receiver's parameter
-# space, unchecked, and the point size it takes (None: any).  A RunSpec
-# resolves its slots' maps once; the config check has fixed the sizes.
+# space, unchecked: a RunSpec resolves its slots' maps once.
 REGULARIZERS = {
-    "none": (lambda p: p, None),
-    "z_projection": (lambda p: np.array([(1.0 + p[2]) / 2.0]), 3),
-    "z_embedding": (lambda p: np.array([0.0, 0.0, 2.0 * p[0] - 1.0]), 1),
-    "support_restriction": (lambda p: p, None),
+    "none": lambda p: p,
+    "z_projection": lambda p: np.array([(1.0 + p[2]) / 2.0]),
+    "z_embedding": lambda p: np.array([0.0, 0.0, 2.0 * p[0] - 1.0]),
+    "support_restriction": lambda p: p,
 }
-REGULARIZATIONS = tuple(REGULARIZERS)
 
 
 def regularize(kind: str, point: np.ndarray) -> np.ndarray:
     """Map an incoming broadcast into the receiver's parameter space, after
-    checking the kind and the size of the point."""
-    if kind not in REGULARIZATIONS:
+    checking the kind and that a map between species gets a point of the
+    sender's size (a Bloch point or a scalar)."""
+    if kind not in REGULARIZERS:
         raise ValidationError(f"unknown regularization {kind!r}")
-    fn, size = REGULARIZERS[kind]
-    if size is None:
-        return point
-    p = np.asarray(point, dtype=float).ravel()
-    if p.size != size:
-        raise ValidationError(f"{kind} expects a point of size {size}, got {p.size}")
-    return fn(p)
+    size = {"z_projection": 3, "z_embedding": 1}.get(kind)
+    if size is not None:
+        point = np.asarray(point, dtype=float).ravel()
+        if point.size != size:
+            raise ValidationError(f"{kind} expects a point of size {size}, got {point.size}")
+    return REGULARIZERS[kind](point)
 
 
 def sample_outcome(post: PhysicalPostulate, broadcast: np.ndarray, R,
@@ -176,9 +176,9 @@ class RunSpec:
         if len(self.slots) != 2:
             raise ValidationError("exactly two interaction slots are supported")
         for reg in self.incoming_reg:
-            if reg not in REGULARIZATIONS:
+            if reg not in REGULARIZERS:
                 raise ValidationError(f"unknown regularization {reg!r}")
-        self.regularizers = tuple(REGULARIZERS[reg][0] for reg in self.incoming_reg)
+        self.regularizers = tuple(REGULARIZERS[reg] for reg in self.incoming_reg)
         if self.n_steps < 0:
             raise ValidationError("n_steps must be nonnegative")
         for i, slot in enumerate(self.slots):
@@ -216,7 +216,8 @@ def _receive_and_update(agent: Agent, point: np.ndarray, streams,
     # space by its slot's regularizer.
     a = choose_action(agent, streams["choice"])
     action = agent.menu[a]
-    outcome = draw_outcome(agent.outcome_probs(a, point), streams["outcome"])
+    q = outcome_probs(agent.kernel_rows[a], [1.0, *point.tolist()])
+    outcome = draw_outcome(q, streams["outcome"])
     try:
         ens = bayes_update(agent.ensemble, agent.postulate, action.matrix, outcome,
                            agent.likelihood(a, outcome))
@@ -245,11 +246,12 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     trace = Trace(spec.scenario, spec.seed, dict(spec.config), spec.mode)
     keep = None if record_steps is None else set(record_steps) | {spec.n_steps}
 
+    # ensembles are immutable, so snapshots and clouds keep their read-only arrays
     def snapshot(step):
         for slot in slots:
             if _is_agent(slot) and slot.ensemble.grid:
                 trace.curves.setdefault(slot.id, []).append(
-                    (step, slot.ensemble.points[:, 0].copy(), slot.ensemble.weights.copy()))
+                    (step, slot.ensemble.points[:, 0], slot.ensemble.weights))
 
     trace.initial = {s.id: _summary_dict(s) for s in slots if _is_agent(s)}
     snapshot(0)
@@ -261,15 +263,13 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
         if step in snapshot_steps:
             snapshot(step)
 
-    for slot in slots:
-        if _is_agent(slot) and not slot.ensemble.grid:
-            trace.clouds[slot.id] = (slot.ensemble.points.copy(),
-                                     slot.ensemble.weights.copy())
+    trace.clouds = {s.id: (s.ensemble.points, s.ensemble.weights)
+                    for s in slots if _is_agent(s) and not s.ensemble.grid}
     trace.final = {
         "summaries": {s.id: _summary_dict(s) for s in slots if _is_agent(s)},
         "outcome_counts": [
-            {f"{name}:{j}": c for (name, j), c in sorted(_named_counts(s).items())}
-            for s in slots],
+            {f"{s.menu[a].name}:{j}": c for (a, j), c in s.counts.items()}
+            if _is_agent(s) else {} for s in slots],
         "last_metrics": trace.records[-1].metrics if trace.records else {},
     }
     return trace
@@ -351,14 +351,6 @@ def _mean_state(summary) -> np.ndarray:
     return bloch_to_density(bloch)
 
 
-def _named_counts(slot) -> dict:
-    """An agent's counts keyed by (action name, outcome); empty for a source."""
-    out = {}
-    for (a, j), count in (slot.counts.items() if _is_agent(slot) else ()):
-        out[slot.menu[a].name, j] = out.get((slot.menu[a].name, j), 0) + count
-    return out
-
-
 def _metrics(kind: str, slots, summaries, step: int) -> dict:
     if kind == "none":
         out = {}
@@ -376,7 +368,7 @@ def _metrics(kind: str, slots, summaries, step: int) -> dict:
     elif kind == "qubit_tomography":
         state = _mean_state(summaries[0])
         source_state = bloch_to_density(_source_point(slots[1], summaries[1]))
-        named = _named_counts(slots[0])
+        named = {(slots[0].menu[a].name, j): c for (a, j), c in slots[0].counts.items()}
         freq_op, _missing = frequency_operator(
             {ax.lower(): (named.get((ax, 0), 0), named.get((ax, 1), 0)) for ax in "XYZ"})
         out = {

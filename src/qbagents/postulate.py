@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import linalg as sla
@@ -140,11 +141,10 @@ def phi_matrix(ref: ReferenceAction) -> np.ndarray:
     Phi = 3 I - J/2 with J the all-ones matrix.
     """
     inv_phi = conditional_matrix(ref.effects, ref)
-    n = ref.n_outcomes
     if np.linalg.cond(inv_phi) > 1e12:
         raise ValidationError("reference conditional matrix is singular")
     phi = np.linalg.inv(inv_phi)
-    if np.max(np.abs(phi.sum(axis=0) - np.ones(n))) > 1e-9:
+    if np.max(np.abs(phi.sum(axis=0) - 1.0)) > 1e-9:
         raise ValidationError("Phi columns do not sum to one")
     return readonly(phi)
 
@@ -233,9 +233,11 @@ def outcome_probs(rows, p) -> list[float]:
     unchecked kernel of an outcome draw.  As in ``likelihoods``, values
     within ``LIKELIHOOD_DUST`` of zero are snapped to zero and negative ones
     clipped, so no outcome is drawn that the update treats as impossible.
+    Each dot product adds left to right (``reduce``, not ``sum``, which
+    compensates from Python 3.12 on).
     """
-    return [v if (v := sum(map(operator.mul, row, p), 0.0)) >= LIKELIHOOD_DUST else 0.0
-            for row in rows]
+    return [v if (v := reduce(operator.add, map(operator.mul, row, p), 0.0)) >= LIKELIHOOD_DUST
+            else 0.0 for row in rows]
 
 
 def min_likelihood(post: PhysicalPostulate, R) -> float:
@@ -294,9 +296,7 @@ def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
     supply reference probabilities directly.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
+    if pts.ndim < 2:
         pts = pts.reshape(1, -1)
     k = pts.shape[-1]
     n = post.n_outcomes

@@ -17,6 +17,7 @@ Python floats, the outcome probabilities of one step.
 from __future__ import annotations
 
 import zlib
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,14 +50,12 @@ def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def draw_outcome(q, rng: np.random.Generator) -> int:
-    """``draw_index`` over a few nonnegative Python floats ``q``, unnormalized:
-    the first index whose cumulative sum over the total exceeds one
-    ``random()`` (the ``side="right"`` search; a zero entry is never drawn)."""
-    total = sum(q)
-    u = rng.random()
-    acc = 0.0
-    for i in range(len(q) - 1):
-        acc += q[i]
-        if u < acc / total:
-            return i
-    return len(q) - 1
+    """``draw_index`` over a few nonnegative Python floats ``q``, unnormalized,
+    in its arithmetic: the running sums added left to right, each divided by
+    the last, and the first index whose quotient exceeds one ``random()`` (the
+    ``side="right"`` search, so a zero entry is never drawn)."""
+    cdf = list(accumulate(q))
+    u, i = rng.random(), 0
+    while u >= cdf[i] / cdf[-1]:  # the last quotient is 1.0 > u
+        i += 1
+    return i

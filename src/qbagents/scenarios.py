@@ -43,7 +43,7 @@ from .core_math import DEFAULT_GRID_POINTS
 from .interaction import (
     EXPECTATION,
     MODES,
-    REGULARIZATIONS,
+    REGULARIZERS,
     ExogenousSource,
     RunSpec,
     Trace,
@@ -124,14 +124,12 @@ def _build_ensemble(prior: dict, n_particles, init_rng):
     if kind == "grid_pdf":
         pdf = GRID_PDFS[prior["name"]]
         extra = {k: v for k, v in prior.items() if k not in ("kind", "name")}
-        region = Interval(0.0, 1.0)
-        return grid_ensemble(region, n_particles or DEFAULT_GRID_POINTS,
+        return grid_ensemble(Interval(), n_particles or DEFAULT_GRID_POINTS,
                              pdf=lambda t: pdf(t, **extra))
     if kind == "grid_beta":
         from .core_math import BetaParams, beta_pdf
         params = BetaParams(prior["alpha"], prior["beta"])
-        region = Interval(0.0, 1.0)
-        return grid_ensemble(region, n_particles or DEFAULT_GRID_POINTS,
+        return grid_ensemble(Interval(), n_particles or DEFAULT_GRID_POINTS,
                              pdf=lambda t: beta_pdf(t, params))
     if kind == "uniform_ball":
         return sample_uniform(QubitBall(), n_particles or DEFAULT_BALL_PARTICLES,
@@ -227,11 +225,7 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "seed": self.seed,
-                "n_steps": self.n_steps, "interaction": self.interaction,
-                "summary_interval": self.summary_interval,
-                "agents": [a.to_dict() for a in self.agents],
-                "out_dir": self.out_dir}
+        return {**asdict(self), "agents": [a.to_dict() for a in self.agents]}
 
 
 CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
@@ -407,7 +401,7 @@ def _validate_agent(block: AgentSpec) -> list[str]:
                 elif known_menu and len(row) != sizes[name]:
                     problems.append(f"{pid}: utility for action {name!r} has "
                                     f"{len(row)} values, expected {sizes[name]}")
-    if block.regularization not in REGULARIZATIONS:
+    if block.regularization not in REGULARIZERS:
         problems.append(f"{pid}: unknown regularization {block.regularization!r}")
     if block.n_particles is not None and not _is_int_at_least(block.n_particles, 2):
         problems.append(f"{pid}: n_particles must be an integer >= 2, "
@@ -666,9 +660,7 @@ class BatchResult:
     aggregates: dict
 
     def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "master_seed": self.master_seed,
-                "n_seeds": self.n_seeds, "rows": self.rows,
-                "aggregates": self.aggregates}
+        return asdict(self)
 
 
 EARLY_STEP = 10

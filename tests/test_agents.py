@@ -218,13 +218,6 @@ class TestLikelihoodCache:
         assert np.array_equal(agent.likelihood(0, 0), [0.2, 0.9])
         assert broadcast_point(agent)[0] == pytest.approx(0.55)
 
-    def test_in_place_update_invalidates_the_mean(self):
-        agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
-        assert broadcast_point(agent)[0] == pytest.approx(0.5)
-        bayes_update(agent.ensemble, CLASSICAL2, np.eye(2), 0, agent.likelihood(0, 0))
-        theta = agent.ensemble.points[:, 0]
-        assert broadcast_point(agent)[0] == pytest.approx((theta ** 2).sum() / theta.sum())
-
 
 class TestAgentValidation:
     def test_menu_dimension_checked(self):
@@ -241,6 +234,12 @@ class TestAgentValidation:
         ens = grid_ensemble(Interval(), 51)
         with pytest.raises(ValidationError):
             Agent("a", CLASSICAL2, ens, ())
+
+    def test_duplicate_action_names_rejected(self):
+        # the trace and the metrics name counts by action
+        ens = grid_ensemble(Interval(), 51)
+        with pytest.raises(ValidationError, match="distinct"):
+            Agent("a", CLASSICAL2, ens, flip_menu() + flip_menu())
 
     def test_utility_row_length_checked(self):
         ens = grid_ensemble(Interval(), 51)
@@ -264,6 +263,22 @@ class TestAgentValidation:
         skewed = ParticleEnsemble(ens.points, w / w.sum(), QubitBall())
         with pytest.raises(ValidationError, match="uniform"):
             Agent("a", QUANTUM, skewed, pauli_menu())
+
+    def test_particle_prior_with_counts_rejected(self):
+        # a refreshed cloud has equal weights again, but it has absorbed
+        # evidence, so it is not the uniform prior
+        agent = Agent("a", QUANTUM, sample_uniform(QubitBall(), 100,
+                                                   np.random.default_rng(2)), pauli_menu())
+        r_z = pauli_menu()[2].matrix
+        ens = agent.ensemble
+        while ens.ess() >= ens.n / 2:
+            ens = bayes_update(ens, QUANTUM, r_z, 0)
+            agent.counts[2, 0] = agent.counts.get((2, 0), 0) + 1
+        seen = maybe_resample(ens, agent.evidence, np.random.default_rng(3))
+        assert seen is not ens and np.ptp(seen.weights) == 0
+        for prior in (ens, seen):
+            with pytest.raises(ValidationError, match="uniform"):
+                Agent("b", QUANTUM, prior, pauli_menu())
 
     def test_nonuniform_grid_and_atoms_accepted(self):
         ens = grid_ensemble(Interval(), 51, pdf=lambda t: beta_pdf(t, BetaParams(2, 5)))

@@ -185,8 +185,8 @@ class TestExactnessGate:
 def observe(agent, a, j):
     """Outcome j of menu action a, as the run loop takes it: the update, then
     the count in the agent's store."""
-    bayes_update(agent.ensemble, agent.postulate, agent.menu[a].matrix, j,
-                 agent.likelihood(a, j))
+    agent.ensemble = bayes_update(agent.ensemble, agent.postulate,
+                                  agent.menu[a].matrix, j, agent.likelihood(a, j))
     agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
 
 

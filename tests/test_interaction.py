@@ -22,6 +22,7 @@ from qbagents.postulate import (
     QubitBall,
     apply_postulate,
     classical_postulate,
+    outcome_probs,
     quantum_postulate,
     ref_probs_of_points,
 )
@@ -160,7 +161,8 @@ class TestOutcomeKernel:
                 point = regularize(reg, x)
                 p = ref_probs_of_points(post, point)[0]
                 for a, action in enumerate(agent.menu):
-                    q = np.array(agent.outcome_probs(a, point))
+                    q = np.array(outcome_probs(agent.kernel_rows[a],
+                                               [1.0, *point.tolist()]))
                     checked = apply_postulate(post, p, action.matrix)
                     assert np.max(np.abs(q - checked)) <= 1e-15, (reg, x, action.name)
                     direct = action.matrix @ (post.phi @ p)

@@ -68,6 +68,19 @@ class TestDrawOutcome:
             twin.random()
             assert _state(ours) == _state(twin)
 
+    def test_trailing_zero_with_rounded_partial_sums(self):
+        # added left to right, 1 + 1e-16 + 1e-16 is 1; a compensated sum (the
+        # builtin sum from Python 3.12 on) gives 1 + 2**-52, over which every
+        # running sum is below 1, and a random() above that would fall
+        # through to the zero
+        class Fixed:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        q = [1.0, 1e-16, 1e-16, 0.0]
+        index = draw_outcome(q, Fixed())
+        assert index == draw_index(np.array(q), Fixed()) == 0
+
     def test_returns_int(self):
         index = draw_outcome([0.0, 1.0, 0.0], stream(3, "draw"))
         assert index == 1 and type(index) is int
