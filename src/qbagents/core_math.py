@@ -73,15 +73,15 @@ def as_cond_prob_matrix(rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution, both strictly positive."""
+    """Shape parameters of a Beta distribution, both finite and strictly positive."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
             raise ValidationError(
-                f"Beta parameters must be positive, got ({self.alpha}, {self.beta})")
+                f"Beta parameters must be finite and positive, got ({self.alpha}, {self.beta})")
 
 
 def beta_mean(p: BetaParams) -> float:
@@ -99,10 +99,10 @@ def beta_posterior(prior: BetaParams, heads: int, tails: int) -> BetaParams:
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """The Beta distribution CDF I_x(a, b), monotone from 0 at x=0 to 1 at x=1."""
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0) or np.any(xv > 1.0):
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise ValidationError(f"x outside [0, 1]: {x!r}")
-    if not (a > 0 and b > 0):
-        raise ValidationError(f"shape parameters must be positive, got ({a}, {b})")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise ValidationError(f"shape parameters must be finite and positive, got ({a}, {b})")
     out = special.betainc(a, b, xv)
     return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 

@@ -181,6 +181,8 @@ def _menu(name: str) -> tuple[Action, ...]:
     raise ValidationError(f"unknown menu {name!r}")
 
 
+MAX_PARTICLES = int(np.iinfo(np.intp).max)  # the largest array length numpy accepts
+
 MENUS_BY_N = {
     2: ("flip", "z_reference"),
     4: ("paulis", "paulis_zx", "sharp_paulis", "sic_reference"),
@@ -369,6 +371,8 @@ def _validate_agent(block: AgentSpec) -> list[str]:
             problems.append(f"{pid}: N={n} is not the square of an integer")
         elif n != 4:
             problems.append(f"{pid}: only the 4-outcome qubit reference action is built in")
+        if n != 4:
+            n = None  # reported; no menu fits it either
     kind = block.prior.get("kind")
     if kind not in PRIOR_KINDS:
         problems.append(f"{pid}: unknown prior kind {kind!r}")
@@ -377,7 +381,7 @@ def _validate_agent(block: AgentSpec) -> list[str]:
     known_menu = block.menu in MENUS_BY_N[2] + MENUS_BY_N[4]
     if not known_menu:
         problems.append(f"{pid}: unknown menu {block.menu!r}")
-    elif n in MENUS_BY_N and block.menu not in MENUS_BY_N[n]:
+    elif n is not None and block.menu not in MENUS_BY_N.get(n, ()):
         problems.append(f"{pid}: menu {block.menu!r} incompatible with N={n}")
     elif block.menu == "sharp_paulis" and block.postulate == "quantum":
         problems.append(f"{pid}: menu 'sharp_paulis' gives negative probabilities "
@@ -401,10 +405,13 @@ def _validate_agent(block: AgentSpec) -> list[str]:
                 elif known_menu and len(row) != sizes[name]:
                     problems.append(f"{pid}: utility for action {name!r} has "
                                     f"{len(row)} values, expected {sizes[name]}")
-    if block.regularization not in REGULARIZERS:
+    if not isinstance(block.regularization, str) or block.regularization not in REGULARIZERS:
         problems.append(f"{pid}: unknown regularization {block.regularization!r}")
     if block.n_particles is not None and not _is_int_at_least(block.n_particles, 2):
         problems.append(f"{pid}: n_particles must be an integer >= 2, "
+                        f"got {block.n_particles!r}")
+    elif block.n_particles is not None and block.n_particles > MAX_PARTICLES:
+        problems.append(f"{pid}: n_particles must be at most {MAX_PARTICLES}, "
                         f"got {block.n_particles!r}")
     return problems
 

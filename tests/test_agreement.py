@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
 from qbagents.agreement import (
+    BETA_PAIR_BLOCK,
+    CHI_GRID,
+    _beta_pair_gaps,
+    _chi_rows,
+    _chi_tables,
+    _kolmogorov_level,
     chi,
     chi_edge_terms,
     expected_posterior,
@@ -18,6 +25,7 @@ from qbagents.core_math import (
     BetaParams,
     Density1D,
     beta_cdf_row,
+    regularized_incomplete_beta,
 )
 from qbagents.errors import ValidationError
 
@@ -194,12 +202,15 @@ class TestBetaCdfRows:
             exp.cdf()
 
     def test_default_battery_stays_within_bound(self):
-        # N is the outer loop, so each distinct row misses once: 152 rows for N <= 15.
+        # Level N fetches its N+1 prior rows, then its N+2 component rows, once
+        # each; the priors are level N-1's tails components, so each distinct
+        # row misses once (152 for N <= 15) and the priors after level 1 hit
+        # (3 + 4 + ... + 16 = 133).
         beta_cdf_row.cache_clear()
         verify_appendix_claims(chi_max_n=1, n_beta_pairs=1)
         info = beta_cdf_row.cache_info()
         assert info.misses == 152
-        assert info.hits == 6 * 1495 - 152
+        assert info.hits == 133
         assert info.currsize <= BETA_CDF_CACHE_ROWS == info.maxsize
 
 
@@ -217,3 +228,124 @@ def test_verify_claims_rejects_bad_counts(kwargs):
     with pytest.raises(ValidationError, match=f"{name} must be an integer"):
         verify_appendix_claims(**{"chi_max_n": 2, "kdist_max_n": 2,
                                   "n_beta_pairs": 10, **kwargs})
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def scalar_beta_gaps(seed, n_pairs):
+    """``mean_contraction_gap`` pair by pair, four scalar draws per pair."""
+    rng = philox(seed)
+    gaps = []
+    for _ in range(n_pairs):
+        a = BetaParams(rng.uniform(0.2, 20.0), rng.uniform(0.2, 20.0))
+        b = BetaParams(rng.uniform(0.2, 20.0), rng.uniform(0.2, 20.0))
+        gaps.append(mean_contraction_gap(a, b))
+    return np.array(gaps)
+
+
+def scalar_battery(chi_max_n, kdist_max_n, n_beta_pairs, seed):
+    """Each claim's worst margin and pass flag from one public call per case."""
+    gaps = scalar_beta_gaps(seed, n_beta_pairs)
+    xs = np.linspace(0.0, 1.0, CHI_GRID)
+    chi_min = min(float(np.min(chi(xs, k, l, n)))
+                  for n in range(1, chi_max_n + 1)
+                  for k in range(1, n + 1) for l in range(k))
+    kdist_min = min(a - b for a, b in (kolmogorov_contraction_check(k, l, n)
+                                       for n in range(1, kdist_max_n + 1)
+                                       for k in range(n + 1) for l in range(n + 1)))
+    edges_ok = all(abs(first - (n + 1 - k)) < 1e-6 and abs(second - (l + 1)) < 1e-6
+                   and first > 0 and second > 0
+                   for n in range(1, chi_max_n + 1)
+                   for k in range(1, n + 1) for l in range(k)
+                   for first, second in [chi_edge_terms(k, l, n)])
+    return [float(np.min(gaps[:, 0] - gaps[:, 1])), chi_min, kdist_min, 0.0], edges_ok
+
+
+class TestBatteryEqualsPublicChecks:
+    """The battery's whole-array passes give the public functions' bits."""
+
+    def test_chi_levels(self):
+        xs = np.linspace(0.0, 1.0, CHI_GRID)
+        inner = xs[1:-1]
+        for n in range(1, 26):
+            tables = _chi_tables(np.log(inner), np.log1p(-inner), n)
+            for l in range(n):
+                block = _chi_rows(tables, l, n)
+                assert block.shape == (n - l, CHI_GRID - 2)
+                for k in range(l + 1, n + 1):
+                    public = chi(xs, k, l, n)
+                    assert public[0] == public[-1] == 0.0
+                    assert block[k - l - 1].tobytes() == public[1:-1].tobytes()
+
+    def test_kolmogorov_levels(self):
+        for n in range(1, 16):
+            pairs = list(_kolmogorov_level(n))
+            assert [(k, l) for k, l, _, _ in pairs] == [
+                (k, l) for k in range(n + 1) for l in range(k + 1)]
+            for k, l, k_prior, k_post in pairs:
+                level = np.array([k_prior, k_post]).tobytes()
+                assert np.array(kolmogorov_contraction_check(k, l, n)).tobytes() == level
+                assert np.array(kolmogorov_contraction_check(l, k, n)).tobytes() == level
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_blocked_beta_pairs(self, seed):
+        n_pairs = 2 * BETA_PAIR_BLOCK + 1
+        blocks = list(_beta_pair_gaps(philox(seed), n_pairs))
+        assert [len(before) for before, _ in blocks] == [BETA_PAIR_BLOCK] * 2 + [1]
+        blocked = np.column_stack([np.concatenate(part) for part in zip(*blocks)])
+        assert blocked.tobytes() == scalar_beta_gaps(seed, n_pairs).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_small_battery_margins(self, seed):
+        n_pairs = 2 * BETA_PAIR_BLOCK + 3
+        rows = verify_appendix_claims(chi_max_n=7, kdist_max_n=6,
+                                      n_beta_pairs=n_pairs, seed=seed)
+        margins, edges_ok = scalar_battery(7, 6, n_pairs, seed)
+        assert [row["margin"] for row in rows] == margins
+        assert [row["passed"] for row in rows] == [True, True, True, edges_ok]
+
+
+def test_beta_pair_memory_does_not_grow_with_pairs():
+    def peak(n_pairs):
+        tracemalloc.reset_peak()
+        verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=n_pairs)
+        return tracemalloc.get_traced_memory()[1]
+
+    verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=1)  # rows cached
+    tracemalloc.start()
+    try:
+        small, large = peak(2 * BETA_PAIR_BLOCK), peak(20 * BETA_PAIR_BLOCK)
+    finally:
+        tracemalloc.stop()
+    assert abs(large - small) <= 16 * 1024
+
+
+class TestApiBoundary:
+    @pytest.mark.parametrize("x", [float("nan"), [0.5, float("nan")]])
+    def test_chi_rejects_nan(self, x):
+        with pytest.raises(ValidationError, match="outside"):
+            chi(x, 2, 1, 3)
+
+    def test_incomplete_beta_rejects_nan(self):
+        with pytest.raises(ValidationError, match="outside"):
+            regularized_incomplete_beta(float("nan"), 2, 3)
+        with pytest.raises(ValidationError, match="finite"):
+            regularized_incomplete_beta(0.5, math.inf, 3)
+
+    @pytest.mark.parametrize("check,counts", [
+        (lambda k, l, n: chi(0.5, k, l, n), [(True, 0, 2), (2, False, 3), (1, 0, True)]),
+        (chi_edge_terms, [(True, 0, 2), (2, False, 3), (1, 0, True)]),
+        (kolmogorov_contraction_check, [(True, 0, 2), (1, False, 2), (1, 0, True)]),
+    ])
+    def test_bool_counts_rejected(self, check, counts):
+        for k, l, n in counts:
+            with pytest.raises(ValidationError, match="integers"):
+                check(k, l, n)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 1), (1, math.inf),
+                                            (math.nan, 1), (0, 1), (1, -2)])
+    def test_beta_params_finite_and_positive(self, alpha, beta):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            BetaParams(alpha, beta)

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from qbagents.cli import main
 from qbagents.scenarios import default_config, emit_config
-from test_scenarios import SHAPE_HOLES, config_with
+from test_scenarios import SHAPE_HOLES, VALUE_HOLES, config_with
 
 
 @pytest.fixture
@@ -176,7 +176,7 @@ def test_verify_appendix_rejects_bad_counts(runner, args):
 
 
 @pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
-@pytest.mark.parametrize("path,value,message", SHAPE_HOLES)
+@pytest.mark.parametrize("path,value,message", SHAPE_HOLES + VALUE_HOLES)
 def test_shape_holes_exit_2(runner, tmp_path, command, path, value, message):
     config = tmp_path / "holes.json"
     config.write_text(config_with(path, value))

@@ -65,6 +65,20 @@ SHAPE_HOLES = [
 ]
 
 
+# (path, value, the one violation) for values that pass the shape check but
+# from which no runtime can be built
+VALUE_HOLES = [
+    (("agents", 0, "regularization"), ["none"],
+     "agent 'agent': unknown regularization ['none']"),
+    (("agents", 0, "regularization"), {}, "agent 'agent': unknown regularization {}"),
+    (("agents", 0, "n_outcomes"), 3, "agent 'agent': menu 'flip' incompatible with N=3"),
+    (("agents", 0, "n_outcomes"), 5, "agent 'agent': menu 'flip' incompatible with N=5"),
+    (("agents", 0, "n_particles"), int(np.iinfo(np.intp).max) + 1,
+     f"agent 'agent': n_particles must be at most {np.iinfo(np.intp).max}, "
+     f"got {int(np.iinfo(np.intp).max) + 1}"),
+]
+
+
 def config_with(path, value) -> str:
     """The coin_tomography config text with ``value`` put at ``path``."""
     data = json.loads(emit_config(default_config("coin_tomography", seed=1)))
@@ -76,7 +90,7 @@ def config_with(path, value) -> str:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("path,value,message", SHAPE_HOLES)
+    @pytest.mark.parametrize("path,value,message", SHAPE_HOLES + VALUE_HOLES)
     def test_malformed_shape_is_one_config_error(self, path, value, message):
         with pytest.raises(ConfigError) as err:
             parse_config(config_with(path, value))
