@@ -57,13 +57,18 @@ def run_cmd(config_path, out_dir):
     out = _resolve_out_dir(out_dir, config)
     try:
         trace = scenarios.run_config(config)
+    except ConfigError as err:
+        _fail(2, {"error": "config", "violations": err.violations})
     except ImpossibleOutcomeError as err:
         _fail(3, {"error": "impossible_outcome", "message": str(err),
                   "step": err.step, "agent": err.agent_id})
     except QBAgentsError as err:
         _fail(1, {"error": type(err).__name__, "message": str(err)})
-    paths = trace_io.emit_trace(trace, out)
-    paths.update(trace_io.emit_plot_data(trace, out))
+    try:
+        paths = trace_io.emit_trace(trace, out)
+        paths.update(trace_io.emit_plot_data(trace, out))
+    except OSError as err:
+        _fail(1, {"error": "io", "message": str(err)})
     click.echo(json.dumps({"status": "ok", "paths": paths}, sort_keys=True))
 
 
@@ -78,9 +83,14 @@ def batch_cmd(config_path, n_seeds, out_dir):
     out = _resolve_out_dir(out_dir, config)
     try:
         result = scenarios.batch(config, n_seeds)
+    except ConfigError as err:
+        _fail(2, {"error": "config", "violations": err.violations})
     except QBAgentsError as err:
         _fail(1, {"error": type(err).__name__, "message": str(err)})
-    path = trace_io.emit_batch(result, out)
+    try:
+        path = trace_io.emit_batch(result, out)
+    except OSError as err:
+        _fail(1, {"error": "io", "message": str(err)})
     click.echo(json.dumps({"status": "ok", "path": path,
                            "aggregates": result.aggregates}, sort_keys=True))
 

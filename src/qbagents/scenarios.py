@@ -631,8 +631,17 @@ def build_runtime(config: ScenarioConfig) -> RunSpec:
             continue
         post = (quantum_postulate() if block.postulate == "quantum"
                 else classical_postulate(block.n_outcomes))
-        ensemble = _build_ensemble(block.prior, block.n_particles,
-                                   stream(config.seed, "agent", i, "init"))
+        try:
+            ensemble = _build_ensemble(block.prior, block.n_particles,
+                                       stream(config.seed, "agent", i, "init"))
+        except QBAgentsError:
+            raise
+        except (MemoryError, ValueError, IndexError) as err:
+            # numpy's "array is too big" (ValueError; IndexError from linspace
+            # near intp.max) or a MemoryError: a size no config check can know
+            raise ConfigError([f"agent {block.id!r}: n_particles {block.n_particles} "
+                               f"cannot be allocated ({type(err).__name__}: {err})"]
+                              ) from err
         utility = UtilityFn()
         if block.utility.get("kind") == "table":
             utility = UtilityFn({name: tuple(float(v) for v in row)
@@ -676,7 +685,8 @@ EARLY_STEP = 10
 def batch(config: ScenarioConfig, n_seeds: int) -> BatchResult:
     """Run ``n_seeds`` replicas with seeds master, master+1, ... and aggregate.
 
-    Per-seed failures (belief polarization) are recorded, not fatal.  Each row
+    Per-seed failures (belief polarization) are recorded, not fatal; a
+    ``ConfigError`` (an ensemble too big to allocate) is raised.  Each row
     carries the final metrics and the metrics at ``EARLY_STEP`` for trend
     comparisons; aggregates hold the median and quartiles of every numeric
     final metric across the successful seeds.  Only those two steps are
@@ -692,6 +702,8 @@ def batch(config: ScenarioConfig, n_seeds: int) -> BatchResult:
         try:
             trace = run(build_runtime(replace(config, seed=seed)),
                         record_steps={early_step})
+        except ConfigError:
+            raise
         except ImpossibleOutcomeError as err:
             rows.append({"seed": seed, "error": "impossible_outcome",
                          "step": err.step, "agent": err.agent_id})

@@ -1,7 +1,8 @@
 """Trace persistence: per-step CSV, JSON summary, and plot-data files.
 
 All floats are written with 17 significant digits so that reruns of the same
-(config, seed) produce byte-identical files.
+(config, seed) produce byte-identical files.  Each CSV is formatted through
+one ``%`` row template per table, on rows taken from whole arrays.
 
 Files emitted per run (prefix = scenario id):
 
@@ -22,22 +23,29 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from .interaction import Trace
 
-
-def format_float(x) -> str:
-    return f"{float(x):.17g}"
+FLOAT = "%.17g"  # the ``%`` form of f"{float(x):.17g}", byte for byte
 
 
-def _write_csv(path: str, header: list[str], rows) -> str:
+def write_table(path: str, header: list[str], formats: list[str], rows) -> str:
+    """Write ``header`` and then each row (a tuple) through one ``%`` row
+    template joined from the cell ``formats``: ``FLOAT`` for numbers, ``%s``
+    for labels and integers."""
+    template = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(map(template.__mod__, rows)))
     return path
 
 
-def _step_columns(trace: Trace) -> tuple[list[str], list[list[str]]]:
+def _float_table(path: str, header: list[str], *columns) -> str:
+    rows = map(tuple, np.column_stack(columns).tolist())
+    return write_table(path, header, [FLOAT] * len(header), rows)
+
+
+def _step_table(trace: Trace) -> tuple[list[str], list[str], list[tuple]]:
     agent_ids = []
     dims = {}
     for rec in trace.records[:1]:
@@ -48,35 +56,32 @@ def _step_columns(trace: Trace) -> tuple[list[str], list[list[str]]]:
     if not trace.records:
         agent_ids = list(trace.initial)
         dims = {aid: len(s["mean"]) for aid, s in trace.initial.items()}
-    header = ["step"]
+    header, formats = ["step"], ["%s"]
     for aid in agent_ids:
         header += [f"{aid}_action", f"{aid}_outcome"]
         header += [f"{aid}_mean_{k}" for k in range(dims[aid])]
         header += [f"{aid}_std_{k}" for k in range(dims[aid])]
         header += [f"{aid}_semi_major", f"{aid}_ess"]
+        formats += ["%s", "%s"] + [FLOAT] * (2 * dims[aid] + 2)
     metric_keys = sorted(trace.records[0].metrics) if trace.records else []
     header += metric_keys
+    formats += [FLOAT] * len(metric_keys)
     rows = []
     for rec in trace.records:
-        row = [str(rec.step)]
+        row = [rec.step]
         for a in rec.agents:
-            if a is None:
-                continue
-            row += [a.action, str(a.outcome)]
-            row += [format_float(x) for x in a.mean]
-            row += [format_float(x) for x in a.std]
-            row += [format_float(a.semi_major), format_float(a.ess)]
-        row += [format_float(rec.metrics[k]) for k in metric_keys]
-        rows.append(row)
-    return header, rows
+            if a is not None:
+                row += [a.action, a.outcome, *a.mean, *a.std, a.semi_major, a.ess]
+        row += [rec.metrics[k] for k in metric_keys]
+        rows.append(tuple(row))
+    return header, formats, rows
 
 
 def emit_trace(trace: Trace, out_dir: str) -> dict[str, str]:
     """Write the per-step CSV and the JSON summary; returns emitted paths."""
     os.makedirs(out_dir, exist_ok=True)
     prefix = os.path.join(out_dir, trace.scenario)
-    header, rows = _step_columns(trace)
-    paths = {"steps": _write_csv(f"{prefix}_steps.csv", header, rows)}
+    paths = {"steps": write_table(f"{prefix}_steps.csv", *_step_table(trace))}
     summary = {
         "scenario": trace.scenario,
         "seed": trace.seed,
@@ -101,43 +106,30 @@ def emit_plot_data(trace: Trace, out_dir: str) -> dict[str, str]:
     paths: dict[str, str] = {}
 
     for aid, snapshots in trace.curves.items():
-        grid = snapshots[0][1]
         header = ["theta"] + [f"w_step{step}" for step, _g, _w in snapshots]
-        rows = []
-        for i in range(grid.size):
-            rows.append([format_float(grid[i])]
-                        + [format_float(w[i]) for _s, _g, w in snapshots])
-        paths[f"curve:{aid}"] = _write_csv(f"{prefix}_{aid}_curve.csv", header, rows)
+        paths[f"curve:{aid}"] = _float_table(
+            f"{prefix}_{aid}_curve.csv", header,
+            snapshots[0][1], *(w for _s, _g, w in snapshots))
 
     for aid, (points, weights) in trace.clouds.items():
-        dim = points.shape[1]
-        header = [f"x_{k}" for k in range(dim)] + ["weight"]
-        rows = [[format_float(v) for v in points[i]] + [format_float(weights[i])]
-                for i in range(points.shape[0])]
-        paths[f"cloud:{aid}"] = _write_csv(f"{prefix}_{aid}_cloud.csv", header, rows)
+        header = [f"x_{k}" for k in range(points.shape[1])] + ["weight"]
+        paths[f"cloud:{aid}"] = _float_table(
+            f"{prefix}_{aid}_cloud.csv", header, points, weights)
 
-    slot_index = {}
-    for rec in trace.records[:1]:
-        for a in rec.agents:
-            if a is not None:
-                slot_index[a.agent_id] = len(a.mean)
-    for aid, dim in slot_index.items():
-        if dim != 3:
+    n_steps = len(trace.records)
+    for k, first in enumerate(trace.records[0].agents if trace.records else ()):
+        if first is None or len(first.mean) != 3:
             continue
-        axes_rows = []
-        path_rows = []
-        for rec in trace.records:
-            a = next(x for x in rec.agents if x is not None and x.agent_id == aid)
-            path_rows.append([str(rec.step)] + [format_float(v) for v in a.mean])
-            if rec.step % interval == 0 or rec.step == len(trace.records):
-                axes_rows.append([str(rec.step), format_float(a.semi_major)]
-                                 + [format_float(v) for v in a.std])
-        paths[f"axes:{aid}"] = _write_csv(
+        aid = first.agent_id
+        walk = [(rec.step, rec.agents[k]) for rec in trace.records]
+        paths[f"axes:{aid}"] = write_table(
             f"{prefix}_{aid}_axes.csv",
-            ["step", "semi_major", "std_0", "std_1", "std_2"], axes_rows)
-        paths[f"path:{aid}"] = _write_csv(
-            f"{prefix}_{aid}_path.csv",
-            ["step", "mean_0", "mean_1", "mean_2"], path_rows)
+            ["step", "semi_major", "std_0", "std_1", "std_2"], ["%s"] + [FLOAT] * 4,
+            [(step, a.semi_major, *a.std) for step, a in walk
+             if step % interval == 0 or step == n_steps])
+        paths[f"path:{aid}"] = write_table(
+            f"{prefix}_{aid}_path.csv", ["step", "mean_0", "mean_1", "mean_2"],
+            ["%s"] + [FLOAT] * 3, [(step, *a.mean) for step, a in walk])
     return paths
 
 

@@ -122,6 +122,33 @@ def test_batch_writes_aggregates(runner, tmp_path):
     assert len(saved["rows"]) == 3
 
 
+@pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
+def test_out_dir_that_is_a_file_is_io_error(runner, tmp_path, command):
+    cfg = write_config(tmp_path, n_steps=3)
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    result = runner.invoke(main, [command[0], cfg, *command[1:],
+                                  "--out-dir", str(blocker)])
+    assert result.exit_code == 1
+    err = json.loads(result.stderr)
+    assert err["error"] == "io"
+    assert str(blocker) in err["message"]
+
+
+@pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
+def test_unallocatable_ensemble_exits_2(runner, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text(config_with(("agents", 0, "n_particles"), 2**62))
+    result = runner.invoke(main, [command[0], str(path), *command[1:],
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "config"
+    assert err["violations"][0].startswith(
+        f"agent 'agent': n_particles {2**62} cannot be allocated (ValueError: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_appendix_passes(runner):
     result = runner.invoke(main, ["verify-appendix", "--chi-max-n", "5",
                                   "--kdist-max-n", "3", "--pairs", "100"])

@@ -336,6 +336,46 @@ class TestValidation:
             parse_config("{not json")
 
 
+class TestUnallocatableEnsemble:
+    """An ``n_particles`` the config accepts but memory cannot hold fails in
+    ``build_runtime`` as one ``ConfigError``.  Nothing is allocated for real:
+    numpy refuses a byte count beyond ``intp`` before allocating, and the
+    ``MemoryError`` is raised by a stand-in."""
+
+    @staticmethod
+    def sized(name, n):
+        cfg = default_config(name, seed=1)
+        return replace(cfg, agents=(replace(cfg.agents[0], n_particles=n),)
+                       + cfg.agents[1:])
+
+    @pytest.mark.parametrize("name", ["coin_tomography", "qubit_tomography"])
+    @pytest.mark.parametrize("n", [2**62, int(np.iinfo(np.intp).max)])
+    def test_byte_count_beyond_intp(self, name, n):
+        cfg = self.sized(name, n)
+        assert validate_config(cfg) == []
+        with pytest.raises(ConfigError) as info:
+            build_runtime(cfg)
+        (violation,) = info.value.violations
+        assert violation.startswith(f"agent 'agent': n_particles {n} cannot be allocated (")
+
+    @pytest.mark.parametrize("name,builder", [("coin_tomography", "grid_ensemble"),
+                                              ("qubit_tomography", "sample_uniform")])
+    def test_memory_error(self, monkeypatch, name, builder):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(f"qbagents.scenarios.{builder}", out_of_memory)
+        with pytest.raises(ConfigError) as info:
+            build_runtime(self.sized(name, 2**40))
+        assert info.value.violations == [
+            "agent 'agent': n_particles 1099511627776 cannot be allocated "
+            "(MemoryError: Unable to allocate 8.00 TiB)"]
+
+    def test_batch_raises_it(self):
+        with pytest.raises(ConfigError):
+            batch(self.sized("coin_tomography", 2**62), 2)
+
+
 class TestDefaults:
     def test_default_particle_counts(self):
         spec = build_runtime(default_config("qubit_tomography"))
