@@ -74,7 +74,7 @@ def run_cmd(config_path, out_dir):
 
 @main.command("batch")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seeds", "n_seeds", type=int, required=True,
+@click.option("--seeds", "n_seeds", type=click.IntRange(min=1), required=True,
               help="Number of seeded replicas.")
 @click.option("--out-dir", default=None, help="Output directory override.")
 def batch_cmd(config_path, n_seeds, out_dir):

@@ -18,7 +18,8 @@ Configs are JSON documents with a flat schema:
       "out_dir": null
     }
 
-``parse_config`` validates everything up front and reports the complete list
+``parse_config`` validates everything up front, driven by the field, prior and
+menu tables (``FIELDS``, ``PRIORS``, ``MENUS``), and reports the complete list
 of violations at once.  Registry entries provide full default configs, so
 ``parse_config(emit_config(default))`` is the identity.
 """
@@ -27,11 +28,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cache, partial
 
 import numpy as np
 
 from .agents import Action, Agent, UtilityFn
+from .core_math import DEFAULT_GRID_POINTS, PROB_TOL, BetaParams, beta_pdf
 from .errors import ConfigError, ImpossibleOutcomeError, QBAgentsError, ValidationError
 from .inference import (
     DEFAULT_BALL_PARTICLES,
@@ -39,7 +42,6 @@ from .inference import (
     grid_ensemble,
     sample_uniform,
 )
-from .core_math import DEFAULT_GRID_POINTS
 from .interaction import (
     EXPECTATION,
     MODES,
@@ -53,12 +55,29 @@ from .postulate import (
     Interval,
     QubitBall,
     classical_postulate,
+    min_likelihood,
     phi_matrix,
     quantum_postulate,
     sqrt_phi,
 )
 from .quantum import conditional_matrix, pauli_povm, sic_d2
 from .rng import stream
+
+
+def _is_int(least: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _one_of(names):
+    return lambda v: isinstance(v, str) and v in names
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_real(value) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -78,26 +97,51 @@ def triangular_pdf(theta, peak: float = 0.7):
     return up + down
 
 
-PRIOR_KINDS = ("grid_uniform", "grid_pdf", "grid_beta", "uniform_ball",
-               "delta", "two_sided_coin", "four_delta_xz")
-GRID_PDFS = {"semicircle": semicircle_pdf, "triangular": triangular_pdf}
+# grid pdf name -> (density, the parameters it takes)
+GRID_PDFS = {"semicircle": (semicircle_pdf, ()), "triangular": (triangular_pdf, ("peak",))}
 
-FOUR_DELTA_POINTS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
-                     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+SPACE_OF_DIM = {1: "interval", 3: "ball"}  # a point's components -> its space
+SPACE_OF_N = {2: "interval", 4: "ball"}  # a postulate's outcome count -> its space
+# regularization -> the (receiver, sender) spaces it maps between; "none" takes
+# a broadcast in the receiver's own space
+REG_SPACES = {"z_projection": ("interval", "ball"), "z_embedding": ("ball", "interval"),
+              "support_restriction": ("ball", "ball")}
 
 
-def _prior_space(prior: dict) -> str:
-    kind = prior.get("kind")
-    if kind in ("grid_uniform", "grid_pdf", "grid_beta", "two_sided_coin"):
-        return "interval"
-    if kind in ("uniform_ball", "four_delta_xz"):
-        return "ball"
-    if kind == "delta":
-        pts = _delta_points(prior)
-        if pts is None:
-            return "unknown"
-        return "ball" if pts.shape[1] == 3 else "interval"
-    return "unknown"
+def _unknown_params(params: dict, allowed, label: str) -> list[str]:
+    extra = sorted(set(params) - {"kind", *allowed})
+    return [f"{label}: unknown parameters {extra}"] if extra else []
+
+
+def _outside(pts: np.ndarray) -> str | None:
+    """Where (n, 1) points leave [0, 1] or (n, 3) points the Bloch ball, if they do."""
+    if pts.shape[1] == 3:  # clipped, so that the norm cannot overflow
+        norms = np.linalg.norm(np.clip(pts, -2.0, 2.0), axis=1)
+        return None if np.all(norms <= 1.0 + 1e-9) else "the Bloch ball"
+    return None if np.all((pts >= 0.0) & (pts <= 1.0)) else "[0, 1]"
+
+
+def _grid_uniform_problems(prior: dict) -> list[str]:
+    lo, hi = prior.get("lo", 0.0), prior.get("hi", 1.0)
+    if not (_is_number(lo) and _is_number(hi) and 0.0 <= lo < hi <= 1.0):
+        return [f"invalid interval [{lo}, {hi}]"]
+    return []
+
+
+def _grid_pdf_problems(prior: dict) -> list[str]:
+    name, peak = prior.get("name"), prior.get("peak")
+    if not _one_of(GRID_PDFS)(name):
+        return [f"unknown grid pdf {name!r}"]
+    extra = _unknown_params(prior, ("name", *GRID_PDFS[name][1]), f"grid pdf {name!r}")
+    if not extra and "peak" in prior and not (_is_number(peak) and 0.0 < peak < 1.0):
+        return [f"triangular peak must lie in (0, 1), got {peak!r}"]
+    return extra
+
+
+def _grid_beta_problems(prior: dict) -> list[str]:
+    if not all(_is_number(v) and v > 0 for v in (prior.get("alpha"), prior.get("beta"))):
+        return ["Beta parameters must be positive numbers"]
+    return []
 
 
 def _delta_points(prior: dict) -> np.ndarray | None:
@@ -116,77 +160,105 @@ def _delta_points(prior: dict) -> np.ndarray | None:
     return np.asarray(pts, dtype=float)
 
 
-def _build_ensemble(prior: dict, n_particles, init_rng):
-    kind = prior["kind"]
-    if kind == "grid_uniform":
-        region = Interval(prior.get("lo", 0.0), prior.get("hi", 1.0))
-        return grid_ensemble(region, n_particles or DEFAULT_GRID_POINTS)
-    if kind == "grid_pdf":
-        pdf = GRID_PDFS[prior["name"]]
-        extra = {k: v for k, v in prior.items() if k not in ("kind", "name")}
-        return grid_ensemble(Interval(), n_particles or DEFAULT_GRID_POINTS,
-                             pdf=lambda t: pdf(t, **extra))
-    if kind == "grid_beta":
-        from .core_math import BetaParams, beta_pdf
-        params = BetaParams(prior["alpha"], prior["beta"])
-        return grid_ensemble(Interval(), n_particles or DEFAULT_GRID_POINTS,
-                             pdf=lambda t: beta_pdf(t, params))
-    if kind == "uniform_ball":
-        return sample_uniform(QubitBall(), n_particles or DEFAULT_BALL_PARTICLES,
-                              init_rng)
-    if kind == "delta":
-        pts = _delta_points(prior)
-        weights = prior.get("weights") or [1.0 / len(pts)] * len(pts)
-        region = QubitBall() if pts.shape[1] == 3 else Interval(0.0, 1.0)
-        return delta_ensemble(pts, weights, region)
-    if kind == "two_sided_coin":
-        return delta_ensemble([[0.0], [1.0]], [0.5, 0.5], Interval(0.0, 1.0))
-    if kind == "four_delta_xz":
-        return delta_ensemble(FOUR_DELTA_POINTS, [0.25] * 4, QubitBall())
-    raise ValidationError(f"unknown prior kind {kind!r}")
+def _delta_problems(prior: dict) -> list[str]:
+    pts, weights = _delta_points(prior), prior.get("weights")
+    if pts is None:
+        return [f"delta prior points must be a list of finite numbers or of 1- or "
+                f"3-component lists of them, got {prior.get('points')!r}"]
+    if pts.size == 0:
+        return ["delta prior needs at least one point"]
+    if where := _outside(pts):
+        return [f"delta prior point outside {where}"]
+    # Absent, null or empty weights mean equal weights (see ``_delta_ensemble``).
+    if weights is None or (isinstance(weights, (list, tuple)) and not weights):
+        return []
+    if not (isinstance(weights, (list, tuple)) and all(map(_is_number, weights))):
+        return [f"delta prior weights must be a list of finite numbers, got {weights!r}"]
+    if len(weights) != len(pts):
+        return [f"delta prior has {len(weights)} weights for {len(pts)} points"]
+    if min(weights) < 0 or sum(weights) <= 0:
+        return [f"delta prior weights must be nonnegative and not all zero, got {weights!r}"]
+    return []
+
+
+def _delta_ensemble(prior: dict):
+    pts = _delta_points(prior)
+    weights = prior.get("weights") or [1.0 / len(pts)] * len(pts)
+    return delta_ensemble(pts, weights, QubitBall() if pts.shape[1] == 3 else Interval())
+
+
+def _grid(prior: dict, n: int | None, pdf=None):
+    interval = Interval(prior.get("lo", 0.0), prior.get("hi", 1.0))
+    return grid_ensemble(interval, n or DEFAULT_GRID_POINTS, pdf=pdf)
+
+
+# The prior table: kind -> (the space of its points, None when a delta prior's
+# points decide; the parameters it takes; the check of their values, which for a
+# grid pdf covers its own parameters; the builder (prior, n_particles, init_rng)).
+PRIORS = {
+    "grid_uniform": ("interval", ("lo", "hi"), _grid_uniform_problems,
+                     lambda p, n, rng: _grid(p, n)),
+    "grid_pdf": ("interval", ("name", "peak"), _grid_pdf_problems,
+                 lambda p, n, rng: _grid(p, n, partial(GRID_PDFS[p["name"]][0], **{
+                     k: p[k] for k in GRID_PDFS[p["name"]][1] if k in p}))),
+    "grid_beta": ("interval", ("alpha", "beta"), _grid_beta_problems,
+                  lambda p, n, rng: _grid(p, n, partial(
+                      beta_pdf, p=BetaParams(p["alpha"], p["beta"])))),
+    "uniform_ball": ("ball", (), lambda p: [], lambda p, n, rng: sample_uniform(
+        QubitBall(), n or DEFAULT_BALL_PARTICLES, rng)),
+    "delta": (None, ("points", "weights"), _delta_problems,
+              lambda p, n, rng: _delta_ensemble(p)),
+    "two_sided_coin": ("interval", (), lambda p: [],
+                       lambda p, n, rng: _delta_ensemble({"points": [0.0, 1.0]})),
+    "four_delta_xz": ("ball", (), lambda p: [], lambda p, n, rng: _delta_ensemble(
+        {"points": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]})),
+}
 
 
 # ---------------------------------------------------------------------------
-# Menus
+# Menus, postulates and utilities
 
-def _pauli_actions(axes: str = "XYZ") -> tuple[Action, ...]:
+def _pauli_actions(axes: str) -> tuple[Action, ...]:
     ref = sic_d2()
     return tuple(Action(ax, conditional_matrix(pauli_povm(ax), ref), ("+1", "-1"))
                  for ax in axes)
 
 
-def _sharp_pauli_actions() -> tuple[Action, ...]:
-    # Sharp two-outcome actions: Pauli conditional matrices pushed through the
-    # principal square root of Phi.  Valid for a classical agent only.
-    root = sqrt_phi(phi_matrix(sic_d2()))
-    return tuple(Action(a.name, a.matrix @ root, a.outcomes)
-                 for a in _pauli_actions())
+# The menu table: name -> builder of its actions.  The outcome count N a menu
+# fits is its actions' reference dimension.
+MENUS = {
+    "flip": lambda: (Action("flip", np.eye(2), ("heads", "tails")),),
+    "z_reference": lambda: (Action("Z", np.eye(2), ("+1", "-1")),),
+    "paulis": lambda: _pauli_actions("XYZ"),
+    "paulis_zx": lambda: _pauli_actions("ZX"),
+    # the Pauli matrices pushed through the principal square root of Phi
+    "sharp_paulis": lambda: tuple(Action(a.name, a.matrix @ sqrt_phi(phi_matrix(sic_d2())),
+                                         a.outcomes) for a in _menu("paulis")),
+    "sic_reference": lambda: (Action("sic", conditional_matrix(sic_d2().effects, sic_d2()),
+                                     ("1", "2", "3", "4")),),
+}
 
 
+@cache
 def _menu(name: str) -> tuple[Action, ...]:
-    if name == "flip":
-        return (Action("flip", np.eye(2), ("heads", "tails")),)
-    if name == "z_reference":
-        return (Action("Z", np.eye(2), ("+1", "-1")),)
-    if name == "paulis":
-        return _pauli_actions()
-    if name == "paulis_zx":
-        return _pauli_actions("ZX")
-    if name == "sharp_paulis":
-        return _sharp_pauli_actions()
-    if name == "sic_reference":
-        ref = sic_d2()
-        return (Action("sic", conditional_matrix(ref.effects, ref),
-                       ("1", "2", "3", "4")),)
-    raise ValidationError(f"unknown menu {name!r}")
+    """The named menu, built once and shared: actions are frozen, matrices read-only."""
+    if name not in MENUS:
+        raise ValidationError(f"unknown menu {name!r}")
+    return MENUS[name]()
+
+
+POSTULATES = {"classical": classical_postulate, "quantum": lambda n: quantum_postulate()}
+
+UTILITIES = {"uniform": (), "table": ("values",)}  # kind -> the parameters it takes
+
+
+@cache
+def _quantum_lowest(name: str) -> float:
+    """The least probability the menu gives a qubit state (``min_likelihood``)."""
+    return min(min_likelihood(quantum_postulate(), a.matrix) for a in _menu(name))
 
 
 MAX_PARTICLES = int(np.iinfo(np.intp).max)  # the largest array length numpy accepts
-
-MENUS_BY_N = {
-    2: ("flip", "z_reference"),
-    4: ("paulis", "paulis_zx", "sharp_paulis", "sic_reference"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +275,12 @@ class AgentSpec:
     regularization: str = "none"
     n_particles: int | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SourceSpec:
     id: str
-    point: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "source": True, "point": list(self.point)}
+    point: list
+    source: bool = True
 
 
 @dataclass(frozen=True)
@@ -227,21 +294,65 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "agents": [a.to_dict() for a in self.agents]}
+        return {**asdict(self), "agents": [asdict(a) for a in self.agents]}
 
 
-CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
-SOURCE_KEYS = {"id", "source", "point"}
-AGENT_KEYS = {f.name for f in fields(AgentSpec)} | {"source"}
+# The field table: a (check, message) per field of the config dataclasses.  A
+# message is formatted with the value ``v`` and the block's name ``who``.
+FIELDS = {
+    ScenarioConfig: {
+        "scenario": (lambda v: isinstance(v, str) and v in REGISTRY, "unknown scenario {v!r}"),
+        "seed": (_is_int(0), "seed must be an integer >= 0, got {v!r}"),
+        "n_steps": (_is_int(0), "n_steps must be an integer >= 0, got {v!r}"),
+        "agents": (lambda v: len(v) == 2, "exactly 2 agent blocks required"),
+        "interaction": (_one_of(MODES), "unknown interaction mode {v!r}"),
+        "summary_interval": (_is_int(1), "summary_interval must be an integer >= 1, got {v!r}"),
+        "out_dir": (lambda v: v is None or isinstance(v, str),
+                    "out_dir must be a string or null, got {v!r}"),
+    },
+    AgentSpec: {
+        "id": (lambda v: isinstance(v, str), "agent id must be a string, got {v!r}"),
+        "postulate": (_one_of(POSTULATES), "{who}: unknown postulate {v!r}"),
+        "n_outcomes": (_is_int(2), "{who}: n_outcomes must be an integer >= 2, got {v!r}"),
+        "prior": (lambda v: _one_of(PRIORS)(v.get("kind")), "{who}: unknown prior {v!r}"),
+        "menu": (_one_of(MENUS), "{who}: unknown menu {v!r}"),
+        "utility": (lambda v: _one_of(UTILITIES)(v.get("kind")),
+                    "{who}: unknown utility {v!r}"),
+        "regularization": (_one_of(REGULARIZERS), "{who}: unknown regularization {v!r}"),
+        "n_particles": (lambda v: v is None or _is_int(2)(v),
+                        "{who}: n_particles must be an integer >= 2, got {v!r}"),
+    },
+    SourceSpec: {
+        "id": (lambda v: isinstance(v, str), "source id must be a string, got {v!r}"),
+        "point": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
+                  "{who}: point must be a list of numbers, got {v!r}"),
+        "source": (lambda v: v is True, "{who}: source must be true, got {v!r}"),
+    },
+}
+
+
+def _field_problems(spec, who: str = "") -> dict[str, str]:
+    """The fields of a config, agent or source that fail their check -> message."""
+    return {name: message.format(v=getattr(spec, name), who=who)
+            for name, (check, message) in FIELDS[type(spec)].items()
+            if not check(getattr(spec, name))}
+
+
+def _key_problems(cls, block: dict, where: str, noun: str) -> list[str]:
+    """A block's keys ``cls`` has no field for, and its fields without a default it lacks."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return ([f"{where}unknown {noun} {k!r}" for k in block if k not in FIELDS[cls]]
+            + [f"{where}missing {noun} {k!r}" for k in required if k not in block])
 
 
 def _shape_problems(data) -> list[str]:
-    """What keeps a JSON document from being read as a config: a root, an
-    ``agents`` list or a block that is not of its JSON type, and keys the
-    schema does not know."""
+    """What keeps a JSON document from being read as a config: a root, ``agents``
+    list, block, ``prior`` or ``utility`` of the wrong JSON type, and unknown or
+    missing keys.  A block with a ``source`` key is a source."""
     if not isinstance(data, dict):
         return ["config root must be a JSON object"]
-    problems = [f"unknown config key {k!r}" for k in data if k not in CONFIG_KEYS]
+    problems = _key_problems(ScenarioConfig, data, "", "config key")
     blocks = data.get("agents", [])
     if not isinstance(blocks, list):
         return problems + [f"agents must be a list of objects, got {blocks!r}"]
@@ -249,30 +360,12 @@ def _shape_problems(data) -> list[str]:
         if not isinstance(block, dict):
             problems.append(f"agents[{i}] must be an object, got {block!r}")
             continue
-        known = SOURCE_KEYS if block.get("source") else AGENT_KEYS
-        problems += [f"agents[{i}]: unknown key {k!r}" for k in block if k not in known]
+        cls = SourceSpec if "source" in block else AgentSpec
+        problems += _key_problems(cls, block, f"agents[{i}]: ", "key")
         problems += [f"agents[{i}]: {k} must be an object, got {block[k]!r}"
                      for k in ("prior", "utility")
-                     if k in known and k in block and not isinstance(block[k], dict)]
+                     if cls is AgentSpec and k in block and not isinstance(block[k], dict)]
     return problems
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    problems = _shape_problems(data)
-    if problems:
-        raise ConfigError(problems)
-    agents = []
-    for block in data.get("agents", []):
-        if block.get("source"):
-            point = block.get("point", [])
-            agents.append(SourceSpec(block.get("id", "source"), tuple(point)
-                                     if isinstance(point, (list, tuple)) else point))
-        else:
-            given = {k: v for k, v in block.items() if k != "source"}
-            agents.append(AgentSpec(**{"id": "agent", "postulate": "", "n_outcomes": 0,
-                                       "prior": {}, "menu": "", **given}))
-    return ScenarioConfig(**{"scenario": "", "seed": 0, "n_steps": 0, **data,
-                             "agents": tuple(agents)})
 
 
 def emit_config(config: ScenarioConfig) -> str:
@@ -286,7 +379,11 @@ def parse_config(text: str) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError([f"invalid JSON: {err}"]) from err
-    config = config_from_dict(data)
+    problems = _shape_problems(data)
+    if problems:
+        raise ConfigError(problems)
+    config = ScenarioConfig(**{**data, "agents": tuple(
+        (SourceSpec if "source" in block else AgentSpec)(**block) for block in data["agents"])})
     violations = validate_config(config)
     if violations:
         raise ConfigError(violations)
@@ -295,197 +392,101 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def validate_config(config: ScenarioConfig) -> list[str]:
     """All violations in the config; empty when valid."""
-    problems: list[str] = []
-    if not isinstance(config.scenario, str) or config.scenario not in REGISTRY:
-        problems.append(f"unknown scenario {config.scenario!r}")
-    if config.out_dir is not None and not isinstance(config.out_dir, str):
-        problems.append(f"out_dir must be a string or null, got {config.out_dir!r}")
-    for key, least in (("seed", 0), ("n_steps", 0), ("summary_interval", 1)):
-        value = getattr(config, key)
-        if not _is_int_at_least(value, least):
-            problems.append(f"{key} must be an integer >= {least}, got {value!r}")
-    if config.interaction not in MODES:
-        problems.append(f"unknown interaction mode {config.interaction!r}")
-    if len(config.agents) != 2:
-        problems.append(f"exactly 2 agent blocks required, got {len(config.agents)}")
+    bad = _field_problems(config)
+    problems = list(bad.values())
+    if "agents" in bad:
         return problems
-    ids = [block.id for block in config.agents if isinstance(block.id, str)]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
-        problems.append(f"id {dup!r} is used by more than one agent or source; "
+    first, second = config.agents
+    if first.id == second.id:
+        problems.append(f"id {first.id!r} is used by more than one agent or source; "
                         "ids must be distinct")
-    spaces = []
+    spaces, slots = [], []
     for block in config.agents:
-        if not isinstance(block.id, str):
-            kind = "source" if isinstance(block, SourceSpec) else "agent"
-            problems.append(f"{kind} id must be a string, got {block.id!r}")
-        if isinstance(block, SourceSpec):
-            point = block.point
-            if not (isinstance(point, (list, tuple)) and all(map(_is_real, point))):
-                shown = list(point) if isinstance(point, tuple) else point
-                problems.append(f"source {block.id!r}: point must be a list of numbers, "
-                                f"got {shown!r}")
-                spaces.append("unknown")
-                continue
-            if len(block.point) not in (1, 3):
-                problems.append(f"source {block.id!r}: point must have 1 or 3 components")
-            elif not (0.0 <= block.point[0] <= 1.0 if len(block.point) == 1
-                      else np.linalg.norm(block.point) <= 1.0 + 1e-9):
-                problems.append(f"source {block.id!r}: point outside [0, 1] "
-                                "or the Bloch ball")
-            spaces.append("interval" if len(block.point) == 1 else "ball")
-            continue
-        spaces.append(_prior_space(block.prior))
-        problems.extend(_validate_agent(block))
-    for i, block in enumerate(config.agents):
-        if isinstance(block, SourceSpec):
-            continue
-        reg = block.regularization
-        other = spaces[1 - i]
-        mine = spaces[i]
-        if "unknown" in (mine, other):
-            continue  # the malformed prior or point is reported already
-        if reg == "z_projection" and (mine != "interval" or other != "ball"):
-            problems.append(f"agent {block.id!r}: z_projection needs a scalar agent "
-                            "receiving from a Bloch-ball agent")
-        if reg == "z_embedding" and (mine != "ball" or other != "interval"):
-            problems.append(f"agent {block.id!r}: z_embedding needs a Bloch-ball agent "
-                            "receiving from a scalar agent")
-        if reg == "none" and mine != other:
-            problems.append(f"agent {block.id!r}: incompatible parameter spaces "
-                            "require a regularization")
+        role = "source" if isinstance(block, SourceSpec) else "agent"
+        who = f"{role} {block.id!r}"
+        bad_fields = _field_problems(block, who)
+        own, space = (_source_rules if role == "source" else _agent_rules)(block, bad_fields)
+        problems += [*bad_fields.values(), *(f"{who}: {msg}" for msg in own)]
+        spaces.append(space)
+        slots.append(f"{space} {role}")
+    if None in spaces:
+        return problems  # the malformed prior or point is reported already
+    for block, mine, other in zip(config.agents, spaces, spaces[::-1]):
+        reg = getattr(block, "regularization", None)
+        need = REG_SPACES.get(reg, (mine, mine)) if _one_of(REGULARIZERS)(reg) else None
+        if need and need != (mine, other):
+            problems.append(f"agent {block.id!r}: regularization {reg!r} maps the {need[1]} "
+                            f"onto the {need[0]}, not the {other} onto the {mine}")
+    if "scenario" not in bad:
+        takes = METRIC_SLOTS[REGISTRY[config.scenario].metrics_kind]
+        got = f"({slots[0]}, {slots[1]})"
+        if got not in takes:
+            problems.append(f"scenario {config.scenario!r} takes {' or '.join(takes)}, "
+                            f"got {got}")
     return problems
 
 
-def _validate_agent(block: AgentSpec) -> list[str]:
+def _source_rules(block: SourceSpec, bad: dict) -> tuple[list[str], str | None]:
+    """A source point's size and range, and its space (None when malformed)."""
+    if "point" in bad:
+        return [], None
+    space = SPACE_OF_DIM.get(len(block.point))
+    if space is None:
+        return ["point must have 1 or 3 components"], None
+    where = _outside(np.asarray([block.point], dtype=float))
+    return ([f"point outside {where}"], None) if where else ([], space)
+
+
+def _agent_rules(block: AgentSpec, bad: dict) -> tuple[list[str], str | None]:
+    """The rules between an agent's sound fields, and its prior's space or None."""
+    own = []
+    n = None if "n_outcomes" in bad else block.n_outcomes
+    if block.postulate == "quantum" and n is not None and n != 4:
+        own.append(f"N={n} is not the square of an integer" if math.isqrt(n) ** 2 != n
+                   else "only the 4-outcome qubit reference action is built in")
+        n = None  # reported; no menu fits it either
+    space = None
+    if "prior" not in bad:
+        kind = block.prior["kind"]
+        kind_space, params, check, _build = PRIORS[kind]
+        found = check(block.prior) or _unknown_params(block.prior, params, f"prior {kind!r}")
+        own += found
+        if not found:
+            space = kind_space or SPACE_OF_DIM[_delta_points(block.prior).shape[1]]
+    if space is not None and SPACE_OF_N.get(n, space) != space:
+        own.append(f"prior kind {kind!r} lies in the {space}; N={n} needs the {SPACE_OF_N[n]}")
+    if "menu" not in bad and n is not None:
+        if _menu(block.menu)[0].matrix.shape[1] != n:
+            own.append(f"menu {block.menu!r} incompatible with N={n}")
+        elif block.postulate == "quantum" and _quantum_lowest(block.menu) < -PROB_TOL:
+            own.append(f"menu {block.menu!r} gives negative probabilities "
+                       "under the quantum postulate")
+    if "utility" not in bad:
+        ukind = block.utility["kind"]
+        own += _unknown_params(block.utility, UTILITIES[ukind], f"utility {ukind!r}")
+        if ukind == "table":
+            own += _utility_row_problems(block.utility.get("values"),
+                                         None if "menu" in bad else block.menu)
+    if "n_particles" not in bad and (block.n_particles or 0) > MAX_PARTICLES:
+        own.append(f"n_particles must be at most {MAX_PARTICLES}, got {block.n_particles!r}")
+    return own, space
+
+
+def _utility_row_problems(values, menu: str | None) -> list[str]:
+    """A utility table's rows as numbers and, when the menu is known, against it."""
+    if not isinstance(values, dict) or not values:
+        return ["utility table must be a nonempty mapping"]
+    sizes = {a.name: a.n_outcomes for a in _menu(menu)} if menu else {}
     problems = []
-    pid = f"agent {block.id!r}"
-    if block.postulate not in ("classical", "quantum"):
-        problems.append(f"{pid}: unknown postulate {block.postulate!r}")
-    n = block.n_outcomes
-    if not _is_int_at_least(n, 2):
-        problems.append(f"{pid}: n_outcomes must be an integer >= 2, got {n!r}")
-        n = None
-    if block.postulate == "quantum" and n is not None:
-        root = math.isqrt(n)
-        if root * root != n:
-            problems.append(f"{pid}: N={n} is not the square of an integer")
-        elif n != 4:
-            problems.append(f"{pid}: only the 4-outcome qubit reference action is built in")
-        if n != 4:
-            n = None  # reported; no menu fits it either
-    kind = block.prior.get("kind")
-    if kind not in PRIOR_KINDS:
-        problems.append(f"{pid}: unknown prior kind {kind!r}")
-    else:
-        problems.extend(f"{pid}: {msg}" for msg in _validate_prior(block))
-    known_menu = block.menu in MENUS_BY_N[2] + MENUS_BY_N[4]
-    if not known_menu:
-        problems.append(f"{pid}: unknown menu {block.menu!r}")
-    elif n is not None and block.menu not in MENUS_BY_N.get(n, ()):
-        problems.append(f"{pid}: menu {block.menu!r} incompatible with N={n}")
-    elif block.menu == "sharp_paulis" and block.postulate == "quantum":
-        problems.append(f"{pid}: menu 'sharp_paulis' gives negative probabilities "
-                        "under the quantum postulate")
-    ukind = block.utility.get("kind")
-    if ukind not in ("uniform", "table"):
-        problems.append(f"{pid}: unknown utility kind {ukind!r}")
-    elif ukind == "table":
-        values = block.utility.get("values", {})
-        if not isinstance(values, dict) or not values:
-            problems.append(f"{pid}: utility table must be a nonempty mapping")
-        else:
-            sizes = {a.name: a.n_outcomes for a in _menu(block.menu)} if known_menu else {}
-            for name, row in values.items():
-                if not (isinstance(row, (list, tuple)) and all(map(_is_number, row))):
-                    problems.append(f"{pid}: utility for action {name!r} must be a "
-                                    "list of finite numbers")
-                elif known_menu and name not in sizes:
-                    problems.append(f"{pid}: utility for action {name!r}, which is "
-                                    f"not on menu {block.menu!r}")
-                elif known_menu and len(row) != sizes[name]:
-                    problems.append(f"{pid}: utility for action {name!r} has "
-                                    f"{len(row)} values, expected {sizes[name]}")
-    if not isinstance(block.regularization, str) or block.regularization not in REGULARIZERS:
-        problems.append(f"{pid}: unknown regularization {block.regularization!r}")
-    if block.n_particles is not None and not _is_int_at_least(block.n_particles, 2):
-        problems.append(f"{pid}: n_particles must be an integer >= 2, "
-                        f"got {block.n_particles!r}")
-    elif block.n_particles is not None and block.n_particles > MAX_PARTICLES:
-        problems.append(f"{pid}: n_particles must be at most {MAX_PARTICLES}, "
-                        f"got {block.n_particles!r}")
+    for name, row in values.items():
+        if not (isinstance(row, (list, tuple)) and all(map(_is_number, row))):
+            problems.append(f"utility for action {name!r} must be a list of finite numbers")
+        elif menu and name not in sizes:
+            problems.append(f"utility for action {name!r}, which is not on menu {menu!r}")
+        elif menu and len(row) != sizes[name]:
+            problems.append(f"utility for action {name!r} has {len(row)} values, "
+                            f"expected {sizes[name]}")
     return problems
-
-
-def _is_int_at_least(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_real(value) and math.isfinite(value)
-
-
-def _validate_prior(block: AgentSpec) -> list[str]:
-    prior = block.prior
-    kind = prior["kind"]
-    problems = []
-    space = _prior_space(prior)
-    if kind == "grid_uniform":
-        lo, hi = prior.get("lo", 0.0), prior.get("hi", 1.0)
-        if not (_is_number(lo) and _is_number(hi) and 0.0 <= lo < hi <= 1.0):
-            problems.append(f"invalid interval [{lo}, {hi}]")
-    if kind == "grid_pdf":
-        name = prior.get("name")
-        allowed = {"kind", "name", "peak"} if name == "triangular" else {"kind", "name"}
-        extra = sorted(set(prior) - allowed)
-        peak = prior.get("peak")
-        if not isinstance(name, str) or name not in GRID_PDFS:
-            problems.append(f"unknown grid pdf {name!r}")
-        elif extra:
-            problems.append(f"grid pdf {name!r}: unknown parameters {extra}")
-        elif "peak" in prior and not (_is_number(peak) and 0.0 < peak < 1.0):
-            problems.append(f"triangular peak must lie in (0, 1), got {peak!r}")
-    if kind == "grid_beta" and not all(_is_number(v) and v > 0 for v in
-                                       (prior.get("alpha", 0), prior.get("beta", 0))):
-        problems.append("Beta parameters must be positive numbers")
-    if kind == "delta":
-        pts = _delta_points(prior)
-        if pts is None:
-            return [f"delta prior points must be a list of finite numbers or of 1- or "
-                    f"3-component lists of them, got {prior.get('points')!r}"]
-        if pts.size == 0:
-            problems.append("delta prior needs at least one point")
-        elif space == "ball":
-            if np.any(np.linalg.norm(pts, axis=1) > 1.0 + 1e-9):
-                problems.append("delta prior point outside the Bloch ball")
-        elif np.any(pts < 0.0) or np.any(pts > 1.0):
-            problems.append("delta prior point outside [0, 1]")
-        problems.extend(_validate_delta_weights(prior.get("weights"), pts.shape[0]))
-    if block.regularization == "support_restriction" and space != "ball":
-        problems.append("support_restriction requires a prior supported inside "
-                        "the Bloch-ball region")
-    if block.postulate == "quantum" and space != "ball":
-        problems.append(f"prior kind {kind!r} is not a valid quantum state density")
-    if block.postulate == "classical" and block.n_outcomes == 2 and space != "interval":
-        problems.append(f"prior kind {kind!r} needs a scalar parameter")
-    return problems
-
-
-def _validate_delta_weights(weights, n_points: int) -> list[str]:
-    # Absent, null or empty weights mean equal weights (see ``_build_ensemble``).
-    if weights is None or (isinstance(weights, (list, tuple)) and not weights):
-        return []
-    if not (isinstance(weights, (list, tuple)) and all(map(_is_number, weights))):
-        return [f"delta prior weights must be a list of finite numbers, got {weights!r}"]
-    if len(weights) != n_points:
-        return [f"delta prior has {len(weights)} weights for {n_points} points"]
-    if min(weights) < 0 or sum(weights) <= 0:
-        return [f"delta prior weights must be nonnegative and not all zero, "
-                f"got {weights!r}"]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -498,114 +499,115 @@ class RegistryEntry:
     default: ScenarioConfig
 
 
-def _agent(id, postulate, n, prior, menu, utility=None, reg="none", n_particles=None):
-    return AgentSpec(id, postulate, n, prior, menu,
-                     utility or {"kind": "uniform"}, reg, n_particles)
+# The slots each metrics kind reads (see ``interaction``): the (slot 0, slot 1)
+# pairs it takes, each slot named by its space and whether it is a source.
+METRIC_SLOTS = {
+    "coin_tomography": ("(interval agent, interval agent)",
+                        "(interval agent, interval source)"),
+    "qubit_tomography": ("(ball agent, ball agent)", "(ball agent, ball source)"),
+    "pair_1d": ("(interval agent, interval agent)",),
+    "pair_ball": ("(ball agent, ball agent)",),
+    "z_marginal": ("(ball agent, interval agent)", "(interval agent, ball agent)"),
+}
 
 
-def _registry() -> dict[str, RegistryEntry]:
-    ball = {"kind": "uniform_ball"}
-    entries = {
-        "coin_tomography": RegistryEntry(
-            "One classical agent estimating the bias of coins from a theta=3/4 source",
-            "coin_tomography",
-            ScenarioConfig("coin_tomography", 42, 1000, (
-                _agent("agent", "classical", 2,
-                       {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0}, "flip"),
-                SourceSpec("source", (0.75,)),
-            ))),
-        "qubit_tomography": RegistryEntry(
-            "One qubit agent taking random Pauli actions on systems from a |+> source",
-            "qubit_tomography",
-            ScenarioConfig("qubit_tomography", 42, 500, (
-                _agent("agent", "quantum", 4, ball, "paulis"),
-                SourceSpec("source", (1.0, 0.0, 0.0)),
-            ))),
-        "classical_pair": RegistryEntry(
-            "Two coin-flipping agents, semicircular vs triangular initial priors",
-            "pair_1d",
-            ScenarioConfig("classical_pair", 42, 1000, (
-                _agent("alice", "classical", 2,
-                       {"kind": "grid_pdf", "name": "semicircle"}, "flip"),
-                _agent("bob", "classical", 2,
-                       {"kind": "grid_pdf", "name": "triangular", "peak": 0.7}, "flip"),
-            ))),
-        "classical_disjoint": RegistryEntry(
-            "Two coin-flipping agents with disjoint uniform priors [0,1/3] and [2/3,1]",
-            "pair_1d",
-            ScenarioConfig("classical_disjoint", 42, 100, (
-                _agent("alice", "classical", 2,
-                       {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0 / 3.0}, "flip"),
-                _agent("bob", "classical", 2,
-                       {"kind": "grid_uniform", "lo": 2.0 / 3.0, "hi": 1.0}, "flip"),
-            ))),
-        "quantum_pair_flat": RegistryEntry(
-            "Two qubit agents exchanging systems, random Pauli actions, flat utilities",
-            "pair_ball",
-            ScenarioConfig("quantum_pair_flat", 42, 100, (
-                _agent("alice", "quantum", 4, ball, "paulis"),
-                _agent("bob", "quantum", 4, ball, "paulis"),
-            ))),
-        "quantum_pair_biasedZ": RegistryEntry(
-            "Two qubit agents; one values the Pauli Z outcomes at 0.98 and 1.02",
-            "pair_ball",
-            ScenarioConfig("quantum_pair_biasedZ", 42, 100, (
-                _agent("alice", "quantum", 4, ball, "paulis"),
-                _agent("bob", "quantum", 4, ball, "paulis",
-                       {"kind": "table", "values": {"Z": [0.98, 1.02]}}),
-            ))),
-        "quinn_clark": RegistryEntry(
-            "Qubit agent (reference action) vs a two-outcome classical agent on the z axis",
-            "z_marginal",
-            ScenarioConfig("quinn_clark", 42, 100, (
-                _agent("quinn", "quantum", 4, ball, "sic_reference",
-                       reg="z_embedding"),
-                _agent("clark", "classical", 2,
-                       {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0}, "z_reference",
-                       reg="z_projection"),
-            ))),
-        "quinn_clara_pauli": RegistryEntry(
-            "Qubit agent vs a 4-outcome classical agent with the same Pauli actions",
-            "pair_ball",
-            ScenarioConfig("quinn_clara_pauli", 42, 100, (
-                _agent("quinn", "quantum", 4, ball, "paulis"),
-                _agent("clara", "classical", 4, ball, "paulis",
-                       reg="support_restriction"),
-            ))),
-        "quinn_clara_sharp": RegistryEntry(
-            "Qubit agent vs a 4-outcome classical agent with sharp non-quantum actions",
-            "pair_ball",
-            ScenarioConfig("quinn_clara_sharp", 42, 100, (
-                _agent("quinn", "quantum", 4, ball, "paulis"),
-                _agent("clara", "classical", 4, ball, "sharp_paulis",
-                       reg="support_restriction"),
-            ))),
-        "prior_coins_simultaneous": RegistryEntry(
-            "Belief polarization: two-sided-coin priors under simultaneous prior sampling",
-            "pair_1d",
-            ScenarioConfig("prior_coins_simultaneous", 42, 10, (
-                _agent("alice", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
-                _agent("bob", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
-            ), interaction="prior_simultaneous")),
-        "prior_coins_turns": RegistryEntry(
-            "Two-sided-coin priors under turn-based prior sampling (always agree)",
-            "pair_1d",
-            ScenarioConfig("prior_coins_turns", 42, 10, (
-                _agent("alice", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
-                _agent("bob", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
-            ), interaction="prior_turns")),
-        "prior_qubits_turns": RegistryEntry(
-            "Four-delta qubit priors, turn-based prior sampling over Z and X actions",
-            "pair_ball",
-            ScenarioConfig("prior_qubits_turns", 42, 20, (
-                _agent("alice", "quantum", 4, {"kind": "four_delta_xz"}, "paulis_zx"),
-                _agent("bob", "quantum", 4, {"kind": "four_delta_xz"}, "paulis_zx"),
-            ), interaction="prior_turns")),
-    }
-    return entries
-
-
-REGISTRY = _registry()
+REGISTRY = {
+    "coin_tomography": RegistryEntry(
+        "One classical agent estimating the bias of coins from a theta=3/4 source",
+        "coin_tomography",
+        ScenarioConfig("coin_tomography", 42, 1000, (
+            AgentSpec("agent", "classical", 2,
+                      {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0}, "flip"),
+            SourceSpec("source", [0.75]),
+        ))),
+    "qubit_tomography": RegistryEntry(
+        "One qubit agent taking random Pauli actions on systems from a |+> source",
+        "qubit_tomography",
+        ScenarioConfig("qubit_tomography", 42, 500, (
+            AgentSpec("agent", "quantum", 4, {"kind": "uniform_ball"}, "paulis"),
+            SourceSpec("source", [1.0, 0.0, 0.0]),
+        ))),
+    "classical_pair": RegistryEntry(
+        "Two coin-flipping agents, semicircular vs triangular initial priors",
+        "pair_1d",
+        ScenarioConfig("classical_pair", 42, 1000, (
+            AgentSpec("alice", "classical", 2,
+                      {"kind": "grid_pdf", "name": "semicircle"}, "flip"),
+            AgentSpec("bob", "classical", 2,
+                      {"kind": "grid_pdf", "name": "triangular", "peak": 0.7}, "flip"),
+        ))),
+    "classical_disjoint": RegistryEntry(
+        "Two coin-flipping agents with disjoint uniform priors [0,1/3] and [2/3,1]",
+        "pair_1d",
+        ScenarioConfig("classical_disjoint", 42, 100, (
+            AgentSpec("alice", "classical", 2,
+                      {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0 / 3.0}, "flip"),
+            AgentSpec("bob", "classical", 2,
+                      {"kind": "grid_uniform", "lo": 2.0 / 3.0, "hi": 1.0}, "flip"),
+        ))),
+    "quantum_pair_flat": RegistryEntry(
+        "Two qubit agents exchanging systems, random Pauli actions, flat utilities",
+        "pair_ball",
+        ScenarioConfig("quantum_pair_flat", 42, 100, (
+            AgentSpec("alice", "quantum", 4, {"kind": "uniform_ball"}, "paulis"),
+            AgentSpec("bob", "quantum", 4, {"kind": "uniform_ball"}, "paulis"),
+        ))),
+    "quantum_pair_biasedZ": RegistryEntry(
+        "Two qubit agents; one values the Pauli Z outcomes at 0.98 and 1.02",
+        "pair_ball",
+        ScenarioConfig("quantum_pair_biasedZ", 42, 100, (
+            AgentSpec("alice", "quantum", 4, {"kind": "uniform_ball"}, "paulis"),
+            AgentSpec("bob", "quantum", 4, {"kind": "uniform_ball"}, "paulis",
+                      utility={"kind": "table", "values": {"Z": [0.98, 1.02]}}),
+        ))),
+    "quinn_clark": RegistryEntry(
+        "Qubit agent (reference action) vs a two-outcome classical agent on the z axis",
+        "z_marginal",
+        ScenarioConfig("quinn_clark", 42, 100, (
+            AgentSpec("quinn", "quantum", 4, {"kind": "uniform_ball"}, "sic_reference",
+                      regularization="z_embedding"),
+            AgentSpec("clark", "classical", 2,
+                      {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0}, "z_reference",
+                      regularization="z_projection"),
+        ))),
+    "quinn_clara_pauli": RegistryEntry(
+        "Qubit agent vs a 4-outcome classical agent with the same Pauli actions",
+        "pair_ball",
+        ScenarioConfig("quinn_clara_pauli", 42, 100, (
+            AgentSpec("quinn", "quantum", 4, {"kind": "uniform_ball"}, "paulis"),
+            AgentSpec("clara", "classical", 4, {"kind": "uniform_ball"}, "paulis",
+                      regularization="support_restriction"),
+        ))),
+    "quinn_clara_sharp": RegistryEntry(
+        "Qubit agent vs a 4-outcome classical agent with sharp non-quantum actions",
+        "pair_ball",
+        ScenarioConfig("quinn_clara_sharp", 42, 100, (
+            AgentSpec("quinn", "quantum", 4, {"kind": "uniform_ball"}, "paulis"),
+            AgentSpec("clara", "classical", 4, {"kind": "uniform_ball"}, "sharp_paulis",
+                      regularization="support_restriction"),
+        ))),
+    "prior_coins_simultaneous": RegistryEntry(
+        "Belief polarization: two-sided-coin priors under simultaneous prior sampling",
+        "pair_1d",
+        ScenarioConfig("prior_coins_simultaneous", 42, 10, (
+            AgentSpec("alice", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
+            AgentSpec("bob", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
+        ), interaction="prior_simultaneous")),
+    "prior_coins_turns": RegistryEntry(
+        "Two-sided-coin priors under turn-based prior sampling (always agree)",
+        "pair_1d",
+        ScenarioConfig("prior_coins_turns", 42, 10, (
+            AgentSpec("alice", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
+            AgentSpec("bob", "classical", 2, {"kind": "two_sided_coin"}, "flip"),
+        ), interaction="prior_turns")),
+    "prior_qubits_turns": RegistryEntry(
+        "Four-delta qubit priors, turn-based prior sampling over Z and X actions",
+        "pair_ball",
+        ScenarioConfig("prior_qubits_turns", 42, 20, (
+            AgentSpec("alice", "quantum", 4, {"kind": "four_delta_xz"}, "paulis_zx"),
+            AgentSpec("bob", "quantum", 4, {"kind": "four_delta_xz"}, "paulis_zx"),
+        ), interaction="prior_turns")),
+}
 
 
 def default_config(scenario: str, seed: int = 42) -> ScenarioConfig:
@@ -621,41 +623,36 @@ def build_runtime(config: ScenarioConfig) -> RunSpec:
     violations = validate_config(config)
     if violations:
         raise ConfigError(violations)
-    entry = REGISTRY[config.scenario]
     slots = []
-    regs = []
     for i, block in enumerate(config.agents):
         if isinstance(block, SourceSpec):
             slots.append(ExogenousSource(block.id, np.asarray(block.point)))
-            regs.append("none")
             continue
-        post = (quantum_postulate() if block.postulate == "quantum"
-                else classical_postulate(block.n_outcomes))
+        *_, build = PRIORS[block.prior["kind"]]
         try:
-            ensemble = _build_ensemble(block.prior, block.n_particles,
-                                       stream(config.seed, "agent", i, "init"))
-        except QBAgentsError:
-            raise
+            ensemble = build(block.prior, block.n_particles,
+                             stream(config.seed, "agent", i, "init"))
+        except QBAgentsError as err:  # such as a grid pdf that is zero at every grid point
+            raise ConfigError([f"agent {block.id!r}: prior {block.prior['kind']!r} on "
+                               f"n_particles {block.n_particles}: {err}"]) from err
         except (MemoryError, ValueError, IndexError) as err:
             # numpy's "array is too big" (ValueError; IndexError from linspace
             # near intp.max) or a MemoryError: a size no config check can know
             raise ConfigError([f"agent {block.id!r}: n_particles {block.n_particles} "
                                f"cannot be allocated ({type(err).__name__}: {err})"]
                               ) from err
-        utility = UtilityFn()
-        if block.utility.get("kind") == "table":
-            utility = UtilityFn({name: tuple(float(v) for v in row)
-                                 for name, row in block.utility["values"].items()})
-        slots.append(Agent(block.id, post, ensemble, _menu(block.menu), utility))
-        regs.append(block.regularization)
+        utility = UtilityFn({name: tuple(float(v) for v in row)
+                             for name, row in block.utility.get("values", {}).items()})
+        slots.append(Agent(block.id, POSTULATES[block.postulate](block.n_outcomes),
+                           ensemble, _menu(block.menu), utility))
     return RunSpec(
         scenario=config.scenario,
         seed=config.seed,
         n_steps=config.n_steps,
         slots=tuple(slots),
-        incoming_reg=tuple(regs),
+        incoming_reg=tuple(getattr(b, "regularization", "none") for b in config.agents),
         mode=config.interaction,
-        metrics_kind=entry.metrics_kind,
+        metrics_kind=REGISTRY[config.scenario].metrics_kind,
         config=config.to_dict(),
     )
 

@@ -1,13 +1,16 @@
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
 
 from qbagents.cli import main
-from qbagents.scenarios import default_config, emit_config
-from test_scenarios import SHAPE_HOLES, VALUE_HOLES, config_with
+from qbagents.errors import ConfigError
+from qbagents.scenarios import default_config, emit_config, parse_config
+from test_scenarios import SHAPE_HOLES, VALUE_HOLES, config_with, mutated_configs
 
 
 @pytest.fixture
@@ -200,6 +203,34 @@ def test_verify_appendix_rejects_bad_counts(runner, args):
     assert result.exit_code == 2
     assert "PASS" not in result.output
     assert args[0] in result.output
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_batch_rejects_bad_seed_count(runner, tmp_path, seeds):
+    result = runner.invoke(main, ["batch", write_config(tmp_path), "--seeds", seeds,
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "--seeds" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_configs())
+def test_rejected_mutations_exit_2(text):
+    try:
+        parse_config(text)
+    except ConfigError as err:
+        violations = err.violations
+    else:
+        violations = None
+    assume(violations is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf8") as fh:
+            fh.write(text)
+        result = CliRunner().invoke(main, ["run", path, "--out-dir", os.path.join(tmp, "o")])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr) == {"error": "config", "violations": violations}
 
 
 @pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])

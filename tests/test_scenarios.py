@@ -1,16 +1,26 @@
 import json
 import os
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbagents.errors import ConfigError, ImpossibleOutcomeError
 from qbagents.inference import DEFAULT_BALL_PARTICLES
+from qbagents.interaction import MODES, REGULARIZERS
 from qbagents.core_math import DEFAULT_GRID_POINTS
 from qbagents.scenarios import (
     EARLY_STEP,
+    FIELDS,
+    GRID_PDFS,
+    MENUS,
+    POSTULATES,
+    PRIORS,
     REGISTRY,
+    UTILITIES,
     batch,
     build_runtime,
     default_config,
@@ -64,6 +74,16 @@ SHAPE_HOLES = [
      "agent 'agent': unknown grid pdf [1]"),
 ]
 
+ABSENT = object()  # a value for ``config_with`` that deletes the key at the path
+
+# every field without a dataclass default is required
+SHAPE_HOLES += [((key,), ABSENT, f"missing config key {key!r}")
+                for key in ("scenario", "seed", "n_steps", "agents")]
+SHAPE_HOLES += [(("agents", slot, key), ABSENT, f"agents[{slot}]: missing key {key!r}")
+                for slot, keys in ((0, ("id", "postulate", "n_outcomes", "prior", "menu")),
+                                   (1, ("id", "point")))
+                for key in keys]
+
 
 # (path, value, the one violation) for values that pass the shape check but
 # from which no runtime can be built
@@ -76,6 +96,30 @@ VALUE_HOLES = [
     (("agents", 0, "n_particles"), int(np.iinfo(np.intp).max) + 1,
      f"agent 'agent': n_particles must be at most {np.iinfo(np.intp).max}, "
      f"got {int(np.iinfo(np.intp).max) + 1}"),
+    # parameters a prior or utility kind does not take
+    (("agents", 0, "prior"), {"kind": "grid_uniform", "lo": 0.0, "hi_typo": 0.5},
+     "agent 'agent': prior 'grid_uniform': unknown parameters ['hi_typo']"),
+    (("agents", 0, "prior"), {"kind": "grid_beta", "alpha": 2.0, "beta": 3.0, "mode": 0.4},
+     "agent 'agent': prior 'grid_beta': unknown parameters ['mode']"),
+    (("agents", 0, "prior"), {"kind": "delta", "points": [0.5], "weight": [1.0]},
+     "agent 'agent': prior 'delta': unknown parameters ['weight']"),
+    (("agents", 0, "prior"), {"kind": "two_sided_coin", "p": 0.5},
+     "agent 'agent': prior 'two_sided_coin': unknown parameters ['p']"),
+    (("agents", 0, "utility"), {"kind": "uniform", "values": {"flip": [1.0, 2.0]}},
+     "agent 'agent': utility 'uniform': unknown parameters ['values']"),
+    # a source is marked by JSON true and nothing else
+    (("agents", 1, "source"), "yes", "source 'source': source must be true, got 'yes'"),
+    (("agents", 1, "source"), False, "source 'source': source must be true, got False"),
+    (("agents", 1, "source"), 1, "source 'source': source must be true, got 1"),
+    # the slots a scenario's metrics read
+    (("scenario",), "classical_pair", "scenario 'classical_pair' takes "
+     "(interval agent, interval agent), got (interval agent, interval source)"),
+    (("scenario",), "qubit_tomography", "scenario 'qubit_tomography' takes "
+     "(ball agent, ball agent) or (ball agent, ball source), "
+     "got (interval agent, interval source)"),
+    # a regularization maps between the spaces of the pair
+    (("agents", 0, "regularization"), "z_projection", "agent 'agent': regularization "
+     "'z_projection' maps the ball onto the interval, not the interval onto the interval"),
 ]
 
 
@@ -85,7 +129,10 @@ def config_with(path, value) -> str:
     target = data
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is ABSENT:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return json.dumps(data)
 
 
@@ -143,6 +190,22 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(data))
         assert any("point outside" in v for v in err.value.violations)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("path,value", [
+        (("agents", 1, "point"), [1e300, 0.0, 0.0]),
+        (("agents", 0, "prior"), {"kind": "delta", "points": [[0.0, -1e300, 1e300]]}),
+    ])
+    def test_huge_bloch_point_rejected_without_warning(self, path, value):
+        # a numpy overflow warning would go to stderr before the CLI's JSON error
+        data = json.loads(emit_config(default_config("qubit_tomography")))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert any("outside the Bloch ball" in v for v in err.value.violations)
 
     def test_negative_steps(self):
         data = json.loads(emit_config(default_config("coin_tomography")))
@@ -265,6 +328,20 @@ class TestValidation:
             "agent 'agent': delta prior points must be a list of finite numbers or "
             f"of 1- or 3-component lists of them, got {points!r}"]
 
+    @pytest.mark.parametrize("name,slot,postulate,n,menu", [
+        ("classical_disjoint", 1, "classical", 4, "paulis"),
+        ("quinn_clark", 1, "quantum", 4, "paulis"),
+    ])
+    def test_prior_space_must_fit_n_outcomes(self, name, slot, postulate, n, menu):
+        # an agent's beliefs must be states of its postulate: a scalar for
+        # N = 2, a Bloch vector for N = 4
+        data = json.loads(emit_config(default_config(name)))
+        data["agents"][slot].update(postulate=postulate, n_outcomes=n, menu=menu)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert (f"agent {data['agents'][slot]['id']!r}: prior kind 'grid_uniform' lies "
+                "in the interval; N=4 needs the ball") in err.value.violations
+
     def test_malformed_prior_gives_no_regularization_violation(self):
         # clark's z_projection cannot be checked against a prior of no known
         # space; the prior's own violation is the only one
@@ -374,6 +451,17 @@ class TestUnallocatableEnsemble:
     def test_batch_raises_it(self):
         with pytest.raises(ConfigError):
             batch(self.sized("coin_tomography", 2**62), 2)
+
+    def test_grid_pdf_zero_at_every_point(self):
+        # two grid points sit at 0 and 1, where the semicircle vanishes
+        cfg = default_config("classical_pair", seed=1)
+        cfg = replace(cfg, agents=(replace(cfg.agents[0], n_particles=2), cfg.agents[1]))
+        assert validate_config(cfg) == []
+        with pytest.raises(ConfigError) as info:
+            build_runtime(cfg)
+        assert info.value.violations == [
+            "agent 'alice': prior 'grid_pdf' on n_particles 2: "
+            "pdf is zero everywhere on the grid"]
 
 
 class TestDefaults:
@@ -507,3 +595,92 @@ class TestBatch:
         small = replace(small_config("quantum_pair_flat", seed=100), n_steps=100)
         result = batch(small, 10)
         assert result.aggregates["mean_trace_distance"]["median"] < 0.2
+
+
+class TestCrossRegistry:
+    """Every registry scenario paired with every other scenario's agents: the
+    scenario's metrics read slots of a fixed kind, so a pairing either runs
+    or is one ``ConfigError``, never a crash inside the run."""
+
+    @pytest.mark.parametrize("scenario,agents_of", [
+        (scenario, agents_of) for scenario in sorted(REGISTRY)
+        for agents_of in sorted(REGISTRY) if agents_of != scenario])
+    def test_pair_runs_or_is_rejected(self, scenario, agents_of):
+        cfg = replace(small_config(agents_of), scenario=scenario)
+        try:
+            trace = run_config(cfg)
+        except (ConfigError, ImpossibleOutcomeError):
+            return
+        assert len(trace.records) == SMALL["n_steps"]
+
+
+def _paths(node, path=()):
+    """The path of every key and list index in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+VOCABULARY = sorted({*REGISTRY, *PRIORS, *MENUS, *POSTULATES, *UTILITIES, *GRID_PDFS,
+                     *MODES, *REGULARIZERS, "X", "Z", "source", "kind", ""})
+# no value here allocates a large ensemble: 2**62 is refused by numpy before it
+# allocates, and intp max + 1 by the config check
+POOL = [None, True, False, *range(-3, 21), 2**62, int(np.iinfo(np.intp).max) + 1,
+        0.0, 0.5, 1.0, -0.5, 1.5, 2.0, 1e300, float("inf"), float("-inf"), float("nan"),
+        *VOCABULARY, [], [0.5], [1.0, 0.0, 0.0], [0.3, 0.3], [[0.2], [0.8]], ["a"], [[]],
+        {}, {"kind": "uniform"}, {"kind": "uniform_ball"}, {"kind": "grid_uniform"},
+        {"kind": "delta", "points": [0.5]}, {"kind": "delta", "points": [[0.0, 0.0, 1.0]]},
+        {"kind": "table", "values": {"Z": [1.0, 2.0]}}, {"Z": [1.0, 2.0]},
+        {"id": "x", "source": True, "point": [0.5]}, ABSENT]
+
+
+@st.composite
+def mutated_configs(draw) -> str:
+    """A registry config at small ensemble sizes with one key, at any depth,
+    set to a value from ``POOL`` (``ABSENT`` deletes it)."""
+    cfg = small_config(draw(st.sampled_from(sorted(REGISTRY))))
+    data = json.loads(emit_config(cfg))
+    path = draw(st.sampled_from(list(_paths(data))))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    value = draw(st.sampled_from(POOL))
+    if value is ABSENT:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return json.dumps(data)
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(mutated_configs())
+    def test_mutation_runs_or_is_one_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError as err:
+            assert err.violations
+            return
+        cfg = replace(cfg, n_steps=min(cfg.n_steps, SMALL["n_steps"]))
+        try:
+            trace = run_config(cfg)
+        except (ConfigError, ImpossibleOutcomeError):
+            return
+        assert len(trace.records) == cfg.n_steps
+
+
+class TestSchemaGuard:
+    """A new field, prior kind or menu cannot skip its check or its
+    documentation."""
+
+    @pytest.mark.parametrize("cls", list(FIELDS))
+    def test_field_table_covers_the_dataclass(self, cls):
+        assert list(FIELDS[cls]) == [f.name for f in fields(cls)]
+
+    @pytest.mark.parametrize("name", sorted({*PRIORS, *MENUS}))
+    def test_prior_kinds_and_menus_documented(self, name):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        section = re.search(r"^### Configs$(.*?)^### ", readme, re.S | re.M).group(1)
+        assert f"`{name}`" in section
