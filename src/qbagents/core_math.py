@@ -36,6 +36,16 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def is_int(least: int):
+    """The check that a value is an integer (not a bool) of at least ``least``."""
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def one_of(names):
+    """The check that a value is a string among ``names``."""
+    return lambda v: isinstance(v, str) and v in names
+
+
 def as_prob_vector(entries, *, name: str = "probability vector") -> np.ndarray:
     """Validate, clamp and renormalize a probability vector.
 

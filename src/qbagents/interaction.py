@@ -26,11 +26,11 @@ Cross-species regularizations (a qubit party facing a two-outcome party):
   in the prior, whose support must already sit inside the quantum region.
 
 Validation happens when agents and the ``RunSpec`` are built, never per step:
-agents check their actions and priors, the spec checks every exogenous source
-point against its receiver and resolves each slot's regularization to one
-function, and agent broadcasts (means of, or draws from, valid ensembles) are
-valid by construction.  ``regularize`` and ``sample_outcome`` are the checked
-forms of the same maps and draw, for points from outside.
+agents check their actions and priors; the spec checks its fields, the slot
+rules a config shares (``slot_problems``) and its source points, and resolves
+each slot's regularization to one function.  Agent broadcasts (means of, or
+draws from, valid ensembles) are valid by construction.  ``regularize`` and
+``sample_outcome`` are the checked forms of the same maps and draw.
 
 A step is then a flat kernel over agent-owned state: the choice uses the
 agent's cached mean, the outcome kernel evaluates the receiver's stored rows
@@ -56,14 +56,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import Agent, broadcast_point, choose_action
+from .core_math import is_int, one_of
 from .errors import ImpossibleOutcomeError, ValidationError
 from .inference import bayes_update, maybe_resample, posterior_summary
 from .postulate import (
+    Interval,
     PhysicalPostulate,
+    QubitBall,
     apply_postulate,
-    is_valid_state,
     outcome_probs,
     ref_probs_of_points,
+    region_with,
+    where_outside,
 )
 from .quantum import bloch_to_density, frequency_operator, trace_distance
 from .rng import agent_streams, draw_index, draw_outcome
@@ -85,13 +89,13 @@ class ExogenousSource:
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float).ravel())
 
 
-# Each regularization's map of a broadcast into the receiver's parameter
-# space, unchecked: a RunSpec resolves its slots' maps once.
+# Each regularization -> (receiver space, sender space, unchecked map of a
+# broadcast into the receiver's space); ``none`` keeps the receiver's space.
 REGULARIZERS = {
-    "none": lambda p: p,
-    "z_projection": lambda p: np.array([(1.0 + p[2]) / 2.0]),
-    "z_embedding": lambda p: np.array([0.0, 0.0, 2.0 * p[0] - 1.0]),
-    "support_restriction": lambda p: p,
+    "none": (None, None, lambda p: p),
+    "z_projection": (Interval, QubitBall, lambda p: np.array([(1.0 + p[2]) / 2.0])),
+    "z_embedding": (QubitBall, Interval, lambda p: np.array([0.0, 0.0, 2.0 * p[0] - 1.0])),
+    "support_restriction": (QubitBall, QubitBall, lambda p: p),
 }
 
 
@@ -101,12 +105,13 @@ def regularize(kind: str, point: np.ndarray) -> np.ndarray:
     sender's size (a Bloch point or a scalar)."""
     if kind not in REGULARIZERS:
         raise ValidationError(f"unknown regularization {kind!r}")
-    size = {"z_projection": 3, "z_embedding": 1}.get(kind)
-    if size is not None:
+    receiver, sender, to_receiver = REGULARIZERS[kind]
+    if sender is not receiver:
         point = np.asarray(point, dtype=float).ravel()
-        if point.size != size:
-            raise ValidationError(f"{kind} expects a point of size {size}, got {point.size}")
-    return REGULARIZERS[kind](point)
+        if point.size != sender.dim:
+            raise ValidationError(f"{kind} expects a point of size {sender.dim}, "
+                                  f"got {point.size}")
+    return to_receiver(point)
 
 
 def sample_outcome(post: PhysicalPostulate, broadcast: np.ndarray, R,
@@ -156,9 +161,88 @@ class Trace:
     clouds: dict = field(default_factory=dict)
 
 
+def _source_point(slot, summary) -> np.ndarray:
+    if _is_agent(slot):
+        return np.asarray(summary.mean, dtype=float)
+    return slot.point
+
+
+def _mean_state(summary) -> np.ndarray:
+    bloch = np.asarray(summary.mean, dtype=float)
+    norm = np.linalg.norm(bloch)
+    if norm > 1.0:
+        bloch = bloch / norm
+    return bloch_to_density(bloch)
+
+
+def _coin_tomography(slots, summaries, step: int) -> dict:
+    # Slot 0 is the learner; slot 1 is the source side (an exogenous source or
+    # the delta-prior agent standing in for one).
+    mean = summaries[0].mean[0]
+    freq = sum(c for (_a, j), c in slots[0].counts.items() if j == 0) / step
+    return {
+        "dist_to_frequency": abs(mean - freq),
+        "dist_to_source": abs(mean - _source_point(slots[1], summaries[1])[0]),
+        "running_frequency": freq,
+    }
+
+
+def _qubit_tomography(slots, summaries, step: int) -> dict:
+    state = _mean_state(summaries[0])
+    source_state = bloch_to_density(_source_point(slots[1], summaries[1]))
+    named = {(slots[0].menu[a].name, j): c for (a, j), c in slots[0].counts.items()}
+    freq_op, _missing = frequency_operator(
+        {ax.lower(): (named.get((ax, 0), 0), named.get((ax, 1), 0)) for ax in "XYZ"})
+    return {
+        "dist_to_frequency": trace_distance(state, freq_op),
+        "dist_to_source": trace_distance(state, source_state),
+    }
+
+
+def _z_marginal(slots, summaries, step: int) -> dict:
+    ball = 0 if summaries[0].mean.size == 3 else 1
+    c_ball = summaries[ball].mean[2]
+    embedded = bloch_to_density(REGULARIZERS["z_embedding"][2](summaries[1 - ball].mean))
+    marginal = bloch_to_density(np.array([0.0, 0.0, np.clip(c_ball, -1.0, 1.0)]))
+    return {"z_gap": trace_distance(embedded, marginal)}
+
+
+# Each metrics kind -> (the (slot 0, slot 1) kinds it reads, None for any; its
+# function of the slots, their posterior summaries and the step).
+METRICS = {
+    "none": (None, lambda slots, summaries, step: {}),
+    "coin_tomography": (("(interval agent, interval agent)",
+                         "(interval agent, interval source)"), _coin_tomography),
+    "qubit_tomography": (("(ball agent, ball agent)", "(ball agent, ball source)"),
+                         _qubit_tomography),
+    "pair_1d": (("(interval agent, interval agent)",), lambda slots, summaries, step: {
+        "mean_gap": abs(summaries[0].mean[0] - summaries[1].mean[0])}),
+    "pair_ball": (("(ball agent, ball agent)",), lambda slots, summaries, step: {
+        "mean_trace_distance": trace_distance(_mean_state(summaries[0]),
+                                              _mean_state(summaries[1]))}),
+    "z_marginal": (("(ball agent, interval agent)", "(interval agent, ball agent)"),
+                   _z_marginal),
+}
+
+
+# A RunSpec's field -> (check, message about its value ``v``); a config shares
+# the first three.
+RUN_FIELDS = {
+    "seed": (is_int(0), "seed must be an integer >= 0, got {v!r}"),
+    "n_steps": (is_int(0), "n_steps must be an integer >= 0, got {v!r}"),
+    "mode": (one_of(MODES), "unknown interaction mode {v!r}"),
+    "slots": (lambda v: len(v) == 2 and all(isinstance(s, (Agent, ExogenousSource)) for s in v),
+              "exactly two slots, each an agent or a source, are supported"),
+    "incoming_reg": (lambda v: len(v) == 2 and all(map(one_of(REGULARIZERS), v)),
+                     "incoming_reg must name a regularization per slot, got {v!r}"),
+    "metrics_kind": (one_of(METRICS), "unknown metrics kind {v!r}"),
+}
+
+
 @dataclass
 class RunSpec:
-    """A fully built scenario, ready to execute."""
+    """A fully built scenario, ready to execute; building one raises one
+    ``ValidationError`` that lists every violation of its rules."""
 
     scenario: str
     seed: int
@@ -171,31 +255,64 @@ class RunSpec:
     regularizers: tuple = field(init=False, repr=False)  # one map per slot
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown interaction mode {self.mode!r}")
-        if len(self.slots) != 2:
-            raise ValidationError("exactly two interaction slots are supported")
-        for reg in self.incoming_reg:
-            if reg not in REGULARIZERS:
-                raise ValidationError(f"unknown regularization {reg!r}")
-        self.regularizers = tuple(REGULARIZERS[reg] for reg in self.incoming_reg)
-        if self.n_steps < 0:
-            raise ValidationError("n_steps must be nonnegative")
-        for i, slot in enumerate(self.slots):
-            receiver = self.slots[1 - i]
-            if _is_agent(slot) or not _is_agent(receiver):
-                continue
-            point = regularize(self.incoming_reg[1 - i], slot.point)
-            post = receiver.postulate
-            if not (np.all(np.isfinite(point))
-                    and is_valid_state(post, ref_probs_of_points(post, point)[0])):
-                raise ValidationError(
-                    f"source {slot.id!r}: point {slot.point.tolist()} is not a "
-                    f"valid state for agent {receiver.id!r}")
+        problems = [message.format(v=getattr(self, name))
+                    for name, (check, message) in RUN_FIELDS.items()
+                    if not check(getattr(self, name))]
+        if not problems:
+            kinds = []
+            for slot in self.slots:
+                if _is_agent(slot):
+                    kinds.append((slot.id, slot.ensemble.region.space, "agent"))
+                    continue
+                own, space = source_rules(slot.point)
+                problems += [f"source {slot.id!r}: {msg}" for msg in own]
+                kinds.append((slot.id, space, "source"))
+            problems += slot_problems(kinds, self.incoming_reg, self.scenario,
+                                      self.metrics_kind)
+        if problems:
+            raise ValidationError("; ".join(problems))
+        self.regularizers = tuple(REGULARIZERS[reg][2] for reg in self.incoming_reg)
+
+
+def slot_problems(slots, regs, scenario, metrics_kind: str) -> list[str]:
+    """Every violation of the slot rules (distinct ids, each agent's
+    regularization maps the other slot's space onto its own, the metrics read
+    the slots) by two slots given as (id, space, "agent" or "source"), the
+    regularizations they receive by (an unknown one unchecked) and the metrics kind.
+    A slot of space None (a malformed prior or point) has its id checked only."""
+    (first, *_), (second, *_) = slots
+    problems = [f"id {first!r} is used by more than one agent or source; "
+                "ids must be distinct"] if first == second else []
+    if any(space is None for _id, space, _role in slots):
+        return problems
+    for (slot_id, mine, role), (_id, other, _role), reg in zip(slots, slots[::-1], regs):
+        if role == "source" or not one_of(REGULARIZERS)(reg):
+            continue
+        receiver, sender, _map = REGULARIZERS[reg]
+        need = (receiver.space, sender.space) if receiver else (mine, mine)
+        if need != (mine, other):
+            problems.append(f"agent {slot_id!r}: regularization {reg!r} maps the {need[1]} "
+                            f"onto the {need[0]}, not the {other} onto the {mine}")
+    takes = METRICS[metrics_kind][0]
+    got = "({} {}, {} {})".format(*slots[0][1:], *slots[1][1:])
+    if takes is not None and got not in takes:
+        problems.append(f"scenario {scenario!r} takes {' or '.join(takes)}, got {got}")
+    return problems
 
 
 def _is_agent(slot) -> bool:
     return isinstance(slot, Agent)
+
+
+def source_rules(point) -> tuple[list[str], str | None]:
+    """A source point's size and range, and its space (None when it breaks them).
+    The slot rules match the space to the receiver's, so a point in range is a
+    valid state for it."""
+    region = region_with(dim=len(point))
+    if region is None:
+        return ["point must have 1 or 3 components"], None
+    where = where_outside(np.asarray([point], dtype=float))
+    return ([f"point outside {where}"], None) if where else ([], region.space)
 
 
 def _summary_dict(agent: Agent) -> dict:
@@ -294,8 +411,9 @@ def _record(spec, slots, step_agents, step) -> InteractionRecord:
             semi_major=s.semi_major,
             ess=slot.ensemble.ess(),
         ))
-    metrics = _metrics(spec.metrics_kind, slots, summaries, step)
-    return InteractionRecord(step, tuple(rec_agents), metrics)
+    metrics = METRICS[spec.metrics_kind][1](slots, summaries, step)
+    return InteractionRecord(step, tuple(rec_agents),
+                             {k: float(v) for k, v in metrics.items()})
 
 
 def _step(spec, slots, streams, step):
@@ -331,62 +449,5 @@ def _step(spec, slots, streams, step):
 
 
 def _snapshot_steps(n_steps: int) -> set[int]:
-    if n_steps <= 0:
-        return set()
     quarters = {round(n_steps * k / 4) for k in range(1, 5)}
     return {s for s in quarters if s >= 1}
-
-
-def _source_point(slot, summary) -> np.ndarray:
-    if _is_agent(slot):
-        return np.asarray(summary.mean, dtype=float)
-    return slot.point
-
-
-def _mean_state(summary) -> np.ndarray:
-    bloch = np.asarray(summary.mean, dtype=float)
-    norm = np.linalg.norm(bloch)
-    if norm > 1.0:
-        bloch = bloch / norm
-    return bloch_to_density(bloch)
-
-
-def _metrics(kind: str, slots, summaries, step: int) -> dict:
-    if kind == "none":
-        out = {}
-    elif kind == "coin_tomography":
-        # Slot 0 is the learner; slot 1 is the source side (an exogenous
-        # source or the delta-prior agent standing in for one).
-        mean = summaries[0].mean[0]
-        heads = sum(c for (_a, j), c in slots[0].counts.items() if j == 0)
-        freq = heads / step
-        out = {
-            "dist_to_frequency": abs(mean - freq),
-            "dist_to_source": abs(mean - _source_point(slots[1], summaries[1])[0]),
-            "running_frequency": freq,
-        }
-    elif kind == "qubit_tomography":
-        state = _mean_state(summaries[0])
-        source_state = bloch_to_density(_source_point(slots[1], summaries[1]))
-        named = {(slots[0].menu[a].name, j): c for (a, j), c in slots[0].counts.items()}
-        freq_op, _missing = frequency_operator(
-            {ax.lower(): (named.get((ax, 0), 0), named.get((ax, 1), 0)) for ax in "XYZ"})
-        out = {
-            "dist_to_frequency": trace_distance(state, freq_op),
-            "dist_to_source": trace_distance(state, source_state),
-        }
-    elif kind == "pair_1d":
-        out = {"mean_gap": abs(summaries[0].mean[0] - summaries[1].mean[0])}
-    elif kind == "pair_ball":
-        out = {"mean_trace_distance": trace_distance(_mean_state(summaries[0]),
-                                                     _mean_state(summaries[1]))}
-    elif kind == "z_marginal":
-        ball = 0 if summaries[0].mean.size == 3 else 1
-        c_ball = summaries[ball].mean[2]
-        theta = summaries[1 - ball].mean[0]
-        embedded = bloch_to_density(np.array([0.0, 0.0, 2.0 * theta - 1.0]))
-        marginal = bloch_to_density(np.array([0.0, 0.0, np.clip(c_ball, -1.0, 1.0)]))
-        out = {"z_gap": trace_distance(embedded, marginal)}
-    else:
-        raise ValidationError(f"unknown metrics kind {kind!r}")
-    return {k: float(v) for k, v in out.items()}

@@ -18,8 +18,9 @@ ball inscribed in the 4-outcome simplex.
 Parameter regions
 -----------------
 Agents represent beliefs as densities over a parameter region.  Regions know
-their particle dimension, how to test membership, how to sample uniformly, and
-how to embed parameter points into reference probability vectors:
+their space's name and sizes (``dim``, ``ref_dim``; see ``region_with``), how
+to test membership, how to sample uniformly, and how to embed parameter
+points into reference probability vectors:
 
 * ``Interval(lo, hi)``: theta in [lo, hi], embedded as (theta, 1 - theta).
 * ``QubitBall()``: Bloch points, embedded as tetrahedral SIC probabilities.
@@ -59,6 +60,7 @@ class Interval:
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ValidationError(f"invalid interval [{self.lo}, {self.hi}]")
 
+    space = "interval"
     dim = 1
     ref_dim = 2
 
@@ -78,6 +80,7 @@ class Interval:
 class QubitBall:
     """The unit Bloch ball, the valid states of the qubit SIC postulate."""
 
+    space = "ball"
     dim = 3
     ref_dim = 4
 
@@ -93,6 +96,20 @@ class QubitBall:
 
     def to_ref_probs(self, points) -> np.ndarray:
         return sic_probs_from_bloch(np.asarray(points, dtype=float).reshape(-1, 3))
+
+
+def region_with(**sizes):
+    """The region class with the given ``dim`` or ``ref_dim``, or None."""
+    return next((region for region in (Interval, QubitBall)
+                 if all(getattr(region, k) == v for k, v in sizes.items())), None)
+
+
+def where_outside(pts: np.ndarray) -> str | None:
+    """Where (n, 1) points leave [0, 1] or (n, 3) points the Bloch ball, if they do."""
+    if pts.shape[1] == 3:  # clipped, so that the norm cannot overflow
+        norms = np.linalg.norm(np.clip(pts, -2.0, 2.0), axis=1)
+        return None if np.all(norms <= 1.0 + 1e-9) else "the Bloch ball"
+    return None if np.all((pts >= 0.0) & (pts <= 1.0)) else "[0, 1]"
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,12 @@
 """Scenario registry, configuration handling, and the batch runner.
 
-Configs are JSON documents with a flat schema:
-
-    {
-      "scenario": "coin_tomography",
-      "seed": 42,
-      "n_steps": 1000,
-      "interaction": "expectation",
-      "summary_interval": 10,
-      "agents": [
-        {"id": "agent", "postulate": "classical", "n_outcomes": 2,
-         "prior": {"kind": "grid_uniform", "lo": 0.0, "hi": 1.0},
-         "menu": "flip", "utility": {"kind": "uniform"},
-         "regularization": "none", "n_particles": null},
-        {"id": "source", "source": true, "point": [0.75]}
-      ],
-      "out_dir": null
-    }
-
-``parse_config`` validates everything up front, driven by the field, prior and
-menu tables (``FIELDS``, ``PRIORS``, ``MENUS``), and reports the complete list
-of violations at once.  Registry entries provide full default configs, so
-``parse_config(emit_config(default))`` is the identity.
+Configs are flat JSON documents (``emit_config(default_config(name))`` prints
+a registry default; README, "Configs", documents every key).  ``parse_config``
+validates everything up front, driven by the field, prior and menu tables
+(``FIELDS``, ``PRIORS``, ``MENUS``) and the slot rules a config shares with
+``interaction.RunSpec`` (``interaction.slot_problems``), and reports the
+complete list of violations at once.  Registry entries provide full default
+configs, so ``parse_config(emit_config(default))`` is the identity.
 """
 
 from __future__ import annotations
@@ -34,7 +19,7 @@ from functools import cache, partial
 import numpy as np
 
 from .agents import Action, Agent, UtilityFn
-from .core_math import DEFAULT_GRID_POINTS, PROB_TOL, BetaParams, beta_pdf
+from .core_math import DEFAULT_GRID_POINTS, PROB_TOL, BetaParams, beta_pdf, is_int, one_of
 from .errors import ConfigError, ImpossibleOutcomeError, QBAgentsError, ValidationError
 from .inference import (
     DEFAULT_BALL_PARTICLES,
@@ -44,12 +29,14 @@ from .inference import (
 )
 from .interaction import (
     EXPECTATION,
-    MODES,
     REGULARIZERS,
+    RUN_FIELDS,
     ExogenousSource,
     RunSpec,
     Trace,
     run,
+    slot_problems,
+    source_rules,
 )
 from .postulate import (
     Interval,
@@ -58,18 +45,12 @@ from .postulate import (
     min_likelihood,
     phi_matrix,
     quantum_postulate,
+    region_with,
     sqrt_phi,
+    where_outside,
 )
 from .quantum import conditional_matrix, pauli_povm, sic_d2
 from .rng import stream
-
-
-def _is_int(least: int):
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
-
-
-def _one_of(names):
-    return lambda v: isinstance(v, str) and v in names
 
 
 def _is_real(value) -> bool:
@@ -100,25 +81,10 @@ def triangular_pdf(theta, peak: float = 0.7):
 # grid pdf name -> (density, the parameters it takes)
 GRID_PDFS = {"semicircle": (semicircle_pdf, ()), "triangular": (triangular_pdf, ("peak",))}
 
-SPACE_OF_DIM = {1: "interval", 3: "ball"}  # a point's components -> its space
-SPACE_OF_N = {2: "interval", 4: "ball"}  # a postulate's outcome count -> its space
-# regularization -> the (receiver, sender) spaces it maps between; "none" takes
-# a broadcast in the receiver's own space
-REG_SPACES = {"z_projection": ("interval", "ball"), "z_embedding": ("ball", "interval"),
-              "support_restriction": ("ball", "ball")}
-
 
 def _unknown_params(params: dict, allowed, label: str) -> list[str]:
     extra = sorted(set(params) - {"kind", *allowed})
     return [f"{label}: unknown parameters {extra}"] if extra else []
-
-
-def _outside(pts: np.ndarray) -> str | None:
-    """Where (n, 1) points leave [0, 1] or (n, 3) points the Bloch ball, if they do."""
-    if pts.shape[1] == 3:  # clipped, so that the norm cannot overflow
-        norms = np.linalg.norm(np.clip(pts, -2.0, 2.0), axis=1)
-        return None if np.all(norms <= 1.0 + 1e-9) else "the Bloch ball"
-    return None if np.all((pts >= 0.0) & (pts <= 1.0)) else "[0, 1]"
 
 
 def _grid_uniform_problems(prior: dict) -> list[str]:
@@ -130,7 +96,7 @@ def _grid_uniform_problems(prior: dict) -> list[str]:
 
 def _grid_pdf_problems(prior: dict) -> list[str]:
     name, peak = prior.get("name"), prior.get("peak")
-    if not _one_of(GRID_PDFS)(name):
+    if not one_of(GRID_PDFS)(name):
         return [f"unknown grid pdf {name!r}"]
     extra = _unknown_params(prior, ("name", *GRID_PDFS[name][1]), f"grid pdf {name!r}")
     if not extra and "peak" in prior and not (_is_number(peak) and 0.0 < peak < 1.0):
@@ -167,7 +133,7 @@ def _delta_problems(prior: dict) -> list[str]:
                 f"3-component lists of them, got {prior.get('points')!r}"]
     if pts.size == 0:
         return ["delta prior needs at least one point"]
-    if where := _outside(pts):
+    if where := where_outside(pts):
         return [f"delta prior point outside {where}"]
     # Absent, null or empty weights mean equal weights (see ``_delta_ensemble``).
     if weights is None or (isinstance(weights, (list, tuple)) and not weights):
@@ -184,7 +150,7 @@ def _delta_problems(prior: dict) -> list[str]:
 def _delta_ensemble(prior: dict):
     pts = _delta_points(prior)
     weights = prior.get("weights") or [1.0 / len(pts)] * len(pts)
-    return delta_ensemble(pts, weights, QubitBall() if pts.shape[1] == 3 else Interval())
+    return delta_ensemble(pts, weights, region_with(dim=pts.shape[1])())
 
 
 def _grid(prior: dict, n: int | None, pdf=None):
@@ -192,25 +158,25 @@ def _grid(prior: dict, n: int | None, pdf=None):
     return grid_ensemble(interval, n or DEFAULT_GRID_POINTS, pdf=pdf)
 
 
-# The prior table: kind -> (the space of its points, None when a delta prior's
+# The prior table: kind -> (the region of its points, None when a delta prior's
 # points decide; the parameters it takes; the check of their values, which for a
 # grid pdf covers its own parameters; the builder (prior, n_particles, init_rng)).
 PRIORS = {
-    "grid_uniform": ("interval", ("lo", "hi"), _grid_uniform_problems,
+    "grid_uniform": (Interval, ("lo", "hi"), _grid_uniform_problems,
                      lambda p, n, rng: _grid(p, n)),
-    "grid_pdf": ("interval", ("name", "peak"), _grid_pdf_problems,
+    "grid_pdf": (Interval, ("name", "peak"), _grid_pdf_problems,
                  lambda p, n, rng: _grid(p, n, partial(GRID_PDFS[p["name"]][0], **{
                      k: p[k] for k in GRID_PDFS[p["name"]][1] if k in p}))),
-    "grid_beta": ("interval", ("alpha", "beta"), _grid_beta_problems,
+    "grid_beta": (Interval, ("alpha", "beta"), _grid_beta_problems,
                   lambda p, n, rng: _grid(p, n, partial(
                       beta_pdf, p=BetaParams(p["alpha"], p["beta"])))),
-    "uniform_ball": ("ball", (), lambda p: [], lambda p, n, rng: sample_uniform(
+    "uniform_ball": (QubitBall, (), lambda p: [], lambda p, n, rng: sample_uniform(
         QubitBall(), n or DEFAULT_BALL_PARTICLES, rng)),
     "delta": (None, ("points", "weights"), _delta_problems,
               lambda p, n, rng: _delta_ensemble(p)),
-    "two_sided_coin": ("interval", (), lambda p: [],
+    "two_sided_coin": (Interval, (), lambda p: [],
                        lambda p, n, rng: _delta_ensemble({"points": [0.0, 1.0]})),
-    "four_delta_xz": ("ball", (), lambda p: [], lambda p, n, rng: _delta_ensemble(
+    "four_delta_xz": (QubitBall, (), lambda p: [], lambda p, n, rng: _delta_ensemble(
         {"points": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]})),
 }
 
@@ -247,7 +213,8 @@ def _menu(name: str) -> tuple[Action, ...]:
     return MENUS[name]()
 
 
-POSTULATES = {"classical": classical_postulate, "quantum": lambda n: quantum_postulate()}
+# one quantum postulate per process: it is frozen, and costly to build
+POSTULATES = {"classical": classical_postulate, "quantum": cache(lambda n: quantum_postulate())}
 
 UTILITIES = {"uniform": (), "table": ("values",)}  # kind -> the parameters it takes
 
@@ -255,7 +222,7 @@ UTILITIES = {"uniform": (), "table": ("values",)}  # kind -> the parameters it t
 @cache
 def _quantum_lowest(name: str) -> float:
     """The least probability the menu gives a qubit state (``min_likelihood``)."""
-    return min(min_likelihood(quantum_postulate(), a.matrix) for a in _menu(name))
+    return min(min_likelihood(POSTULATES["quantum"](4), a.matrix) for a in _menu(name))
 
 
 MAX_PARTICLES = int(np.iinfo(np.intp).max)  # the largest array length numpy accepts
@@ -302,24 +269,24 @@ class ScenarioConfig:
 FIELDS = {
     ScenarioConfig: {
         "scenario": (lambda v: isinstance(v, str) and v in REGISTRY, "unknown scenario {v!r}"),
-        "seed": (_is_int(0), "seed must be an integer >= 0, got {v!r}"),
-        "n_steps": (_is_int(0), "n_steps must be an integer >= 0, got {v!r}"),
+        "seed": RUN_FIELDS["seed"],
+        "n_steps": RUN_FIELDS["n_steps"],
         "agents": (lambda v: len(v) == 2, "exactly 2 agent blocks required"),
-        "interaction": (_one_of(MODES), "unknown interaction mode {v!r}"),
-        "summary_interval": (_is_int(1), "summary_interval must be an integer >= 1, got {v!r}"),
+        "interaction": RUN_FIELDS["mode"],
+        "summary_interval": (is_int(1), "summary_interval must be an integer >= 1, got {v!r}"),
         "out_dir": (lambda v: v is None or isinstance(v, str),
                     "out_dir must be a string or null, got {v!r}"),
     },
     AgentSpec: {
         "id": (lambda v: isinstance(v, str), "agent id must be a string, got {v!r}"),
-        "postulate": (_one_of(POSTULATES), "{who}: unknown postulate {v!r}"),
-        "n_outcomes": (_is_int(2), "{who}: n_outcomes must be an integer >= 2, got {v!r}"),
-        "prior": (lambda v: _one_of(PRIORS)(v.get("kind")), "{who}: unknown prior {v!r}"),
-        "menu": (_one_of(MENUS), "{who}: unknown menu {v!r}"),
-        "utility": (lambda v: _one_of(UTILITIES)(v.get("kind")),
+        "postulate": (one_of(POSTULATES), "{who}: unknown postulate {v!r}"),
+        "n_outcomes": (is_int(2), "{who}: n_outcomes must be an integer >= 2, got {v!r}"),
+        "prior": (lambda v: one_of(PRIORS)(v.get("kind")), "{who}: unknown prior {v!r}"),
+        "menu": (one_of(MENUS), "{who}: unknown menu {v!r}"),
+        "utility": (lambda v: one_of(UTILITIES)(v.get("kind")),
                     "{who}: unknown utility {v!r}"),
-        "regularization": (_one_of(REGULARIZERS), "{who}: unknown regularization {v!r}"),
-        "n_particles": (lambda v: v is None or _is_int(2)(v),
+        "regularization": (one_of(REGULARIZERS), "{who}: unknown regularization {v!r}"),
+        "n_particles": (lambda v: v is None or is_int(2)(v),
                         "{who}: n_particles must be an integer >= 2, got {v!r}"),
     },
     SourceSpec: {
@@ -396,45 +363,21 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     problems = list(bad.values())
     if "agents" in bad:
         return problems
-    first, second = config.agents
-    if first.id == second.id:
-        problems.append(f"id {first.id!r} is used by more than one agent or source; "
-                        "ids must be distinct")
-    spaces, slots = [], []
+    slots, regs = [], []
     for block in config.agents:
         role = "source" if isinstance(block, SourceSpec) else "agent"
         who = f"{role} {block.id!r}"
         bad_fields = _field_problems(block, who)
-        own, space = (_source_rules if role == "source" else _agent_rules)(block, bad_fields)
+        if role == "agent":
+            own, space = _agent_rules(block, bad_fields)
+        else:
+            own, space = ([], None) if "point" in bad_fields else source_rules(block.point)
         problems += [*bad_fields.values(), *(f"{who}: {msg}" for msg in own)]
-        spaces.append(space)
-        slots.append(f"{space} {role}")
-    if None in spaces:
-        return problems  # the malformed prior or point is reported already
-    for block, mine, other in zip(config.agents, spaces, spaces[::-1]):
-        reg = getattr(block, "regularization", None)
-        need = REG_SPACES.get(reg, (mine, mine)) if _one_of(REGULARIZERS)(reg) else None
-        if need and need != (mine, other):
-            problems.append(f"agent {block.id!r}: regularization {reg!r} maps the {need[1]} "
-                            f"onto the {need[0]}, not the {other} onto the {mine}")
-    if "scenario" not in bad:
-        takes = METRIC_SLOTS[REGISTRY[config.scenario].metrics_kind]
-        got = f"({slots[0]}, {slots[1]})"
-        if got not in takes:
-            problems.append(f"scenario {config.scenario!r} takes {' or '.join(takes)}, "
-                            f"got {got}")
-    return problems
-
-
-def _source_rules(block: SourceSpec, bad: dict) -> tuple[list[str], str | None]:
-    """A source point's size and range, and its space (None when malformed)."""
-    if "point" in bad:
-        return [], None
-    space = SPACE_OF_DIM.get(len(block.point))
-    if space is None:
-        return ["point must have 1 or 3 components"], None
-    where = _outside(np.asarray([block.point], dtype=float))
-    return ([f"point outside {where}"], None) if where else ([], space)
+        slots.append((block.id, space, role))
+        regs.append(getattr(block, "regularization", None))
+    # an unknown scenario has no metrics to read the slots
+    kind = "none" if "scenario" in bad else REGISTRY[config.scenario].metrics_kind
+    return problems + slot_problems(slots, regs, config.scenario, kind)
 
 
 def _agent_rules(block: AgentSpec, bad: dict) -> tuple[list[str], str | None]:
@@ -448,13 +391,13 @@ def _agent_rules(block: AgentSpec, bad: dict) -> tuple[list[str], str | None]:
     space = None
     if "prior" not in bad:
         kind = block.prior["kind"]
-        kind_space, params, check, _build = PRIORS[kind]
+        region, params, check, _build = PRIORS[kind]
         found = check(block.prior) or _unknown_params(block.prior, params, f"prior {kind!r}")
         own += found
         if not found:
-            space = kind_space or SPACE_OF_DIM[_delta_points(block.prior).shape[1]]
-    if space is not None and SPACE_OF_N.get(n, space) != space:
-        own.append(f"prior kind {kind!r} lies in the {space}; N={n} needs the {SPACE_OF_N[n]}")
+            space = (region or region_with(dim=_delta_points(block.prior).shape[1])).space
+    if space and (need := region_with(ref_dim=n)) and need.space != space:
+        own.append(f"prior kind {kind!r} lies in the {space}; N={n} needs the {need.space}")
     if "menu" not in bad and n is not None:
         if _menu(block.menu)[0].matrix.shape[1] != n:
             own.append(f"menu {block.menu!r} incompatible with N={n}")
@@ -497,18 +440,6 @@ class RegistryEntry:
     description: str
     metrics_kind: str
     default: ScenarioConfig
-
-
-# The slots each metrics kind reads (see ``interaction``): the (slot 0, slot 1)
-# pairs it takes, each slot named by its space and whether it is a source.
-METRIC_SLOTS = {
-    "coin_tomography": ("(interval agent, interval agent)",
-                        "(interval agent, interval source)"),
-    "qubit_tomography": ("(ball agent, ball agent)", "(ball agent, ball source)"),
-    "pair_1d": ("(interval agent, interval agent)",),
-    "pair_ball": ("(ball agent, ball agent)",),
-    "z_marginal": ("(ball agent, interval agent)", "(interval agent, ball agent)"),
-}
 
 
 REGISTRY = {

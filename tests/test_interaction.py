@@ -196,6 +196,60 @@ class TestSourceValidation:
                       metrics="none")
 
 
+def ball_agent(name, postulate=QUANTUM, menu="paulis"):
+    return Agent(name, postulate, sample_uniform(QubitBall(), 50, np.random.default_rng(0)),
+                 _menu(menu))
+
+
+SHARED = coin_agent("a", n=11)
+# (slots, the other pair_spec arguments, the rule the one ValidationError names)
+SPEC_HOLES = {
+    "duplicate_ids": ([coin_agent("a", n=11), coin_agent("a", n=11)], {},
+                      "id 'a' is used by more than one agent or source"),
+    "same_agent_twice": ([SHARED, SHARED], {}, "id 'a' is used by more than one"),
+    "slot_not_agent_or_source": ([coin_agent("a", n=11), None], {},
+                                 "exactly two slots, each an agent or a source"),
+    "seed_negative": (None, {"seed": -1}, "seed must be an integer >= 0, got -1"),
+    "seed_float": (None, {"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+    "seed_bool": (None, {"seed": True}, "seed must be an integer >= 0, got True"),
+    "steps_bool": (None, {"n_steps": True}, "n_steps must be an integer >= 0, got True"),
+    "steps_float": (None, {"n_steps": 2.5}, "n_steps must be an integer >= 0, got 2.5"),
+    "steps_negative": (None, {"n_steps": -1}, "n_steps must be an integer >= 0, got -1"),
+    "one_regularization": (None, {"regs": ("none",)},
+                           "incoming_reg must name a regularization per slot"),
+    "three_regularizations": (None, {"regs": ("none",) * 3},
+                              "incoming_reg must name a regularization per slot"),
+    "unknown_metrics": (None, {"metrics": "pair_3d"}, "unknown metrics kind 'pair_3d'"),
+    "interval_agents_pair_ball": (None, {"metrics": "pair_ball"},
+                                  "takes \\(ball agent, ball agent\\), got \\(interval agent, "
+                                  "interval agent\\)"),
+    "quinn_clark_unregularized": (
+        [ball_agent("quinn", menu="sic_reference"), coin_agent("clark", n=11)],
+        {"metrics": "z_marginal"}, "agent 'quinn': regularization 'none' maps the ball "
+        "onto the ball, not the interval onto the ball"),
+    "quinn_clark_swapped": (
+        [ball_agent("quinn", menu="sic_reference"), coin_agent("clark", n=11)],
+        {"metrics": "z_marginal", "regs": ("z_projection", "z_embedding")},
+        "agent 'quinn': regularization 'z_projection' maps the ball onto the interval"),
+    "source_outside_ball_for_clara": (
+        [ball_agent("clara", classical_postulate(4)),
+         ExogenousSource("s", np.array([1.2, 0.0, 0.0]))],
+        {"metrics": "qubit_tomography"}, "source 's': point outside the Bloch ball"),
+}
+
+
+class TestRunSpecRules:
+    """A ``RunSpec`` built directly checks the rules a config's does: each
+    mismatch is one ``ValidationError`` naming its rule, before any step."""
+
+    @pytest.mark.parametrize("slots,kwargs,rule", SPEC_HOLES.values(), ids=SPEC_HOLES)
+    def test_mismatched_spec_is_one_validation_error(self, slots, kwargs, rule):
+        slots = slots or [coin_agent("a", n=11), coin_agent("b", n=11)]
+        with pytest.raises(ValidationError, match=rule) as info:
+            pair_spec(slots, **kwargs)
+        assert type(info.value) is ValidationError
+
+
 class TestExpectationSteps:
     def test_two_certain_agents_stay_certain(self):
         a = Agent("a", CLASSICAL2, delta_ensemble([[1.0]], [1.0], Interval()), flip_menu())

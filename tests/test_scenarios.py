@@ -1,19 +1,22 @@
+import copy
 import json
 import os
 import re
 from dataclasses import fields, replace
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbagents.errors import ConfigError, ImpossibleOutcomeError
+from qbagents.errors import ConfigError, ImpossibleOutcomeError, ValidationError
 from qbagents.inference import DEFAULT_BALL_PARTICLES
-from qbagents.interaction import MODES, REGULARIZERS
+from qbagents.interaction import METRICS, MODES, REGULARIZERS, RunSpec
 from qbagents.core_math import DEFAULT_GRID_POINTS
 from qbagents.scenarios import (
     EARLY_STEP,
+    AgentSpec,
     FIELDS,
     GRID_PDFS,
     MENUS,
@@ -472,6 +475,13 @@ class TestDefaults:
         assert spec.slots[0].ensemble.n == DEFAULT_GRID_POINTS
         assert spec.slots[0].ensemble.grid
 
+    def test_one_quantum_postulate_per_process(self):
+        # the postulate is frozen, so every quantum agent of every seed shares one
+        first = build_runtime(small_config("quinn_clara_pauli", seed=1))
+        second = build_runtime(small_config("quantum_pair_flat", seed=2))
+        assert first.slots[0].postulate is second.slots[0].postulate
+        assert first.slots[0].postulate is second.slots[1].postulate
+
     def test_clara_prior_restricted_to_ball(self):
         spec = build_runtime(default_config("quinn_clara_pauli"))
         clara = spec.slots[1]
@@ -613,6 +623,54 @@ class TestCrossRegistry:
             return
         assert len(trace.records) == SMALL["n_steps"]
 
+    @pytest.mark.parametrize("scenario,agents_of", [
+        (scenario, agents_of) for scenario in sorted(REGISTRY)
+        for agents_of in sorted(REGISTRY) if agents_of != scenario])
+    def test_runspec_gives_the_config_verdict(self, scenario, agents_of):
+        cfg = replace(small_config(agents_of), scenario=scenario)
+        spec = built(agents_of)
+        assert spec_accepts(spec, spec.incoming_reg, scenario) == (validate_config(cfg) == [])
+
+
+@cache
+def built(name):
+    """The runtime of a registry scenario at small ensemble sizes."""
+    return build_runtime(small_config(name))
+
+
+def spec_accepts(spec, regs, scenario) -> bool:
+    """Whether a ``RunSpec`` takes a built spec's slots under ``regs`` and the
+    metrics of ``scenario``; a rejection is one ``ValidationError``."""
+    try:
+        RunSpec(scenario, spec.seed, spec.n_steps, spec.slots, regs, spec.mode,
+                REGISTRY[scenario].metrics_kind)
+    except ValidationError as err:
+        assert type(err) is ValidationError
+        return False
+    return True
+
+
+def config_accepts(name, regs) -> bool:
+    """Whether ``validate_config`` takes a registry config whose agents receive
+    by ``regs`` (a source has no regularization to set)."""
+    cfg = small_config(name)
+    agents = tuple(replace(b, regularization=r) if isinstance(b, AgentSpec) else b
+                   for b, r in zip(cfg.agents, regs))
+    return validate_config(replace(cfg, agents=agents)) == []
+
+
+class TestRegularizationVerdicts:
+    """The config and ``RunSpec`` boundaries check one slot-rule table, so
+    they accept and reject the same regularizations.  The row
+    ``quinn_clark-none-none`` is the unregularized pair that ran to a wrong
+    ``z_gap`` through a directly built ``RunSpec``."""
+
+    @pytest.mark.parametrize("name,regs", [
+        pytest.param(name, (r0, r1), id=f"{name}-{r0}-{r1}") for name in sorted(REGISTRY)
+        for r0 in REGULARIZERS for r1 in REGULARIZERS])
+    def test_both_boundaries_give_one_verdict(self, name, regs):
+        assert spec_accepts(built(name), regs, name) == config_accepts(name, regs)
+
 
 def _paths(node, path=()):
     """The path of every key and list index in a JSON document."""
@@ -637,50 +695,69 @@ POOL = [None, True, False, *range(-3, 21), 2**62, int(np.iinfo(np.intp).max) + 1
 
 
 @st.composite
-def mutated_configs(draw) -> str:
-    """A registry config at small ensemble sizes with one key, at any depth,
-    set to a value from ``POOL`` (``ABSENT`` deletes it)."""
+def mutated_configs(draw, n_keys=1) -> str:
+    """A registry config at small ensemble sizes with ``n_keys`` keys, each at
+    any depth of the config as mutated so far, set to a value from ``POOL``
+    (``ABSENT`` deletes it)."""
     cfg = small_config(draw(st.sampled_from(sorted(REGISTRY))))
     data = json.loads(emit_config(cfg))
-    path = draw(st.sampled_from(list(_paths(data))))
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    value = draw(st.sampled_from(POOL))
-    if value is ABSENT:
-        del target[path[-1]]
-    else:
-        target[path[-1]] = value
+    for _ in range(n_keys):
+        path = draw(st.sampled_from(list(_paths(data))))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        value = draw(st.sampled_from(POOL))
+        if value is ABSENT:
+            del target[path[-1]]
+        else:  # a copy: a later key may lie inside the value
+            target[path[-1]] = copy.deepcopy(value)
     return json.dumps(data)
+
+
+def runs_or_is_one_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as err:
+        assert err.violations
+        return
+    cfg = replace(cfg, n_steps=min(cfg.n_steps, SMALL["n_steps"]))
+    try:
+        trace = run_config(cfg)
+    except (ConfigError, ImpossibleOutcomeError):
+        return
+    assert len(trace.records) == cfg.n_steps
 
 
 class TestMutatedConfigs:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(mutated_configs())
     def test_mutation_runs_or_is_one_config_error(self, text):
-        try:
-            cfg = parse_config(text)
-        except ConfigError as err:
-            assert err.violations
-            return
-        cfg = replace(cfg, n_steps=min(cfg.n_steps, SMALL["n_steps"]))
-        try:
-            trace = run_config(cfg)
-        except (ConfigError, ImpossibleOutcomeError):
-            return
-        assert len(trace.records) == cfg.n_steps
+        runs_or_is_one_config_error(text)
+
+    # the slot rules are pairwise, so a crash between two fields needs two keys
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(mutated_configs(n_keys=2))
+    def test_two_key_mutation_runs_or_is_one_config_error(self, text):
+        runs_or_is_one_config_error(text)
 
 
 class TestSchemaGuard:
-    """A new field, prior kind or menu cannot skip its check or its
-    documentation."""
+    """A new field, prior kind, menu, regularization or metrics kind cannot
+    skip its check or its documentation."""
 
     @pytest.mark.parametrize("cls", list(FIELDS))
     def test_field_table_covers_the_dataclass(self, cls):
         assert list(FIELDS[cls]) == [f.name for f in fields(cls)]
 
+    @staticmethod
+    def configs_section() -> str:
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        return re.search(r"^### Configs$(.*?)^### ", readme, re.S | re.M).group(1)
+
     @pytest.mark.parametrize("name", sorted({*PRIORS, *MENUS}))
     def test_prior_kinds_and_menus_documented(self, name):
-        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
-        section = re.search(r"^### Configs$(.*?)^### ", readme, re.S | re.M).group(1)
-        assert f"`{name}`" in section
+        assert f"`{name}`" in self.configs_section()
+
+    @pytest.mark.parametrize("name", sorted({*REGULARIZERS, *METRICS}))
+    def test_regularizations_and_metric_kinds_documented(self, name):
+        assert f"`{name}`" in self.configs_section()
