@@ -35,6 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .inference import (
+    BetaMixture,
     ParticleEnsemble,
     PosteriorSummary,
     bayes_update,

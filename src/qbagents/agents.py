@@ -13,15 +13,20 @@ built, so a step does only arithmetic:
 * every action must give nonnegative probabilities in every valid state
   (``min_likelihood``), and a particle ensemble must start uniform and not
   be an update's or a refresh's result, the prior that resample-move assumes;
+* each action's utility row is checked and stored (``utility_rows``);
 * each action's likelihood rows ``R[j] @ Phi`` are stored with their
   ``bloch_axes`` classes, and composed with the region's affine embedding
   as Python floats (``kernel_rows``), the rows ``postulate.outcome_probs``
   evaluates at (1, theta);
+* for a 1-D agent, each row's ``count_powers``: whether the outcome
+  multiplies the belief by theta or by 1 - theta.  A ``BetaMixture`` belief
+  updates by them; if some row is neither, the agent starts from the
+  belief's prior grid instead;
 * likelihoods on the ensemble's points are cached per point set: the points
   are embedded once, and each (action, outcome) vector is computed the first
   time it is asked for and kept until the points change (grid and delta
   points never move; particles move only when the refresh replaces them);
-* the posterior mean is cached per weights array, and the predictive is the
+* the posterior mean is cached per ensemble, and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
   parameter), so a choice costs one point instead of a pass over the ensemble;
 * a single-action menu draws nothing, and a menu without a utility table,
@@ -37,7 +42,7 @@ import numpy as np
 
 from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector, readonly
 from .errors import ValidationError
-from .inference import Evidence, ParticleEnsemble, posterior_mean
+from .inference import BetaMixture, Evidence, ParticleEnsemble, count_powers, posterior_mean
 from .postulate import (
     PhysicalPostulate,
     bloch_axes,
@@ -99,8 +104,8 @@ class Agent:
 
     ``counts`` is the one count store of observed (menu index, outcome) cells,
     in first-observed order, and ``evidence`` the refresh's view of it.  The
-    caches key on the ensemble's points and weights arrays, which updates and
-    refreshes replace.
+    likelihood cache keys on the ensemble's points array and the mean cache on
+    the ensemble, which updates and refreshes replace.
     """
 
     id: str
@@ -119,13 +124,14 @@ class Agent:
         if not ensemble_compatible(self.postulate, ens.region):
             raise ValidationError(
                 f"agent {self.id!r}: ensemble region incompatible with postulate")
+        self.utility_rows = {}  # each action's checked utility row, read by every choice
         for action in self.menu:
             if action.matrix.shape[1] != self.postulate.n_outcomes:
                 raise ValidationError(
                     f"agent {self.id!r}: action {action.name!r} has reference "
                     f"dimension {action.matrix.shape[1]}, postulate expects "
                     f"{self.postulate.n_outcomes}")
-            self.utility.row(action)
+            self.utility_rows[action.name] = self.utility.row(action)
             lowest = min_likelihood(self.postulate, action.matrix)
             if lowest < -PROB_TOL:
                 raise ValidationError(
@@ -139,6 +145,12 @@ class Agent:
         phi = self.postulate.phi
         rows = tuple(readonly(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)]))
                      for a in self.menu)
+        # a counts-carrying belief needs every outcome's likelihood to be theta
+        # or 1 - theta; with any other it starts from its prior grid
+        self.powers = (tuple(tuple(map(count_powers, r)) for r in rows)
+                       if ens.region.dim == 1 else None)
+        if isinstance(ens, BetaMixture) and any(None in p for p in self.powers):
+            self.ensemble = ens = ens.grid_ensemble()
         self.counts = {}
         self.evidence = Evidence(rows, tuple(map(bloch_axes, rows)), self.counts)
         # The embedding is affine, so an outcome's probability is its row of
@@ -150,7 +162,7 @@ class Agent:
         self._points = None  # the point set the likelihood cache belongs to
         self._probs = None  # its reference probabilities
         self._likes = {}  # (action index, outcome) -> likelihood at those points
-        self._mean_of = None  # the weights whose mean is cached
+        self._mean_of = None  # the ensemble whose mean is cached
         self._mean = None
 
     def action(self, name: str) -> Action:
@@ -160,13 +172,18 @@ class Agent:
         raise ValidationError(f"agent {self.id!r}: no action named {name!r}")
 
     def mean(self) -> np.ndarray:
-        """Posterior mean of the current ensemble, computed once per weights."""
-        if self._mean_of is not self.ensemble.weights:
-            self._mean_of, self._mean = self.ensemble.weights, posterior_mean(self.ensemble)
+        """Posterior mean of the current ensemble, computed once per ensemble
+        (updates and refreshes return a new one)."""
+        if self._mean_of is not self.ensemble:
+            self._mean_of, self._mean = self.ensemble, posterior_mean(self.ensemble)
         return self._mean
 
-    def likelihood(self, a: int, j: int) -> np.ndarray:
-        """p(j | theta) of menu action ``a`` at the ensemble's points."""
+    def likelihood(self, a: int, j: int):
+        """p(j | theta) of menu action ``a`` in the form ``bayes_update``
+        takes for the ensemble: its values at the points, or for a
+        ``BetaMixture`` the ``count_powers`` it multiplies the belief by."""
+        if isinstance(self.ensemble, BetaMixture):
+            return self.powers[a][j]
         points = self.ensemble.points
         if points is not self._points:
             self._points = points
@@ -190,7 +207,7 @@ def predictive(agent: Agent, action: Action) -> np.ndarray:
 
 
 def expected_utility(agent: Agent, action: Action) -> float:
-    return float(agent.utility.row(action) @ predictive(agent, action))
+    return float(agent.utility_rows[action.name] @ predictive(agent, action))
 
 
 def choose_action(agent: Agent, rng: np.random.Generator) -> int:

@@ -1,21 +1,32 @@
 """Exchangeable-prior Bayesian inference over parameter regions.
 
-Beliefs are represented as weighted point sets.  Two flavors exist:
+Beliefs take three forms:
 
+* Beta counts (``BetaMixture``, 1-D regions): every continuous 1-D prior is a
+  mixture of truncated Beta pieces, and every coin likelihood is theta or
+  1 - theta, so the posterior is the prior times theta^a (1 - theta)^b and
+  depends on the counts (a, b) alone (de Finetti).  An update adds one to a
+  count; the mean and variance are the pieces' closed forms
+  (``core_math.beta_piece``), scalars that round the same at any BLAS thread
+  count.  The 10,001-point grid is built in log space from the counts only
+  where something reads it: ESS at recorded steps, curve snapshots and
+  prior-sampling draws;
 * grid ensembles (1-D regions only): a fixed uniform grid whose weights track
   the density exactly at the grid points; these are never resampled, since
-  reweighting alone keeps the representation faithful;
+  reweighting alone keeps the representation faithful.  Delta mixtures, grids
+  built directly and beliefs that see a likelihood other than theta or
+  1 - theta take this path;
 * particle ensembles (the Bloch ball): weighted samples refreshed with a
   new, equally weighted cloud when the effective sample size degrades.
 
-An update returns a new ensemble whose weights are the old ones times the
-postulate likelihood of the observed outcome, renormalized; a caller that
-already holds that likelihood (an agent's cache) passes it in.  The
-observations belong to the agent, not to the ensemble: its one count store,
-keyed by (menu index, outcome), and its actions' likelihood rows
-``R[j] @ Phi`` with their classification by Bloch axis, made once when the
-agent is built.  ``Evidence`` is the refresh's view of them, reading the
-counts live.
+An update of a weighted ensemble returns a new ensemble whose weights are
+the old ones times the postulate likelihood of the observed outcome,
+renormalized; a caller that already holds that likelihood (an agent's cache)
+passes it in.  The observations belong to the agent, not to the ensemble:
+its one count store, keyed by (menu index, outcome), and its actions'
+likelihood rows ``R[j] @ Phi`` with their classification by Bloch axis, made
+once when the agent is built.  ``Evidence`` is the refresh's view of them,
+reading the counts live.
 
 The refresh (``maybe_resample``) takes one of two paths.  When every observed
 outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
@@ -37,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import readonly
+from .core_math import beta_piece, beta_piece_var, readonly
 from .errors import ImpossibleOutcomeError, ValidationError
 from .postulate import PhysicalPostulate, QubitBall, likelihood_values, likelihoods
 
@@ -146,6 +157,122 @@ class PosteriorSummary:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
+class BetaMixture:
+    """An exchangeable 1-D belief carried by counts: the prior density
+    sum_k c_k theta^(alpha_k - 1) (1 - theta)^(beta_k - 1) on [lo_k, hi_k]
+    (``pieces``, each (log c_k, alpha_k, beta_k, lo_k, hi_k), contiguous and
+    covering the prior grid's interval) times theta^a (1 - theta)^b,
+    ``counts`` = (a, b).
+
+    Every likelihood a coin action gives is theta or 1 - theta up to a
+    constant, so the posterior depends on the counts alone (de Finetti), and
+    an update adds one to a count (``observed``).  The mean and variance are
+    the pieces' closed forms (``core_math.beta_piece``), mixed by their masses.
+
+    ``prior`` is the grid ensemble of the prior pdf; it sets the resolution of
+    what reads a grid.  ``weights``, the grid posterior, is built in log space
+    from the prior's log weights and the counts the first time it is read (for
+    ESS, curve snapshots and prior-sampling draws), and kept.  The other
+    attributes mirror a grid ``ParticleEnsemble``'s, so a belief goes wherever
+    one does.
+    """
+
+    grid = True
+    atoms = False
+    dim = 1
+
+    def __init__(self, prior: ParticleEnsemble, pieces: tuple, counts: tuple = (0, 0),
+                 _logs: dict | None = None):
+        self.prior, self.pieces, self.counts = prior, pieces, counts
+        self._weights = self._mean = None  # computed when first read
+        # log theta, log (1 - theta) and the prior's log weights on the grid,
+        # computed once and shared by every belief that grows from this prior
+        self._logs = {} if _logs is None else _logs
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.prior.points
+
+    @property
+    def region(self):
+        return self.prior.region
+
+    @property
+    def n(self) -> int:
+        return self.prior.n
+
+    @property
+    def posterior(self) -> bool:
+        return any(self.counts)
+
+    def observed(self, powers: tuple) -> "BetaMixture":
+        """The belief times theta^powers[0] (1 - theta)^powers[1]."""
+        (a, b), (da, db) = self.counts, powers
+        return BetaMixture(self.prior, self.pieces, (a + da, b + db), self._logs)
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = self._grid_weights()
+        return self._weights
+
+    def _grid_weights(self) -> np.ndarray:
+        a, b = self.counts
+        if not (a or b):
+            return self.prior.weights
+        logs = self._logs
+        if not logs:
+            theta = self.prior.points[:, 0]
+            with np.errstate(divide="ignore"):  # -inf where theta, 1 - theta or w is 0
+                logs.update(theta=np.log(theta), rest=np.log1p(-theta),
+                            prior=np.log(self.prior.weights))
+        log_w = logs["prior"].copy()
+        if a:  # 0 log 0 = 0: a zero count leaves the endpoint's weight alone
+            log_w += a * logs["theta"]
+        if b:
+            log_w += b * logs["rest"]
+        w = np.exp(log_w - log_w.max())
+        return readonly(w / np.einsum("i->", w))
+
+    def ess(self) -> float:
+        """Effective sample size 1 / sum(w^2) of the grid posterior."""
+        return float(1.0 / np.sum(self.weights ** 2))
+
+    def grid_ensemble(self) -> ParticleEnsemble:
+        """The grid posterior as a plain grid ensemble."""
+        return self.prior if not self.posterior else _refreshed(self.prior, self.weights)
+
+    def mean(self) -> float:
+        """The mixture of the posterior pieces' closed-form means."""
+        if self._mean is None:
+            a, b = self.counts
+            if len(self.pieces) == 1:
+                _c, alpha, beta, lo, hi = self.pieces[0]
+                self._mix = (1.0,)
+                self._means = (beta_piece(alpha + a, beta + b, lo, hi, False)[1],)
+                self._mean = self._means[0]
+                return self._mean
+            # (log mass, mean) of each posterior piece, mixed by mass; the sums
+            # are fsum's, rounded the same on every Python version
+            logs, self._means = zip(*(beta_piece(alpha + a, beta + b, lo, hi)
+                                      for _c, alpha, beta, lo, hi in self.pieces))
+            logs = [piece[0] + log_mass for piece, log_mass in zip(self.pieces, logs)]
+            top = max(logs)
+            w = [math.exp(x - top) for x in logs]
+            total = math.fsum(w)
+            self._mix = [x / total for x in w]
+            self._mean = math.fsum(w * m for w, m in zip(self._mix, self._means))
+        return self._mean
+
+    def variance(self) -> float:
+        """The mixture of the posterior pieces' closed-form variances about
+        the mixture mean."""
+        mean, (a, b) = self.mean(), self.counts
+        return math.fsum(w * (beta_piece_var(alpha + a, beta + b, lo, hi) + (m - mean) ** 2)
+                         for w, m, (_c, alpha, beta, lo, hi)
+                         in zip(self._mix, self._means, self.pieces))
+
+
 def sample_uniform(region, n: int, rng: np.random.Generator) -> ParticleEnsemble:
     """n i.i.d. uniform points on the region with equal weights."""
     if n < 1:
@@ -180,6 +307,18 @@ def delta_ensemble(points, weights, region) -> ParticleEnsemble:
     return ParticleEnsemble(points, w / w.sum(), region, atoms=True)
 
 
+def count_powers(row) -> tuple[int, int] | None:
+    """The powers of (theta, 1 - theta) that a 1-D likelihood row
+    ``R[j] @ Phi`` multiplies a density by, (1, 0) or (0, 1), when it is a
+    positive multiple of theta or of 1 - theta; None otherwise."""
+    p0, p1 = (float(v) for v in row)
+    if p0 > 0.0 and p1 == 0.0:
+        return 1, 0
+    if p1 > 0.0 and p0 == 0.0:
+        return 0, 1
+    return None
+
+
 def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
                  like: np.ndarray | None = None) -> ParticleEnsemble:
     """Reweight by the likelihood of outcome j; points never move here.
@@ -188,7 +327,17 @@ def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
     cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError`` when
     the total posterior weight underflows, i.e. the outcome contradicts the
     entire support.
+
+    A ``BetaMixture`` adds the outcome's ``count_powers`` to its counts; the
+    caller may pass them as ``like``.  An outcome whose likelihood is neither
+    theta nor 1 - theta reweights its grid instead.
     """
+    if isinstance(ens, BetaMixture):
+        powers = like if isinstance(like, tuple) else count_powers(
+            np.asarray(R, dtype=float)[j] @ post.phi)
+        if powers is not None:
+            return ens.observed(powers)
+        ens, like = ens.grid_ensemble(), None
     if like is None:
         like = likelihood_values(post, R, j, ens.points)
     w = ens.weights * like
@@ -220,9 +369,12 @@ def log_posterior_density(ens: ParticleEnsemble, points,
 
 
 def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
-    """The weighted mean of the points.  A 1-D sum goes through ``einsum``,
-    which rounds the same at any BLAS thread count; a threaded ``gemv`` splits
-    the 10,001-point grid sums between threads and rounds them differently."""
+    """The weighted mean of the points, or a ``BetaMixture``'s closed form.
+    A 1-D sum goes through ``einsum``, which rounds the same at any BLAS
+    thread count; a threaded ``gemv`` splits a long sum between threads and
+    rounds it differently."""
+    if isinstance(ens, BetaMixture):
+        return np.array([ens.mean()])
     w, pts = ens.weights, ens.points
     if pts.shape[1] == 1:
         return np.einsum("i,i->", w, pts[:, 0]).reshape(1)
@@ -230,7 +382,13 @@ def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
 
 
 def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
-    """Weighted mean and covariance with the ellipsoid decomposition."""
+    """Weighted mean and covariance with the ellipsoid decomposition; a
+    ``BetaMixture``'s closed-form mean and variance."""
+    if isinstance(ens, BetaMixture):
+        var = max(ens.variance(), 0.0)
+        return PosteriorSummary(mean=readonly(np.array([ens.mean()])),
+                                covariance=readonly(np.array([[var]])),
+                                axis_lengths=readonly(np.array([math.sqrt(var)])))
     w = ens.weights
     mean = posterior_mean(ens)
     centered = ens.points - mean

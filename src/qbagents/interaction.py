@@ -37,7 +37,8 @@ agent's cached mean, the outcome kernel evaluates the receiver's stored rows
 ``R[j] @ Phi`` at the embedded broadcast (``postulate.outcome_probs`` on the
 agent's ``kernel_rows``) and draws with one ``random()``
 (``rng.draw_outcome``), the update returns the ensemble reweighted by the
-cached likelihood, and the agent counts the outcome in its one count store,
+cached likelihood (a ``BetaMixture`` belief adds the outcome to its Beta
+counts instead), and the agent counts the outcome in its one count store,
 keyed by (menu index, outcome), which the refresh, the metrics and the trace
 read.
 

@@ -64,7 +64,12 @@ class Interval:
     dim = 1
     ref_dim = 2
 
+    @property
+    def name(self) -> str:
+        return f"[{self.lo:g}, {self.hi:g}]"
+
     def contains(self, points) -> np.ndarray:
+        """Whether each point lies in [lo, hi] within ``PROB_TOL`` (NaN does not)."""
         t = np.asarray(points, dtype=float).reshape(-1)
         return (t >= self.lo - PROB_TOL) & (t <= self.hi + PROB_TOL)
 
@@ -83,10 +88,14 @@ class QubitBall:
     space = "ball"
     dim = 3
     ref_dim = 4
+    name = "the Bloch ball"
 
     def contains(self, points) -> np.ndarray:
+        """Whether each point's norm is at most 1 + ``BALL_TOL``.  A norm that
+        overflows is inf, outside, and raises no warning; NaN is outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return np.linalg.norm(pts, axis=1) <= 1.0 + BALL_TOL
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(pts, axis=1) <= 1.0 + BALL_TOL
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=(n, 3))
@@ -105,11 +114,10 @@ def region_with(**sizes):
 
 
 def where_outside(pts: np.ndarray) -> str | None:
-    """Where (n, 1) points leave [0, 1] or (n, 3) points the Bloch ball, if they do."""
-    if pts.shape[1] == 3:  # clipped, so that the norm cannot overflow
-        norms = np.linalg.norm(np.clip(pts, -2.0, 2.0), axis=1)
-        return None if np.all(norms <= 1.0 + 1e-9) else "the Bloch ball"
-    return None if np.all((pts >= 0.0) & (pts <= 1.0)) else "[0, 1]"
+    """The name of the whole region, [0, 1] or the Bloch ball, that (n, 1) or
+    (n, 3) points leave, by its ``contains``, if some do."""
+    region = region_with(dim=pts.shape[1])()
+    return None if np.all(region.contains(pts)) else region.name
 
 
 @dataclass(frozen=True)

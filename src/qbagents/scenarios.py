@@ -23,6 +23,7 @@ from .core_math import DEFAULT_GRID_POINTS, PROB_TOL, BetaParams, beta_pdf, is_i
 from .errors import ConfigError, ImpossibleOutcomeError, QBAgentsError, ValidationError
 from .inference import (
     DEFAULT_BALL_PARTICLES,
+    BetaMixture,
     delta_ensemble,
     grid_ensemble,
     sample_uniform,
@@ -78,8 +79,18 @@ def triangular_pdf(theta, peak: float = 0.7):
     return up + down
 
 
-# grid pdf name -> (density, the parameters it takes)
-GRID_PDFS = {"semicircle": (semicircle_pdf, ()), "triangular": (triangular_pdf, ("peak",))}
+def triangular_pieces(peak: float = 0.7) -> tuple:
+    """The triangular density as Beta pieces: 2 theta / peak on [0, peak] and
+    2 (1 - theta) / (1 - peak) on [peak, 1]."""
+    return ((math.log(2.0 / peak), 2.0, 1.0, 0.0, peak),
+            (math.log(2.0 / (1.0 - peak)), 1.0, 2.0, peak, 1.0))
+
+
+# grid pdf name -> (density, the parameters it takes, its Beta pieces)
+GRID_PDFS = {
+    "semicircle": (semicircle_pdf, (), lambda: ((0.0, 1.5, 1.5, 0.0, 1.0),)),
+    "triangular": (triangular_pdf, ("peak",), triangular_pieces),
+}
 
 
 def _unknown_params(params: dict, allowed, label: str) -> list[str]:
@@ -158,26 +169,36 @@ def _grid(prior: dict, n: int | None, pdf=None):
     return grid_ensemble(interval, n or DEFAULT_GRID_POINTS, pdf=pdf)
 
 
+def _pdf_params(prior: dict) -> dict:
+    return {k: prior[k] for k in GRID_PDFS[prior["name"]][1] if k in prior}
+
+
 # The prior table: kind -> (the region of its points, None when a delta prior's
 # points decide; the parameters it takes; the check of their values, which for a
-# grid pdf covers its own parameters; the builder (prior, n_particles, init_rng)).
+# grid pdf covers its own parameters; the builder (prior, n_particles, init_rng);
+# for a continuous 1-D prior, its density as Beta pieces (log c, alpha, beta, lo,
+# hi), whose agents carry counts (``inference.BetaMixture``), else None).
 PRIORS = {
     "grid_uniform": (Interval, ("lo", "hi"), _grid_uniform_problems,
-                     lambda p, n, rng: _grid(p, n)),
+                     lambda p, n, rng: _grid(p, n), lambda p: (
+                         (0.0, 1.0, 1.0, float(p.get("lo", 0.0)), float(p.get("hi", 1.0))),)),
     "grid_pdf": (Interval, ("name", "peak"), _grid_pdf_problems,
-                 lambda p, n, rng: _grid(p, n, partial(GRID_PDFS[p["name"]][0], **{
-                     k: p[k] for k in GRID_PDFS[p["name"]][1] if k in p}))),
+                 lambda p, n, rng: _grid(p, n, partial(GRID_PDFS[p["name"]][0],
+                                                       **_pdf_params(p))),
+                 lambda p: GRID_PDFS[p["name"]][2](**_pdf_params(p))),
     "grid_beta": (Interval, ("alpha", "beta"), _grid_beta_problems,
                   lambda p, n, rng: _grid(p, n, partial(
-                      beta_pdf, p=BetaParams(p["alpha"], p["beta"])))),
+                      beta_pdf, p=BetaParams(p["alpha"], p["beta"]))),
+                  lambda p: ((0.0, float(p["alpha"]), float(p["beta"]), 0.0, 1.0),)),
     "uniform_ball": (QubitBall, (), lambda p: [], lambda p, n, rng: sample_uniform(
-        QubitBall(), n or DEFAULT_BALL_PARTICLES, rng)),
+        QubitBall(), n or DEFAULT_BALL_PARTICLES, rng), None),
     "delta": (None, ("points", "weights"), _delta_problems,
-              lambda p, n, rng: _delta_ensemble(p)),
+              lambda p, n, rng: _delta_ensemble(p), None),
     "two_sided_coin": (Interval, (), lambda p: [],
-                       lambda p, n, rng: _delta_ensemble({"points": [0.0, 1.0]})),
+                       lambda p, n, rng: _delta_ensemble({"points": [0.0, 1.0]}), None),
     "four_delta_xz": (QubitBall, (), lambda p: [], lambda p, n, rng: _delta_ensemble(
-        {"points": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]})),
+        {"points": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]}),
+        None),
 }
 
 
@@ -391,7 +412,7 @@ def _agent_rules(block: AgentSpec, bad: dict) -> tuple[list[str], str | None]:
     space = None
     if "prior" not in bad:
         kind = block.prior["kind"]
-        region, params, check, _build = PRIORS[kind]
+        region, params, check, *_rest = PRIORS[kind]
         found = check(block.prior) or _unknown_params(block.prior, params, f"prior {kind!r}")
         own += found
         if not found:
@@ -559,7 +580,7 @@ def build_runtime(config: ScenarioConfig) -> RunSpec:
         if isinstance(block, SourceSpec):
             slots.append(ExogenousSource(block.id, np.asarray(block.point)))
             continue
-        *_, build = PRIORS[block.prior["kind"]]
+        *_, build, pieces = PRIORS[block.prior["kind"]]
         try:
             ensemble = build(block.prior, block.n_particles,
                              stream(config.seed, "agent", i, "init"))
@@ -572,6 +593,8 @@ def build_runtime(config: ScenarioConfig) -> RunSpec:
             raise ConfigError([f"agent {block.id!r}: n_particles {block.n_particles} "
                                f"cannot be allocated ({type(err).__name__}: {err})"]
                               ) from err
+        if pieces:
+            ensemble = BetaMixture(ensemble, pieces(block.prior))
         utility = UtilityFn({name: tuple(float(v) for v in row)
                              for name, row in block.utility.get("values", {}).items()})
         slots.append(Agent(block.id, POSTULATES[block.postulate](block.n_outcomes),

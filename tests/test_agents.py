@@ -114,6 +114,18 @@ class TestExpectedUtility:
         assert expected_utility(agent, agent.action("Z")) == pytest.approx(0.98, abs=1e-12)
         assert expected_utility(agent, agent.action("X")) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rows_checked_once_at_build(self, monkeypatch):
+        ens = delta_ensemble([[0.0, 0.0, 1.0]], [1.0], QubitBall())
+        agent = Agent("b", QUANTUM, ens, pauli_menu(), UtilityFn({"Z": (0.98, 1.02)}))
+        assert agent.utility_rows["Z"].tolist() == [0.98, 1.02]
+        assert agent.utility_rows["X"].tolist() == [1.0, 1.0]
+
+        def unchecked(*args):
+            raise AssertionError("utility row looked up in a choice")
+
+        monkeypatch.setattr(UtilityFn, "row", unchecked)
+        assert expected_utility(agent, agent.action("Z")) == pytest.approx(0.98, abs=1e-12)
+
 
 class TestChooseAction:
     def test_uniform_tie_frequencies(self):

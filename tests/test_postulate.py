@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qbagents.errors import RegionError, ValidationError
+from qbagents.inference import delta_ensemble
+from qbagents.interaction import source_rules
 from qbagents.postulate import (
     Interval,
     PhysicalPostulate,
@@ -17,7 +20,9 @@ from qbagents.postulate import (
     min_likelihood,
     phi_matrix,
     quantum_postulate,
+    region_with,
     sqrt_phi,
+    where_outside,
 )
 from qbagents.quantum import (
     bloch_to_density,
@@ -239,6 +244,25 @@ class TestRegions:
         ball = QubitBall()
         assert ball.contains([[0.5, 0.5, 0.5]])[0]
         assert not ball.contains([[1.0, 1.0, 1.0]])[0]
+
+    @pytest.mark.parametrize("point", [[1.0000000005], [1.000001], [-5e-10], [-1e-8],
+                                       [float("nan")], [float("inf")], [0.6, 0.8, 1e-5],
+                                       [0.6, 0.8, 1e-4], [1e300, 0.0, 0.0],
+                                       [0.0, -1e300, 1e300], [float("nan"), 0.0, 0.0]])
+    def test_configs_and_ensembles_share_one_membership_rule(self, point):
+        # a source point (the config's check) and a delta prior on the whole
+        # region (the ensemble's) are accepted or refused together
+        problems, _space = source_rules(point)
+        region = region_with(dim=len(point))()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from a huge point
+            try:
+                delta_ensemble([point], [1.0], region)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert where_outside(np.array([point])) == (None if accepted else region.name)
+        assert (problems == []) is accepted
 
     def test_interval_embedding(self):
         p = Interval().to_ref_probs([0.3])
