@@ -307,22 +307,31 @@ def _tail_sums(a: float, b: float, x: float) -> list[float]:
     """G_k = 2F1(a + b + k, k + 1; a + k + 1; x) for k = 0, 1, 2, by their
     positive series, for 0 < x <= a / (a + b).
 
-    G_0 = a B(a, b) I_x(a, b) / (x^a (1-x)^b) (DLMF 8.17.8).  Each series
-    stops once its last term is below 1e-17 of its sum.
+    G_0 = a B(a, b) I_x(a, b) / (x^a (1-x)^b) (DLMF 8.17.8).  Its terms
+    t_n = (s)_n x^n / (a + 1)_n, s = a + b, fall monotonically, and those of
+    G_1 and G_2 are t_n times (s + n) (n + 1) (a + 1) / (s (a + 1 + n)) and
+    times that and (s + n + 1) (n + 2) (a + 2) / (2 (s + 1) (a + 2 + n)).  The
+    sums run to the first power of two of terms where t_n (n + 2)^2 is below
+    e^-50, then on until their last terms are below 1e-17 of the sums.
     """
     s = a + b
-    k = np.arange(3)[:, None]
-    totals, last = np.ones(3), np.ones((3, 1))
-    start, size = 0, 64
+    base = math.lgamma(a + 1.0) - math.lgamma(s)
+    size = 64
+    while (math.lgamma(s + size) - math.lgamma(a + 1.0 + size) + base + size * math.log(x)
+           + 2.0 * math.log(size + 2.0) > -50.0):
+        size *= 2
     while True:
-        n = np.arange(start, start + size)
-        ratios = (s + k + n) * (k + 1 + n) * x / ((a + k + 1 + n) * (n + 1))
-        series = last * np.cumprod(ratios, axis=1)
-        totals += np.einsum("ij->i", series)
-        last = series[:, -1:]
-        if np.all(last[:, 0] <= 1e-17 * totals):
-            return totals.tolist()
-        start, size = start + size, 2 * size
+        n = np.arange(float(size))
+        terms = np.empty(size)
+        terms[0] = 1.0
+        np.cumprod((s + n[:-1]) * x / (a + 1.0 + n[:-1]), out=terms[1:])
+        first = terms * (s + n) * (n + 1.0) / (a + 1.0 + n)
+        second = first * (s + 1.0 + n) * (n + 2.0) / (a + 2.0 + n)
+        sums = [np.einsum("i->", terms), (a + 1.0) / s * np.einsum("i->", first),
+                (a + 1.0) * (a + 2.0) / (2.0 * s * (s + 1.0)) * np.einsum("i->", second)]
+        if second[-1] <= 1e-17 * np.einsum("i->", second):
+            return [float(v) for v in sums]
+        size *= 2
 
 
 def _tail_moments(a: float, b: float, x: float) -> tuple[float, float]:

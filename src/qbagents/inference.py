@@ -226,13 +226,14 @@ class BetaMixture:
             with np.errstate(divide="ignore"):  # -inf where theta, 1 - theta or w is 0
                 logs.update(theta=np.log(theta), rest=np.log1p(-theta),
                             prior=np.log(self.prior.weights))
-        log_w = logs["prior"].copy()
-        if a:  # 0 log 0 = 0: a zero count leaves the endpoint's weight alone
-            log_w += a * logs["theta"]
+        # 0 log 0 = 0: a zero count leaves the endpoint's weight alone
+        w = a * logs["theta"] + logs["prior"] if a else logs["prior"].copy()
         if b:
-            log_w += b * logs["rest"]
-        w = np.exp(log_w - log_w.max())
-        return readonly(w / np.einsum("i->", w))
+            w += b * logs["rest"]
+        w -= w.max()
+        np.exp(w, out=w)
+        w /= np.einsum("i->", w)
+        return readonly(w)
 
     def ess(self) -> float:
         """Effective sample size 1 / sum(w^2) of the grid posterior."""
