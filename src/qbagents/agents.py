@@ -28,7 +28,8 @@ built, so a step does only arithmetic:
   points never move; particles move only when the refresh replaces them);
 * the posterior mean is cached per ensemble, and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
-  parameter), so a choice costs one point instead of a pass over the ensemble;
+  parameter), the action's ``kernel_rows`` at (1, mean), so a choice costs
+  a few float products instead of a pass over the ensemble;
 * a single-action menu draws nothing, and a menu without a utility table,
   whose expected utilities all equal the default utility, draws the
   tie-break index directly.
@@ -40,18 +41,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import PROB_TOL, as_cond_prob_matrix, as_prob_vector, readonly
+from .core_math import PROB_TOL, as_cond_prob_matrix, readonly
 from .errors import ValidationError
 from .inference import BetaMixture, Evidence, ParticleEnsemble, count_powers, posterior_mean
 from .postulate import (
     PhysicalPostulate,
     bloch_axes,
     ensemble_compatible,
-    likelihood_matrix,
     likelihoods,
     min_likelihood,
+    outcome_probs,
     ref_probs_of_points,
 )
+
+# Not called here; bound because perfbench's span recorder wraps
+# ``agents.likelihood_matrix`` and ``agents.as_prob_vector`` by name.
+from .core_math import as_prob_vector  # noqa: F401
+from .postulate import likelihood_matrix  # noqa: F401
 
 TIE_TOL = 1e-12
 
@@ -159,6 +165,7 @@ class Agent:
         affine = ens.region.to_ref_probs(np.vstack([np.zeros(dim), np.eye(dim)]))
         affine[1:] -= affine[0]
         self.kernel_rows = tuple((r @ affine.T).tolist() for r in rows)
+        self.menu_index = {a.name: i for i, a in enumerate(self.menu)}
         self._points = None  # the point set the likelihood cache belongs to
         self._probs = None  # its reference probabilities
         self._likes = {}  # (action index, outcome) -> likelihood at those points
@@ -200,10 +207,11 @@ def predictive(agent: Agent, action: Action) -> np.ndarray:
     """Posterior predictive q(j) = sum_i w_i p(j | theta_i) for a menu action.
 
     The likelihood is affine in theta, so the sum equals the likelihood at the
-    posterior mean: one point instead of the whole ensemble.
+    posterior mean: the action's ``kernel_rows`` at (1, mean), one point
+    instead of the whole ensemble.
     """
-    like = likelihood_matrix(agent.postulate, action.matrix, agent.mean())
-    return as_prob_vector(like[0], name="predictive")
+    rows = agent.kernel_rows[agent.menu_index[action.name]]
+    return np.array(outcome_probs(rows, [1.0, *agent.mean().tolist()]))
 
 
 def expected_utility(agent: Agent, action: Action) -> float:

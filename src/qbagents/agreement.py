@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
+from . import core_math
 from .core_math import (
     BetaParams,
     Density1D,
@@ -188,8 +188,8 @@ def chi(x, k: int, l: int, n_total: int):
 def _g(log_x: np.ndarray, log_1mx: np.ndarray, p, q) -> np.ndarray:
     """x^p (1-x)^q / (p! q!) from ``log x`` and ``log(1 - x)``; with integer
     columns ``p`` and ``q``, one row per (p, q)."""
-    logv = (p * log_x + q * log_1mx
-            - special.gammaln(p + 1) - special.gammaln(q + 1))
+    gammaln = core_math.special.gammaln
+    logv = p * log_x + q * log_1mx - gammaln(p + 1) - gammaln(q + 1)
     return np.exp(logv)
 
 
@@ -217,10 +217,11 @@ def _chi_rows(tables, l: int, k_stop: int) -> np.ndarray:
 def _edge_terms(k, l, n_total):
     """Boundary values of the two split sums; elementwise over integer arrays."""
     span = k - l
-    first = np.exp(special.gammaln(l + 2) + special.gammaln(n_total + 2 - l)
-                   - special.gammaln(l + 2) - special.gammaln(n_total + 1 - l))
-    second = np.exp(special.gammaln(k + 2) + special.gammaln(n_total + 2 - k)
-                    - special.gammaln(k + 1) - special.gammaln(n_total + 2 - k))
+    gammaln = core_math.special.gammaln
+    first = np.exp(gammaln(l + 2) + gammaln(n_total + 2 - l)
+                   - gammaln(l + 2) - gammaln(n_total + 1 - l))
+    second = np.exp(gammaln(k + 2) + gammaln(n_total + 2 - k)
+                    - gammaln(k + 1) - gammaln(n_total + 2 - k))
     return first - span, second - span
 
 

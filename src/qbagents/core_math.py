@@ -16,6 +16,8 @@ Conventions
 * A Beta law truncated to [lo, hi] has closed-form mass, mean and variance
   (``beta_piece``, ``beta_piece_var``) from incomplete Beta values, and in its
   tails from their continued fraction and series, without cancellation.
+* ``scipy.special`` loads when a Beta function is first evaluated, not on
+  import: quantum runs and tomography from a fixed source never evaluate one.
 """
 
 from __future__ import annotations
@@ -25,9 +27,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
+
+
+class _LazySpecial:
+    """Stands in for ``scipy.special`` until an attribute is first read; that
+    read imports it and rebinds the module global ``special`` to it, so later
+    calls reach the real module directly."""
+
+    def __getattr__(self, name: str):
+        global special
+        from scipy import special
+        return getattr(special, name)
+
+
+special = _LazySpecial()
 
 PROB_TOL = 1e-9
 DEFAULT_GRID_POINTS = 10_001

@@ -149,7 +149,8 @@ class InteractionRecord:
 @dataclass
 class Trace:
     """Everything a run produced: per-step records plus final summaries and
-    the raw material for plots (grid snapshots, final point clouds)."""
+    the raw material for plots (grid snapshots as (step, belief) pairs,
+    final point clouds)."""
 
     scenario: str
     seed: int
@@ -364,12 +365,13 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     trace = Trace(spec.scenario, spec.seed, dict(spec.config), spec.mode)
     keep = None if record_steps is None else set(record_steps) | {spec.n_steps}
 
-    # ensembles are immutable, so snapshots and clouds keep their read-only arrays
+    # ensembles are immutable, so snapshots keep the beliefs themselves (a
+    # ``BetaMixture`` builds its grid weights only when emission reads them)
+    # and clouds keep their read-only arrays
     def snapshot(step):
         for slot in slots:
             if _is_agent(slot) and slot.ensemble.grid:
-                trace.curves.setdefault(slot.id, []).append(
-                    (step, slot.ensemble.points[:, 0], slot.ensemble.weights))
+                trace.curves.setdefault(slot.id, []).append((step, slot.ensemble))
 
     trace.initial = {s.id: _summary_dict(s) for s in slots if _is_agent(s)}
     snapshot(0)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import linalg as sla
 
 from .core_math import PROB_TOL, as_prob_vector, readonly
 from .errors import DimensionMismatchError, RegionError, ValidationError
@@ -182,7 +181,11 @@ def quantum_postulate(ref: ReferenceAction | None = None) -> PhysicalPostulate:
 
 
 def sqrt_phi(phi) -> np.ndarray:
-    """Principal square root of Phi; requires a positive real spectrum."""
+    """Principal square root of Phi; requires a positive real spectrum.
+
+    ``scipy.linalg`` loads on the first call, not when the package does."""
+    from scipy import linalg as sla
+
     m = np.asarray(phi, dtype=float)
     eigs = np.linalg.eigvals(m)
     if np.any(np.abs(eigs.imag) > 1e-9) or np.any(eigs.real <= 0):

@@ -106,10 +106,10 @@ def emit_plot_data(trace: Trace, out_dir: str) -> dict[str, str]:
     paths: dict[str, str] = {}
 
     for aid, snapshots in trace.curves.items():
-        header = ["theta"] + [f"w_step{step}" for step, _g, _w in snapshots]
+        header = ["theta"] + [f"w_step{step}" for step, _b in snapshots]
         paths[f"curve:{aid}"] = _float_table(
             f"{prefix}_{aid}_curve.csv", header,
-            snapshots[0][1], *(w for _s, _g, w in snapshots))
+            snapshots[0][1].points[:, 0], *(b.weights for _s, b in snapshots))
 
     for aid, (points, weights) in trace.clouds.items():
         header = [f"x_{k}" for k in range(points.shape[1])] + ["weight"]

@@ -415,8 +415,9 @@ class TestRecordSteps:
         assert part.initial == full.initial
         assert part.curves.keys() == full.curves.keys()
         for aid, snaps in part.curves.items():
-            for (s1, x1, w1), (s2, x2, w2) in zip(snaps, full.curves[aid], strict=True):
-                assert s1 == s2 and np.array_equal(x1, x2) and np.array_equal(w1, w2)
+            for (s1, b1), (s2, b2) in zip(snaps, full.curves[aid], strict=True):
+                assert s1 == s2 and np.array_equal(b1.points, b2.points)
+                assert np.array_equal(b1.weights, b2.weights)
         assert part.clouds.keys() == full.clouds.keys()
         for aid, (pts, w) in part.clouds.items():
             assert np.array_equal(pts, full.clouds[aid][0])

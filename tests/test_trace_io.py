@@ -54,9 +54,10 @@ def reference_files(trace) -> dict[str, str]:
         lines.append(",".join(cells + [cell(rec.metrics[k]) for k in metric_keys]) + "\n")
     files["steps"] = "".join(lines)
     for aid, snapshots in trace.curves.items():
-        grid = snapshots[0][1]
+        grid = snapshots[0][1].points[:, 0]
+        weights = [belief.weights for _s, belief in snapshots]
         files[f"curve:{aid}"] = "".join(
-            reference_line([grid[i]] + [w[i] for _s, _g, w in snapshots])
+            reference_line([grid[i]] + [w[i] for w in weights])
             for i in range(grid.size))
     for aid, (points, weights) in trace.clouds.items():
         files[f"cloud:{aid}"] = "".join(
@@ -139,7 +140,7 @@ def test_zero_step_run(tmp_path, scenario):
         with open(paths["curve:agent"], encoding="utf8") as fh:
             header, *rows = fh.read().splitlines()
         assert header == "theta,w_step0"
-        assert len(rows) == trace.curves["agent"][0][1].size
+        assert len(rows) == trace.curves["agent"][0][1].n
         assert body(paths["curve:agent"]) == reference_files(trace)["curve:agent"]
     else:
         assert set(paths) == {"steps", "summary", "cloud:agent"}
