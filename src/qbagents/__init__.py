@@ -20,7 +20,6 @@ from .agreement import (
 )
 from .core_math import (
     BetaParams,
-    Density1D,
     beta_mean,
     beta_posterior,
     kolmogorov_distance,

@@ -173,10 +173,9 @@ class Agent:
         self._mean = None
 
     def action(self, name: str) -> Action:
-        for a in self.menu:
-            if a.name == name:
-                return a
-        raise ValidationError(f"agent {self.id!r}: no action named {name!r}")
+        if name not in self.menu_index:
+            raise ValidationError(f"agent {self.id!r}: no action named {name!r}")
+        return self.menu[self.menu_index[name]]
 
     def mean(self) -> np.ndarray:
         """Posterior mean of the current ensemble, computed once per ensemble

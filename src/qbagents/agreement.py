@@ -55,11 +55,12 @@ import numpy as np
 from . import core_math
 from .core_math import (
     BetaParams,
-    Density1D,
     beta_cdf_row,
     beta_mean,
+    grid_belief,
 )
 from .errors import ValidationError
+from .inference import ParticleEnsemble
 
 CHI_GRID = 101  # points on [0, 1] where chi is checked
 CLAIM_TOL = 1e-12  # slack on the mean-contraction and chi margins
@@ -75,22 +76,23 @@ class _BetaArrays(NamedTuple):
 
 @dataclass(frozen=True)
 class ExpectedPosterior:
-    """Expected density after one exchange; a Beta mixture or a reweighted grid."""
+    """Expected density after one exchange: a Beta mixture, or a 1-D grid
+    belief's grid reweighted (``density``, a grid ``ParticleEnsemble``)."""
 
     kind: str
     mixture_weights: tuple[float, float] | None = None
     components: tuple[BetaParams, BetaParams] | None = None
-    density: Density1D | None = None
+    density: ParticleEnsemble | None = None
 
     def mean(self) -> float:
         if self.kind == "beta_mixture":
             return _mixture_mean(self.mixture_weights, self.components)
-        return self.density.mean()
+        return _mean_of(self.density)
 
     def cdf(self) -> np.ndarray:
         """Mixture CDF at the default grid's points, from memoized Beta rows."""
         if self.kind != "beta_mixture":
-            raise ValidationError("grid expected posteriors expose cdf via density")
+            raise ValidationError("a grid expected posterior's CDF is that of its density")
         w1, w2 = self.mixture_weights
         c1, c2 = self.components
         return w1 * beta_cdf_row(c1) + w2 * beta_cdf_row(c2)
@@ -114,16 +116,16 @@ def _gaps(mean_a, mean_b, after):
 
 
 def _mean_of(prior) -> float:
+    """A Beta law's mean, or a 1-D grid belief's ``weights @ grid`` (its grid measure)."""
     if isinstance(prior, BetaParams):
         return beta_mean(prior)
-    if isinstance(prior, Density1D):
-        return prior.mean()
-    raise ValidationError(f"unsupported prior type {type(prior).__name__}")
+    theta, weights = grid_belief(prior)
+    return float(weights @ theta)
 
 
 def expected_posterior(prior_a, mean_b: float) -> ExpectedPosterior:
-    """Expected density for agent A after one exchange with an agent of mean
-    bias estimate ``mean_b``."""
+    """Expected density for agent A, a ``BetaParams`` or a 1-D grid belief,
+    after one exchange with an agent of mean bias estimate ``mean_b``."""
     if not (0.0 < mean_b < 1.0):
         raise ValidationError(f"other agent's mean must be interior, got {mean_b}")
     mean_a = _mean_of(prior_a)
@@ -133,13 +135,14 @@ def expected_posterior(prior_a, mean_b: float) -> ExpectedPosterior:
         return ExpectedPosterior("beta_mixture",
                                  mixture_weights=(mean_b, 1.0 - mean_b),
                                  components=_mixture_components(prior_a))
-    theta = prior_a.grid
+    theta = prior_a.points[:, 0]
     factor = (mean_b / mean_a) * theta + ((1.0 - mean_b) / (1.0 - mean_a)) * (1.0 - theta)
     weights = prior_a.weights * factor
     total = weights.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"expected posterior integrates to {total!r}")
-    return ExpectedPosterior("grid", density=Density1D(theta, weights / total))
+    return ExpectedPosterior("grid", density=ParticleEnsemble(
+        prior_a.points, weights / total, prior_a.region, grid=True))
 
 
 def mean_contraction_gap(prior_a, prior_b) -> tuple[float, float]:

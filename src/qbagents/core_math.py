@@ -10,9 +10,9 @@ Conventions
 * A conditional probability matrix ``R`` has shape ``(m, n)`` with semantics
   ``R[j, i] = Pr(outcome j | reference outcome i)``, so every *column* is a
   probability vector.
-* Densities on the unit interval are either analytic (``BetaParams``) or numeric
-  (``Density1D``, a weighted grid).  The default grid has 10,001 uniform points,
-  enough to resolve posterior features at the 1e-3 scale cheaply.
+* Densities on the unit interval are either analytic (``BetaParams``) or the
+  agents' 1-D grid beliefs (``grid_belief``).  The default grid has 10,001
+  uniform points, enough to resolve posterior features at the 1e-3 scale cheaply.
 * A Beta law truncated to [lo, hi] has closed-form mass, mean and variance
   (``beta_piece``, ``beta_piece_var``) from incomplete Beta values, and in its
   tails from their continued fraction and series, without cancellation.
@@ -364,79 +364,33 @@ def _tail_moments(a: float, b: float, x: float) -> tuple[float, float]:
     return x * ev, x * x * (ev2 - ev * ev)
 
 
-@dataclass(frozen=True)
-class Density1D:
-    """A density on [0, 1] as normalized weights over a strictly increasing grid."""
-
-    grid: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float).ravel()
-        if g.size == 0:
-            raise ValidationError("Density1D: empty grid")
-        if g.min() < 0.0 or g.max() > 1.0:
-            raise ValidationError("Density1D: grid points outside [0, 1]")
-        if g.size > 1 and not np.all(np.diff(g) > 0):
-            raise ValidationError("Density1D: grid must be strictly increasing")
-        w = as_prob_vector(self.weights, name="Density1D weights")
-        if w.size != g.size:
-            raise ValidationError("Density1D: grid and weights lengths differ")
-        object.__setattr__(self, "grid", readonly(g))
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, lo: float = 0.0, hi: float = 1.0,
-                n: int = DEFAULT_GRID_POINTS) -> "Density1D":
-        grid = np.linspace(lo, hi, n)
-        return cls(grid, np.full(n, 1.0 / n))
-
-    @classmethod
-    def from_pdf(cls, pdf, lo: float = 0.0, hi: float = 1.0,
-                 n: int = DEFAULT_GRID_POINTS) -> "Density1D":
-        grid = np.linspace(lo, hi, n)
-        w = np.asarray(pdf(grid), dtype=float)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("pdf produced negative or non-finite values")
-        total = w.sum()
-        if total <= 0:
-            raise ValidationError("pdf is zero everywhere on the grid")
-        return cls(grid, w / total)
-
-    @classmethod
-    def from_beta(cls, p: BetaParams, n: int = DEFAULT_GRID_POINTS) -> "Density1D":
-        return cls.from_pdf(lambda t: beta_pdf(t, p), 0.0, 1.0, n)
-
-    def mean(self) -> float:
-        return float(self.weights @ self.grid)
-
-    def cdf(self) -> np.ndarray:
-        """Cumulative weights at the grid points (inclusive convention)."""
-        return np.cumsum(self.weights)
+def grid_belief(belief) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of a 1-D grid belief (``grid`` true, ``dim`` 1): a grid
+    ``inference.ParticleEnsemble`` or a ``BetaMixture``."""
+    if not (getattr(belief, "grid", False) and getattr(belief, "dim", None) == 1):
+        raise ValidationError(f"unsupported operand {type(belief).__name__}")
+    return belief.points[:, 0], belief.weights
 
 
 def kolmogorov_distance(a, b) -> float:
     """Supremum distance between the CDFs of two densities on [0, 1].
 
     For two ``BetaParams`` the analytic CDFs are compared on the default
-    10,001-point grid, from the rows ``beta_cdf_row`` memoizes; with a
-    ``Density1D`` the supremum is taken over its grid points only, which is
-    adequate at that resolution and avoids root-finding.  Two grid densities
-    must share a grid.
+    10,001-point grid, from the rows ``beta_cdf_row`` memoizes.  A 1-D grid
+    belief's CDF is its cumulative weights, and the supremum is taken over its
+    grid points only, adequate at that resolution and free of root-finding.
+    Two grid beliefs must share a grid.
     """
-    a_beta = isinstance(a, BetaParams)
-    b_beta = isinstance(b, BetaParams)
-    if a_beta and b_beta:
+    if isinstance(a, BetaParams) and isinstance(b, BetaParams):
         return float(np.max(np.abs(beta_cdf_row(a) - beta_cdf_row(b))))
-    if a_beta or b_beta:
-        dens, bp = (b, a) if a_beta else (a, b)
-        if not isinstance(dens, Density1D):
-            raise ValidationError(f"unsupported operand {type(dens).__name__}")
-        diff = dens.cdf() - special.betainc(bp.alpha, bp.beta, dens.grid)
-        return float(np.max(np.abs(diff)))
-    if isinstance(a, Density1D) and isinstance(b, Density1D):
-        if a.grid.size != b.grid.size or not np.array_equal(a.grid, b.grid):
+    if isinstance(a, BetaParams):
+        a, b = b, a
+    theta, weights = grid_belief(a)
+    if isinstance(b, BetaParams):
+        other = special.betainc(b.alpha, b.beta, theta)
+    else:
+        theta_b, weights_b = grid_belief(b)
+        if not np.array_equal(theta, theta_b):
             raise ValidationError("kolmogorov_distance: mismatched grids")
-        return float(np.max(np.abs(a.cdf() - b.cdf())))
-    raise ValidationError(
-        f"unsupported operands {type(a).__name__}, {type(b).__name__}")
+        other = np.cumsum(weights_b)
+    return float(np.max(np.abs(np.cumsum(weights) - other)))

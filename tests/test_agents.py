@@ -74,6 +74,14 @@ class TestPredictive:
         assert q[1] == pytest.approx(0.2295, abs=2e-4)
 
 
+def test_action_by_name():
+    agent = ball_agent(n=10)
+    for i, name in enumerate("XYZ"):
+        assert agent.action(name) is agent.menu[i]
+    with pytest.raises(ValidationError, match="agent 'a': no action named 'flip'"):
+        agent.action("flip")
+
+
     @pytest.mark.parametrize("make", ["ball", "grid"])
     def test_mean_likelihood_equals_ensemble_average(self, make):
         # linearity: the likelihood at the mean is the weighted average of

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qbagents.agreement import (
     _chi_rows,
     _chi_tables,
     _kolmogorov_level,
+    _mean_of,
     chi,
     chi_edge_terms,
     expected_posterior,
@@ -23,11 +26,21 @@ from qbagents.core_math import (
     BETA_CDF_CACHE_ROWS,
     DEFAULT_GRID_POINTS,
     BetaParams,
-    Density1D,
     beta_cdf_row,
+    beta_pdf,
+    kolmogorov_distance,
     regularized_incomplete_beta,
 )
 from qbagents.errors import ValidationError
+from qbagents.inference import BetaMixture, delta_ensemble, grid_ensemble, sample_uniform
+from qbagents.interaction import run
+from qbagents.postulate import Interval, QubitBall
+from qbagents.scenarios import build_runtime, default_config
+
+
+def beta_grid(alpha, beta, n=4001):
+    """A grid belief on [0, 1] weighted by the Beta(alpha, beta) pdf."""
+    return grid_ensemble(Interval(), n, pdf=partial(beta_pdf, p=BetaParams(alpha, beta)))
 
 
 class TestExpectedPosterior:
@@ -61,8 +74,9 @@ class TestExpectedPosterior:
         assert exp.components[1] == BetaParams(k + 1, n - k + 2)
 
     def test_grid_prior_normalizes(self):
-        prior = Density1D.from_beta(BetaParams(3, 2), n=4001)
+        prior = beta_grid(3, 2)
         exp = expected_posterior(prior, 0.4)
+        assert exp.kind == "grid" and exp.density.grid
         assert exp.density.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_means_rejected(self):
@@ -75,10 +89,10 @@ class TestExpectedPosterior:
         # one simulated exchange: outcome ~ Bernoulli(mean_b), posterior mean
         # averaged over 1e5 trials agrees with the expected-posterior mean
         rng = np.random.default_rng(0)
-        prior = Density1D.from_pdf(lambda t: np.minimum(t / 0.7, (1 - t) / 0.3),
-                                   n=2001)
+        prior = grid_ensemble(Interval(), 2001,
+                              pdf=lambda t: np.minimum(t / 0.7, (1 - t) / 0.3))
         mean_b = 0.55
-        theta = prior.grid
+        theta = prior.points[:, 0]
         w_heads = prior.weights * theta
         w_heads /= w_heads.sum()
         w_tails = prior.weights * (1 - theta)
@@ -114,10 +128,134 @@ class TestMeanContraction:
             assert after <= before + 1e-12
 
     def test_grid_prior_contraction(self):
-        prior = Density1D.from_beta(BetaParams(5, 2), n=4001)
-        other = Density1D.from_beta(BetaParams(2, 5), n=4001)
+        prior = beta_grid(5, 2)
+        other = beta_grid(2, 5)
         before, after = mean_contraction_gap(prior, other)
         assert after <= before + 1e-12
+
+
+def reference_mean(belief):
+    """The removed grid density's mean: ``weights @ grid``."""
+    return float(belief.weights @ belief.points[:, 0])
+
+
+def reference_expected_weights(belief, mean_b):
+    """The removed reweighting and normalization of ``expected_posterior``:
+    the prior weights times the exchange factor, over their sum, then clamped
+    and renormalized as the grid density's constructor did."""
+    theta, mean_a = belief.points[:, 0], reference_mean(belief)
+    factor = (mean_b / mean_a) * theta + ((1.0 - mean_b) / (1.0 - mean_a)) * (1.0 - theta)
+    w = belief.weights * factor
+    w = np.maximum(w / w.sum(), 0.0)
+    w /= w.sum()
+    return w
+
+
+def reference_kolmogorov(belief, other):
+    """The removed grid CDF, ``np.cumsum(weights)``, against a Beta law or a
+    grid on the same points."""
+    cdf = np.cumsum(belief.weights)
+    if isinstance(other, BetaParams):
+        theta = belief.points[:, 0]
+        return float(np.max(np.abs(cdf - special.betainc(other.alpha, other.beta, theta))))
+    return float(np.max(np.abs(cdf - np.cumsum(other.weights))))
+
+
+def grid_beliefs():
+    """A uniform grid, a Beta(3, 2) grid and a ``BetaMixture`` with counts,
+    all on the same 4001 points."""
+    beta32 = beta_grid(3, 2)
+    return {"uniform": grid_ensemble(Interval(), 4001), "beta32": beta32,
+            "counts": BetaMixture(beta32, ((0.0, 3.0, 2.0, 0.0, 1.0),), (7, 4))}
+
+
+class TestGridBeliefs:
+    """The agreement analysis on 1-D grid beliefs gives, bit for bit, the
+    arithmetic of the weighted-grid density it replaced."""
+
+    def test_uniform_mean(self):
+        assert _mean_of(grid_ensemble(Interval(), DEFAULT_GRID_POINTS)) == pytest.approx(
+            0.5, abs=1e-12)
+
+    def test_beta_grid_mean(self):
+        assert _mean_of(beta_grid(772, 230, n=DEFAULT_GRID_POINTS)) == pytest.approx(
+            772 / 1002, abs=1e-4)
+
+    @pytest.mark.parametrize("name_a", ["uniform", "beta32", "counts"])
+    @pytest.mark.parametrize("name_b", ["uniform", "beta32", "counts"])
+    def test_equals_removed_arithmetic(self, name_a, name_b):
+        beliefs = grid_beliefs()
+        a, b = beliefs[name_a], beliefs[name_b]
+        mean_a, mean_b = reference_mean(a), reference_mean(b)
+        exp = expected_posterior(a, mean_b)
+        weights = reference_expected_weights(a, mean_b)
+        assert exp.density.weights.tobytes() == weights.tobytes()
+        assert exp.density.points.tobytes() == a.points.tobytes()
+        after = float(weights @ a.points[:, 0])
+        assert exp.mean() == after
+        assert mean_contraction_gap(a, b) == (abs(mean_b - mean_a), abs(mean_b - after))
+        assert kolmogorov_distance(a, b) == reference_kolmogorov(a, b)
+        for law in (BetaParams(3, 2), BetaParams(1, 1), BetaParams(0.7, 4.5)):
+            assert kolmogorov_distance(a, law) == reference_kolmogorov(a, law)
+            assert kolmogorov_distance(law, a) == reference_kolmogorov(a, law)
+        assert kolmogorov_distance(exp.density, b) == reference_kolmogorov(exp.density, b)
+
+    @pytest.mark.parametrize("operand", [
+        sample_uniform(QubitBall(), 20, np.random.default_rng(0)),
+        delta_ensemble([0.2, 0.7], [0.5, 0.5], Interval()),
+    ], ids=["bloch_particles", "delta_1d"])
+    def test_other_beliefs_rejected(self, operand):
+        grid = grid_beliefs()["uniform"]
+        for call in (lambda: kolmogorov_distance(operand, BetaParams(2, 2)),
+                     lambda: kolmogorov_distance(BetaParams(2, 2), operand),
+                     lambda: kolmogorov_distance(grid, operand),
+                     lambda: kolmogorov_distance(operand, grid),
+                     lambda: expected_posterior(operand, 0.4),
+                     lambda: mean_contraction_gap(operand, grid),
+                     lambda: mean_contraction_gap(grid, operand)):
+            with pytest.raises(ValidationError, match="unsupported operand"):
+                call()
+
+    def test_grids_of_different_sizes(self):
+        small, large = beta_grid(3, 2, n=101), beta_grid(3, 2, n=102)
+        with pytest.raises(ValidationError, match="mismatched grids"):
+            kolmogorov_distance(small, large)
+        with pytest.raises(ValidationError, match="mismatched grids"):
+            kolmogorov_distance(expected_posterior(small, 0.4).density, large)
+        # the means alone do not need a shared grid
+        before, after = mean_contraction_gap(small, large)
+        assert after <= before + 1e-12
+
+
+class TestSimulatedAgents:
+    """The appendix's contraction read on the simulator's own beliefs."""
+
+    @pytest.mark.parametrize("scenario", ["classical_pair", "classical_disjoint"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mean_contraction(self, scenario, seed):
+        config = default_config(scenario, seed)
+        for n_steps in (0, 10, config.n_steps):
+            spec = build_runtime(replace(config, n_steps=n_steps))
+            if n_steps:
+                run(spec, record_steps=())
+            a, b = (slot.ensemble for slot in spec.slots)
+            assert [sum(belief.counts) for belief in (a, b)] == [n_steps, n_steps]
+            for x, y in ((a, b), (b, a)):
+                before, after = mean_contraction_gap(x, y)
+                assert after <= before + 1e-12
+
+    @pytest.mark.parametrize("prior,law", [
+        ({"kind": "grid_pdf", "name": "semicircle"}, BetaParams(1.5, 1.5)),
+        ({"kind": "grid_uniform", "lo": 0.0, "hi": 1.0}, BetaParams(1, 1)),
+        ({"kind": "grid_beta", "alpha": 3, "beta": 2}, BetaParams(3, 2)),
+    ], ids=["semicircle", "grid_uniform", "grid_beta"])
+    def test_prior_grid_matches_its_beta_piece(self, prior, law):
+        config = default_config("coin_tomography")
+        agent = replace(config.agents[0], prior=prior)
+        spec = build_runtime(replace(config, agents=(agent, *config.agents[1:])))
+        belief = spec.slots[0].ensemble
+        assert [piece[1:] for piece in belief.pieces] == [(law.alpha, law.beta, 0.0, 1.0)]
+        assert kolmogorov_distance(belief, law) < 1e-3
 
 
 class TestChi:
@@ -197,7 +335,7 @@ class TestBetaCdfRows:
         assert exp.cdf().tobytes() == direct.tobytes()
 
     def test_grid_expected_posterior_has_no_mixture_cdf(self):
-        exp = expected_posterior(Density1D.from_beta(BetaParams(3, 2), n=101), 0.4)
+        exp = expected_posterior(beta_grid(3, 2, n=101), 0.4)
         with pytest.raises(ValidationError):
             exp.cdf()
 

@@ -3,8 +3,8 @@ import pytest
 from scipy import special
 
 from qbagents.core_math import (
+    DEFAULT_GRID_POINTS,
     BetaParams,
-    Density1D,
     as_cond_prob_matrix,
     as_prob_vector,
     beta_mean,
@@ -13,6 +13,8 @@ from qbagents.core_math import (
     regularized_incomplete_beta,
 )
 from qbagents.errors import ValidationError
+from qbagents.inference import grid_ensemble
+from qbagents.postulate import Interval
 
 
 class TestProbVector:
@@ -109,24 +111,6 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(0.5, -1, 1)
 
 
-class TestDensity1D:
-    def test_grid_must_increase(self):
-        with pytest.raises(ValidationError):
-            Density1D(np.array([0.0, 0.5, 0.5]), np.full(3, 1 / 3))
-
-    def test_grid_must_stay_in_unit_interval(self):
-        with pytest.raises(ValidationError):
-            Density1D(np.array([0.0, 1.2]), np.array([0.5, 0.5]))
-
-    def test_uniform_mean(self):
-        d = Density1D.uniform()
-        assert d.mean() == pytest.approx(0.5, abs=1e-12)
-
-    def test_from_beta_mean(self):
-        d = Density1D.from_beta(BetaParams(772, 230))
-        assert d.mean() == pytest.approx(772 / 1002, abs=1e-4)
-
-
 class TestKolmogorov:
     def test_identical_betas(self):
         assert kolmogorov_distance(BetaParams(1, 1), BetaParams(1, 1)) == 0.0
@@ -140,13 +124,16 @@ class TestKolmogorov:
         assert d == pytest.approx(0.5, abs=1e-12)
 
     def test_grid_uniform_vs_flat_beta(self):
-        d = kolmogorov_distance(Density1D.uniform(), BetaParams(1, 1))
+        d = kolmogorov_distance(grid_ensemble(Interval(), DEFAULT_GRID_POINTS),
+                                BetaParams(1, 1))
         assert d < 2e-4
 
     def test_mismatched_grids_error(self):
-        a = Density1D.uniform(n=101)
-        b = Density1D.uniform(n=102)
-        with pytest.raises(ValidationError):
+        # same size, different points: grids of different sizes are in
+        # test_agreement.py::TestGridBeliefs
+        a = grid_ensemble(Interval(), 101)
+        b = grid_ensemble(Interval(0.0, 0.5), 101)
+        with pytest.raises(ValidationError, match="mismatched grids"):
             kolmogorov_distance(a, b)
 
     def test_symmetry_exact(self):
