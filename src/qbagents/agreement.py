@@ -76,8 +76,7 @@ class _BetaArrays(NamedTuple):
 
 @dataclass(frozen=True)
 class ExpectedPosterior:
-    """Expected density after one exchange: a Beta mixture, or a 1-D grid
-    belief's grid reweighted (``density``, a grid ``ParticleEnsemble``)."""
+    """Expected density after one exchange: a Beta mixture or a reweighted grid belief."""
 
     kind: str
     mixture_weights: tuple[float, float] | None = None
@@ -147,8 +146,7 @@ def expected_posterior(prior_a, mean_b: float) -> ExpectedPosterior:
 
 def mean_contraction_gap(prior_a, prior_b) -> tuple[float, float]:
     """(|m_B - m_A|, |m_B - mean(ExpPos_A)|); the first is never smaller."""
-    mean_a = _mean_of(prior_a)
-    mean_b = _mean_of(prior_b)
+    mean_a, mean_b = _mean_of(prior_a), _mean_of(prior_b)
     return _gaps(mean_a, mean_b, expected_posterior(prior_a, mean_b).mean())
 
 

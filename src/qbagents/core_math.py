@@ -365,10 +365,12 @@ def _tail_moments(a: float, b: float, x: float) -> tuple[float, float]:
 
 
 def grid_belief(belief) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) of a 1-D grid belief (``grid`` true, ``dim`` 1): a grid
-    ``inference.ParticleEnsemble`` or a ``BetaMixture``."""
+    """(points, weights) of a 1-D grid belief (``grid`` true, ``dim`` 1) on strictly
+    increasing points: a grid ``inference.ParticleEnsemble`` or a ``BetaMixture``."""
     if not (getattr(belief, "grid", False) and getattr(belief, "dim", None) == 1):
         raise ValidationError(f"unsupported operand {type(belief).__name__}")
+    if np.any(np.diff(belief.points[:, 0]) <= 0.0):
+        raise ValidationError("grid points must be strictly increasing")
     return belief.points[:, 0], belief.weights
 
 

@@ -74,14 +74,6 @@ class TestPredictive:
         assert q[1] == pytest.approx(0.2295, abs=2e-4)
 
 
-def test_action_by_name():
-    agent = ball_agent(n=10)
-    for i, name in enumerate("XYZ"):
-        assert agent.action(name) is agent.menu[i]
-    with pytest.raises(ValidationError, match="agent 'a': no action named 'flip'"):
-        agent.action("flip")
-
-
     @pytest.mark.parametrize("make", ["ball", "grid"])
     def test_mean_likelihood_equals_ensemble_average(self, make):
         # linearity: the likelihood at the mean is the weighted average of
@@ -99,6 +91,14 @@ def test_action_by_name():
             full = ens.weights @ likelihood_matrix(agent.postulate, action.matrix,
                                                    ens.points)
             assert np.allclose(predictive(agent, action), full, atol=1e-12, rtol=0)
+
+
+def test_action_by_name():
+    agent = ball_agent(n=10)
+    for i, name in enumerate("XYZ"):
+        assert agent.action(name) is agent.menu[i]
+    with pytest.raises(ValidationError, match="agent 'a': no action named 'flip'"):
+        agent.action("flip")
 
 
 class TestExpectedUtility:

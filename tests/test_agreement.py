@@ -32,7 +32,13 @@ from qbagents.core_math import (
     regularized_incomplete_beta,
 )
 from qbagents.errors import ValidationError
-from qbagents.inference import BetaMixture, delta_ensemble, grid_ensemble, sample_uniform
+from qbagents.inference import (
+    BetaMixture,
+    ParticleEnsemble,
+    delta_ensemble,
+    grid_ensemble,
+    sample_uniform,
+)
 from qbagents.interaction import run
 from qbagents.postulate import Interval, QubitBall
 from qbagents.scenarios import build_runtime, default_config
@@ -214,6 +220,18 @@ class TestGridBeliefs:
                      lambda: mean_contraction_gap(operand, grid),
                      lambda: mean_contraction_gap(grid, operand)):
             with pytest.raises(ValidationError, match="unsupported operand"):
+                call()
+
+    @pytest.mark.parametrize("points", [[0.0, 0.5, 0.5], [0.9, 0.5, 0.1]],
+                             ids=["repeated", "decreasing"])
+    def test_grid_must_increase(self, points):
+        # cumulative weights are a CDF only on increasing points
+        grid = ParticleEnsemble(points, np.full(3, 1 / 3), Interval(), grid=True)
+        for call in (lambda: kolmogorov_distance(grid, BetaParams(2, 2)),
+                     lambda: kolmogorov_distance(BetaParams(2, 2), grid),
+                     lambda: expected_posterior(grid, 0.4),
+                     lambda: mean_contraction_gap(grid, BetaParams(2, 2))):
+            with pytest.raises(ValidationError, match="strictly increasing"):
                 call()
 
     def test_grids_of_different_sizes(self):
