@@ -46,7 +46,6 @@ special = _LazySpecial()
 
 PROB_TOL = 1e-9
 DEFAULT_GRID_POINTS = 10_001
-BETA_CDF_CACHE_ROWS = 40  # rows kept by ``beta_cdf_row``, 80 kB each on the default grid
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -136,16 +135,10 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=BETA_CDF_CACHE_ROWS)
 def beta_cdf_row(p: BetaParams) -> np.ndarray:
-    """The CDF of ``p`` at the ``DEFAULT_GRID_POINTS`` uniform points of [0, 1].
-
-    Memoized and read-only: the appendix battery asks for each of its few
-    distinct integer-parameter rows many times.  The least recently used row
-    goes once ``BETA_CDF_CACHE_ROWS`` are held.
-    """
+    """The CDF of ``p`` at the ``DEFAULT_GRID_POINTS`` uniform points of [0, 1]."""
     x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    return readonly(special.betainc(p.alpha, p.beta, x))
+    return special.betainc(p.alpha, p.beta, x)
 
 
 def beta_pdf(theta, p: BetaParams):
@@ -378,7 +371,7 @@ def kolmogorov_distance(a, b) -> float:
     """Supremum distance between the CDFs of two densities on [0, 1].
 
     For two ``BetaParams`` the analytic CDFs are compared on the default
-    10,001-point grid, from the rows ``beta_cdf_row`` memoizes.  A 1-D grid
+    10,001-point grid, each row evaluated by ``beta_cdf_row``.  A 1-D grid
     belief's CDF is its cumulative weights, and the supremum is taken over its
     grid points only, adequate at that resolution and free of root-finding.
     Two grid beliefs must share a grid.

@@ -1,20 +1,27 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
+from qbagents import core_math
 from qbagents.agreement import (
     BETA_PAIR_BLOCK,
     CHI_GRID,
     _beta_pair_gaps,
+    _binomial_tails,
     _chi_rows,
     _chi_tables,
     _kolmogorov_level,
+    _log_grid,
     _mean_of,
+    _tail_rows,
     chi,
     chi_edge_terms,
     expected_posterior,
@@ -23,7 +30,6 @@ from qbagents.agreement import (
     verify_appendix_claims,
 )
 from qbagents.core_math import (
-    BETA_CDF_CACHE_ROWS,
     DEFAULT_GRID_POINTS,
     BetaParams,
     beta_cdf_row,
@@ -339,12 +345,13 @@ class TestBetaCdfRows:
             row = beta_cdf_row(BetaParams(alpha, beta))
             assert row.tobytes() == special.betainc(alpha, beta, x).tobytes()
 
-    def test_row_is_read_only_and_shared(self):
+    def test_row_is_evaluated_per_call(self):
         row = beta_cdf_row(BetaParams(2, 9))
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 1.0
-        assert beta_cdf_row(BetaParams(2.0, 9.0)) is row
+        again = beta_cdf_row(BetaParams(2.0, 9.0))
+        assert again is not row
+        assert again.tobytes() == row.tobytes()
+        row[0] = 1.0
+        assert beta_cdf_row(BetaParams(2, 9))[0] == 0.0
 
     def test_mixture_cdf_is_weighted_row_sum(self):
         exp = expected_posterior(BetaParams(4, 3), 0.3)
@@ -357,17 +364,95 @@ class TestBetaCdfRows:
         with pytest.raises(ValidationError):
             exp.cdf()
 
-    def test_default_battery_stays_within_bound(self):
-        # Level N fetches its N+1 prior rows, then its N+2 component rows, once
-        # each; the priors are level N-1's tails components, so each distinct
-        # row misses once (152 for N <= 15) and the priors after level 1 hit
-        # (3 + 4 + ... + 16 = 133).
-        beta_cdf_row.cache_clear()
-        verify_appendix_claims(chi_max_n=1, n_beta_pairs=1)
-        info = beta_cdf_row.cache_info()
-        assert info.misses == 152
-        assert info.hits == 133
-        assert info.currsize <= BETA_CDF_CACHE_ROWS == info.maxsize
+    def test_battery_never_evaluates_betainc(self, monkeypatch):
+        class NoBetainc:
+            def __getattr__(self, name):
+                if name == "betainc":
+                    raise AssertionError("the battery evaluated betainc")
+                return getattr(special, name)
+
+        monkeypatch.setattr(core_math, "special", NoBetainc())
+        rows = verify_appendix_claims(chi_max_n=2, n_beta_pairs=1)
+        assert all(row["passed"] for row in rows)
+        with pytest.raises(AssertionError, match="betainc"):
+            expected_posterior(BetaParams(4, 3), 0.3).cdf()
+
+
+def tail_reference(n, x):
+    """P(Bin(n, x) >= c) for c = 1..n at 50 digits, from the exact float ``x``."""
+    x = mp.mpf(float(x))
+    terms = [mp.binomial(n, j) * x**j * (1 - x)**(n - j) for j in range(n + 1)]
+    return [mp.fsum(terms[c:]) for c in range(1, n + 1)]
+
+
+def removed_contraction_check(k, l, n, row):
+    """The Kolmogorov pair from ``betainc`` CDF rows, as computed before binomial
+    tails; ``row(alpha, beta)`` gives the CDF row of Beta(alpha, beta)."""
+    def rows(c):
+        return row(c + 1, n - c + 1), row(c + 2, n - c + 1), row(c + 1, n - c + 2)
+
+    (prior_k, heads_k, tails_k), (prior_l, heads_l, tails_l) = rows(k), rows(l)
+    mean_k, mean_l = (k + 1) / (n + 2), (l + 1) / (n + 2)
+    exp_k = mean_l * heads_k + (1.0 - mean_l) * tails_k
+    exp_l = mean_k * heads_l + (1.0 - mean_k) * tails_l
+    return np.max(np.abs(prior_k - prior_l)), np.max(np.abs(exp_k - exp_l))
+
+
+class TestBinomialTails:
+    """The Kolmogorov rows as binomial upper tails, against 50-digit sums,
+    ``betainc`` and the ``betainc`` arithmetic they replaced."""
+
+    X = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+
+    def betainc_row(self, alpha, beta):
+        return special.betainc(alpha, beta, self.X)
+
+    def test_rows_match_mpmath(self):
+        # 101 evenly spaced points with both ends, and the three next to each end
+        idx = np.union1d(np.linspace(0, DEFAULT_GRID_POINTS - 1, 101).astype(int),
+                         [1, 2, 3, DEFAULT_GRID_POINTS - 4, DEFAULT_GRID_POINTS - 3,
+                          DEFAULT_GRID_POINTS - 2])
+        grid = _log_grid()
+        with mp.workdps(50):
+            for n in range(2, 18):
+                rows = np.array(_tail_rows(n, *grid))[:, idx]
+                exact = np.array([tail_reference(n, x) for x in self.X[idx]]).T
+                assert np.max(np.abs(rows - exact.astype(float))) <= 2e-15
+                assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, -1] == 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 200))
+    def test_rows_match_betainc(self, data, n):
+        c = data.draw(st.integers(1, n))
+        *_, row = _binomial_tails(n, c, *_log_grid())
+        assert np.max(np.abs(row - self.betainc_row(c, n + 1 - c))) <= 1e-12
+
+    def test_stream_stops_at_the_requested_tail(self):
+        grid = _log_grid()
+        rows = list(_binomial_tails(9, 4, *grid))
+        assert np.array(rows).tobytes() == np.array(_tail_rows(9, *grid)[:2:-1]).tobytes()
+
+    def test_pairs_match_removed_betainc_arithmetic(self):
+        row = cache(self.betainc_row)
+        worst = 0.0
+        for n in range(1, 16):
+            for k in range(n + 1):
+                for l in range(n + 1):
+                    new = kolmogorov_contraction_check(k, l, n)
+                    old = removed_contraction_check(k, l, n, row)
+                    worst = max(worst, *np.abs(np.subtract(new, old)))
+        assert worst <= 1e-14
+
+    def test_large_n_holds_a_few_rows(self):
+        tracemalloc.start()
+        try:
+            k_prior, k_post = kolmogorov_contraction_check(1000, 3, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 1024 * 1024
+        reference = removed_contraction_check(1000, 3, 2000, self.betainc_row)
+        assert np.max(np.abs(np.subtract((k_prior, k_post), reference))) <= 1e-12
 
 
 def test_verify_claims_small_battery():
