@@ -22,8 +22,13 @@ Two contraction statements are realized numerically here:
       chi = sum_{j=l+1}^{k} g(j, N+1-j)
             - (k - l) * (g(l+1, N+1-l) + g(k+1, N+1-k)),
 
-  with g(p, q) = x^p (1-x)^q / (p! q!), evaluated here through log-gamma so
-  that N up to a few dozen stays exact to float precision.
+  with g(p, q) = x^p (1-x)^q / (p! q!).  Raised to degree N+2, chi is a sum
+  of Bernstein terms B_i = C(N+2, i) x^i (1-x)^(N+2-i) with positive
+  coefficients (Farouki, CAGD 29, 2012, on degree elevation):
+
+      (N+2)! chi = (N+1-k) B_{l+1} + (N+2) sum_{i=l+2}^{k} B_i + (l+1) B_{k+1},
+
+  so chi >= 0 holds at every x, and ``chi`` evaluates this sum.
 
 ``verify_appendix_claims`` checks every claim in whole-array passes, and the
 public checks compute through the same private helpers, so each claim has one
@@ -34,15 +39,15 @@ functions:
   (four uniforms per pair, the stream of four scalar draws) and their gaps
   computed elementwise by ``_mixture_mean`` and ``_gaps``, so memory does not
   grow with the number of pairs;
-* chi: per level N, one table of the ``g`` rows on the grid's interior points
-  (``_chi_tables``); for each ``l`` a cumulative sum over ``j`` gives every
-  ``k`` at once (``_chi_rows``), adding left to right like a running total;
+* chi: a certificate for every (k, l, N) in one pass.  The coefficients of
+  the Bernstein form are derived from chi's definition in integer arithmetic
+  (``_chi_elevated``), compared with the closed form (``_chi_coefficients``)
+  and checked positive;
 * Kolmogorov contraction: the priors and mixture components have integer
-  shapes, so their CDFs are binomial upper tails (``_binomial_tails``).  Per
-  level N, one running sum of degree N+2 gives the N+2 mixture-component rows,
-  which are also the prior rows of level N+1, and ``_contraction_pairs``
-  compares them pair by pair on the 10,001-point grid.  Only ``l <= k`` is
-  evaluated: both distances are exactly symmetric in ``(k, l)``;
+  shapes, so each CDF difference is a band of Bernstein terms (DLMF 8.17.5)
+  with one interior critical point, where ``_kolmogorov_pairs`` takes its
+  exact sup, for all pairs l < k at once.  Both distances are exactly
+  symmetric in (k, l) and vanish at k = l;
 * the split-sum boundary values: one pass of ``_edge_terms`` over all
   ``(k, l, N)`` triples.
 """
@@ -57,7 +62,6 @@ import numpy as np
 
 from . import core_math
 from .core_math import (
-    DEFAULT_GRID_POINTS,
     BetaParams,
     beta_cdf_row,
     beta_mean,
@@ -66,7 +70,6 @@ from .core_math import (
 from .errors import ValidationError
 from .inference import ParticleEnsemble
 
-CHI_GRID = 101  # points on [0, 1] where chi is checked
 CLAIM_TOL = 1e-12  # slack on the mean-contraction and chi margins
 BETA_PAIR_BLOCK = 4096  # random Beta pairs drawn and checked per array pass
 
@@ -174,50 +177,53 @@ def _beta_pair_gaps(rng: np.random.Generator, n_pairs: int):
 def chi(x, k: int, l: int, n_total: int):
     """The nonnegative quantity certifying Kolmogorov contraction.
 
-    Vectorized over ``x`` in [0, 1]; requires 0 <= l < k <= n_total.
+    Vectorized over ``x`` in [0, 1]; requires 0 <= l < k <= n_total.  Evaluated
+    as its Bernstein form (``_chi_coefficients``), a sum of positive terms
+    c_i / (i! (N+2-i)!) x^i (1-x)^(N+2-i), so no two terms cancel.
     """
     _check_counts(k, l, n_total, strict=True)
     xv = np.asarray(x, dtype=float)
     if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise ValidationError("x outside [0, 1]")
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
-    interior = (xv > 0.0) & (xv < 1.0)
-    out = np.zeros_like(xv)
-    if np.any(interior):
-        xi = xv[interior]
-        tables = _chi_tables(np.log(xi), np.log1p(-xi), n_total)
-        out[interior] = _chi_rows(tables, l, k)[-1]
-    return float(out[0]) if scalar else out
+    i = np.arange(l + 1, k + 2)
+    coef = _chi_coefficients(k, l, n_total)[l + 1:k + 2].tolist()
+    scale = np.array([c / (math.factorial(j) * math.factorial(n_total + 2 - j))
+                      for c, j in zip(coef, i.tolist())])
+    xe = xv[..., None]
+    out = np.sum(scale * xe ** i * (1.0 - xe) ** (n_total + 2 - i), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def _g(log_x: np.ndarray, log_1mx: np.ndarray, p, q) -> np.ndarray:
-    """x^p (1-x)^q / (p! q!) from ``log x`` and ``log(1 - x)``; with integer
-    columns ``p`` and ``q``, one row per (p, q)."""
-    gammaln = core_math.special.gammaln
-    logv = p * log_x + q * log_1mx - gammaln(p + 1) - gammaln(q + 1)
-    return np.exp(logv)
+def _bernstein_cases(k, l, n_total):
+    """k, l and N as int32 columns and i = 0..max N + 2 as a row; the
+    coefficients are at most N+2, and int32 halves the certificate's memory."""
+    k, l, n = (np.asarray(v, dtype=np.int32)[..., None] for v in (k, l, n_total))
+    return k, l, n, np.arange(n.max() + 3, dtype=np.int32)
 
 
-def _chi_tables(log_x: np.ndarray, log_1mx: np.ndarray, n_total: int):
-    """The ``g`` rows of level ``n_total``: g(j, N+1-j) for j = 1..N, the summed
-    terms, and g(j, N+2-j) for j = 1..N+1, the boundary terms."""
-    j = np.arange(1, n_total + 2)[:, None]
-    return (_g(log_x, log_1mx, j[:-1], n_total + 1 - j[:-1]),
-            _g(log_x, log_1mx, j, n_total + 2 - j))
+def _chi_coefficients(k, l, n_total) -> np.ndarray:
+    """Bernstein coefficients of (N+2)! chi in degree N+2: N+1-k at i = l+1,
+    N+2 for l+1 < i <= k and l+1 at i = k+1.
 
-
-def _chi_rows(tables, l: int, k_stop: int) -> np.ndarray:
-    """chi at the tables' points for k = l+1..k_stop, one row per k.
-
-    The cumulative sum adds the terms left to right from the first, as a
-    running total from zero does.
+    Elementwise over integer arrays, one row per case and one column per i.
     """
-    terms, bounds = tables
-    total = np.cumsum(terms[l:k_stop], axis=0)
-    span = np.arange(1, k_stop - l + 1)[:, None]
-    total -= span * (bounds[l] + bounds[l + 1:k_stop + 1])
-    return total
+    k, l, n, i = _bernstein_cases(k, l, n_total)
+    return (np.where(i == l + 1, n + 1 - k, 0) + np.where((i > l + 1) & (i <= k), n + 2, 0)
+            + np.where(i == k + 1, l + 1, 0))
+
+
+def _chi_elevated(k, l, n_total) -> np.ndarray:
+    """``_chi_coefficients`` derived from chi's definition in integer arithmetic.
+
+    With B_i = C(N+2, i) x^i (1-x)^(N+2-i), (N+2)! g(j, N+1-j) is
+    (N+2) b_{j,N+1}, raised to degree N+2 as (N+2-j) B_j + (j+1) B_{j+1}
+    (x + 1 - x = 1), and (N+2)! g(c+1, N+1-c) is B_{c+1}.
+    """
+    k, l, n, i = _bernstein_cases(k, l, n_total)
+    summed = (i > l) & (i <= k)  # j = i
+    raised = (i > l + 1) & (i <= k + 1)  # j = i - 1
+    return ((n + 2 - i) * summed + i * raised
+            - (k - l) * ((i == l + 1).astype(np.int32) + (i == k + 1)))
 
 
 def _edge_terms(k, l, n_total):
@@ -242,51 +248,91 @@ def chi_edge_terms(k: int, l: int, n_total: int) -> tuple[float, float]:
     return float(first_sum), float(second_sum)
 
 
-def _contraction_pairs(rows_k, rows_l, mean_k: float, mean_l: float):
-    """(K between priors, K between expected posteriors) of prior k against prior l.
+def _log_binomials(n_lo: int, n_hi: int) -> np.ndarray:
+    """log C(n, j) for n = n_lo..n_hi (rows) and j = 0..n_hi (columns), -inf
+    for j > n; each the log of the exact integer, the rows built by Pascal's rule."""
+    row = [1]
+    for j in range(n_lo):
+        row.append(row[-1] * (n_lo - j) // (j + 1))
+    table = np.full((n_hi - n_lo + 1, n_hi + 1), -np.inf)
+    for out in table:
+        out[:len(row)] = [math.log(c) for c in row]
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
+    return table
 
-    ``rows_*`` are the (prior, heads component, tails component) CDF rows and
-    ``mean_*`` the prior means.  Each mixture is formed as
-    ``ExpectedPosterior.cdf`` forms it.
+
+def _band(log_c: np.ndarray, degree, s: np.ndarray, inside: np.ndarray,
+          outside: np.ndarray) -> np.ndarray:
+    """sum_j w_j b_{j,n}(x) at x / (1-x) = e^s, one pair per row, from log C(n, j)
+    (-inf past the row's ``degree`` n) and the weights w_j (``inside``) and
+    1 - w_j (``outside``).  Both sums add positive terms left to right, so a
+    row's bits do not depend on the width; a band above 1/2 is taken as 1
+    minus the other sum, so every value lies in [0, 1]."""
+    j = np.arange(log_c.shape[1])
+    degree = degree[:, None]
+    log_x, log_1mx = -np.logaddexp(0.0, -s)[:, None], -np.logaddexp(0.0, s)[:, None]
+    terms = np.exp(log_c + j * log_x + (degree - j) * log_1mx)
+    band = np.cumsum(inside * terms, axis=1)[:, -1]
+    rest = np.cumsum(outside * terms, axis=1)[:, -1]
+    return np.where(band <= 0.5, band, 1.0 - rest)
+
+
+# Bisection steps that halve the posteriors' root bracket to below 1e-11 for
+# N <= 2000; a root off by d misses the sup by about |D''| d^2 / 2.
+ROOT_STEPS = 48
+
+
+def _kolmogorov_pairs(k, l, n_total):
+    """(K between priors, K between expected posteriors) for integer arrays
+    0 <= l < k <= N, each an exact sup at its one interior critical point.
+
+    With t = x / (1-x) and b_{j,n} the Bernstein terms:
+
+    * F_l - F_k = sum_{j=l+1}^{k} b_{j,N+1} >= 0, whose derivative
+      (N+1) (b_{l,N} - b_{k,N}) vanishes where t^(k-l) = C(N, l) / C(N, k);
+    * exp_l - exp_k = (1-m_k) b_{l+1} + sum_{j=l+2}^{k} b_j + m_l b_{k+1} >= 0 in
+      degree N+2, whose derivative is (N+2) (1-x)^(N+1) t^l p(t) with
+      p(t) = (1-m_k) C(N+1, l) + m_k C(N+1, l+1) t
+             - (1-m_l) C(N+1, k) t^(k-l) - m_l C(N+1, k+1) t^(k-l+1).
+      The coefficients' signs change once, so by Descartes' rule p has one
+      positive root.  The log of p's positive part over its negative part
+      falls strictly in s = log t, and ``ROOT_STEPS`` bisection steps find
+      its zero.  Times N+2, every coefficient is an integer in
+      [1, (N+2) 2^(N+1)], which brackets the root in
+      |s| <= (N+1) log 2 + log(N+2) + 1.
     """
-    prior_k, heads_k, tails_k = rows_k
-    prior_l, heads_l, tails_l = rows_l
-    exp_k = mean_l * heads_k + (1.0 - mean_l) * tails_k
-    exp_l = mean_k * heads_l + (1.0 - mean_k) * tails_l
-    return np.max(np.abs(prior_k - prior_l)), np.max(np.abs(exp_k - exp_l))
+    n_lo = int(n_total.min())
+    log_c = _log_binomials(n_lo, int(n_total.max()) + 2)
+    row = n_total - n_lo
 
+    def lc(extra, j):  # log C(N + extra, j)
+        return log_c[row + extra, j]
 
-def _log_grid():
-    """``log x`` and ``log(1 - x)`` at the default grid's interior points."""
-    x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)[1:-1]
-    return np.log(x), np.log1p(-x)
+    span = k - l
+    s_prior = (lc(0, l) - lc(0, k)) / span
+    pos0 = np.log(n_total + 1 - k) + lc(1, l)
+    pos1 = np.log(k + 1) + lc(1, l + 1)
+    neg0 = np.log(n_total + 1 - l) + lc(1, k)
+    neg1 = np.log(l + 1) + lc(1, k + 1)
+    hi = (n_total + 1) * math.log(2.0) + np.log(n_total + 2) + 1.0
+    lo = -hi
+    for _ in range(ROOT_STEPS):
+        s = 0.5 * (lo + hi)
+        up = np.logaddexp(pos0, pos1 + s) > np.logaddexp(neg0 + span * s, neg1 + (span + 1) * s)
+        lo, hi = np.where(up, s, lo), np.where(up, hi, s)
+    s_post = 0.5 * (lo + hi)
 
-
-def _binomial_tails(n: int, stop: int, log_x: np.ndarray, log_1mx: np.ndarray):
-    """P(Bin(n, x) >= c) on the default grid for c = n, n-1, ..., stop >= 1.
-
-    For integer shapes the Beta CDF is a binomial upper tail,
-    I_x(c, n+1-c) = sum_{j >= c} C(n, j) x^j (1-x)^(n-j) (DLMF 8.17.5), so one
-    running sum of these Bernstein terms gives every row of degree n, from the
-    smallest tail up.  Each term is formed in log space on the interior points
-    (``log_x``, ``log_1mx`` from ``_log_grid``); the end points are exact, 0 at
-    x = 0 and 1 at x = 1.  Each row yielded is a new array, and the generator
-    holds only the running sum.
-    """
-    total = np.zeros_like(log_x)
-    binom = 1  # C(n, c), exact
-    for c in range(n, stop - 1, -1):
-        term = c * log_x
-        term += math.log(binom)
-        term += (n - c) * log_1mx
-        total += np.exp(term, out=term)
-        yield np.concatenate(([0.0], total, [1.0]))
-        binom = binom * c // (n + 1 - c)
-
-
-def _tail_rows(n: int, log_x: np.ndarray, log_1mx: np.ndarray) -> list[np.ndarray]:
-    """Every upper-tail row of degree ``n``; entry c - 1 is P(Bin(n, x) >= c)."""
-    return list(_binomial_tails(n, 1, log_x, log_1mx))[::-1]
+    j = np.arange(log_c.shape[1])
+    k_col, l_col, n_col = k[:, None], l[:, None], n_total[:, None]
+    band = ((j > l_col) & (j <= k_col)).astype(float)
+    k_prior = _band(lc(1, slice(None)), n_total + 1, s_prior, band, 1.0 - band)
+    first, last = j == l_col + 1, j == k_col + 1
+    inside = np.where(first, (n_col + 1 - k_col) / (n_col + 2),
+                      np.where(last, (l_col + 1) / (n_col + 2), band))
+    outside = np.where(first, (k_col + 1) / (n_col + 2),
+                       np.where(last, (n_col + 1 - l_col) / (n_col + 2), 1.0 - band))
+    k_post = _band(lc(2, slice(None)), n_total + 2, s_post, inside, outside)
+    return k_prior, k_post
 
 
 def kolmogorov_contraction_check(k: int, l: int, n_total: int) -> tuple[float, float]:
@@ -294,55 +340,16 @@ def kolmogorov_contraction_check(k: int, l: int, n_total: int) -> tuple[float, f
 
     Priors are Beta(k+1, N-k+1) and Beta(l+1, N-l+1); the expected posteriors
     are the corresponding two-component mixtures.  The first value dominates
-    the second, and the domination holds pointwise in the CDF difference, so a
-    supremum over the 10,001-point grid preserves the ordering.
-
-    The six CDF rows are binomial tails of degree N+1 (the priors) and N+2 (the
-    components), streamed by ``_binomial_tails`` and kept only where needed, so
-    memory stays at a few rows for any N.  Time grows with N, at about 2N
-    terms of a few passes over the grid each: on a 2-core Xeon N = 2000 takes
-    about 0.5 s, where six ``betainc`` rows take 0.015 s.  The battery's
-    default stops at N = 15.
+    the second.  Both are exact sups at the critical points of the CDF
+    differences (``_kolmogorov_pairs``), lie in [0, 1] and are exactly
+    symmetric in (k, l).  N = 2000 takes about 5 ms on a 2-core Xeon.
     """
     _check_counts(k, l, n_total, strict=False)
-    grid = _log_grid()
-    stop = min(k, l) + 1
-
-    def kept(n, wanted):
-        return {c: row for c, row in zip(range(n, 0, -1),
-                                          _binomial_tails(n, stop, *grid))
-                if c in wanted}
-
-    priors = kept(n_total + 1, {k + 1, l + 1})
-    comps = kept(n_total + 2, {k + 1, k + 2, l + 1, l + 2})
-
-    def rows(c):
-        return priors[c + 1], comps[c + 2], comps[c + 1]
-
-    k_prior, k_post = _contraction_pairs(rows(k), rows(l), (k + 1) / (n_total + 2),
-                                         (l + 1) / (n_total + 2))
-    return float(k_prior), float(k_post)
-
-
-def _kolmogorov_level(n_total: int, priors=None, tails=None):
-    """``kolmogorov_contraction_check(k, l, N)`` for every 0 <= l <= k <= N.
-
-    Yields (k, l, K priors, K posteriors).  ``priors`` and ``tails`` are the
-    ``_tail_rows`` of degree N+1 and N+2: entry c of the first is the CDF of
-    prior c, Beta(c+1, N-c+1), and entry c of the second that of its tails
-    component Beta(c+1, N-c+2), whose entry c+1 is the heads component.  They
-    are built here when not given; the battery passes each level's ``tails`` on
-    as the next level's ``priors``.  One pair at a time keeps each temporary at
-    one 80 kB row.
-    """
-    if priors is None:
-        grid = _log_grid()
-        priors, tails = _tail_rows(n_total + 1, *grid), _tail_rows(n_total + 2, *grid)
-    rows = [(priors[c], tails[c + 1], tails[c]) for c in range(n_total + 1)]
-    means = [(c + 1) / (n_total + 2) for c in range(n_total + 1)]
-    for k in range(n_total + 1):
-        for l in range(k + 1):
-            yield (k, l, *_contraction_pairs(rows[k], rows[l], means[k], means[l]))
+    if k == l:
+        return 0.0, 0.0
+    k, l = max(k, l), min(k, l)
+    k_prior, k_post = _kolmogorov_pairs(np.array([k]), np.array([l]), np.array([n_total]))
+    return float(k_prior[0]), float(k_post[0])
 
 
 def _check_counts(k: int, l: int, n_total: int, *, strict: bool):
@@ -385,28 +392,19 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
     rows.append({"claim": f"mean contraction ({n_beta_pairs} random Beta pairs)",
                  "passed": bool(worst >= -CLAIM_TOL), "margin": float(worst)})
 
-    xs = np.linspace(0.0, 1.0, CHI_GRID)[1:-1]
-    log_x, log_1mx = np.log(xs), np.log1p(-xs)
-    worst = 0.0  # chi is exactly zero at the grid's end points x = 0 and x = 1
-    for n in range(1, chi_max_n + 1):
-        tables = _chi_tables(log_x, log_1mx, n)
-        for l in range(n):
-            worst = min(worst, float(np.min(_chi_rows(tables, l, n))))
-    rows.append({"claim": f"chi >= 0 on grid (N <= {chi_max_n})",
-                 "passed": bool(worst >= -CLAIM_TOL), "margin": float(worst)})
-
-    grid = _log_grid()
-    tails = _tail_rows(2, *grid)
-    worst = 0.0  # both distances are exactly zero at k = l
-    for n in range(1, kdist_max_n + 1):
-        priors = tails  # frees the previous priors before the next table is built
-        tails = _tail_rows(n + 2, *grid)
-        for _, _, k_prior, k_post in _kolmogorov_level(n, priors, tails):
-            worst = min(worst, float(k_prior - k_post))
-    rows.append({"claim": f"Kolmogorov contraction (N <= {kdist_max_n})",
-                 "passed": bool(worst >= -1e-10), "margin": float(worst)})
-
     k, l, n = _count_triples(chi_max_n)
+    coefficients = _chi_coefficients(k, l, n)
+    i = np.arange(coefficients.shape[1])
+    worst = int(np.min(coefficients[(i > l[:, None]) & (i <= k[:, None] + 1)]))
+    rows.append({"claim": f"chi >= 0 by positive Bernstein coefficients (N <= {chi_max_n})",
+                 "passed": bool(np.array_equal(coefficients, _chi_elevated(k, l, n))
+                                and worst > 0), "margin": float(worst)})
+
+    k_prior, k_post = _kolmogorov_pairs(*_count_triples(kdist_max_n))
+    worst = float(np.min(k_prior - k_post))
+    rows.append({"claim": f"Kolmogorov contraction (N <= {kdist_max_n})",
+                 "passed": bool(worst >= -CLAIM_TOL), "margin": worst})
+
     first, second = _edge_terms(k, l, n)
     ok = np.all((np.abs(first - (n + 1 - k)) < 1e-6) & (np.abs(second - (l + 1)) < 1e-6)
                 & (first > 0) & (second > 0))

@@ -370,14 +370,18 @@ def grid_belief(belief) -> tuple[np.ndarray, np.ndarray]:
 def kolmogorov_distance(a, b) -> float:
     """Supremum distance between the CDFs of two densities on [0, 1].
 
-    For two ``BetaParams`` the analytic CDFs are compared on the default
-    10,001-point grid, each row evaluated by ``beta_cdf_row``.  A 1-D grid
-    belief's CDF is its cumulative weights, and the supremum is taken over its
-    grid points only, adequate at that resolution and free of root-finding.
-    Two grid beliefs must share a grid.
+    For two ``BetaParams`` it is the exact sup, taken at the points where the
+    densities cross (``_beta_crossings``); the operands are put in a fixed
+    order first, so the distance is exactly symmetric.  A 1-D grid belief's
+    CDF is its cumulative weights, and the supremum is taken over its grid
+    points only, adequate at that resolution and free of root-finding.  Two
+    grid beliefs must share a grid.
     """
     if isinstance(a, BetaParams) and isinstance(b, BetaParams):
-        return float(np.max(np.abs(beta_cdf_row(a) - beta_cdf_row(b))))
+        a, b = sorted((a, b), key=lambda p: (p.alpha, p.beta))
+        x = _beta_crossings(a, b)
+        return float(np.max(np.abs(special.betainc(a.alpha, a.beta, x)
+                                   - special.betainc(b.alpha, b.beta, x))))
     if isinstance(a, BetaParams):
         a, b = b, a
     theta, weights = grid_belief(a)
@@ -389,3 +393,37 @@ def kolmogorov_distance(a, b) -> float:
             raise ValidationError("kolmogorov_distance: mismatched grids")
         other = np.cumsum(weights_b)
     return float(np.max(np.abs(np.cumsum(weights) - other)))
+
+
+CROSSING_STEPS = 48  # halve the 1,490-wide bracket in s to below 1e-11
+
+
+def _beta_crossings(a: BetaParams, b: BetaParams) -> np.ndarray:
+    """The points of (0, 1) where the densities of ``a`` and ``b`` cross, and
+    the turning point between them when there is one.
+
+    The densities are equal where phi = p log x + q log(1-x) equals
+    c = log B(a) - log B(b), with p and q the differences of the shapes.  In
+    s = log(x / (1-x)), phi is monotone when p q <= 0, and otherwise rises to
+    one peak (or falls to one trough) at s = log(p / q).  So each monotone
+    piece holds at most one crossing, found by bisection on |s| <= 745; past
+    that, x or 1 - x is below the smallest float.  The CDF difference vanishes
+    at both ends, so its sup lies at one of these points.
+    """
+    p, q = a.alpha - b.alpha, a.beta - b.beta
+    c = special.betaln(a.alpha, a.beta) - special.betaln(b.alpha, b.beta)
+
+    def excess(s):
+        return -p * np.logaddexp(0.0, -s) - q * np.logaddexp(0.0, s) - c
+
+    edges = [-745.0, 745.0]
+    if p * q > 0.0:
+        edges.insert(1, math.log(p / q))
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    rises = excess(lo) < excess(hi)
+    for _ in range(CROSSING_STEPS):
+        s = 0.5 * (lo + hi)
+        below = (excess(s) < 0.0) == rises
+        lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+    s = np.concatenate((0.5 * (lo + hi), edges[1:-1]))
+    return special.expit(s)

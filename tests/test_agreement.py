@@ -1,27 +1,23 @@
 import math
+import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache, partial
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special
 
 from qbagents import core_math
 from qbagents.agreement import (
     BETA_PAIR_BLOCK,
-    CHI_GRID,
     _beta_pair_gaps,
-    _binomial_tails,
-    _chi_rows,
-    _chi_tables,
-    _kolmogorov_level,
-    _log_grid,
+    _chi_coefficients,
+    _count_triples,
+    _kolmogorov_pairs,
     _mean_of,
-    _tail_rows,
     chi,
     chi_edge_terms,
     expected_posterior,
@@ -282,6 +278,37 @@ class TestSimulatedAgents:
         assert kolmogorov_distance(belief, law) < 1e-3
 
 
+CHI_PROBES = (1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6)
+
+
+def chi_reference_rows(max_n, width):
+    """Coefficients of (N+2)! chi on B_i = C(N+2, i) x^i (1-x)^(N+2-i) for every
+    0 <= l < k <= N <= max_n, in ``_count_triples`` order, from chi's
+    definition in exact rationals: x^p (1-x)^q with p + q = m <= N+2 is
+    sum_i C(N+2-m, i-p) B_i / C(N+2, i)."""
+    for n in range(1, max_n + 1):
+        def g(p, q):  # (N+2)! g(p, q) on the B_i
+            out = [Fraction(0)] * width
+            for i in range(p, n + 3 - q):
+                out[i] = Fraction(math.factorial(n + 2) * math.comb(n + 2 - p - q, i - p),
+                                  math.factorial(p) * math.factorial(q) * math.comb(n + 2, i))
+            return out
+
+        summed = {j: g(j, n + 1 - j) for j in range(1, n + 1)}
+        ends = {p: g(p, n + 2 - p) for p in range(1, n + 2)}
+        rows = {}
+        for l in range(n):
+            total = [Fraction(0)] * width
+            for k in range(l + 1, n + 1):
+                total = [a + b for a, b in zip(total, summed[k])]
+                rows[k, l] = [a - (k - l) * (b + c)
+                              for a, b, c in zip(total, ends[l + 1], ends[k + 1])]
+        for k in range(1, n + 1):
+            for l in range(k):
+                assert all(c.denominator == 1 for c in rows[k, l])
+                yield [int(c) for c in rows[k, l]]
+
+
 class TestChi:
     def test_vanishes_at_boundary(self):
         assert chi(0.0, 3, 1, 5) == 0.0
@@ -297,6 +324,33 @@ class TestChi:
             for k in range(1, n + 1):
                 for l in range(k):
                     assert np.min(chi(xs, k, l, n)) >= -1e-12
+
+    def test_matches_mpmath(self):
+        # relative to 60-digit sums of the definition, at points where the
+        # split form lost up to 5.5e-13 to cancellation
+        worst = 0.0
+        with mp.workdps(60):
+            for x in CHI_PROBES:
+                xp = mp.mpf(x)
+                g = [[xp**p * (1 - xp)**q / (mp.factorial(p) * mp.factorial(q))
+                      for q in range(28)] for p in range(28)]
+                for n in range(1, 26):
+                    for l in range(n):
+                        total = mp.mpf(0)
+                        for k in range(l + 1, n + 1):
+                            total += g[k][n + 1 - k]
+                            exact = total - (k - l) * (g[l + 1][n + 1 - l] + g[k + 1][n + 1 - k])
+                            worst = max(worst, float(abs(chi(x, k, l, n) - exact) / exact))
+        assert worst <= 1e-14
+
+    def test_certificate_matches_definition(self):
+        # chi's definition expanded into the degree N+2 Bernstein basis in exact
+        # rationals, one case at a time, against the battery's one array pass
+        k, l, n = _count_triples(25)
+        rows = _chi_coefficients(k, l, n)
+        assert rows.tolist() == list(chi_reference_rows(25, rows.shape[1]))
+        support = np.arange(rows.shape[1])
+        assert np.all(rows[(support > l[:, None]) & (support <= k[:, None] + 1)] > 0)
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
@@ -378,16 +432,9 @@ class TestBetaCdfRows:
             expected_posterior(BetaParams(4, 3), 0.3).cdf()
 
 
-def tail_reference(n, x):
-    """P(Bin(n, x) >= c) for c = 1..n at 50 digits, from the exact float ``x``."""
-    x = mp.mpf(float(x))
-    terms = [mp.binomial(n, j) * x**j * (1 - x)**(n - j) for j in range(n + 1)]
-    return [mp.fsum(terms[c:]) for c in range(1, n + 1)]
-
-
-def removed_contraction_check(k, l, n, row):
-    """The Kolmogorov pair from ``betainc`` CDF rows, as computed before binomial
-    tails; ``row(alpha, beta)`` gives the CDF row of Beta(alpha, beta)."""
+def grid_contraction_check(k, l, n, row):
+    """The Kolmogorov pair as a max over the 10,001-point grid, from ``betainc``
+    CDF rows; ``row(alpha, beta)`` gives the CDF row of Beta(alpha, beta)."""
     def rows(c):
         return row(c + 1, n - c + 1), row(c + 2, n - c + 1), row(c + 1, n - c + 2)
 
@@ -398,61 +445,81 @@ def removed_contraction_check(k, l, n, row):
     return np.max(np.abs(prior_k - prior_l)), np.max(np.abs(exp_k - exp_l))
 
 
-class TestBinomialTails:
-    """The Kolmogorov rows as binomial upper tails, against 50-digit sums,
-    ``betainc`` and the ``betainc`` arithmetic they replaced."""
+def mp_cdf(a, b, x):
+    """The Beta(a, b) CDF for integer shapes: P(Bin(a+b-1, x) >= a)."""
+    n = a + b - 1
+    return mp.fsum(math.comb(n, j) * x**j * (1 - x)**(n - j) for j in range(a, n + 1))
 
-    X = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
 
-    def betainc_row(self, alpha, beta):
-        return special.betainc(alpha, beta, self.X)
+def mp_pdf(a, b, x):
+    return x**(a - 1) * (1 - x)**(b - 1) * (a * math.comb(a + b - 1, a))
 
-    def test_rows_match_mpmath(self):
-        # 101 evenly spaced points with both ends, and the three next to each end
-        idx = np.union1d(np.linspace(0, DEFAULT_GRID_POINTS - 1, 101).astype(int),
-                         [1, 2, 3, DEFAULT_GRID_POINTS - 4, DEFAULT_GRID_POINTS - 3,
-                          DEFAULT_GRID_POINTS - 2])
-        grid = _log_grid()
-        with mp.workdps(50):
-            for n in range(2, 18):
-                rows = np.array(_tail_rows(n, *grid))[:, idx]
-                exact = np.array([tail_reference(n, x) for x in self.X[idx]]).T
-                assert np.max(np.abs(rows - exact.astype(float))) <= 2e-15
-                assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, -1] == 1.0)
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 200))
-    def test_rows_match_betainc(self, data, n):
-        c = data.draw(st.integers(1, n))
-        *_, row = _binomial_tails(n, c, *_log_grid())
-        assert np.max(np.abs(row - self.betainc_row(c, n + 1 - c))) <= 1e-12
+def mp_sup(dist, slope, floats):
+    """sup of ``dist`` on (0, 1): the root of its ``slope`` by ``findroot``,
+    bracketed by the neighbours of the largest of ``floats``, ``dist`` on the
+    201-point grid."""
+    xs = np.linspace(0.0, 1.0, 201)
+    i = int(np.clip(np.argmax(floats(xs)), 1, 199))
+    return dist(mp.findroot(slope, (mp.mpf(xs[i - 1]), mp.mpf(xs[i + 1])), solver="anderson"))
 
-    def test_stream_stops_at_the_requested_tail(self):
-        grid = _log_grid()
-        rows = list(_binomial_tails(9, 4, *grid))
-        assert np.array(rows).tobytes() == np.array(_tail_rows(9, *grid)[:2:-1]).tobytes()
 
-    def test_pairs_match_removed_betainc_arithmetic(self):
-        row = cache(self.betainc_row)
+def mp_contraction_check(k, l, n):
+    """(K priors, K posteriors) for l < k at 50 digits, from the CDFs and
+    densities of the priors and of the mixture components."""
+    def prior_gap(f):
+        return lambda x: f(l + 1, n - l + 1, x) - f(k + 1, n - k + 1, x)
+
+    def posterior_gap(f, mean_k, mean_l):
+        return lambda x: (mean_k * f(l + 2, n - l + 1, x) + (1 - mean_k) * f(l + 1, n - l + 2, x)
+                          - mean_l * f(k + 2, n - k + 1, x)
+                          - (1 - mean_l) * f(k + 1, n - k + 2, x))
+
+    means = mp.mpf(k + 1) / (n + 2), mp.mpf(l + 1) / (n + 2)
+    k_prior = mp_sup(prior_gap(mp_cdf), prior_gap(mp_pdf), prior_gap(special.betainc))
+    k_post = mp_sup(posterior_gap(mp_cdf, *means), posterior_gap(mp_pdf, *means),
+                    posterior_gap(special.betainc, *map(float, means)))
+    return k_prior, k_post
+
+
+class TestExactSups:
+    """The Kolmogorov pairs as exact sups at their critical points."""
+
+    def test_pairs_match_mpmath(self):
+        k, l, n = _count_triples(15)
+        k_prior, k_post = _kolmogorov_pairs(k, l, n)
         worst = 0.0
-        for n in range(1, 16):
-            for k in range(n + 1):
-                for l in range(n + 1):
-                    new = kolmogorov_contraction_check(k, l, n)
-                    old = removed_contraction_check(k, l, n, row)
-                    worst = max(worst, *np.abs(np.subtract(new, old)))
+        with mp.workdps(50):
+            for case in zip(k.tolist(), l.tolist(), n.tolist(), k_prior, k_post):
+                exact = mp_contraction_check(*case[:3])
+                worst = max(worst, *(abs(float(v - e)) for v, e in zip(case[3:], exact)))
         assert worst <= 1e-14
+        assert np.all(k_prior - k_post > 0.0)
 
-    def test_large_n_holds_a_few_rows(self):
-        tracemalloc.start()
-        try:
-            k_prior, k_post = kolmogorov_contraction_check(1000, 3, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 1024 * 1024
-        reference = removed_contraction_check(1000, 3, 2000, self.betainc_row)
-        assert np.max(np.abs(np.subtract((k_prior, k_post), reference))) <= 1e-12
+    def test_pairs_not_below_the_grid(self):
+        # a max over grid points can only read the sup low, up to the rounding
+        # of the grid rows
+        row = cache(lambda alpha, beta: special.betainc(
+            alpha, beta, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)))
+        k, l, n = _count_triples(15)
+        exact = np.column_stack(_kolmogorov_pairs(k, l, n))
+        grid = np.array([grid_contraction_check(*case, row) for case in zip(k, l, n)])
+        assert np.max(grid - exact) <= 4e-15
+        assert np.max(exact - grid) <= 1e-7
+
+    def test_large_n_in_the_unit_interval(self):
+        # about 2,000 Bernstein terms summed toward 1 can round above it
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            pair = kolmogorov_contraction_check(1000, 3, 2000)
+            elapsed.append(time.perf_counter() - start)
+        assert all(0.0 <= v <= 1.0 for v in pair)
+        assert pair[0] >= pair[1]
+        assert min(elapsed) < 0.02
+        for k, l, n in [(1000, 999, 2000), (1, 0, 2000), (2000, 0, 2000), (700, 650, 1500)]:
+            k_prior, k_post = kolmogorov_contraction_check(k, l, n)
+            assert 0.0 <= k_post <= k_prior <= 1.0
 
 
 def test_verify_claims_small_battery():
@@ -487,48 +554,38 @@ def scalar_beta_gaps(seed, n_pairs):
 
 
 def scalar_battery(chi_max_n, kdist_max_n, n_beta_pairs, seed):
-    """Each claim's worst margin and pass flag from one public call per case."""
+    """Each claim's worst margin and pass flag from one public call, or one
+    exact reference, per case."""
     gaps = scalar_beta_gaps(seed, n_beta_pairs)
-    xs = np.linspace(0.0, 1.0, CHI_GRID)
-    chi_min = min(float(np.min(chi(xs, k, l, n)))
-                  for n in range(1, chi_max_n + 1)
-                  for k in range(1, n + 1) for l in range(k))
+    chi_min = min(min(c for c in row if c) for row in chi_reference_rows(chi_max_n, chi_max_n + 3))
     kdist_min = min(a - b for a, b in (kolmogorov_contraction_check(k, l, n)
                                        for n in range(1, kdist_max_n + 1)
-                                       for k in range(n + 1) for l in range(n + 1)))
+                                       for k in range(n + 1) for l in range(n + 1) if k != l))
     edges_ok = all(abs(first - (n + 1 - k)) < 1e-6 and abs(second - (l + 1)) < 1e-6
                    and first > 0 and second > 0
                    for n in range(1, chi_max_n + 1)
                    for k in range(1, n + 1) for l in range(k)
                    for first, second in [chi_edge_terms(k, l, n)])
-    return [float(np.min(gaps[:, 0] - gaps[:, 1])), chi_min, kdist_min, 0.0], edges_ok
+    return [float(np.min(gaps[:, 0] - gaps[:, 1])), float(chi_min), kdist_min, 0.0], edges_ok
 
 
 class TestBatteryEqualsPublicChecks:
     """The battery's whole-array passes give the public functions' bits."""
 
-    def test_chi_levels(self):
-        xs = np.linspace(0.0, 1.0, CHI_GRID)
-        inner = xs[1:-1]
-        for n in range(1, 26):
-            tables = _chi_tables(np.log(inner), np.log1p(-inner), n)
-            for l in range(n):
-                block = _chi_rows(tables, l, n)
-                assert block.shape == (n - l, CHI_GRID - 2)
-                for k in range(l + 1, n + 1):
-                    public = chi(xs, k, l, n)
-                    assert public[0] == public[-1] == 0.0
-                    assert block[k - l - 1].tobytes() == public[1:-1].tobytes()
+    def test_chi_coefficients(self):
+        k, l, n = _count_triples(25)
+        rows = _chi_coefficients(k, l, n)
+        for row, case in zip(rows, zip(k.tolist(), l.tolist(), n.tolist())):
+            public = _chi_coefficients(*case)  # as ``chi`` reads them
+            assert row.tolist() == public.tolist() + [0] * (rows.shape[1] - len(public))
 
-    def test_kolmogorov_levels(self):
-        for n in range(1, 16):
-            pairs = list(_kolmogorov_level(n))
-            assert [(k, l) for k, l, _, _ in pairs] == [
-                (k, l) for k in range(n + 1) for l in range(k + 1)]
-            for k, l, k_prior, k_post in pairs:
-                level = np.array([k_prior, k_post]).tobytes()
-                assert np.array(kolmogorov_contraction_check(k, l, n)).tobytes() == level
-                assert np.array(kolmogorov_contraction_check(l, k, n)).tobytes() == level
+    def test_kolmogorov_pairs(self):
+        k, l, n = _count_triples(15)
+        pairs = np.column_stack(_kolmogorov_pairs(k, l, n))
+        for pair, case in zip(pairs, zip(k.tolist(), l.tolist(), n.tolist())):
+            assert np.array(kolmogorov_contraction_check(*case)).tobytes() == pair.tobytes()
+            swapped = kolmogorov_contraction_check(case[1], case[0], case[2])
+            assert np.array(swapped).tobytes() == pair.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_blocked_beta_pairs(self, seed):
@@ -554,7 +611,7 @@ def test_beta_pair_memory_does_not_grow_with_pairs():
         verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=n_pairs)
         return tracemalloc.get_traced_memory()[1]
 
-    verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=1)  # rows cached
+    verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=1)  # scipy loaded
     tracemalloc.start()
     try:
         small, large = peak(2 * BETA_PAIR_BLOCK), peak(20 * BETA_PAIR_BLOCK)

@@ -4,8 +4,8 @@ Pins, in ``golden_appendix.json``:
 
 * the sha256 of the float64 bytes of every ``kolmogorov_contraction_check(k, l, N)``
   pair for N <= ``KDIST_MAX_N``, in the battery's order (N, then k, then l);
-* the sha256 of every ``chi`` array on the battery's ``CHI_GRID`` points for
-  N <= ``CHI_MAX_N``, in the same order;
+* the sha256 of every ``chi`` array on ``CHI_POINTS`` evenly spaced points of
+  [0, 1] for N <= ``CHI_MAX_N``, in the same order;
 * the ``repr`` of every ``verify_appendix_claims`` row at the ``verify-appendix``
   CLI defaults for seeds 0 and 1.
 
@@ -26,17 +26,13 @@ import sys
 import numpy as np
 import pytest
 
-from qbagents.agreement import (
-    CHI_GRID,
-    chi,
-    kolmogorov_contraction_check,
-    verify_appendix_claims,
-)
+from qbagents.agreement import chi, kolmogorov_contraction_check, verify_appendix_claims
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_appendix.json")
 KDIST_MAX_N = 15
 CHI_MAX_N = 25
+CHI_POINTS = 101
 SEEDS = (0, 1)
 
 
@@ -49,7 +45,7 @@ def kolmogorov_pairs_digest() -> str:
 
 
 def chi_arrays_digest() -> str:
-    xs = np.linspace(0.0, 1.0, CHI_GRID)
+    xs = np.linspace(0.0, 1.0, CHI_POINTS)
     digest = hashlib.sha256()
     for n in range(1, CHI_MAX_N + 1):
         for k in range(1, n + 1):
