@@ -63,7 +63,6 @@ import numpy as np
 from . import core_math
 from .core_math import (
     BetaParams,
-    beta_cdf_row,
     beta_mean,
     grid_belief,
 )
@@ -94,15 +93,6 @@ class ExpectedPosterior:
         if self.kind == "beta_mixture":
             return _mixture_mean(self.mixture_weights, self.components)
         return _mean_of(self.density)
-
-    def cdf(self) -> np.ndarray:
-        """Mixture CDF at the default grid's points, from the two components'
-        ``beta_cdf_row``."""
-        if self.kind != "beta_mixture":
-            raise ValidationError("a grid expected posterior's CDF is that of its density")
-        w1, w2 = self.mixture_weights
-        c1, c2 = self.components
-        return w1 * beta_cdf_row(c1) + w2 * beta_cdf_row(c2)
 
 
 def _mixture_components(prior):

@@ -135,12 +135,6 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
 
-def beta_cdf_row(p: BetaParams) -> np.ndarray:
-    """The CDF of ``p`` at the ``DEFAULT_GRID_POINTS`` uniform points of [0, 1]."""
-    x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    return special.betainc(p.alpha, p.beta, x)
-
-
 def beta_pdf(theta, p: BetaParams):
     """Beta density evaluated pointwise (vectorized)."""
     t = np.asarray(theta, dtype=float)

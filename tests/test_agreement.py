@@ -28,7 +28,6 @@ from qbagents.agreement import (
 from qbagents.core_math import (
     DEFAULT_GRID_POINTS,
     BetaParams,
-    beta_cdf_row,
     beta_pdf,
     kolmogorov_distance,
     regularized_incomplete_beta,
@@ -392,32 +391,7 @@ class TestKolmogorovContraction:
                     assert k_prior >= k_post - 1e-10
 
 
-class TestBetaCdfRows:
-    def test_row_equals_betainc(self):
-        x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-        for alpha, beta in [(1, 1), (3, 5), (0.7, 12.5), (17, 1)]:
-            row = beta_cdf_row(BetaParams(alpha, beta))
-            assert row.tobytes() == special.betainc(alpha, beta, x).tobytes()
-
-    def test_row_is_evaluated_per_call(self):
-        row = beta_cdf_row(BetaParams(2, 9))
-        again = beta_cdf_row(BetaParams(2.0, 9.0))
-        assert again is not row
-        assert again.tobytes() == row.tobytes()
-        row[0] = 1.0
-        assert beta_cdf_row(BetaParams(2, 9))[0] == 0.0
-
-    def test_mixture_cdf_is_weighted_row_sum(self):
-        exp = expected_posterior(BetaParams(4, 3), 0.3)
-        x = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-        direct = 0.3 * special.betainc(5, 3, x) + 0.7 * special.betainc(4, 4, x)
-        assert exp.cdf().tobytes() == direct.tobytes()
-
-    def test_grid_expected_posterior_has_no_mixture_cdf(self):
-        exp = expected_posterior(beta_grid(3, 2, n=101), 0.4)
-        with pytest.raises(ValidationError):
-            exp.cdf()
-
+class TestBetaincUse:
     def test_battery_never_evaluates_betainc(self, monkeypatch):
         class NoBetainc:
             def __getattr__(self, name):
@@ -429,7 +403,7 @@ class TestBetaCdfRows:
         rows = verify_appendix_claims(chi_max_n=2, n_beta_pairs=1)
         assert all(row["passed"] for row in rows)
         with pytest.raises(AssertionError, match="betainc"):
-            expected_posterior(BetaParams(4, 3), 0.3).cdf()
+            kolmogorov_distance(BetaParams(4, 3), BetaParams(5, 3))
 
 
 def grid_contraction_check(k, l, n, row):
