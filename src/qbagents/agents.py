@@ -177,11 +177,14 @@ class Agent:
             raise ValidationError(f"agent {self.id!r}: no action named {name!r}")
         return self.menu[self.menu_index[name]]
 
-    def mean(self) -> np.ndarray:
-        """Posterior mean of the current ensemble, computed once per ensemble
-        (updates and refreshes return a new one)."""
-        if self._mean_of is not self.ensemble:
-            self._mean_of, self._mean = self.ensemble, posterior_mean(self.ensemble)
+    def mean(self) -> tuple[float, ...]:
+        """Posterior mean of the current ensemble as Python floats, computed
+        once per ensemble (updates and refreshes return a new one)."""
+        ens = self.ensemble
+        if self._mean_of is not ens:
+            self._mean_of = ens
+            self._mean = ((ens.mean(),) if isinstance(ens, BetaMixture)
+                          else tuple(posterior_mean(ens).tolist()))
         return self._mean
 
     def likelihood(self, a: int, j: int):
@@ -210,7 +213,7 @@ def predictive(agent: Agent, action: Action) -> np.ndarray:
     instead of the whole ensemble.
     """
     rows = agent.kernel_rows[agent.menu_index[action.name]]
-    return np.array(outcome_probs(rows, [1.0, *agent.mean().tolist()]))
+    return np.array(outcome_probs(rows, [1.0, *agent.mean()]))
 
 
 def expected_utility(agent: Agent, action: Action) -> float:
@@ -235,6 +238,7 @@ def choose_action(agent: Agent, rng: np.random.Generator) -> int:
     return int(tied[0] if tied.size == 1 else tied[rng.integers(tied.size)])
 
 
-def broadcast_point(agent: Agent) -> np.ndarray:
-    """The signal an agent emits: the mean of their current belief density."""
+def broadcast_point(agent: Agent) -> tuple[float, ...]:
+    """The signal an agent emits: the mean of their current belief density,
+    as Python floats."""
     return agent.mean()

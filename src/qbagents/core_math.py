@@ -16,8 +16,12 @@ Conventions
 * A Beta law truncated to [lo, hi] has closed-form mass, mean and variance
   (``beta_piece``, ``beta_piece_var``) from incomplete Beta values, and in its
   tails from their continued fraction and series, without cancellation.
-* ``scipy.special`` loads when a Beta function is first evaluated, not on
-  import: quantum runs and tomography from a fixed source never evaluate one.
+* ``scipy.special`` and its scalar kernels ``cython_special`` load together
+  at the first Beta function, not on import or build: quantum runs and
+  tomography from a fixed source never evaluate one.  A step's closed forms
+  call the scalar ``betainc`` and ``betaln``, a third of the cost of a ufunc
+  call on a tiny array; they are the routines the ufuncs wrap, so they give
+  the ufuncs' bits (``tests/test_core_math.py`` checks a seeded sample).
 """
 
 from __future__ import annotations
@@ -32,17 +36,23 @@ from .errors import ValidationError
 
 
 class _LazySpecial:
-    """Stands in for ``scipy.special`` until an attribute is first read; that
-    read imports it and rebinds the module global ``special`` to it, so later
-    calls reach the real module directly."""
+    """Stands in for ``scipy.special`` (``special``) or its scalar kernels
+    (``scalar``) until an attribute of either is first read; that read imports
+    both and rebinds both module globals to them, so later calls reach the
+    real modules directly."""
 
-    def __getattr__(self, name: str):
-        global special
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        global special, scalar
         from scipy import special
-        return getattr(special, name)
+        from scipy.special import cython_special as scalar
+        return getattr(globals()[self.name], attr)
 
 
-special = _LazySpecial()
+special = _LazySpecial("special")
+scalar = _LazySpecial("scalar")
 
 PROB_TOL = 1e-9
 DEFAULT_GRID_POINTS = 10_001
@@ -169,7 +179,7 @@ def beta_piece(alpha: float, beta: float, lo: float, hi: float,
     """
     s = alpha + beta
     if lo <= 0.0 and hi >= 1.0:
-        return float(special.betaln(alpha, beta)) if mass else None, alpha / s
+        return scalar.betaln(alpha, beta) if mass else None, alpha / s
     mu = alpha / s
     reach = BETA_TAIL_Z * math.sqrt(mu * (1.0 - mu) / (s + 1.0))
     if mu - hi > reach:
@@ -177,8 +187,8 @@ def beta_piece(alpha: float, beta: float, lo: float, hi: float,
     if lo - mu > reach:  # mirrored, the mass piles against the upper edge
         log_mass, mean = _tail_piece(beta, alpha, 1.0 - hi, 1.0 - lo)
         return log_mass, 1.0 - mean
-    z, z1 = _inc_difference(np.array((alpha, alpha + 1.0)), beta, lo, hi)
-    return float(special.betaln(alpha, beta)) + math.log(z) if mass else None, mu * z1 / z
+    z, z1 = _inc_difference((alpha, alpha + 1.0), beta, lo, hi)
+    return scalar.betaln(alpha, beta) + math.log(z) if mass else None, mu * z1 / z
 
 
 def _tail_piece(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
@@ -222,17 +232,17 @@ def beta_piece_var(alpha: float, beta: float, lo: float, hi: float) -> float:
         dist_lo, var_lo = _tail_moments(alpha, beta, lo)
         gap = (dist_lo + hi - lo - dist) / (1.0 - rho)
         return (variance - rho * var_lo) / (1.0 - rho) - rho * gap * gap
-    mass = _inc_difference(np.array((alpha,)), beta, lo, hi)[0]
+    mass = _inc_difference((alpha,), beta, lo, hi)[0]
     if mass < 0.5:
         return _narrow_var(alpha, beta, lo, hi)
     m1, m2 = 0.0, alpha * beta / (s * s * (s + 1.0))  # moments about mu
     if lo > 0.0:
         dist, v = _tail_moments(alpha, beta, lo)
-        tail, off = float(special.betainc(alpha, beta, lo)), lo - dist - mu
+        tail, off = scalar.betainc(alpha, beta, lo), lo - dist - mu
         m1, m2 = m1 - tail * off, m2 - tail * (v + off * off)
     if hi < 1.0:
         dist, v = _tail_moments(beta, alpha, 1.0 - hi)
-        tail, off = float(special.betainc(beta, alpha, 1.0 - hi)), hi + dist - mu
+        tail, off = scalar.betainc(beta, alpha, 1.0 - hi), hi + dist - mu
         m1, m2 = m1 - tail * off, m2 - tail * (v + off * off)
     return m2 / mass - (m1 / mass) ** 2
 
@@ -260,21 +270,21 @@ def _narrow_var(a: float, b: float, lo: float, hi: float) -> float:
 
 def _inc_difference(alphas, beta, lo, hi) -> list[float]:
     """I_hi(a, beta) - I_lo(a, beta) for each a of ``alphas``, from the side
-    where the tails are small.  An upper tail 1 - I_x(a, b) is I_{1-x}(b, a)
-    from ``betainc``, which takes half the time of ``betaincc`` here; rounding
-    1 - x moves the edge by at most half an ulp."""
+    where the tails are small, as the first a's tails decide.  An upper tail
+    1 - I_x(a, b) is I_{1-x}(b, a) from ``betainc``, which takes half the time
+    of ``betaincc`` here; rounding 1 - x moves the edge by at most half an ulp."""
+    betainc = scalar.betainc
     if lo <= 0.0:
-        return special.betainc(alphas, beta, hi).tolist()
+        return [betainc(a, beta, hi) for a in alphas]
     if hi >= 1.0:
-        return special.betainc(beta, alphas, 1.0 - lo).tolist()
-    edges = np.array(((lo,), (hi,)))
-    below = special.betainc(alphas, beta, edges)
-    above = special.betainc(beta, alphas, 1.0 - edges)
-    if below[1, 0] <= 0.5:
-        return (below[1] - below[0]).tolist()
-    if above[0, 0] <= 0.5:
-        return (above[0] - above[1]).tolist()
-    return (1.0 - below[0] - above[1]).tolist()
+        return [betainc(beta, a, 1.0 - lo) for a in alphas]
+    below = [betainc(a, beta, hi) for a in alphas]
+    if below[0] <= 0.5:
+        return [x - betainc(a, beta, lo) for a, x in zip(alphas, below)]
+    above = [betainc(beta, a, 1.0 - lo) for a in alphas]
+    if above[0] <= 0.5:
+        return [x - betainc(beta, a, 1.0 - hi) for a, x in zip(alphas, above)]
+    return [1.0 - betainc(a, beta, lo) - betainc(beta, a, 1.0 - hi) for a in alphas]
 
 
 def _tail_fraction(a: float, b: float, x: float) -> float:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -167,7 +168,9 @@ class BetaMixture:
     Every likelihood a coin action gives is theta or 1 - theta up to a
     constant, so the posterior depends on the counts alone (de Finetti), and
     an update adds one to a count (``observed``).  The mean and variance are
-    the pieces' closed forms (``core_math.beta_piece``), mixed by their masses.
+    the pieces' closed forms (``core_math.beta_piece``), mixed by their masses:
+    float arithmetic plus one scalar special-function call per incomplete
+    Beta value, or a continued fraction in a tail.
 
     ``prior`` is the grid ensemble of the prior pdf; it sets the resolution of
     what reads a grid.  ``weights``, the grid posterior, is built in log space
@@ -180,6 +183,7 @@ class BetaMixture:
     grid = True
     atoms = False
     dim = 1
+    __slots__ = ("prior", "pieces", "counts", "_weights", "_mean", "_mix", "_means", "_logs")
 
     def __init__(self, prior: ParticleEnsemble, pieces: tuple, counts: tuple = (0, 0),
                  _logs: dict | None = None):
@@ -255,14 +259,16 @@ class BetaMixture:
                 return self._mean
             # (log mass, mean) of each posterior piece, mixed by mass; the sums
             # are fsum's, rounded the same on every Python version
-            logs, self._means = zip(*(beta_piece(alpha + a, beta + b, lo, hi)
-                                      for _c, alpha, beta, lo, hi in self.pieces))
-            logs = [piece[0] + log_mass for piece, log_mass in zip(self.pieces, logs)]
+            logs, means = [], []
+            for log_c, alpha, beta, lo, hi in self.pieces:
+                log_mass, mean = beta_piece(alpha + a, beta + b, lo, hi)
+                logs.append(log_c + log_mass)
+                means.append(mean)
             top = max(logs)
             w = [math.exp(x - top) for x in logs]
             total = math.fsum(w)
-            self._mix = [x / total for x in w]
-            self._mean = math.fsum(w * m for w, m in zip(self._mix, self._means))
+            self._mix, self._means = [x / total for x in w], means
+            self._mean = math.fsum(map(mul, self._mix, means))
         return self._mean
 
     def variance(self) -> float:

@@ -40,7 +40,10 @@ agent's ``kernel_rows``) and draws with one ``random()``
 cached likelihood (a ``BetaMixture`` belief adds the outcome to its Beta
 counts instead), and the agent counts the outcome in its one count store,
 keyed by (menu index, outcome), which the refresh, the metrics and the trace
-read.
+read.  A broadcast travels as Python floats, from the sender's mean
+(``Agent.mean``) or drawn point through the receiver's regularizer to
+``outcome_probs``.  Which slots are agents, and so which broadcasts a step
+computes, is resolved once per run.
 
 ``run(spec, record_steps)`` records a step (posterior summaries, ESS,
 metrics) only if it is named or the last one; ``None``, the default, records
@@ -94,8 +97,8 @@ class ExogenousSource:
 # broadcast into the receiver's space); ``none`` keeps the receiver's space.
 REGULARIZERS = {
     "none": (None, None, lambda p: p),
-    "z_projection": (Interval, QubitBall, lambda p: np.array([(1.0 + p[2]) / 2.0])),
-    "z_embedding": (QubitBall, Interval, lambda p: np.array([0.0, 0.0, 2.0 * p[0] - 1.0])),
+    "z_projection": (Interval, QubitBall, lambda p: ((1.0 + p[2]) / 2.0,)),
+    "z_embedding": (QubitBall, Interval, lambda p: (0.0, 0.0, 2.0 * p[0] - 1.0)),
     "support_restriction": (QubitBall, QubitBall, lambda p: p),
 }
 
@@ -103,7 +106,7 @@ REGULARIZERS = {
 def regularize(kind: str, point: np.ndarray) -> np.ndarray:
     """Map an incoming broadcast into the receiver's parameter space, after
     checking the kind and that a map between species gets a point of the
-    sender's size (a Bloch point or a scalar)."""
+    sender's size (a Bloch point or a scalar).  Returns an array."""
     if kind not in REGULARIZERS:
         raise ValidationError(f"unknown regularization {kind!r}")
     receiver, sender, to_receiver = REGULARIZERS[kind]
@@ -112,7 +115,7 @@ def regularize(kind: str, point: np.ndarray) -> np.ndarray:
         if point.size != sender.dim:
             raise ValidationError(f"{kind} expects a point of size {sender.dim}, "
                                   f"got {point.size}")
-    return to_receiver(point)
+    return np.asarray(to_receiver(point), dtype=float)
 
 
 def sample_outcome(post: PhysicalPostulate, broadcast: np.ndarray, R,
@@ -329,13 +332,12 @@ def _summary_dict(agent: Agent) -> dict:
     }
 
 
-def _receive_and_update(agent: Agent, point: np.ndarray, streams,
-                        step: int) -> tuple[str, int]:
-    # ``point`` is the broadcast already mapped into the agent's parameter
-    # space by its slot's regularizer.
+def _receive_and_update(agent: Agent, point, streams, step: int) -> tuple[str, int]:
+    # ``point`` is the broadcast as Python floats, already mapped into the
+    # agent's parameter space by its slot's regularizer.
     a = choose_action(agent, streams["choice"])
     action = agent.menu[a]
-    q = outcome_probs(agent.kernel_rows[a], [1.0, *point.tolist()])
+    q = outcome_probs(agent.kernel_rows[a], [1.0, *point])
     outcome = draw_outcome(q, streams["outcome"])
     try:
         ens = bayes_update(agent.ensemble, agent.postulate, action.matrix, outcome,
@@ -376,8 +378,15 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     trace.initial = {s.id: _summary_dict(s) for s in slots if _is_agent(s)}
     snapshot(0)
     snapshot_steps = _snapshot_steps(spec.n_steps)
+    # Resolved once per run: the (sender, receiver, whether the sender is an
+    # agent) triples whose receiver is an agent, in update order, and each
+    # slot's broadcast, fixed as Python floats for a source.
+    order = ((0, 1), (1, 0)) if spec.mode == PRIOR_TURNS else ((1, 0), (0, 1))
+    pairs = tuple((sender, receiver, _is_agent(slots[sender])) for sender, receiver in order
+                  if _is_agent(slots[receiver]))
+    sent = [None if _is_agent(s) else tuple(s.point.tolist()) for s in slots]
     for step in range(1, spec.n_steps + 1):
-        step_agents = _step(spec, slots, streams, step)
+        step_agents = _step(spec, pairs, sent, streams, step)
         if keep is None or step in keep:
             trace.records.append(_record(spec, slots, step_agents, step))
         if step in snapshot_steps:
@@ -419,36 +428,32 @@ def _record(spec, slots, step_agents, step) -> InteractionRecord:
                              {k: float(v) for k, v in metrics.items()})
 
 
-def _step(spec, slots, streams, step):
+def _step(spec, pairs, sent, streams, step):
     # Simultaneous modes take both broadcasts before either update, and slot 0
     # updates first (so it is the agent an ImpossibleOutcomeError names when
     # both outcomes are impossible).  Turn mode takes each broadcast as it is
     # sent: slot 0 broadcasts to slot 1, which updates, then slot 1 broadcasts
-    # its refreshed beliefs back to slot 0.
-    def broadcast(i):
-        slot = slots[i]
-        if not _is_agent(slot):
-            return slot.point
-        if spec.mode == EXPECTATION:
-            return broadcast_point(slot)
-        ens = slot.ensemble
-        return ens.points[draw_index(ens.weights, streams[i]["broadcast"])]
-
-    if spec.mode == PRIOR_TURNS:
-        sent, order = None, ((0, 1), (1, 0))
-    else:
-        # a broadcast that no agent receives (an agent's, sent to a source)
-        # is not computed
-        sent = [broadcast(i) if _is_agent(slots[1 - i]) else None for i in range(2)]
-        order = ((1, 0), (0, 1))
+    # its refreshed beliefs back to slot 0.  A broadcast that no agent
+    # receives (an agent's, sent to a source) is not computed.
+    slots, mode = spec.slots, spec.mode
+    if mode != PRIOR_TURNS:
+        for sender, _receiver, live in pairs:
+            if live:
+                sent[sender] = (broadcast_point(slots[sender]) if mode == EXPECTATION
+                                else _drawn_broadcast(slots[sender], streams[sender]))
     results = [None, None]
-    for sender, receiver in order:
-        if not _is_agent(slots[receiver]):
-            continue
-        point = broadcast(sender) if sent is None else sent[sender]
+    for sender, receiver, live in pairs:
+        if live and mode == PRIOR_TURNS:
+            sent[sender] = _drawn_broadcast(slots[sender], streams[sender])
         results[receiver] = _receive_and_update(
-            slots[receiver], spec.regularizers[receiver](point), streams[receiver], step)
+            slots[receiver], spec.regularizers[receiver](sent[sender]), streams[receiver], step)
     return results
+
+
+def _drawn_broadcast(agent: Agent, streams) -> list[float]:
+    # The prior sampling modes' broadcast: a point drawn from the ensemble.
+    ens = agent.ensemble
+    return ens.points[draw_index(ens.weights, streams["broadcast"])].tolist()
 
 
 def _snapshot_steps(n_steps: int) -> set[int]:

@@ -28,9 +28,9 @@ points into reference probability vectors:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -264,8 +264,11 @@ def outcome_probs(rows, p) -> list[float]:
     Each dot product adds left to right (``reduce``, not ``sum``, which
     compensates from Python 3.12 on).
     """
-    return [v if (v := reduce(operator.add, map(operator.mul, row, p), 0.0)) >= LIKELIHOOD_DUST
-            else 0.0 for row in rows]
+    q = []
+    for row in rows:
+        v = reduce(add, map(mul, row, p), 0.0)
+        q.append(v if v >= LIKELIHOOD_DUST else 0.0)
+    return q
 
 
 def min_likelihood(post: PhysicalPostulate, R) -> float:

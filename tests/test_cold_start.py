@@ -1,9 +1,10 @@
 """Cold start: ``import qbagents`` loads numpy and not scipy.
 
-scipy is loaded only where it is evaluated: ``scipy.special`` at the first
-Beta function (the truncated and triangular priors of the classical pairs,
-the appendix battery), ``scipy.linalg`` in ``sqrt_phi``.  Each check runs in
-a fresh interpreter, since the test session itself has scipy loaded.
+scipy is loaded only where it is evaluated: ``scipy.special`` with its scalar
+kernels ``scipy.special.cython_special`` at the first Beta function (the
+truncated and triangular priors of the classical pairs, the appendix
+battery), ``scipy.linalg`` in ``sqrt_phi``.  Each check runs in a fresh
+interpreter, since the test session itself has scipy loaded.
 """
 
 import os
@@ -82,6 +83,31 @@ scenarios.run_config(short("classical_pair", n_steps=1))
 print(before, core_math.special is sys.modules.get("scipy.special"))
 """
     assert child(body, tmp_path) == "False True"
+
+
+def test_classical_pair_build_loads_no_scipy(tmp_path):
+    # the body the benchmark's set-up time measures: building the Beta-count
+    # agents evaluates no Beta function
+    body = """
+scenarios.build_runtime(scenarios.parse_config(scenarios.emit_config(short("classical_pair"))))
+print(scipy_modules())
+"""
+    assert child(body, tmp_path) == "[]"
+
+
+def test_classical_pair_step_loads_both_special_modules(tmp_path):
+    # the closed forms read only the scalar kernels, and the read that binds
+    # them binds ``scipy.special`` too
+    body = """
+from qbagents import core_math
+from qbagents.interaction import run
+spec = scenarios.build_runtime(short("classical_pair", n_steps=1))
+before = scipy_modules()
+run(spec)
+print(before, core_math.special is sys.modules.get("scipy.special"),
+      core_math.scalar is sys.modules.get("scipy.special.cython_special"))
+"""
+    assert child(body, tmp_path) == "[] True True"
 
 
 def test_sqrt_phi_loads_linalg(tmp_path):

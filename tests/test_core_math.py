@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from qbagents import core_math
 from qbagents.core_math import (
     DEFAULT_GRID_POINTS,
     BetaParams,
@@ -110,6 +111,42 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(1.5, 1, 1)
         with pytest.raises(ValidationError):
             regularized_incomplete_beta(0.5, -1, 1)
+
+
+class TestScalarKernels:
+    """The scalar ``betainc`` and ``betaln`` that the step's closed forms call
+    (``core_math.scalar``) return the ufuncs' bits, so a scipy whose two
+    routines part fails here instead of changing trace bytes."""
+
+    @staticmethod
+    def sample(n=20_000):
+        # shapes from 0.5 to 2e5, a third of them half-integers, with x down
+        # to 1e-300, plus the counts-and-edges lattice the registry priors reach
+        rng = np.random.default_rng(61021)
+        shapes = np.exp(rng.uniform(np.log(0.5), np.log(2e5), (2, n)))
+        shapes = np.where(rng.random((2, n)) < 1 / 3, np.ceil(2 * shapes) / 2, shapes)
+        x = np.where(rng.random(n) < 0.2, 10.0 ** rng.uniform(-300, -1, n), rng.random(n))
+        counts = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 10.5, 101.0, 1001.5, 2001.0])
+        edges = np.array([0.0, 1e-300, 1e-12, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-12, 1.0])
+        a, b, e = (v.ravel() for v in np.meshgrid(counts, counts, edges))
+        return np.concatenate((shapes[0], a)), np.concatenate((shapes[1], b)), \
+            np.concatenate((x, e))
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    def test_betainc_at_x_and_its_mirror(self):
+        a, b, x = self.sample()
+        betainc = core_math.scalar.betainc
+        for args in ((a, b, x), (b, a, 1.0 - x)):
+            scalar = [betainc(*v) for v in zip(*(c.tolist() for c in args))]
+            assert np.array_equal(self.bits(scalar), self.bits(special.betainc(*args)))
+
+    def test_betaln(self):
+        a, b, _x = self.sample()
+        scalar = [core_math.scalar.betaln(p, q) for p, q in zip(a.tolist(), b.tolist())]
+        assert np.array_equal(self.bits(scalar), self.bits(special.betaln(a, b)))
 
 
 class TestKolmogorov:

@@ -311,6 +311,6 @@ def test_draw_columns_match_the_grid_engine(name, seed):
             point = (np.asarray(trace.records[step - 1].agents[sender].mean) if step
                      else np.asarray(trace.initial[spec.slots[sender].id]["mean"]))
             point = spec.regularizers[k](point)
-            q = outcome_probs(spec.slots[k].kernel_rows[0], [1.0, *point.tolist()])
+            q = outcome_probs(spec.slots[k].kernel_rows[0], [1.0, *point])
             means.append(np.cumsum(q) / sum(q))
         assert any(min(x, y) <= u <= max(x, y) for x, y in zip(*means))
