@@ -15,13 +15,11 @@ built, so a step does only arithmetic:
   be an update's or a refresh's result, the prior that resample-move assumes;
 * each action's utility row is checked and stored (``utility_rows``);
 * each action's likelihood rows ``R[j] @ Phi`` are stored with their
-  ``bloch_axes`` classes, and composed with the region's affine embedding
-  as Python floats (``kernel_rows``), the rows ``postulate.outcome_probs``
-  evaluates at (1, theta);
-* for a 1-D agent, each row's ``count_powers``: whether the outcome
-  multiplies the belief by theta or by 1 - theta.  A ``BetaMixture`` belief
-  updates by them; if some row is neither, the agent starts from the
-  belief's prior grid instead;
+  ``axis_classes`` (``evidence.axes``), and composed with the region's affine
+  embedding as Python floats (``kernel_rows``), the rows
+  ``postulate.outcome_probs`` evaluates at (1, theta);
+* a ``BetaMixture`` belief updates by those classes; with a row that is neither
+  theta nor 1 - theta the agent is rejected (its ``prior`` grid runs such rows);
 * likelihoods on the ensemble's points are cached per point set: the points
   are embedded once, and each (action, outcome) vector is computed the first
   time it is asked for and kept until the points change (grid and delta
@@ -31,7 +29,7 @@ built, so a step does only arithmetic:
   parameter), the action's ``kernel_rows`` at (1, mean), so a choice costs
   a few float products instead of a pass over the ensemble;
 * a single-action menu draws nothing, and a menu without a utility table,
-  whose expected utilities all equal the default utility, draws the
+  whose expected utilities all equal ``DEFAULT_UTILITY``, draws the
   tie-break index directly.
 """
 
@@ -43,10 +41,10 @@ import numpy as np
 
 from .core_math import PROB_TOL, as_cond_prob_matrix, readonly
 from .errors import ValidationError
-from .inference import BetaMixture, Evidence, ParticleEnsemble, count_powers, posterior_mean
+from .inference import BetaMixture, Evidence, ParticleEnsemble, posterior_mean
 from .postulate import (
     PhysicalPostulate,
-    bloch_axes,
+    axis_classes,
     ensemble_compatible,
     likelihoods,
     min_likelihood,
@@ -60,6 +58,7 @@ from .core_math import as_prob_vector  # noqa: F401
 from .postulate import likelihood_matrix  # noqa: F401
 
 TIE_TOL = 1e-12
+DEFAULT_UTILITY = 1.0  # the utility of an (action, outcome) pair no table entry sets
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,14 @@ class Action:
 
 @dataclass(frozen=True)
 class UtilityFn:
-    """Utility of each (action, outcome) pair; unspecified entries default to 1."""
+    """Utility of each (action, outcome) pair; ``DEFAULT_UTILITY`` where the table is silent."""
 
     table: dict = field(default_factory=dict)
-    default: float = 1.0
 
     def row(self, action: Action) -> np.ndarray:
         values = self.table.get(action.name)
         if values is None:
-            return np.full(action.n_outcomes, self.default)
+            return np.full(action.n_outcomes, DEFAULT_UTILITY)
         out = np.asarray(values, dtype=float)
         if out.shape != (action.n_outcomes,):
             raise ValidationError(
@@ -151,14 +149,14 @@ class Agent:
         phi = self.postulate.phi
         rows = tuple(readonly(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)]))
                      for a in self.menu)
-        # a counts-carrying belief needs every outcome's likelihood to be theta
-        # or 1 - theta; with any other it starts from its prior grid
-        self.powers = (tuple(tuple(map(count_powers, r)) for r in rows)
-                       if ens.region.dim == 1 else None)
-        if isinstance(ens, BetaMixture) and any(None in p for p in self.powers):
-            self.ensemble = ens = ens.grid_ensemble()
+        axes = tuple(map(axis_classes, rows))
+        if isinstance(ens, BetaMixture) and any(None in c for c in axes):
+            raise ValidationError(
+                f"agent {self.id!r}: a Beta-count belief needs likelihoods theta or "
+                "1 - theta, and some action's is neither; run such an action on the "
+                "belief's plain prior grid (BetaMixture.prior)")
         self.counts = {}
-        self.evidence = Evidence(rows, tuple(map(bloch_axes, rows)), self.counts)
+        self.evidence = Evidence(rows, axes, self.counts)
         # The embedding is affine, so an outcome's probability is its row of
         # coefficients (constant, gradient) dotted with (1, theta).
         dim = ens.region.dim
@@ -190,9 +188,9 @@ class Agent:
     def likelihood(self, a: int, j: int):
         """p(j | theta) of menu action ``a`` in the form ``bayes_update``
         takes for the ensemble: its values at the points, or for a
-        ``BetaMixture`` the ``count_powers`` it multiplies the belief by."""
+        ``BetaMixture`` its ``axis_classes`` class (theta or 1 - theta)."""
         if isinstance(self.ensemble, BetaMixture):
-            return self.powers[a][j]
+            return self.evidence.axes[a][j]
         points = self.ensemble.points
         if points is not self._points:
             self._points = points
@@ -224,7 +222,7 @@ def choose_action(agent: Agent, rng: np.random.Generator) -> int:
     """The menu index of an expected-utility maximizer; ties broken uniformly
     at random.
 
-    Without a utility table every expected utility equals the default utility
+    Without a utility table every expected utility equals ``DEFAULT_UTILITY``
     up to rounding, so all actions tie and the tie-break index is drawn
     directly.
     """

@@ -113,11 +113,11 @@ def _gaps(mean_a, mean_b, after):
 
 
 def _mean_of(prior) -> float:
-    """A Beta law's mean, or a 1-D grid belief's ``weights @ grid`` (its grid measure)."""
+    """A Beta law's mean, or a 1-D grid belief's grid sum (thread-independent ``einsum``)."""
     if isinstance(prior, BetaParams):
         return beta_mean(prior)
     theta, weights = grid_belief(prior)
-    return float(weights @ theta)
+    return float(np.einsum("i,i->", weights, theta))
 
 
 def expected_posterior(prior_a, mean_b: float) -> ExpectedPosterior:

@@ -6,16 +6,15 @@ Beliefs take three forms:
   mixture of truncated Beta pieces, and every coin likelihood is theta or
   1 - theta, so the posterior is the prior times theta^a (1 - theta)^b and
   depends on the counts (a, b) alone (de Finetti).  An update adds one to a
-  count; the mean and variance are the pieces' closed forms
-  (``core_math.beta_piece``), scalars that round the same at any BLAS thread
-  count.  The 10,001-point grid is built in log space from the counts only
-  where something reads it: ESS at recorded steps, curve snapshots and
-  prior-sampling draws;
+  count, and rejects a likelihood that is neither; the mean and variance are
+  the pieces' closed forms (``core_math.beta_piece``), scalars that round the
+  same at any BLAS thread count.  The 10,001-point grid is built in log space
+  from the counts only where something reads it: ESS at recorded steps,
+  curve snapshots and prior-sampling draws;
 * grid ensembles (1-D regions only): a fixed uniform grid whose weights track
   the density exactly at the grid points; these are never resampled, since
-  reweighting alone keeps the representation faithful.  Delta mixtures, grids
-  built directly and beliefs that see a likelihood other than theta or
-  1 - theta take this path;
+  reweighting alone keeps the representation faithful.  Delta mixtures and
+  grids built directly take this path;
 * particle ensembles (the Bloch ball): weighted samples refreshed with a
   new, equally weighted cloud when the effective sample size degrades.
 
@@ -24,9 +23,10 @@ the old ones times the postulate likelihood of the observed outcome,
 renormalized; a caller that already holds that likelihood (an agent's cache)
 passes it in.  The observations belong to the agent, not to the ensemble:
 its one count store, keyed by (menu index, outcome), and its actions'
-likelihood rows ``R[j] @ Phi`` with their classification by Bloch axis, made
-once when the agent is built.  ``Evidence`` is the refresh's view of them,
-reading the counts live.
+likelihood rows ``R[j] @ Phi`` with their ``postulate.axis_classes``, made
+once when the agent is built.  ``Evidence`` holds them, reading the counts
+live.  That one classification decides every exact update: a likelihood
+c0 (1 +- r_a) is one more count, for a ``BetaMixture`` as for the refresh.
 
 The refresh (``maybe_resample``) takes one of two paths.  When every observed
 outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
@@ -51,7 +51,7 @@ import numpy as np
 
 from .core_math import beta_piece, beta_piece_var, readonly
 from .errors import ImpossibleOutcomeError, ValidationError
-from .postulate import PhysicalPostulate, QubitBall, likelihood_values, likelihoods
+from .postulate import PhysicalPostulate, QubitBall, axis_classes, likelihood_values, likelihoods
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
@@ -61,11 +61,10 @@ EXACT_MAX_DRAWS = 100  # candidates per particle before the exact refresh gives 
 
 @dataclass(frozen=True)
 class Evidence:
-    """The refresh's view of an agent's observations: ``rows[a]``, the
-    likelihood rows ``R[j] @ Phi`` of menu action a, ``axes[a]``, their
-    ``bloch_axes`` classes, and the agent's live ``counts`` of (menu index,
-    outcome) cells in first-observed order, the order
-    ``log_posterior_density`` sums them in."""
+    """An agent's observations: ``rows[a]``, the likelihood rows ``R[j] @ Phi``
+    of menu action a, ``axes[a]``, their ``axis_classes``, and the agent's
+    live ``counts`` of (menu index, outcome) cells in first-observed order,
+    the order ``log_posterior_density`` sums them in."""
 
     rows: tuple = ()
     axes: tuple = ()
@@ -166,11 +165,12 @@ class BetaMixture:
     ``counts`` = (a, b).
 
     Every likelihood a coin action gives is theta or 1 - theta up to a
-    constant, so the posterior depends on the counts alone (de Finetti), and
-    an update adds one to a count (``observed``).  The mean and variance are
-    the pieces' closed forms (``core_math.beta_piece``), mixed by their masses:
-    float arithmetic plus one scalar special-function call per incomplete
-    Beta value, or a continued fraction in a tail.
+    constant (``axis_classes`` (0, +1) or (0, -1)), so the posterior depends
+    on the counts alone (de Finetti), and an update adds one to a count
+    (``observed``).  The mean and variance are the pieces' closed forms
+    (``core_math.beta_piece``), mixed by their masses: float arithmetic plus
+    one scalar special-function call per incomplete Beta value, or a
+    continued fraction in a tail.
 
     ``prior`` is the grid ensemble of the prior pdf; it sets the resolution of
     what reads a grid.  ``weights``, the grid posterior, is built in log space
@@ -209,10 +209,12 @@ class BetaMixture:
     def posterior(self) -> bool:
         return any(self.counts)
 
-    def observed(self, powers: tuple) -> "BetaMixture":
-        """The belief times theta^powers[0] (1 - theta)^powers[1]."""
-        (a, b), (da, db) = self.counts, powers
-        return BetaMixture(self.prior, self.pieces, (a + da, b + db), self._logs)
+    def observed(self, cls: tuple) -> "BetaMixture":
+        """The belief times theta for the ``axis_classes`` class (0, +1), or
+        times 1 - theta for (0, -1)."""
+        a, b = self.counts
+        return BetaMixture(self.prior, self.pieces,
+                           (a + 1, b) if cls[1] > 0 else (a, b + 1), self._logs)
 
     @property
     def weights(self) -> np.ndarray:
@@ -314,18 +316,6 @@ def delta_ensemble(points, weights, region) -> ParticleEnsemble:
     return ParticleEnsemble(points, w / w.sum(), region, atoms=True)
 
 
-def count_powers(row) -> tuple[int, int] | None:
-    """The powers of (theta, 1 - theta) that a 1-D likelihood row
-    ``R[j] @ Phi`` multiplies a density by, (1, 0) or (0, 1), when it is a
-    positive multiple of theta or of 1 - theta; None otherwise."""
-    p0, p1 = (float(v) for v in row)
-    if p0 > 0.0 and p1 == 0.0:
-        return 1, 0
-    if p1 > 0.0 and p0 == 0.0:
-        return 0, 1
-    return None
-
-
 def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
                  like: np.ndarray | None = None) -> ParticleEnsemble:
     """Reweight by the likelihood of outcome j; points never move here.
@@ -335,16 +325,18 @@ def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
     the total posterior weight underflows, i.e. the outcome contradicts the
     entire support.
 
-    A ``BetaMixture`` adds the outcome's ``count_powers`` to its counts; the
-    caller may pass them as ``like``.  An outcome whose likelihood is neither
-    theta nor 1 - theta reweights its grid instead.
+    A ``BetaMixture`` adds one to the count of the outcome's ``axis_classes``
+    class; the caller may pass the class as ``like``.  An outcome whose
+    likelihood is neither theta nor 1 - theta raises ``ValidationError``.
     """
     if isinstance(ens, BetaMixture):
-        powers = like if isinstance(like, tuple) else count_powers(
-            np.asarray(R, dtype=float)[j] @ post.phi)
-        if powers is not None:
-            return ens.observed(powers)
-        ens, like = ens.grid_ensemble(), None
+        cls = like if isinstance(like, tuple) else axis_classes(
+            np.asarray(R, dtype=float) @ post.phi)[j]
+        if cls is None:
+            raise ValidationError(
+                f"outcome {j}'s likelihood is neither theta nor 1 - theta, which a "
+                "Beta-count belief cannot absorb")
+        return ens.observed(cls)
     if like is None:
         like = likelihood_values(post, R, j, ens.points)
     w = ens.weights * like
@@ -423,7 +415,7 @@ def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
     ``evidence`` (the agent's observations) gives, by one of two paths:
 
     * exact refresh, for Bloch-ball particles whose every observed outcome
-      has a likelihood c0 (1 +- r_a) on one axis a (see ``bloch_axes``): the
+      has a likelihood c0 (1 +- r_a) on one axis a (``evidence.axes``): the
       quantum ``paulis`` and ``paulis_zx`` menus.  The posterior under the
       uniform prior is then a product of three Beta laws truncated to the
       ball, and ``sample_axis_posterior`` draws n i.i.d. points from it;

@@ -24,6 +24,9 @@ points into reference probability vectors:
 
 * ``Interval(lo, hi)``: theta in [lo, hi], embedded as (theta, 1 - theta).
 * ``QubitBall()``: Bloch points, embedded as tetrahedral SIC probabilities.
+
+So likelihoods are affine in the centred coordinates r (2 theta - 1, or the
+Bloch vector); ``axis_classes`` marks the exact updates, c0 (1 +- r_a).
 """
 
 from __future__ import annotations
@@ -279,39 +282,43 @@ def min_likelihood(post: PhysicalPostulate, R) -> float:
     fill the simplex, whose extreme points are its vertices, so the minimum
     is the smallest entry of R Phi (at the interval endpoints for a coin).
     Quantum states fill the Bloch ball, where outcome j has probability
-    c0 + c . r with c0 = sum(row_j) / 4 and c = row_j @ n / 4 (the
-    tetrahedral embedding), whose minimum is c0 - |c|.
+    c0 + c . r (``_ball_coefficients``), whose minimum is c0 - |c|.
     """
     rows = np.asarray(R, dtype=float) @ post.phi
     if not post.is_quantum:
         return float(rows.min())
-    c0 = rows.sum(axis=1) / 4.0
-    c = rows @ TETRA_VERTICES / 4.0
+    c0, c = _ball_coefficients(rows)
     return float(np.min(c0 - np.linalg.norm(c, axis=1)))
+
+
+def _ball_coefficients(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # each 4-outcome row's likelihood c0 + c . r on the Bloch ball (tetrahedral embedding)
+    return rows.sum(axis=1) / 4.0, rows @ TETRA_VERTICES / 4.0
 
 
 AXIS_TOL = 1e-9
 
 
-def bloch_axes(rows) -> tuple:
-    """For each likelihood row ``R[j] @ Phi`` of a 4-outcome action: (axis,
-    sign) when its likelihood on the Bloch ball is c0 (1 + sign r_axis) with
-    sign = +-1, else None.
+def axis_classes(rows) -> tuple:
+    """For each likelihood row ``R[j] @ Phi``: (axis, sign) when its
+    likelihood is c0 (1 + sign r_axis), c0 > 0 and sign = +-1, in the region's
+    centred coordinates r; else None.  Such an outcome is one more count
+    (``BetaMixture.observed``, ``Evidence.axis_counts``).
 
-    Through the tetrahedral embedding the likelihood is c0 + c . r with
-    c0 = sum(row) / 4 and c = row @ n / 4 (as in ``min_likelihood``).
-    Quantum Pauli rows give |c| / c0 = 1 - 4e-16, so the ratio is compared
+    On the interval r = 2 theta - 1, and a row (p0, p1) gives
+    p0 theta + p1 (1 - theta): (0, +1) when p1 = 0 < p0, (0, -1) when
+    p0 = 0 < p1.  On the ball it gives c0 + c . r (``_ball_coefficients``);
+    quantum Pauli rows have |c| / c0 = 1 - 4e-16, so the ratio is compared
     within ``AXIS_TOL`` and snapped to +-1.  Classical Pauli rows (ratio
-    1/3), classical sharp Pauli rows (1/sqrt(3)) and the SIC reference rows
-    (no single axis) give None.
+    1/3), classical sharp Pauli rows (1/sqrt(3)) and SIC rows give None.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.shape[1] != 4:
-        return (None,) * rows.shape[0]
+    if rows.shape[1] == 2:
+        return tuple((0, 1) if p1 == 0.0 < p0 else (0, -1) if p0 == 0.0 < p1 else None
+                     for p0, p1 in rows.tolist())
     out = []
-    for row in rows:
-        c0 = row.sum() / 4.0
-        k = (row @ TETRA_VERTICES / 4.0) / c0 if c0 > 0 else np.zeros(3)
+    for c0, c in zip(*_ball_coefficients(rows)):
+        k = c / c0 if c0 > 0 else np.zeros(3)
         axis = int(np.argmax(np.abs(k)))
         aligned = np.all(np.abs(np.abs(k) - np.eye(3)[axis]) <= AXIS_TOL)
         out.append((axis, int(np.sign(k[axis]))) if aligned else None)

@@ -29,7 +29,7 @@ from qbagents.inference import (
     sample_axis_posterior,
     sample_uniform,
 )
-from qbagents.postulate import QubitBall, bloch_axes, classical_postulate, quantum_postulate
+from qbagents.postulate import QubitBall, axis_classes, classical_postulate, quantum_postulate
 from qbagents.quantum import TETRA_VERTICES
 from qbagents.scenarios import _menu, default_config, run_config
 
@@ -132,7 +132,7 @@ class TestBlochAxes:
         expected = {"X": 0, "Y": 1, "Z": 2}
         for action, rows in zip(_menu(menu), _rows(QUANTUM, menu)):
             axis = expected[action.name]
-            assert bloch_axes(rows) == ((axis, 1), (axis, -1))
+            assert axis_classes(rows) == ((axis, 1), (axis, -1))
 
     @pytest.mark.parametrize("post,menu", [(QUANTUM, "sic_reference"),
                                            (CLASSICAL4, "paulis"),
@@ -140,7 +140,7 @@ class TestBlochAxes:
                                            (CLASSICAL4, "sic_reference")])
     def test_other_rows_fall_back(self, post, menu):
         for rows in _rows(post, menu):
-            assert set(bloch_axes(rows)) == {None}
+            assert set(axis_classes(rows)) == {None}
 
     def test_unit_ratio_is_matched_within_tolerance(self):
         # the quantum Pauli rows miss |k| = 1 by a few ulps, so a test for an

@@ -10,8 +10,10 @@
   and outcome columns equal those of the grid engine (the same priors as
   reweighted grids); where they differ, the first difference falls at a draw
   whose ``random()`` lies between the two engines' outcome probabilities.
-* The update: counting, the fallback to the grid for a likelihood that is not
-  theta or 1 - theta, and the agent and run plumbing around it.
+* The update: counting by ``axis_classes``, the rejection of a likelihood
+  that is not theta or 1 - theta (on the update and at agent build; the
+  plain prior grid runs such an action), and the agent and run plumbing
+  around it.
 """
 
 import math
@@ -26,7 +28,7 @@ from scipy.special import xlog1py, xlogy
 
 from qbagents.agents import Action, Agent
 from qbagents.core_math import DEFAULT_GRID_POINTS
-from qbagents.errors import ImpossibleOutcomeError
+from qbagents.errors import ImpossibleOutcomeError, ValidationError
 from qbagents.inference import (
     BetaMixture,
     bayes_update,
@@ -38,7 +40,7 @@ from qbagents.inference import (
 from qbagents.interaction import run
 from qbagents.postulate import Interval, classical_postulate, outcome_probs
 from qbagents.rng import agent_streams
-from qbagents.scenarios import PRIORS, _menu, build_runtime, default_config
+from qbagents.scenarios import PRIORS, REGISTRY, _menu, build_runtime, default_config
 
 CLASSICAL2 = classical_postulate(2)
 
@@ -223,45 +225,73 @@ def test_update_counts_theta_and_one_minus_theta():
     b = belief(PRIOR_CASES["semicircle"])
     action = _menu("flip")[0]
     heads = bayes_update(b, CLASSICAL2, action.matrix, 0)
-    tails = bayes_update(heads, CLASSICAL2, action.matrix, 1, (0, 1))
+    tails = bayes_update(heads, CLASSICAL2, action.matrix, 1, (0, -1))
     assert (b.counts, heads.counts, tails.counts) == ((0, 0), (1, 0), (1, 1))
     assert tails.prior is b.prior and tails.pieces is b.pieces
     assert not b.posterior and tails.posterior
     assert heads.mean() == pytest.approx(2.5 / 4.0)  # Beta(5/2, 3/2)
     assert maybe_resample(tails, None, None) is tails
+    # the class passed decides; values at the points are ignored and the row
+    # is classified
+    assert bayes_update(b, CLASSICAL2, action.matrix, 0, (0, -1)).counts == (0, 1)
+    assert bayes_update(b, CLASSICAL2, action.matrix, 1, np.ones(b.n)).counts == (0, 1)
+
+
+MIXED = np.array([[0.75, 0.25], [0.25, 0.75]])
 
 
 def test_other_likelihood_reweights_the_grid():
     b = belief(PRIOR_CASES["uniform"], (2, 1), n=1001)
-    mixed = np.array([[0.75, 0.25], [0.25, 0.75]])
-    out = bayes_update(b, CLASSICAL2, mixed, 0)
+    out = bayes_update(b.grid_ensemble(), CLASSICAL2, MIXED, 0)
     assert not isinstance(out, BetaMixture) and out.grid and out.posterior
     theta = b.points[:, 0]
     expected = b.weights * (0.25 + 0.5 * theta)
     assert np.allclose(out.weights, expected / expected.sum(), rtol=1e-12)
+    with pytest.raises(ValidationError, match="neither theta nor 1 - theta"):
+        bayes_update(b, CLASSICAL2, MIXED, 0)
 
 
 def test_an_outcome_the_support_rules_out_raises():
     b = belief(PRIOR_CASES["uniform"], (2, 1), n=1001)
     never = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ImpossibleOutcomeError):
+        bayes_update(b.grid_ensemble(), CLASSICAL2, never, 1)
+    # a zero row is no class, so the count belief rejects it before any grid
+    with pytest.raises(ValidationError, match="neither theta nor 1 - theta"):
         bayes_update(b, CLASSICAL2, never, 1)
 
 
 def test_agent_with_a_mixed_action_starts_from_the_grid():
     b = belief(PRIOR_CASES["uniform"], n=1001)
-    mixed = Action("noisy", np.array([[0.75, 0.25], [0.25, 0.75]]), ("h", "t"))
-    agent = Agent("a", CLASSICAL2, b, (mixed,))
-    assert agent.ensemble is b.prior
+    mixed = Action("noisy", MIXED, ("h", "t"))
+    with pytest.raises(ValidationError, match=r"agent 'a'.*BetaMixture\.prior"):
+        Agent("a", CLASSICAL2, b, (mixed,))
+    with pytest.raises(ValidationError, match="agent 'a'"):
+        Agent("a", CLASSICAL2, b, (*_menu("flip"), mixed))
+    agent = Agent("a", CLASSICAL2, b.prior, (mixed,))
+    assert agent.ensemble is b.prior and agent.evidence.axes == ((None, None),)
     counting = Agent("c", CLASSICAL2, b, _menu("flip"))
     assert counting.ensemble is b
-    assert counting.likelihood(0, 0) == (1, 0) and counting.likelihood(0, 1) == (0, 1)
+    assert counting.likelihood(0, 0) == (0, 1) and counting.likelihood(0, 1) == (0, -1)
 
 
-def test_registry_agents_carry_counts_and_read_grids_lazily():
-    spec = build_runtime(replace(default_config("classical_disjoint", 3), n_steps=30))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_agents_carry_counts_and_read_grids_lazily(name):
+    # every agent with a continuous 1-D prior carries counts, and every
+    # outcome of its menu classifies as theta or 1 - theta
+    spec = build_runtime(replace(default_config(name, 3), n_steps=30))
+    blocks = [b for b in spec.config["agents"] if "prior" in b]
+    agents = [a for a in spec.slots if hasattr(a, "menu")]
+    assert [b["id"] for b in blocks] == [a.id for a in agents]
+    counting = [a for b, a in zip(blocks, agents) if PRIORS[b["prior"]["kind"]][4]]
+    assert bool(counting) == (name in ONE_D)
+    if not counting:
+        return
+    for agent in counting:
+        assert isinstance(agent.ensemble, BetaMixture)
+        assert {c for classes in agent.evidence.axes for c in classes} == {(0, 1), (0, -1)}
     run(spec, record_steps={30})
-    for agent in spec.slots:
+    for agent in counting:
         ens = agent.ensemble
         assert isinstance(ens, BetaMixture) and sum(ens.counts) == 30
         assert sum(agent.counts.values()) == 30

@@ -12,6 +12,7 @@ from qbagents.postulate import (
     PhysicalPostulate,
     QubitBall,
     apply_postulate,
+    axis_classes,
     classical_postulate,
     ensemble_compatible,
     is_valid_state,
@@ -218,6 +219,37 @@ class TestMinLikelihood:
 
     def test_classical_interval_endpoints(self):
         assert min_likelihood(CLASSICAL2, [[0.9, 0.2], [0.1, 0.8]]) == pytest.approx(0.1)
+
+
+class TestAxisClasses:
+    """The one likelihood classifier: (axis, sign) for a likelihood
+    c0 (1 + sign r_axis) in the region's centred coordinates, else None."""
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[1.0, 0.0]], ((0, 1),)),  # theta = (1 + r) / 2
+        ([[0.0, 1.0]], ((0, -1),)),  # 1 - theta = (1 - r) / 2
+        ([[0.5, 0.0], [0.0, 0.25]], ((0, 1), (0, -1))),  # positive multiples
+        ([[0.75, 0.25], [0.25, 0.75]], (None, None)),  # a noisy coin
+        ([[0.0, 0.0]], (None,)),  # all-zero
+        ([[1.0, 1.0]], (None,)),  # constant
+        ([[-1.0, 0.0], [0.0, -1.0]], (None, None)),  # not a positive multiple
+    ], ids=["theta", "one_minus_theta", "multiples", "noisy", "zero", "constant",
+            "negative"])
+    def test_interval_rows(self, rows, expected):
+        assert axis_classes(rows) == expected
+
+    def test_coin_menus_count(self):
+        assert axis_classes(np.eye(2) @ CLASSICAL2.phi) == ((0, 1), (0, -1))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_ball_rows(self, axis):
+        rows = conditional_matrix(pauli_povm("XYZ"[axis]), sic_d2()) @ QUANTUM.phi
+        assert axis_classes(rows) == ((axis, 1), (axis, -1))
+        assert axis_classes(0.25 * rows) == ((axis, 1), (axis, -1))  # c0 scales out
+        noisy = 0.9 * rows + 0.1 * rows[::-1]  # c0 (1 +- 0.8 r_axis)
+        assert axis_classes(noisy) == (None, None)
+        assert axis_classes(-rows) == (None, None)
+        assert axis_classes(np.zeros((1, 4))) == (None,)
 
 
 class TestValidity:
