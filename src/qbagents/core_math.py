@@ -187,7 +187,13 @@ def beta_piece(alpha: float, beta: float, lo: float, hi: float,
     if lo - mu > reach:  # mirrored, the mass piles against the upper edge
         log_mass, mean = _tail_piece(beta, alpha, 1.0 - hi, 1.0 - lo)
         return log_mass, 1.0 - mean
-    z, z1 = _inc_difference((alpha, alpha + 1.0), beta, lo, hi)
+    if lo <= 0.0:  # the two values ``_inc_difference`` takes at an edge
+        z, z1 = scalar.betainc(alpha, beta, hi), scalar.betainc(alpha + 1.0, beta, hi)
+    elif hi >= 1.0:
+        x = 1.0 - lo
+        z, z1 = scalar.betainc(beta, alpha, x), scalar.betainc(beta, alpha + 1.0, x)
+    else:
+        z, z1 = _inc_difference((alpha, alpha + 1.0), beta, lo, hi)
     return scalar.betaln(alpha, beta) + math.log(z) if mass else None, mu * z1 / z
 
 
@@ -290,21 +296,32 @@ def _inc_difference(alphas, beta, lo, hi) -> list[float]:
 def _tail_fraction(a: float, b: float, x: float) -> float:
     """G = a B(a, b) I_x(a, b) / (x^a (1-x)^b) for 0 < x <= a / (a + b), by the
     continued fraction of DLMF 8.17.22 under the modified Lentz algorithm
-    (Numerical Recipes, ``betacf``); it takes a few terms in a tail."""
+    (Numerical Recipes, ``betacf``); it takes a few terms in a tail.  Each pass
+    of the loop takes the even and then the odd term of step m; a value v is
+    kept when v > tiny or v < -tiny, as |v| > tiny would keep it."""
     tiny = 1e-300
     s = a + b
     c, d = 1.0, 1.0 - s * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
+    d = 1.0 / (d if d > tiny or d < -tiny else tiny)
     g, m = d, 1
     while True:
-        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                    -(a + m) * (s + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            g *= c * d
-        if abs(c * d - 1.0) < 4e-16:
+        a2m = a + 2 * m
+        num = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 + num * d
+        d = 1.0 / (d if d > tiny or d < -tiny else tiny)
+        c = 1.0 + num / c
+        if not (c > tiny or c < -tiny):
+            c = tiny
+        g *= c * d
+        num = -(a + m) * (s + m) * x / (a2m * (a2m + 1.0))
+        d = 1.0 + num * d
+        d = 1.0 / (d if d > tiny or d < -tiny else tiny)
+        c = 1.0 + num / c
+        if not (c > tiny or c < -tiny):
+            c = tiny
+        cd = c * d
+        g *= cd
+        if -4e-16 < cd - 1.0 < 4e-16:
             return g
         m += 1
 

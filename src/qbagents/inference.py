@@ -390,11 +390,18 @@ def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
                                 axis_lengths=readonly(np.array([math.sqrt(var)])))
     w = ens.weights
     mean = posterior_mean(ens)
-    centered = ens.points - mean
     if ens.dim == 1:
+        centered = ens.points - mean
         cov = np.array([[np.einsum("i,i->", w, centered[:, 0] ** 2)]])
     else:
-        cov = (centered * w[:, None]).T @ centered
+        # points - mean and its product with w, one coordinate at a time: the
+        # same values as the broadcasts, without their inner loops of length 3
+        pts = ens.points
+        centered, weighted = np.empty_like(pts), np.empty_like(pts)
+        for k in range(ens.dim):
+            np.subtract(pts[:, k], mean[k], out=centered[:, k])
+            np.multiply(centered[:, k], w, out=weighted[:, k])
+        cov = weighted.T @ centered
         cov = 0.5 * (cov + cov.T)
     eigvals = np.clip(np.linalg.eigh(cov)[0], 0.0, None)
     order = np.argsort(eigvals)[::-1]

@@ -35,15 +35,16 @@ draws from, valid ensembles) are valid by construction.  ``regularize`` and
 A step is then a flat kernel over agent-owned state: the choice uses the
 agent's cached mean, the outcome kernel evaluates the receiver's stored rows
 ``R[j] @ Phi`` at the embedded broadcast (``postulate.outcome_probs`` on the
-agent's ``kernel_rows``) and draws with one ``random()``
-(``rng.draw_outcome``), the update returns the ensemble reweighted by the
-cached likelihood (a ``BetaMixture`` belief adds the outcome to its Beta
-counts instead), and the agent counts the outcome in its one count store,
-keyed by (menu index, outcome), which the refresh, the metrics and the trace
-read.  A broadcast travels as Python floats, from the sender's mean
-(``Agent.mean``) or drawn point through the receiver's regularizer to
-``outcome_probs``.  Which slots are agents, and so which broadcasts a step
-computes, is resolved once per run.
+agent's ``kernel_rows``) and draws with one uniform of the agent's outcome
+stream (``rng.draw_outcome``; ``rng.UniformBlocks`` draws those uniforms in
+blocks of up to 1,024, the same doubles as scalar draws), the update returns
+the ensemble reweighted by the cached likelihood (a ``BetaMixture`` belief
+adds the outcome to its Beta counts instead), and the agent counts the
+outcome in its one count store, keyed by (menu index, outcome), which the
+refresh, the metrics and the trace read.  A broadcast travels as Python
+floats, from the sender's mean (``Agent.mean``) or drawn point through the
+receiver's regularizer to ``outcome_probs``.  Which slots are agents, and so
+which broadcasts a step computes, is resolved once per run.
 
 ``run(spec, record_steps)`` records a step (posterior summaries, ESS,
 metrics) only if it is named or the last one; ``None``, the default, records
@@ -74,7 +75,7 @@ from .postulate import (
     where_outside,
 )
 from .quantum import bloch_to_density, frequency_operator, trace_distance
-from .rng import agent_streams, draw_index, draw_outcome
+from .rng import UniformBlocks, agent_streams, draw_index, draw_outcome
 
 EXPECTATION = "expectation"
 PRIOR_SIMULTANEOUS = "prior_simultaneous"
@@ -364,6 +365,8 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     """
     slots = spec.slots
     streams = [agent_streams(spec.seed, i) for i in range(2)]
+    for own in streams:  # an agent draws one outcome uniform per step
+        own["outcome"] = UniformBlocks(own["outcome"], spec.n_steps)
     trace = Trace(spec.scenario, spec.seed, dict(spec.config), spec.mode)
     keep = None if record_steps is None else set(record_steps) | {spec.n_steps}
 

@@ -97,16 +97,23 @@ class QubitBall:
         overflows is inf, outside, and raises no warning; NaN is outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         with np.errstate(over="ignore"):
-            return np.linalg.norm(pts, axis=1) <= 1.0 + BALL_TOL
+            return np.sqrt(_squared_norms(pts)) <= 1.0 + BALL_TOL
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=(n, 3))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        direction /= np.sqrt(_squared_norms(direction))[:, None]
         radius = rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
         return direction * radius
 
     def to_ref_probs(self, points) -> np.ndarray:
         return sic_probs_from_bloch(np.asarray(points, dtype=float).reshape(-1, 3))
+
+
+def _squared_norms(pts: np.ndarray) -> np.ndarray:
+    # x*x + y*y + z*z by columns, the order ``np.linalg.norm(pts, axis=1)``
+    # sums its squares in, so its square root is that norm bit for bit
+    x, y, z = pts.T
+    return x * x + y * y + z * z
 
 
 def region_with(**sizes):
@@ -265,9 +272,16 @@ def outcome_probs(rows, p) -> list[float]:
     within ``LIKELIHOOD_DUST`` of zero are snapped to zero and negative ones
     clipped, so no outcome is drawn that the update treats as impossible.
     Each dot product adds left to right (``reduce``, not ``sum``, which
-    compensates from Python 3.12 on).
+    compensates from Python 3.12 on); a coin's (1, theta) takes the same sum
+    written out.
     """
     q = []
+    if len(p) == 2:
+        p0, p1 = p
+        for r0, r1 in rows:
+            v = 0.0 + r0 * p0 + r1 * p1
+            q.append(v if v >= LIKELIHOOD_DUST else 0.0)
+        return q
     for row in rows:
         v = reduce(add, map(mul, row, p), 0.0)
         q.append(v if v >= LIKELIHOOD_DUST else 0.0)

@@ -198,8 +198,10 @@ def sic_probs_from_bloch(points: np.ndarray) -> np.ndarray:
 
     Affine map p_i = (1 + r . n_i) / 4, vectorized over leading axes.
     """
-    pts = np.asarray(points, dtype=float)
-    return (1.0 + pts @ TETRA_VERTICES.T) / 4.0
+    out = np.asarray(points, dtype=float) @ TETRA_VERTICES.T
+    out += 1.0
+    out *= 0.25
+    return out
 
 
 def bloch_from_sic_probs(probs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -147,6 +149,94 @@ class TestScalarKernels:
         a, b, _x = self.sample()
         scalar = [core_math.scalar.betaln(p, q) for p, q in zip(a.tolist(), b.tolist())]
         assert np.array_equal(self.bits(scalar), self.bits(special.betaln(a, b)))
+
+
+def reference_tail_fraction(a, b, x):
+    # core_math._tail_fraction as it was before its loop was unrolled: the
+    # two terms of step m in a tuple, |v| > tiny by abs
+    tiny = 1e-300
+    s = a + b
+    c, d = 1.0, 1.0 - s * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    g, m = d, 1
+    while True:
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (s + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            g *= c * d
+        if abs(c * d - 1.0) < 4e-16:
+            return g
+        m += 1
+
+
+def reference_beta_piece(alpha, beta, lo, hi, mass=True):
+    # core_math.beta_piece as it was before its edge pieces called betainc
+    # directly: every truncation outside the tails went through _inc_difference
+    s = alpha + beta
+    if lo <= 0.0 and hi >= 1.0:
+        return core_math.scalar.betaln(alpha, beta) if mass else None, alpha / s
+    mu = alpha / s
+    reach = core_math.BETA_TAIL_Z * math.sqrt(mu * (1.0 - mu) / (s + 1.0))
+    if mu - hi > reach:
+        return core_math._tail_piece(alpha, beta, lo, hi)
+    if lo - mu > reach:
+        log_mass, mean = core_math._tail_piece(beta, alpha, 1.0 - hi, 1.0 - lo)
+        return log_mass, 1.0 - mean
+    z, z1 = core_math._inc_difference((alpha, alpha + 1.0), beta, lo, hi)
+    return (core_math.scalar.betaln(alpha, beta) + math.log(z) if mass else None,
+            mu * z1 / z)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the class of what it raised."""
+    try:
+        return repr(f(*args))
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err).__name__
+
+
+class TestTailKernels:
+    """The tail fraction and the truncated pieces give the bits of their
+    reference forms, which the trace bytes of the Beta-count agents rest on."""
+
+    def test_tail_fraction_matches_the_reference(self):
+        # 10^5 cases, x <= a / (a + b), a and b in [0.5, 3000] (uniform,
+        # log-uniform and the half-integer counts a run reaches); x from the
+        # mean down to 1e-300
+        rng = np.random.default_rng(80172)
+        n = 100_000
+        a, b = (np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3000.0, n),
+                         np.exp(rng.uniform(np.log(0.5), np.log(3000.0), n)))
+                for _ in range(2))
+        a = np.where(rng.random(n) < 0.2, np.ceil(2 * a) / 2, a)
+        top = a / (a + b)
+        u = np.where(rng.random(n) < 0.1, 10.0 ** rng.uniform(-300, 0, n), rng.random(n))
+        x = np.where(rng.random(n) < 0.02, top, top * u)
+        assert np.all((x > 0) & (x <= top))
+        for args in zip(a.tolist(), b.tolist(), x.tolist()):
+            assert core_math._tail_fraction(*args) == reference_tail_fraction(*args), args
+
+    @pytest.mark.parametrize("kind", ["lower_edge", "upper_edge", "interior"])
+    def test_beta_piece_matches_the_reference(self, kind):
+        rng = np.random.default_rng({"lower_edge": 1, "upper_edge": 2, "interior": 3}[kind])
+        n = 10_000
+        shapes = np.exp(rng.uniform(np.log(0.5), np.log(3000.0), (2, n)))
+        cut = rng.random((2, n))
+        lo, hi = {"lower_edge": (np.zeros(n), cut[0]),
+                  "upper_edge": (cut[0], np.ones(n)),
+                  "interior": (cut.min(axis=0), cut.max(axis=0))}[kind]
+        cases = list(zip(*(v.tolist() for v in (*shapes, lo, hi))))
+        nan = float("nan")
+        cases += [(nan, 2.0, 0.0, 0.7), (2.0, nan, 0.0, 0.7), (2.0, 3.0, 0.0, nan),
+                  (2.0, 3.0, nan, 1.0), (2.0, 3.0, nan, 0.7), (2.0, 3.0, 0.2, nan),
+                  (nan, nan, nan, nan), (1.5, 2.5, 0.0, 0.0), (1.5, 2.5, 1.0, 1.0)]
+        for case in cases:
+            for mass in (True, False):
+                assert (_outcome(core_math.beta_piece, *case, mass)
+                        == _outcome(reference_beta_piece, *case, mass)), (case, mass)
 
 
 class TestKolmogorov:

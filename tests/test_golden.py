@@ -23,6 +23,14 @@ named keys, leaving the others as they are:
 
     PYTHONPATH=src python tests/test_golden.py --write
     PYTHONPATH=src python tests/test_golden.py --write qubit_tomography/seed1 batch/classical_pair
+
+The byte oracle beyond the suite writes the files themselves, one directory
+per key (``impossible_outcome.json`` with the step, agent and message for a
+run that polarizes); ``--full`` runs every registry scenario at its registry
+size instead of at most ``MAX_STEPS`` steps.  Two checkouts are then compared
+with one ``diff -r``:
+
+    PYTHONPATH=src python tests/test_golden.py --emit DIR [--full]
 """
 
 import os
@@ -72,26 +80,66 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def golden_record(scenario: str, seed: int, out_dir: str) -> dict:
-    """{file name: sha256} of one run's emitted files, or its polarization point."""
+def run_case(scenario: str, seed: int, max_steps: int | None = MAX_STEPS):
+    """The trace of one registry run at ``n_steps = min(default, max_steps)``
+    (the default when ``max_steps`` is None), or the ``ImpossibleOutcomeError``
+    that ended it."""
     cfg = default_config(scenario, seed)
-    cfg = replace(cfg, n_steps=min(cfg.n_steps, MAX_STEPS))
+    if max_steps is not None:
+        cfg = replace(cfg, n_steps=min(cfg.n_steps, max_steps))
     try:
-        trace = run_config(cfg)
+        return run_config(cfg)
     except ImpossibleOutcomeError as err:
-        return {"impossible_outcome": {"step": err.step, "agent": err.agent_id}}
+        return err
+
+
+def _emit(trace, out_dir: str) -> dict:
     paths = emit_trace(trace, out_dir)
     paths.update(emit_plot_data(trace, out_dir))
-    return dict(sorted((os.path.basename(p), _sha256(p)) for p in paths.values()))
+    return paths
 
 
-def batch_digest(case: str, out_dir: str) -> str:
-    """sha256 of the batch JSON of one of ``BATCH_CASES`` for seeds SEEDS."""
+def golden_record(scenario: str, seed: int, out_dir: str) -> dict:
+    """{file name: sha256} of one run's emitted files, or its polarization point."""
+    result = run_case(scenario, seed)
+    if isinstance(result, ImpossibleOutcomeError):
+        return {"impossible_outcome": {"step": result.step, "agent": result.agent_id}}
+    return dict(sorted((os.path.basename(p), _sha256(p))
+                       for p in _emit(result, out_dir).values()))
+
+
+def batch_file(case: str, out_dir: str) -> str:
+    """The path of the batch JSON of one of ``BATCH_CASES`` for seeds SEEDS,
+    written under ``out_dir``."""
     scenario, n_steps, prior = BATCH_CASES[case]
     cfg = replace(default_config(scenario, SEEDS[0]), n_steps=n_steps)
     if prior is not None:
         cfg = replace(cfg, agents=tuple(replace(a, prior=prior) for a in cfg.agents))
-    return _sha256(emit_batch(batch(cfg, len(SEEDS)), out_dir))
+    return emit_batch(batch(cfg, len(SEEDS)), out_dir)
+
+
+def batch_digest(case: str, out_dir: str) -> str:
+    """sha256 of the batch JSON of one of ``BATCH_CASES`` for seeds SEEDS."""
+    return _sha256(batch_file(case, out_dir))
+
+
+def emit_cases(out_dir: str, full: bool = False) -> None:
+    """Write every case's files under ``out_dir``, one directory per golden
+    key; with ``full``, the runs at registry size."""
+    for name, seed in CASES:
+        key_dir = os.path.join(out_dir, _key(name, seed))
+        result = run_case(name, seed, None if full else MAX_STEPS)
+        if isinstance(result, ImpossibleOutcomeError):
+            os.makedirs(key_dir, exist_ok=True)
+            with open(os.path.join(key_dir, "impossible_outcome.json"), "w",
+                      encoding="utf8") as fh:
+                json.dump({"step": result.step, "agent": result.agent_id,
+                           "message": str(result)}, fh, sort_keys=True)
+                fh.write("\n")
+        else:
+            _emit(result, key_dir)
+    for case in BATCH_CASES:
+        batch_file(case, os.path.join(out_dir, _batch_key(case)))
 
 
 def _key(scenario: str, seed: int) -> str:
@@ -172,6 +220,25 @@ def test_rewrite_rejects_unknown_keys(golden, tmp_path):
     assert json.loads(path.read_text()) == golden
 
 
+def test_emit_writes_the_golden_bytes(golden, tmp_path, monkeypatch):
+    cases = [("coin_tomography", 2), ("prior_coins_simultaneous", 1)]
+    monkeypatch.setattr(sys.modules[__name__], "CASES", cases)
+    monkeypatch.setattr(sys.modules[__name__], "BATCH_CASES",
+                        {"classical_pair/steps5": BATCH_CASES["classical_pair/steps5"]})
+    emit_cases(str(tmp_path))
+    for name, seed in cases:
+        key_dir = tmp_path / _key(name, seed)
+        files = {p.name: _sha256(str(p)) for p in key_dir.iterdir()}
+        expected = golden[_key(name, seed)]
+        if "impossible_outcome" in expected:
+            record = json.loads((key_dir / "impossible_outcome.json").read_text())
+            assert {k: record[k] for k in ("step", "agent")} == expected["impossible_outcome"]
+        else:
+            assert files == expected
+    (batch_json,) = (tmp_path / "batch" / "classical_pair" / "steps5").iterdir()
+    assert _sha256(str(batch_json)) == golden["batch/classical_pair/steps5"]
+
+
 @pytest.mark.parametrize("scenario,seed", CASES)
 def test_emitted_bytes_match_golden(golden, emitted, scenario, seed):
     assert emitted[_key(scenario, seed)] == golden[_key(scenario, seed)]
@@ -183,7 +250,12 @@ def test_batch_json_matches_golden(golden, emitted, case):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--write"]:
-        rewrite_golden(sys.argv[2:])
+    args = sys.argv[1:]
+    if args[:1] == ["--write"]:
+        rewrite_golden(args[1:])
+    elif args[:1] == ["--emit"] and args[2:] in ([], ["--full"]) and len(args) > 1:
+        emit_cases(args[1], full=args[2:] == ["--full"])
+    elif args:
+        raise SystemExit("usage: test_golden.py [--write [KEY ...] | --emit DIR [--full]]")
     else:
         json.dump(golden_table(), sys.stdout, sort_keys=True)

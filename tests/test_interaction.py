@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -27,6 +30,7 @@ from qbagents.postulate import (
     ref_probs_of_points,
 )
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
+from qbagents.rng import UNIFORM_BLOCK, UniformBlocks, stream
 from qbagents.scenarios import AgentSpec, _menu, build_runtime, default_config, run_config
 
 QUANTUM = quantum_postulate()
@@ -442,3 +446,75 @@ class TestRecordSteps:
             record_steps={10})
         # Two agents, summarized at the start, at steps 10 and 30, and at the end.
         assert len(calls) == 8
+
+
+def _golden_polarizations():
+    """(scenario, seed, {"step", "agent"}) of every golden run that ends in an
+    ``ImpossibleOutcomeError``."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+    with open(path, encoding="utf8") as fh:
+        golden = json.load(fh)
+    out = []
+    for key, record in sorted(golden.items()):
+        if isinstance(record, dict) and "impossible_outcome" in record:
+            scenario, seed = key.split("/seed")
+            out.append((scenario, int(seed), record["impossible_outcome"]))
+    return out
+
+
+def _scalar_draws(monkeypatch):
+    # the run's outcome uniforms from scalar ``random()`` calls of the stream
+    monkeypatch.setattr(interaction, "UniformBlocks", lambda rng, n: rng)
+
+
+class TestUniformBlocks:
+    @pytest.mark.parametrize("n", [0, 1, UNIFORM_BLOCK - 1, UNIFORM_BLOCK,
+                                   UNIFORM_BLOCK + 1, 2 * UNIFORM_BLOCK + 1])
+    def test_blocks_yield_the_scalar_draws(self, n):
+        blocks = UniformBlocks(stream(7, "agent", 0, "outcome"), n)
+        scalar = stream(7, "agent", 0, "outcome")
+        assert [blocks.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+        with pytest.raises(StopIteration):
+            blocks.random()
+
+    def test_blocks_are_drawn_as_they_are_needed(self):
+        sizes = []
+
+        class Recording:
+            def __init__(self):
+                self.rng = np.random.default_rng(3)
+
+            def random(self, k):
+                sizes.append(k)
+                return self.rng.random(k)
+
+        blocks = UniformBlocks(Recording(), 2 * UNIFORM_BLOCK + 1)
+        assert sizes == []
+        blocks.random()
+        assert sizes == [UNIFORM_BLOCK]
+        for _ in range(2 * UNIFORM_BLOCK):
+            blocks.random()
+        assert sizes == [UNIFORM_BLOCK, UNIFORM_BLOCK, 1]
+
+    @pytest.mark.parametrize("scenario,seed,where", _golden_polarizations())
+    def test_polarization_stops_where_scalar_draws_stop(self, scenario, seed, where,
+                                                        monkeypatch):
+        errors = []
+        for scalar in (False, True):
+            if scalar:
+                _scalar_draws(monkeypatch)
+            with pytest.raises(ImpossibleOutcomeError) as err:
+                run_config(default_config(scenario, seed))
+            errors.append((err.value.step, err.value.agent_id, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (where["step"], where["agent"])
+
+    def test_run_across_a_block_edge_equals_scalar_draws(self, monkeypatch):
+        n_steps = UNIFORM_BLOCK + 6
+        cfg = replace(default_config("coin_tomography", 4), n_steps=n_steps)
+        steps = {1, UNIFORM_BLOCK - 1, UNIFORM_BLOCK, UNIFORM_BLOCK + 1}
+        blocks = run(build_runtime(cfg), record_steps=steps)
+        _scalar_draws(monkeypatch)
+        scalar = run(build_runtime(cfg), record_steps=steps)
+        assert blocks.records == scalar.records
+        assert blocks.final == scalar.final

@@ -1,5 +1,7 @@
 import math
 import warnings
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from qbagents.errors import RegionError, ValidationError
 from qbagents.inference import delta_ensemble
 from qbagents.interaction import source_rules
 from qbagents.postulate import (
+    LIKELIHOOD_DUST,
     Interval,
     PhysicalPostulate,
     QubitBall,
@@ -19,6 +22,7 @@ from qbagents.postulate import (
     likelihood_matrix,
     likelihood_values,
     min_likelihood,
+    outcome_probs,
     phi_matrix,
     quantum_postulate,
     region_with,
@@ -166,6 +170,26 @@ class TestApplyPostulate:
             p = born_probabilities(rho, ref.effects)
             q = apply_postulate(post, p, conditional_matrix(povm, ref))
             assert np.max(np.abs(q - born_probabilities(rho, povm))) < 1e-10
+
+
+class TestOutcomeProbs:
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_equals_the_left_to_right_sum(self, size):
+        # coefficient rows as agents store them: a constant and a gradient,
+        # here with signs and sizes that cancel to dust, and broadcasts (1, r)
+        rng = np.random.default_rng(size)
+        for _ in range(5_000):
+            rows = rng.normal(size=(rng.integers(1, 5), size))
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            if rng.random() < 0.3:  # rows that cancel near zero at p
+                rows[:, 0] = -(rows[:, 1:] @ rng.random(size - 1)) * (1 + 1e-13 * rng.normal())
+            p = [1.0, *rng.uniform(-1.0, 1.0, size - 1).tolist()]
+            rows = rows.tolist()
+            reference = []
+            for row in rows:
+                v = reduce(add, map(mul, row, p), 0.0)
+                reference.append(v if v >= LIKELIHOOD_DUST else 0.0)
+            assert repr(outcome_probs(rows, p)) == repr(reference)
 
 
 class TestLikelihood:
