@@ -17,17 +17,24 @@ built, so a step does only arithmetic:
 * each action's likelihood rows ``R[j] @ Phi`` are stored with their
   ``axis_classes`` (``evidence.axes``), and composed with the region's affine
   embedding as Python floats (``kernel_rows``), the rows
-  ``postulate.outcome_probs`` evaluates at (1, theta);
+  ``postulate.outcome_probs`` evaluates at (1, theta); both products are
+  left-to-right sums (``postulate.likelihood_rows``, ``affine_rows``), which
+  no BLAS kernel rounds;
 * a ``BetaMixture`` belief updates by those classes; with a row that is neither
   theta nor 1 - theta the agent is rejected (its ``prior`` grid runs such rows);
-* likelihoods on the ensemble's points are cached per point set: the points
-  are embedded once, and each (action, outcome) vector is computed the first
-  time it is asked for and kept until the points change (grid and delta
-  points never move; particles move only when the refresh replaces them);
+* likelihoods on the ensemble's points are cached per point set: each
+  (action, outcome) vector is computed the first time it is asked for and
+  kept until the points change (grid and delta points never move; particles
+  move only when the refresh replaces them).  On the Bloch ball it is the
+  outcome's ``kernel_rows`` over the point columns
+  (``postulate.ball_likelihoods``, as ``likelihood_values`` computes it); on
+  the interval the points are embedded once and multiplied by the row;
 * the posterior mean is cached per ensemble, and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
   parameter), the action's ``kernel_rows`` at (1, mean), so a choice costs
-  a few float products instead of a pass over the ensemble;
+  a few float products instead of a pass over the ensemble; each expected
+  utility is the utility row times that predictive, added left to right
+  over Python floats;
 * a single-action menu draws nothing, and a menu without a utility table,
   whose expected utilities all equal ``DEFAULT_UTILITY``, draws the
   tie-break index directly.
@@ -39,13 +46,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import PROB_TOL, as_cond_prob_matrix, readonly
+from .core_math import PROB_TOL, as_cond_prob_matrix, dot, readonly
 from .errors import ValidationError
 from .inference import BetaMixture, Evidence, ParticleEnsemble, posterior_mean
 from .postulate import (
     PhysicalPostulate,
+    QubitBall,
+    affine_rows,
     axis_classes,
+    ball_likelihoods,
     ensemble_compatible,
+    likelihood_rows,
     likelihoods,
     min_likelihood,
     outcome_probs,
@@ -146,23 +157,22 @@ class Agent:
             raise ValidationError(
                 f"agent {self.id!r}: a particle ensemble must start uniform "
                 "(equal weights, no evidence), the prior resample-move assumes")
-        phi = self.postulate.phi
-        rows = tuple(readonly(np.stack([a.matrix[j] @ phi for j in range(a.n_outcomes)]))
-                     for a in self.menu)
+        rows = tuple(likelihood_rows(self.postulate, a.matrix) for a in self.menu)
         axes = tuple(map(axis_classes, rows))
         if isinstance(ens, BetaMixture) and any(None in c for c in axes):
             raise ValidationError(
                 f"agent {self.id!r}: a Beta-count belief needs likelihoods theta or "
                 "1 - theta, and some action's is neither; run such an action on the "
                 "belief's plain prior grid (BetaMixture.prior)")
-        self.counts = {}
-        self.evidence = Evidence(rows, axes, self.counts)
         # The embedding is affine, so an outcome's probability is its row of
         # coefficients (constant, gradient) dotted with (1, theta).
-        dim = ens.region.dim
-        affine = ens.region.to_ref_probs(np.vstack([np.zeros(dim), np.eye(dim)]))
-        affine[1:] -= affine[0]
-        self.kernel_rows = tuple((r @ affine.T).tolist() for r in rows)
+        self.kernel_rows = tuple(affine_rows(ens.region, r) for r in rows)
+        self.counts = {}
+        self.evidence = Evidence(rows, axes, self.counts, self.kernel_rows)
+        # each menu action's utility row and kernel rows, as the choice reads them
+        self._choices = tuple((self.utility_rows[a.name].tolist(), k)
+                              for a, k in zip(self.menu, self.kernel_rows))
+        self._ball = isinstance(ens.region, QubitBall)
         self.menu_index = {a.name: i for i, a in enumerate(self.menu)}
         self._points = None  # the point set the likelihood cache belongs to
         self._probs = None  # its reference probabilities
@@ -194,12 +204,13 @@ class Agent:
         points = self.ensemble.points
         if points is not self._points:
             self._points = points
-            self._probs = ref_probs_of_points(self.postulate, points)
+            self._probs = None if self._ball else ref_probs_of_points(self.postulate, points)
             self._likes = {}
         like = self._likes.get((a, j))
         if like is None:
-            like = self._likes[a, j] = readonly(likelihoods(self._probs,
-                                                            self.evidence.rows[a][j]))
+            like = self._likes[a, j] = readonly(
+                ball_likelihoods(self.kernel_rows[a][j], points) if self._ball
+                else likelihoods(self._probs, self.evidence.rows[a][j]))
         return like
 
 
@@ -215,7 +226,13 @@ def predictive(agent: Agent, action: Action) -> np.ndarray:
 
 
 def expected_utility(agent: Agent, action: Action) -> float:
-    return float(agent.utility_rows[action.name] @ predictive(agent, action))
+    """The utility row dotted with the predictive, added left to right."""
+    utility, rows = agent._choices[agent.menu_index[action.name]]
+    return _utility(utility, rows, [1.0, *agent.mean()])
+
+
+def _utility(utility, rows, point) -> float:
+    return dot(utility, outcome_probs(rows, point))
 
 
 def choose_action(agent: Agent, rng: np.random.Generator) -> int:
@@ -224,16 +241,20 @@ def choose_action(agent: Agent, rng: np.random.Generator) -> int:
 
     Without a utility table every expected utility equals ``DEFAULT_UTILITY``
     up to rounding, so all actions tie and the tie-break index is drawn
-    directly.
+    directly.  Otherwise each expected utility is a left-to-right sum over
+    Python floats (``core_math.dot``) of the utility row times the
+    predictive at (1, mean).
     """
     menu = agent.menu
     if len(menu) == 1:
         return 0
     if not agent.utility.table:
         return int(rng.integers(len(menu)))
-    utilities = np.array([expected_utility(agent, a) for a in menu])
-    tied = np.flatnonzero(utilities >= utilities.max() - TIE_TOL)
-    return int(tied[0] if tied.size == 1 else tied[rng.integers(tied.size)])
+    point = [1.0, *agent.mean()]
+    utilities = [_utility(utility, rows, point) for utility, rows in agent._choices]
+    best = max(utilities) - TIE_TOL
+    tied = [i for i, u in enumerate(utilities) if u >= best]
+    return tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
 
 
 def broadcast_point(agent: Agent) -> tuple[float, ...]:

@@ -16,6 +16,10 @@ Conventions
 * A Beta law truncated to [lo, hi] has closed-form mass, mean and variance
   (``beta_piece``, ``beta_piece_var``) from incomplete Beta values, and in its
   tails from their continued fraction and series, without cancellation.
+* Small matrix products and inverses that feed a run (``Phi``, its square
+  root, the action matrices and likelihood rows) are ``matmul`` and
+  ``inverse`` over Python floats, each sum added left to right: a BLAS or
+  LAPACK call rounds by the kernel the CPU selects.
 * ``scipy.special`` and its scalar kernels ``cython_special`` load together
   at the first Beta function, not on import or build: quantum runs and
   tomography from a fixed source never evaluate one.  A step's closed forms
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -62,6 +67,40 @@ def readonly(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only in place and return it."""
     a.flags.writeable = False
     return a
+
+
+def dot(a, b) -> float:
+    """a . b over Python floats, added left to right (``reduce``, not ``sum``,
+    which compensates from Python 3.12 on)."""
+    return functools.reduce(add, map(mul, a, b), 0.0)
+
+
+def matmul(a, b) -> np.ndarray:
+    """a @ b for small matrices, each entry a left-to-right ``dot``, so that
+    no BLAS kernel rounds it."""
+    cols = np.asarray(b, dtype=float).T.tolist()
+    return np.array([[dot(row, col) for col in cols]
+                     for row in np.asarray(a, dtype=float).tolist()])
+
+
+def inverse(a) -> np.ndarray:
+    """The inverse of a small nonsingular square matrix by Gauss-Jordan
+    elimination with partial pivoting over Python floats, in a fixed order,
+    so that no LAPACK kernel rounds it."""
+    n = len(a)
+    rows = [row + [float(i == j) for j in range(n)]
+            for i, row in enumerate(np.asarray(a, dtype=float).tolist())]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        scale = top[k]
+        top[:] = [x / scale for x in top]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and f != 0.0:
+                rows[i] = [x - f * t for x, t in zip(rows[i], top)]
+    return np.array([row[n:] for row in rows])
 
 
 def is_int(least: int):

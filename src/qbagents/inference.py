@@ -16,7 +16,14 @@ Beliefs take three forms:
   reweighting alone keeps the representation faithful.  Delta mixtures and
   grids built directly take this path;
 * particle ensembles (the Bloch ball): weighted samples refreshed with a
-  new, equally weighted cloud when the effective sample size degrades.
+  new, equally weighted cloud when the effective sample size degrades.  The
+  points are stored by column, an (n, 3) array in F order, and every sum
+  over them is taken in an order fixed here, never by a BLAS or LAPACK call
+  whose rounding follows the CPU's kernel: the mean is one ``einsum`` over
+  the columns, each covariance entry one ``einsum`` of two columns, and the
+  3 x 3 eigenvalues come from Jacobi rotations over Python floats.  One
+  ``posterior_summary`` gives the mean, the covariance, the ellipsoid and
+  the ESS.
 
 An update of a weighted ensemble returns a new ensemble whose weights are
 the old ones times the postulate likelihood of the observed outcome,
@@ -35,10 +42,11 @@ to the ball, and the refresh draws from it exactly.  All other evidence (the
 SIC reference action, and classical Pauli and sharp Pauli actions, whose
 axis factors are 1 +- k r_a with k < 1) goes to resample-move: systematic
 resampling plus Metropolis sweeps, which evaluate the current posterior
-density at proposed points from the counts (one embedding of the points,
-then one dot product and one log per observed cell).  Both paths assume a
-uniform prior, so agents reject particle ensembles that do not start uniform
-or that an update or a refresh returned (see ``Agent``).
+density at proposed points from the counts (one affine likelihood over the
+point columns, ``postulate.ball_likelihoods``, and one log per observed
+cell).  Both paths assume a uniform prior, so agents reject particle
+ensembles that do not start uniform or that an update or a refresh returned
+(see ``Agent``).
 """
 
 from __future__ import annotations
@@ -51,24 +59,35 @@ import numpy as np
 
 from .core_math import beta_piece, beta_piece_var, readonly
 from .errors import ImpossibleOutcomeError, ValidationError
-from .postulate import PhysicalPostulate, QubitBall, axis_classes, likelihood_values, likelihoods
+from .postulate import (
+    PhysicalPostulate,
+    QubitBall,
+    axis_classes,
+    ball_likelihoods,
+    likelihood_values,
+    likelihoods,
+)
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
 PROPOSAL_SCALE = 0.5
 EXACT_MAX_DRAWS = 100  # candidates per particle before the exact refresh gives up
+JACOBI_MAX_SWEEPS = 50  # a 3 x 3 matrix takes about four
 
 
 @dataclass(frozen=True)
 class Evidence:
     """An agent's observations: ``rows[a]``, the likelihood rows ``R[j] @ Phi``
-    of menu action a, ``axes[a]``, their ``axis_classes``, and the agent's
-    live ``counts`` of (menu index, outcome) cells in first-observed order,
-    the order ``log_posterior_density`` sums them in."""
+    of menu action a, ``axes[a]``, their ``axis_classes``, the agent's live
+    ``counts`` of (menu index, outcome) cells in first-observed order, the
+    order ``log_posterior_density`` sums them in, and ``kernel[a]``, the rows
+    composed with the region's embedding (``postulate.affine_rows``), which
+    Bloch-ball likelihoods are computed from."""
 
     rows: tuple = ()
     axes: tuple = ()
     counts: dict = field(default_factory=dict)
+    kernel: tuple = ()
 
     def axis_counts(self) -> np.ndarray | None:
         """Counts ``[[n+_x, n-_x], [n+_y, n-_y], [n+_z, n-_z]]`` of outcomes
@@ -120,7 +139,8 @@ class ParticleEnsemble:
         total = w.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "points", readonly(pts.copy()))
+        # F order: a Bloch ensemble's coordinates are three contiguous columns
+        object.__setattr__(self, "points", readonly(pts.copy(order="F")))
         object.__setattr__(self, "weights", readonly(w / total))
 
     @property
@@ -138,7 +158,8 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Weighted mean, covariance, and the standard deviation ellipsoid.
+    """Weighted mean, covariance, the standard deviation ellipsoid and the
+    effective sample size.
 
     Axis lengths are the eigenvalues of the covariance square root (sorted
     descending).
@@ -147,6 +168,7 @@ class PosteriorSummary:
     mean: np.ndarray
     covariance: np.ndarray
     axis_lengths: np.ndarray
+    ess: float
 
     @property
     def semi_major(self) -> float:
@@ -259,6 +281,19 @@ class BetaMixture:
                 self._means = (beta_piece(alpha + a, beta + b, lo, hi, False)[1],)
                 self._mean = self._means[0]
                 return self._mean
+            if len(self.pieces) == 2:
+                # fsum of two terms is their correctly rounded sum, one ``+``
+                (c1, a1, b1, lo1, hi1), (c2, a2, b2, lo2, hi2) = self.pieces
+                l1, m1 = beta_piece(a1 + a, b1 + b, lo1, hi1)
+                l2, m2 = beta_piece(a2 + a, b2 + b, lo2, hi2)
+                l1 += c1
+                l2 += c2
+                top = max(l1, l2)
+                e1, e2 = math.exp(l1 - top), math.exp(l2 - top)
+                total = e1 + e2
+                self._mix, self._means = (e1 / total, e2 / total), (m1, m2)
+                self._mean = self._mix[0] * m1 + self._mix[1] * m2
+                return self._mean
             # (log mass, mean) of each posterior piece, mixed by mass; the sums
             # are fsum's, rounded the same on every Python version
             logs, means = [], []
@@ -358,58 +393,110 @@ def log_posterior_density(ens: ParticleEnsemble, points,
     the region get -inf.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, ens.dim)
-    probs = ens.region.to_ref_probs(pts)
+    ball = isinstance(ens.region, QubitBall)
+    probs = None if ball else ens.region.to_ref_probs(pts)
     logp = np.zeros(pts.shape[0])
     with np.errstate(divide="ignore"):
         for (a, j), count in evidence.counts.items():
-            logp += count * np.log(likelihoods(probs, evidence.rows[a][j]))
+            like = (ball_likelihoods(evidence.kernel[a][j], pts) if ball
+                    else likelihoods(probs, evidence.rows[a][j]))
+            logp += count * np.log(like)
     logp[~ens.region.contains(pts)] = -np.inf
     return logp
 
 
 def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
     """The weighted mean of the points, or a ``BetaMixture``'s closed form.
-    A 1-D sum goes through ``einsum``, which rounds the same at any BLAS
-    thread count; a threaded ``gemv`` splits a long sum between threads and
-    rounds it differently."""
+    The sums go through ``einsum``, over the point columns: they round the
+    same at any BLAS thread count and with any BLAS kernel, where a ``gemv``
+    rounds by the kernel the CPU selects, and a threaded one splits a long
+    sum between threads."""
     if isinstance(ens, BetaMixture):
         return np.array([ens.mean()])
     w, pts = ens.weights, ens.points
     if pts.shape[1] == 1:
         return np.einsum("i,i->", w, pts[:, 0]).reshape(1)
-    return w @ pts
+    return np.einsum("ki,i->k", pts.T, w)
 
 
 def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
-    """Weighted mean and covariance with the ellipsoid decomposition; a
-    ``BetaMixture``'s closed-form mean and variance."""
+    """Weighted mean and covariance with the ellipsoid decomposition, and the
+    ESS; a ``BetaMixture``'s closed-form mean and variance.
+
+    Every sum is taken in an order fixed here: the mean as in
+    ``posterior_mean``, each covariance entry of Bloch particles as one
+    ``einsum`` of two columns (six of them, the matrix being symmetric), and
+    the 3 x 3 eigenvalues by Jacobi rotations (``sym3_eigenvalues``).  No
+    BLAS or LAPACK call rounds them."""
     if isinstance(ens, BetaMixture):
         var = max(ens.variance(), 0.0)
         return PosteriorSummary(mean=readonly(np.array([ens.mean()])),
                                 covariance=readonly(np.array([[var]])),
-                                axis_lengths=readonly(np.array([math.sqrt(var)])))
+                                axis_lengths=readonly(np.array([math.sqrt(var)])),
+                                ess=ens.ess())
     w = ens.weights
     mean = posterior_mean(ens)
     if ens.dim == 1:
-        centered = ens.points - mean
-        cov = np.array([[np.einsum("i,i->", w, centered[:, 0] ** 2)]])
+        var = np.einsum("i,i->", w, (ens.points[:, 0] - mean[0]) ** 2)
+        cov = np.array([[var]])
+        lengths = [math.sqrt(max(var, 0.0))]
     else:
-        # points - mean and its product with w, one coordinate at a time: the
-        # same values as the broadcasts, without their inner loops of length 3
-        pts = ens.points
-        centered, weighted = np.empty_like(pts), np.empty_like(pts)
-        for k in range(ens.dim):
-            np.subtract(pts[:, k], mean[k], out=centered[:, k])
-            np.multiply(centered[:, k], w, out=weighted[:, k])
-        cov = weighted.T @ centered
-        cov = 0.5 * (cov + cov.T)
-    eigvals = np.clip(np.linalg.eigh(cov)[0], 0.0, None)
-    order = np.argsort(eigvals)[::-1]
+        centered = [col - m for col, m in zip(ens.points.T, mean.tolist())]
+        weighted = [col * w for col in centered]
+        cov = np.empty((3, 3))
+        for k, l in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            cov[k, l] = cov[l, k] = np.einsum("i,i->", weighted[k], centered[l])
+        lengths = [math.sqrt(max(e, 0.0)) for e in sym3_eigenvalues(cov.tolist())]
     return PosteriorSummary(
         mean=readonly(mean),
         covariance=readonly(cov),
-        axis_lengths=readonly(np.sqrt(eigvals[order])),
+        axis_lengths=readonly(np.array(lengths)),
+        ess=ens.ess(),
     )
+
+
+def sym3_eigenvalues(a) -> list[float]:
+    """The eigenvalues of a real symmetric 3 x 3 matrix (nested lists), in
+    descending order, by cyclic Jacobi rotations over Python floats in a
+    fixed order (Golub and Van Loan, *Matrix Computations*, section 8.5;
+    the rotation of Rutishauser's formulation).
+
+    A rotation zeroes one off-diagonal entry; sweeps over the three run
+    until all three are zero, an entry being dropped once adding it to
+    both diagonal entries it couples changes neither.  Within 1e-15 of the
+    trace of 50-digit values on covariance matrices with double, triple and
+    zero eigenvalues (``tests/test_particle_kernels.py``).  A diagonal
+    matrix gives its diagonal exactly.  Smith's closed form (*CACM* 4, 168,
+    1961) loses about half the digits at a double eigenvalue (7e-9 of the
+    trace), where its arc cosine meets its branch point.
+    """
+    (d0, a01, a02), (_a10, d1, a12), (_a20, _a21, d2) = a
+    d = [d0, d1, d2]
+    off = [a12, a02, a01]  # off[r]: the entry of the rows and columns other than r
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if not any(off):
+            break
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = off[r]
+            if apq == 0.0:
+                continue
+            g = 100.0 * abs(apq)
+            if abs(d[p]) + g == abs(d[p]) and abs(d[q]) + g == abs(d[q]):
+                off[r] = 0.0
+                continue
+            theta = 0.5 * (d[q] - d[p]) / apq
+            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            t = -t if theta < 0.0 else t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            d[p] -= t * apq
+            d[q] += t * apq
+            arp, arq = off[q], off[p]
+            off[r] = 0.0
+            off[q] = arp - s * (arq + tau * arp)
+            off[p] = arq + s * (arp - tau * arq)
+    return sorted(d, reverse=True)
 
 
 def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
@@ -478,7 +565,7 @@ def _refreshed(ens: ParticleEnsemble, weights: np.ndarray,
     state["weights"] = readonly(weights)
     state["posterior"] = True
     if points is not None:
-        state["points"] = readonly(points)
+        state["points"] = readonly(np.asfortranarray(points))
     return out
 
 
@@ -488,30 +575,38 @@ def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarra
 
     Each axis is r_a = 2 B_a - 1 with B_a ~ Beta(n+_a + 1, n-_a + 1), drawn
     axis by axis (uniform on [-1, 1] for an axis without counts); points
-    with |r|^2 > 1 are rejected, in rounds sized from the acceptance so far,
-    until n are kept.  Returns None when ``EXACT_MAX_DRAWS * n`` candidates
-    have not given n points (evidence that pushes the axis product almost
-    wholly outside the ball).
+    with x*x + y*y + z*z > 1 (the order of ``QubitBall.contains``) are
+    rejected, in rounds sized from the acceptance so far, until n are kept.
+    Each axis of a round is drawn into its own contiguous row, and the kept
+    columns are gathered into a (3, n) array, whose transpose is the (n, 3)
+    F-ordered particle layout.  Returns None when ``EXACT_MAX_DRAWS * n``
+    candidates have not given n points (evidence that pushes the axis
+    product almost wholly outside the ball).
     """
     counts = np.asarray(counts, dtype=float)
     alpha, beta = counts[:, 0] + 1.0, counts[:, 1] + 1.0
-    parts, kept, drawn = [], 0, 0
+    out = np.empty((3, n))
+    kept, drawn = 0, 0
     while kept < n:
         budget = EXACT_MAX_DRAWS * n - drawn
         if budget <= 0:
             return None
         size = n if not kept else math.ceil(1.2 * (n - kept) * drawn / kept) + 16
         size = min(size, budget)
-        r = np.empty((size, 3))
+        r = np.empty((3, size))
         for a in range(3):
             # Beta(1, 1) is uniform, and numpy's Beta sampler is slow there
-            r[:, a] = (rng.uniform(-1.0, 1.0, size) if not counts[a].any()
-                       else 2.0 * rng.beta(alpha[a], beta[a], size) - 1.0)
-        r = r[np.einsum("ij,ij->i", r, r) <= 1.0][:n - kept]
-        parts.append(r)
-        kept += r.shape[0]
+            if counts[a].any():
+                np.multiply(rng.beta(alpha[a], beta[a], size), 2.0, out=r[a])
+                r[a] -= 1.0
+            else:
+                r[a] = rng.uniform(-1.0, 1.0, size)
+        x, y, z = r
+        inside = np.flatnonzero(x * x + y * y + z * z <= 1.0)[:n - kept]
+        r.take(inside, axis=1, out=out[:, kept:kept + inside.size])
+        kept += inside.size
         drawn += size
-    return np.concatenate(parts)
+    return out.T
 
 
 def _systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -48,14 +48,18 @@ which broadcasts a step computes, is resolved once per run.
 
 ``run(spec, record_steps)`` records a step (posterior summaries, ESS,
 metrics) only if it is named or the last one; ``None``, the default, records
-every step.  So ``batch``, which reports two steps, skips the summaries of the
-other thousand.  An unrecorded step changes nothing downstream: every
+every step.  A recorded step takes one ``posterior_summary`` per agent
+(mean, covariance, ellipsoid and ESS), and every ball metric is a trace
+distance of two qubit operators, half the distance between their Bloch
+vectors, with no operator built.  So ``batch``, which reports two steps,
+skips the summaries of the other thousand.  An unrecorded step changes nothing downstream: every
 broadcast is the agent's mean (``inference.posterior_mean``), the expression
 the summary's mean takes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +78,12 @@ from .postulate import (
     region_with,
     where_outside,
 )
-from .quantum import bloch_to_density, frequency_operator, trace_distance
+from .quantum import frequency_vector
 from .rng import UniformBlocks, agent_streams, draw_index, draw_outcome
+
+# Not called here; bound because perfbench's span recorder wraps
+# ``interaction.trace_distance`` by name.
+from .quantum import trace_distance  # noqa: F401
 
 EXPECTATION = "expectation"
 PRIOR_SIMULTANEOUS = "prior_simultaneous"
@@ -167,18 +175,24 @@ class Trace:
     clouds: dict = field(default_factory=dict)
 
 
-def _source_point(slot, summary) -> np.ndarray:
-    if _is_agent(slot):
-        return np.asarray(summary.mean, dtype=float)
-    return slot.point
+def _source_point(slot, summary) -> list[float]:
+    return (summary.mean if _is_agent(slot) else slot.point).tolist()
 
 
-def _mean_state(summary) -> np.ndarray:
-    bloch = np.asarray(summary.mean, dtype=float)
-    norm = np.linalg.norm(bloch)
-    if norm > 1.0:
-        bloch = bloch / norm
-    return bloch_to_density(bloch)
+def _mean_state(summary) -> list[float]:
+    # the mean Bloch vector, scaled onto the sphere when rounding puts it outside
+    x, y, z = summary.mean.tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
+    return [x / norm, y / norm, z / norm] if norm > 1.0 else [x, y, z]
+
+
+def _half_distance(r, s) -> float:
+    # The trace distance of the qubit operators (I + r.sigma)/2 and
+    # (I + s.sigma)/2: their difference (r - s).sigma/2 has eigenvalues
+    # +-|r - s|/2, positive or not (Nielsen and Chuang, section 9.2.1).  The
+    # squares are added left to right.
+    dx, dy, dz = r[0] - s[0], r[1] - s[1], r[2] - s[2]
+    return 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _coin_tomography(slots, summaries, step: int) -> dict:
@@ -194,23 +208,27 @@ def _coin_tomography(slots, summaries, step: int) -> dict:
 
 
 def _qubit_tomography(slots, summaries, step: int) -> dict:
+    # Each metric is the trace distance of two qubit operators, ``_half_distance``
+    # of their Bloch vectors: the mean state, the source point and the
+    # running-frequency vector (``frequency_vector``, the Bloch vector of the
+    # possibly non-positive ``frequency_operator``).
     state = _mean_state(summaries[0])
-    source_state = bloch_to_density(_source_point(slots[1], summaries[1]))
     named = {(slots[0].menu[a].name, j): c for (a, j), c in slots[0].counts.items()}
-    freq_op, _missing = frequency_operator(
+    freq, _missing = frequency_vector(
         {ax.lower(): (named.get((ax, 0), 0), named.get((ax, 1), 0)) for ax in "XYZ"})
     return {
-        "dist_to_frequency": trace_distance(state, freq_op),
-        "dist_to_source": trace_distance(state, source_state),
+        "dist_to_frequency": _half_distance(state, freq),
+        "dist_to_source": _half_distance(state, _source_point(slots[1], summaries[1])),
     }
 
 
 def _z_marginal(slots, summaries, step: int) -> dict:
+    # The trace distance of two states on the z axis, half their z gap:
+    # the embedded interval broadcast and the ball agent's z marginal.
     ball = 0 if summaries[0].mean.size == 3 else 1
-    c_ball = summaries[ball].mean[2]
-    embedded = bloch_to_density(REGULARIZERS["z_embedding"][2](summaries[1 - ball].mean))
-    marginal = bloch_to_density(np.array([0.0, 0.0, np.clip(c_ball, -1.0, 1.0)]))
-    return {"z_gap": trace_distance(embedded, marginal)}
+    c_ball = min(max(float(summaries[ball].mean[2]), -1.0), 1.0)
+    embedded = REGULARIZERS["z_embedding"][2](summaries[1 - ball].mean)[2]
+    return {"z_gap": 0.5 * abs(float(embedded) - c_ball)}
 
 
 # Each metrics kind -> (the (slot 0, slot 1) kinds it reads, None for any; its
@@ -224,7 +242,7 @@ METRICS = {
     "pair_1d": (("(interval agent, interval agent)",), lambda slots, summaries, step: {
         "mean_gap": abs(summaries[0].mean[0] - summaries[1].mean[0])}),
     "pair_ball": (("(ball agent, ball agent)",), lambda slots, summaries, step: {
-        "mean_trace_distance": trace_distance(_mean_state(summaries[0]),
+        "mean_trace_distance": _half_distance(_mean_state(summaries[0]),
                                               _mean_state(summaries[1]))}),
     "z_marginal": (("(ball agent, interval agent)", "(interval agent, ball agent)"),
                    _z_marginal),
@@ -329,7 +347,7 @@ def _summary_dict(agent: Agent) -> dict:
         "semi_major": s.semi_major,
         "covariance": [[float(x) for x in row] for row in s.covariance],
         "axis_lengths": [float(x) for x in s.axis_lengths],
-        "ess": agent.ensemble.ess(),
+        "ess": s.ess,
     }
 
 
@@ -424,7 +442,7 @@ def _record(spec, slots, step_agents, step) -> InteractionRecord:
             mean=tuple(float(x) for x in s.mean),
             std=tuple(float(x) for x in s.std),
             semi_major=s.semi_major,
-            ess=slot.ensemble.ess(),
+            ess=s.ess,
         ))
     metrics = METRICS[spec.metrics_kind][1](slots, summaries, step)
     return InteractionRecord(step, tuple(rec_agents),

@@ -27,17 +27,27 @@ points into reference probability vectors:
 
 So likelihoods are affine in the centred coordinates r (2 theta - 1, or the
 Bloch vector); ``axis_classes`` marks the exact updates, c0 (1 +- r_a).
+
+Every sum on the ball's run path is taken in an order this module fixes,
+never by a BLAS call, so its bytes do not depend on the BLAS kernel the CPU
+selects.  The likelihood rows ``R[j] @ Phi`` (``likelihood_rows``) and their
+composition with a region's affine embedding (``affine_rows``) are Python
+dot products added left to right, and a Bloch-ball likelihood is
+``c0 + c_x x + c_y y + c_z z`` over the columns of the points, added left to
+right (``ball_likelihoods``); the SIC embedding ``sic_probs_from_bloch`` and
+``ref_probs_of_points`` stay for the API and the 1-D and reference-vector
+paths.  On the interval every registry row is (1, 0) or (0, 1), so
+``probs @ rows`` multiplies by 0 and 1 only, which no kernel rounds
+differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
 
 import numpy as np
 
-from .core_math import PROB_TOL, as_prob_vector, readonly
+from .core_math import PROB_TOL, as_prob_vector, dot, inverse, matmul, readonly
 from .errors import DimensionMismatchError, RegionError, ValidationError
 from .quantum import (
     BALL_TOL,
@@ -100,10 +110,16 @@ class QubitBall:
             return np.sqrt(_squared_norms(pts)) <= 1.0 + BALL_TOL
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n uniform points, (n, 3) in F order: the particle layout, whose
+        columns are contiguous."""
         direction = rng.normal(size=(n, 3))
-        direction /= np.sqrt(_squared_norms(direction))[:, None]
-        radius = rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
-        return direction * radius
+        norm = np.sqrt(_squared_norms(direction))
+        radius = rng.uniform(size=n) ** (1.0 / 3.0)
+        out = np.empty((n, 3), order="F")
+        for k in range(3):
+            np.divide(direction[:, k], norm, out=out[:, k])
+            out[:, k] *= radius
+        return out
 
     def to_ref_probs(self, points) -> np.ndarray:
         return sic_probs_from_bloch(np.asarray(points, dtype=float).reshape(-1, 3))
@@ -177,7 +193,7 @@ def phi_matrix(ref: ReferenceAction) -> np.ndarray:
     inv_phi = conditional_matrix(ref.effects, ref)
     if np.linalg.cond(inv_phi) > 1e12:
         raise ValidationError("reference conditional matrix is singular")
-    phi = np.linalg.inv(inv_phi)
+    phi = inverse(inv_phi)
     if np.max(np.abs(phi.sum(axis=0) - 1.0)) > 1e-9:
         raise ValidationError("Phi columns do not sum to one")
     return readonly(phi)
@@ -190,21 +206,26 @@ def quantum_postulate(ref: ReferenceAction | None = None) -> PhysicalPostulate:
     return PhysicalPostulate("quantum", ref.n_outcomes, phi_matrix(ref), ref)
 
 
+SQRT_MAX_ITERATIONS = 100
+
+
 def sqrt_phi(phi) -> np.ndarray:
     """Principal square root of Phi; requires a positive real spectrum.
 
-    ``scipy.linalg`` loads on the first call, not when the package does."""
-    from scipy import linalg as sla
-
+    The Denman-Beavers iteration Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2 from
+    Y = Phi, Z = I (Higham, *Functions of Matrices*, 2008, section 6.3), over
+    ``core_math.inverse``, until Y stops moving beyond rounding: real
+    throughout, and rounded the same under any BLAS kernel."""
     m = np.asarray(phi, dtype=float)
     eigs = np.linalg.eigvals(m)
     if np.any(np.abs(eigs.imag) > 1e-9) or np.any(eigs.real <= 0):
         raise ValidationError("Phi does not have a positive spectrum")
-    root = sla.sqrtm(m)
-    root = np.asarray(root)
-    if np.max(np.abs(root.imag)) > 1e-10:
-        raise ValidationError("principal square root is not real")
-    root = root.real
+    root, z = m, np.eye(len(m))
+    for _ in range(SQRT_MAX_ITERATIONS):
+        last = root
+        root, z = 0.5 * (root + inverse(z)), 0.5 * (z + inverse(root))
+        if np.max(np.abs(root - last)) <= 1e-15 * np.max(np.abs(root)):
+            break
     if np.max(np.abs(root @ root - m)) > 1e-10:
         raise ValidationError("square root verification failed")
     return readonly(root)
@@ -255,7 +276,7 @@ def apply_postulate(post: PhysicalPostulate, p, R) -> np.ndarray:
             f"conditional matrix shape {matrix.shape} vs N = {post.n_outcomes}")
     if not is_valid_state(post, vec):
         raise RegionError("reference probabilities outside the physically valid region")
-    rows = matrix @ post.phi
+    rows = likelihood_rows(post, matrix)
     lowest = float((rows @ vec).min())
     if lowest < -PROB_TOL:
         raise ValidationError(
@@ -263,6 +284,24 @@ def apply_postulate(post: PhysicalPostulate, p, R) -> np.ndarray:
             "not physically valid for this postulate")
     return as_prob_vector(outcome_probs(rows.tolist(), vec.tolist()),
                           name="outcome probabilities")
+
+
+def likelihood_rows(post: PhysicalPostulate, R) -> np.ndarray:
+    """The likelihood rows ``R[j] @ Phi`` of an action, one per outcome, each
+    entry a dot product added left to right (``core_math.matmul``)."""
+    return readonly(matmul(R, post.phi))
+
+
+def affine_rows(region, rows) -> tuple:
+    """Each likelihood row composed with the region's affine embedding, as
+    Python floats: (c0, c_1, ..., c_dim), the likelihood at r being
+    ``c0 + c . r`` (r = theta on the interval, the Bloch vector in the ball).
+    The embedding is read off the region at 0 and the unit vectors, and each
+    coefficient is a dot product added left to right."""
+    dim = region.dim
+    affine = region.to_ref_probs(np.vstack([np.zeros(dim), np.eye(dim)]))
+    affine[1:] -= affine[0]
+    return tuple(matmul(rows, affine.T).tolist())
 
 
 def outcome_probs(rows, p) -> list[float]:
@@ -283,7 +322,7 @@ def outcome_probs(rows, p) -> list[float]:
             q.append(v if v >= LIKELIHOOD_DUST else 0.0)
         return q
     for row in rows:
-        v = reduce(add, map(mul, row, p), 0.0)
+        v = dot(row, p)
         q.append(v if v >= LIKELIHOOD_DUST else 0.0)
     return q
 
@@ -379,16 +418,52 @@ def likelihoods(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def ball_likelihoods(coeffs, points) -> np.ndarray:
+    """The likelihood ``c0 + c_x x + c_y y + c_z z`` at (n, 3) Bloch points
+    from its ``affine_rows`` coefficients (c0, c_x, c_y, c_z), computed over
+    the point columns and added left to right, so no BLAS kernel rounds it.
+    As in ``likelihoods``, values within ``LIKELIHOOD_DUST`` of zero are
+    snapped to zero and negative ones clipped: both are the values below
+    the dust, set to 0.  Columns of an F-ordered point array (a particle
+    ensemble's) are contiguous."""
+    c0, cx, cy, cz = coeffs
+    x, y, z = np.asarray(points, dtype=float).T
+    values = x * cx
+    values += c0
+    term = y * cy
+    values += term
+    np.multiply(z, cz, out=term)
+    values += term
+    np.copyto(values, 0.0, where=values < LIKELIHOOD_DUST)
+    return values
+
+
+def _is_bloch(post: PhysicalPostulate, pts: np.ndarray) -> bool:
+    return pts.shape[-1] == 3 and post.n_outcomes == 4
+
+
 def likelihood_values(post: PhysicalPostulate, R, j: int, points) -> np.ndarray:
-    """Vectorized p(j | theta) over parameter points."""
-    matrix = np.asarray(R, dtype=float)
-    return likelihoods(ref_probs_of_points(post, points), matrix[j] @ post.phi)
+    """Vectorized p(j | theta) over parameter points: for Bloch points the
+    agents' kernel, ``ball_likelihoods`` of the ``affine_rows``
+    coefficients, else ``likelihoods`` of the embedded points."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(1, -1) if pts.ndim < 2 else pts
+    rows = likelihood_rows(post, R)
+    if _is_bloch(post, pts):
+        return ball_likelihoods(affine_rows(QubitBall(), rows)[j], pts)
+    return likelihoods(ref_probs_of_points(post, pts), rows[j])
 
 
 def likelihood_matrix(post: PhysicalPostulate, R, points) -> np.ndarray:
-    """All outcome likelihoods at once: (n_points, n_outcomes(R))."""
-    matrix = np.asarray(R, dtype=float)
-    return likelihoods(ref_probs_of_points(post, points), (matrix @ post.phi).T)
+    """All outcome likelihoods at once: (n_points, n_outcomes(R)), each
+    column that of ``likelihood_values``."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(1, -1) if pts.ndim < 2 else pts
+    rows = likelihood_rows(post, R)
+    if _is_bloch(post, pts):
+        return np.stack([ball_likelihoods(c, pts) for c in affine_rows(QubitBall(), rows)],
+                        axis=1)
+    return likelihoods(ref_probs_of_points(post, pts), rows.T)
 
 
 def ensemble_compatible(post: PhysicalPostulate, region) -> bool:

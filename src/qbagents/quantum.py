@@ -8,7 +8,15 @@ tomography scenarios.
 Index convention: ``conditional_matrix(effects, ref)[j, i] = tr(D_j rho_i)``,
 the probability of outcome j of the measured action given that the reference
 action produced outcome i (post-measurement state ``rho_i``).  Columns sum to
-one because the effects form a POVM.
+one because the effects form a POVM.  Each trace is one ``einsum`` of the two
+operators, not a matrix product, whose BLAS kernel would round it by the CPU.
+
+A run's metrics do not build operators: the trace distance of two qubit
+operators (I + r.sigma)/2 and (I + s.sigma)/2 of unit trace is |r - s|/2,
+positive or not (Nielsen and Chuang, section 9.2.1), so the run path reads
+Bloch vectors, the frequency operator's through ``frequency_vector``.
+``trace_distance``, ``bloch_to_density``, ``frequency_operator`` and
+``sic_probs_from_bloch`` stay for the API and the tests.
 """
 
 from __future__ import annotations
@@ -149,14 +157,16 @@ def pauli_povm(axis: str) -> tuple[np.ndarray, np.ndarray]:
 
 def conditional_matrix(effects, ref: ReferenceAction) -> np.ndarray:
     """Conditional probability matrix R[j, i] = tr(D_j rho_i) of an action
-    against a reference action; column stochastic by POVM completeness."""
+    against a reference action; column stochastic by POVM completeness.  Each
+    trace is one ``einsum`` of the two operators, which no BLAS kernel
+    rounds."""
     rows = []
     for e in effects:
         e = np.asarray(e, dtype=complex)
         if e.shape[0] != ref.dim:
             raise DimensionMismatchError(
                 f"effect dimension {e.shape[0]} vs reference dimension {ref.dim}")
-        rows.append([np.trace(e @ s).real for s in ref.post_states])
+        rows.append([np.einsum("ab,ba->", e, s).real for s in ref.post_states])
     return as_cond_prob_matrix(rows)
 
 
@@ -210,14 +220,15 @@ def bloch_from_sic_probs(probs: np.ndarray) -> np.ndarray:
     return 3.0 * (p @ TETRA_VERTICES)
 
 
-def frequency_operator(counts) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Running-frequency operator (I + a . sigma) / 2 from per-axis outcome counts.
+def frequency_vector(counts) -> tuple[list[float], tuple[str, ...]]:
+    """The Bloch vector a of the running-frequency operator, a_k =
+    (n_plus - n_minus) / (n_plus + n_minus) on each axis, as Python floats.
 
     ``counts`` maps axis names to (n_plus, n_minus).  Axes with no counts yet
     contribute a zero component and are reported in the second return value.
-    The result is Hermitian but not necessarily positive semidefinite.
+    |a| may exceed 1.
     """
-    vec = np.zeros(3)
+    vec = [0.0, 0.0, 0.0]
     missing = []
     for k, axis in enumerate("xyz"):
         n_plus, n_minus = counts.get(axis, (0, 0))
@@ -228,8 +239,18 @@ def frequency_operator(counts) -> tuple[np.ndarray, tuple[str, ...]]:
             missing.append(axis)
         else:
             vec[k] = (n_plus - n_minus) / total
-    op = 0.5 * (ID2 + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
-    return readonly(op), tuple(missing)
+    return vec, tuple(missing)
+
+
+def frequency_operator(counts) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Running-frequency operator (I + a . sigma) / 2 from per-axis outcome
+    counts, a = ``frequency_vector(counts)``, with the axes that have no
+    counts yet.  The result is Hermitian but not necessarily positive
+    semidefinite.
+    """
+    (a, b, c), missing = frequency_vector(counts)
+    op = 0.5 * (ID2 + a * PAULI_X + b * PAULI_Y + c * PAULI_Z)
+    return readonly(op), missing
 
 
 def random_density(rng: np.random.Generator, d: int = 2) -> np.ndarray:

@@ -19,7 +19,15 @@ from functools import cache, partial
 import numpy as np
 
 from .agents import Action, Agent, UtilityFn
-from .core_math import DEFAULT_GRID_POINTS, PROB_TOL, BetaParams, beta_pdf, is_int, one_of
+from .core_math import (
+    DEFAULT_GRID_POINTS,
+    PROB_TOL,
+    BetaParams,
+    beta_pdf,
+    is_int,
+    matmul,
+    one_of,
+)
 from .errors import ConfigError, ImpossibleOutcomeError, QBAgentsError, ValidationError
 from .inference import (
     DEFAULT_BALL_PARTICLES,
@@ -219,8 +227,9 @@ MENUS = {
     "paulis": lambda: _pauli_actions("XYZ"),
     "paulis_zx": lambda: _pauli_actions("ZX"),
     # the Pauli matrices pushed through the principal square root of Phi
-    "sharp_paulis": lambda: tuple(Action(a.name, a.matrix @ sqrt_phi(phi_matrix(sic_d2())),
-                                         a.outcomes) for a in _menu("paulis")),
+    "sharp_paulis": lambda: tuple(
+        Action(a.name, matmul(a.matrix, sqrt_phi(phi_matrix(sic_d2()))), a.outcomes)
+        for a in _menu("paulis")),
     "sic_reference": lambda: (Action("sic", conditional_matrix(sic_d2().effects, sic_d2()),
                                      ("1", "2", "3", "4")),),
 }

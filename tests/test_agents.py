@@ -181,6 +181,71 @@ class TestChooseAction:
         assert tie_sets[0] == tie_sets[1]
 
 
+def _parent_choice(agent, rng):
+    # the parent's choice: numpy utility rows dotted (BLAS) with the
+    # predictive arrays, then argmax with ties within TIE_TOL
+    if not agent.utility.table:
+        return int(rng.integers(len(agent.menu)))
+    utilities = np.array([float(agent.utility_rows[a.name] @ predictive(agent, a))
+                          for a in agent.menu])
+    tied = np.flatnonzero(utilities >= utilities.max() - 1e-12)
+    return int(tied[0] if tied.size == 1 else tied[rng.integers(tied.size)])
+
+
+class TestChoiceOnFloats:
+    def test_choices_and_draws_equal_the_parent_choice(self):
+        rng = np.random.default_rng(50)
+        tables = [{"Z": (0.98, 1.02)}, {"X": (1.0, 0.7), "Y": (0.9, 0.9), "Z": (1.1, 0.2)},
+                  {"X": (2.0, 0.0), "Z": (0.0, 2.0)}, {"Y": (1.0, 1.0)}]
+        points = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+        points += (QubitBall().sample(200, rng) * rng.uniform(0, 1, (200, 1))).tolist()
+        for table in tables:
+            for point in points:
+                agent = Agent("b", QUANTUM, delta_ensemble([point], [1.0], QubitBall()),
+                              pauli_menu(), UtilityFn(table))
+                ours, theirs = np.random.default_rng(51), np.random.default_rng(51)
+                for _ in range(3):
+                    assert choose_action(agent, ours) == _parent_choice(agent, theirs)
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_registry_choices_equal_the_parent_choice(self, monkeypatch):
+        # every agent-step of the registry scenario with a utility table,
+        # seeds 1-3, chosen by both rules from twin streams
+        from qbagents import interaction
+        from test_golden import run_case
+
+        calls = []
+
+        def both(agent, rng):
+            twin = np.random.Generator(type(rng.bit_generator)())
+            twin.bit_generator.state = rng.bit_generator.state
+            expected = _parent_choice(agent, twin)
+            got = choose_action(agent, rng)
+            calls.append(bool(agent.utility.table))
+            assert got == expected
+            assert str(rng.bit_generator.state) == str(twin.bit_generator.state)
+            return got
+
+        monkeypatch.setattr(interaction, "choose_action", both)
+        for seed in (1, 2, 3):
+            run_case("quantum_pair_biasedZ", seed)
+        assert len(calls) == 600 and sum(calls) == 300
+
+    def test_no_numpy_array_on_the_choice_path(self, monkeypatch):
+        # Z is the one maximizer at the -1 pole, so no tie-break is drawn
+        agent = Agent("b", QUANTUM, delta_ensemble([[0.0, 0.0, -1.0]], [1.0], QubitBall()),
+                      pauli_menu(), UtilityFn({"Z": (0.98, 1.02)}))
+        agent.mean()
+        rng = np.random.default_rng(52)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a numpy array on the choice path")
+
+        monkeypatch.setattr(np, "array", forbidden)
+        monkeypatch.setattr(np, "asarray", forbidden)
+        assert choose_action(agent, rng) == 2
+
+
 class TestChoiceStream:
     def test_single_action_menu_draws_nothing(self):
         agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())

@@ -303,3 +303,35 @@ class TestKolmogorov:
             dbc = kolmogorov_distance(ps[1], ps[2])
             dac = kolmogorov_distance(ps[0], ps[2])
             assert dac <= dab + dbc + 1e-12
+
+
+class TestSmallMatrixKernels:
+    """``matmul`` and ``inverse``: Python-float products and Gauss-Jordan
+    inverses in a fixed order, for the matrices a run is built from."""
+
+    def test_matmul_adds_each_entry_left_to_right(self):
+        rng = np.random.default_rng(71)
+        for shape in ((4, 4, 4), (2, 4, 4), (3, 4, 2), (1, 3, 1)):
+            a, b = rng.normal(size=shape[:2]), rng.normal(size=shape[1:])
+            expected = [[sum_left(a[i], b[:, k]) for k in range(shape[2])]
+                        for i in range(shape[0])]
+            assert core_math.matmul(a, b).tolist() == expected
+            assert np.allclose(core_math.matmul(a, b), a @ b, rtol=1e-14, atol=1e-14)
+
+    def test_inverse_matches_lapack_and_pivots(self):
+        rng = np.random.default_rng(72)
+        cases = [rng.normal(size=(n, n)) + n * np.eye(n)
+                 for n in (1, 2, 3, 4, 6) for _ in range(50)]
+        cases += [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0],
+                                                                [0.0, 1.0, 3.0]])]
+        for m in cases:
+            inv = core_math.inverse(m)
+            assert np.allclose(inv, np.linalg.inv(m), rtol=1e-12, atol=1e-13)
+            assert np.allclose(inv @ m, np.eye(len(m)), rtol=0, atol=1e-12)
+
+
+def sum_left(a, b) -> float:
+    total = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        total = total + x * y
+    return total

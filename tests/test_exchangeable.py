@@ -344,3 +344,78 @@ def test_draw_columns_match_the_grid_engine(name, seed):
             q = outcome_probs(spec.slots[k].kernel_rows[0], [1.0, *point])
             means.append(np.cumsum(q) / sum(q))
         assert any(min(x, y) <= u <= max(x, y) for x, y in zip(*means))
+
+
+# ---------------------------------------------------------------------------
+# The two-piece mixture: one ``+`` for fsum of two terms, bit for bit
+
+
+def _parent_mixture(pieces, counts, piece):
+    # BetaMixture.mean's general form: the masses and the mean summed by fsum
+    a, b = counts
+    logs, means = [], []
+    for log_c, alpha, beta, lo, hi in pieces:
+        log_mass, mean = piece(alpha + a, beta + b, lo, hi)
+        logs.append(log_c + log_mass)
+        means.append(mean)
+    top = max(logs)
+    w = [math.exp(x - top) for x in logs]
+    total = math.fsum(w)
+    mix = [x / total for x in w]
+    return mix, means, math.fsum(map(lambda u, v: u * v, mix, means))
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_two_piece_mean_equals_the_fsum_form(monkeypatch):
+    # 10^5 random counts and two-piece sets, each piece's (log mass, mean)
+    # drawn at random over the range beta_piece returns (down to masses
+    # that underflow, means at 0 and 1), so only the mixing arithmetic is
+    # compared
+    from qbagents import inference
+
+    rng = np.random.default_rng(61)
+    n = 100_000
+    log_c = rng.uniform(-40.0, 40.0, (n, 2))
+    log_mass = np.where(rng.random((n, 2)) < 0.9, rng.uniform(-60.0, 2.0, (n, 2)),
+                        rng.uniform(-800.0, -600.0, (n, 2)))
+    log_mass[rng.random((n, 2)) < 0.01] = -np.inf
+    log_mass[np.isinf(log_mass).all(axis=1), 0] = -1.0
+    means = rng.random((n, 2))
+    means[rng.random((n, 2)) < 0.01] = 0.0
+    means[rng.random((n, 2)) < 0.01] = 1.0
+    counts = rng.integers(0, 10**4, (n, 2)).tolist()
+    table = {}
+
+    def piece(alpha, beta, lo, hi):
+        return table[alpha, beta, lo, hi]
+
+    monkeypatch.setattr(inference, "beta_piece", piece)
+    for i in range(n):
+        lo, peak = 0.0, float(rng.uniform(0.01, 0.99)) if i % 1000 == 0 else 0.5
+        pieces = ((log_c[i, 0], 2.0, 1.0, lo, peak), (log_c[i, 1], 1.0, 2.0, peak, 1.0))
+        a, b = counts[i]
+        table.clear()
+        table[2.0 + a, 1.0 + b, lo, peak] = (log_mass[i, 0], means[i, 0])
+        table[1.0 + a, 2.0 + b, peak, 1.0] = (log_mass[i, 1], means[i, 1])
+        belief = BetaMixture(None, pieces, (a, b))
+        mix, piece_means, mean = _parent_mixture(pieces, (a, b), piece)
+        assert _hex([belief.mean(), *belief._mix, *belief._means]) == _hex(
+            [mean, *mix, *piece_means])
+
+
+@pytest.mark.parametrize("peak", [0.7, 0.25, 0.5])
+def test_two_piece_mean_equals_the_fsum_form_on_triangular_beliefs(peak):
+    from qbagents.core_math import beta_piece, beta_piece_var
+
+    rng = np.random.default_rng(62)
+    pieces = PRIORS["grid_pdf"][4]({"kind": "grid_pdf", "name": "triangular", "peak": peak})
+    for a, b in [*COUNTS, *rng.integers(0, 3000, (300, 2)).tolist()]:
+        belief = BetaMixture(None, pieces, (a, b))
+        mix, piece_means, mean = _parent_mixture(pieces, (a, b), beta_piece)
+        variance = math.fsum(w * (beta_piece_var(alpha + a, beta + b, lo, hi) + (m - mean) ** 2)
+                             for w, m, (_c, alpha, beta, lo, hi) in zip(mix, piece_means, pieces))
+        assert _hex([belief.mean(), belief.variance(), *belief._mix]) == _hex(
+            [mean, variance, *mix])

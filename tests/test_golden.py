@@ -12,11 +12,12 @@ weights, and a run shorter than ``EARLY_STEP``, whose early and final steps
 coincide.  A change that alters any of these bytes changes behaviour and has
 to say so.
 
-The runs happen in a child process with one BLAS thread.  The bytes do not
-depend on the thread count (``test_blas_threads.py``), but they do depend on
-the BLAS build and the CPU kernel it selects, and one thread keeps the
-platform that computes them as plain as possible; on another platform,
-regenerate the digests from a known-good commit first.
+The runs happen in a child process with one BLAS thread.  The bytes depend
+neither on the thread count (``test_blas_threads.py``) nor on the OpenBLAS
+kernel (``test_blas_kernels.py``), since no sum on a run path goes through
+BLAS or LAPACK.  Other BLAS builds and other numpy builds were not tested;
+on such a platform, compare with a known-good commit before trusting a
+mismatch.
 
 Regenerate (only for a deliberate behaviour change), every digest or only the
 named keys, leaving the others as they are:

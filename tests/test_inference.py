@@ -187,8 +187,11 @@ class TestEvidence:
             observe(agent, ax, j)
         assert list(agent.counts.items()) == [((2, 1), 2), ((0, 0), 2), ((2, 0), 1)]
         assert agent.evidence.counts is agent.counts
-        assert [np.array_equal(agent.evidence.rows[a],
-                               np.stack([PAULI[ax][j] @ QUANTUM.phi for j in (0, 1)]))
+        # R[j] @ Phi with each entry added left to right
+        phi = QUANTUM.phi.tolist()
+        assert [agent.evidence.rows[a].tolist()
+                == [[0.0 + r[0] * phi[0][k] + r[1] * phi[1][k] + r[2] * phi[2][k]
+                     + r[3] * phi[3][k] for k in range(4)] for r in PAULI[ax].tolist()]
                 for a, ax in enumerate("XYZ")] == [True] * 3
 
     def test_log_density_matches_per_observation_sum(self):

@@ -29,9 +29,23 @@ from qbagents.postulate import (
     quantum_postulate,
     ref_probs_of_points,
 )
-from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
+from qbagents.quantum import (
+    bloch_to_density,
+    conditional_matrix,
+    frequency_operator,
+    pauli_povm,
+    sic_d2,
+    trace_distance,
+)
 from qbagents.rng import UNIFORM_BLOCK, UniformBlocks, stream
-from qbagents.scenarios import AgentSpec, _menu, build_runtime, default_config, run_config
+from qbagents.scenarios import (
+    REGISTRY,
+    AgentSpec,
+    _menu,
+    build_runtime,
+    default_config,
+    run_config,
+)
 
 QUANTUM = quantum_postulate()
 CLASSICAL2 = classical_postulate(2)
@@ -518,3 +532,59 @@ class TestUniformBlocks:
         scalar = run(build_runtime(cfg), record_steps=steps)
         assert blocks.records == scalar.records
         assert blocks.final == scalar.final
+
+
+class TestBlochMetrics:
+    """Every ball metric is half the distance between two Bloch vectors, the
+    trace distance of the qubit operators they give.  Checked against
+    ``trace_distance`` (``eigvalsh``) of those operators on every recorded
+    step of every registry scenario whose metrics read a ball agent, seeds
+    1-3: within 1e-14 relative, or within 4 ulp of 1 where the distance is
+    small, since the operator route's entries are (1 +- r_z)/2 and lose the
+    digits of r_z - s_z that the vector route keeps."""
+
+    @staticmethod
+    def _state(mean):
+        r = np.asarray(mean, dtype=float)
+        norm = np.linalg.norm(r)
+        return bloch_to_density(r / norm if norm > 1.0 else r)
+
+    def _reference(self, kind, config, counts, rec) -> dict:
+        a, b = rec.agents
+        if kind == "pair_ball":
+            return {"mean_trace_distance": trace_distance(self._state(a.mean),
+                                                          self._state(b.mean))}
+        if kind == "z_marginal":
+            ball, coin = (a, b) if len(a.mean) == 3 else (b, a)
+            z = np.clip(ball.mean[2], -1.0, 1.0)
+            return {"z_gap": trace_distance(bloch_to_density([0.0, 0.0, 2 * coin.mean[0] - 1]),
+                                            bloch_to_density([0.0, 0.0, z]))}
+        counts[a.action, a.outcome] = counts.get((a.action, a.outcome), 0) + 1
+        freq, _missing = frequency_operator(
+            {ax.lower(): (counts.get((ax, 0), 0), counts.get((ax, 1), 0)) for ax in "XYZ"})
+        source = config.agents[1].point if b is None else b.mean
+        state = self._state(a.mean)
+        return {"dist_to_frequency": trace_distance(state, freq),
+                "dist_to_source": trace_distance(state, bloch_to_density(source))}
+
+    @pytest.mark.parametrize("scenario", sorted(
+        name for name, sc in REGISTRY.items()
+        if sc.metrics_kind in ("qubit_tomography", "pair_ball", "z_marginal")))
+    def test_metrics_match_the_operator_trace_distance(self, scenario):
+        from test_golden import run_case
+
+        kind = REGISTRY[scenario].metrics_kind
+        checked = 0
+        for seed in (1, 2, 3):
+            trace = run_case(scenario, seed)
+            if isinstance(trace, ImpossibleOutcomeError):
+                continue
+            config, counts = default_config(scenario, seed), {}
+            for rec in trace.records:
+                reference = self._reference(kind, config, counts, rec)
+                assert rec.metrics.keys() == reference.keys()
+                for name, value in reference.items():
+                    assert (abs(rec.metrics[name] - value)
+                            <= max(1e-14 * value, 4 * np.spacing(1.0))), (seed, rec.step, name)
+                checked += 1
+        assert checked > 0
