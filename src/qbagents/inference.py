@@ -38,15 +38,17 @@ c0 (1 +- r_a) is one more count, for a ``BetaMixture`` as for the refresh.
 The refresh (``maybe_resample``) takes one of two paths.  When every observed
 outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
 of a quantum agent), the posterior is a product of three Beta laws truncated
-to the ball, and the refresh draws from it exactly.  All other evidence (the
-SIC reference action, and classical Pauli and sharp Pauli actions, whose
-axis factors are 1 +- k r_a with k < 1) goes to resample-move: systematic
-resampling plus Metropolis sweeps, which evaluate the current posterior
-density at proposed points from the counts (one affine likelihood over the
-point columns, ``postulate.ball_likelihoods``, and one log per observed
-cell).  Both paths assume a uniform prior, so agents reject particle
-ensembles that do not start uniform or that an update or a refresh returned
-(see ``Agent``).
+to the ball, and the refresh draws from it exactly: each Beta law with shapes
+(n+ + 1, n- + 1) by its closed form when one count is zero and by Cheng's BB
+rejection over whole arrays of uniforms otherwise (``_beta_draws``), and the
+ball test keeps the points inside.  All other evidence (the SIC reference
+action, and classical Pauli and sharp Pauli actions, whose axis factors are
+1 +- k r_a with k < 1) goes to resample-move: systematic resampling plus
+Metropolis sweeps, which evaluate the current posterior density at proposed
+points from the counts (one affine likelihood over the point columns,
+``postulate.ball_likelihoods``, and one log per observed cell).  Both paths
+assume a uniform prior, so agents reject particle ensembles that do not start
+uniform or that an update or a refresh returned (see ``Agent``).
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
 PROPOSAL_SCALE = 0.5
 EXACT_MAX_DRAWS = 100  # candidates per particle before the exact refresh gives up
+BB_CHUNK = 8192  # Cheng BB attempts per pass, which bounds the pass's scratch arrays
 JACOBI_MAX_SWEEPS = 50  # a 3 x 3 matrix takes about four
 
 
@@ -512,7 +515,9 @@ def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
       has a likelihood c0 (1 +- r_a) on one axis a (``evidence.axes``): the
       quantum ``paulis`` and ``paulis_zx`` menus.  The posterior under the
       uniform prior is then a product of three Beta laws truncated to the
-      ball, and ``sample_axis_posterior`` draws n i.i.d. points from it;
+      ball, and ``sample_axis_posterior`` draws n i.i.d. points from it
+      (closed forms for one-sided counts, Cheng's BB rejection for
+      two-sided ones, uniforms for an axis without counts);
     * resample-move, for all other evidence (the ``sic_reference`` menu, and
       classical ``paulis`` and ``sharp_paulis``, whose axis factors are
       (1 +- k r_a) with k = 1/3 and 1/sqrt(3)), and when the exact draw runs
@@ -574,17 +579,16 @@ def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarra
     prod_a (1 + r_a)^(n+_a) (1 - r_a)^(n-_a), ``counts[a] = (n+_a, n-_a)``.
 
     Each axis is r_a = 2 B_a - 1 with B_a ~ Beta(n+_a + 1, n-_a + 1), drawn
-    axis by axis (uniform on [-1, 1] for an axis without counts); points
-    with x*x + y*y + z*z > 1 (the order of ``QubitBall.contains``) are
-    rejected, in rounds sized from the acceptance so far, until n are kept.
-    Each axis of a round is drawn into its own contiguous row, and the kept
-    columns are gathered into a (3, n) array, whose transpose is the (n, 3)
-    F-ordered particle layout.  Returns None when ``EXACT_MAX_DRAWS * n``
-    candidates have not given n points (evidence that pushes the axis
-    product almost wholly outside the ball).
+    axis by axis by ``_beta_draws`` (uniform on [-1, 1] for an axis without
+    counts); points with x*x + y*y + z*z > 1 (the order of
+    ``QubitBall.contains``) are rejected, in rounds sized from the acceptance
+    so far, until n are kept.  Each axis of a round is drawn into its own
+    contiguous row, and the kept columns are gathered into a (3, n) array,
+    whose transpose is the (n, 3) F-ordered particle layout.  Returns None
+    when ``EXACT_MAX_DRAWS * n`` candidates have not given n points
+    (evidence that pushes the axis product almost wholly outside the ball).
     """
-    counts = np.asarray(counts, dtype=float)
-    alpha, beta = counts[:, 0] + 1.0, counts[:, 1] + 1.0
+    shapes = (np.asarray(counts, dtype=float) + 1.0).tolist()
     out = np.empty((3, n))
     kept, drawn = 0, 0
     while kept < n:
@@ -594,19 +598,67 @@ def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarra
         size = n if not kept else math.ceil(1.2 * (n - kept) * drawn / kept) + 16
         size = min(size, budget)
         r = np.empty((3, size))
-        for a in range(3):
-            # Beta(1, 1) is uniform, and numpy's Beta sampler is slow there
-            if counts[a].any():
-                np.multiply(rng.beta(alpha[a], beta[a], size), 2.0, out=r[a])
-                r[a] -= 1.0
-            else:
+        for a, (alpha, beta) in enumerate(shapes):
+            if alpha == beta == 1.0:
                 r[a] = rng.uniform(-1.0, 1.0, size)
+            else:
+                _beta_draws(r[a], alpha, beta, rng)
+                r[a] *= 2.0
+                r[a] -= 1.0
         x, y, z = r
         inside = np.flatnonzero(x * x + y * y + z * z <= 1.0)[:n - kept]
         r.take(inside, axis=1, out=out[:, kept:kept + inside.size])
         kept += inside.size
         drawn += size
     return out.T
+
+
+def _beta_draws(out: np.ndarray, a: float, b: float, rng: np.random.Generator) -> None:
+    """Fill the contiguous row ``out`` with i.i.d. Beta(a, b) draws, a, b >= 1.
+
+    Beta(a, 1) is U^(1/a) and Beta(1, b) is 1 - U^(1/b), one uniform a draw.
+    Otherwise Cheng's BB rejection (*CACM* 21, 317, 1978; R's ``rbeta``)
+    runs over whole arrays of uniform pairs (U1, U2), at most ``BB_CHUNK``
+    attempts at a time.  With a0 = min(a, b), b0 = max(a, b), alpha = a0 + b0,
+    beta = sqrt((alpha - 2) / (2 a0 b0 - alpha)) and gamma = a0 + 1/beta, an
+    attempt proposes V = beta log(U1 / (1 - U1)) and W = a0 e^V, and is kept
+    when gamma V - log 4 + alpha log(alpha / (b0 + W)) >= log(U1^2 U2); then
+    W / (b0 + W) ~ Beta(a0, b0), and the draw is that for a <= b and
+    b0 / (b0 + W) otherwise.  Cheng's two squeezes only spare scalar code a
+    log, which whole arrays take anyway, so the one exact test decides.  An
+    attempt with U1 = 0 (W = 0, which the test would keep) is rejected.
+    """
+    if b == 1.0:
+        np.power(rng.random(out=out), 1.0 / a, out=out)
+        return
+    if a == 1.0:
+        np.power(rng.random(out=out), 1.0 / b, out=out)
+        np.subtract(1.0, out, out=out)
+        return
+    a0, b0 = min(a, b), max(a, b)
+    alpha = a0 + b0
+    beta = math.sqrt((alpha - 2.0) / (2.0 * a0 * b0 - alpha))
+    gamma = a0 + 1.0 / beta
+    filled = 0
+    while filled < out.size:
+        # the acceptance is 0.8 to 0.95 for a, b >= 2
+        u1, u2 = rng.random((2, min(BB_CHUNK, math.ceil(1.25 * (out.size - filled)) + 16)))
+        with np.errstate(divide="ignore"):
+            v = np.log(u1 / (1.0 - u1))
+            v *= beta
+            w = np.exp(v)
+            w *= a0
+            test = np.log(alpha / (b0 + w))
+            test *= alpha
+            test += gamma * v - math.log(4.0)
+            u2 *= u1 * u1
+            keep = test >= np.log(u2)
+        keep &= u1 > 0.0
+        w = w[keep][:out.size - filled]
+        row = out[filled:filled + w.size]
+        np.add(w, b0, out=row)
+        np.divide(w if a <= b else b0, row, out=row)
+        filled += w.size
 
 
 def _systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""One child program for the byte gates that change the environment numpy
-starts in: the BLAS thread count (``test_blas_threads.py``) and the OpenBLAS
-kernel (``test_blas_kernels.py``).
+"""One child program for the gates that change the environment numpy starts
+in: the BLAS thread count (``test_blas_threads.py``) and the OpenBLAS kernel
+(``test_blas_kernels.py``), which compare bytes, and numpy's SIMD loops
+(``test_exact_refresh.py``), which checks the law of the exact refresh.
 
-``child_digests(env, cases, batches, gap)`` runs a fresh interpreter with the
-variables of ``env`` set (a value of None unsets one), before numpy loads,
-and returns the golden digests (``test_golden.golden_record`` and
+``child_digests(env, cases, batches, gap, law)`` runs a fresh interpreter
+with the variables of ``env`` set (a value of None unsets one), before numpy
+loads, and returns the golden digests (``test_golden.golden_record`` and
 ``batch_digest``) of the named (scenario, seed) cases and batch cases, keyed
 as in ``golden_digests.json``, plus with ``gap`` the digest of
-``mean_contraction_gap`` over 625 pairs of 10,001-point Beta grids.
+``mean_contraction_gap`` over 625 pairs of 10,001-point Beta grids, and with
+``law`` the ``test_exact_refresh.law_report`` of the named count vectors and
+the SIMD targets numpy dispatches to (``simd``, target: enabled).
 """
 
 import json
@@ -42,22 +45,29 @@ if spec["gap"]:
              for a in {GAP_SHAPES!r} for b in {GAP_SHAPES!r}]
     gaps = [mean_contraction_gap(a, b) for a in grids for b in grids]
     out["mean_contraction_gap"] = hashlib.sha256(repr(gaps).encode()).hexdigest()
+if spec["law"]:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from test_exact_refresh import law_report
+    out["law"] = law_report(spec["law"])
+    out["simd"] = {{target: __cpu_features__[target] for target in __cpu_dispatch__}}
 json.dump(out, sys.stdout, sort_keys=True)
 """
 
 
-def child_digests(env: dict, cases=(), batches=(), gap: bool = False) -> dict:
+def child_digests(env: dict, cases=(), batches=(), gap: bool = False, law=()) -> dict:
     """The digests of ``cases`` ((scenario, seed) pairs), ``batches`` (keys of
     ``test_golden.BATCH_CASES``) and, with ``gap``, ``mean_contraction_gap``,
-    computed in a child process whose environment is this one's updated by
-    ``env`` (None unsets a variable)."""
+    and the exact-refresh law report of the ``law`` count vectors, computed
+    in a child process whose environment is this one's updated by ``env``
+    (None unsets a variable)."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     child_env = {**os.environ, "PYTHONPATH": path}
     for var, value in env.items():
         child_env.pop(var, None)
         if value is not None:
             child_env[var] = value
-    spec = json.dumps({"cases": list(cases), "batches": list(batches), "gap": gap})
+    spec = json.dumps({"cases": list(cases), "batches": list(batches), "gap": gap,
+                       "law": list(law)})
     out = subprocess.run([sys.executable, "-c", CHILD, spec], env=child_env,
                          capture_output=True, text=True, check=True, timeout=600)
     return json.loads(out.stdout)

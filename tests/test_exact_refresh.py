@@ -1,4 +1,5 @@
-"""The exact refresh of Pauli-axis qubit agents and the choice of refresh path.
+"""The exact refresh of Pauli-axis qubit agents, its Beta sampler and the
+choice of refresh path.
 
 Under the uniform ball prior, outcomes whose likelihood is c0 (1 +- r_a) on
 one Bloch axis give the posterior prod_a (1 + r_a)^(n+_a) (1 - r_a)^(n-_a)
@@ -6,9 +7,13 @@ truncated to the ball.  The exactness gate compares clouds drawn by
 ``sample_axis_posterior`` with a quadrature of that density: the integral
 over one axis is a difference of regularized incomplete Beta functions, and
 the other two axes are integrated on a trapezoid grid that spans the mass of
-their Beta factors.
+their Beta factors.  The count vectors cover both branches of the Beta
+sampler ``_beta_draws``: closed forms for one-sided counts and Cheng's BB
+rejection for two-sided ones.  The sampler itself is checked against the
+Beta law at shapes from uniform to the thousands.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +21,13 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
+from digest_child import child_digests
 from qbagents import inference
 from qbagents.agents import Agent
 from qbagents.inference import (
     PROPOSAL_SCALE,
     RESAMPLE_SWEEPS,
+    _beta_draws,
     _systematic_indices,
     bayes_update,
     log_posterior_density,
@@ -58,6 +65,8 @@ COUNT_VECTORS = {
     "three_on_x": np.array([[2, 1], [0, 0], [0, 0]], dtype=float),
     "plus_source_500": _source_counts((1.0, 0.0, 0.0), 500, (0, 1, 2), seed=5),
     "boundary_xz": _source_counts((0.6, 0.0, 0.8), 600, (0, 2), seed=6),
+    "one_sided": np.array([[4, 0], [0, 3], [7, 0]], dtype=float),
+    "inner_source_3000": _source_counts((0.3, -0.5, 0.6), 3000, (0, 1, 2), seed=7),
 }
 
 
@@ -151,6 +160,46 @@ class TestBlochAxes:
         assert np.allclose(ratios, 1.0, rtol=0, atol=1e-15)
 
 
+def moment_z_scores(counts, pts):
+    """|sample - quadrature| over its standard error, for the 3 means and the
+    6 covariance entries of a cloud drawn for ``counts``."""
+    mean, cov = truncated_moments(counts)
+    n = pts.shape[0]
+    z = list(np.abs(pts.mean(axis=0) - mean) / (pts.std(axis=0) / np.sqrt(n)))
+    centered = pts - pts.mean(axis=0)
+    for i in range(3):
+        for j in range(i, 3):
+            prod = centered[:, i] * centered[:, j]
+            z.append(abs(prod.mean() - cov[i, j]) / (prod.std() / np.sqrt(n)))
+    return np.array(z)
+
+
+def law_report(names):
+    """For each named ``COUNT_VECTORS`` entry, the largest moment z-score and
+    the smallest axis-marginal KS p-value of one N-point cloud."""
+    report = {}
+    for name in names:
+        counts = COUNT_VECTORS[name]
+        pts = sample_axis_posterior(counts, N, np.random.default_rng(22))
+        report[name] = {
+            "z_max": float(moment_z_scores(counts, pts).max()),
+            "ks_min": min(stats.kstest(pts[:, a], marginal_cdf(counts, a)).pvalue
+                          for a in range(3)),
+        }
+    return report
+
+
+SIMD_BELOW_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _avx512_loops() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
+
+
 class TestExactnessGate:
     @pytest.mark.parametrize("name", COUNT_VECTORS)
     def test_moments_match_quadrature(self, name):
@@ -158,15 +207,7 @@ class TestExactnessGate:
         pts = sample_axis_posterior(counts, N, np.random.default_rng(20))
         assert pts.shape == (N, 3)
         assert np.all(np.einsum("ij,ij->i", pts, pts) <= 1.0)
-        mean, cov = truncated_moments(counts)
-        centered = pts - pts.mean(axis=0)
-        se_mean = pts.std(axis=0) / np.sqrt(N)
-        assert np.all(np.abs(pts.mean(axis=0) - mean) < 4 * se_mean)
-        for i in range(3):
-            for j in range(i, 3):
-                prod = centered[:, i] * centered[:, j]
-                se = prod.std() / np.sqrt(N)
-                assert abs(prod.mean() - cov[i, j]) < 4 * se, (i, j)
+        assert np.all(moment_z_scores(counts, pts) < 4)
 
     @pytest.mark.parametrize("name", COUNT_VECTORS)
     @pytest.mark.parametrize("axis", range(3))
@@ -176,10 +217,65 @@ class TestExactnessGate:
         result = stats.kstest(pts[:, axis], marginal_cdf(counts, axis))
         assert result.pvalue > 0.001
 
+    @pytest.mark.skipif(not _avx512_loops(), reason="numpy dispatches no AVX-512 loops here")
+    def test_law_holds_on_numpy_loops_below_avx512(self):
+        # The draws round through numpy's log, exp and power loops, whose bits
+        # follow the SIMD level: with the AVX-512 loops off, other candidates
+        # pass the ball and BB tests, and the law must hold all the same.
+        names = ("one_sided", "boundary_xz", "inner_source_3000")
+        child = child_digests(SIMD_BELOW_AVX512, law=names)
+        assert not any(child["simd"][t] for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR"))
+        for name in names:
+            assert child["law"][name]["z_max"] < 4, name
+            assert child["law"][name]["ks_min"] > 0.001, name
+
     def test_quadrature_of_the_uniform_ball(self):
         mean, cov = truncated_moments(np.zeros((3, 2)))
         assert np.allclose(mean, 0, atol=1e-9)
         assert np.allclose(cov, np.eye(3) / 5, atol=1e-6)
+
+
+BETA_SHAPES = [(1, 1), (4, 1), (1, 4), (2, 2), (3, 2), (13, 9), (41, 31), (2, 300),
+               (1001, 3), (5000, 4000)]
+BETA_DRAWS = 100_000
+
+
+class FirstUniformZero:
+    """A generator whose first uniform array has 0.0 at ``cell``."""
+
+    def __init__(self, seed, cell):
+        self.rng, self.cell = np.random.default_rng(seed), cell
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        if self.cell is not None:
+            u[self.cell] = 0.0
+            self.cell = None
+        return u
+
+
+class TestBetaDraws:
+    @pytest.mark.parametrize("a,b", BETA_SHAPES)
+    def test_law(self, a, b):
+        x = np.empty(BETA_DRAWS)
+        _beta_draws(x, float(a), float(b), np.random.default_rng(23))
+        mean = a / (a + b)
+        var = a * b / ((a + b) ** 2 * (a + b + 1))
+        assert abs(x.mean() - mean) < 4 * np.sqrt(var / x.size)
+        sq = (x - mean) ** 2
+        assert abs(sq.mean() - var) < 4 * sq.std() / np.sqrt(x.size)
+        assert stats.kstest(x, stats.beta(a, b).cdf).pvalue > 0.001
+
+    @pytest.mark.parametrize("a,b", [(3.0, 2.0), (2.0, 3.0)])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 0)], ids=["u1", "u2"])
+    def test_zero_uniform_in_a_bb_pass(self, a, b, cell):
+        # U1 = 0 gives W = 0, which would pin the draw at 0 (a <= b) or 1;
+        # U2 = 0 is kept or not like any other U2; neither may warn
+        x = np.empty(1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _beta_draws(x, a, b, FirstUniformZero(24, cell))
+        assert np.all((x > 0.0) & (x < 1.0))
 
 
 def observe(agent, a, j):
