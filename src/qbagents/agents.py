@@ -14,21 +14,21 @@ built, so a step does only arithmetic:
   (``min_likelihood``), and a particle ensemble must start uniform and not
   be an update's or a refresh's result, the prior that resample-move assumes;
 * each action's utility row is checked and stored (``utility_rows``);
-* each action's likelihood rows ``R[j] @ Phi`` are stored with their
-  ``axis_classes`` (``evidence.axes``), and composed with the region's affine
-  embedding as Python floats (``kernel_rows``), the rows
-  ``postulate.outcome_probs`` evaluates at (1, theta); both products are
-  left-to-right sums (``postulate.likelihood_rows``, ``affine_rows``), which
-  no BLAS kernel rounds;
+* each action's likelihood rows ``R[j] @ Phi`` are computed once, classified
+  by ``axis_classes`` (``evidence.axes``), and composed with the region's
+  affine embedding as Python floats (``kernel_rows``), the one form every
+  likelihood is computed from, on either region: ``postulate.outcome_probs``
+  evaluates it at (1, theta); both products are left-to-right sums
+  (``postulate.likelihood_rows``, ``affine_rows``), which no BLAS kernel
+  rounds;
 * a ``BetaMixture`` belief updates by those classes; with a row that is neither
   theta nor 1 - theta the agent is rejected (its ``prior`` grid runs such rows);
 * likelihoods on the ensemble's points are cached per point set: each
   (action, outcome) vector is computed the first time it is asked for and
   kept until the points change (grid and delta points never move; particles
-  move only when the refresh replaces them).  On the Bloch ball it is the
+  move only when the refresh replaces them).  On either region it is the
   outcome's ``kernel_rows`` over the point columns
-  (``postulate.ball_likelihoods``, as ``likelihood_values`` computes it); on
-  the interval the points are embedded once and multiplied by the row;
+  (``postulate.affine_likelihoods``, as ``likelihood_values`` computes it);
 * the posterior mean is cached per ensemble, and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
   parameter), the action's ``kernel_rows`` at (1, mean), so a choice costs
@@ -51,16 +51,13 @@ from .errors import ValidationError
 from .inference import BetaMixture, Evidence, ParticleEnsemble, posterior_mean
 from .postulate import (
     PhysicalPostulate,
-    QubitBall,
+    affine_likelihoods,
     affine_rows,
     axis_classes,
-    ball_likelihoods,
     ensemble_compatible,
     likelihood_rows,
-    likelihoods,
     min_likelihood,
     outcome_probs,
-    ref_probs_of_points,
 )
 
 # Not called here; bound because perfbench's span recorder wraps
@@ -168,14 +165,12 @@ class Agent:
         # coefficients (constant, gradient) dotted with (1, theta).
         self.kernel_rows = tuple(affine_rows(ens.region, r) for r in rows)
         self.counts = {}
-        self.evidence = Evidence(rows, axes, self.counts, self.kernel_rows)
+        self.evidence = Evidence(axes, self.counts, self.kernel_rows)
         # each menu action's utility row and kernel rows, as the choice reads them
         self._choices = tuple((self.utility_rows[a.name].tolist(), k)
                               for a, k in zip(self.menu, self.kernel_rows))
-        self._ball = isinstance(ens.region, QubitBall)
         self.menu_index = {a.name: i for i, a in enumerate(self.menu)}
         self._points = None  # the point set the likelihood cache belongs to
-        self._probs = None  # its reference probabilities
         self._likes = {}  # (action index, outcome) -> likelihood at those points
         self._mean_of = None  # the ensemble whose mean is cached
         self._mean = None
@@ -191,6 +186,8 @@ class Agent:
         ens = self.ensemble
         if self._mean_of is not ens:
             self._mean_of = ens
+            # a count belief's closed form directly: ``posterior_mean`` would
+            # wrap it in an array, about a microsecond on every step
             self._mean = ((ens.mean(),) if isinstance(ens, BetaMixture)
                           else tuple(posterior_mean(ens).tolist()))
         return self._mean
@@ -204,13 +201,11 @@ class Agent:
         points = self.ensemble.points
         if points is not self._points:
             self._points = points
-            self._probs = None if self._ball else ref_probs_of_points(self.postulate, points)
             self._likes = {}
         like = self._likes.get((a, j))
         if like is None:
             like = self._likes[a, j] = readonly(
-                ball_likelihoods(self.kernel_rows[a][j], points) if self._ball
-                else likelihoods(self._probs, self.evidence.rows[a][j]))
+                affine_likelihoods(self.kernel_rows[a][j], points))
         return like
 
 

@@ -30,10 +30,12 @@ the old ones times the postulate likelihood of the observed outcome,
 renormalized; a caller that already holds that likelihood (an agent's cache)
 passes it in.  The observations belong to the agent, not to the ensemble:
 its one count store, keyed by (menu index, outcome), and its actions'
-likelihood rows ``R[j] @ Phi`` with their ``postulate.axis_classes``, made
-once when the agent is built.  ``Evidence`` holds them, reading the counts
-live.  That one classification decides every exact update: a likelihood
-c0 (1 +- r_a) is one more count, for a ``BetaMixture`` as for the refresh.
+likelihood rows ``R[j] @ Phi`` in the two forms the agent makes of them once
+when it is built: their ``postulate.axis_classes`` and their affine
+coefficients on the region (``postulate.affine_rows``).  ``Evidence`` holds
+them, reading the counts live.  That one classification decides every exact
+update: a likelihood c0 (1 +- r_a) is one more count, for a ``BetaMixture``
+as for the refresh.
 
 The refresh (``maybe_resample``) takes one of two paths.  When every observed
 outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
@@ -46,7 +48,7 @@ action, and classical Pauli and sharp Pauli actions, whose axis factors are
 1 +- k r_a with k < 1) goes to resample-move: systematic resampling plus
 Metropolis sweeps, which evaluate the current posterior density at proposed
 points from the counts (one affine likelihood over the point columns,
-``postulate.ball_likelihoods``, and one log per observed cell).  Both paths
+``postulate.affine_likelihoods``, and one log per observed cell).  Both paths
 assume a uniform prior, so agents reject particle ensembles that do not start
 uniform or that an update or a refresh returned (see ``Agent``).
 """
@@ -64,10 +66,10 @@ from .errors import ImpossibleOutcomeError, ValidationError
 from .postulate import (
     PhysicalPostulate,
     QubitBall,
+    affine_likelihoods,
     axis_classes,
-    ball_likelihoods,
+    likelihood_rows,
     likelihood_values,
-    likelihoods,
 )
 
 DEFAULT_BALL_PARTICLES = 10_000
@@ -80,14 +82,13 @@ JACOBI_MAX_SWEEPS = 50  # a 3 x 3 matrix takes about four
 
 @dataclass(frozen=True)
 class Evidence:
-    """An agent's observations: ``rows[a]``, the likelihood rows ``R[j] @ Phi``
-    of menu action a, ``axes[a]``, their ``axis_classes``, the agent's live
+    """An agent's observations: ``axes[a]``, the ``axis_classes`` of the
+    likelihood rows ``R[j] @ Phi`` of menu action a, the agent's live
     ``counts`` of (menu index, outcome) cells in first-observed order, the
     order ``log_posterior_density`` sums them in, and ``kernel[a]``, the rows
     composed with the region's embedding (``postulate.affine_rows``), which
-    Bloch-ball likelihoods are computed from."""
+    every likelihood is computed from."""
 
-    rows: tuple = ()
     axes: tuple = ()
     counts: dict = field(default_factory=dict)
     kernel: tuple = ()
@@ -368,8 +369,8 @@ def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
     likelihood is neither theta nor 1 - theta raises ``ValidationError``.
     """
     if isinstance(ens, BetaMixture):
-        cls = like if isinstance(like, tuple) else axis_classes(
-            np.asarray(R, dtype=float) @ post.phi)[j]
+        cls = (like if isinstance(like, tuple)
+               else axis_classes(likelihood_rows(post, R))[j])
         if cls is None:
             raise ValidationError(
                 f"outcome {j}'s likelihood is neither theta nor 1 - theta, which a "
@@ -396,14 +397,10 @@ def log_posterior_density(ens: ParticleEnsemble, points,
     the region get -inf.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, ens.dim)
-    ball = isinstance(ens.region, QubitBall)
-    probs = None if ball else ens.region.to_ref_probs(pts)
     logp = np.zeros(pts.shape[0])
     with np.errstate(divide="ignore"):
         for (a, j), count in evidence.counts.items():
-            like = (ball_likelihoods(evidence.kernel[a][j], pts) if ball
-                    else likelihoods(probs, evidence.rows[a][j]))
-            logp += count * np.log(like)
+            logp += count * np.log(affine_likelihoods(evidence.kernel[a][j], pts))
     logp[~ens.region.contains(pts)] = -np.inf
     return logp
 

@@ -28,21 +28,24 @@ points into reference probability vectors:
 So likelihoods are affine in the centred coordinates r (2 theta - 1, or the
 Bloch vector); ``axis_classes`` marks the exact updates, c0 (1 +- r_a).
 
-Every sum on the ball's run path is taken in an order this module fixes,
-never by a BLAS call, so its bytes do not depend on the BLAS kernel the CPU
-selects.  The likelihood rows ``R[j] @ Phi`` (``likelihood_rows``) and their
-composition with a region's affine embedding (``affine_rows``) are Python
-dot products added left to right, and a Bloch-ball likelihood is
-``c0 + c_x x + c_y y + c_z z`` over the columns of the points, added left to
-right (``ball_likelihoods``); the SIC embedding ``sic_probs_from_bloch`` and
-``ref_probs_of_points`` stay for the API and the 1-D and reference-vector
-paths.  On the interval every registry row is (1, 0) or (0, 1), so
-``probs @ rows`` multiplies by 0 and 1 only, which no kernel rounds
-differently.
+Every likelihood at parameter points, on either region, is computed in that
+affine form and no other way: the likelihood rows ``R[j] @ Phi``
+(``likelihood_rows``) composed with the region's embedding (``affine_rows``)
+give coefficients (c0, c_1, ..., c_dim) in the region's own coordinates r
+(theta, or the Bloch vector), and ``affine_likelihoods`` takes ``c0 + c . r``
+over the columns of the points, added left to right.  All three are sums in an
+order this module fixes, never a BLAS call, so no likelihood's bytes depend
+on the BLAS kernel the CPU selects.  The embeddings themselves (a region's
+``to_ref_probs``, and ``ref_probs_of_points`` for a postulate) are read only
+where a reference probability vector is wanted: by ``affine_rows`` at build
+time, and by the checked outcome draw.  On the interval every registry row is
+(1, 0) or (0, 1), whose coefficients are (0, 1) and (1, -1): theta and
+1 - theta to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +55,6 @@ from .errors import DimensionMismatchError, RegionError, ValidationError
 from .quantum import (
     BALL_TOL,
     OP_TOL,
-    TETRA_VERTICES,
     ReferenceAction,
     bloch_from_sic_probs,
     conditional_matrix,
@@ -335,18 +337,12 @@ def min_likelihood(post: PhysicalPostulate, R) -> float:
     fill the simplex, whose extreme points are its vertices, so the minimum
     is the smallest entry of R Phi (at the interval endpoints for a coin).
     Quantum states fill the Bloch ball, where outcome j has probability
-    c0 + c . r (``_ball_coefficients``), whose minimum is c0 - |c|.
+    c0 + c . r (``affine_rows``), whose minimum is c0 - |c|.
     """
-    rows = np.asarray(R, dtype=float) @ post.phi
+    rows = likelihood_rows(post, R)
     if not post.is_quantum:
         return float(rows.min())
-    c0, c = _ball_coefficients(rows)
-    return float(np.min(c0 - np.linalg.norm(c, axis=1)))
-
-
-def _ball_coefficients(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # each 4-outcome row's likelihood c0 + c . r on the Bloch ball (tetrahedral embedding)
-    return rows.sum(axis=1) / 4.0, rows @ TETRA_VERTICES / 4.0
+    return min(c0 - math.hypot(*c) for c0, *c in affine_rows(QubitBall(), rows))
 
 
 AXIS_TOL = 1e-9
@@ -360,7 +356,7 @@ def axis_classes(rows) -> tuple:
 
     On the interval r = 2 theta - 1, and a row (p0, p1) gives
     p0 theta + p1 (1 - theta): (0, +1) when p1 = 0 < p0, (0, -1) when
-    p0 = 0 < p1.  On the ball it gives c0 + c . r (``_ball_coefficients``);
+    p0 = 0 < p1.  On the ball it gives c0 + c . r (``affine_rows``);
     quantum Pauli rows have |c| / c0 = 1 - 4e-16, so the ratio is compared
     within ``AXIS_TOL`` and snapped to +-1.  Classical Pauli rows (ratio
     1/3), classical sharp Pauli rows (1/sqrt(3)) and SIC rows give None.
@@ -370,8 +366,8 @@ def axis_classes(rows) -> tuple:
         return tuple((0, 1) if p1 == 0.0 < p0 else (0, -1) if p0 == 0.0 < p1 else None
                      for p0, p1 in rows.tolist())
     out = []
-    for c0, c in zip(*_ball_coefficients(rows)):
-        k = c / c0 if c0 > 0 else np.zeros(3)
+    for c0, *c in affine_rows(QubitBall(), rows):
+        k = np.array(c) / c0 if c0 > 0 else np.zeros(3)
         axis = int(np.argmax(np.abs(k)))
         aligned = np.all(np.abs(np.abs(k) - np.eye(3)[axis]) <= AXIS_TOL)
         out.append((axis, int(np.sign(k[axis]))) if aligned else None)
@@ -379,26 +375,25 @@ def axis_classes(rows) -> tuple:
 
 
 def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
-    """Embed parameter points into reference probability vectors.
+    """Embed parameter points into reference probability vectors by their
+    region's ``to_ref_probs``: scalars with N = 2 become (theta, 1 - theta),
+    Bloch points with N = 4 map through the tetrahedral SIC.  Raises
+    ``DimensionMismatchError`` for points of any other size."""
+    pts, region = _points_and_region(post, points)
+    return region.to_ref_probs(pts)
 
-    The embedding is read off the trailing dimension: N-vectors pass through,
-    scalars with N = 2 become (theta, 1 - theta), Bloch points with N = 4 map
-    through the tetrahedral SIC.  Quantum agents with a non-SIC reference must
-    supply reference probabilities directly.
-    """
+
+def _points_and_region(post: PhysicalPostulate, points) -> tuple:
+    # the points as rows, and the region of their size if its embedding fits
+    # the postulate
     pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:
-        pts = pts.reshape(1, -1)
-    k = pts.shape[-1]
-    n = post.n_outcomes
-    if k == n:
-        return pts
-    if k == 1 and n == 2:
-        return np.concatenate((pts, 1.0 - pts), axis=-1)
-    if k == 3 and n == 4:
-        return sic_probs_from_bloch(pts)
-    raise DimensionMismatchError(
-        f"cannot embed {k}-dimensional points into {n} reference outcomes")
+    pts = pts.reshape(1, -1) if pts.ndim < 2 else pts
+    k, n = pts.shape[-1], post.n_outcomes
+    region = region_with(dim=k)
+    if region is None or region.ref_dim != n:
+        raise DimensionMismatchError(
+            f"cannot embed {k}-dimensional points into {n} reference outcomes")
+    return pts, region()
 
 
 LIKELIHOOD_DUST = 1e-12
@@ -411,59 +406,48 @@ def likelihoods(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Values within ``LIKELIHOOD_DUST`` of zero are snapped to exactly zero:
     cancellation in the quasiprobability form leaves order 1e-16 residue where
     the true likelihood vanishes, and a nominally dead hypothesis must not be
-    resurrected by renormalization.
+    resurrected by renormalization.  No run path calls it: it is the
+    reference form that ``affine_likelihoods`` is tested against.
     """
     values = probs @ rows
     values[np.abs(values) < LIKELIHOOD_DUST] = 0.0
     return np.maximum(values, 0.0)
 
 
-def ball_likelihoods(coeffs, points) -> np.ndarray:
-    """The likelihood ``c0 + c_x x + c_y y + c_z z`` at (n, 3) Bloch points
-    from its ``affine_rows`` coefficients (c0, c_x, c_y, c_z), computed over
-    the point columns and added left to right, so no BLAS kernel rounds it.
-    As in ``likelihoods``, values within ``LIKELIHOOD_DUST`` of zero are
-    snapped to zero and negative ones clipped: both are the values below
-    the dust, set to 0.  Columns of an F-ordered point array (a particle
-    ensemble's) are contiguous."""
-    c0, cx, cy, cz = coeffs
-    x, y, z = np.asarray(points, dtype=float).T
-    values = x * cx
+def affine_likelihoods(coeffs, points) -> np.ndarray:
+    """The likelihood ``c0 + c . r`` at (n, dim) points from its
+    ``affine_rows`` coefficients (c0, c_1, ..., c_dim): ``c_1 r_1 + c0``,
+    then each further column's term, added left to right over the point
+    columns, so no BLAS kernel rounds it.  As in ``likelihoods``, values
+    within ``LIKELIHOOD_DUST`` of zero are snapped to zero and negative ones
+    clipped: both are the values below the dust, set to 0.  Columns of an
+    F-ordered point array (a particle ensemble's) are contiguous."""
+    c0, c1, *rest = coeffs
+    first, *others = np.asarray(points, dtype=float).T
+    values = first * c1
     values += c0
-    term = y * cy
-    values += term
-    np.multiply(z, cz, out=term)
-    values += term
+    term = np.empty_like(values) if others else None
+    for col, c in zip(others, rest):
+        np.multiply(col, c, out=term)
+        values += term
     np.copyto(values, 0.0, where=values < LIKELIHOOD_DUST)
     return values
 
 
-def _is_bloch(post: PhysicalPostulate, pts: np.ndarray) -> bool:
-    return pts.shape[-1] == 3 and post.n_outcomes == 4
-
-
 def likelihood_values(post: PhysicalPostulate, R, j: int, points) -> np.ndarray:
-    """Vectorized p(j | theta) over parameter points: for Bloch points the
-    agents' kernel, ``ball_likelihoods`` of the ``affine_rows``
-    coefficients, else ``likelihoods`` of the embedded points."""
-    pts = np.asarray(points, dtype=float)
-    pts = pts.reshape(1, -1) if pts.ndim < 2 else pts
-    rows = likelihood_rows(post, R)
-    if _is_bloch(post, pts):
-        return ball_likelihoods(affine_rows(QubitBall(), rows)[j], pts)
-    return likelihoods(ref_probs_of_points(post, pts), rows[j])
+    """Vectorized p(j | theta) over parameter points, scalars on the
+    interval or Bloch points: ``affine_likelihoods`` of the outcome's
+    ``affine_rows`` coefficients, the agents' kernel."""
+    pts, region = _points_and_region(post, points)
+    return affine_likelihoods(affine_rows(region, likelihood_rows(post, R))[j], pts)
 
 
 def likelihood_matrix(post: PhysicalPostulate, R, points) -> np.ndarray:
     """All outcome likelihoods at once: (n_points, n_outcomes(R)), each
     column that of ``likelihood_values``."""
-    pts = np.asarray(points, dtype=float)
-    pts = pts.reshape(1, -1) if pts.ndim < 2 else pts
-    rows = likelihood_rows(post, R)
-    if _is_bloch(post, pts):
-        return np.stack([ball_likelihoods(c, pts) for c in affine_rows(QubitBall(), rows)],
-                        axis=1)
-    return likelihoods(ref_probs_of_points(post, pts), rows.T)
+    pts, region = _points_and_region(post, points)
+    return np.stack([affine_likelihoods(c, pts)
+                     for c in affine_rows(region, likelihood_rows(post, R))], axis=1)
 
 
 def ensemble_compatible(post: PhysicalPostulate, region) -> bool:

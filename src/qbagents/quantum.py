@@ -15,8 +15,11 @@ A run's metrics do not build operators: the trace distance of two qubit
 operators (I + r.sigma)/2 and (I + s.sigma)/2 of unit trace is |r - s|/2,
 positive or not (Nielsen and Chuang, section 9.2.1), so the run path reads
 Bloch vectors, the frequency operator's through ``frequency_vector``.
-``trace_distance``, ``bloch_to_density``, ``frequency_operator`` and
-``sic_probs_from_bloch`` stay for the API and the tests.
+``trace_distance``, ``bloch_to_density`` and ``frequency_operator`` stay for
+the API and the tests.  ``sic_probs_from_bloch`` is the Bloch ball's
+embedding: it is read when an agent is built, at the points that fix its
+affine likelihood coefficients (``postulate.affine_rows``), and by the
+checked outcome draw, never at the particles.
 """
 
 from __future__ import annotations

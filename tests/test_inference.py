@@ -18,7 +18,9 @@ from qbagents.inference import (
 from qbagents.postulate import (
     Interval,
     QubitBall,
+    affine_rows,
     classical_postulate,
+    likelihood_rows,
     likelihood_values,
     quantum_postulate,
 )
@@ -187,12 +189,14 @@ class TestEvidence:
             observe(agent, ax, j)
         assert list(agent.counts.items()) == [((2, 1), 2), ((0, 0), 2), ((2, 0), 1)]
         assert agent.evidence.counts is agent.counts
-        # R[j] @ Phi with each entry added left to right
+        # R[j] @ Phi with each entry added left to right, and the kernel the
+        # agent's likelihoods are computed from, those rows on the ball
         phi = QUANTUM.phi.tolist()
-        assert [agent.evidence.rows[a].tolist()
-                == [[0.0 + r[0] * phi[0][k] + r[1] * phi[1][k] + r[2] * phi[2][k]
+        for a, ax in enumerate("XYZ"):
+            rows = [[0.0 + r[0] * phi[0][k] + r[1] * phi[1][k] + r[2] * phi[2][k]
                      + r[3] * phi[3][k] for k in range(4)] for r in PAULI[ax].tolist()]
-                for a, ax in enumerate("XYZ")] == [True] * 3
+            assert likelihood_rows(QUANTUM, PAULI[ax]).tolist() == rows
+            assert agent.evidence.kernel[a] == affine_rows(QubitBall(), rows)
 
     def test_log_density_matches_per_observation_sum(self):
         # reference: the sum over observed cells of count * log(likelihood),

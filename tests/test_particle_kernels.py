@@ -4,7 +4,7 @@
 over rows, and ``sic_probs_from_bloch`` those of its affine expression.  The
 moments of ``posterior_summary`` are fixed-order sums over the F-ordered
 point columns, pinned here bit for bit, and its eigenvalues lie within 1e-15
-of the trace of 50-digit values.  The likelihood ``ball_likelihoods`` adds
+of the trace of 50-digit values.  The likelihood ``affine_likelihoods`` adds
 its affine terms left to right, within 4 ulp of the SIC route it replaced
 and exactly zero where that route is.
 """
@@ -20,7 +20,7 @@ from qbagents.postulate import (
     LIKELIHOOD_DUST,
     QubitBall,
     affine_rows,
-    ball_likelihoods,
+    affine_likelihoods,
     classical_postulate,
     likelihood_rows,
     likelihoods,
@@ -187,11 +187,11 @@ def _zero_sets():
 
 
 @pytest.mark.parametrize("post,menu", BALL_MENUS, ids=lambda v: getattr(v, "kind", v))
-def test_ball_likelihoods_match_the_sic_route(post, menu):
+def test_affine_likelihoods_match_the_sic_route(post, menu):
     pts = np.vstack([bloch_points(np.random.default_rng(17), finite_only=True), _zero_sets()])
     probs = sic_probs_from_bloch(pts)
     for row, coeffs in _rows(post, menu):
-        got = ball_likelihoods(coeffs, np.asfortranarray(pts))
+        got = affine_likelihoods(coeffs, np.asfortranarray(pts))
         reference = likelihoods(probs, row)
         assert np.max(np.abs(got - reference)) <= 4 * ULP
         assert np.array_equal(got == 0.0, reference == 0.0)
@@ -203,7 +203,7 @@ def test_sharp_likelihoods_are_exactly_zero_on_their_zero_sets():
     zero, dust, above = slice(0, 10), slice(10, 20), slice(20, 30)
     post = quantum_postulate()
     for menu in ("paulis", "sic_reference"):
-        values = np.array([ball_likelihoods(c, pts) for _row, c in _rows(post, menu)])
+        values = np.array([affine_likelihoods(c, pts) for _row, c in _rows(post, menu)])
         # each row vanishes at one point of its zero set, and within the dust
         # of it; 8e-12 inside, it is above the dust
         assert np.array_equal((values[:, zero] == 0.0).sum(axis=1), np.ones(len(values)))
@@ -212,14 +212,14 @@ def test_sharp_likelihoods_are_exactly_zero_on_their_zero_sets():
         assert np.all(near > LIKELIHOOD_DUST) and np.all(near < 1e-11)
 
 
-def test_ball_likelihoods_add_left_to_right():
+def test_affine_likelihoods_add_left_to_right():
     pts = np.asfortranarray(bloch_points(np.random.default_rng(18), finite_only=True))
     x, y, z = pts.T
     for post, menu in BALL_MENUS:
         for _row, (c0, cx, cy, cz) in _rows(post, menu):
             reference = ((c0 + cx * x) + cy * y) + cz * z
             reference[reference < LIKELIHOOD_DUST] = 0.0
-            assert np.array_equal(bits(ball_likelihoods((c0, cx, cy, cz), pts)), bits(reference))
+            assert np.array_equal(bits(affine_likelihoods((c0, cx, cy, cz), pts)), bits(reference))
 
 
 @pytest.mark.parametrize("shape", [(N, 3), (3,), (7, 2, 3)])

@@ -6,25 +6,30 @@ from operator import add, mul
 import numpy as np
 import pytest
 
-from qbagents.errors import RegionError, ValidationError
-from qbagents.inference import delta_ensemble
+from qbagents.errors import DimensionMismatchError, RegionError, ValidationError
+from qbagents.inference import delta_ensemble, grid_ensemble
 from qbagents.interaction import source_rules
 from qbagents.postulate import (
     LIKELIHOOD_DUST,
     Interval,
     PhysicalPostulate,
     QubitBall,
+    affine_likelihoods,
+    affine_rows,
     apply_postulate,
     axis_classes,
     classical_postulate,
     ensemble_compatible,
     is_valid_state,
     likelihood_matrix,
+    likelihood_rows,
     likelihood_values,
+    likelihoods,
     min_likelihood,
     outcome_probs,
     phi_matrix,
     quantum_postulate,
+    ref_probs_of_points,
     region_with,
     sqrt_phi,
     where_outside,
@@ -192,10 +197,70 @@ class TestOutcomeProbs:
             assert repr(outcome_probs(rows, p)) == repr(reference)
 
 
+def _interval_points(kind):
+    """(n, 1) points of the interval: the 10,001-point prior grid, the atoms
+    {0, 1}, or random points."""
+    if kind == "grid":
+        return grid_ensemble(Interval(), 10_001).points
+    if kind == "atoms":
+        return np.array([[0.0], [1.0]])
+    return np.random.default_rng(6).random((10_000, 1))
+
+
+INTERVAL_POINTS = ["grid", "atoms", "random"]
+
+
 class TestLikelihood:
-    def test_classical_bernoulli(self):
-        assert likelihood_values(CLASSICAL2, np.eye(2), 0, 0.3)[0] == pytest.approx(0.3)
-        assert likelihood_values(CLASSICAL2, np.eye(2), 1, 0.3)[0] == pytest.approx(0.7)
+    @pytest.mark.parametrize("theta", [0.3, 0.0, 1.0, 0.1 + 0.2])
+    def test_classical_bernoulli(self, theta):
+        assert likelihood_values(CLASSICAL2, np.eye(2), 0, theta)[0] == theta
+        assert likelihood_values(CLASSICAL2, np.eye(2), 1, theta)[0] == 1.0 - theta
+        assert (likelihood_matrix(CLASSICAL2, np.eye(2), theta).tolist()
+                == [[theta, 1.0 - theta]])
+
+    @pytest.mark.parametrize("kind", INTERVAL_POINTS)
+    @pytest.mark.parametrize("row", [[1.0, 0.0], [0.0, 1.0]],
+                             ids=["theta", "one_minus_theta"])
+    def test_interval_kernel_is_the_embedded_product_to_the_bit(self, row, kind):
+        # the registry's coin rows: theta and 1 - theta
+        pts = _interval_points(kind)
+        (coeffs,) = affine_rows(Interval(), [row])
+        got = affine_likelihoods(coeffs, pts)
+        reference = likelihoods(Interval().to_ref_probs(pts), np.array(row))
+        assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", INTERVAL_POINTS)
+    def test_interval_kernel_matches_the_embedded_product(self, kind):
+        pts = _interval_points(kind)
+        probs = Interval().to_ref_probs(pts)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            top = rng.random(2)
+            rows = likelihood_rows(CLASSICAL2, [top, 1.0 - top])  # column stochastic
+            got = likelihood_matrix(CLASSICAL2, rows, pts)
+            for j, coeffs in enumerate(affine_rows(Interval(), rows)):
+                reference = likelihoods(probs, rows[j])
+                assert np.max(np.abs(affine_likelihoods(coeffs, pts) - reference)) <= 1e-15
+                assert np.array_equal(got[:, j], affine_likelihoods(coeffs, pts))
+
+    @pytest.mark.parametrize("post,points", [
+        (CLASSICAL2, [[0.3, 0.7]]),  # a reference vector, N = 2
+        (CLASSICAL2, [0.3, 0.7]),
+        (QUANTUM, [[0.25, 0.25, 0.25, 0.25]]),  # a reference vector, N = 4
+        (classical_postulate(4), PLUS_PROBS),
+        (CLASSICAL2, [[0.0, 0.0, 1.0]]),  # a Bloch point, N = 2
+        (QUANTUM, [[0.5]]),  # a scalar, N = 4
+    ], ids=["ref2", "ref2_flat", "ref4", "ref4_classical", "bloch_n2", "scalar_n4"])
+    @pytest.mark.parametrize("call", ["values", "matrix", "ref_probs"])
+    def test_points_of_another_size_are_refused(self, post, points, call):
+        matrix = np.full((2, post.n_outcomes), 0.5)
+        with pytest.raises(DimensionMismatchError):
+            if call == "values":
+                likelihood_values(post, matrix, 0, points)
+            elif call == "matrix":
+                likelihood_matrix(post, matrix, points)
+            else:
+                ref_probs_of_points(post, points)
 
     def test_quantum_eigenstate(self):
         assert likelihood_values(QUANTUM, R_X, 0, [1.0, 0.0, 0.0])[0] == pytest.approx(1.0, abs=1e-12)
