@@ -9,7 +9,13 @@ reweighted by the other's mean:
 For a Beta(a, b) prior this is the two-component mixture
 m_B * Beta(a+1, b) + (1 - m_B) * Beta(a, b+1), and for agents that started
 from uniform priors and exchanged N coins (A saw k heads, B saw l), the
-current priors are Beta(k+1, N-k+1) and Beta(l+1, N-l+1).
+current priors are Beta(k+1, N-k+1) and Beta(l+1, N-l+1).  A simulated
+agent's belief is a count belief P (``inference.BetaMixture``), and
+theta P / m_A and (1 - theta) P / (1 - m_A) are P with one more head and one
+more tail, so its expected posterior is the same mixture of those two
+beliefs.  Every mean is then a closed form (``BetaMixture.mean``), and
+``core_math.kolmogorov_distance`` takes the exact sup between any two count
+beliefs or Beta laws; no grid is read.
 
 Two contraction statements are realized numerically here:
 
@@ -61,13 +67,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core_math
-from .core_math import (
-    BetaParams,
-    beta_mean,
-    grid_belief,
-)
+from .core_math import BetaParams, beta_mean
 from .errors import ValidationError
-from .inference import ParticleEnsemble
+from .inference import BetaMixture
 
 CLAIM_TOL = 1e-12  # slack on the mean-contraction and chi margins
 BETA_PAIR_BLOCK = 4096  # random Beta pairs drawn and checked per array pass
@@ -82,17 +84,14 @@ class _BetaArrays(NamedTuple):
 
 @dataclass(frozen=True)
 class ExpectedPosterior:
-    """Expected density after one exchange: a Beta mixture or a reweighted grid belief."""
+    """Expected density after one exchange: the two-component mixture
+    m_B P(a+1, b) + (1 - m_B) P(a, b+1) of a Beta law or count belief P."""
 
-    kind: str
-    mixture_weights: tuple[float, float] | None = None
-    components: tuple[BetaParams, BetaParams] | None = None
-    density: ParticleEnsemble | None = None
+    mixture_weights: tuple[float, float]
+    components: tuple
 
     def mean(self) -> float:
-        if self.kind == "beta_mixture":
-            return _mixture_mean(self.mixture_weights, self.components)
-        return _mean_of(self.density)
+        return _mixture_mean(self.mixture_weights, self.components)
 
 
 def _mixture_components(prior):
@@ -102,9 +101,9 @@ def _mixture_components(prior):
 
 
 def _mixture_mean(weights, components):
-    """Mean of a two-component Beta mixture; elementwise for ``_BetaArrays``."""
+    """Mean of a two-component mixture; elementwise for ``_BetaArrays``."""
     (w1, w2), (c1, c2) = weights, components
-    return w1 * beta_mean(c1) + w2 * beta_mean(c2)
+    return w1 * _mean_of(c1) + w2 * _mean_of(c2)
 
 
 def _gaps(mean_a, mean_b, after):
@@ -112,34 +111,32 @@ def _gaps(mean_a, mean_b, after):
     return abs(mean_b - mean_a), abs(mean_b - after)
 
 
-def _mean_of(prior) -> float:
-    """A Beta law's mean, or a 1-D grid belief's grid sum (thread-independent ``einsum``)."""
-    if isinstance(prior, BetaParams):
+def _mean_of(prior):
+    """A Beta law's mean (elementwise for ``_BetaArrays``), or a count
+    belief's closed-form mean (``BetaMixture.mean``)."""
+    if isinstance(prior, BetaMixture):
+        return prior.mean()
+    if isinstance(prior, (BetaParams, _BetaArrays)):
         return beta_mean(prior)
-    theta, weights = grid_belief(prior)
-    return float(np.einsum("i,i->", weights, theta))
+    raise ValidationError(f"unsupported operand {type(prior).__name__}")
 
 
 def expected_posterior(prior_a, mean_b: float) -> ExpectedPosterior:
-    """Expected density for agent A, a ``BetaParams`` or a 1-D grid belief,
-    after one exchange with an agent of mean bias estimate ``mean_b``."""
+    """Expected density for agent A, a ``BetaParams`` or a count belief, after
+    one exchange with an agent of mean bias estimate ``mean_b``.
+
+    theta P / m_A is the belief with one more head, and (1 - theta) P / (1 - m_A)
+    the one with one more tail, so the reweighted prior is their mixture with
+    weights m_B and 1 - m_B.
+    """
     if not (0.0 < mean_b < 1.0):
         raise ValidationError(f"other agent's mean must be interior, got {mean_b}")
     mean_a = _mean_of(prior_a)
     if not (0.0 < mean_a < 1.0):
         raise ValidationError(f"prior mean must be interior, got {mean_a}")
-    if isinstance(prior_a, BetaParams):
-        return ExpectedPosterior("beta_mixture",
-                                 mixture_weights=(mean_b, 1.0 - mean_b),
-                                 components=_mixture_components(prior_a))
-    theta = prior_a.points[:, 0]
-    factor = (mean_b / mean_a) * theta + ((1.0 - mean_b) / (1.0 - mean_a)) * (1.0 - theta)
-    weights = prior_a.weights * factor
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"expected posterior integrates to {total!r}")
-    return ExpectedPosterior("grid", density=ParticleEnsemble(
-        prior_a.points, weights / total, prior_a.region, grid=True))
+    components = ((prior_a.observed((0, 1)), prior_a.observed((0, -1)))
+                  if isinstance(prior_a, BetaMixture) else _mixture_components(prior_a))
+    return ExpectedPosterior((mean_b, 1.0 - mean_b), components)
 
 
 def mean_contraction_gap(prior_a, prior_b) -> tuple[float, float]:

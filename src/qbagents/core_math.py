@@ -10,9 +10,11 @@ Conventions
 * A conditional probability matrix ``R`` has shape ``(m, n)`` with semantics
   ``R[j, i] = Pr(outcome j | reference outcome i)``, so every *column* is a
   probability vector.
-* Densities on the unit interval are either analytic (``BetaParams``) or the
-  agents' 1-D grid beliefs (``grid_belief``).  The default grid has 10,001
-  uniform points, enough to resolve posterior features at the 1e-3 scale cheaply.
+* Densities on the unit interval are Beta laws (``BetaParams``) or the
+  agents' count beliefs (``inference.BetaMixture``), both read as Beta pieces
+  on sub-intervals, so the Kolmogorov distance between any two is an exact
+  sup (``kolmogorov_distance``).  A count belief's grid, 10,001 uniform points
+  by default, serves its ESS and curve files only.
 * A Beta law truncated to [lo, hi] has closed-form mass, mean and variance
   (``beta_piece``, ``beta_piece_var``) from incomplete Beta values, and in its
   tails from their continued fraction and series, without cancellation.
@@ -31,6 +33,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import add, mul
@@ -417,67 +420,103 @@ def _tail_moments(a: float, b: float, x: float) -> tuple[float, float]:
     return x * ev, x * x * (ev2 - ev * ev)
 
 
-def grid_belief(belief) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) of a 1-D grid belief (``grid`` true, ``dim`` 1) on strictly
-    increasing points: a grid ``inference.ParticleEnsemble`` or a ``BetaMixture``."""
-    if not (getattr(belief, "grid", False) and getattr(belief, "dim", None) == 1):
-        raise ValidationError(f"unsupported operand {type(belief).__name__}")
-    if np.any(np.diff(belief.points[:, 0]) <= 0.0):
-        raise ValidationError("grid points must be strictly increasing")
-    return belief.points[:, 0], belief.weights
+def _normalized_pieces(operand) -> list[tuple]:
+    """A density on [0, 1] as Beta pieces (log weight, alpha, beta, lo, hi,
+    mass): exp(log weight) theta^(alpha-1) (1-theta)^(beta-1) on each
+    [lo, hi], which holds that mass of the whole, one.
+
+    A count belief (``inference.BetaMixture``), read through its ``pieces``
+    and ``counts`` (a, b), is its prior pieces times theta^a (1-theta)^b, and
+    a ``BetaParams`` one piece on [0, 1] with no counts.  A piece's mass is
+    its share of the pieces' total (``beta_piece``), and its log weight is
+    less the log of that total, which for a ``BetaParams`` is log B(alpha, beta).
+    """
+    if isinstance(operand, BetaParams):  # floats, which the scalar betaln takes
+        prior, (a, b) = [(0.0, float(operand.alpha), float(operand.beta), 0.0, 1.0)], (0, 0)
+    elif hasattr(operand, "pieces"):
+        prior, (a, b) = operand.pieces, operand.counts
+    else:
+        raise ValidationError(f"unsupported operand {type(operand).__name__}")
+    pieces = [(log_c, alpha + a, beta + b, lo, hi) for log_c, alpha, beta, lo, hi in prior]
+    logs = [log_c + beta_piece(*rest)[0] for log_c, *rest in pieces]
+    top = max(logs)  # exp(0) = 1 for the largest, so a lone piece's mass is 1
+    shares = [math.exp(x - top) for x in logs]
+    total = math.fsum(shares)
+    return [(log_c - top - math.log(total), *rest, share / total)
+            for (log_c, *rest), share in zip(pieces, shares)]
+
+
+def _cdf(pieces: list[tuple], x: float) -> float:
+    """The CDF at x of ``_normalized_pieces``: each piece's mass times its
+    share below x (``_share``)."""
+    return math.fsum(mass * _share(alpha, beta, lo, hi, min(x, hi))
+                     for _w, alpha, beta, lo, hi, mass in pieces if lo < x)
+
+
+def _share(alpha: float, beta: float, lo: float, hi: float, x: float) -> float:
+    """The share of theta^(alpha-1) (1-theta)^(beta-1) on [lo, hi] below x
+    in (lo, hi], as a ratio of incomplete Beta differences
+    (``_inc_difference``), each taken from the side where it is small; 1 at
+    hi, where the two are one.  A log mass of ``beta_piece`` holds
+    log B(alpha, beta), about -683 at 1,000 counts, so it rounds by up to
+    6e-14; only a piece so deep in a tail that its whole difference
+    underflows takes the ratio of those masses, and 0 where the part's rounds
+    to zero or below."""
+    part, whole = (_inc_difference((alpha,), beta, lo, y)[0] for y in (x, hi))
+    if whole > 1e-300:  # a normal float, with its full precision
+        return part / whole
+    try:
+        return math.exp(beta_piece(alpha, beta, lo, x)[0] - beta_piece(alpha, beta, lo, hi)[0])
+    except ValueError:  # math.log of a part <= 0
+        return 0.0
 
 
 def kolmogorov_distance(a, b) -> float:
-    """Supremum distance between the CDFs of two densities on [0, 1].
+    """Supremum distance between the CDFs of two densities on [0, 1], each a
+    ``BetaParams`` or a count belief (``inference.BetaMixture``); any other
+    operand raises ``ValidationError``.
 
-    For two ``BetaParams`` it is the exact sup, taken at the points where the
-    densities cross (``_beta_crossings``); the operands are put in a fixed
-    order first, so the distance is exactly symmetric.  A 1-D grid belief's
-    CDF is its cumulative weights, and the supremum is taken over its grid
-    points only, adequate at that resolution and free of root-finding.  Two
-    grid beliefs must share a grid.
+    The exact sup.  Each operand is a set of contiguous Beta pieces
+    (``_normalized_pieces``), put in a fixed order first, so the distance is
+    exactly symmetric.  Where a piece of one overlaps a piece of the other,
+    the CDF difference moves with the difference of their densities, so it
+    can turn only where they cross (``_beta_crossings``); elsewhere it moves
+    with one density, or none, and it can turn at a piece edge, where a
+    density jumps.  The sup is the largest CDF gap over the interior edges
+    and the crossings, each CDF a sum over the pieces (``_cdf``).
     """
-    if isinstance(a, BetaParams) and isinstance(b, BetaParams):
-        a, b = sorted((a, b), key=lambda p: (p.alpha, p.beta))
-        x = _beta_crossings(a, b)
-        return float(np.max(np.abs(special.betainc(a.alpha, a.beta, x)
-                                   - special.betainc(b.alpha, b.beta, x))))
-    if isinstance(a, BetaParams):
-        a, b = b, a
-    theta, weights = grid_belief(a)
-    if isinstance(b, BetaParams):
-        other = special.betainc(b.alpha, b.beta, theta)
-    else:
-        theta_b, weights_b = grid_belief(b)
-        if not np.array_equal(theta, theta_b):
-            raise ValidationError("kolmogorov_distance: mismatched grids")
-        other = np.cumsum(weights_b)
-    return float(np.max(np.abs(np.cumsum(weights) - other)))
+    a, b = sorted((_normalized_pieces(a), _normalized_pieces(b)))
+    points = [edge for piece in a + b for edge in piece[3:5] if 0.0 < edge < 1.0]
+    for piece_a, piece_b in itertools.product(a, b):
+        lo, hi = max(piece_a[3], piece_b[3]), min(piece_a[4], piece_b[4])
+        if lo < hi:
+            points += _beta_crossings(piece_a, piece_b, lo, hi).tolist()
+    return max(abs(_cdf(a, x) - _cdf(b, x)) for x in points)
 
 
 CROSSING_STEPS = 48  # halve the 1,490-wide bracket in s to below 1e-11
 
 
-def _beta_crossings(a: BetaParams, b: BetaParams) -> np.ndarray:
-    """The points of (0, 1) where the densities of ``a`` and ``b`` cross, and
-    the turning point between them when there is one.
+def _beta_crossings(a: tuple, b: tuple, lo: float, hi: float) -> np.ndarray:
+    """The points of (lo, hi) where the densities of Beta pieces ``a`` and
+    ``b`` ((log weight, alpha, beta, ...) of ``_normalized_pieces``) cross,
+    and the turning point between them when there is one.
 
-    The densities are equal where phi = p log x + q log(1-x) equals
-    c = log B(a) - log B(b), with p and q the differences of the shapes.  In
-    s = log(x / (1-x)), phi is monotone when p q <= 0, and otherwise rises to
-    one peak (or falls to one trough) at s = log(p / q).  So each monotone
-    piece holds at most one crossing, found by bisection on |s| <= 745; past
-    that, x or 1 - x is below the smallest float.  The CDF difference vanishes
-    at both ends, so its sup lies at one of these points.
+    The densities are equal where phi = p log x + q log(1-x) equals c, the
+    log weight of ``b`` less that of ``a``, with p and q the differences of
+    the shapes.  In s = log(x / (1-x)), phi is monotone when p q <= 0, and
+    otherwise rises to one peak (or falls to one trough) at s = log(p / q).
+    So each monotone piece of (lo, hi) holds at most one crossing, found by
+    bisection in s, with |s| <= 745 at the edges 0 and 1; past that, x or
+    1 - x is below the smallest float.
     """
-    p, q = a.alpha - b.alpha, a.beta - b.beta
-    c = special.betaln(a.alpha, a.beta) - special.betaln(b.alpha, b.beta)
+    p, q, c = a[1] - b[1], a[2] - b[2], b[0] - a[0]
 
     def excess(s):
         return -p * np.logaddexp(0.0, -s) - q * np.logaddexp(0.0, s) - c
 
-    edges = [-745.0, 745.0]
-    if p * q > 0.0:
+    edges = np.clip(special.logit([lo, hi]), -745.0, 745.0).tolist()
+    if p * q > 0.0 and edges[0] < math.log(p / q) < edges[1]:
         edges.insert(1, math.log(p / q))
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     rises = excess(lo) < excess(hi)

@@ -23,7 +23,10 @@ to test membership, how to sample uniformly, and how to embed parameter
 points into reference probability vectors:
 
 * ``Interval(lo, hi)``: theta in [lo, hi], embedded as (theta, 1 - theta).
-* ``QubitBall()``: Bloch points, embedded as tetrahedral SIC probabilities.
+* ``QubitBall()``: Bloch points, embedded as tetrahedral SIC probabilities,
+  so a quantum postulate whose reference action is not the built-in SIC
+  (``sic_d2()``) has no region: ``ensemble_compatible`` is false, and
+  ``min_likelihood`` and the point embeddings raise ``ValidationError``.
 
 So likelihoods are affine in the centred coordinates r (2 theta - 1, or the
 Bloch vector); ``axis_classes`` marks the exact updates, c0 (1 +- r_a).
@@ -342,6 +345,7 @@ def min_likelihood(post: PhysicalPostulate, R) -> float:
     rows = likelihood_rows(post, R)
     if not post.is_quantum:
         return float(rows.min())
+    _check_sic(post)
     return min(c0 - math.hypot(*c) for c0, *c in affine_rows(QubitBall(), rows))
 
 
@@ -386,6 +390,7 @@ def ref_probs_of_points(post: PhysicalPostulate, points) -> np.ndarray:
 def _points_and_region(post: PhysicalPostulate, points) -> tuple:
     # the points as rows, and the region of their size if its embedding fits
     # the postulate
+    _check_sic(post)
     pts = np.asarray(points, dtype=float)
     pts = pts.reshape(1, -1) if pts.ndim < 2 else pts
     k, n = pts.shape[-1], post.n_outcomes
@@ -451,5 +456,16 @@ def likelihood_matrix(post: PhysicalPostulate, R, points) -> np.ndarray:
 
 
 def ensemble_compatible(post: PhysicalPostulate, region) -> bool:
-    """Whether beliefs over the region are valid states for the postulate."""
-    return region.ref_dim == post.n_outcomes
+    """Whether beliefs over the region are valid states for the postulate:
+    the region's embedding must give the postulate's reference probabilities,
+    which for a quantum postulate holds only with the built-in qubit SIC
+    reference (``sic_d2()``), through which ``QubitBall.to_ref_probs`` embeds
+    every Bloch point."""
+    return region.ref_dim == post.n_outcomes and (not post.is_quantum or post.ref is sic_d2())
+
+
+def _check_sic(post: PhysicalPostulate):
+    """Raise ``ValidationError`` for a quantum postulate whose reference
+    action is not the qubit SIC, the one the Bloch ball embeds through."""
+    if post.is_quantum and post.ref is not sic_d2():
+        raise ValidationError("Bloch points embed through the qubit SIC, not this reference")

@@ -1,7 +1,8 @@
 """Deterministic derivation of independent random streams from one master seed.
 
 Every consumer of randomness in a run gets its own named stream (for an agent:
-choice, outcome, resample, broadcast, init).  Streams are backed by the
+init, which builds its prior, and the run loop's choice, outcome, resample and
+broadcast).  Streams are backed by the
 counter-based Philox generator, so distinct names give statistically
 independent sequences and the same (seed, name path) always reproduces the
 same stream.  This isolation is what makes a pair interaction with a delta
@@ -39,8 +40,9 @@ def stream(master_seed: int, *path) -> np.random.Generator:
 
 
 def agent_streams(master_seed: int, slot: int) -> dict[str, np.random.Generator]:
-    """All named streams owned by the agent in the given slot."""
-    names = ("init", "choice", "outcome", "resample", "broadcast")
+    """The named streams the run loop draws from for the agent in the given
+    slot; its prior's ``init`` stream is the build's (``build_runtime``)."""
+    names = ("choice", "outcome", "resample", "broadcast")
     return {name: stream(master_seed, "agent", slot, name) for name in names}
 
 

@@ -8,7 +8,7 @@ with the variables of ``env`` set (a value of None unsets one), before numpy
 loads, and returns the golden digests (``test_golden.golden_record`` and
 ``batch_digest``) of the named (scenario, seed) cases and batch cases, keyed
 as in ``golden_digests.json``, plus with ``gap`` the digest of
-``mean_contraction_gap`` over 625 pairs of 10,001-point Beta grids, and with
+``mean_contraction_gap`` over 625 pairs of count beliefs, and with
 ``law`` the ``test_exact_refresh.law_report`` of the named count vectors and
 the SIMD targets numpy dispatches to (``simd``, target: enabled).
 """
@@ -21,11 +21,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-GAP_SHAPES = (0.5, 1.0, 2.5, 7.0, 40.0)  # Beta(alpha, beta) grids, 25 beliefs, 625 pairs
+GAP_SHAPES = (0.5, 1.0, 2.5, 7.0, 40.0)  # Beta(alpha, beta) count beliefs, 25, 625 pairs
 
 CHILD = f"""
 import hashlib, json, os, sys, tempfile
-from functools import partial
 sys.path.insert(0, {HERE!r})
 from test_golden import _batch_key, _key, batch_digest, golden_record
 spec = json.loads(sys.argv[1])
@@ -37,13 +36,12 @@ with tempfile.TemporaryDirectory() as tmp:
         out[_batch_key(case)] = batch_digest(case, os.path.join(tmp, "batch"))
 if spec["gap"]:
     from qbagents.agreement import mean_contraction_gap
-    from qbagents.core_math import DEFAULT_GRID_POINTS, BetaParams, beta_pdf
-    from qbagents.inference import grid_ensemble
+    from qbagents.inference import BetaMixture, grid_ensemble
     from qbagents.postulate import Interval
-    grids = [grid_ensemble(Interval(), DEFAULT_GRID_POINTS,
-                           pdf=partial(beta_pdf, p=BetaParams(a, b)))
-             for a in {GAP_SHAPES!r} for b in {GAP_SHAPES!r}]
-    gaps = [mean_contraction_gap(a, b) for a in grids for b in grids]
+    prior = grid_ensemble(Interval(), 101)
+    beliefs = [BetaMixture(prior, ((0.0, a, b, 0.0, 1.0),))
+               for a in {GAP_SHAPES!r} for b in {GAP_SHAPES!r}]
+    gaps = [mean_contraction_gap(a, b) for a in beliefs for b in beliefs]
     out["mean_contraction_gap"] = hashlib.sha256(repr(gaps).encode()).hexdigest()
 if spec["law"]:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__

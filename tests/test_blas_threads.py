@@ -1,9 +1,9 @@
 """Emitted bytes do not depend on the BLAS thread count.
 
-The 1-D reductions (grid and delta-mixture means and variances, and the
-agreement analysis's grid means) are plain ``einsum`` sums, so a run of a
-scenario with a 1-D agent, a batch of the grid pair, and
-``mean_contraction_gap`` of grid beliefs give the same bytes with one BLAS
+The 1-D reductions (grid and delta-mixture means and variances) are plain
+``einsum`` sums, and count beliefs take their means in closed form, so a run
+of a scenario with a 1-D agent, a batch of the grid pair, and
+``mean_contraction_gap`` of count beliefs give the same bytes with one BLAS
 thread as with two.  So do the particle agents, whose sums no BLAS call
 takes: ``qubit_tomography`` (record-all), ``quantum_pair_biasedZ`` (exact
 refresh, utility table), ``quinn_clara_sharp`` (resample-move) and the two

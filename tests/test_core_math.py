@@ -7,7 +7,6 @@ from scipy import special
 
 from qbagents import core_math
 from qbagents.core_math import (
-    DEFAULT_GRID_POINTS,
     BetaParams,
     as_cond_prob_matrix,
     as_prob_vector,
@@ -17,8 +16,6 @@ from qbagents.core_math import (
     regularized_incomplete_beta,
 )
 from qbagents.errors import ValidationError
-from qbagents.inference import grid_ensemble
-from qbagents.postulate import Interval
 
 
 class TestProbVector:
@@ -250,19 +247,6 @@ class TestKolmogorov:
         assert oracle == pytest.approx(0.5, abs=1e-9)
         d = kolmogorov_distance(BetaParams(2, 1), BetaParams(1, 2))
         assert d == pytest.approx(0.5, abs=1e-12)
-
-    def test_grid_uniform_vs_flat_beta(self):
-        d = kolmogorov_distance(grid_ensemble(Interval(), DEFAULT_GRID_POINTS),
-                                BetaParams(1, 1))
-        assert d < 2e-4
-
-    def test_mismatched_grids_error(self):
-        # same size, different points: grids of different sizes are in
-        # test_agreement.py::TestGridBeliefs
-        a = grid_ensemble(Interval(), 101)
-        b = grid_ensemble(Interval(0.0, 0.5), 101)
-        with pytest.raises(ValidationError, match="mismatched grids"):
-            kolmogorov_distance(a, b)
 
     def test_symmetry_exact(self):
         a, b = BetaParams(3.3, 1.2), BetaParams(0.8, 4.0)

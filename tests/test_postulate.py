@@ -35,6 +35,7 @@ from qbagents.postulate import (
     where_outside,
 )
 from qbagents.quantum import (
+    ReferenceAction,
     bloch_to_density,
     born_probabilities,
     conditional_matrix,
@@ -395,3 +396,37 @@ class TestRegions:
         assert ensemble_compatible(CLASSICAL2, Interval())
         assert not ensemble_compatible(CLASSICAL2, QubitBall())
         assert ensemble_compatible(classical_postulate(4), QubitBall())
+
+
+def generic_reference_postulate():
+    """The quantum postulate of a random informationally complete reference,
+    as in ``test_born_equivalence_for_generic_reference``."""
+    effects = random_povm(np.random.default_rng(3), 2, 4)
+    states = tuple(np.asarray(e) / np.trace(e).real for e in effects)
+    return quantum_postulate(ReferenceAction(effects, states))
+
+
+class TestNonSicReference:
+    """The Bloch ball embeds a state through the qubit SIC, so it is no region
+    for a quantum postulate with another reference action: with this one,
+    the embedding gave the Pauli Z outcome 0.842 at r = (0, 0, 1), where the
+    Born rule gives 1, and a least probability of -0.98 for Pauli Z."""
+
+    def test_ball_incompatible(self):
+        post = generic_reference_postulate()
+        assert not ensemble_compatible(post, QubitBall())
+        assert not ensemble_compatible(post, Interval())
+
+    def test_points_not_embedded(self):
+        post = generic_reference_postulate()
+        rz = conditional_matrix(pauli_povm("Z"), post.ref)
+        for call in (lambda: likelihood_values(post, rz, 0, [[0.0, 0.0, 1.0]]),
+                     lambda: likelihood_matrix(post, rz, [[0.0, 0.0, 1.0]]),
+                     lambda: ref_probs_of_points(post, [[0.0, 0.0, 1.0]])):
+            with pytest.raises(ValidationError, match="qubit SIC"):
+                call()
+
+    def test_min_likelihood_refused(self):
+        post = generic_reference_postulate()
+        with pytest.raises(ValidationError, match="qubit SIC"):
+            min_likelihood(post, conditional_matrix(pauli_povm("Z"), post.ref))
