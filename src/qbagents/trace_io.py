@@ -23,21 +23,29 @@ Float cells.  ``%.17g`` prints the correctly rounded 17-digit integer
 ``D ~ |x| 10^(16-E)`` in [10^16, 10^17), in fixed notation when
 -4 <= E < 17 and in exponent notation otherwise, without trailing zeros.
 CPython's ``dtoa`` needs bignum arithmetic for it, about 1 us a cell.  Here
-``E`` is estimated from ``log10|x|`` and corrected once, and ``D`` is one
-``np.longdouble`` product with a table of correctly rounded powers of ten.
-With a 64-bit significand its two roundings leave an error below
-``1e17 * eps ~ 0.011``, so ``rint(D)`` is the correctly rounded digit string
-unless the fraction of ``D`` lies within that margin of 1/2; a ``rint(D)``
-of 10^17 carries into ``E``.  Cells within the margin (about 2 % of random
-ones) and the non-finite ones are formatted by ``"%.17g" %`` itself, and so
-is every cell of a block under ``FEW_CELLS`` cells (the pass's fixed cost
-is larger there) and every cell where ``np.longdouble`` has a shorter
-significand.  The digits
-come from a table of 4-digit chunks; each cell is laid out in a fixed-width
-``uint8`` slot, with NUL bytes for absent characters, which
-``bytes.translate`` deletes.  Tables are formatted in blocks of about
-``BLOCK_CELLS`` cells, which keeps the temporaries small.  (Adams, "Ryu
-revisited: printf floating point conversion", OOPSLA 2019, on
+``E`` is estimated from ``log10|x|`` and corrected once where ``D`` falls
+outside [10^16, 10^17), so the SIMD rounding of ``np.log10`` never reaches
+the bytes.  ``D`` is a double-double product in float64 alone, the same on
+every IEEE platform: 10^(16-E) is tabled as ``hi + lo``, each correctly
+rounded from exact integers; ``p = RN(|x| hi)`` and its exact error come
+from Dekker's two-product (``|x|`` split by masking its low 26 bits, ``hi``
+in Veltkamp halves); and ``r`` is that error plus ``|x| lo``.  Then
+``p >= 2^53`` is an integer, ``|r| < 20`` and ``|D - p - r| < 5e-15`` (the
+table's ``2^-106`` relative error and two roundings of values below 20), so
+``rint(D) = p + rint(r)`` unless the fraction of ``r`` lies within ``1e-12``
+of 1/2; a ``rint(D)`` of 10^17 carries into ``E``.  Cells below ``1e-270``,
+subnormals included, are scaled by an exact ``2^256`` first, against
+``10^(16-E) 2^-256`` in the table, so that every finite cell has an entry.
+The cells within the band around a tie (in practice the exact ties, such as
+1234567890123456.75) and the non-finite ones are formatted by ``"%.17g" %``
+itself, and so is every cell of a table with under ``FEW_CELLS`` float
+cells, where the array pass's fixed cost is larger.  The digits come from a
+table of 4-digit chunks; each cell is laid out in a fixed-width ``uint8``
+slot, with NUL bytes for absent characters, which ``bytes.translate``
+deletes.  Tables are formatted in blocks of about ``BLOCK_CELLS`` cells,
+which keeps the temporaries small.  (Dekker, "A floating-point technique
+for extending the available precision", Numer. Math. 18, 224, 1971; Adams,
+"Ryu revisited: printf floating point conversion", OOPSLA 2019, on
 fixed-precision conversion from a power table.)
 """
 
@@ -54,8 +62,16 @@ from .interaction import Trace
 
 FLOAT = "%.17g"  # the reference conversion, the bytes of f"{float(x):.17g}"
 BLOCK_CELLS = 4096  # cells per array pass: a block of rows fits the caches
-FEW_CELLS = 128  # below this many cells, one "%" each beats the array pass's fixed cost
-_BIAS = 400  # the tables hold decimal exponents e in [-400, 400) at e + _BIAS
+FEW_CELLS = 128  # a table with fewer float cells takes one "%" each: cheaper than the array pass
+# The tables hold the decimal exponents e that log10 and its correction can
+# reach, from below 5e-324 to above 1.8e308, at e + _BIAS.
+_BIAS = 325
+_EXPONENTS = range(-_BIAS, 310)
+_LIFT_BELOW = -270  # cells with e below this are scaled by 2^_LIFT, so that 10^(16-e) fits
+_LIFT = 256
+_NEAR_TIE = 0.5 - 1e-12  # |r - rint(r)| above this: D may lie on either side of the tie
+_HIGH_27 = np.uint64(2**64 - 2**26)  # a float64's sign, exponent and top 27 significant bits
+_VELTKAMP = 2.0**27 + 1
 # A float cell's slot: the integer part, then the fraction (five 32-bit words
 # each, the 17 digits at bytes 3 ... 19 and masked to the digits shown), then
 # "e+ddd" in an 8-byte word whose last byte is left for the separator.  The
@@ -65,8 +81,14 @@ _SLOT = 48
 
 
 class _Tables(NamedTuple):
-    pow10: np.ndarray  # longdouble 10^e, correctly rounded
-    near_tie: np.longdouble  # 1/2 less the bound on the error of D
+    # by exponent e: the scale 2^s of the cells, and hi + lo = 2^-s 10^(16-e)
+    # to about 2^-106 relative, hi in Veltkamp halves hi_high + hi_low of 26
+    # significant bits each
+    scale: np.ndarray
+    hi: np.ndarray
+    hi_high: np.ndarray
+    hi_low: np.ndarray
+    lo: np.ndarray
     head: np.ndarray  # (10,) uint32: the bytes "\0\0\0d" of a leading digit d
     quads: np.ndarray  # (10000,) uint32: the bytes "dddd" of 0000 ... 9999
     zeros: np.ndarray  # (10000,) intp: trailing zeros of 0000 ... 9999
@@ -82,16 +104,15 @@ class _Tables(NamedTuple):
     sign_prefix: np.ndarray  # by e, then by e again for negative cells
 
 
-def _ten_to(k: int, bits: int) -> tuple[int, int]:
-    """(m, e) with m 2^e = 10^k rounded half-even to ``bits`` significant bits."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    e = num.bit_length() - den.bit_length() - bits
-    if (num << max(-e, 0)) >= (den << max(e, 0)) << bits:
-        e += 1
-    num, den = num << max(-e, 0), den << max(e, 0)
-    m, r = divmod(num, den)
-    m += 2 * r > den or (2 * r == den and m & 1)
-    return (m >> 1, e + 1) if m >> bits else (m, e)
+def _power(e: int) -> tuple[float, float, float]:
+    """(2^s, hi, lo): hi + lo is 2^-s 10^(16-e), each correctly rounded from
+    exact integers (hi of the value, lo of what hi leaves), s = _LIFT for e
+    below _LIFT_BELOW and 0 otherwise."""
+    s = _LIFT if e < _LIFT_BELOW else 0
+    num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0) << s
+    hi = num / den  # int / int is correctly rounded
+    m, q = hi.as_integer_ratio()
+    return 2.0**s, hi, (num * q - m * den) / (den * q)
 
 
 def _words(strings, width: int, dtype) -> np.ndarray:
@@ -101,28 +122,22 @@ def _words(strings, width: int, dtype) -> np.ndarray:
 
 
 @cache
-def _tables() -> _Tables | None:
-    """The formatting tables, built at first use; None where ``np.longdouble``
-    has fewer than 64 significant bits, so that every cell takes ``%``."""
-    info = np.finfo(np.longdouble)
-    if info.nmant < 63:
-        return None
-    bits = info.nmant + 1
-    exps = range(-_BIAS, _BIAS)
-    m, exp2 = zip(*(_ten_to(e, bits) for e in exps))
-    pow10 = np.zeros(len(m), np.longdouble)
-    for shift in range(32 * ((bits - 1) // 32), -1, -32):  # exact 32-bit pieces
-        pow10 = pow10 * 2**32 + np.array([v >> shift & 0xFFFFFFFF for v in m], np.longdouble)
+def _tables() -> _Tables:
+    """The formatting tables, built at first use."""
+    exps = _EXPONENTS
+    scale, hi, lo = np.array([_power(e) for e in exps]).T
+    hi_high = _VELTKAMP * hi
+    hi_high -= hi_high - hi
     q = np.arange(10000)
+    quads = 48 + np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
     first = _words(["\xff" * k for k in range(21)], 20, "V20")
     # %.17g: fixed notation for -4 <= e < 17, "0.000" before the digits if e < 0
     ints = np.array([e + 1 if 0 <= e < 17 else 0 if -4 <= e < 0 else 1 for e in exps])
     prefix = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in exps]
     return _Tables(
-        pow10=np.ldexp(pow10, np.array(exp2)),
-        near_tie=0.5 - np.longdouble(1e17) * info.eps,
+        scale=scale, hi=hi, hi_high=hi_high, hi_low=hi - hi_high, lo=lo,
         head=_words([f"\0\0\0{d}" for d in range(10)], 4, np.uint32),
-        quads=_words([f"{v:04d}" for v in q], 4, np.uint32),
+        quads=quads.astype(np.uint8).view(np.uint32).ravel(),
         zeros=sum(q % 10**j == 0 for j in range(1, 5)),
         first=first,
         dot=_words(["."], 4, np.uint32)[0],
@@ -133,6 +148,23 @@ def _tables() -> _Tables | None:
         sign_prefix=_words(prefix + ["-" + p for p in prefix], 20, "V20"))
 
 
+def _product(ax: np.ndarray, i: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """(p, r) with p + r = ax 10^(16-e) to within 5e-15, for the table rows
+    ``i`` of the exponents e: p = RN(a hi) and r = (a hi - p) + a lo, where
+    a = 2^s ax, by Dekker's two-product."""
+    a = ax * t.scale.take(i)
+    a_high = (a.view(np.uint64) & _HIGH_27).view(np.float64)  # 27 bits, a_low 26: exact
+    a_low = a - a_high
+    hi_high, hi_low = t.hi_high.take(i), t.hi_low.take(i)
+    p = a * t.hi.take(i)
+    r = a_high * hi_high - p  # each partial sum is exact in this order
+    r += a_low * hi_high
+    r += a_high * hi_low
+    r += a_low * hi_low
+    r += a * t.lo.take(i)
+    return p, r
+
+
 def _fast_cells(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """The slots of the cells of ``x``, and the indices of those left to ``%``."""
     ax = np.abs(x)
@@ -140,18 +172,23 @@ def _fast_cells(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
     zero = ax == 0
     ax[~finite | zero] = 1.0
     e = np.floor(np.log10(ax)).astype(np.intp)
-    big = ax.astype(np.longdouble)
-    d = big * t.pow10.take(_BIAS + 16 - e)
-    off = np.flatnonzero((d < 1e16) | (d >= 1e17))  # log10 missed by one
-    e[off] += d[off] >= 1e17
-    e[off] -= d[off] < 1e16
-    d[off] = big[off] * t.pow10.take(_BIAS + 16 - e[off])
-    n = np.rint(d)
-    slow = ~finite | (np.abs((d - n).astype(np.float64)) >= t.near_tie)  # d - n is exact
-    carry = n >= 1e17  # rounding reached 10^17: one digit more to the left
-    n[carry] = 1e16
+    p, r = _product(ax, e + _BIAS, t)
+    # log10 may miss by one next to a power of ten.  D is checked where p is
+    # outside [10^16, 10^17) or within 64 of its ends (|r| < 20); there
+    # p - 10^16 and p - 10^17 are exact or far from 0, so the signs below are
+    # those of D - 10^16 and D - 10^17.
+    off = np.flatnonzero((p < 1e16 + 64) | (p >= 1e17 - 64))
+    if off.size:
+        po, ro = p[off], r[off]
+        eo = e[off] + ((po - 1e17) + ro >= 0) - ((po - 1e16) + ro < 0)
+        p[off], r[off] = _product(ax[off], eo + _BIAS, t)
+        e[off] = eo
+    n = np.rint(r)
+    slow = ~finite | (np.abs(r - n) > _NEAR_TIE)  # r - n is exact
+    u = p.astype(np.int64) + n.astype(np.int64)  # p is an integer, at least 2^53
+    carry = u == 10**17  # rounding reached 10^17: one digit more to the left
+    u[carry] = 10**16
     e += carry
-    u = n.astype(np.int64)
     u[zero] = 0
     e[zero] = 0
     e += _BIAS
@@ -175,7 +212,8 @@ def _fast_cells(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
     fraction = digits & t.first.take(3 + shown).view(np.uint32).reshape(-1, 5)
     fraction ^= integer
     fraction[:, 0] |= np.where(shown > t.dot_after.take(e), t.dot, 0)
-    integer |= t.sign_prefix.take(e + 2 * _BIAS * np.signbit(x)).view(np.uint32).reshape(-1, 5)
+    sign_prefix = t.sign_prefix.take(e + len(_EXPONENTS) * np.signbit(x))
+    integer |= sign_prefix.view(np.uint32).reshape(-1, 5)
     exponent = t.exponent.take(e).view(np.uint32).reshape(-1, 2)
     cells = np.concatenate([integer, fraction, exponent], axis=1)
     return cells.view(np.uint8), np.flatnonzero(slow)
@@ -185,11 +223,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """(x.size, _SLOT) uint8: the bytes of ``FLOAT % v`` for each v in ``x``,
     NUL-padded, each slot's last byte left for the separator."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    t = _tables()
-    if t is None or x.size < FEW_CELLS:
-        cells, slow = np.empty((x.size, _SLOT), np.uint8), np.arange(x.size)
-    else:
-        cells, slow = _fast_cells(x, t)
+    cells, slow = _fast_cells(x, _tables())
     if slow.size:
         text = np.array([(FLOAT % v).encode() for v in x[slow].tolist()], f"S{_SLOT - 1}")
         cells[slow, :-1] = text.view(np.uint8).reshape(-1, _SLOT - 1)
@@ -229,14 +263,19 @@ def write_table(path: str, header: list[str], columns: list) -> str:
     ``FLOAT % x`` would; any other sequence is a label column, ``str`` per
     cell.  Every column has one cell per row."""
     is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    columns = [c if f else _label_cells(c) for c, f in zip(columns, is_float)]
     n_rows = len(columns[0]) if columns else 0
-    step = max(1, BLOCK_CELLS // max(1, sum(is_float)))
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if n_rows * sum(is_float) < FEW_CELLS:
+            text = [[FLOAT % v for v in c.tolist()] if f else map(str, c)
+                    for c, f in zip(columns, is_float)]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*text)).encode())
+            return path
+        columns = [c if f else _label_cells(c) for c, f in zip(columns, is_float)]
+        step = max(1, BLOCK_CELLS // max(1, sum(is_float)))
         for start in range(0, n_rows, step):
             block = [c[start:start + step] for c in columns]
-            fh.write(_block(block, is_float).decode())
+            fh.write(_block(block, is_float))
     return path
 
 
@@ -285,8 +324,7 @@ def emit_trace(trace: Trace, out_dir: str) -> dict[str, str]:
     }
     paths["summary"] = f"{prefix}_summary.json"
     with open(paths["summary"], "w", encoding="utf8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return paths
 
 

@@ -2,16 +2,21 @@
 
 Every CSV cell used to be written by its own ``f"{float(x):.17g}"`` call (and
 ``str`` for labels); ``trace_io.write_table`` now formats whole float columns
-with array arithmetic and leaves only near-ties and non-finite cells to
-``%``.  These tests keep the per-cell form as the reference: on values chosen
-to stress the conversion (near-ties at every decimal exponent, both sides of
-each notation switch, powers of ten), on random tables of every shape, with
-the array path switched off, and on every file of full registry-length runs,
-which go beyond the golden digests' 200-step cap.  They also check the power
-table that the array path multiplies by.
+with array arithmetic and leaves only rounding ties, non-finite cells and
+small tables to ``%``.  These tests keep the per-cell form as the reference:
+on values chosen to stress the conversion (near-ties at every decimal
+exponent, exact ties, cells next to a tie, both sides of each notation
+switch, powers of ten, subnormals), on random tables of every shape, with the
+array path switched off, under numpy's SIMD loops below AVX-512, and on every
+file of full registry-length runs, which go beyond the golden digests'
+200-step cap.  They also check the double-double power table that the array
+path multiplies by, and that only ties and non-finite cells reach ``%``.
 """
 
+import hashlib
+import math
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digest_child import child_digests
 from qbagents import trace_io
 from qbagents.scenarios import default_config, run_config
 
@@ -149,48 +155,171 @@ def powers_of_ten() -> np.ndarray:
     return np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
 
 
-def write_and_read(tmp_path, columns) -> str:
-    return body(trace_io.write_table(str(tmp_path / "t.csv"),
+def exact_ties() -> np.ndarray:
+    """Doubles whose D = |x| 10^(16-E) lies halfway between two integers:
+    x = o / 2^(k+1) with o odd, D = 5^k o / 2, at each k = 16 - E from 1 to
+    24, the only ones at which such an o below 2^53 exists."""
+    ties = []
+    for k in range(1, 25):
+        odd = range(-(-2 * 10**16 // 5**k) | 1, min(-(-2 * 10**17 // 5**k), 2**53), 2)
+        ties += [o / 2 ** (k + 1) for o in (odd[0], odd[len(odd) // 2], odd[-1])]
+    return np.array([1234567890123456.75, 1234567890123456.25, *ties])
+
+
+def tie_distance(x: float) -> Fraction:
+    """|frac(D) - 1/2| for the exact D = |x| 10^(16-E) in [10^16, 10^17)."""
+    d = abs(Fraction(x))
+    d *= Fraction(10) ** (16 - len(str(d.numerator)) + len(str(d.denominator)))
+    while d >= 10**17:
+        d /= 10
+    while d < 10**16:
+        d *= 10
+    return abs(d - math.floor(d) - Fraction(1, 2))
+
+
+def next_to_ties(delta: float = 1e-14) -> np.ndarray:
+    """Doubles whose D lies within ``delta`` of a tie, but not on it, where the
+    power of ten is inexact.  At k = 16 - E, x = m 2^q with m in [2^52, 2^53)
+    and q such that D = m 2^q 10^k = m A / B lies in [10^16, 10^17) (A / B in
+    lowest terms); m A = t (mod B) for each t next to B / 2 gives m."""
+    cells = []
+    for k in [*range(-24, -19), *range(23, 28)]:
+        q = math.floor(math.log2(1e17) - k * math.log2(10)) - 53
+        power = Fraction(2) ** q * Fraction(10) ** k
+        a, b = power.numerator, power.denominator
+        inverse, found = pow(a, -1, b), []
+        for t in sorted(range(b // 2 - 2000, b // 2 + 2001), key=lambda t: abs(2 * t - b)):
+            m = t * inverse % b
+            m += -(-(2**52 - m) // b) * b if m < 2**52 else 0
+            if 2**52 <= m < 2**53 and 0 < abs(Fraction(t, b) - Fraction(1, 2)) < delta:
+                found.append(math.ldexp(m, q))
+            if len(found) == 6:
+                break
+        assert found, k
+        cells += found
+    assert all(0 < tie_distance(x) < delta for x in cells)
+    return np.array(cells)
+
+
+def wide_pool() -> np.ndarray:
+    """Cells over the whole double range: log-uniform magnitudes from the
+    smallest subnormal to the largest double, subnormal bit patterns, and
+    cells on either side of the scaled exponents' edge."""
+    rng = np.random.default_rng(29)
+    magnitudes = np.exp(rng.uniform(-744.4, 709.7, 20000)) * rng.choice([-1, 1], 20000)
+    subnormals = rng.integers(1, 2**52, 4000, dtype=np.uint64).view(np.float64)
+    edge = 10.0 ** (trace_io._LIFT_BELOW + rng.uniform(-1, 1, 4000))
+    return np.concatenate([magnitudes, subnormals, -subnormals, edge])
+
+
+def percent_cells(x: np.ndarray) -> np.ndarray:
+    """The cells of ``x`` that the array path leaves to ``%``."""
+    slow = [start + trace_io._fast_cells(x[start:start + 4096], trace_io._tables())[1]
+            for start in range(0, x.size, 4096)]
+    return x[np.concatenate(slow)]
+
+
+def pool_digests() -> dict:
+    """sha256 of the array path's bytes and of the reference's, for a pool of
+    ADVERSARIAL, near_ties(), powers_of_ten(), exact ties, random bit patterns
+    and the curve table of a registry-size ``classical_pair`` run; and the
+    pool's cell count."""
+    bits = np.random.default_rng(41).integers(0, 2**64, 20000, dtype=np.uint64)
+    pool = np.concatenate([ADVERSARIAL, near_ties(), powers_of_ten(), exact_ties(),
+                           bits.view(np.float64)])
+    snapshots = run_config(default_config("classical_pair", 1)).curves["alice"]
+    curve = np.column_stack([snapshots[0][1].points[:, 0], *(b.weights for _s, b in snapshots)])
+    with tempfile.TemporaryDirectory() as tmp:
+        array = write_and_read(tmp, [pool]) + write_and_read(tmp, list(curve.T))
+    reference = "".join(map(reference_line, pool[:, None])) + "".join(map(reference_line, curve))
+    return {"array": hashlib.sha256(array.encode()).hexdigest(),
+            "reference": hashlib.sha256(reference.encode()).hexdigest(),
+            "cells": pool.size + curve.size}
+
+
+def write_and_read(directory, columns) -> str:
+    return body(trace_io.write_table(f"{directory}/t.csv",
                                      [f"c{k}" for k in range(len(columns))], columns))
 
 
+SIMD_SETTINGS = ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]
+
+
+def _simd_targets_on(names: str) -> bool:
+    """Whether numpy dispatches to any of the SIMD targets ``names`` here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return any(__cpu_features__.get(name, False) for name in names.split())
+
+
 class TestExactness:
-    @pytest.mark.parametrize("values", [near_ties, powers_of_ten])
+    @pytest.mark.parametrize("values", [near_ties, powers_of_ten, exact_ties, next_to_ties,
+                                        wide_pool])
     def test_matches_reference(self, tmp_path, values):
         x = values()
         assert write_and_read(tmp_path, [x, -x]) == "".join(
             reference_line(row) for row in zip(x, -x))
 
-    def test_near_ties_reach_both_paths(self):
-        tables = trace_io._tables()
-        if tables is None:
-            pytest.skip("np.longdouble has a short significand: every cell takes %")
-        x = near_ties()
-        _cells, slow = trace_io._fast_cells(x, tables)
-        assert 0 < slow.size < x.size / 4
+    def test_exact_ties_take_percent_and_round_half_even(self, tmp_path):
+        x = exact_ties()
+        assert all(tie_distance(v) == 0 for v in x)
+        assert np.array_equal(percent_cells(x), x)
+        assert write_and_read(tmp_path, [x[:2]]) == "1234567890123456.8\n1234567890123456.2\n"
 
-    def test_power_table_within_half_an_ulp(self):
-        tables = trace_io._tables()
-        if tables is None:
-            pytest.skip("np.longdouble has a short significand: no power table")
-        nmant = np.finfo(np.longdouble).nmant
-        for k, p in zip(range(-trace_io._BIAS, trace_io._BIAS), tables.pow10):
-            exact = Fraction(10) ** k
-            log2 = exact.numerator.bit_length() - exact.denominator.bit_length()
-            log2 -= Fraction(2) ** log2 > exact  # now 2^log2 <= 10^k < 2^(log2 + 1)
-            ulp = Fraction(2) ** (log2 - nmant)
-            assert abs(Fraction(*p.as_integer_ratio()) - exact) <= ulp / 2, k
+    def test_cells_next_to_a_tie_take_percent(self):
+        # |D - p - r| < 5e-15: cells this close to a tie are left to %
+        x = next_to_ties()
+        assert np.array_equal(percent_cells(x), x)
+
+    @pytest.mark.parametrize("values", [near_ties, powers_of_ten, wide_pool])
+    def test_only_ties_and_non_finite_cells_take_percent(self, values):
+        x = values()
+        assert np.any(np.abs(x[np.isfinite(x)]) < 10.0**trace_io._LIFT_BELOW)
+        slow = percent_cells(x)
+        assert slow.size < x.size // 100
+        assert all(tie_distance(v) < Fraction(1, 10**12)
+                   for v in slow[np.isfinite(slow)].tolist())
+
+    def test_power_table_is_a_double_double(self):
+        t = trace_io._tables()
+        assert t.hi.size == len(trace_io._EXPONENTS)
+        for e, scale, hi, hi_high, hi_low, lo in zip(trace_io._EXPONENTS, t.scale, t.hi,
+                                                     t.hi_high, t.hi_low, t.lo):
+            lifted = e < trace_io._LIFT_BELOW
+            assert scale == 2.0 ** (trace_io._LIFT if lifted else 0), e
+            exact = Fraction(10) ** (16 - e) / Fraction(scale)
+            assert hi == float(exact) and lo == float(exact - Fraction(hi)), e  # correctly rounded
+            assert hi_high + hi_low == hi, e
+            for half in filter(None, (hi_high, hi_low)):
+                m = Fraction(half)
+                m /= Fraction(2) ** math.floor(math.log2(abs(half)))
+                assert (m * 2**25).denominator == 1, e  # 26 significant bits at most
+        assert np.all(np.isfinite(t.hi * trace_io._VELTKAMP))
 
     def test_percent_path_gives_the_same_bytes(self, tmp_path, monkeypatch):
         bits = np.random.default_rng(3).integers(0, 2**64, 5000, dtype=np.uint64)
         columns = [np.resize(ADVERSARIAL, 330), near_ties()[:330], bits.view(np.float64)[:330],
                    [str(k) for k in range(330)]]
+        monkeypatch.setattr(trace_io, "FEW_CELLS", 0)
         fast = write_and_read(tmp_path, columns)
         trace = run_config(replace(default_config("qubit_tomography", 4), n_steps=12))
         fast_files = emitted(tmp_path / "fast", trace)
-        monkeypatch.setattr(trace_io, "_tables", lambda: None)
+        monkeypatch.setattr(trace_io, "FEW_CELLS", sys.maxsize)  # every table through %
         assert write_and_read(tmp_path, columns) == fast
         assert emitted(tmp_path / "slow", trace) == fast_files
+
+    @pytest.mark.parametrize("disabled", SIMD_SETTINGS)
+    def test_bytes_hold_on_numpy_simd_loops(self, disabled):
+        # E comes from np.log10, whose last bits follow the SIMD level; the
+        # correction must keep them out of the bytes
+        if not _simd_targets_on(disabled):
+            pytest.skip(f"numpy dispatches to none of {disabled} here")
+        child = child_digests({"NPY_DISABLE_CPU_FEATURES": disabled}, cells=True)
+        assert not any(child["simd"].get(target) for target in disabled.split())
+        assert child["cells"]["array"] == child["cells"]["reference"]
+        assert child["cells"]["cells"] > 100_000
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
