@@ -39,13 +39,28 @@ subnormals included, are scaled by an exact ``2^256`` first, against
 The cells within the band around a tie (in practice the exact ties, such as
 1234567890123456.75) and the non-finite ones are formatted by ``"%.17g" %``
 itself, and so is every cell of a table with under ``FEW_CELLS`` float
-cells, where the array pass's fixed cost is larger.  The digits come from a
-table of 4-digit chunks; each cell is laid out in a fixed-width ``uint8``
-slot, with NUL bytes for absent characters, which ``bytes.translate``
-deletes.  Tables are formatted in blocks of about ``BLOCK_CELLS`` cells,
-which keeps the temporaries small.  (Dekker, "A floating-point technique
-for extending the available precision", Numer. Math. 18, 224, 1971; Adams,
-"Ryu revisited: printf floating point conversion", OOPSLA 2019, on
+cells, where the array pass's fixed cost is larger.
+
+Slots.  Each float cell is laid out in a 32-byte slot of four ``uint64``
+words, with NUL bytes for absent characters, which ``bytes.translate``
+deletes; the longest cell, such as ``-1.2345678901234567e-308``, has 24
+characters.  Word 0 holds the sign at byte 0 and, for fixed cells below 1,
+the ``0.000`` prefix at bytes 1-5; the 17 digits lie at bytes 7-23, the
+first at the top of word 0 and eight each in words 1 and 2, from a table of
+4-digit chunks; word 3 holds ``e+ddd`` and, at byte 31, the separator.  The
+integer digits move down one byte, which frees the byte after them for the
+dot.  For a cell with at most one integer digit (all but the fixed cells
+from 10 up) that is word 0 alone: word 0 is read whole from a table by the
+cell's layout (its form and the digits shown) and leading digit, and words
+1 and 2 are the digits under that layout's ``uint64`` masks.  The others
+take the general masks, and their integer digits move by one byte shift of
+the three digit words.  A table is formatted in blocks of about
+``BLOCK_CELLS`` cells: each table allocates one buffer of work arrays and
+one line buffer, sized for a block, and computes every block in place
+(numpy ``out=``), label cells included, so that a block allocates little
+beyond its output bytes.  (Dekker, "A floating-point technique for
+extending the available precision", Numer. Math. 18, 224, 1971; Adams, "Ryu
+revisited: printf floating point conversion", OOPSLA 2019, on
 fixed-precision conversion from a power table.)
 """
 
@@ -62,7 +77,7 @@ from .interaction import Trace
 
 FLOAT = "%.17g"  # the reference conversion, the bytes of f"{float(x):.17g}"
 BLOCK_CELLS = 4096  # cells per array pass: a block of rows fits the caches
-FEW_CELLS = 128  # a table with fewer float cells takes one "%" each: cheaper than the array pass
+FEW_CELLS = 250  # a table with fewer float cells takes one "%" each: cheaper than the array pass
 # The tables hold the decimal exponents e that log10 and its correction can
 # reach, from below 5e-324 to above 1.8e308, at e + _BIAS.
 _BIAS = 325
@@ -72,36 +87,43 @@ _LIFT = 256
 _NEAR_TIE = 0.5 - 1e-12  # |r - rint(r)| above this: D may lie on either side of the tie
 _HIGH_27 = np.uint64(2**64 - 2**26)  # a float64's sign, exponent and top 27 significant bits
 _VELTKAMP = 2.0**27 + 1
-# A float cell's slot: the integer part, then the fraction (five 32-bit words
-# each, the 17 digits at bytes 3 ... 19 and masked to the digits shown), then
-# "e+ddd" in an 8-byte word whose last byte is left for the separator.  The
-# integer part's first bytes hold the sign, or the sign and "0.000"; the
-# fraction's first byte holds the dot.
-_SLOT = 48
+_SLOT = 32  # bytes of a float cell's slot: four uint64 words, the last byte the separator
+_FIRST = 7  # the slot byte of the first digit
+# A cell's form: 0-3 for "0." ... "0.000" before the digits, 4 for exponent
+# notation, 5 + e for fixed notation with e = 0 ... 16.  From _SPILL on, the
+# integer digits reach word 1.
+_FORMS = 22
+_SPILL = 6
+_SHOWN = 18  # 0 ... 17: the digits up to the last nonzero one
+
+
+def _form(e: int) -> int:
+    return -e - 1 if -4 <= e < 0 else 5 + e if 0 <= e < 17 else 4
+
+
+def _integer_digits(form: int) -> int:
+    return 0 if form < 4 else 1 if form < _SPILL else form - 4
 
 
 class _Tables(NamedTuple):
-    # by exponent e: the scale 2^s of the cells, and hi + lo = 2^-s 10^(16-e)
-    # to about 2^-106 relative, hi in Veltkamp halves hi_high + hi_low of 26
-    # significant bits each
-    scale: np.ndarray
-    hi: np.ndarray
-    hi_high: np.ndarray
-    hi_low: np.ndarray
-    lo: np.ndarray
-    head: np.ndarray  # (10,) uint32: the bytes "\0\0\0d" of a leading digit d
-    quads: np.ndarray  # (10000,) uint32: the bytes "dddd" of 0000 ... 9999
-    zeros: np.ndarray  # (10000,) intp: trailing zeros of 0000 ... 9999
-    first: np.ndarray  # (21,) 20-byte masks: bytes 0 ... k-1 set
-    dot: np.uint32  # the bytes ".\0\0\0"
-    # by exponent e: the digits before the dot and their mask; the number of
-    # digits shown beyond which the fraction starts with a dot (17, never,
-    # where the "0.000" prefix holds the dot); the word "e+ddd", or blank
-    ints: np.ndarray
-    int_mask: np.ndarray
-    dot_after: np.ndarray
+    # (5, len(_EXPONENTS)) by exponent e: the scale 2^s of the cells, and
+    # hi + lo = 2^-s 10^(16-e) to about 2^-106 relative, hi in Veltkamp halves
+    # hi_high + hi_low of 26 significant bits each
+    power: np.ndarray
+    quads: np.ndarray  # (10000,) uint64: the digits of 0000 ... 9999 at bytes 0-3
+    zeros: np.ndarray  # (10000,) int64: 10 times the trailing zeros of 0000 ... 9999
+    # by exponent e: 10 (18 form + 17), the lead table column of no digit
+    # shown; word 3, "e+ddd" or blank, and the separator
+    layout: np.ndarray
     exponent: np.ndarray
-    sign_prefix: np.ndarray  # by e, then by e again for negative cells
+    # by layout c = 18 form + z, z the digits up to the last nonzero one:
+    # (9, 18 _FORMS), the words' integer digit masks, shown fraction masks
+    # and dot; and, at 10 c + d for a leading digit d, (3, 180 _FORMS) word 0
+    # but the sign, then the fraction masks of words 1-2, for forms below
+    # _SPILL (zero above)
+    masks: np.ndarray
+    lead: np.ndarray
+    head: np.ndarray  # (10,) uint64: a leading digit at byte 7
 
 
 def _power(e: int) -> tuple[float, float, float]:
@@ -115,10 +137,24 @@ def _power(e: int) -> tuple[float, float, float]:
     return 2.0**s, hi, (num * q - m * den) / (den * q)
 
 
-def _words(strings, width: int, dtype) -> np.ndarray:
-    """Each string NUL-padded to ``width`` bytes, read as one ``dtype`` word."""
-    return np.frombuffer(b"".join(s.encode("latin1").ljust(width, b"\0") for s in strings),
-                         dtype)
+def _words(strings) -> np.ndarray:
+    """Each string NUL-padded to 8 bytes, read as one ``uint64`` word."""
+    return np.frombuffer(b"".join(s.encode("latin1").ljust(8, b"\0") for s in strings),
+                         np.uint64)
+
+
+def _layout_masks() -> np.ndarray:
+    """(9, 18 _FORMS) uint64 by layout 18 form + z, z the digits up to the
+    last nonzero one: the integer digit masks, the shown fraction masks and
+    the dot of words 0-2."""
+    k = np.repeat([_integer_digits(f) for f in range(_FORMS)], _SHOWN)[:, None]
+    shown = np.maximum(np.tile(np.arange(_SHOWN), _FORMS)[:, None], k)
+    byte = np.arange(24)  # the slot bytes of words 0-2
+    integer = (_FIRST <= byte) & (byte < _FIRST + k)
+    fraction = (_FIRST + k <= byte) & (byte < _FIRST + shown)
+    dot = (byte == _FIRST - 1 + k) & (0 < k) & (k < shown)
+    masks = np.concatenate([0xFF * integer, 0xFF * fraction, ord(".") * dot], axis=1)
+    return masks.astype(np.uint8).view(np.uint64).T.copy()
 
 
 @cache
@@ -129,131 +165,227 @@ def _tables() -> _Tables:
     hi_high = _VELTKAMP * hi
     hi_high -= hi_high - hi
     q = np.arange(10000)
-    quads = 48 + np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
-    first = _words(["\xff" * k for k in range(21)], 20, "V20")
-    # %.17g: fixed notation for -4 <= e < 17, "0.000" before the digits if e < 0
-    ints = np.array([e + 1 if 0 <= e < 17 else 0 if -4 <= e < 0 else 1 for e in exps])
-    prefix = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in exps]
+    quads = np.zeros((10000, 8), np.uint8)
+    quads[:, :4] = 48 + np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    masks = _layout_masks()
+    integer, fraction, dot = masks[0], masks[3], masks[6]
+    head = _words(["\0" * _FIRST + str(d) for d in range(10)])
+    prefix = _words(["\0" + ("0." + "0" * f if f < 4 else "") for f in range(_FORMS)])
+    lead = np.zeros((3, _FORMS * _SHOWN, 10), np.uint64)
+    lead[0] = ((head & fraction[:, None]) | ((head & integer[:, None]) >> np.uint64(8))
+               | dot[:, None] | prefix.repeat(_SHOWN)[:, None])
+    lead[1:] = masks[4:6, :, None]
+    lead[:, _SPILL * _SHOWN:] = 0
     return _Tables(
-        scale=scale, hi=hi, hi_high=hi_high, hi_low=hi - hi_high, lo=lo,
-        head=_words([f"\0\0\0{d}" for d in range(10)], 4, np.uint32),
-        quads=quads.astype(np.uint8).view(np.uint32).ravel(),
-        zeros=sum(q % 10**j == 0 for j in range(1, 5)),
-        first=first,
-        dot=_words(["."], 4, np.uint32)[0],
-        ints=ints,
-        int_mask=first[3 + ints],
-        dot_after=np.where(ints > 0, ints, 17),
-        exponent=_words(["" if -4 <= e < 17 else f"e{e:+03d}" for e in exps], 8, np.uint64),
-        sign_prefix=_words(prefix + ["-" + p for p in prefix], 20, "V20"))
+        power=np.array([scale, hi, hi_high, hi - hi_high, lo]),
+        quads=quads.view(np.uint64).ravel(),
+        zeros=10 * sum(q % 10**j == 0 for j in range(1, 5)),
+        layout=10 * (_SHOWN * np.array([_form(e) for e in exps]) + _SHOWN - 1),
+        exponent=_words([("" if -4 <= e < 17 else f"e{e:+03d}").ljust(7, "\0") + ","
+                         for e in exps]),
+        masks=masks, lead=lead.reshape(3, -1), head=head)
 
 
-def _product(ax: np.ndarray, i: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
+class _Work(NamedTuple):
+    """The work arrays of blocks of up to ``size`` cells, reused for each
+    block of a table: whole rows of ``size`` cells, all in one buffer."""
+
+    x: np.ndarray  # the block's float cells, row by row
+    floats: np.ndarray  # 12 rows, float64
+    ints: np.ndarray  # 10 rows, int64
+    digits: np.ndarray  # 2 rows, uint64: digit words 1 and 2
+    words: np.ndarray  # 4 rows, uint64: the slots, a row per word
+    flags: np.ndarray  # 4 rows, bool
+
+    ROWS = (1, 12, 10, 2, 4, 4)
+    TYPES = (np.float64, np.float64, np.int64, np.uint64, np.uint64, np.bool_)
+
+    @classmethod
+    def of(cls, size: int) -> _Work:
+        ends = np.cumsum([0, *(np.dtype(dtype).itemsize * rows * size
+                               for rows, dtype in zip(cls.ROWS, cls.TYPES))]).tolist()
+        buffer = np.empty(ends[-1], np.uint8)
+        return cls(*(buffer[a:b].view(dtype) for a, b, dtype in zip(ends, ends[1:], cls.TYPES)))
+
+    def block(self, n: int) -> _Work:
+        """The first ``n`` cells of each row, each row contiguous."""
+        return _Work(*(a[:rows * n].reshape(rows, n) for a, rows in zip(self, self.ROWS)))
+
+
+def _product(ax: np.ndarray, i: np.ndarray, t: _Tables,
+             out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, r) with p + r = ax 10^(16-e) to within 5e-15, for the table rows
     ``i`` of the exponents e: p = RN(a hi) and r = (a hi - p) + a lo, where
-    a = 2^s ax, by Dekker's two-product."""
-    a = ax * t.scale.take(i)
-    a_high = (a.view(np.uint64) & _HIGH_27).view(np.float64)  # 27 bits, a_low 26: exact
-    a_low = a - a_high
-    hi_high, hi_low = t.hi_high.take(i), t.hi_low.take(i)
-    p = a * t.hi.take(i)
-    r = a_high * hi_high - p  # each partial sum is exact in this order
-    r += a_low * hi_high
-    r += a_high * hi_low
-    r += a_low * hi_low
-    r += a * t.lo.take(i)
+    a = 2^s ax, by Dekker's two-product.  ``out`` is (9, ax.size) float64 of
+    room, p and r among it."""
+    p, r, a_high, a_low, *power = out
+    a, hi, hi_high, hi_low, lo = power
+    t.power.take(i, axis=1, out=out[4:], mode="wrap")
+    a *= ax
+    np.bitwise_and(a.view(np.uint64), _HIGH_27, out=a_high.view(np.uint64))  # 27 bits, a_low 26
+    np.subtract(a, a_high, out=a_low)
+    np.multiply(a, hi, out=p)
+    np.multiply(a_high, hi_high, out=r)  # each partial sum is exact in this order
+    r -= p
+    r += np.multiply(a_low, hi_high, out=hi_high)
+    r += np.multiply(a_high, hi_low, out=a_high)
+    r += np.multiply(a_low, hi_low, out=hi_low)
+    r += np.multiply(a, lo, out=lo)
     return p, r
 
 
-def _fast_cells(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of the cells of ``x``, and the indices of those left to ``%``."""
-    ax = np.abs(x)
-    finite = np.isfinite(x)
-    zero = ax == 0
-    ax[~finite | zero] = 1.0
-    e = np.floor(np.log10(ax)).astype(np.intp)
-    p, r = _product(ax, e + _BIAS, t)
+def _fast_cells(x: np.ndarray, t: _Tables, w: _Work) -> np.ndarray:
+    """Write the slots of the cells of ``x`` into ``w.words``, for ``w`` a
+    ``_Work.block`` of ``x.size`` cells; return the indices of the cells left
+    to ``%``."""
+    ax, log, rounded = w.floats[:3]
+    e, row, v, head, tail, index = w.ints[:6]
+    quarters = w.ints[6:]
+    q0, q2, q1, u = quarters  # u holds D, then what the quarters leave
+    nonfinite, zero, flag, near = w.flags
+    words, digits = w.words, w.digits
+    np.abs(x, out=ax)
+    np.logical_not(np.isfinite(x, out=flag), out=nonfinite)
+    np.equal(ax, 0, out=zero)
+    np.copyto(ax, 1.0, where=np.logical_or(nonfinite, zero, out=flag))
+    np.copyto(e, np.floor(np.log10(ax, out=log), out=log), casting="unsafe")
+    p, r = _product(ax, np.add(e, _BIAS, out=row), t, w.floats[3:])
     # log10 may miss by one next to a power of ten.  D is checked where p is
     # outside [10^16, 10^17) or within 64 of its ends (|r| < 20); there
     # p - 10^16 and p - 10^17 are exact or far from 0, so the signs below are
     # those of D - 10^16 and D - 10^17.
-    off = np.flatnonzero((p < 1e16 + 64) | (p >= 1e17 - 64))
+    np.greater_equal(p, 1e17 - 64, out=near)
+    off = np.logical_or(np.less(p, 1e16 + 64, out=flag), near, out=flag).nonzero()[0]
     if off.size:
         po, ro = p[off], r[off]
         eo = e[off] + ((po - 1e17) + ro >= 0) - ((po - 1e16) + ro < 0)
-        p[off], r[off] = _product(ax[off], eo + _BIAS, t)
+        moved = eo != e[off]  # the others keep their p and r
+        off, eo = off[moved], eo[moved]
+        p[off], r[off] = _product(ax[off], eo + _BIAS, t, np.empty((9, off.size)))
         e[off] = eo
-    n = np.rint(r)
-    slow = ~finite | (np.abs(r - n) > _NEAR_TIE)  # r - n is exact
-    u = p.astype(np.int64) + n.astype(np.int64)  # p is an integer, at least 2^53
-    carry = u == 10**17  # rounding reached 10^17: one digit more to the left
-    u[carry] = 10**16
-    e += carry
-    u[zero] = 0
-    e[zero] = 0
-    e += _BIAS
+    np.rint(r, out=rounded)
+    np.abs(np.subtract(r, rounded, out=log), out=log)  # r - rint(r) is exact
+    slow = np.logical_or(nonfinite, np.greater(log, _NEAR_TIE, out=near), out=near).nonzero()[0]
+    np.copyto(u, p, casting="unsafe")  # p is an integer, at least 2^53
+    np.copyto(v, rounded, casting="unsafe")
+    u += v
+    np.equal(u, 10**17, out=flag)  # rounding reached 10^17: one digit more to the left
+    np.copyto(u, 10**16, where=flag)
+    e += flag
+    np.copyto(u, 0, where=zero)
+    np.copyto(e, 0, where=zero)
+    np.add(e, _BIAS, out=row)
 
-    head, rest = np.divmod(u, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    quads = [*np.divmod(high, 10**4), *np.divmod(low, 10**4)]
-    digits = np.stack([t.head.take(head), *(t.quads.take(q) for q in quads)], axis=1)
-    tail = t.zeros.take(quads[3])  # trailing zeros of the 17 digits
-    long_tail = np.flatnonzero(quads[3] == 0)
+    # D = head 10^16 + q0 10^12 + q1 10^8 + q2 10^4 + q3; digit words 1 and 2
+    # are q0 q1 and q2 q3 from the chunk table
+    u -= np.multiply(np.floor_divide(u, 10**16, out=head), 10**16, out=v)
+    u -= np.multiply(np.floor_divide(u, 10**8, out=q1), 10**8, out=v)
+    q1 -= np.multiply(np.floor_divide(q1, 10**4, out=q0), 10**4, out=v)
+    u -= np.multiply(np.floor_divide(u, 10**4, out=q2), 10**4, out=v)
+    t.quads.take(quarters, out=words, mode="wrap")
+    np.bitwise_or(words[:2], np.left_shift(words[2:], 32, out=words[2:]), out=digits)
+    t.zeros.take(u, out=tail, mode="wrap")  # 10 times the trailing zeros of the 17 digits
+    long_tail = np.equal(u, 0, out=flag).nonzero()[0]
     if long_tail.size:
         more = head[long_tail] == 0
-        for q in quads:
+        for q in (q0, q1, q2, u):
             q = q[long_tail]
-            more = np.where(q == 0, more + 4, t.zeros.take(q))
-        tail[long_tail] = more
+            more = np.where(q == 0, more + 4, t.zeros.take(q) // 10)
+        tail[long_tail] = 10 * more
 
-    ints = t.ints.take(e)
-    shown = np.maximum(17 - tail, ints)  # trailing zeros go, integer digits stay
-    integer = digits & t.int_mask.take(e).view(np.uint32).reshape(-1, 5)
-    fraction = digits & t.first.take(3 + shown).view(np.uint32).reshape(-1, 5)
-    fraction ^= integer
-    fraction[:, 0] |= np.where(shown > t.dot_after.take(e), t.dot, 0)
-    sign_prefix = t.sign_prefix.take(e + len(_EXPONENTS) * np.signbit(x))
-    integer |= sign_prefix.view(np.uint32).reshape(-1, 5)
-    exponent = t.exponent.take(e).view(np.uint32).reshape(-1, 2)
-    cells = np.concatenate([integer, fraction, exponent], axis=1)
-    return cells.view(np.uint8), np.flatnonzero(slow)
+    # words 0-2 from the lead table at 10 c + head, the layout c = 18 form
+    # + z, with the digits shown, unless the integer digits reach word 1;
+    # then the sign, and word 3
+    np.add(np.subtract(t.layout.take(row, out=index, mode="wrap"), tail, out=index), head,
+           out=index)
+    t.lead.take(index, axis=1, out=words[:3], mode="wrap")
+    words[1:3] &= digits
+    spill = np.greater_equal(index, 10 * _SHOWN * _SPILL, out=flag).nonzero()[0]
+    if spill.size:
+        words[:3, spill] = _spilled(head[spill], digits[:, spill], index[spill] // 10, t)
+    sign = np.right_shift(x.view(np.uint64), 63, out=words[3])
+    words[0] |= np.multiply(sign, ord("-"), out=sign)
+    t.exponent.take(row, out=words[3], mode="wrap")
+    return slow
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """(x.size, _SLOT) uint8: the bytes of ``FLOAT % v`` for each v in ``x``,
-    NUL-padded, each slot's last byte left for the separator."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    cells, slow = _fast_cells(x, _tables())
+def _spilled(head: np.ndarray, digits: np.ndarray, layout: np.ndarray,
+             t: _Tables) -> np.ndarray:
+    """Words 0-2 of cells whose integer digits reach word 1: the digits
+    shown, the integer ones moved down a byte by a shift of the 64-bit
+    words, and the dot in the byte this frees."""
+    masks = t.masks.take(layout, axis=1)
+    spelled = np.empty((3, head.size), np.uint64)
+    t.head.take(head, out=spelled[0])
+    spelled[1:] = digits
+    integer = spelled & masks[0:3]
+    spelled &= masks[3:6]
+    spelled |= masks[6:9]
+    spelled |= integer >> np.uint64(8)
+    spelled[:2] |= integer[1:] << np.uint64(56)
+    return spelled
+
+
+def _float_words(x: np.ndarray, t: _Tables, w: _Work) -> np.ndarray:
+    """(4, x.size) uint64: the slots of ``FLOAT % v`` for each v in ``x``,
+    NUL-padded, each slot's last byte the separator ",", a row per word;
+    ``w`` is a ``_Work.block`` of ``x.size`` cells."""
+    slow = _fast_cells(x, t, w)
     if slow.size:
         text = np.array([(FLOAT % v).encode() for v in x[slow].tolist()], f"S{_SLOT - 1}")
-        cells[slow, :-1] = text.view(np.uint8).reshape(-1, _SLOT - 1)
-    return cells
+        cells = np.full((slow.size, _SLOT), ord(","), np.uint8)
+        cells[:, :-1] = text.view(np.uint8).reshape(-1, _SLOT - 1)
+        w.words[:, slow] = cells.view(np.uint64).T
+    return w.words
 
 
-def _label_cells(labels) -> np.ndarray:
-    """(len(labels), width) uint8: ``str`` of each label, NUL-padded, then a
-    comma."""
+def _label_words(labels) -> np.ndarray:
+    """(len(labels), k) uint64: ``str`` of each label, NUL-padded to whole
+    words, the last byte a comma."""
     text = np.array([str(v).encode() for v in labels], dtype=bytes)
-    cells = np.full((text.size, text.itemsize + 1), ord(","), np.uint8)
-    cells[:, :-1] = text.view(np.uint8).reshape(text.size, text.itemsize)
-    return cells
+    cells = np.zeros((text.size, 8 * (text.itemsize // 8 + 1)), np.uint8)
+    cells[:, :text.itemsize] = text.view(np.uint8).reshape(text.size, text.itemsize)
+    cells[:, -1] = ord(",")
+    return cells.view(np.uint64)
 
 
-def _block(columns: list, is_float: list[bool]) -> bytes:
-    """The CSV lines of one block of rows; label columns come as ``_label_cells``."""
-    rows = len(columns[0])
+def _lines(columns: list, is_float: list[bool], n_rows: int):
+    """The CSV lines of the table, a block of rows at a time.  Each block is
+    laid out in one line buffer of words, reused for every block: the label
+    cells are copied in and the float slots written in."""
     floats = [c for c, f in zip(columns, is_float) if f]
-    if floats:
-        cells = _float_cells(np.column_stack(floats)).reshape(rows, len(floats), _SLOT)
-        cells[:, :, -1] = ord(",")
-    if all(is_float):
-        line = cells.reshape(rows, -1)
-    else:
-        slots = iter(cells.transpose(1, 0, 2) if floats else ())
-        line = np.concatenate([next(slots) if f else col for col, f in zip(columns, is_float)],
-                              axis=1)
-    line[:, -1] = ord("\n")
-    return line.tobytes().translate(None, b"\0")
+    step = max(1, BLOCK_CELLS // max(1, len(floats)))
+    rows = min(step, n_rows)
+    cells = [None if f else _label_words(c) for c, f in zip(columns, is_float)]
+    widths = [4 if f else c.shape[1] for c, f in zip(cells, is_float)]
+    starts = np.cumsum([0, *widths]).tolist()
+    buffer = bytearray(8 * rows * starts[-1])
+    line = np.frombuffer(buffer, np.uint64).reshape(rows, starts[-1])
+    runs = []  # [first float, floats, first word] of each run of adjacent float columns
+    for k, (f, first) in enumerate(zip(is_float, starts)):
+        if f and k and is_float[k - 1]:
+            runs[-1][1] += 1
+        elif f:
+            runs.append([sum(is_float[:k]), 1, first])
+    work, t = _Work.of(rows * len(floats)), _tables()
+    w = work.block(rows * len(floats))
+    for start in range(0, n_rows, step):
+        if n_rows - start < rows:
+            rows = n_rows - start
+            w = work.block(rows * len(floats))
+        x = w.x.reshape(rows, len(floats))
+        for j, c in enumerate(floats):
+            x[:, j] = c[start:start + rows]
+        words = _float_words(w.x[0], t, w).reshape(4, rows, len(floats))
+        for j, count, first in runs:
+            slots = line[:rows, first:first + 4 * count].reshape(rows, count, 4)
+            slots[...] = words[:, :, j:j + count].transpose(1, 2, 0)
+        for c, first, width in zip(cells, starts, widths):
+            if c is not None:
+                line[:rows, first:first + width] = c[start:start + rows]
+        line.view(np.uint8)[:rows, -1] = ord("\n")
+        whole = buffer if rows == len(line) else line[:rows].tobytes()
+        yield whole.translate(None, b"\0")
 
 
 def write_table(path: str, header: list[str], columns: list) -> str:
@@ -271,11 +403,8 @@ def write_table(path: str, header: list[str], columns: list) -> str:
                     for c, f in zip(columns, is_float)]
             fh.write("".join(",".join(row) + "\n" for row in zip(*text)).encode())
             return path
-        columns = [c if f else _label_cells(c) for c, f in zip(columns, is_float)]
-        step = max(1, BLOCK_CELLS // max(1, sum(is_float)))
-        for start in range(0, n_rows, step):
-            block = [c[start:start + step] for c in columns]
-            fh.write(_block(block, is_float))
+        for block in _lines(columns, is_float, n_rows):
+            fh.write(block)
     return path
 
 

@@ -10,7 +10,10 @@ switch, powers of ten, subnormals), on random tables of every shape, with the
 array path switched off, under numpy's SIMD loops below AVX-512, and on every
 file of full registry-length runs, which go beyond the golden digests'
 200-step cap.  They also check the double-double power table that the array
-path multiplies by, and that only ties and non-finite cells reach ``%``.
+path multiplies by, that only ties and non-finite cells reach ``%``, that the
+widest cell of each layout fits the 32-byte slot, and that a table's blocks,
+which reuse one set of work arrays and one line buffer, leave no bytes of an
+earlier block or table behind.
 """
 
 import hashlib
@@ -31,7 +34,12 @@ from qbagents import trace_io
 from qbagents.scenarios import default_config, run_config
 
 TINY = float.fromhex("0x1p-1074")  # 5e-324, the smallest subnormal
-ADVERSARIAL = [
+# The widest cell of each layout, with its length: exponent notation with a
+# three-digit exponent, "0.000" and 17 digits, 17 integer digits, the
+# smallest subnormal, each with a sign, and -0.0
+WIDEST = {-1.2345678901234567e-308: 24, -9.8765432109876537e+307: 24,
+          -0.00012345678901234567: 23, -12345678901234567.0: 18, -TINY: 24, -0.0: 2}
+ADVERSARIAL = [*WIDEST,
     0.0, -0.0, float("inf"), float("-inf"), float("nan"), -float("nan"),
     TINY, -TINY, 2 * TINY, 1e-320, 2.2250738585072009e-308,  # largest subnormal
     sys.float_info.min, sys.float_info.max, -sys.float_info.max,
@@ -122,6 +130,32 @@ class TestWriteTable:
         columns = [[3, np.int64(10)], ["Z", "paulis"], [1, np.int64(0)], np.array([0.5, -0.0])]
         path = trace_io.write_table(str(tmp_path / "t.csv"), ["a", "b", "c", "d"], columns)
         assert body(path) == "3,Z,1,0.5\n10,paulis,0,-0\n"
+
+    def test_widest_cells_fit_the_slot(self, tmp_path):
+        assert {x: len(cell(x)) for x in WIDEST} == WIDEST
+        assert write_and_read(tmp_path, [np.array(list(WIDEST))]) == "".join(
+            reference_line([x]) for x in WIDEST)
+        bits = np.random.default_rng(0).integers(0, 2**64, 20000, dtype=np.uint64)
+        cells = [*ADVERSARIAL, *bits.view(np.float64).tolist()]
+        assert max(len(trace_io.FLOAT % x) for x in cells) == 24 <= trace_io._SLOT - 1
+
+    def test_reused_buffers_leave_no_stale_bytes(self, tmp_path):
+        # a table's blocks share their work arrays and line buffer: a first
+        # block of 24-character cells and long labels, a short last block of
+        # the shortest cells and labels; then a table of another width
+        rng = np.random.default_rng(5)
+        step = trace_io.BLOCK_CELLS // 2
+        mantissas = rng.integers(10**15, 10**16, 4 * step) * 10 + rng.integers(1, 10, 4 * step)
+        exponents = rng.integers(100, 308, 4 * step)
+        wide = [x for x in (float(f"-{m // 10**16}.{m % 10**16:016d}e-{k}")
+                            for m, k in zip(mantissas.tolist(), exponents.tolist()))
+                if len(cell(x)) == 24][:2 * step]
+        table = np.concatenate([np.reshape(wide, (step, 2)), np.resize([0.0, -0.0, 1e-05], (7, 2))])
+        labels = ["L" * 30] * step + ["0"] * 7
+        assert write_and_read(tmp_path, [labels, *table.T]) == "".join(
+            f"{label}," + reference_line(row) for label, row in zip(labels, table))
+        narrow = np.resize([1e-05, -0.0, 0.5, 7.0], (trace_io.BLOCK_CELLS // 5 + 3, 5))
+        assert write_and_read(tmp_path, list(narrow.T)) == "".join(map(reference_line, narrow))
 
     def test_random_bit_patterns(self, tmp_path):
         # every exponent, sign and NaN payload, as columns of a float table
@@ -214,8 +248,11 @@ def wide_pool() -> np.ndarray:
 
 def percent_cells(x: np.ndarray) -> np.ndarray:
     """The cells of ``x`` that the array path leaves to ``%``."""
-    slow = [start + trace_io._fast_cells(x[start:start + 4096], trace_io._tables())[1]
-            for start in range(0, x.size, 4096)]
+    work, slow = trace_io._Work.of(trace_io.BLOCK_CELLS), []
+    for start in range(0, x.size, trace_io.BLOCK_CELLS):
+        cells = x[start:start + trace_io.BLOCK_CELLS]
+        slow.append(start + trace_io._fast_cells(cells, trace_io._tables(),
+                                                 work.block(cells.size)))
     return x[np.concatenate(slow)]
 
 
@@ -283,10 +320,9 @@ class TestExactness:
                    for v in slow[np.isfinite(slow)].tolist())
 
     def test_power_table_is_a_double_double(self):
-        t = trace_io._tables()
-        assert t.hi.size == len(trace_io._EXPONENTS)
-        for e, scale, hi, hi_high, hi_low, lo in zip(trace_io._EXPONENTS, t.scale, t.hi,
-                                                     t.hi_high, t.hi_low, t.lo):
+        power = trace_io._tables().power
+        assert power.shape == (5, len(trace_io._EXPONENTS))
+        for e, scale, hi, hi_high, hi_low, lo in zip(trace_io._EXPONENTS, *power):
             lifted = e < trace_io._LIFT_BELOW
             assert scale == 2.0 ** (trace_io._LIFT if lifted else 0), e
             exact = Fraction(10) ** (16 - e) / Fraction(scale)
@@ -296,7 +332,7 @@ class TestExactness:
                 m = Fraction(half)
                 m /= Fraction(2) ** math.floor(math.log2(abs(half)))
                 assert (m * 2**25).denominator == 1, e  # 26 significant bits at most
-        assert np.all(np.isfinite(t.hi * trace_io._VELTKAMP))
+        assert np.all(np.isfinite(power[1] * trace_io._VELTKAMP))
 
     def test_percent_path_gives_the_same_bytes(self, tmp_path, monkeypatch):
         bits = np.random.default_rng(3).integers(0, 2**64, 5000, dtype=np.uint64)
@@ -325,7 +361,7 @@ class TestExactness:
     @given(data=st.data())
     def test_random_tables(self, tmp_path_factory, data):
         n_cols = data.draw(st.integers(1, 6), label="float columns")
-        step = trace_io.BLOCK_CELLS // (n_cols + 1)
+        step = trace_io.BLOCK_CELLS // n_cols  # rows per block: the label column is not counted
         n_rows = data.draw(st.sampled_from([0, 1, 2, 7, step - 1, step, step + 1, 2 * step + 1]),
                            label="rows")
         pool = data.draw(st.lists(st.floats(), min_size=1, max_size=40), label="values")
