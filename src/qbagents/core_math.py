@@ -200,8 +200,10 @@ def beta_pdf(theta, p: BetaParams):
 # A truncated Beta piece whose mass piles against an edge more than this many
 # standard deviations of the untruncated law from its mean is a tail: its mass
 # and mean come from the continued fraction of ``_tail_fraction``, where
-# ``betainc`` loses digits or underflows.
+# ``betainc`` loses digits or underflows.  So does a piece too thin for its
+# mass to be a normal double, however near the mean.
 BETA_TAIL_Z = 12.0
+TINY = 2.0 ** -1022  # the least normal double
 
 
 def beta_piece(alpha: float, beta: float, lo: float, hi: float,
@@ -224,11 +226,8 @@ def beta_piece(alpha: float, beta: float, lo: float, hi: float,
         return scalar.betaln(alpha, beta) if mass else None, alpha / s
     mu = alpha / s
     reach = BETA_TAIL_Z * math.sqrt(mu * (1.0 - mu) / (s + 1.0))
-    if mu - hi > reach:
-        return _tail_piece(alpha, beta, lo, hi)
-    if lo - mu > reach:  # mirrored, the mass piles against the upper edge
-        log_mass, mean = _tail_piece(beta, alpha, 1.0 - hi, 1.0 - lo)
-        return log_mass, 1.0 - mean
+    if mu - hi > reach or lo - mu > reach:
+        return _far_piece(alpha, beta, lo, hi)
     if lo <= 0.0:  # the two values ``_inc_difference`` takes at an edge
         z, z1 = scalar.betainc(alpha, beta, hi), scalar.betainc(alpha + 1.0, beta, hi)
     elif hi >= 1.0:
@@ -236,7 +235,18 @@ def beta_piece(alpha: float, beta: float, lo: float, hi: float,
         z, z1 = scalar.betainc(beta, alpha, x), scalar.betainc(beta, alpha + 1.0, x)
     else:
         z, z1 = _inc_difference((alpha, alpha + 1.0), beta, lo, hi)
+    if z < TINY and lo < hi:  # a thin piece, whose mass betainc underflows
+        return _far_piece(alpha, beta, lo, hi)
     return scalar.betaln(alpha, beta) + math.log(z) if mass else None, mu * z1 / z
+
+
+def _far_piece(alpha: float, beta: float, lo: float, hi: float) -> tuple[float, float]:
+    """``_tail_piece`` of a piece below the mean alpha/s, or mirrored, of one
+    above it, whose mass piles against the lower edge."""
+    if hi <= alpha / (alpha + beta):
+        return _tail_piece(alpha, beta, lo, hi)
+    log_mass, mean = _tail_piece(beta, alpha, 1.0 - hi, 1.0 - lo)
+    return log_mass, 1.0 - mean
 
 
 def _tail_piece(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:

@@ -271,10 +271,6 @@ class BetaMixture:
         """Effective sample size 1 / sum(w^2) of the grid posterior."""
         return float(1.0 / np.sum(self.weights ** 2))
 
-    def grid_ensemble(self) -> ParticleEnsemble:
-        """The grid posterior as a plain grid ensemble."""
-        return self.prior if not self.posterior else _refreshed(self.prior, self.weights)
-
     def mean(self) -> float:
         """The mixture of the posterior pieces' closed-form means."""
         if self._mean is None:

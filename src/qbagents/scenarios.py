@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cache, partial
 
@@ -174,7 +175,13 @@ def _delta_ensemble(prior: dict):
 
 def _grid(prior: dict, n: int | None, pdf=None):
     interval = Interval(prior.get("lo", 0.0), prior.get("hi", 1.0))
-    return grid_ensemble(interval, n or DEFAULT_GRID_POINTS, pdf=pdf)
+    ens = grid_ensemble(interval, n or DEFAULT_GRID_POINTS, pdf=pdf)
+    theta = ens.points[:, 0]
+    # theta and 1 - theta vanish at the ends: a grid weighted there alone is
+    # left with no weight once both outcomes have been seen
+    if not np.any((ens.weights > 0.0) & (theta > 0.0) & (theta < 1.0)):
+        raise ValidationError("no grid point with prior weight lies inside (0, 1)")
+    return ens
 
 
 def _pdf_params(prior: dict) -> dict:
@@ -294,6 +301,15 @@ class ScenarioConfig:
         return {**asdict(self), "agents": [asdict(a) for a in self.agents]}
 
 
+def _is_id(v) -> bool:
+    """A nonempty string of ASCII letters, digits, ``_`` and ``-``: an id
+    names CSV columns and files, so it may hold no comma, newline or path
+    separator."""
+    return isinstance(v, str) and re.fullmatch(r"[A-Za-z0-9_-]+", v) is not None
+
+
+ID_MESSAGE = "id must be a nonempty string of letters, digits, '_' and '-', got {v!r}"
+
 # The field table: a (check, message) per field of the config dataclasses.  A
 # message is formatted with the value ``v`` and the block's name ``who``.
 FIELDS = {
@@ -308,7 +324,7 @@ FIELDS = {
                     "out_dir must be a string or null, got {v!r}"),
     },
     AgentSpec: {
-        "id": (lambda v: isinstance(v, str), "agent id must be a string, got {v!r}"),
+        "id": (_is_id, "agent " + ID_MESSAGE),
         "postulate": (one_of(POSTULATES), "{who}: unknown postulate {v!r}"),
         "n_outcomes": (is_int(2), "{who}: n_outcomes must be an integer >= 2, got {v!r}"),
         "prior": (lambda v: one_of(PRIORS)(v.get("kind")), "{who}: unknown prior {v!r}"),
@@ -320,7 +336,7 @@ FIELDS = {
                         "{who}: n_particles must be an integer >= 2, got {v!r}"),
     },
     SourceSpec: {
-        "id": (lambda v: isinstance(v, str), "source id must be a string, got {v!r}"),
+        "id": (_is_id, "source " + ID_MESSAGE),
         "point": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
                   "{who}: point must be a list of numbers, got {v!r}"),
         "source": (lambda v: v is True, "{who}: source must be true, got {v!r}"),

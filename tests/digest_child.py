@@ -1,85 +1,153 @@
-"""One child program for the gates that change the environment numpy starts
-in: the BLAS thread count (``test_blas_threads.py``) and the OpenBLAS kernel
-(``test_blas_kernels.py``), which compare bytes, and numpy's SIMD loops
-(``test_exact_refresh.py``, which checks the law of the exact refresh, and
-``test_trace_io.py``, which compares CSV bytes with ``%``).
+"""One matrix of environments for the determinism gates: each row fixes what
+numpy starts with, and its child process emits the digests that the gates
+compare over (row, key).
 
-``child_digests(env, cases, batches, gap, law, cells)`` runs a fresh
-interpreter with the variables of ``env`` set (a value of None unsets one),
-before numpy loads, and returns the golden digests
-(``test_golden.golden_record`` and ``batch_digest``) of the named
-(scenario, seed) cases and batch cases, keyed as in ``golden_digests.json``,
-plus with ``gap`` the digest of ``mean_contraction_gap`` over 625 pairs of
-count beliefs, with ``law`` the ``test_exact_refresh.law_report`` of the
-named count vectors, with ``cells`` the ``test_trace_io.pool_digests`` of the
-float cell pool, and with either of the last two the SIMD targets numpy
-dispatches to (``simd``, target: enabled).
+- **BLAS thread count** (``default`` and ``two_threads``).  The 1-D
+  reductions (grid and delta-mixture means and variances) are plain
+  ``einsum`` sums, count beliefs take their means in closed form, and the
+  particle agents' sums go through no BLAS call, so every golden case and
+  ``mean_contraction_gap`` of count beliefs give the same bytes with one BLAS
+  thread as with two.
+- **OpenBLAS kernel** (``default``, ``prescott`` and ``haswell``).  numpy's
+  OpenBLAS is built for many CPUs (``DYNAMIC_ARCH``) and picks a kernel for
+  the one it runs on; ``OPENBLAS_CORETYPE`` overrides the pick for one
+  process.  Kernels round a product differently (FMA or not, another
+  blocking), so bytes that went through a BLAS or LAPACK call would follow
+  the CPU.  No sum on a run path takes one: the particle moments and
+  likelihoods are fixed-order column sums, and Phi, its square root and the
+  likelihood rows are Python-float products (``core_math.matmul`` and
+  ``inverse``).  ``Prescott`` loads OpenBLAS's generic ``Katmai`` kernel.
+  The kernel rows need numpy's own OpenBLAS with ``DYNAMIC_ARCH`` and a CPU
+  that runs the Haswell kernel (AVX2 and FMA); elsewhere they are skipped.
+  Other BLAS builds (MKL, Accelerate) are not covered.
+- **numpy's SIMD loops** (``below_avx512`` and ``below_avx2``).  The bytes
+  of a run still follow them (README, "Determinism"), but two things must
+  not: the law of the exact refresh, whose Beta draws round through numpy's
+  ``log``, ``exp`` and ``power`` loops (``test_exact_refresh.law_report``),
+  and float CSV cells, whose decimal exponent comes from ``np.log10``
+  (``test_trace_io.pool_digests``).  A row is skipped where numpy dispatches
+  to none of the targets it switches off.
+
+``output(row, *with_rows)`` runs a row's child at most once per session, and
+at most two children at a time (one per core); it returns only when every
+child it started has ended, so none runs while other tests do.  The child is
+this file run as a script, which prints the JSON of ``emit(parts)``:
+
+    PYTHONPATH=src python tests/digest_child.py golden gap
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
+import numpy as np
+import pytest
+
+try:  # numpy's SIMD dispatch targets, and the CPU features it found (name: present)
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as DISPATCH
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU
+except ImportError:
+    DISPATCH, CPU = (), {}
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-GAP_SHAPES = (0.5, 1.0, 2.5, 7.0, 40.0)  # Beta(alpha, beta) count beliefs, 25, 625 pairs
-
-CHILD = f"""
-import hashlib, json, os, sys, tempfile
-sys.path.insert(0, {HERE!r})
-from test_golden import _batch_key, _key, batch_digest, golden_record
-spec = json.loads(sys.argv[1])
-out = {{}}
-with tempfile.TemporaryDirectory() as tmp:
-    for name, seed in spec["cases"]:
-        out[_key(name, seed)] = golden_record(name, seed, os.path.join(tmp, _key(name, seed)))
-    for case in spec["batches"]:
-        out[_batch_key(case)] = batch_digest(case, os.path.join(tmp, "batch"))
-if spec["gap"]:
-    from qbagents.agreement import mean_contraction_gap
-    from qbagents.inference import BetaMixture, grid_ensemble
-    from qbagents.postulate import Interval
-    prior = grid_ensemble(Interval(), 101)
-    beliefs = [BetaMixture(prior, ((0.0, a, b, 0.0, 1.0),))
-               for a in {GAP_SHAPES!r} for b in {GAP_SHAPES!r}]
-    gaps = [mean_contraction_gap(a, b) for a in beliefs for b in beliefs]
-    out["mean_contraction_gap"] = hashlib.sha256(repr(gaps).encode()).hexdigest()
-if spec["law"]:
-    from test_exact_refresh import law_report
-    out["law"] = law_report(spec["law"])
-if spec["cells"]:
-    from test_trace_io import pool_digests
-    out["cells"] = pool_digests()
-if spec["law"] or spec["cells"]:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    out["simd"] = {{target: __cpu_features__[target] for target in __cpu_dispatch__}}
-json.dump(out, sys.stdout, sort_keys=True)
-"""
 
 
-def child_digests(env: dict, cases=(), batches=(), gap: bool = False, law=(),
-                  cells: bool = False) -> dict:
-    """The digests of ``cases`` ((scenario, seed) pairs), ``batches`` (keys of
-    ``test_golden.BATCH_CASES``) and, with ``gap``, ``mean_contraction_gap``,
-    the exact-refresh law report of the ``law`` count vectors and, with
-    ``cells``, the float cell pool's digests, computed in a child process
-    whose environment is this one's updated by ``env`` (None unsets a
-    variable)."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    child_env = {**os.environ, "PYTHONPATH": path}
-    for var, value in env.items():
-        child_env.pop(var, None)
+class Row(NamedTuple):
+    env: dict  # variables set before numpy loads; None unsets one
+    parts: tuple  # what the child emits (``emit``)
+    skip: str | None = None  # why the row cannot run here
+
+
+BLAS = np.__config__.CONFIG["Build Dependencies"]["blas"]
+KERNEL_SKIP = (None if "openblas" in BLAS.get("name", "")
+               and "DYNAMIC_ARCH" in BLAS.get("openblas configuration", "")
+               and CPU.get("AVX2", False) and CPU.get("FMA3", False)
+               else "needs numpy's OpenBLAS with DYNAMIC_ARCH on an AVX2 CPU")
+DEFAULT_ENV = {**dict.fromkeys(THREAD_VARS, "1"), "OPENBLAS_CORETYPE": None,
+               "NPY_DISABLE_CPU_FEATURES": None}
+
+
+def _simd_row(disabled: str, parts: tuple) -> Row:
+    on = any(target in DISPATCH and CPU.get(target, False) for target in disabled.split())
+    return Row({**DEFAULT_ENV, "NPY_DISABLE_CPU_FEATURES": disabled}, parts,
+               None if on else f"numpy dispatches to none of {disabled} here")
+
+
+ENVIRONMENTS = {
+    "default": Row(DEFAULT_ENV, ("golden", "gap")),
+    "two_threads": Row({**DEFAULT_ENV, **dict.fromkeys(THREAD_VARS, "2")}, ("golden", "gap")),
+    "prescott": Row({**DEFAULT_ENV, "OPENBLAS_CORETYPE": "Prescott"}, ("golden",), KERNEL_SKIP),
+    "haswell": Row({**DEFAULT_ENV, "OPENBLAS_CORETYPE": "Haswell"}, ("golden",), KERNEL_SKIP),
+    "below_avx512": _simd_row("X86_V4 AVX512_ICL AVX512_SPR", ("law", "cells")),
+    "below_avx2": _simd_row("X86_V4 AVX512_ICL AVX512_SPR X86_V3", ("cells",)),
+}
+BLAS_ROWS = ("default", "two_threads", "prescott", "haswell")
+SIMD_ROWS = ("below_avx512", "below_avx2")
+
+
+def disabled_targets(row: str) -> list[str]:
+    """The SIMD targets a row switches off."""
+    return ENVIRONMENTS[row].env["NPY_DISABLE_CPU_FEATURES"].split()
+
+
+# part -> the function, module.name, whose result a child emits for it
+PARTS = {"golden": "test_golden.golden_table", "gap": "test_golden.gap_digest",
+         "law": "test_exact_refresh.law_report", "cells": "test_trace_io.pool_digests"}
+
+
+def emit(parts) -> dict:
+    """The result of each part's function (``PARTS``), and under ``simd`` the
+    SIMD targets numpy dispatches to (target: enabled)."""
+    out = {"simd": {target: CPU[target] for target in DISPATCH}}
+    for part in parts:
+        module, name = PARTS[part].split(".")
+        out[part] = getattr(importlib.import_module(module), name)()
+    return out
+
+
+class ChildFailed(Exception):
+    """A row's child exited with an error; the message holds its stderr."""
+
+
+_outputs: dict = {}  # row -> its child's output, or the message of its failure
+
+
+def _run_child(row: str) -> dict | str:
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    for var, value in ENVIRONMENTS[row].env.items():
+        env.pop(var, None)
         if value is not None:
-            child_env[var] = value
-    spec = json.dumps({"cases": list(cases), "batches": list(batches), "gap": gap,
-                       "law": list(law), "cells": cells})
-    out = subprocess.run([sys.executable, "-c", CHILD, spec], env=child_env,
-                         capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(out.stdout)
+            env[var] = value
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), *ENVIRONMENTS[row].parts],
+                          env=env, capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        return f"the {row} child exited with status {done.returncode}:\n{done.stderr}"
+    return json.loads(done.stdout)
 
 
-def threads(n: int) -> dict:
-    """The environment of ``n`` BLAS threads."""
-    return {var: str(n) for var in THREAD_VARS}
+def output(row: str, *with_rows: str) -> dict:
+    """The output of ``row``'s child (see ``emit``).  A row that cannot run
+    here skips the caller.  The first call for a row runs its child, together
+    with those of ``with_rows`` that have not run and can, two at a time;
+    later calls return the same object.  A failed child raises
+    ``ChildFailed`` at every call for its row."""
+    if ENVIRONMENTS[row].skip:
+        pytest.skip(ENVIRONMENTS[row].skip)
+    todo = [r for r in dict.fromkeys((row, *with_rows))
+            if r not in _outputs and not ENVIRONMENTS[r].skip]
+    if todo:
+        with ThreadPoolExecutor(2) as pool:
+            _outputs.update(zip(todo, pool.map(_run_child, todo)))
+    if isinstance(_outputs[row], str):
+        raise ChildFailed(_outputs[row])
+    return _outputs[row]
+
+
+if __name__ == "__main__":
+    json.dump(emit(sys.argv[1:]), sys.stdout, sort_keys=True)

@@ -169,7 +169,8 @@ def test_verify_appendix_passes(runner):
      "agent 'agent': invalid interval [a, 1.0]"),
     (1, "point", ["a"], "source 'source': point must be a list of numbers, got ['a']"),
     (1, "point", ["0.5"], "source 'source': point must be a list of numbers, got ['0.5']"),
-    (0, "id", [1], "agent id must be a string, got [1]"),
+    (0, "id", [1], "agent id must be a nonempty string of letters, digits, '_' and '-', "
+                   "got [1]"),
     (0, "prior", {"kind": "delta", "points": [0.2, 0.8], "weights": [1.0]},
      "agent 'agent': delta prior has 1 weights for 2 points"),
     (0, "prior", {"kind": "delta", "points": [0.2, 0.8], "weights": [-0.5, 1.5]},

@@ -16,6 +16,9 @@ from qbagents.core_math import (
     regularized_incomplete_beta,
 )
 from qbagents.errors import ValidationError
+from qbagents.inference import BetaMixture, grid_ensemble
+from qbagents.postulate import Interval
+from qbagents.scenarios import triangular_pieces
 
 
 class TestProbVector:
@@ -234,6 +237,48 @@ class TestTailKernels:
             for mass in (True, False):
                 assert (_outcome(core_math.beta_piece, *case, mass)
                         == _outcome(reference_beta_piece, *case, mass)), (case, mass)
+
+
+def lower_moments(a, b, x):
+    """(mass, first moment) of t^(a-1) (1-t)^(b-1) on [0, x], in mpmath."""
+    a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+    return (x**a / a * mp.hyp2f1(a, 1 - b, a + 1, x),
+            x**(a + 1) / (a + 1) * mp.hyp2f1(a + 1, 1 - b, a + 2, x))
+
+
+def piece_moments(a, b, lo, hi):
+    """(mass, first moment) of t^(a-1) (1-t)^(b-1) on [lo, hi], one edge being
+    0 or 1, in mpmath."""
+    if lo <= 0.0:
+        return lower_moments(a, b, hi)
+    m0, m1 = lower_moments(b, a, 1 - mp.mpf(lo))  # in 1 - t
+    return m0, m0 - m1
+
+
+class TestThinPieces:
+    """A triangular prior whose peak lies next to an edge has one piece so
+    thin that betainc underflows to 0 on it once the counts grow; its mass and
+    mean then come from the tail forms in log space."""
+
+    @pytest.mark.parametrize("peak", [1e-6, 1e-9, 1e-12, 0.99999, 1 - 1e-12])
+    @mp.workdps(50)
+    def test_triangle_beliefs_match_mpmath(self, peak):
+        pieces = triangular_pieces(peak)
+        prior = grid_ensemble(Interval(), 101)
+        for a, b in [(0, 0), (1, 0), (60, 940), (120, 880), (600, 400), (880, 120), (5, 995),
+                     (995, 5)]:
+            posterior = [(c, al + a, be + b, lo, hi) for c, al, be, lo, hi in pieces]
+            moments = [piece_moments(*p[1:]) for p in posterior]
+            for (_c, *piece), (m0, m1) in zip(posterior, moments):
+                log_mass, mean = core_math.beta_piece(*piece)
+                assert log_mass == pytest.approx(float(mp.log(m0)), rel=1e-14, abs=1e-14)
+                assert piece[2] <= mean <= piece[3], (a, b, piece)
+                assert mean == pytest.approx(float(m1 / m0), rel=1e-4), (a, b, piece)
+            exact = (sum(mp.e ** c * m1 for (c, *_p), (_m0, m1) in zip(posterior, moments))
+                     / sum(mp.e ** c * m0 for (c, *_p), (m0, _m1) in zip(posterior, moments)))
+            mean = BetaMixture(prior, pieces, (a, b)).mean()
+            assert 0.0 <= mean <= 1.0
+            assert mean == pytest.approx(float(exact), rel=1e-14), (a, b)
 
 
 class TestKolmogorov:

@@ -21,7 +21,7 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
-from digest_child import child_digests
+from digest_child import SIMD_ROWS, disabled_targets, output
 from qbagents import inference
 from qbagents.agents import Agent
 from qbagents.inference import (
@@ -174,11 +174,14 @@ def moment_z_scores(counts, pts):
     return np.array(z)
 
 
-def law_report(names):
-    """For each named ``COUNT_VECTORS`` entry, the largest moment z-score and
-    the smallest axis-marginal KS p-value of one N-point cloud."""
+SIMD_LAW_VECTORS = ("one_sided", "boundary_xz", "inner_source_3000")
+
+
+def law_report():
+    """For each of ``SIMD_LAW_VECTORS``, the largest moment z-score and the
+    smallest axis-marginal KS p-value of one N-point cloud."""
     report = {}
-    for name in names:
+    for name in SIMD_LAW_VECTORS:
         counts = COUNT_VECTORS[name]
         pts = sample_axis_posterior(counts, N, np.random.default_rng(22))
         report[name] = {
@@ -187,17 +190,6 @@ def law_report(names):
                           for a in range(3)),
         }
     return report
-
-
-SIMD_BELOW_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-
-
-def _avx512_loops() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        return False
-    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
 
 
 class TestExactnessGate:
@@ -217,17 +209,16 @@ class TestExactnessGate:
         result = stats.kstest(pts[:, axis], marginal_cdf(counts, axis))
         assert result.pvalue > 0.001
 
-    @pytest.mark.skipif(not _avx512_loops(), reason="numpy dispatches no AVX-512 loops here")
     def test_law_holds_on_numpy_loops_below_avx512(self):
         # The draws round through numpy's log, exp and power loops, whose bits
         # follow the SIMD level: with the AVX-512 loops off, other candidates
         # pass the ball and BB tests, and the law must hold all the same.
-        names = ("one_sided", "boundary_xz", "inner_source_3000")
-        child = child_digests(SIMD_BELOW_AVX512, law=names)
-        assert not any(child["simd"][t] for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR"))
-        for name in names:
-            assert child["law"][name]["z_max"] < 4, name
-            assert child["law"][name]["ks_min"] > 0.001, name
+        child = output("below_avx512", *SIMD_ROWS)
+        assert not any(child["simd"].get(t) for t in disabled_targets("below_avx512"))
+        assert sorted(child["law"]) == sorted(SIMD_LAW_VECTORS)
+        for name, law in child["law"].items():
+            assert law["z_max"] < 4, name
+            assert law["ks_min"] > 0.001, name
 
     def test_quadrature_of_the_uniform_ball(self):
         mean, cov = truncated_moments(np.zeros((3, 2)))

@@ -31,6 +31,7 @@ from qbagents.core_math import DEFAULT_GRID_POINTS
 from qbagents.errors import ImpossibleOutcomeError, ValidationError
 from qbagents.inference import (
     BetaMixture,
+    ParticleEnsemble,
     bayes_update,
     grid_ensemble,
     maybe_resample,
@@ -240,9 +241,14 @@ def test_update_counts_theta_and_one_minus_theta():
 MIXED = np.array([[0.75, 0.25], [0.25, 0.75]])
 
 
+def as_grid(b: BetaMixture) -> ParticleEnsemble:
+    """The count belief's grid posterior as a plain grid ensemble."""
+    return ParticleEnsemble(b.points, b.weights, b.region, grid=True)
+
+
 def test_other_likelihood_reweights_the_grid():
     b = belief(PRIOR_CASES["uniform"], (2, 1), n=1001)
-    out = bayes_update(b.grid_ensemble(), CLASSICAL2, MIXED, 0)
+    out = bayes_update(as_grid(b), CLASSICAL2, MIXED, 0)
     assert not isinstance(out, BetaMixture) and out.grid and out.posterior
     theta = b.points[:, 0]
     expected = b.weights * (0.25 + 0.5 * theta)
@@ -255,7 +261,7 @@ def test_an_outcome_the_support_rules_out_raises():
     b = belief(PRIOR_CASES["uniform"], (2, 1), n=1001)
     never = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ImpossibleOutcomeError):
-        bayes_update(b.grid_ensemble(), CLASSICAL2, never, 1)
+        bayes_update(as_grid(b), CLASSICAL2, never, 1)
     # a zero row is no class, so the count belief rejects it before any grid
     with pytest.raises(ValidationError, match="neither theta nor 1 - theta"):
         bayes_update(b, CLASSICAL2, never, 1)
@@ -320,7 +326,7 @@ def test_draw_columns_match_the_grid_engine(name, seed):
     grids = build_runtime(cfg)
     for slot in grids.slots:
         if isinstance(getattr(slot, "ensemble", None), BetaMixture):
-            slot.ensemble = slot.ensemble.grid_ensemble()
+            slot.ensemble = slot.ensemble.prior
     new, old = run(counting), run(grids)
     if _columns(new) == _columns(old):
         return

@@ -12,12 +12,12 @@ weights, and a run shorter than ``EARLY_STEP``, whose early and final steps
 coincide.  A change that alters any of these bytes changes behaviour and has
 to say so.
 
-The runs happen in a child process with one BLAS thread.  The bytes depend
-neither on the thread count (``test_blas_threads.py``) nor on the OpenBLAS
-kernel (``test_blas_kernels.py``), since no sum on a run path goes through
-BLAS or LAPACK.  Other BLAS builds and other numpy builds were not tested;
-on such a platform, compare with a known-good commit before trusting a
-mismatch.
+The runs happen in the child processes of the environment matrix
+(``digest_child.py``): at one BLAS thread and at two, and under the OpenBLAS
+kernel this machine selects, the generic one and ``Haswell``.  Every row must
+give the golden bytes, since no sum on a run path goes through BLAS or
+LAPACK.  Other BLAS builds and other numpy builds were not tested; on such a
+platform, compare with a known-good commit before trusting a mismatch.
 
 Regenerate (only for a deliberate behaviour change), every digest or only the
 named keys, leaving the others as they are:
@@ -44,23 +44,28 @@ if __name__ == "__main__":
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import subprocess  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import pytest  # noqa: E402
 
+import digest_child  # noqa: E402
+from digest_child import BLAS_ROWS, output  # noqa: E402
+from qbagents.agreement import mean_contraction_gap  # noqa: E402
 from qbagents.errors import ImpossibleOutcomeError  # noqa: E402
+from qbagents.inference import BetaMixture, grid_ensemble  # noqa: E402
+from qbagents.postulate import Interval  # noqa: E402
 from qbagents.scenarios import REGISTRY, batch, default_config, run_config  # noqa: E402
 from qbagents.trace_io import emit_batch, emit_plot_data, emit_trace  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_digests.json")
-SRC = os.path.join(os.path.dirname(HERE), "src")
 SEEDS = (1, 2, 3)
 MAX_STEPS = 200
 CASES = [(name, seed) for name in sorted(REGISTRY) for seed in SEEDS]
 BATCH_STEPS = 20
+GAP_SHAPES = (0.5, 1.0, 2.5, 7.0, 40.0)  # Beta(alpha, beta) count beliefs, 25, 625 pairs
 # batch case -> (scenario, n_steps, prior given to both agents, or None to
 # keep the registry's)
 BATCH_CASES = {
@@ -165,6 +170,14 @@ def golden_table() -> dict:
         return table
 
 
+def gap_digest() -> str:
+    """sha256 of ``mean_contraction_gap`` over 625 pairs of count beliefs."""
+    prior = grid_ensemble(Interval(), 101)
+    beliefs = [BetaMixture(prior, ((0.0, a, b, 0.0, 1.0),)) for a in GAP_SHAPES for b in GAP_SHAPES]
+    gaps = [mean_contraction_gap(a, b) for a in beliefs for b in beliefs]
+    return hashlib.sha256(repr(gaps).encode()).hexdigest()
+
+
 def rewrite_golden(keys: list, path: str = GOLDEN_PATH, table=golden_table):
     """Replace the digests of ``keys`` in the file at ``path`` with those of
     ``table()``, leaving all others untouched; with no keys, write every
@@ -187,15 +200,6 @@ def rewrite_golden(keys: list, path: str = GOLDEN_PATH, table=golden_table):
 def golden():
     with open(GOLDEN_PATH, encoding="utf8") as fh:
         return json.load(fh)
-
-
-@pytest.fixture(scope="module")
-def emitted():
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
-                         text=True, check=True, timeout=600)
-    return json.loads(out.stdout)
 
 
 def test_golden_covers_every_case(golden):
@@ -240,14 +244,54 @@ def test_emit_writes_the_golden_bytes(golden, tmp_path, monkeypatch):
     assert _sha256(str(batch_json)) == golden["batch/classical_pair/steps5"]
 
 
-@pytest.mark.parametrize("scenario,seed", CASES)
-def test_emitted_bytes_match_golden(golden, emitted, scenario, seed):
-    assert emitted[_key(scenario, seed)] == golden[_key(scenario, seed)]
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("env", BLAS_ROWS)
+def test_bytes_match_golden(golden, env, key):
+    assert output(env, *BLAS_ROWS)["golden"][key] == golden[key]
 
 
-@pytest.mark.parametrize("case", BATCH_CASES)
-def test_batch_json_matches_golden(golden, emitted, case):
-    assert emitted[_batch_key(case)] == golden[_batch_key(case)]
+def test_gap_is_the_same_at_one_and_two_threads():
+    assert output("default", *BLAS_ROWS)["gap"] == output("two_threads", *BLAS_ROWS)["gap"]
+
+
+def test_a_row_runs_its_child_once(monkeypatch):
+    first = output("default", *BLAS_ROWS)
+    monkeypatch.setattr(digest_child, "_run_child", lambda row: pytest.fail(f"{row} ran again"))
+    assert output("default", *BLAS_ROWS) is first
+
+
+def test_rows_run_two_at_a_time(monkeypatch):
+    running, peaks = [], []
+
+    def child(row):
+        running.append(row)
+        peaks.append(len(running))
+        time.sleep(0.05)
+        running.remove(row)
+        return {"row": row}
+
+    rows = {f"r{k}": digest_child.Row({}, ()) for k in range(5)}
+    monkeypatch.setattr(digest_child, "ENVIRONMENTS", {**rows, "off": digest_child.Row({}, (), "off")})
+    monkeypatch.setattr(digest_child, "_outputs", {})
+    monkeypatch.setattr(digest_child, "_run_child", child)
+    assert output("r1", *rows, "off") == {"row": "r1"}
+    assert max(peaks) == 2 and len(peaks) == len(rows) and not running
+    assert output("r4") == {"row": "r4"} and len(peaks) == len(rows)
+    with pytest.raises(pytest.skip.Exception, match="off"):
+        output("off")
+
+
+def test_a_failed_child_fails_each_call_with_its_stderr(monkeypatch):
+    runs = []
+    monkeypatch.setitem(digest_child.ENVIRONMENTS, "broken",
+                        digest_child.Row({}, ("no_such_part",)))
+    monkeypatch.setattr(digest_child, "_outputs", {})
+    monkeypatch.setattr(digest_child, "_run_child",
+                        lambda row, run=digest_child._run_child: runs.append(row) or run(row))
+    for _ in range(2):
+        with pytest.raises(digest_child.ChildFailed, match="(?s)Traceback.*'no_such_part'"):
+            output("broken")
+    assert runs == ["broken"]
 
 
 if __name__ == "__main__":
@@ -256,7 +300,5 @@ if __name__ == "__main__":
         rewrite_golden(args[1:])
     elif args[:1] == ["--emit"] and args[2:] in ([], ["--full"]) and len(args) > 1:
         emit_cases(args[1], full=args[2:] == ["--full"])
-    elif args:
-        raise SystemExit("usage: test_golden.py [--write [KEY ...] | --emit DIR [--full]]")
     else:
-        json.dump(golden_table(), sys.stdout, sort_keys=True)
+        raise SystemExit("usage: test_golden.py --write [KEY ...] | --emit DIR [--full]")

@@ -298,14 +298,18 @@ class TestValidation:
         assert err.value.violations == [
             f"source 'source': point must be a list of numbers, got {shown}"]
 
-    @pytest.mark.parametrize("slot,kind,value", [(0, "agent", [1]), (0, "agent", 7),
-                                                 (1, "source", None)])
-    def test_ids_must_be_strings(self, slot, kind, value):
+    @pytest.mark.parametrize("slot,kind,value", [
+        (0, "agent", [1]), (0, "agent", 7), (1, "source", None),
+        # an id names CSV columns and files: no separator, newline or path
+        (0, "agent", "a,b"), (0, "agent", "x\ny"), (0, "agent", "sub/dir"), (0, "agent", ""),
+        (0, "agent", "al ice"), (0, "agent", "..\\up"), (1, "source", "src.1")])
+    def test_ids_must_be_plain_names(self, slot, kind, value):
         data = json.loads(emit_config(default_config("coin_tomography")))
         data["agents"][slot]["id"] = value
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(data))
-        assert err.value.violations == [f"{kind} id must be a string, got {value!r}"]
+        assert err.value.violations == [
+            f"{kind} id must be a nonempty string of letters, digits, '_' and '-', got {value!r}"]
 
     @pytest.mark.parametrize("name,slot", [("coin_tomography", 1),
                                            ("classical_pair", 1)])
@@ -465,6 +469,25 @@ class TestUnallocatableEnsemble:
         assert info.value.violations == [
             "agent 'alice': prior 'grid_pdf' on n_particles 2: "
             "pdf is zero everywhere on the grid"]
+
+    def test_grid_with_no_inner_point(self):
+        # theta or 1 - theta vanishes at each end of [0, 1]: after one outcome
+        # of each kind a grid on the ends alone would hold no weight
+        cfg = default_config("classical_pair", seed=1)
+
+        def sized(n, **prior):
+            agent = replace(cfg.agents[0], prior={"kind": "grid_uniform", **prior}, n_particles=n)
+            return replace(cfg, n_steps=20, agents=(agent, cfg.agents[1]))
+
+        assert validate_config(sized(2)) == []
+        with pytest.raises(ConfigError) as info:
+            build_runtime(sized(2))
+        assert info.value.violations == [
+            "agent 'alice': prior 'grid_uniform' on n_particles 2: "
+            "no grid point with prior weight lies inside (0, 1)"]
+        for ok in (sized(3), sized(2, lo=0.0, hi=0.5)):
+            trace = run_config(ok)
+            assert np.isfinite(trace.records[-1].agents[0].ess)
 
 
 class TestDefaults:

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digest_child import child_digests
+from digest_child import SIMD_ROWS, disabled_targets, output
 from qbagents import trace_io
 from qbagents.scenarios import default_config, run_config
 
@@ -279,18 +279,6 @@ def write_and_read(directory, columns) -> str:
                                      [f"c{k}" for k in range(len(columns))], columns))
 
 
-SIMD_SETTINGS = ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]
-
-
-def _simd_targets_on(names: str) -> bool:
-    """Whether numpy dispatches to any of the SIMD targets ``names`` here."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return any(__cpu_features__.get(name, False) for name in names.split())
-
-
 class TestExactness:
     @pytest.mark.parametrize("values", [near_ties, powers_of_ten, exact_ties, next_to_ties,
                                         wide_pool])
@@ -346,14 +334,12 @@ class TestExactness:
         assert write_and_read(tmp_path, columns) == fast
         assert emitted(tmp_path / "slow", trace) == fast_files
 
-    @pytest.mark.parametrize("disabled", SIMD_SETTINGS)
-    def test_bytes_hold_on_numpy_simd_loops(self, disabled):
+    @pytest.mark.parametrize("row", SIMD_ROWS)
+    def test_bytes_hold_on_numpy_simd_loops(self, row):
         # E comes from np.log10, whose last bits follow the SIMD level; the
         # correction must keep them out of the bytes
-        if not _simd_targets_on(disabled):
-            pytest.skip(f"numpy dispatches to none of {disabled} here")
-        child = child_digests({"NPY_DISABLE_CPU_FEATURES": disabled}, cells=True)
-        assert not any(child["simd"].get(target) for target in disabled.split())
+        child = output(row, *SIMD_ROWS)
+        assert not any(child["simd"].get(target) for target in disabled_targets(row))
         assert child["cells"]["array"] == child["cells"]["reference"]
         assert child["cells"]["cells"] > 100_000
 
