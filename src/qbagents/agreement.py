@@ -45,17 +45,23 @@ functions:
   (four uniforms per pair, the stream of four scalar draws) and their gaps
   computed elementwise by ``_mixture_mean`` and ``_gaps``, so memory does not
   grow with the number of pairs;
-* chi: a certificate for every (k, l, N) in one pass.  The coefficients of
-  the Bernstein form are derived from chi's definition in integer arithmetic
+* chi: a certificate for every (k, l, N).  The coefficients of the
+  Bernstein form are derived from chi's definition in integer arithmetic
   (``_chi_elevated``), compared with the closed form (``_chi_coefficients``)
   and checked positive;
 * Kolmogorov contraction: the priors and mixture components have integer
   shapes, so each CDF difference is a band of Bernstein terms (DLMF 8.17.5)
   with one interior critical point, where ``_kolmogorov_pairs`` takes its
-  exact sup, for all pairs l < k at once.  Both distances are exactly
+  exact sup, for many pairs l < k at once.  Both distances are exactly
   symmetric in (k, l) and vanish at k = l;
-* the split-sum boundary values: one pass of ``_edge_terms`` over all
-  ``(k, l, N)`` triples.
+* the split-sum boundary values: ``_edge_terms`` over the chi triples.
+
+The chi, Kolmogorov and split-sum passes hold one column per Bernstein index
+0..N+2 for each (k, l, N) triple, so they go over the triples in blocks of at
+most ``TRIPLE_BLOCK_CELLS`` cells (``_triple_blocks``): memory grows with the
+largest N, not with the N^3 triples.  A row's values do not depend on the
+block it lies in, so the battery's bits do not either; at the CLI defaults
+each pass is one block.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ from .inference import BetaMixture
 
 CLAIM_TOL = 1e-12  # slack on the mean-contraction and chi margins
 BETA_PAIR_BLOCK = 4096  # random Beta pairs drawn and checked per array pass
+TRIPLE_BLOCK_CELLS = 2**17  # (k, l, N) triples times Bernstein indices per array pass
 
 
 class _BetaArrays(NamedTuple):
@@ -358,6 +365,15 @@ def _count_triples(max_n: int):
     return np.concatenate(ks), np.concatenate(ls), np.concatenate(ns)
 
 
+def _triple_blocks(max_n: int):
+    """``_count_triples(max_n)`` in blocks of at most ``TRIPLE_BLOCK_CELLS``
+    cells of max_n + 3 Bernstein indices each (one triple at the least)."""
+    k, l, n = _count_triples(max_n)
+    step = max(1, TRIPLE_BLOCK_CELLS // (max_n + 3))
+    for start in range(0, k.size, step):
+        yield k[start:start + step], l[start:start + step], n[start:start + step]
+
+
 def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
                            n_beta_pairs: int = 10_000, seed: int = 0) -> list[dict]:
     """Run the full battery of closed-form agreement checks.
@@ -379,22 +395,22 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
     rows.append({"claim": f"mean contraction ({n_beta_pairs} random Beta pairs)",
                  "passed": bool(worst >= -CLAIM_TOL), "margin": float(worst)})
 
-    k, l, n = _count_triples(chi_max_n)
-    coefficients = _chi_coefficients(k, l, n)
-    i = np.arange(coefficients.shape[1])
-    worst = int(np.min(coefficients[(i > l[:, None]) & (i <= k[:, None] + 1)]))
+    worst, same, edges = [], True, True
+    for k, l, n in _triple_blocks(chi_max_n):
+        coefficients = _chi_coefficients(k, l, n)
+        i = np.arange(coefficients.shape[1])
+        worst.append(int(np.min(coefficients[(i > l[:, None]) & (i <= k[:, None] + 1)])))
+        same &= np.array_equal(coefficients, _chi_elevated(k, l, n))
+        first, second = _edge_terms(k, l, n)
+        edges &= bool(np.all((np.abs(first - (n + 1 - k)) < 1e-6)
+                             & (np.abs(second - (l + 1)) < 1e-6) & (first > 0) & (second > 0)))
     rows.append({"claim": f"chi >= 0 by positive Bernstein coefficients (N <= {chi_max_n})",
-                 "passed": bool(np.array_equal(coefficients, _chi_elevated(k, l, n))
-                                and worst > 0), "margin": float(worst)})
+                 "passed": bool(same and min(worst) > 0), "margin": float(min(worst))})
 
-    k_prior, k_post = _kolmogorov_pairs(*_count_triples(kdist_max_n))
-    worst = float(np.min(k_prior - k_post))
+    worst = min(float(np.min(np.subtract(*_kolmogorov_pairs(*block))))
+                for block in _triple_blocks(kdist_max_n))
     rows.append({"claim": f"Kolmogorov contraction (N <= {kdist_max_n})",
                  "passed": bool(worst >= -CLAIM_TOL), "margin": worst})
-
-    first, second = _edge_terms(k, l, n)
-    ok = np.all((np.abs(first - (n + 1 - k)) < 1e-6) & (np.abs(second - (l + 1)) < 1e-6)
-                & (first > 0) & (second > 0))
     rows.append({"claim": f"split-sum boundary positivity (N <= {chi_max_n})",
-                 "passed": bool(ok), "margin": 0.0})
+                 "passed": edges, "margin": 0.0})
     return rows

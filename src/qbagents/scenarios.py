@@ -215,6 +215,7 @@ PRIORS = {
         {"points": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]}),
         None),
 }
+ATOM_PRIORS = ("delta", "two_sided_coin", "four_delta_xz")  # fixed atoms: no n_particles
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +441,9 @@ def _agent_rules(block: AgentSpec, bad: dict) -> tuple[list[str], str | None]:
         region, params, check, *_rest = PRIORS[kind]
         found = check(block.prior) or _unknown_params(block.prior, params, f"prior {kind!r}")
         own += found
+        if kind in ATOM_PRIORS and block.n_particles is not None and "n_particles" not in bad:
+            own.append(f"prior kind {kind!r} has fixed atoms and takes no n_particles, "
+                       f"got {block.n_particles!r}")
         if not found:
             space = (region or region_with(dim=_delta_points(block.prior).shape[1])).space
     if space and (need := region_with(ref_dim=n)) and need.space != space:

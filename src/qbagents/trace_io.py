@@ -37,9 +37,11 @@ of 1/2; a ``rint(D)`` of 10^17 carries into ``E``.  Cells below ``1e-270``,
 subnormals included, are scaled by an exact ``2^256`` first, against
 ``10^(16-E) 2^-256`` in the table, so that every finite cell has an entry.
 The cells within the band around a tie (in practice the exact ties, such as
-1234567890123456.75) and the non-finite ones are formatted by ``"%.17g" %``
-itself, and so is every cell of a table with under ``FEW_CELLS`` float
-cells, where the array pass's fixed cost is larger.
+1234567890123456.75), the non-finite ones and the fixed cells from 10 up
+(1 <= E < 17; on ``--emit --full``, about 0.6 % of the cells, all ESS
+columns of steps tables) are formatted by ``"%.17g" %`` itself, and so is
+every cell of a table with under ``FEW_CELLS`` float cells, where the array
+pass's fixed cost is larger.
 
 Slots.  Each float cell is laid out in a 32-byte slot of four ``uint64``
 words, with NUL bytes for absent characters, which ``bytes.translate``
@@ -47,21 +49,18 @@ deletes; the longest cell, such as ``-1.2345678901234567e-308``, has 24
 characters.  Word 0 holds the sign at byte 0 and, for fixed cells below 1,
 the ``0.000`` prefix at bytes 1-5; the 17 digits lie at bytes 7-23, the
 first at the top of word 0 and eight each in words 1 and 2, from a table of
-4-digit chunks; word 3 holds ``e+ddd`` and, at byte 31, the separator.  The
-integer digits move down one byte, which frees the byte after them for the
-dot.  For a cell with at most one integer digit (all but the fixed cells
-from 10 up) that is word 0 alone: word 0 is read whole from a table by the
-cell's layout (its form and the digits shown) and leading digit, and words
-1 and 2 are the digits under that layout's ``uint64`` masks.  The others
-take the general masks, and their integer digits move by one byte shift of
-the three digit words.  A table is formatted in blocks of about
-``BLOCK_CELLS`` cells: each table allocates one buffer of work arrays and
-one line buffer, sized for a block, and computes every block in place
-(numpy ``out=``), label cells included, so that a block allocates little
-beyond its output bytes.  (Dekker, "A floating-point technique for
-extending the available precision", Numer. Math. 18, 224, 1971; Adams, "Ryu
-revisited: printf floating point conversion", OOPSLA 2019, on
-fixed-precision conversion from a power table.)
+4-digit chunks; word 3 holds ``e+ddd`` and, at byte 31, the separator.  A
+cell of the array path has at most one integer digit, which moves down to
+byte 6 and frees byte 7 for the dot.  So word 0 is read whole from one table
+by the cell's layout (its form and the digits shown) and leading digit, and
+words 1 and 2 are the digits under that layout's ``uint64`` masks.  A table
+is formatted in blocks of about ``BLOCK_CELLS`` cells: each table allocates
+one buffer of work arrays and one line buffer, sized for a block, and
+computes every block in place (numpy ``out=``), label cells included, so
+that a block allocates little beyond its output bytes.  (Dekker, "A
+floating-point technique for extending the available precision", Numer.
+Math. 18, 224, 1971; Adams, "Ryu revisited: printf floating point
+conversion", OOPSLA 2019, on fixed-precision conversion from a power table.)
 """
 
 from __future__ import annotations
@@ -90,19 +89,13 @@ _VELTKAMP = 2.0**27 + 1
 _SLOT = 32  # bytes of a float cell's slot: four uint64 words, the last byte the separator
 _FIRST = 7  # the slot byte of the first digit
 # A cell's form: 0-3 for "0." ... "0.000" before the digits, 4 for exponent
-# notation, 5 + e for fixed notation with e = 0 ... 16.  From _SPILL on, the
-# integer digits reach word 1.
-_FORMS = 22
-_SPILL = 6
+# notation and 5 for fixed notation from 1 up (those from 10 up take "%")
+_FORMS = 6
 _SHOWN = 18  # 0 ... 17: the digits up to the last nonzero one
 
 
 def _form(e: int) -> int:
-    return -e - 1 if -4 <= e < 0 else 5 + e if 0 <= e < 17 else 4
-
-
-def _integer_digits(form: int) -> int:
-    return 0 if form < 4 else 1 if form < _SPILL else form - 4
+    return -e - 1 if -4 <= e < 0 else 5 if 0 <= e < 17 else 4
 
 
 class _Tables(NamedTuple):
@@ -116,14 +109,10 @@ class _Tables(NamedTuple):
     # shown; word 3, "e+ddd" or blank, and the separator
     layout: np.ndarray
     exponent: np.ndarray
-    # by layout c = 18 form + z, z the digits up to the last nonzero one:
-    # (9, 18 _FORMS), the words' integer digit masks, shown fraction masks
-    # and dot; and, at 10 c + d for a leading digit d, (3, 180 _FORMS) word 0
-    # but the sign, then the fraction masks of words 1-2, for forms below
-    # _SPILL (zero above)
-    masks: np.ndarray
+    # (3, 180 _FORMS) at 10 c + d, for the layout c = 18 form + z, z the
+    # digits up to the last nonzero one, and a leading digit d: word 0 but the
+    # sign, then the masks of the digits shown in words 1 and 2
     lead: np.ndarray
-    head: np.ndarray  # (10,) uint64: a leading digit at byte 7
 
 
 def _power(e: int) -> tuple[float, float, float]:
@@ -138,23 +127,28 @@ def _power(e: int) -> tuple[float, float, float]:
 
 
 def _words(strings) -> np.ndarray:
-    """Each string NUL-padded to 8 bytes, read as one ``uint64`` word."""
+    """The strings as ``uint64`` words, each NUL-padded to one word (a longer
+    string must fill whole words)."""
     return np.frombuffer(b"".join(s.encode("latin1").ljust(8, b"\0") for s in strings),
                          np.uint64)
 
 
-def _layout_masks() -> np.ndarray:
-    """(9, 18 _FORMS) uint64 by layout 18 form + z, z the digits up to the
-    last nonzero one: the integer digit masks, the shown fraction masks and
-    the dot of words 0-2."""
-    k = np.repeat([_integer_digits(f) for f in range(_FORMS)], _SHOWN)[:, None]
-    shown = np.maximum(np.tile(np.arange(_SHOWN), _FORMS)[:, None], k)
-    byte = np.arange(24)  # the slot bytes of words 0-2
-    integer = (_FIRST <= byte) & (byte < _FIRST + k)
-    fraction = (_FIRST + k <= byte) & (byte < _FIRST + shown)
-    dot = (byte == _FIRST - 1 + k) & (0 < k) & (k < shown)
-    masks = np.concatenate([0xFF * integer, 0xFF * fraction, ord(".") * dot], axis=1)
-    return masks.astype(np.uint8).view(np.uint64).T.copy()
+def _lead() -> np.ndarray:
+    """The ``lead`` table, from slot bytes 0-23 spelled out: the prefix and
+    leading digit, or the integer digit and the dot, then 0xFF over the
+    digits shown."""
+    slots = []
+    for form in range(_FORMS):
+        for z in range(_SHOWN):
+            shown = max(z, 1)  # zero shows its one digit
+            masks = "".join("\xff" if b < _FIRST + shown else "\0" for b in range(8, 24))
+            for d in "0123456789":
+                if form < 4:
+                    word = ("\0" + "0." + "0" * form).ljust(_FIRST, "\0") + d
+                else:
+                    word = "\0" * (_FIRST - 1) + d + ("." if shown > 1 else "\0")
+                slots.append(word + masks)
+    return _words(slots).reshape(-1, 3).T.copy()
 
 
 @cache
@@ -167,15 +161,6 @@ def _tables() -> _Tables:
     q = np.arange(10000)
     quads = np.zeros((10000, 8), np.uint8)
     quads[:, :4] = 48 + np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
-    masks = _layout_masks()
-    integer, fraction, dot = masks[0], masks[3], masks[6]
-    head = _words(["\0" * _FIRST + str(d) for d in range(10)])
-    prefix = _words(["\0" + ("0." + "0" * f if f < 4 else "") for f in range(_FORMS)])
-    lead = np.zeros((3, _FORMS * _SHOWN, 10), np.uint64)
-    lead[0] = ((head & fraction[:, None]) | ((head & integer[:, None]) >> np.uint64(8))
-               | dot[:, None] | prefix.repeat(_SHOWN)[:, None])
-    lead[1:] = masks[4:6, :, None]
-    lead[:, _SPILL * _SHOWN:] = 0
     return _Tables(
         power=np.array([scale, hi, hi_high, hi - hi_high, lo]),
         quads=quads.view(np.uint64).ravel(),
@@ -183,7 +168,7 @@ def _tables() -> _Tables:
         layout=10 * (_SHOWN * np.array([_form(e) for e in exps]) + _SHOWN - 1),
         exponent=_words([("" if -4 <= e < 17 else f"e{e:+03d}").ljust(7, "\0") + ","
                          for e in exps]),
-        masks=masks, lead=lead.reshape(3, -1), head=head)
+        lead=_lead())
 
 
 class _Work(NamedTuple):
@@ -265,7 +250,7 @@ def _fast_cells(x: np.ndarray, t: _Tables, w: _Work) -> np.ndarray:
         e[off] = eo
     np.rint(r, out=rounded)
     np.abs(np.subtract(r, rounded, out=log), out=log)  # r - rint(r) is exact
-    slow = np.logical_or(nonfinite, np.greater(log, _NEAR_TIE, out=near), out=near).nonzero()[0]
+    np.logical_or(nonfinite, np.greater(log, _NEAR_TIE, out=near), out=near)
     np.copyto(u, p, casting="unsafe")  # p is an integer, at least 2^53
     np.copyto(v, rounded, casting="unsafe")
     u += v
@@ -275,6 +260,9 @@ def _fast_cells(x: np.ndarray, t: _Tables, w: _Work) -> np.ndarray:
     np.copyto(u, 0, where=zero)
     np.copyto(e, 0, where=zero)
     np.add(e, _BIAS, out=row)
+    # fixed cells from 10 up, 1 <= e < 17, take "%" too
+    np.less(np.subtract(e, 1, out=v).view(np.uint64), 16, out=flag)
+    slow = np.logical_or(near, flag, out=near).nonzero()[0]
 
     # D = head 10^16 + q0 10^12 + q1 10^8 + q2 10^4 + q3; digit words 1 and 2
     # are q0 q1 and q2 q3 from the chunk table
@@ -294,36 +282,15 @@ def _fast_cells(x: np.ndarray, t: _Tables, w: _Work) -> np.ndarray:
         tail[long_tail] = 10 * more
 
     # words 0-2 from the lead table at 10 c + head, the layout c = 18 form
-    # + z, with the digits shown, unless the integer digits reach word 1;
-    # then the sign, and word 3
+    # + z, with the digits shown; then the sign, and word 3
     np.add(np.subtract(t.layout.take(row, out=index, mode="wrap"), tail, out=index), head,
            out=index)
     t.lead.take(index, axis=1, out=words[:3], mode="wrap")
     words[1:3] &= digits
-    spill = np.greater_equal(index, 10 * _SHOWN * _SPILL, out=flag).nonzero()[0]
-    if spill.size:
-        words[:3, spill] = _spilled(head[spill], digits[:, spill], index[spill] // 10, t)
     sign = np.right_shift(x.view(np.uint64), 63, out=words[3])
     words[0] |= np.multiply(sign, ord("-"), out=sign)
     t.exponent.take(row, out=words[3], mode="wrap")
     return slow
-
-
-def _spilled(head: np.ndarray, digits: np.ndarray, layout: np.ndarray,
-             t: _Tables) -> np.ndarray:
-    """Words 0-2 of cells whose integer digits reach word 1: the digits
-    shown, the integer ones moved down a byte by a shift of the 64-bit
-    words, and the dot in the byte this frees."""
-    masks = t.masks.take(layout, axis=1)
-    spelled = np.empty((3, head.size), np.uint64)
-    t.head.take(head, out=spelled[0])
-    spelled[1:] = digits
-    integer = spelled & masks[0:3]
-    spelled &= masks[3:6]
-    spelled |= masks[6:9]
-    spelled |= integer >> np.uint64(8)
-    spelled[:2] |= integer[1:] << np.uint64(56)
-    return spelled
 
 
 def _float_words(x: np.ndarray, t: _Tables, w: _Work) -> np.ndarray:

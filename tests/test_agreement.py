@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from qbagents import core_math
+from qbagents import agreement, core_math
 from qbagents.agreement import (
     BETA_PAIR_BLOCK,
     _beta_pair_gaps,
@@ -18,6 +18,7 @@ from qbagents.agreement import (
     _count_triples,
     _kolmogorov_pairs,
     _mean_of,
+    _triple_blocks,
     chi,
     chi_edge_terms,
     expected_posterior,
@@ -583,6 +584,14 @@ class TestExactSups:
         assert worst <= 1e-14
         assert np.all(k_prior - k_post > 0.0)
 
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        k, l, n = _count_triples(15)
+        whole = np.column_stack(_kolmogorov_pairs(k, l, n))
+        monkeypatch.setattr(agreement, "TRIPLE_BLOCK_CELLS", 100)  # 5 triples a block
+        blocks = [np.column_stack(_kolmogorov_pairs(*block)) for block in _triple_blocks(15)]
+        assert len(blocks) == -(-k.size // 5)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
     def test_pairs_not_below_the_grid(self):
         # a max over grid points can only read the sup low, up to the rounding
         # of the grid rows
@@ -705,6 +714,19 @@ def test_beta_pair_memory_does_not_grow_with_pairs():
     finally:
         tracemalloc.stop()
     assert abs(large - small) <= 16 * 1024
+
+
+def test_triple_memory_is_bounded_in_n():
+    # at N <= 60 the 37,820 triples' Bernstein columns take 163 MB in one pass
+    verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=1)  # scipy loaded
+    tracemalloc.start()
+    try:
+        rows = verify_appendix_claims(chi_max_n=60, kdist_max_n=60, n_beta_pairs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row["passed"] for row in rows)
+    assert peak <= 40 * 10**6
 
 
 class TestApiBoundary:

@@ -26,6 +26,7 @@ import sys
 import numpy as np
 import pytest
 
+from qbagents import agreement
 from qbagents.agreement import chi, kolmogorov_contraction_check, verify_appendix_claims
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -81,6 +82,13 @@ def test_chi_arrays_match_golden(golden):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_battery_rows_match_golden(golden, seed):
+    assert battery_rows(seed) == golden[f"battery/seed{seed}"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_battery_rows_match_golden_in_small_blocks(golden, seed, monkeypatch):
+    # 20 chi blocks and 54 Kolmogorov blocks, the last of each short
+    monkeypatch.setattr(agreement, "TRIPLE_BLOCK_CELLS", 1000)
     assert battery_rows(seed) == golden[f"battery/seed{seed}"]
 
 

@@ -196,6 +196,21 @@ def test_type_holes_exit_2(runner, tmp_path, command, slot, key, value, message)
     assert json.loads(result.stderr)["violations"] == [message]
 
 
+@pytest.mark.parametrize("command", [["run"], ["batch", "--seeds", "2"]])
+def test_n_particles_of_atom_prior_exits_2(runner, tmp_path, command):
+    data = json.loads(emit_config(default_config("prior_coins_turns", seed=1)))
+    data["agents"][0]["n_particles"] = 5000
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, [command[0], str(path), *command[1:],
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["violations"] == [
+        "agent 'alice': prior kind 'two_sided_coin' has fixed atoms and takes no "
+        "n_particles, got 5000"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args", [["--pairs", "-3"], ["--pairs", "0"],
                                   ["--chi-max-n", "0"], ["--kdist-max-n", "0"],
                                   ["--seed", "-1"]])

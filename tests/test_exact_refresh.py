@@ -213,8 +213,8 @@ class TestExactnessGate:
         # The draws round through numpy's log, exp and power loops, whose bits
         # follow the SIMD level: with the AVX-512 loops off, other candidates
         # pass the ball and BB tests, and the law must hold all the same.
-        child = output("below_avx512", *SIMD_ROWS)
-        assert not any(child["simd"].get(t) for t in disabled_targets("below_avx512"))
+        child = output("law_below_avx512", *SIMD_ROWS)
+        assert not any(child["simd"].get(t) for t in disabled_targets("law_below_avx512"))
         assert sorted(child["law"]) == sorted(SIMD_LAW_VECTORS)
         for name, law in child["law"].items():
             assert law["z_max"] < 4, name

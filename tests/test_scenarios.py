@@ -246,6 +246,23 @@ class TestValidation:
         assert err.value.violations == [
             f"agent {agent!r}: n_particles must be an integer >= 2, got {value!r}"]
 
+    @pytest.mark.parametrize("name,prior", [
+        ("coin_tomography", {"kind": "delta", "points": [0.2, 0.8]}),
+        ("prior_coins_turns", {"kind": "two_sided_coin"}),
+        ("prior_qubits_turns", {"kind": "four_delta_xz"}),
+    ])
+    def test_atom_priors_take_no_n_particles(self, name, prior):
+        # the atoms are fixed: an ensemble size would be ignored, then echoed
+        data = json.loads(emit_config(default_config(name)))
+        data["agents"][0].update(prior=prior, n_particles=5000)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert err.value.violations == [
+            f"agent {data['agents'][0]['id']!r}: prior kind {prior['kind']!r} has fixed "
+            "atoms and takes no n_particles, got 5000"]
+        data["agents"][0]["n_particles"] = None
+        assert parse_config(json.dumps(data)).agents[0].prior == prior
+
     @pytest.mark.parametrize("prior,message", [
         ({"kind": "grid_uniform", "lo": "a"}, "invalid interval [a, 1.0]"),
         ({"kind": "grid_uniform", "hi": None}, "invalid interval [0.0, None]"),

@@ -10,10 +10,11 @@ switch, powers of ten, subnormals), on random tables of every shape, with the
 array path switched off, under numpy's SIMD loops below AVX-512, and on every
 file of full registry-length runs, which go beyond the golden digests'
 200-step cap.  They also check the double-double power table that the array
-path multiplies by, that only ties and non-finite cells reach ``%``, that the
-widest cell of each layout fits the 32-byte slot, and that a table's blocks,
-which reuse one set of work arrays and one line buffer, leave no bytes of an
-earlier block or table behind.
+path multiplies by, that exactly the ties, the non-finite cells and the
+fixed cells from 10 up reach ``%``, that the widest cell of each layout fits
+the 32-byte slot, and that a table's blocks, which reuse one set of work
+arrays and one line buffer, leave no bytes of an earlier block or table
+behind.
 """
 
 import hashlib
@@ -29,14 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digest_child import SIMD_ROWS, disabled_targets, output
+from digest_child import CELL_ROWS, SIMD_ROWS, disabled_targets, output
 from qbagents import trace_io
 from qbagents.scenarios import default_config, run_config
 
 TINY = float.fromhex("0x1p-1074")  # 5e-324, the smallest subnormal
 # The widest cell of each layout, with its length: exponent notation with a
-# three-digit exponent, "0.000" and 17 digits, 17 integer digits, the
-# smallest subnormal, each with a sign, and -0.0
+# three-digit exponent, "0.000" and 17 digits, 17 integer digits (a "%" cell),
+# the smallest subnormal, each with a sign, and -0.0
 WIDEST = {-1.2345678901234567e-308: 24, -9.8765432109876537e+307: 24,
           -0.00012345678901234567: 23, -12345678901234567.0: 18, -TINY: 24, -0.0: 2}
 ADVERSARIAL = [*WIDEST,
@@ -247,13 +248,13 @@ def wide_pool() -> np.ndarray:
 
 
 def percent_cells(x: np.ndarray) -> np.ndarray:
-    """The cells of ``x`` that the array path leaves to ``%``."""
-    work, slow = trace_io._Work.of(trace_io.BLOCK_CELLS), []
+    """Whether the array path leaves each cell of ``x`` to ``%``."""
+    work, slow = trace_io._Work.of(trace_io.BLOCK_CELLS), np.zeros(x.size, bool)
     for start in range(0, x.size, trace_io.BLOCK_CELLS):
         cells = x[start:start + trace_io.BLOCK_CELLS]
-        slow.append(start + trace_io._fast_cells(cells, trace_io._tables(),
-                                                 work.block(cells.size)))
-    return x[np.concatenate(slow)]
+        slow[start + trace_io._fast_cells(cells, trace_io._tables(),
+                                          work.block(cells.size))] = True
+    return slow
 
 
 def pool_digests() -> dict:
@@ -290,22 +291,27 @@ class TestExactness:
     def test_exact_ties_take_percent_and_round_half_even(self, tmp_path):
         x = exact_ties()
         assert all(tie_distance(v) == 0 for v in x)
-        assert np.array_equal(percent_cells(x), x)
+        assert percent_cells(x).all()
         assert write_and_read(tmp_path, [x[:2]]) == "1234567890123456.8\n1234567890123456.2\n"
 
     def test_cells_next_to_a_tie_take_percent(self):
         # |D - p - r| < 5e-15: cells this close to a tie are left to %
         x = next_to_ties()
-        assert np.array_equal(percent_cells(x), x)
+        assert percent_cells(x).all()
 
     @pytest.mark.parametrize("values", [near_ties, powers_of_ten, wide_pool])
-    def test_only_ties_and_non_finite_cells_take_percent(self, values):
+    def test_ties_non_finite_and_fixed_cells_from_10_take_percent(self, values):
         x = values()
-        assert np.any(np.abs(x[np.isfinite(x)]) < 10.0**trace_io._LIFT_BELOW)
+        finite = np.isfinite(x)
+        assert np.any(np.abs(x[finite]) < 10.0**trace_io._LIFT_BELOW)
+        ties = np.array([v != 0 and math.isfinite(v) and tie_distance(v) < Fraction(1, 10**12)
+                         for v in x.tolist()])
+        text = [cell(v) for v in x.tolist()]
+        from_10 = finite & np.array(["e" not in s and abs(float(s.split(".")[0])) >= 10
+                                     for s in text])
         slow = percent_cells(x)
-        assert slow.size < x.size // 100
-        assert all(tie_distance(v) < Fraction(1, 10**12)
-                   for v in slow[np.isfinite(slow)].tolist())
+        assert from_10.any() and np.array_equal(slow, ties | ~finite | from_10)
+        assert np.count_nonzero(slow & ~from_10) < x.size // 100
 
     def test_power_table_is_a_double_double(self):
         power = trace_io._tables().power
@@ -334,7 +340,7 @@ class TestExactness:
         assert write_and_read(tmp_path, columns) == fast
         assert emitted(tmp_path / "slow", trace) == fast_files
 
-    @pytest.mark.parametrize("row", SIMD_ROWS)
+    @pytest.mark.parametrize("row", CELL_ROWS)
     def test_bytes_hold_on_numpy_simd_loops(self, row):
         # E comes from np.log10, whose last bits follow the SIMD level; the
         # correction must keep them out of the bytes
