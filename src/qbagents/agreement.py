@@ -58,10 +58,10 @@ functions:
 
 The chi, Kolmogorov and split-sum passes hold one column per Bernstein index
 0..N+2 for each (k, l, N) triple, so they go over the triples in blocks of at
-most ``TRIPLE_BLOCK_CELLS`` cells (``_triple_blocks``): memory grows with the
-largest N, not with the N^3 triples.  A row's values do not depend on the
-block it lies in, so the battery's bits do not either; at the CLI defaults
-each pass is one block.
+most ``TRIPLE_BLOCK_CELLS`` cells (``_triple_blocks``), each block's triples
+computed from their indices: memory grows with the largest N, not with the
+N^3 triples.  A row's values do not depend on the block it lies in, so the
+battery's bits do not either; at the CLI defaults each pass is one block.
 """
 
 from __future__ import annotations
@@ -242,17 +242,35 @@ def chi_edge_terms(k: int, l: int, n_total: int) -> tuple[float, float]:
     return float(first_sum), float(second_sum)
 
 
-def _log_binomials(n_lo: int, n_hi: int) -> np.ndarray:
-    """log C(n, j) for n = n_lo..n_hi (rows) and j = 0..n_hi (columns), -inf
-    for j > n; each the log of the exact integer, the rows built by Pascal's rule."""
+# ln 2 as a head of 32 bits, exact times any bit count below 2^20, and its tail
+LN2_HEAD, LN2_TAIL = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _log_tail(c: int, head: float) -> float:
+    """log c - head for an integer c >= 1 and its ``math.log`` head, to about
+    2e-16: log c = e ln 2 + log(c / 2^e), e the bit count of c, and
+    c / 2^e in [1/2, 1) from its leading 64 bits."""
+    e = c.bit_length()
+    cut = max(e - 64, 0)
+    return (e * LN2_HEAD - head) + (e * LN2_TAIL + math.log(math.ldexp(float(c >> cut), cut - e)))
+
+
+def _log_binomials(n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """log C(n, j) for n = n_lo..n_hi + 2 (rows) and j = 0..n_hi + 2 (columns),
+    -inf for j > n, each the log of the exact integer, the rows built by
+    Pascal's rule; and the tails (``_log_tail``) of rows n_lo..n_hi, 0 for
+    j > n, so that a head plus its tail is log C(n, j) to about 2e-16."""
     row = [1]
     for j in range(n_lo):
         row.append(row[-1] * (n_lo - j) // (j + 1))
-    table = np.full((n_hi - n_lo + 1, n_hi + 1), -np.inf)
-    for out in table:
-        out[:len(row)] = [math.log(c) for c in row]
+    table = np.full((n_hi - n_lo + 3, n_hi + 3), -np.inf)
+    tails = np.zeros((n_hi - n_lo + 1, n_hi + 3))
+    for i, out in enumerate(table):
+        out[:len(row)] = heads = [math.log(c) for c in row]
+        if i < len(tails):
+            tails[i, :len(row)] = [_log_tail(c, head) for c, head in zip(row, heads)]
         row = [a + b for a, b in zip(row + [0], [0] + row)]
-    return table
+    return table, tails
 
 
 def _band(log_c: np.ndarray, degree, s: np.ndarray, inside: np.ndarray,
@@ -271,16 +289,13 @@ def _band(log_c: np.ndarray, degree, s: np.ndarray, inside: np.ndarray,
     return np.where(band <= 0.5, band, 1.0 - rest)
 
 
-# Bisection steps that halve the posteriors' root bracket to below 1e-11 for
-# N <= 2000; a root off by d misses the sup by about |D''| d^2 / 2.
-ROOT_STEPS = 48
+def _critical_points(k, l, n_total):
+    """(log C, s_prior, s_post) for integer arrays 0 <= l < k <= N: the
+    ``_log_binomials`` rows N..N+2 as ``log_c(extra, j)`` = log C(N + extra, j),
+    and the critical points of the CDF differences of the priors and of the
+    expected posteriors in s = log t, t = x / (1-x).
 
-
-def _kolmogorov_pairs(k, l, n_total):
-    """(K between priors, K between expected posteriors) for integer arrays
-    0 <= l < k <= N, each an exact sup at its one interior critical point.
-
-    With t = x / (1-x) and b_{j,n} the Bernstein terms:
+    With b_{j,n} the Bernstein terms:
 
     * F_l - F_k = sum_{j=l+1}^{k} b_{j,N+1} >= 0, whose derivative
       (N+1) (b_{l,N} - b_{k,N}) vanishes where t^(k-l) = C(N, l) / C(N, k);
@@ -289,43 +304,60 @@ def _kolmogorov_pairs(k, l, n_total):
       p(t) = (1-m_k) C(N+1, l) + m_k C(N+1, l+1) t
              - (1-m_l) C(N+1, k) t^(k-l) - m_l C(N+1, k+1) t^(k-l+1).
       The coefficients' signs change once, so by Descartes' rule p has one
-      positive root.  The log of p's positive part over its negative part
-      falls strictly in s = log t, and ``ROOT_STEPS`` bisection steps find
-      its zero.  Times N+2, every coefficient is an integer in
-      [1, (N+2) 2^(N+1)], which brackets the root in
-      |s| <= (N+1) log 2 + log(N+2) + 1.
+      positive root.  The log of p's negative part over its positive part,
+      with gap = log C(N, l) / C(N, k) and A = log((k+1) (N+1-l) / ((N+1-k) (l+1))),
+      is span (s - gap / span) + 2 log((N+1-l) / (N+1-k)) + softplus(s - A)
+      - softplus(s + A) (C(N+1, j) = C(N, j) (N+1) / (N+1-j)).  It rises
+      strictly in s, with slope span + sigma(s - A) - sigma(s + A) > span - 1,
+      and ``core_math._rising_root`` finds its zero.  As A > 0, the softplus
+      difference lies in (-2A, 0), which brackets the root in an interval
+      2A / span wide; A <= 2 log(1 + span), so the width is at most 4 log 2.
+
+    Only gap is a difference of large logs (about 1,380 at N = 2,000), so it
+    takes their heads and tails (``_log_binomials``): both roots then lie
+    within about 1e-15 of the exact ones, the prior's at gap / span.
     """
     n_lo = int(n_total.min())
-    log_c = _log_binomials(n_lo, int(n_total.max()) + 2)
+    table, tails = _log_binomials(n_lo, int(n_total.max()))
     row = n_total - n_lo
 
-    def lc(extra, j):  # log C(N + extra, j)
-        return log_c[row + extra, j]
+    def log_c(extra, j):
+        return table[row + extra, j]
 
     span = k - l
-    s_prior = (lc(0, l) - lc(0, k)) / span
-    pos0 = np.log(n_total + 1 - k) + lc(1, l)
-    pos1 = np.log(k + 1) + lc(1, l + 1)
-    neg0 = np.log(n_total + 1 - l) + lc(1, k)
-    neg1 = np.log(l + 1) + lc(1, k + 1)
-    hi = (n_total + 1) * math.log(2.0) + np.log(n_total + 2) + 1.0
-    lo = -hi
-    for _ in range(ROOT_STEPS):
-        s = 0.5 * (lo + hi)
-        up = np.logaddexp(pos0, pos1 + s) > np.logaddexp(neg0 + span * s, neg1 + (span + 1) * s)
-        lo, hi = np.where(up, s, lo), np.where(up, hi, s)
-    s_post = 0.5 * (lo + hi)
+    gap = (log_c(0, l) - log_c(0, k)) + (tails[row, l] - tails[row, k])
+    tilt = np.log((k + 1) * (n_total + 1 - l) / ((n_total + 1 - k) * (l + 1)))  # A
+    offset = 2.0 * np.log((n_total + 1 - l) / (n_total + 1 - k)) - gap
+    expit = core_math.special.expit
 
-    j = np.arange(log_c.shape[1])
+    def excess(s):
+        return span * s + offset + np.logaddexp(0.0, s - tilt) - np.logaddexp(0.0, s + tilt)
+
+    def slope(s):
+        return span + expit(s - tilt) - expit(s + tilt)
+
+    lo = -offset / span
+    return log_c, gap / span, core_math._rising_root(excess, slope, lo, lo + 2.0 * tilt / span)
+
+
+def _kolmogorov_pairs(k, l, n_total):
+    """(K between priors, K between expected posteriors) for integer arrays
+    0 <= l < k <= N, each an exact sup at its one interior critical point
+    (``_critical_points``), where a band of Bernstein terms (``_band``)
+    takes the CDF difference.  A root off by d misses the sup by about
+    |D''| d^2 / 2."""
+    log_c, s_prior, s_post = _critical_points(k, l, n_total)
+    prior_logs, post_logs = log_c(1, slice(None)), log_c(2, slice(None))
+    j = np.arange(prior_logs.shape[1])
     k_col, l_col, n_col = k[:, None], l[:, None], n_total[:, None]
     band = ((j > l_col) & (j <= k_col)).astype(float)
-    k_prior = _band(lc(1, slice(None)), n_total + 1, s_prior, band, 1.0 - band)
+    k_prior = _band(prior_logs, n_total + 1, s_prior, band, 1.0 - band)
     first, last = j == l_col + 1, j == k_col + 1
     inside = np.where(first, (n_col + 1 - k_col) / (n_col + 2),
                       np.where(last, (l_col + 1) / (n_col + 2), band))
     outside = np.where(first, (k_col + 1) / (n_col + 2),
                        np.where(last, (n_col + 1 - l_col) / (n_col + 2), 1.0 - band))
-    k_post = _band(lc(2, slice(None)), n_total + 2, s_post, inside, outside)
+    k_post = _band(post_logs, n_total + 2, s_post, inside, outside)
     return k_prior, k_post
 
 
@@ -336,7 +368,7 @@ def kolmogorov_contraction_check(k: int, l: int, n_total: int) -> tuple[float, f
     are the corresponding two-component mixtures.  The first value dominates
     the second.  Both are exact sups at the critical points of the CDF
     differences (``_kolmogorov_pairs``), lie in [0, 1] and are exactly
-    symmetric in (k, l).  N = 2000 takes about 5 ms on a 2-core Xeon.
+    symmetric in (k, l).  N = 2000 takes about 4 ms on a 2-core Xeon.
     """
     _check_counts(k, l, n_total, strict=False)
     if k == l:
@@ -358,20 +390,31 @@ def _check_counts(k: int, l: int, n_total: int, *, strict: bool):
             raise ValidationError(f"need 0 <= k, l <= N, got l={l}, k={k}, N={n_total}")
 
 
-def _count_triples(max_n: int):
-    """(k, l, N) as integer arrays for every 0 <= l < k <= N, 1 <= N <= max_n."""
-    ks, ls = zip(*(np.tril_indices(n + 1, -1) for n in range(1, max_n + 1)))
-    ns = [np.full(len(k), n) for n, k in enumerate(ks, start=1)]
-    return np.concatenate(ks), np.concatenate(ls), np.concatenate(ns)
+def _count_triples(max_n: int, start: int = 0, stop: int | None = None):
+    """(k, l, N) as int64 arrays for every 0 <= l < k <= N, 1 <= N <= max_n,
+    ordered by N, then k, then l; or for the triples start..stop-1 of that order.
+
+    In closed form from the triple's index t: N(N+1)(N+2)/6 triples have a
+    count below N + 1, and k(k+1)/2 pairs of one N a k below k + 1, so N and
+    k are the first counts whose tallies pass t and its rank within its N."""
+    counts = np.arange(max_n + 1)
+    below_n = counts * (counts + 1) * (counts + 2) // 6
+    below_k = counts * (counts + 1) // 2
+    t = np.arange(start, below_n[-1] if stop is None else stop)
+    n = np.searchsorted(below_n, t, side="right")
+    rank = t - below_n[n - 1]
+    k = np.searchsorted(below_k, rank, side="right")
+    return k, rank - below_k[k - 1], n
 
 
 def _triple_blocks(max_n: int):
     """``_count_triples(max_n)`` in blocks of at most ``TRIPLE_BLOCK_CELLS``
-    cells of max_n + 3 Bernstein indices each (one triple at the least)."""
-    k, l, n = _count_triples(max_n)
+    cells of max_n + 3 Bernstein indices each (one triple at the least),
+    each block built on its own."""
+    total = max_n * (max_n + 1) * (max_n + 2) // 6
     step = max(1, TRIPLE_BLOCK_CELLS // (max_n + 3))
-    for start in range(0, k.size, step):
-        yield k[start:start + step], l[start:start + step], n[start:start + step]
+    for start in range(0, total, step):
+        yield _count_triples(max_n, start, min(start + step, total))
 
 
 def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,

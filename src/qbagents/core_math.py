@@ -504,7 +504,30 @@ def kolmogorov_distance(a, b) -> float:
     return max(abs(_cdf(a, x) - _cdf(b, x)) for x in points)
 
 
-CROSSING_STEPS = 48  # halve the 1,490-wide bracket in s to below 1e-11
+def _rising_root(f, slope, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The zero of ``f`` in each element's bracket [lo, hi], where ``f``
+    rises; ``f`` and its derivative ``slope`` act elementwise on arrays.
+
+    Newton-Raphson safeguarded by bisection (Numerical Recipes, section 9.4):
+    each bracket is halved until it is at most 2^-8 wide, then three Newton
+    steps from its midpoint, each clipped to it, take the root to rounding
+    level; from 2^-9 off, the error squares at each step.  An element's
+    number of halvings comes from its own bracket, so its bits do not depend
+    on the other elements of the array.  A bracket without a sign change
+    ends at the edge where ``f`` is nearest zero.
+    """
+    mantissa, exponent = np.frexp((hi - lo) * 2.0**8)
+    halvings = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(width / 2^-8))
+    for step in range(int(halvings.max())):
+        mid = 0.5 * (lo + hi)
+        up = f(mid) < 0.0
+        live = step < halvings
+        lo, hi = np.where(live & up, mid, lo), np.where(live & ~up, mid, hi)
+    s = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            s = np.fmin(np.fmax(s - f(s) / slope(s), lo), hi)  # a NaN step ends at lo
+    return s
 
 
 def _beta_crossings(a: tuple, b: tuple, lo: float, hi: float) -> np.ndarray:
@@ -514,11 +537,11 @@ def _beta_crossings(a: tuple, b: tuple, lo: float, hi: float) -> np.ndarray:
 
     The densities are equal where phi = p log x + q log(1-x) equals c, the
     log weight of ``b`` less that of ``a``, with p and q the differences of
-    the shapes.  In s = log(x / (1-x)), phi is monotone when p q <= 0, and
-    otherwise rises to one peak (or falls to one trough) at s = log(p / q).
-    So each monotone piece of (lo, hi) holds at most one crossing, found by
-    bisection in s, with |s| <= 745 at the edges 0 and 1; past that, x or
-    1 - x is below the smallest float.
+    the shapes.  In s = log(x / (1-x)), phi has slope p (1-x) - q x; it is
+    monotone when p q <= 0, and otherwise rises to one peak (or falls to one
+    trough) at s = log(p / q).  So each monotone piece of (lo, hi) holds at
+    most one crossing, which ``_rising_root`` finds in s, with |s| <= 745 at
+    the edges 0 and 1; past that, x or 1 - x is below the smallest float.
     """
     p, q, c = a[1] - b[1], a[2] - b[2], b[0] - a[0]
 
@@ -529,10 +552,7 @@ def _beta_crossings(a: tuple, b: tuple, lo: float, hi: float) -> np.ndarray:
     if p * q > 0.0 and edges[0] < math.log(p / q) < edges[1]:
         edges.insert(1, math.log(p / q))
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    rises = excess(lo) < excess(hi)
-    for _ in range(CROSSING_STEPS):
-        s = 0.5 * (lo + hi)
-        below = (excess(s) < 0.0) == rises
-        lo, hi = np.where(below, s, lo), np.where(below, hi, s)
-    s = np.concatenate((0.5 * (lo + hi), edges[1:-1]))
-    return special.expit(s)
+    sign = np.where(excess(lo) < excess(hi), 1.0, -1.0)  # excess times sign rises
+    s = _rising_root(lambda s: sign * excess(s),
+                     lambda s: sign * (p * special.expit(-s) - q * special.expit(s)), lo, hi)
+    return special.expit(np.concatenate((s, edges[1:-1])))

@@ -20,15 +20,17 @@ compare over (row, key).
   The kernel rows need numpy's own OpenBLAS with ``DYNAMIC_ARCH`` and a CPU
   that runs the Haswell kernel (AVX2 and FMA); elsewhere they are skipped.
   Other BLAS builds (MKL, Accelerate) are not covered.
-- **numpy's SIMD loops** (``law_below_avx512``, ``below_avx512`` and
-  ``below_avx2``).  The bytes of a run still follow them (README,
+- **numpy's SIMD loops** (``edge_law_below_avx512``,
+  ``inner_law_below_avx512``, ``below_avx512`` and ``below_avx2``).  The bytes of a run still follow them (README,
   "Determinism"), but two things must not: the law of the exact refresh,
   whose Beta draws round through numpy's ``log``, ``exp`` and ``power`` loops
   (``test_exact_refresh.law_report``, below AVX-512), and float CSV cells,
   whose decimal exponent comes from ``np.log10``
   (``test_trace_io.pool_digests``, below AVX-512 and below AVX2).  The law
-  report, about three times as long as a cell pool, has a row of its own, so
-  that it runs on one core while the two cell rows run in turn on the other.
+  report, about three times as long as a cell pool, is split between two
+  rows of its own: its two edge vectors and its inner one take about as
+  long, so the two law children run first, one per core, and a cell row
+  follows each.
   A row is skipped where numpy dispatches to none of the targets it switches
   off.
 
@@ -87,14 +89,16 @@ ENVIRONMENTS = {
     "two_threads": Row({**DEFAULT_ENV, **dict.fromkeys(THREAD_VARS, "2")}, ("golden", "gap")),
     "prescott": Row({**DEFAULT_ENV, "OPENBLAS_CORETYPE": "Prescott"}, ("golden",), KERNEL_SKIP),
     "haswell": Row({**DEFAULT_ENV, "OPENBLAS_CORETYPE": "Haswell"}, ("golden",), KERNEL_SKIP),
-    "law_below_avx512": _simd_row("X86_V4 AVX512_ICL AVX512_SPR", ("law",)),
+    "edge_law_below_avx512": _simd_row("X86_V4 AVX512_ICL AVX512_SPR", ("edge_law",)),
+    "inner_law_below_avx512": _simd_row("X86_V4 AVX512_ICL AVX512_SPR", ("inner_law",)),
     "below_avx512": _simd_row("X86_V4 AVX512_ICL AVX512_SPR", ("cells",)),
     "below_avx2": _simd_row("X86_V4 AVX512_ICL AVX512_SPR X86_V3", ("cells",)),
 }
 BLAS_ROWS = ("default", "two_threads", "prescott", "haswell")
 CELL_ROWS = ("below_avx512", "below_avx2")
-# what a SIMD gate starts: the law row, the longest, among the first two children
-SIMD_ROWS = ("law_below_avx512", *CELL_ROWS)
+LAW_ROWS = ("edge_law_below_avx512", "inner_law_below_avx512")
+# what a SIMD gate starts: the law rows, the longest, as the first two children
+SIMD_ROWS = (*LAW_ROWS, *CELL_ROWS)
 
 
 def disabled_targets(row: str) -> list[str]:
@@ -102,9 +106,11 @@ def disabled_targets(row: str) -> list[str]:
     return ENVIRONMENTS[row].env["NPY_DISABLE_CPU_FEATURES"].split()
 
 
-# part -> the function, module.name, whose result a child emits for it
-PARTS = {"golden": "test_golden.golden_table", "gap": "test_golden.gap_digest",
-         "law": "test_exact_refresh.law_report", "cells": "test_trace_io.pool_digests"}
+# part -> the function, module.name, whose result a child emits for it, and its arguments
+PARTS = {"golden": ("test_golden.golden_table",), "gap": ("test_golden.gap_digest",),
+         "edge_law": ("test_exact_refresh.law_report", "one_sided", "boundary_xz"),
+         "inner_law": ("test_exact_refresh.law_report", "inner_source_3000"),
+         "cells": ("test_trace_io.pool_digests",)}
 
 
 def emit(parts) -> dict:
@@ -112,8 +118,9 @@ def emit(parts) -> dict:
     SIMD targets numpy dispatches to (target: enabled)."""
     out = {"simd": {target: CPU[target] for target in DISPATCH}}
     for part in parts:
-        module, name = PARTS[part].split(".")
-        out[part] = getattr(importlib.import_module(module), name)()
+        target, *args = PARTS[part]
+        module, name = target.split(".")
+        out[part] = getattr(importlib.import_module(module), name)(*args)
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from qbagents.agreement import (
     _beta_pair_gaps,
     _chi_coefficients,
     _count_triples,
+    _critical_points,
     _kolmogorov_pairs,
     _mean_of,
     _triple_blocks,
@@ -158,6 +160,17 @@ class TestMeanContraction:
             assert after <= before + 1e-12
 
 
+SUP_CASES = {
+    "lower_edge": ([(0.0, 1.0, 1.0, 0.3, 1.0)], (0, 0), BetaParams(1, 1)),  # sup 0.3 at 0.3
+    "upper_edge": ([(0.0, 1.0, 1.0, 0.0, 0.7)], (0, 0), BetaParams(1, 1)),  # sup 0.3 at 0.7
+    "second_piece": (triangular_pieces(), (0, 0), BetaParams(2, 1)),  # crossing at 1/1.3
+    "second_piece_first": (triangular_pieces(), (0, 0), BetaParams(1, 3)),
+    "two_triangles": (triangular_pieces(), (3, 2), count_belief(triangular_pieces(0.4), (1, 1))),
+    "two_triangles_with_counts": (triangular_pieces(0.2), (9, 4),
+                                  count_belief(triangular_pieces(0.85), (2, 6))),
+}
+
+
 class TestCountBeliefs:
     """The agreement analysis reads a count belief by its closed forms."""
 
@@ -169,15 +182,7 @@ class TestCountBeliefs:
         assert _mean_of(count_belief(counts=(771, 229))) == pytest.approx(
             772 / 1002, abs=1e-15)
 
-    @pytest.mark.parametrize("pieces,counts,law", [
-        ([(0.0, 1.0, 1.0, 0.3, 1.0)], (0, 0), BetaParams(1, 1)),  # sup 0.3 at 0.3
-        ([(0.0, 1.0, 1.0, 0.0, 0.7)], (0, 0), BetaParams(1, 1)),  # sup 0.3 at 0.7
-        (triangular_pieces(), (0, 0), BetaParams(2, 1)),  # crossing at 1/1.3
-        (triangular_pieces(), (0, 0), BetaParams(1, 3)),
-        (triangular_pieces(), (3, 2), count_belief(triangular_pieces(0.4), (1, 1))),
-        (triangular_pieces(0.2), (9, 4), count_belief(triangular_pieces(0.85), (2, 6))),
-    ], ids=["lower_edge", "upper_edge", "second_piece", "second_piece_first",
-            "two_triangles", "two_triangles_with_counts"])
+    @pytest.mark.parametrize("pieces,counts,law", SUP_CASES.values(), ids=SUP_CASES)
     def test_sup_at_edges_and_crossings(self, pieces, counts, law):
         # the sup at a lower or an upper piece edge, and at a crossing in a
         # belief's second piece, with the belief sorted after or before the law
@@ -618,6 +623,73 @@ class TestExactSups:
             assert 0.0 <= k_post <= k_prior <= 1.0
 
 
+ROOT_TOL = 1e-14
+ROOT_SPOTS = [(1, 0, 2000), (2000, 0, 2000), (1000, 999, 2000), (700, 650, 1500)]
+
+
+def posterior_sign(k, l, n, s):
+    """The sign of p(e^s), the posteriors' critical polynomial of
+    ``_critical_points``, from its coefficients times N+2, exact integers."""
+    a0, a1 = (n + 1 - k) * math.comb(n + 1, l), (k + 1) * math.comb(n + 1, l + 1)
+    b0, b1 = (n + 1 - l) * math.comb(n + 1, k), (l + 1) * math.comb(n + 1, k + 1)
+    t = mp.exp(s)
+    return mp.sign(a0 + a1 * t - t ** (k - l) * (b0 + b1 * t))
+
+
+def crossing_pairs():
+    """The operand pairs of ``SUP_CASES`` and the twelve random Beta pairs of
+    ``test_core_math.TestKolmogorov.test_beta_pairs_match_mpmath``."""
+    rng = np.random.default_rng(11)
+    betas = [tuple(BetaParams(*rng.uniform(0.3, 8.0, 2)) for _ in range(2)) for _ in range(12)]
+    return [(count_belief(pieces, counts), law) for pieces, counts, law in SUP_CASES.values()] + betas
+
+
+def mp_crossings(a, b, lo, hi):
+    """The points of (lo, hi) where pieces ``a`` and ``b`` of
+    ``core_math._normalized_pieces`` have equal densities, at 50 digits: each
+    sign change of the log-density difference on a 4,001-point scan, polished
+    by ``findroot``."""
+    p, q, c = (mp.mpf(v) for v in (a[1] - b[1], a[2] - b[2], b[0] - a[0]))
+    xs = np.linspace(lo, hi, 4001)[1:-1]
+    diff = float(p) * np.log(xs) + float(q) * np.log1p(-xs) - float(c)
+    turns = np.flatnonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))
+    return [mp.findroot(lambda x: p * mp.log(x) + q * mp.log(1 - x) - c,
+                        (mp.mpf(xs[i]), mp.mpf(xs[i + 1])), solver="anderson") for i in turns]
+
+
+class TestRoots:
+    """Both root searches of ``core_math._rising_root`` against 50-digit roots."""
+
+    def test_critical_points_match_mpmath(self):
+        # every triple of N <= 25, and spot pairs whose log binomials reach 1,380
+        cases = [_count_triples(25)] + [tuple(np.array([v]) for v in spot) for spot in ROOT_SPOTS]
+        with mp.workdps(50):
+            for k, l, n in cases:
+                _, s_prior, s_post = _critical_points(k, l, n)
+                for case, prior, post in zip(zip(k.tolist(), l.tolist(), n.tolist()),
+                                             s_prior.tolist(), s_post.tolist()):
+                    kk, ll, nn = case
+                    exact = mp.log(mp.mpf(math.comb(nn, ll)) / math.comb(nn, kk)) / (kk - ll)
+                    assert abs(prior - exact) <= ROOT_TOL, case
+                    # p falls through its one positive root within ROOT_TOL of post
+                    assert (posterior_sign(*case, mp.mpf(post) - ROOT_TOL) > 0
+                            > posterior_sign(*case, mp.mpf(post) + ROOT_TOL)), case
+
+    def test_beta_crossings_match_mpmath(self):
+        found = 0
+        with mp.workdps(50):
+            for x, y in crossing_pairs():
+                pieces_x, pieces_y = (core_math._normalized_pieces(v) for v in (x, y))
+                for a, b in itertools.product(pieces_x, pieces_y):
+                    lo, hi = max(a[3], b[3]), min(a[4], b[4])
+                    if lo < hi:
+                        points = core_math._beta_crossings(a, b, lo, hi)
+                        for root in mp_crossings(a, b, lo, hi):
+                            assert np.min(np.abs(points - float(root))) <= ROOT_TOL, (a, b)
+                            found += 1
+        assert found >= 20
+
+
 def test_verify_claims_small_battery():
     rows = verify_appendix_claims(chi_max_n=6, kdist_max_n=4, n_beta_pairs=500)
     assert all(r["passed"] for r in rows)
@@ -727,6 +799,25 @@ def test_triple_memory_is_bounded_in_n():
         tracemalloc.stop()
     assert all(row["passed"] for row in rows)
     assert peak <= 40 * 10**6
+
+
+def test_triple_memory_does_not_grow_with_n(monkeypatch):
+    # blocks of 4,096 cells (80 triples at N <= 48), so that the N^3/6
+    # triples would show if they were all built at once (24 bytes each)
+    monkeypatch.setattr(agreement, "TRIPLE_BLOCK_CELLS", 4096)
+
+    def peak(max_n):
+        tracemalloc.reset_peak()
+        verify_appendix_claims(chi_max_n=3, kdist_max_n=max_n, n_beta_pairs=10)
+        return tracemalloc.get_traced_memory()[1]
+
+    verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=1)  # scipy loaded
+    tracemalloc.start()
+    try:
+        small, large = peak(24), peak(48)
+    finally:
+        tracemalloc.stop()
+    assert large < 1.5 * small
 
 
 class TestApiBoundary:

@@ -21,7 +21,7 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
-from digest_child import SIMD_ROWS, disabled_targets, output
+from digest_child import ENVIRONMENTS, LAW_ROWS, SIMD_ROWS, disabled_targets, output
 from qbagents import inference
 from qbagents.agents import Agent
 from qbagents.inference import (
@@ -177,11 +177,11 @@ def moment_z_scores(counts, pts):
 SIMD_LAW_VECTORS = ("one_sided", "boundary_xz", "inner_source_3000")
 
 
-def law_report():
-    """For each of ``SIMD_LAW_VECTORS``, the largest moment z-score and the
+def law_report(*names):
+    """For each count vector of ``names``, the largest moment z-score and the
     smallest axis-marginal KS p-value of one N-point cloud."""
     report = {}
-    for name in SIMD_LAW_VECTORS:
+    for name in names:
         counts = COUNT_VECTORS[name]
         pts = sample_axis_posterior(counts, N, np.random.default_rng(22))
         report[name] = {
@@ -213,10 +213,13 @@ class TestExactnessGate:
         # The draws round through numpy's log, exp and power loops, whose bits
         # follow the SIMD level: with the AVX-512 loops off, other candidates
         # pass the ball and BB tests, and the law must hold all the same.
-        child = output("law_below_avx512", *SIMD_ROWS)
-        assert not any(child["simd"].get(t) for t in disabled_targets("law_below_avx512"))
-        assert sorted(child["law"]) == sorted(SIMD_LAW_VECTORS)
-        for name, law in child["law"].items():
+        laws = {}
+        for row in LAW_ROWS:
+            child = output(row, *SIMD_ROWS)
+            assert not any(child["simd"].get(t) for t in disabled_targets(row))
+            laws.update(child[ENVIRONMENTS[row].parts[0]])
+        assert sorted(laws) == sorted(SIMD_LAW_VECTORS)
+        for name, law in laws.items():
             assert law["z_max"] < 4, name
             assert law["ks_min"] > 0.001, name
 
