@@ -45,10 +45,10 @@ functions:
   (four uniforms per pair, the stream of four scalar draws) and their gaps
   computed elementwise by ``_mixture_mean`` and ``_gaps``, so memory does not
   grow with the number of pairs;
-* chi: a certificate for every (k, l, N).  The coefficients of the
-  Bernstein form are derived from chi's definition in integer arithmetic
-  (``_chi_elevated``), compared with the closed form (``_chi_coefficients``)
-  and checked positive;
+* chi: a certificate for every (k, l, N).  Its Bernstein coefficients on
+  the band i = l+1..k+1 (``_band_cells``) are derived from chi's definition
+  in integer arithmetic (``_chi_elevated``), compared with the closed form
+  (``_chi_coefficients``) and checked positive;
 * Kolmogorov contraction: the priors and mixture components have integer
   shapes, so each CDF difference is a band of Bernstein terms (DLMF 8.17.5)
   with one interior critical point, where ``_kolmogorov_pairs`` takes its
@@ -56,12 +56,12 @@ functions:
   symmetric in (k, l) and vanish at k = l;
 * the split-sum boundary values: ``_edge_terms`` over the chi triples.
 
-The chi, Kolmogorov and split-sum passes hold one column per Bernstein index
-0..N+2 for each (k, l, N) triple, so they go over the triples in blocks of at
-most ``TRIPLE_BLOCK_CELLS`` cells (``_triple_blocks``), each block's triples
-computed from their indices: memory grows with the largest N, not with the
-N^3 triples.  A row's values do not depend on the block it lies in, so the
-battery's bits do not either; at the CLI defaults each pass is one block.
+The Kolmogorov pass holds one column per Bernstein index 0..N+2 for each
+(k, l, N) triple, the chi pass one cell per band index l+1..k+1 and the
+split-sum pass a gammaln table of 0..N+2, so they go over the triples in blocks
+of at most ``TRIPLE_BLOCK_CELLS`` cells (``_triple_blocks``), each built from
+its indices: memory grows with the largest N, not with the N^3 triples, and a
+row's values, so the battery's bits, do not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -172,38 +172,38 @@ def chi(x, k: int, l: int, n_total: int):
     """The nonnegative quantity certifying Kolmogorov contraction.
 
     Vectorized over ``x`` in [0, 1]; requires 0 <= l < k <= n_total.  Evaluated
-    as its Bernstein form (``_chi_coefficients``), a sum of positive terms
-    c_i / (i! (N+2-i)!) x^i (1-x)^(N+2-i), so no two terms cancel.
+    as its Bernstein form on the band i = l+1..k+1 (``_chi_coefficients``), a
+    sum of positive terms c_i / (i! (N+2-i)!) x^i (1-x)^(N+2-i), so no two cancel.
     """
     _check_counts(k, l, n_total, strict=True)
     xv = np.asarray(x, dtype=float)
     if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise ValidationError("x outside [0, 1]")
     i = np.arange(l + 1, k + 2)
-    coef = _chi_coefficients(k, l, n_total)[l + 1:k + 2].tolist()
     scale = np.array([c / (math.factorial(j) * math.factorial(n_total + 2 - j))
-                      for c, j in zip(coef, i.tolist())])
+                      for c, j in zip(_chi_coefficients(k, l, n_total).tolist(), i.tolist())])
     xe = xv[..., None]
     out = np.sum(scale * xe ** i * (1.0 - xe) ** (n_total + 2 - i), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
-def _bernstein_cases(k, l, n_total):
-    """k, l and N as int32 columns and i = 0..max N + 2 as a row; the
-    coefficients are at most N+2, and int32 halves the certificate's memory."""
-    k, l, n = (np.asarray(v, dtype=np.int32)[..., None] for v in (k, l, n_total))
-    return k, l, n, np.arange(n.max() + 3, dtype=np.int32)
+def _band_cells(k, l, n_total):
+    """k, l, N and i as int32 rows, one cell per case and i = l+1..k+1 in case
+    order; the coefficients are at most N+2, and int32 halves their memory."""
+    k, l, n = (np.asarray(v, dtype=np.int32).reshape(-1) for v in (k, l, n_total))
+    width = k - l + 1
+    starts = np.cumsum(width, dtype=np.int32) - width
+    cells = np.repeat(np.stack((k, l, n, l + 1 - starts)), width, axis=1)
+    cells[3] += np.arange(cells.shape[1], dtype=np.int32)  # i = l+1 + rank in the case
+    return cells
 
 
 def _chi_coefficients(k, l, n_total) -> np.ndarray:
-    """Bernstein coefficients of (N+2)! chi in degree N+2: N+1-k at i = l+1,
-    N+2 for l+1 < i <= k and l+1 at i = k+1.
-
-    Elementwise over integer arrays, one row per case and one column per i.
-    """
-    k, l, n, i = _bernstein_cases(k, l, n_total)
-    return (np.where(i == l + 1, n + 1 - k, 0) + np.where((i > l + 1) & (i <= k), n + 2, 0)
-            + np.where(i == k + 1, l + 1, 0))
+    """Bernstein coefficients of (N+2)! chi in degree N+2 on its band
+    (``_band_cells``; ``_chi_elevated`` shows none off it is nonzero),
+    elementwise over integer arrays: N+1-k at i = l+1, l+1 at i = k+1, N+2 between."""
+    k, l, n, i = _band_cells(k, l, n_total)
+    return np.where(i == l + 1, n + 1 - k, np.where(i == k + 1, l + 1, n + 2))
 
 
 def _chi_elevated(k, l, n_total) -> np.ndarray:
@@ -211,23 +211,22 @@ def _chi_elevated(k, l, n_total) -> np.ndarray:
 
     With B_i = C(N+2, i) x^i (1-x)^(N+2-i), (N+2)! g(j, N+1-j) is
     (N+2) b_{j,N+1}, raised to degree N+2 as (N+2-j) B_j + (j+1) B_{j+1}
-    (x + 1 - x = 1), and (N+2)! g(c+1, N+1-c) is B_{c+1}.
+    (x + 1 - x = 1), and (N+2)! g(c+1, N+1-c) is B_{c+1}.  All these terms
+    (j = l+1..k; c = l, k) lie on the band i = l+1..k+1, so none off it is nonzero.
     """
-    k, l, n, i = _bernstein_cases(k, l, n_total)
-    summed = (i > l) & (i <= k)  # j = i
-    raised = (i > l + 1) & (i <= k + 1)  # j = i - 1
-    return ((n + 2 - i) * summed + i * raised
+    k, l, n, i = _band_cells(k, l, n_total)
+    return ((n + 2 - i) * (i <= k) + i * (i > l + 1)  # j = i and j = i - 1
             - (k - l) * ((i == l + 1).astype(np.int32) + (i == k + 1)))
 
 
 def _edge_terms(k, l, n_total):
-    """Boundary values of the two split sums; elementwise over integer arrays."""
+    """Boundary values of the two split sums from one log-gamma table; elementwise."""
     span = k - l
-    gammaln = core_math.special.gammaln
-    first = np.exp(gammaln(l + 2) + gammaln(n_total + 2 - l)
-                   - gammaln(l + 2) - gammaln(n_total + 1 - l))
-    second = np.exp(gammaln(k + 2) + gammaln(n_total + 2 - k)
-                    - gammaln(k + 1) - gammaln(n_total + 2 - k))
+    log_gamma = core_math.special.gammaln(np.arange(np.max(n_total) + 3))
+    first = np.exp(log_gamma[l + 2] + log_gamma[n_total + 2 - l]
+                   - log_gamma[l + 2] - log_gamma[n_total + 1 - l])
+    second = np.exp(log_gamma[k + 2] + log_gamma[n_total + 2 - k]
+                    - log_gamma[k + 1] - log_gamma[n_total + 2 - k])
     return first - span, second - span
 
 
@@ -255,20 +254,25 @@ def _log_tail(c: int, head: float) -> float:
     return (e * LN2_HEAD - head) + (e * LN2_TAIL + math.log(math.ldexp(float(c >> cut), cut - e)))
 
 
-def _log_binomials(n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """log C(n, j) for n = n_lo..n_hi + 2 (rows) and j = 0..n_hi + 2 (columns),
-    -inf for j > n, each the log of the exact integer, the rows built by
-    Pascal's rule; and the tails (``_log_tail``) of rows n_lo..n_hi, 0 for
-    j > n, so that a head plus its tail is log C(n, j) to about 2e-16."""
+def _log_binomials(n_total, columns) -> tuple[np.ndarray, np.ndarray]:
+    """log C(n, j) for n = min N..max N + 2 (rows) and j = 0..max N + 2, -inf
+    for j > n, each the log of the exact integer, the rows built by Pascal's
+    rule; and the tails (``_log_tail``) of rows min N..max N, taken only at
+    each case's row N and its columns j in ``columns`` (0 elsewhere), so that
+    a head plus its tail is log C(N, j) to about 2e-16."""
+    n_lo, width = int(n_total.min()), int(n_total.max()) + 3
+    read = np.zeros((width - n_lo - 2, width), dtype=bool)
+    read[n_total - n_lo, columns] = True
     row = [1]
     for j in range(n_lo):
         row.append(row[-1] * (n_lo - j) // (j + 1))
-    table = np.full((n_hi - n_lo + 3, n_hi + 3), -np.inf)
-    tails = np.zeros((n_hi - n_lo + 1, n_hi + 3))
+    table = np.full((width - n_lo, width), -np.inf)
+    tails = np.zeros(read.shape)
     for i, out in enumerate(table):
         out[:len(row)] = heads = [math.log(c) for c in row]
         if i < len(tails):
-            tails[i, :len(row)] = [_log_tail(c, head) for c, head in zip(row, heads)]
+            tails[i, :len(row)] = [_log_tail(c, head) if wanted else 0.0
+                                   for c, head, wanted in zip(row, heads, read[i].tolist())]
         row = [a + b for a, b in zip(row + [0], [0] + row)]
     return table, tails
 
@@ -317,9 +321,8 @@ def _critical_points(k, l, n_total):
     takes their heads and tails (``_log_binomials``): both roots then lie
     within about 1e-15 of the exact ones, the prior's at gap / span.
     """
-    n_lo = int(n_total.min())
-    table, tails = _log_binomials(n_lo, int(n_total.max()))
-    row = n_total - n_lo
+    table, tails = _log_binomials(n_total, (l, k))
+    row = n_total - n_total.min()
 
     def log_c(extra, j):
         return table[row + extra, j]
@@ -382,12 +385,10 @@ def _check_counts(k: int, l: int, n_total: int, *, strict: bool):
     if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
                for c in (k, l, n_total)):
         raise ValidationError("counts must be integers")
-    if strict:
-        if not (0 <= l < k <= n_total):
-            raise ValidationError(f"need 0 <= l < k <= N, got l={l}, k={k}, N={n_total}")
-    else:
-        if not (0 <= l <= n_total and 0 <= k <= n_total):
-            raise ValidationError(f"need 0 <= k, l <= N, got l={l}, k={k}, N={n_total}")
+    if strict and not (0 <= l < k <= n_total):
+        raise ValidationError(f"need 0 <= l < k <= N, got l={l}, k={k}, N={n_total}")
+    if not strict and not (0 <= l <= n_total and 0 <= k <= n_total):
+        raise ValidationError(f"need 0 <= k, l <= N, got l={l}, k={k}, N={n_total}")
 
 
 def _count_triples(max_n: int, start: int = 0, stop: int | None = None):
@@ -441,8 +442,7 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
     worst, same, edges = [], True, True
     for k, l, n in _triple_blocks(chi_max_n):
         coefficients = _chi_coefficients(k, l, n)
-        i = np.arange(coefficients.shape[1])
-        worst.append(int(np.min(coefficients[(i > l[:, None]) & (i <= k[:, None] + 1)])))
+        worst.append(int(coefficients.min()))
         same &= np.array_equal(coefficients, _chi_elevated(k, l, n))
         first, second = _edge_terms(k, l, n)
         edges &= bool(np.all((np.abs(first - (n + 1 - k)) < 1e-6)

@@ -14,10 +14,13 @@ from scipy import special
 from qbagents import agreement, core_math
 from qbagents.agreement import (
     BETA_PAIR_BLOCK,
+    _band_cells,
     _beta_pair_gaps,
     _chi_coefficients,
+    _chi_elevated,
     _count_triples,
     _critical_points,
+    _edge_terms,
     _kolmogorov_pairs,
     _mean_of,
     _triple_blocks,
@@ -426,6 +429,28 @@ def chi_reference_rows(max_n, width):
                 yield [int(c) for c in rows[k, l]]
 
 
+def band_rows(cells, k, l, n):
+    """Band cells, one per case and i = l+1..k+1 in case order, scattered back
+    into one row of width N+3 per case, zeros off the band."""
+    rows, cells = [], cells.tolist()
+    for kc, lc, nc in zip(k.tolist(), l.tolist(), n.tolist()):
+        row = [0] * (nc + 3)
+        row[lc + 1:kc + 2], cells = cells[:kc - lc + 1], cells[kc - lc + 1:]
+        rows.append(row)
+    assert not cells
+    return rows
+
+
+def six_pass_edge_terms(k, l, n_total):
+    """The split-sum boundary values from six ``gammaln`` passes over the cases."""
+    span = k - l
+    first = np.exp(special.gammaln(l + 2) + special.gammaln(n_total + 2 - l)
+                   - special.gammaln(l + 2) - special.gammaln(n_total + 1 - l))
+    second = np.exp(special.gammaln(k + 2) + special.gammaln(n_total + 2 - k)
+                    - special.gammaln(k + 1) - special.gammaln(n_total + 2 - k))
+    return first - span, second - span
+
+
 class TestChi:
     def test_vanishes_at_boundary(self):
         assert chi(0.0, 3, 1, 5) == 0.0
@@ -464,10 +489,20 @@ class TestChi:
         # chi's definition expanded into the degree N+2 Bernstein basis in exact
         # rationals, one case at a time, against the battery's one array pass
         k, l, n = _count_triples(25)
-        rows = _chi_coefficients(k, l, n)
-        assert rows.tolist() == list(chi_reference_rows(25, rows.shape[1]))
-        support = np.arange(rows.shape[1])
-        assert np.all(rows[(support > l[:, None]) & (support <= k[:, None] + 1)] > 0)
+        cells = _chi_coefficients(k, l, n)
+        reference = list(chi_reference_rows(25, 28))
+        assert band_rows(cells, k, l, n) == [row[:nc + 3] for row, nc in zip(reference, n.tolist())]
+        assert not any(any(row[nc + 3:]) for row, nc in zip(reference, n.tolist()))
+        assert np.all(cells > 0)
+        assert _chi_elevated(k, l, n).tolist() == cells.tolist()
+
+    def test_band_cells_are_l_plus_1_to_k_plus_1(self):
+        k, l, n = _count_triples(25)
+        cells = _band_cells(k, l, n)
+        assert cells.dtype == np.int32
+        expected = [(kc, lc, nc, i) for kc, lc, nc in zip(k.tolist(), l.tolist(), n.tolist())
+                    for i in range(lc + 1, kc + 2)]
+        assert list(zip(*(c.tolist() for c in cells))) == expected
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
@@ -742,10 +777,15 @@ class TestBatteryEqualsPublicChecks:
 
     def test_chi_coefficients(self):
         k, l, n = _count_triples(25)
-        rows = _chi_coefficients(k, l, n)
+        rows = band_rows(_chi_coefficients(k, l, n), k, l, n)
         for row, case in zip(rows, zip(k.tolist(), l.tolist(), n.tolist())):
             public = _chi_coefficients(*case)  # as ``chi`` reads them
-            assert row.tolist() == public.tolist() + [0] * (rows.shape[1] - len(public))
+            assert row == band_rows(public, *(np.array([c]) for c in case))[0]
+
+    def test_edge_terms_match_six_gammaln_passes(self):
+        k, l, n = _count_triples(60)
+        table = np.column_stack(_edge_terms(k, l, n))
+        assert table.tobytes() == np.column_stack(six_pass_edge_terms(k, l, n)).tobytes()
 
     def test_kolmogorov_pairs(self):
         k, l, n = _count_triples(15)
@@ -801,22 +841,35 @@ def test_triple_memory_is_bounded_in_n():
     assert peak <= 40 * 10**6
 
 
-def test_triple_memory_does_not_grow_with_n(monkeypatch):
-    # blocks of 4,096 cells (80 triples at N <= 48), so that the N^3/6
-    # triples would show if they were all built at once (24 bytes each)
+def block_peaks(monkeypatch, size):
+    """``tracemalloc`` peaks of the battery with the pass ``size`` names at
+    N <= 24 and N <= 48 and the other at N <= 3, in blocks of 4,096 cells
+    (80 triples at N <= 48), so that the N^3/6 triples would show if they were
+    all built at once."""
     monkeypatch.setattr(agreement, "TRIPLE_BLOCK_CELLS", 4096)
 
     def peak(max_n):
         tracemalloc.reset_peak()
-        verify_appendix_claims(chi_max_n=3, kdist_max_n=max_n, n_beta_pairs=10)
+        verify_appendix_claims(**{"chi_max_n": 3, "kdist_max_n": 3, size: max_n},
+                               n_beta_pairs=10)
         return tracemalloc.get_traced_memory()[1]
 
     verify_appendix_claims(chi_max_n=1, kdist_max_n=1, n_beta_pairs=1)  # scipy loaded
     tracemalloc.start()
     try:
-        small, large = peak(24), peak(48)
+        return peak(24), peak(48)
     finally:
         tracemalloc.stop()
+
+
+def test_triple_memory_does_not_grow_with_n(monkeypatch):
+    small, large = block_peaks(monkeypatch, "kdist_max_n")
+    assert large < 1.5 * small
+
+
+def test_chi_memory_does_not_grow_with_n(monkeypatch):
+    # the chi pass holds one block's band cells, at most N+2 per triple
+    small, large = block_peaks(monkeypatch, "chi_max_n")
     assert large < 1.5 * small
 
 
