@@ -1,18 +1,25 @@
 """Rational agents: action menus, utilities, predictive distributions, and
 expected-utility choice.
 
-An agent owns a physical postulate, a belief ensemble over the matching
-parameter region, a menu of actions (conditional probability matrices), and a
-utility function over (action, outcome) pairs.  Choice maximizes expected
-utility; ties within ``TIE_TOL`` are broken uniformly at random, which is what
-turns a flat utility function into uniformly random action choice.
+An agent owns a physical postulate, a belief over the matching parameter
+region, a menu of actions (conditional probability matrices), and a utility
+function over (action, outcome) pairs.  Choice maximizes expected utility;
+ties within ``TIE_TOL`` are broken uniformly at random, which is what turns a
+flat utility function into uniformly random action choice.  The agent owns
+the choice and the count store; the belief (an ``inference.BetaMixture`` or
+``inference.ParticleEnsemble``) owns every phase that depends on its kind:
+the form of the likelihood, the update, the refresh, the mean and the
+summary (see ``inference``).
 
 Everything the step loop needs is validated and precomputed when the agent is
 built, so a step does only arithmetic:
 
 * every action must give nonnegative probabilities in every valid state
-  (``min_likelihood``), and a particle ensemble must start uniform and not
-  be an update's or a refresh's result, the prior that resample-move assumes;
+  (``min_likelihood``), and the belief must accept the menu (its
+  ``check_agent``): a particle ensemble must start uniform and not be an
+  update's or a refresh's result, the prior that resample-move assumes, and
+  a ``BetaMixture`` needs every likelihood to be theta or 1 - theta (its
+  ``prior`` grid runs other rows);
 * each action's utility row is checked and stored (``utility_rows``);
 * each action's likelihood rows ``R[j] @ Phi`` are computed once, classified
   by ``axis_classes`` (``evidence.axes``), and composed with the region's
@@ -21,15 +28,13 @@ built, so a step does only arithmetic:
   evaluates it at (1, theta); both products are left-to-right sums
   (``postulate.likelihood_rows``, ``affine_rows``), which no BLAS kernel
   rounds;
-* a ``BetaMixture`` belief updates by those classes; with a row that is neither
-  theta nor 1 - theta the agent is rejected (its ``prior`` grid runs such rows);
-* likelihoods on the ensemble's points are cached per point set: each
-  (action, outcome) vector is computed the first time it is asked for and
-  kept until the points change (grid and delta points never move; particles
-  move only when the refresh replaces them).  On either region it is the
-  outcome's ``kernel_rows`` over the point columns
-  (``postulate.affine_likelihoods``, as ``likelihood_values`` computes it);
-* the posterior mean is cached per ensemble, and the predictive is the
+* the likelihood an update takes is the belief's, read with the agent's
+  ``evidence`` (``ensemble.likelihood(evidence, a, j)``): a ``BetaMixture``'s
+  is the outcome's class, and a weighted ensemble's is the outcome's
+  ``kernel_rows`` over the point columns, computed the first time it is
+  asked for and kept with the point set;
+* the posterior mean is the belief's ``mean_floats``, computed once per
+  belief (updates and refreshes return a new one), and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
   parameter), the action's ``kernel_rows`` at (1, mean), so a choice costs
   a few float products instead of a pass over the ensemble; each expected
@@ -46,12 +51,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import PROB_TOL, as_cond_prob_matrix, dot, readonly
+from .core_math import PROB_TOL, as_cond_prob_matrix, dot
 from .errors import ValidationError
-from .inference import BetaMixture, Evidence, ParticleEnsemble, posterior_mean
+from .inference import BetaMixture, Evidence, ParticleEnsemble
 from .postulate import (
     PhysicalPostulate,
-    affine_likelihoods,
     affine_rows,
     axis_classes,
     ensemble_compatible,
@@ -112,17 +116,16 @@ class UtilityFn:
 
 @dataclass
 class Agent:
-    """Postulate + belief ensemble + action menu + utility function.
+    """Postulate + belief + action menu + utility function.
 
+    ``ensemble`` is the belief, a ``ParticleEnsemble`` or a ``BetaMixture``.
     ``counts`` is the one count store of observed (menu index, outcome) cells,
-    in first-observed order, and ``evidence`` the refresh's view of it.  The
-    likelihood cache keys on the ensemble's points array and the mean cache on
-    the ensemble, which updates and refreshes replace.
+    in first-observed order, and ``evidence`` the belief's view of it.
     """
 
     id: str
     postulate: PhysicalPostulate
-    ensemble: ParticleEnsemble
+    ensemble: ParticleEnsemble | BetaMixture
     menu: tuple[Action, ...]
     utility: UtilityFn = field(default_factory=UtilityFn)
 
@@ -150,17 +153,9 @@ class Agent:
                     f"agent {self.id!r}: action {action.name!r} gives a negative "
                     f"probability ({lowest:.3e}); not physically valid for this "
                     "postulate")
-        if not (ens.grid or ens.atoms) and (ens.posterior or np.ptp(ens.weights) > 0):
-            raise ValidationError(
-                f"agent {self.id!r}: a particle ensemble must start uniform "
-                "(equal weights, no evidence), the prior resample-move assumes")
         rows = tuple(likelihood_rows(self.postulate, a.matrix) for a in self.menu)
         axes = tuple(map(axis_classes, rows))
-        if isinstance(ens, BetaMixture) and any(None in c for c in axes):
-            raise ValidationError(
-                f"agent {self.id!r}: a Beta-count belief needs likelihoods theta or "
-                "1 - theta, and some action's is neither; run such an action on the "
-                "belief's plain prior grid (BetaMixture.prior)")
+        ens.check_agent(self.id, axes)
         # The embedding is affine, so an outcome's probability is its row of
         # coefficients (constant, gradient) dotted with (1, theta).
         self.kernel_rows = tuple(affine_rows(ens.region, r) for r in rows)
@@ -170,10 +165,6 @@ class Agent:
         self._choices = tuple((self.utility_rows[a.name].tolist(), k)
                               for a, k in zip(self.menu, self.kernel_rows))
         self.menu_index = {a.name: i for i, a in enumerate(self.menu)}
-        self._points = None  # the point set the likelihood cache belongs to
-        self._likes = {}  # (action index, outcome) -> likelihood at those points
-        self._mean_of = None  # the ensemble whose mean is cached
-        self._mean = None
 
     def action(self, name: str) -> Action:
         if name not in self.menu_index:
@@ -181,32 +172,10 @@ class Agent:
         return self.menu[self.menu_index[name]]
 
     def mean(self) -> tuple[float, ...]:
-        """Posterior mean of the current ensemble as Python floats, computed
-        once per ensemble (updates and refreshes return a new one)."""
-        ens = self.ensemble
-        if self._mean_of is not ens:
-            self._mean_of = ens
-            # a count belief's closed form directly: ``posterior_mean`` would
-            # wrap it in an array, about a microsecond on every step
-            self._mean = ((ens.mean(),) if isinstance(ens, BetaMixture)
-                          else tuple(posterior_mean(ens).tolist()))
-        return self._mean
-
-    def likelihood(self, a: int, j: int):
-        """p(j | theta) of menu action ``a`` in the form ``bayes_update``
-        takes for the ensemble: its values at the points, or for a
-        ``BetaMixture`` its ``axis_classes`` class (theta or 1 - theta)."""
-        if isinstance(self.ensemble, BetaMixture):
-            return self.evidence.axes[a][j]
-        points = self.ensemble.points
-        if points is not self._points:
-            self._points = points
-            self._likes = {}
-        like = self._likes.get((a, j))
-        if like is None:
-            like = self._likes[a, j] = readonly(
-                affine_likelihoods(self.kernel_rows[a][j], points))
-        return like
+        """Posterior mean of the current belief as Python floats, its
+        ``mean_floats`` (computed once per belief; updates and refreshes
+        return a new one)."""
+        return self.ensemble.mean_floats()
 
 
 def predictive(agent: Agent, action: Action) -> np.ndarray:
@@ -245,7 +214,7 @@ def choose_action(agent: Agent, rng: np.random.Generator) -> int:
         return 0
     if not agent.utility.table:
         return int(rng.integers(len(menu)))
-    point = [1.0, *agent.mean()]
+    point = [1.0, *agent.ensemble.mean_floats()]
     utilities = [_utility(utility, rows, point) for utility, rows in agent._choices]
     best = max(utilities) - TIE_TOL
     tied = [i for i, u in enumerate(utilities) if u >= best]
@@ -255,4 +224,4 @@ def choose_action(agent: Agent, rng: np.random.Generator) -> int:
 def broadcast_point(agent: Agent) -> tuple[float, ...]:
     """The signal an agent emits: the mean of their current belief density,
     as Python floats."""
-    return agent.mean()
+    return agent.ensemble.mean_floats()

@@ -46,9 +46,9 @@ functions:
   computed elementwise by ``_mixture_mean`` and ``_gaps``, so memory does not
   grow with the number of pairs;
 * chi: a certificate for every (k, l, N).  Its Bernstein coefficients on
-  the band i = l+1..k+1 (``_band_cells``) are derived from chi's definition
-  in integer arithmetic (``_chi_elevated``), compared with the closed form
-  (``_chi_coefficients``) and checked positive;
+  the band i = l+1..k+1 (``_band_cells``, built once per block) are derived
+  from chi's definition in integer arithmetic (``_chi_elevated``), compared
+  with the closed form (``_chi_coefficients``) and checked positive;
 * Kolmogorov contraction: the priors and mixture components have integer
   shapes, so each CDF difference is a band of Bernstein terms (DLMF 8.17.5)
   with one interior critical point, where ``_kolmogorov_pairs`` takes its
@@ -180,8 +180,9 @@ def chi(x, k: int, l: int, n_total: int):
     if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise ValidationError("x outside [0, 1]")
     i = np.arange(l + 1, k + 2)
+    coefficients = _chi_coefficients(_band_cells(k, l, n_total)).tolist()
     scale = np.array([c / (math.factorial(j) * math.factorial(n_total + 2 - j))
-                      for c, j in zip(_chi_coefficients(k, l, n_total).tolist(), i.tolist())])
+                      for c, j in zip(coefficients, i.tolist())])
     xe = xv[..., None]
     out = np.sum(scale * xe ** i * (1.0 - xe) ** (n_total + 2 - i), axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -198,23 +199,24 @@ def _band_cells(k, l, n_total):
     return cells
 
 
-def _chi_coefficients(k, l, n_total) -> np.ndarray:
-    """Bernstein coefficients of (N+2)! chi in degree N+2 on its band
-    (``_band_cells``; ``_chi_elevated`` shows none off it is nonzero),
-    elementwise over integer arrays: N+1-k at i = l+1, l+1 at i = k+1, N+2 between."""
-    k, l, n, i = _band_cells(k, l, n_total)
+def _chi_coefficients(cells) -> np.ndarray:
+    """Bernstein coefficients of (N+2)! chi in degree N+2 on its band, one per
+    cell of ``_band_cells`` (``_chi_elevated`` shows none off it is nonzero):
+    N+1-k at i = l+1, l+1 at i = k+1, N+2 between."""
+    k, l, n, i = cells
     return np.where(i == l + 1, n + 1 - k, np.where(i == k + 1, l + 1, n + 2))
 
 
-def _chi_elevated(k, l, n_total) -> np.ndarray:
-    """``_chi_coefficients`` derived from chi's definition in integer arithmetic.
+def _chi_elevated(cells) -> np.ndarray:
+    """``_chi_coefficients`` of the same band cells, derived from chi's
+    definition in integer arithmetic.
 
     With B_i = C(N+2, i) x^i (1-x)^(N+2-i), (N+2)! g(j, N+1-j) is
     (N+2) b_{j,N+1}, raised to degree N+2 as (N+2-j) B_j + (j+1) B_{j+1}
     (x + 1 - x = 1), and (N+2)! g(c+1, N+1-c) is B_{c+1}.  All these terms
     (j = l+1..k; c = l, k) lie on the band i = l+1..k+1, so none off it is nonzero.
     """
-    k, l, n, i = _band_cells(k, l, n_total)
+    k, l, n, i = cells
     return ((n + 2 - i) * (i <= k) + i * (i > l + 1)  # j = i and j = i - 1
             - (k - l) * ((i == l + 1).astype(np.int32) + (i == k + 1)))
 
@@ -441,9 +443,10 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
 
     worst, same, edges = [], True, True
     for k, l, n in _triple_blocks(chi_max_n):
-        coefficients = _chi_coefficients(k, l, n)
+        cells = _band_cells(k, l, n)
+        coefficients = _chi_coefficients(cells)
         worst.append(int(coefficients.min()))
-        same &= np.array_equal(coefficients, _chi_elevated(k, l, n))
+        same &= np.array_equal(coefficients, _chi_elevated(cells))
         first, second = _edge_terms(k, l, n)
         edges &= bool(np.all((np.abs(first - (n + 1 - k)) < 1e-6)
                              & (np.abs(second - (l + 1)) < 1e-6) & (first > 0) & (second > 0)))

@@ -1,56 +1,77 @@
 """Exchangeable-prior Bayesian inference over parameter regions.
 
-Beliefs take three forms:
+A belief is a ``BetaMixture`` or a ``ParticleEnsemble``, and each class owns
+every phase of an agent's step that depends on its kind, through one shared
+set of methods:
+
+* ``likelihood(evidence, a, j)``: p(j | theta) of the agent's menu action a
+  in the form the belief's update takes;
+* ``updated(post, R, j, like)``: the update by outcome j (``bayes_update``);
+* ``refreshed(evidence, rng)``: the refresh (``maybe_resample``);
+* ``mean_floats()``: the posterior mean as Python floats, computed once per
+  belief, which the agent chooses by and broadcasts (``Agent.mean``);
+* ``summary()``: the mean, covariance, ellipsoid and ESS of a recorded step
+  (``posterior_summary``);
+* ``check_agent(agent_id, axes)``: the check, when an ``Agent`` is built,
+  that the belief can take the ``postulate.axis_classes`` of its actions;
+* ``curve()``: the belief itself when ``interaction.run`` keeps it as a 1-D
+  curve for plots, or None when the run keeps its points and weights as a
+  cloud.
+
+``bayes_update``, ``maybe_resample`` and ``posterior_summary`` are the
+one-line public entry points to the update, the refresh and the summary.
+The kinds:
 
 * Beta counts (``BetaMixture``, 1-D regions): every continuous 1-D prior is a
   mixture of truncated Beta pieces, and every coin likelihood is theta or
   1 - theta, so the posterior is the prior times theta^a (1 - theta)^b and
   depends on the counts (a, b) alone (de Finetti).  An update adds one to a
-  count, and rejects a likelihood that is neither; the mean and variance are
-  the pieces' closed forms (``core_math.beta_piece``), scalars that round the
-  same at any BLAS thread count.  The 10,001-point grid is built in log space
-  from the counts only where something reads it: ESS at recorded steps,
-  curve snapshots and prior-sampling draws;
-* grid ensembles (1-D regions only): a fixed uniform grid whose weights track
-  the density exactly at the grid points; these are never resampled, since
-  reweighting alone keeps the representation faithful.  Delta mixtures and
-  grids built directly take this path;
+  count, and rejects a likelihood that is neither; the refresh returns the
+  belief; the mean and variance are the pieces' closed forms
+  (``core_math.beta_piece``), scalars that round the same at any BLAS thread
+  count.  The 10,001-point grid is built in log space from the counts only
+  where something reads it: ESS at recorded steps, curve snapshots and
+  prior-sampling draws;
+* grid ensembles (``ParticleEnsemble`` with ``grid``, 1-D regions only): a
+  fixed uniform grid whose weights track the density exactly at the grid
+  points; these are never resampled, since reweighting alone keeps the
+  representation faithful.  Grids built directly take this path, and delta
+  mixtures (``atoms``) likewise;
 * particle ensembles (the Bloch ball): weighted samples refreshed with a
   new, equally weighted cloud when the effective sample size degrades.  The
   points are stored by column, an (n, 3) array in F order, and every sum
   over them is taken in an order fixed here, never by a BLAS or LAPACK call
   whose rounding follows the CPU's kernel: the mean is one ``einsum`` over
   the columns, each covariance entry one ``einsum`` of two columns, and the
-  3 x 3 eigenvalues come from Jacobi rotations over Python floats.  One
-  ``posterior_summary`` gives the mean, the covariance, the ellipsoid and
-  the ESS.
+  3 x 3 eigenvalues come from Jacobi rotations over Python floats.
 
 An update of a weighted ensemble returns a new ensemble whose weights are
 the old ones times the postulate likelihood of the observed outcome,
-renormalized; a caller that already holds that likelihood (an agent's cache)
-passes it in.  The observations belong to the agent, not to the ensemble:
-its one count store, keyed by (menu index, outcome), and its actions'
-likelihood rows ``R[j] @ Phi`` in the two forms the agent makes of them once
-when it is built: their ``postulate.axis_classes`` and their affine
-coefficients on the region (``postulate.affine_rows``).  ``Evidence`` holds
-them, reading the counts live.  That one classification decides every exact
-update: a likelihood c0 (1 +- r_a) is one more count, for a ``BetaMixture``
-as for the refresh.
+renormalized; the likelihood at the points is kept with the point set, so
+each (kernel row, point set) pair is computed once.  The observations belong
+to the agent, not to the belief: its one count store, keyed by (menu index,
+outcome), and its actions' likelihood rows ``R[j] @ Phi`` in the two forms
+the agent makes of them once when it is built: their
+``postulate.axis_classes`` and their affine coefficients on the region
+(``postulate.affine_rows``).  ``Evidence`` holds them, reading the counts
+live.  That one classification decides every exact update: a likelihood
+c0 (1 +- r_a) is one more count, for a ``BetaMixture`` as for the refresh.
 
-The refresh (``maybe_resample``) takes one of two paths.  When every observed
-outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the Pauli menus
-of a quantum agent), the posterior is a product of three Beta laws truncated
-to the ball, and the refresh draws from it exactly: each Beta law with shapes
-(n+ + 1, n- + 1) by its closed form when one count is zero and by Cheng's BB
-rejection over whole arrays of uniforms otherwise (``_beta_draws``), and the
-ball test keeps the points inside.  All other evidence (the SIC reference
-action, and classical Pauli and sharp Pauli actions, whose axis factors are
-1 +- k r_a with k < 1) goes to resample-move: systematic resampling plus
-Metropolis sweeps, which evaluate the current posterior density at proposed
-points from the counts (one affine likelihood over the point columns,
-``postulate.affine_likelihoods``, and one log per observed cell).  Both paths
-assume a uniform prior, so agents reject particle ensembles that do not start
-uniform or that an update or a refresh returned (see ``Agent``).
+The refresh of a particle ensemble takes one of two paths.  When every
+observed outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the
+Pauli menus of a quantum agent), the posterior is a product of three Beta
+laws truncated to the ball, and the refresh draws from it exactly: each Beta
+law with shapes (n+ + 1, n- + 1) by its closed form when one count is zero
+and by Cheng's BB rejection over whole arrays of uniforms otherwise
+(``_beta_draws``), and the ball test keeps the points inside.  All other
+evidence (the SIC reference action, and classical Pauli and sharp Pauli
+actions, whose axis factors are 1 +- k r_a with k < 1) goes to resample-move:
+systematic resampling plus Metropolis sweeps, which evaluate the current
+posterior density at proposed points from the counts (one affine likelihood
+over the point columns, ``postulate.affine_likelihoods``, and one log per
+observed cell).  Both paths assume a uniform prior, so an agent cannot start
+from a particle ensemble that is not uniform, or that an update or a refresh
+returned (``check_agent``).
 """
 
 from __future__ import annotations
@@ -106,15 +127,32 @@ class Evidence:
         return counts
 
 
+class _Weighted:
+    """What both belief kinds read off their weighted ``points``: ``n`` and the
+    ESS."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    def ess(self) -> float:
+        """Effective sample size 1 / sum(w^2)."""
+        return float(1.0 / np.sum(self.weights ** 2))
+
+
 @dataclass(frozen=True)
-class ParticleEnsemble:
+class ParticleEnsemble(_Weighted):
     """Weighted points over a parameter region representing a belief density.
 
     ``grid`` marks a fixed 1-D quadrature grid and ``atoms`` a delta mixture;
     both are exact representations whose weights alone carry the density, so
     the resample-move step leaves them untouched.  ``posterior`` marks an
     ensemble that an update or a refresh returned: it has absorbed evidence,
-    even when its weights are equal again, so it is not a prior.
+    even when its weights are equal again, so it is not a prior.  The
+    likelihoods at the points are kept by kernel row (``likelihood``), shared
+    by every ensemble with the same points.
     """
 
     points: np.ndarray
@@ -123,6 +161,8 @@ class ParticleEnsemble:
     grid: bool = False
     atoms: bool = False
     posterior: bool = field(default=False, init=False)
+    _likes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mean: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -148,16 +188,164 @@ class ParticleEnsemble:
         object.__setattr__(self, "weights", readonly(w / total))
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def ess(self) -> float:
-        """Effective sample size 1 / sum(w^2)."""
-        return float(1.0 / np.sum(self.weights ** 2))
+    def likelihood(self, evidence: Evidence, a: int, j: int) -> np.ndarray:
+        """p(j | theta) of menu action ``a`` at the points, the form ``updated``
+        takes: ``affine_likelihoods`` of the outcome's ``evidence.kernel``
+        row, as ``likelihood_values`` computes it.  It is computed the first
+        time that row is asked for on this point set and kept with the points
+        (grid and delta points never move; particles move only when a refresh
+        replaces them)."""
+        rows = evidence.kernel[a][j]
+        like = self._likes.get(rows)
+        if like is None:
+            like = self._likes[rows] = readonly(affine_likelihoods(rows, self.points))
+        return like
+
+    def updated(self, post: PhysicalPostulate, R, j: int,
+                like: np.ndarray | None = None) -> "ParticleEnsemble":
+        """Reweight by the likelihood of outcome j; points never move here.
+
+        ``like`` is that likelihood at the points when the caller has it
+        (``likelihood``); otherwise it is computed.  Raises
+        ``ImpossibleOutcomeError`` when the total posterior weight underflows,
+        i.e. the outcome contradicts the entire support."""
+        if like is None:
+            like = likelihood_values(post, R, j, self.points)
+        w = self.weights * like
+        total = np.add.reduce(w)
+        if not math.isfinite(total) or total < 1e-300:
+            raise ImpossibleOutcomeError(
+                f"outcome {j} has zero probability on the whole support")
+        w /= total
+        return self._with(w)
+
+    def refreshed(self, evidence: Evidence, rng: np.random.Generator) -> "ParticleEnsemble":
+        """Resample-move step, triggered when ESS drops below n/2.
+
+        Exact representations (grids, delta mixtures) and healthy particle
+        sets are returned as they are, and the stream is not touched.
+        Otherwise a new ensemble gets n equally weighted points, drawn from
+        the posterior that ``evidence`` (the agent's observations) gives, by
+        one of two paths:
+
+        * exact refresh, for Bloch-ball particles whose every observed
+          outcome has a likelihood c0 (1 +- r_a) on one axis a
+          (``evidence.axes``): the quantum ``paulis`` and ``paulis_zx``
+          menus.  The posterior under the uniform prior is then a product of
+          three Beta laws truncated to the ball, and
+          ``sample_axis_posterior`` draws n i.i.d. points from it (closed
+          forms for one-sided counts, Cheng's BB rejection for two-sided
+          ones, uniforms for an axis without counts);
+        * resample-move, for all other evidence (the ``sic_reference`` menu,
+          and classical ``paulis`` and ``sharp_paulis``, whose axis factors
+          are (1 +- k r_a) with k = 1/3 and 1/sqrt(3)), and when the exact
+          draw runs out of candidates: systematic resampling restores equal
+          weights, then a Gaussian random-walk Metropolis pass (scale =
+          ``PROPOSAL_SCALE`` times the per-dimension posterior standard
+          deviation, ``RESAMPLE_SWEEPS`` sweeps, proposals outside the region
+          rejected) rejuvenates particle diversity while targeting the
+          current posterior.
+
+        The k < 1 factors are left to resample-move: their Beta laws are
+        truncated to [(1 - k)/2, (1 + k)/2], and an inverse-CDF draw
+        (``betaincinv``) costs more than the Metropolis sweeps and underflows
+        at counts in the thousands.
+        """
+        if self.grid or self.atoms or self.ess() >= self.n / 2:
+            return self
+        equal = np.full(self.n, 1.0 / self.n)
+        counts = evidence.axis_counts() if isinstance(self.region, QubitBall) else None
+        if counts is not None:
+            pts = sample_axis_posterior(counts, self.n, rng)
+            if pts is not None:
+                return self._with(equal, pts)
+        summary = posterior_summary(self)
+        idx = _systematic_indices(self.weights, rng)
+        pts = self.points[idx].copy()
+        scale = PROPOSAL_SCALE * summary.std
+        if not np.any(scale > 0):
+            return self._with(equal, pts)
+        logp = log_posterior_density(self, pts, evidence)
+        for _ in range(RESAMPLE_SWEEPS):
+            proposal = pts + rng.normal(size=pts.shape) * scale
+            logp_prop = log_posterior_density(self, proposal, evidence)
+            with np.errstate(invalid="ignore"):
+                accept = np.log(rng.uniform(size=self.n)) < (logp_prop - logp)
+            accept &= np.isfinite(logp_prop)
+            pts[accept] = proposal[accept]
+            logp[accept] = logp_prop[accept]
+        return self._with(equal, pts)
+
+    def mean_floats(self) -> tuple[float, ...]:
+        """The weighted mean of the points (``posterior_mean``) as Python
+        floats, computed once per ensemble."""
+        if self._mean is None:
+            object.__setattr__(self, "_mean", tuple(posterior_mean(self).tolist()))
+        return self._mean
+
+    def summary(self) -> "PosteriorSummary":
+        """Weighted mean and covariance with the ellipsoid decomposition, and
+        the ESS.
+
+        Every sum is taken in an order fixed here: the mean as in
+        ``posterior_mean``, each covariance entry of Bloch particles as one
+        ``einsum`` of two columns (six of them, the matrix being symmetric),
+        and the 3 x 3 eigenvalues by Jacobi rotations (``sym3_eigenvalues``).
+        No BLAS or LAPACK call rounds them."""
+        w = self.weights
+        mean = posterior_mean(self)
+        if self.dim == 1:
+            var = np.einsum("i,i->", w, (self.points[:, 0] - mean[0]) ** 2)
+            cov = np.array([[var]])
+            lengths = [math.sqrt(max(var, 0.0))]
+        else:
+            centered = [col - m for col, m in zip(self.points.T, mean.tolist())]
+            weighted = [col * w for col in centered]
+            cov = np.empty((3, 3))
+            for k, l in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+                cov[k, l] = cov[l, k] = np.einsum("i,i->", weighted[k], centered[l])
+            lengths = [math.sqrt(max(e, 0.0)) for e in sym3_eigenvalues(cov.tolist())]
+        return PosteriorSummary(
+            mean=readonly(mean),
+            covariance=readonly(cov),
+            axis_lengths=readonly(np.array(lengths)),
+            ess=self.ess(),
+        )
+
+    def check_agent(self, agent_id: str, axes) -> None:
+        """Raise ``ValidationError`` unless an agent may start from the
+        ensemble: particles must be uniform and not an update's or a
+        refresh's result, the prior that resample-move assumes; grids and
+        delta mixtures, which are never resampled, may start anywhere."""
+        if not (self.grid or self.atoms) and (self.posterior or np.ptp(self.weights) > 0):
+            raise ValidationError(
+                f"agent {agent_id!r}: a particle ensemble must start uniform "
+                "(equal weights, no evidence), the prior resample-move assumes")
+
+    def curve(self) -> "ParticleEnsemble | None":
+        """A grid, whose weights are the curve; None for particles and atoms,
+        which a run keeps as a cloud."""
+        return self if self.grid else None
+
+    def _with(self, weights: np.ndarray, points: np.ndarray | None = None) -> "ParticleEnsemble":
+        # A copy marked posterior, with new weights and, from a refresh, new
+        # points and an empty likelihood store.  The constructor would check
+        # region membership, which updates and refreshes guarantee, and
+        # renormalize weights that already sum to one (or are 1/n, whose sum
+        # is rarely 1).
+        out = object.__new__(ParticleEnsemble)
+        state = out.__dict__
+        state.update(self.__dict__)
+        state["weights"] = readonly(weights)
+        state["posterior"] = True
+        state["_mean"] = None
+        if points is not None:
+            state["points"] = readonly(np.asfortranarray(points))
+            state["_likes"] = {}
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,7 +371,7 @@ class PosteriorSummary:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
 
-class BetaMixture:
+class BetaMixture(_Weighted):
     """An exchangeable 1-D belief carried by counts: the prior density
     sum_k c_k theta^(alpha_k - 1) (1 - theta)^(beta_k - 1) on [lo_k, hi_k]
     (``pieces``, each (log c_k, alpha_k, beta_k, lo_k, hi_k), contiguous and
@@ -192,23 +380,22 @@ class BetaMixture:
 
     Every likelihood a coin action gives is theta or 1 - theta up to a
     constant (``axis_classes`` (0, +1) or (0, -1)), so the posterior depends
-    on the counts alone (de Finetti), and an update adds one to a count
-    (``observed``).  The mean and variance are the pieces' closed forms
-    (``core_math.beta_piece``), mixed by their masses: float arithmetic plus
-    one scalar special-function call per incomplete Beta value, or a
-    continued fraction in a tail.
+    on the counts alone (de Finetti), an update adds one to a count
+    (``updated``, ``observed``) and the refresh returns the belief.  The mean
+    and variance are the pieces' closed forms (``core_math.beta_piece``),
+    mixed by their masses: float arithmetic plus one scalar special-function
+    call per incomplete Beta value, or a continued fraction in a tail.
 
     ``prior`` is the grid ensemble of the prior pdf; it sets the resolution of
     what reads a grid.  ``weights``, the grid posterior, is built in log space
     from the prior's log weights and the counts the first time it is read (for
-    ESS, curve snapshots and prior-sampling draws), and kept.  The other
-    attributes mirror a grid ``ParticleEnsemble``'s, so a belief goes wherever
-    one does.
+    ESS, curve snapshots and prior-sampling draws), and kept.  ``points``,
+    ``region``, ``n``, ``grid`` and ``atoms`` read as a grid
+    ``ParticleEnsemble``'s.
     """
 
     grid = True
     atoms = False
-    dim = 1
     __slots__ = ("prior", "pieces", "counts", "_weights", "_mean", "_mix", "_means", "_logs")
 
     def __init__(self, prior: ParticleEnsemble, pieces: tuple, counts: tuple = (0, 0),
@@ -227,20 +414,56 @@ class BetaMixture:
     def region(self):
         return self.prior.region
 
-    @property
-    def n(self) -> int:
-        return self.prior.n
+    def likelihood(self, evidence: Evidence, a: int, j: int) -> tuple | None:
+        """The ``axis_classes`` class of outcome j of menu action ``a`` (theta
+        or 1 - theta), the form ``updated`` takes."""
+        return evidence.axes[a][j]
 
-    @property
-    def posterior(self) -> bool:
-        return any(self.counts)
+    def updated(self, post: PhysicalPostulate, R, j: int, like=None) -> "BetaMixture":
+        """One more count for the ``axis_classes`` class of outcome j, which the
+        caller may pass as ``like``; otherwise it is classified from the
+        action's rows.  An outcome whose likelihood is neither theta nor
+        1 - theta raises ``ValidationError``."""
+        cls = (like if isinstance(like, tuple)
+               else axis_classes(likelihood_rows(post, R))[j])
+        if cls is None:
+            raise ValidationError(
+                f"outcome {j}'s likelihood is neither theta nor 1 - theta, which a "
+                "Beta-count belief cannot absorb")
+        a, b = self.counts
+        return BetaMixture(self.prior, self.pieces,
+                           (a + 1, b) if cls[1] > 0 else (a, b + 1), self._logs)
 
     def observed(self, cls: tuple) -> "BetaMixture":
         """The belief times theta for the ``axis_classes`` class (0, +1), or
         times 1 - theta for (0, -1)."""
-        a, b = self.counts
-        return BetaMixture(self.prior, self.pieces,
-                           (a + 1, b) if cls[1] > 0 else (a, b + 1), self._logs)
+        return self.updated(None, None, None, cls)
+
+    def refreshed(self, evidence: Evidence, rng: np.random.Generator) -> "BetaMixture":
+        """The belief itself: counts are exact, and the stream is not touched."""
+        return self
+
+    def summary(self) -> "PosteriorSummary":
+        """The closed-form mean and variance, and the grid posterior's ESS."""
+        var = max(self.variance(), 0.0)
+        return PosteriorSummary(mean=readonly(np.array([self.mean()])),
+                                covariance=readonly(np.array([[var]])),
+                                axis_lengths=readonly(np.array([math.sqrt(var)])),
+                                ess=self.ess())
+
+    def check_agent(self, agent_id: str, axes) -> None:
+        """Raise ``ValidationError`` unless every outcome's likelihood, by its
+        ``axis_classes`` class, is theta or 1 - theta; a row that is neither
+        runs on the belief's plain prior grid (``prior``)."""
+        if any(None in c for c in axes):
+            raise ValidationError(
+                f"agent {agent_id!r}: a Beta-count belief needs likelihoods theta or "
+                "1 - theta, and some action's is neither; run such an action on the "
+                "belief's plain prior grid (BetaMixture.prior)")
+
+    def curve(self) -> "BetaMixture":
+        """The belief itself: its grid weights are built when emission reads them."""
+        return self
 
     @property
     def weights(self) -> np.ndarray:
@@ -267,19 +490,19 @@ class BetaMixture:
         w /= np.einsum("i->", w)
         return readonly(w)
 
-    def ess(self) -> float:
-        """Effective sample size 1 / sum(w^2) of the grid posterior."""
-        return float(1.0 / np.sum(self.weights ** 2))
-
     def mean(self) -> float:
         """The mixture of the posterior pieces' closed-form means."""
+        return self.mean_floats()[0]
+
+    def mean_floats(self) -> tuple[float]:
+        """``(mean(),)``, computed once per belief, as the step path reads it."""
         if self._mean is None:
             a, b = self.counts
             if len(self.pieces) == 1:
                 _c, alpha, beta, lo, hi = self.pieces[0]
                 self._mix = (1.0,)
                 self._means = (beta_piece(alpha + a, beta + b, lo, hi, False)[1],)
-                self._mean = self._means[0]
+                self._mean = self._means
                 return self._mean
             if len(self.pieces) == 2:
                 # fsum of two terms is their correctly rounded sum, one ``+``
@@ -292,7 +515,7 @@ class BetaMixture:
                 e1, e2 = math.exp(l1 - top), math.exp(l2 - top)
                 total = e1 + e2
                 self._mix, self._means = (e1 / total, e2 / total), (m1, m2)
-                self._mean = self._mix[0] * m1 + self._mix[1] * m2
+                self._mean = (self._mix[0] * m1 + self._mix[1] * m2,)
                 return self._mean
             # (log mass, mean) of each posterior piece, mixed by mass; the sums
             # are fsum's, rounded the same on every Python version
@@ -305,7 +528,7 @@ class BetaMixture:
             w = [math.exp(x - top) for x in logs]
             total = math.fsum(w)
             self._mix, self._means = [x / total for x in w], means
-            self._mean = math.fsum(map(mul, self._mix, means))
+            self._mean = (math.fsum(map(mul, self._mix, means)),)
         return self._mean
 
     def variance(self) -> float:
@@ -351,36 +574,14 @@ def delta_ensemble(points, weights, region) -> ParticleEnsemble:
     return ParticleEnsemble(points, w / w.sum(), region, atoms=True)
 
 
-def bayes_update(ens: ParticleEnsemble, post: PhysicalPostulate, R, j: int,
-                 like: np.ndarray | None = None) -> ParticleEnsemble:
-    """Reweight by the likelihood of outcome j; points never move here.
-
-    ``like`` is that likelihood at ``ens.points`` when the caller has it
-    cached; otherwise it is computed.  Raises ``ImpossibleOutcomeError`` when
-    the total posterior weight underflows, i.e. the outcome contradicts the
-    entire support.
-
-    A ``BetaMixture`` adds one to the count of the outcome's ``axis_classes``
-    class; the caller may pass the class as ``like``.  An outcome whose
-    likelihood is neither theta nor 1 - theta raises ``ValidationError``.
-    """
-    if isinstance(ens, BetaMixture):
-        cls = (like if isinstance(like, tuple)
-               else axis_classes(likelihood_rows(post, R))[j])
-        if cls is None:
-            raise ValidationError(
-                f"outcome {j}'s likelihood is neither theta nor 1 - theta, which a "
-                "Beta-count belief cannot absorb")
-        return ens.observed(cls)
-    if like is None:
-        like = likelihood_values(post, R, j, ens.points)
-    w = ens.weights * like
-    total = np.add.reduce(w)
-    if not math.isfinite(total) or total < 1e-300:
-        raise ImpossibleOutcomeError(
-            f"outcome {j} has zero probability on the whole support")
-    w /= total
-    return _refreshed(ens, w)
+def bayes_update(ens, post: PhysicalPostulate, R, j: int, like=None):
+    """The belief after outcome j of action R (``updated`` of its kind):
+    ``like`` is the outcome's likelihood in the form ``likelihood`` gives,
+    when the caller has it.  A weighted ensemble is reweighted, its points
+    unmoved, and raises ``ImpossibleOutcomeError`` when the outcome
+    contradicts its entire support; a ``BetaMixture`` adds one count, and
+    raises ``ValidationError`` for a likelihood neither theta nor 1 - theta."""
+    return ens.updated(post, R, j, like)
 
 
 def log_posterior_density(ens: ParticleEnsemble, points,
@@ -402,53 +603,21 @@ def log_posterior_density(ens: ParticleEnsemble, points,
 
 
 def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
-    """The weighted mean of the points, or a ``BetaMixture``'s closed form.
-    The sums go through ``einsum``, over the point columns: they round the
-    same at any BLAS thread count and with any BLAS kernel, where a ``gemv``
-    rounds by the kernel the CPU selects, and a threaded one splits a long
-    sum between threads."""
-    if isinstance(ens, BetaMixture):
-        return np.array([ens.mean()])
+    """The weighted mean of the points.  The sums go through ``einsum``, over
+    the point columns: they round the same at any BLAS thread count and with
+    any BLAS kernel, where a ``gemv`` rounds by the kernel the CPU selects,
+    and a threaded one splits a long sum between threads."""
     w, pts = ens.weights, ens.points
     if pts.shape[1] == 1:
         return np.einsum("i,i->", w, pts[:, 0]).reshape(1)
     return np.einsum("ki,i->k", pts.T, w)
 
 
-def posterior_summary(ens: ParticleEnsemble) -> PosteriorSummary:
-    """Weighted mean and covariance with the ellipsoid decomposition, and the
-    ESS; a ``BetaMixture``'s closed-form mean and variance.
-
-    Every sum is taken in an order fixed here: the mean as in
-    ``posterior_mean``, each covariance entry of Bloch particles as one
-    ``einsum`` of two columns (six of them, the matrix being symmetric), and
-    the 3 x 3 eigenvalues by Jacobi rotations (``sym3_eigenvalues``).  No
-    BLAS or LAPACK call rounds them."""
-    if isinstance(ens, BetaMixture):
-        var = max(ens.variance(), 0.0)
-        return PosteriorSummary(mean=readonly(np.array([ens.mean()])),
-                                covariance=readonly(np.array([[var]])),
-                                axis_lengths=readonly(np.array([math.sqrt(var)])),
-                                ess=ens.ess())
-    w = ens.weights
-    mean = posterior_mean(ens)
-    if ens.dim == 1:
-        var = np.einsum("i,i->", w, (ens.points[:, 0] - mean[0]) ** 2)
-        cov = np.array([[var]])
-        lengths = [math.sqrt(max(var, 0.0))]
-    else:
-        centered = [col - m for col, m in zip(ens.points.T, mean.tolist())]
-        weighted = [col * w for col in centered]
-        cov = np.empty((3, 3))
-        for k, l in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-            cov[k, l] = cov[l, k] = np.einsum("i,i->", weighted[k], centered[l])
-        lengths = [math.sqrt(max(e, 0.0)) for e in sym3_eigenvalues(cov.tolist())]
-    return PosteriorSummary(
-        mean=readonly(mean),
-        covariance=readonly(cov),
-        axis_lengths=readonly(np.array(lengths)),
-        ess=ens.ess(),
-    )
+def posterior_summary(ens) -> PosteriorSummary:
+    """The belief's mean, covariance, ellipsoid and ESS (``summary`` of its
+    kind): fixed-order sums over a weighted ensemble, closed forms for a
+    ``BetaMixture``."""
+    return ens.summary()
 
 
 def sym3_eigenvalues(a) -> list[float]:
@@ -495,76 +664,12 @@ def sym3_eigenvalues(a) -> list[float]:
     return sorted(d, reverse=True)
 
 
-def maybe_resample(ens: ParticleEnsemble, evidence: Evidence,
-                   rng: np.random.Generator) -> ParticleEnsemble:
-    """Resample-move step, triggered when ESS drops below n/2.
-
-    Exact representations (grids, delta mixtures) and healthy particle sets
-    are returned as they are, and the stream is not touched.  Otherwise a new
-    ensemble gets n equally weighted points, drawn from the posterior that
-    ``evidence`` (the agent's observations) gives, by one of two paths:
-
-    * exact refresh, for Bloch-ball particles whose every observed outcome
-      has a likelihood c0 (1 +- r_a) on one axis a (``evidence.axes``): the
-      quantum ``paulis`` and ``paulis_zx`` menus.  The posterior under the
-      uniform prior is then a product of three Beta laws truncated to the
-      ball, and ``sample_axis_posterior`` draws n i.i.d. points from it
-      (closed forms for one-sided counts, Cheng's BB rejection for
-      two-sided ones, uniforms for an axis without counts);
-    * resample-move, for all other evidence (the ``sic_reference`` menu, and
-      classical ``paulis`` and ``sharp_paulis``, whose axis factors are
-      (1 +- k r_a) with k = 1/3 and 1/sqrt(3)), and when the exact draw runs
-      out of candidates: systematic resampling restores equal weights, then
-      a Gaussian random-walk Metropolis pass (scale = ``PROPOSAL_SCALE``
-      times the per-dimension posterior standard deviation,
-      ``RESAMPLE_SWEEPS`` sweeps, proposals outside the region rejected)
-      rejuvenates particle diversity while targeting the current posterior.
-
-    The k < 1 factors are left to resample-move: their Beta laws are
-    truncated to [(1 - k)/2, (1 + k)/2], and an inverse-CDF draw
-    (``betaincinv``) costs more than the Metropolis sweeps and underflows at
-    counts in the thousands.
-    """
-    if ens.grid or ens.atoms or ens.ess() >= ens.n / 2:
-        return ens
-    equal = np.full(ens.n, 1.0 / ens.n)
-    counts = evidence.axis_counts() if isinstance(ens.region, QubitBall) else None
-    if counts is not None:
-        pts = sample_axis_posterior(counts, ens.n, rng)
-        if pts is not None:
-            return _refreshed(ens, equal, pts)
-    summary = posterior_summary(ens)
-    idx = _systematic_indices(ens.weights, rng)
-    pts = ens.points[idx].copy()
-    scale = PROPOSAL_SCALE * summary.std
-    if not np.any(scale > 0):
-        return _refreshed(ens, equal, pts)
-    logp = log_posterior_density(ens, pts, evidence)
-    for _ in range(RESAMPLE_SWEEPS):
-        proposal = pts + rng.normal(size=pts.shape) * scale
-        logp_prop = log_posterior_density(ens, proposal, evidence)
-        with np.errstate(invalid="ignore"):
-            accept = np.log(rng.uniform(size=ens.n)) < (logp_prop - logp)
-        accept &= np.isfinite(logp_prop)
-        pts[accept] = proposal[accept]
-        logp[accept] = logp_prop[accept]
-    return _refreshed(ens, equal, pts)
-
-
-def _refreshed(ens: ParticleEnsemble, weights: np.ndarray,
-               points: np.ndarray | None = None) -> ParticleEnsemble:
-    # A copy of ``ens`` marked posterior, with new weights and, from a
-    # refresh, new points.  The constructor would check region membership,
-    # which updates and refreshes guarantee, and renormalize weights that
-    # already sum to one (or are 1/n, whose sum is rarely 1).
-    out = object.__new__(ParticleEnsemble)
-    state = out.__dict__
-    state.update(ens.__dict__)
-    state["weights"] = readonly(weights)
-    state["posterior"] = True
-    if points is not None:
-        state["points"] = readonly(np.asfortranarray(points))
-    return out
+def maybe_resample(ens, evidence: Evidence, rng: np.random.Generator):
+    """The belief after the refresh (``refreshed`` of its kind): a particle
+    ensemble whose ESS is below n/2 gets n equally weighted points drawn from
+    the posterior that ``evidence`` gives (``ParticleEnsemble.refreshed``);
+    every other belief is returned as it is, and the stream is not touched."""
+    return ens.refreshed(evidence, rng)
 
 
 def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarray | None:

@@ -32,19 +32,31 @@ each slot's regularization to one function.  Agent broadcasts (means of, or
 draws from, valid ensembles) are valid by construction.  ``regularize`` and
 ``sample_outcome`` are the checked forms of the same maps and draw.
 
-A step is then a flat kernel over agent-owned state: the choice uses the
-agent's cached mean, the outcome kernel evaluates the receiver's stored rows
-``R[j] @ Phi`` at the embedded broadcast (``postulate.outcome_probs`` on the
-agent's ``kernel_rows``) and draws with one uniform of the agent's outcome
-stream (``rng.draw_outcome``; ``rng.UniformBlocks`` draws those uniforms in
-blocks of up to 1,024, the same doubles as scalar draws), the update returns
-the ensemble reweighted by the cached likelihood (a ``BetaMixture`` belief
-adds the outcome to its Beta counts instead), and the agent counts the
-outcome in its one count store, keyed by (menu index, outcome), which the
-refresh, the metrics and the trace read.  A broadcast travels as Python
-floats, from the sender's mean (``Agent.mean``) or drawn point through the
-receiver's regularizer to ``outcome_probs``.  Which slots are agents, and so
-which broadcasts a step computes, is resolved once per run.
+A step is then a flat kernel over agent-owned state, and every phase that
+depends on the kind of belief is the belief's own method
+(``inference.BetaMixture`` or ``inference.ParticleEnsemble``), so the engine
+never asks which kind an agent holds:
+
+* choice (``agents``): the agent's expected utilities at the belief's mean,
+  its ``mean_floats``, computed once per belief;
+* outcome (here): the receiver's stored rows ``R[j] @ Phi`` at the embedded
+  broadcast (``postulate.outcome_probs`` on the agent's ``kernel_rows``),
+  drawn with one uniform of the agent's outcome stream (``rng.draw_outcome``;
+  ``rng.UniformBlocks`` draws those uniforms in blocks of up to 1,024, the
+  same doubles as scalar draws);
+* update (the belief): ``bayes_update`` of the likelihood in the form the
+  belief's ``likelihood`` gives, a class for a count belief and values at the
+  points, kept with the point set, for a weighted ensemble; then the agent
+  counts the outcome in its one count store, keyed by (menu index, outcome),
+  which the refresh, the metrics and the trace read;
+* refresh (the belief): ``maybe_resample``;
+* record (here): one ``posterior_summary`` per agent, the belief's
+  ``summary``, and the metrics.
+
+A broadcast travels as Python floats, from the sender's mean (``Agent.mean``)
+or drawn point through the receiver's regularizer to ``outcome_probs``.
+Which slots are agents, and so which broadcasts a step computes, is resolved
+once per run.
 
 ``run(spec, record_steps)`` records a step (posterior summaries, ESS,
 metrics) only if it is named or the last one; ``None``, the default, records
@@ -52,9 +64,11 @@ every step.  A recorded step takes one ``posterior_summary`` per agent
 (mean, covariance, ellipsoid and ESS), and every ball metric is a trace
 distance of two qubit operators, half the distance between their Bloch
 vectors, with no operator built.  So ``batch``, which reports two steps,
-skips the summaries of the other thousand.  An unrecorded step changes nothing downstream: every
-broadcast is the agent's mean (``inference.posterior_mean``), the expression
-the summary's mean takes.
+skips the summaries of the other thousand.  An unrecorded step changes
+nothing downstream: every broadcast is the belief's ``mean_floats``, the
+value the summary's mean takes.  What a run keeps for plots is what the
+belief's ``curve`` gives: 1-D beliefs at the snapshot steps, and the final
+points and weights of a belief without a curve.
 """
 
 from __future__ import annotations
@@ -358,9 +372,10 @@ def _receive_and_update(agent: Agent, point, streams, step: int) -> tuple[str, i
     action = agent.menu[a]
     q = outcome_probs(agent.kernel_rows[a], [1.0, *point])
     outcome = draw_outcome(q, streams["outcome"])
+    ens = agent.ensemble
     try:
-        ens = bayes_update(agent.ensemble, agent.postulate, action.matrix, outcome,
-                           agent.likelihood(a, outcome))
+        ens = bayes_update(ens, agent.postulate, action.matrix, outcome,
+                           ens.likelihood(agent.evidence, a, outcome))
     except ImpossibleOutcomeError as err:
         err.step = step
         err.agent_id = agent.id
@@ -387,16 +402,17 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
         own["outcome"] = UniformBlocks(own["outcome"], spec.n_steps)
     trace = Trace(spec.scenario, spec.seed, dict(spec.config), spec.mode)
     keep = None if record_steps is None else set(record_steps) | {spec.n_steps}
+    agents = [s for s in slots if _is_agent(s)]
 
-    # ensembles are immutable, so snapshots keep the beliefs themselves (a
-    # ``BetaMixture`` builds its grid weights only when emission reads them)
-    # and clouds keep their read-only arrays
+    # beliefs are immutable, so a snapshot keeps what a belief's ``curve``
+    # gives (itself, whose grid weights emission reads), and the final belief
+    # of an agent without a curve is kept as a cloud of read-only arrays
     def snapshot(step):
-        for slot in slots:
-            if _is_agent(slot) and slot.ensemble.grid:
-                trace.curves.setdefault(slot.id, []).append((step, slot.ensemble))
+        for agent in agents:
+            if (curve := agent.ensemble.curve()) is not None:
+                trace.curves.setdefault(agent.id, []).append((step, curve))
 
-    trace.initial = {s.id: _summary_dict(s) for s in slots if _is_agent(s)}
+    trace.initial = {s.id: _summary_dict(s) for s in agents}
     snapshot(0)
     snapshot_steps = _snapshot_steps(spec.n_steps)
     # Resolved once per run: the (sender, receiver, whether the sender is an
@@ -414,9 +430,9 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
             snapshot(step)
 
     trace.clouds = {s.id: (s.ensemble.points, s.ensemble.weights)
-                    for s in slots if _is_agent(s) and not s.ensemble.grid}
+                    for s in agents if s.ensemble.curve() is None}
     trace.final = {
-        "summaries": {s.id: _summary_dict(s) for s in slots if _is_agent(s)},
+        "summaries": {s.id: _summary_dict(s) for s in agents},
         "outcome_counts": [
             {f"{s.menu[a].name}:{j}": c for (a, j), c in s.counts.items()}
             if _is_agent(s) else {} for s in slots],
@@ -428,25 +444,14 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
 def _record(spec, slots, step_agents, step) -> InteractionRecord:
     summaries = [posterior_summary(s.ensemble) if _is_agent(s) else None
                  for s in slots]
-    rec_agents = []
-    for i, slot in enumerate(slots):
-        if not _is_agent(slot):
-            rec_agents.append(None)
-            continue
-        action, outcome = step_agents[i]
-        s = summaries[i]
-        rec_agents.append(AgentStepRecord(
-            agent_id=slot.id,
-            action=action,
-            outcome=outcome,
-            mean=tuple(float(x) for x in s.mean),
-            std=tuple(float(x) for x in s.std),
-            semi_major=s.semi_major,
-            ess=s.ess,
-        ))
+    # ``step_agents`` holds each agent's (action name, outcome), None for a source
+    rec_agents = tuple(
+        None if s is None else AgentStepRecord(
+            slot.id, *taken, mean=tuple(float(x) for x in s.mean),
+            std=tuple(float(x) for x in s.std), semi_major=s.semi_major, ess=s.ess)
+        for slot, taken, s in zip(slots, step_agents, summaries))
     metrics = METRICS[spec.metrics_kind][1](slots, summaries, step)
-    return InteractionRecord(step, tuple(rec_agents),
-                             {k: float(v) for k, v in metrics.items()})
+    return InteractionRecord(step, rec_agents, {k: float(v) for k, v in metrics.items()})
 
 
 def _step(spec, pairs, sent, streams, step):

@@ -298,15 +298,16 @@ def likelihood_rows(post: PhysicalPostulate, R) -> np.ndarray:
 
 
 def affine_rows(region, rows) -> tuple:
-    """Each likelihood row composed with the region's affine embedding, as
-    Python floats: (c0, c_1, ..., c_dim), the likelihood at r being
-    ``c0 + c . r`` (r = theta on the interval, the Bloch vector in the ball).
-    The embedding is read off the region at 0 and the unit vectors, and each
-    coefficient is a dot product added left to right."""
+    """Each likelihood row composed with the region's affine embedding, as a
+    tuple of Python floats (hashable, so a row can key a cache):
+    (c0, c_1, ..., c_dim), the likelihood at r being ``c0 + c . r``
+    (r = theta on the interval, the Bloch vector in the ball).  The embedding
+    is read off the region at 0 and the unit vectors, and each coefficient is
+    a dot product added left to right."""
     dim = region.dim
     affine = region.to_ref_probs(np.vstack([np.zeros(dim), np.eye(dim)]))
     affine[1:] -= affine[0]
-    return tuple(matmul(rows, affine.T).tolist())
+    return tuple(map(tuple, matmul(rows, affine.T).tolist()))
 
 
 def outcome_probs(rows, p) -> list[float]:
@@ -356,7 +357,7 @@ def axis_classes(rows) -> tuple:
     """For each likelihood row ``R[j] @ Phi``: (axis, sign) when its
     likelihood is c0 (1 + sign r_axis), c0 > 0 and sign = +-1, in the region's
     centred coordinates r; else None.  Such an outcome is one more count
-    (``BetaMixture.observed``, ``Evidence.axis_counts``).
+    (``BetaMixture.updated``, ``Evidence.axis_counts``).
 
     On the interval r = 2 theta - 1, and a row (p0, p1) gives
     p0 theta + p1 (1 - theta): (0, +1) when p1 = 0 < p0, (0, -1) when

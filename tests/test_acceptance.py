@@ -8,13 +8,19 @@ are fixed here, not tuned at runtime.
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from qbagents.agents import Agent
-from qbagents.agreement import chi, kolmogorov_contraction_check, mean_contraction_gap
+from qbagents.agreement import (
+    chi,
+    kolmogorov_contraction_check,
+    mean_contraction_gap,
+    verify_appendix_claims,
+)
 from qbagents.core_math import BetaParams
 from qbagents.errors import ImpossibleOutcomeError
 from qbagents.inference import delta_ensemble
@@ -105,6 +111,7 @@ def test_criterion_3_coin_tomography():
     n_seeds = 20
     good_final = 0
     n_particles = None
+    worst_ulps = Fraction(0)
     for seed in range(n_seeds):
         cfg = default_config("coin_tomography", seed=1000 + seed)
         trace = run_config(cfg)
@@ -115,14 +122,21 @@ def test_criterion_3_coin_tomography():
         for rec in trace.records:
             heads += rec.agents[0].outcome == 0
             analytic = (heads + 1) / (rec.step + 2)
-            assert abs(rec.agents[0].mean[0] - analytic) < tol
+            mean = rec.agents[0].mean[0]
+            assert abs(mean - analytic) < tol
+            # the count belief's closed form: within one ulp of the exact
+            # conjugate mean (heads + 1) / (step + 2)
+            error = abs(Fraction(mean) - Fraction(heads + 1, rec.step + 2))
+            worst_ulps = max(worst_ulps, error / Fraction(math.ulp(analytic)))
         if abs(trace.records[-1].agents[0].mean[0] - 0.75) < 0.05:
             good_final += 1
     elapsed = time.monotonic() - start
+    assert worst_ulps <= 1
     assert good_final >= 18
     assert elapsed < 30.0
-    report(3, f"coin tomography: conjugate means every step, final within "
-              f"0.05 in {good_final}/20 seeds, {elapsed:.1f}s")
+    report(3, f"coin tomography: conjugate means every step (worst "
+              f"{float(worst_ulps):.4f} ulp), final within 0.05 in {good_final}/20 "
+              f"seeds, {elapsed:.1f}s")
 
 
 def test_criterion_4_qubit_tomography():
@@ -190,13 +204,20 @@ def test_criterion_6_agreement_analysis():
                 chi_min = min(chi_min, float(np.min(chi(xs, k, l, n))))
     assert chi_min >= -1e-12
 
+    # k == l gives (0, 0), a margin of 0 that would hide every other pair's
     kdist_margin = np.inf
     for n in range(1, 16):
         for k in range(n + 1):
             for l in range(n + 1):
-                k_prior, k_post = kolmogorov_contraction_check(k, l, n)
-                kdist_margin = min(kdist_margin, k_prior - k_post)
+                if k != l:
+                    k_prior, k_post = kolmogorov_contraction_check(k, l, n)
+                    kdist_margin = min(kdist_margin, k_prior - k_post)
     assert kdist_margin >= -1e-10
+    assert kdist_margin > 0
+    rows = {row["claim"].split(" (")[0]: row for row in verify_appendix_claims()}
+    assert kdist_margin == rows["Kolmogorov contraction"]["margin"]
+    # the least Bernstein coefficient of (N+2)! chi, N+1-k at k = N or l+1 at l = 0
+    assert rows["chi >= 0 by positive Bernstein coefficients"]["margin"] == 1.0
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     report(6, f"agreement analysis: contraction margin {worst:.2e}, "

@@ -273,14 +273,14 @@ class TestLikelihoodCache:
         for _ in range(40):
             points = agent.ensemble.points
             ens = bayes_update(agent.ensemble, QUANTUM, action.matrix, 0,
-                               agent.likelihood(a, 0))
+                               agent.ensemble.likelihood(agent.evidence, a, 0))
             agent.counts[a, 0] = agent.counts.get((a, 0), 0) + 1
             agent.ensemble = maybe_resample(ens, agent.evidence, rng)
             if agent.ensemble.points is not points:
                 moved += 1
                 for j in (0, 1):
                     assert np.array_equal(
-                        agent.likelihood(a, j),
+                        agent.ensemble.likelihood(agent.evidence, a, j),
                         likelihood_values(QUANTUM, action.matrix, j,
                                           agent.ensemble.points))
         assert moved > 0
@@ -291,17 +291,32 @@ class TestLikelihoodCache:
         for j in (0, 1, 0):
             expected = likelihood_values(CLASSICAL2, action.matrix, j,
                                          agent.ensemble.points)
-            assert np.array_equal(agent.likelihood(0, j), expected)
+            assert np.array_equal(agent.ensemble.likelihood(agent.evidence, 0, j),
+                                  expected)
             agent.ensemble = bayes_update(agent.ensemble, CLASSICAL2,
                                           action.matrix, j, expected)
 
     def test_assigning_an_ensemble_invalidates_caches(self):
         agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
-        agent.likelihood(0, 0)
+        agent.ensemble.likelihood(agent.evidence, 0, 0)
         assert broadcast_point(agent)[0] == pytest.approx(0.5)
         agent.ensemble = delta_ensemble([[0.2], [0.9]], [0.5, 0.5], Interval())
-        assert np.array_equal(agent.likelihood(0, 0), [0.2, 0.9])
+        assert np.array_equal(agent.ensemble.likelihood(agent.evidence, 0, 0),
+                              [0.2, 0.9])
         assert broadcast_point(agent)[0] == pytest.approx(0.55)
+
+    def test_agents_sharing_a_prior_read_their_own_rows(self):
+        # the likelihoods are kept with the point set, keyed by kernel row, so
+        # two agents on one ensemble with different menus never read each
+        # other's outcome j
+        grid = grid_ensemble(Interval(), 11)
+        flip = Agent("a", CLASSICAL2, grid, flip_menu())
+        swapped = Agent("b", CLASSICAL2, grid, (Action("swap", np.eye(2)[::-1], ("t", "h")),))
+        theta = grid.points[:, 0]
+        for agent, first in ((flip, theta), (swapped, 1 - theta), (flip, theta)):
+            for j, expected in enumerate((first, 1 - first)):
+                assert np.allclose(agent.ensemble.likelihood(agent.evidence, 0, j), expected,
+                                   rtol=0, atol=1e-15)
 
 
 class TestAgentValidation:

@@ -489,12 +489,12 @@ class TestChi:
         # chi's definition expanded into the degree N+2 Bernstein basis in exact
         # rationals, one case at a time, against the battery's one array pass
         k, l, n = _count_triples(25)
-        cells = _chi_coefficients(k, l, n)
+        cells = _chi_coefficients(_band_cells(k, l, n))
         reference = list(chi_reference_rows(25, 28))
         assert band_rows(cells, k, l, n) == [row[:nc + 3] for row, nc in zip(reference, n.tolist())]
         assert not any(any(row[nc + 3:]) for row, nc in zip(reference, n.tolist()))
         assert np.all(cells > 0)
-        assert _chi_elevated(k, l, n).tolist() == cells.tolist()
+        assert _chi_elevated(_band_cells(k, l, n)).tolist() == cells.tolist()
 
     def test_band_cells_are_l_plus_1_to_k_plus_1(self):
         k, l, n = _count_triples(25)
@@ -777,9 +777,9 @@ class TestBatteryEqualsPublicChecks:
 
     def test_chi_coefficients(self):
         k, l, n = _count_triples(25)
-        rows = band_rows(_chi_coefficients(k, l, n), k, l, n)
+        rows = band_rows(_chi_coefficients(_band_cells(k, l, n)), k, l, n)
         for row, case in zip(rows, zip(k.tolist(), l.tolist(), n.tolist())):
-            public = _chi_coefficients(*case)  # as ``chi`` reads them
+            public = _chi_coefficients(_band_cells(*case))  # as ``chi`` reads them
             assert row == band_rows(public, *(np.array([c]) for c in case))[0]
 
     def test_edge_terms_match_six_gammaln_passes(self):

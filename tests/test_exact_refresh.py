@@ -275,8 +275,9 @@ class TestBetaDraws:
 def observe(agent, a, j):
     """Outcome j of menu action a, as the run loop takes it: the update, then
     the count in the agent's store."""
-    agent.ensemble = bayes_update(agent.ensemble, agent.postulate,
-                                  agent.menu[a].matrix, j, agent.likelihood(a, j))
+    ens = agent.ensemble
+    agent.ensemble = bayes_update(ens, agent.postulate, agent.menu[a].matrix, j,
+                                  ens.likelihood(agent.evidence, a, j))
     agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
 
 

@@ -156,7 +156,7 @@ def test_closed_form_matches_50_digit_quadrature(kind, counts):
     assert summary.mean[0] == pytest.approx(mean, rel=1e-12, abs=0)
     assert summary.std[0] == pytest.approx(std, rel=1e-12, abs=0)
     assert summary.semi_major == summary.std[0]
-    assert posterior_mean(b)[0] == summary.mean[0] == b.mean()
+    assert b.mean_floats() == (summary.mean[0],) == (b.mean(),)
 
 
 @pytest.mark.parametrize("pieces,counts", [
@@ -229,7 +229,6 @@ def test_update_counts_theta_and_one_minus_theta():
     tails = bayes_update(heads, CLASSICAL2, action.matrix, 1, (0, -1))
     assert (b.counts, heads.counts, tails.counts) == ((0, 0), (1, 0), (1, 1))
     assert tails.prior is b.prior and tails.pieces is b.pieces
-    assert not b.posterior and tails.posterior
     assert heads.mean() == pytest.approx(2.5 / 4.0)  # Beta(5/2, 3/2)
     assert maybe_resample(tails, None, None) is tails
     # the class passed decides; values at the points are ignored and the row
@@ -278,7 +277,7 @@ def test_agent_with_a_mixed_action_starts_from_the_grid():
     assert agent.ensemble is b.prior and agent.evidence.axes == ((None, None),)
     counting = Agent("c", CLASSICAL2, b, _menu("flip"))
     assert counting.ensemble is b
-    assert counting.likelihood(0, 0) == (0, 1) and counting.likelihood(0, 1) == (0, -1)
+    assert [b.likelihood(counting.evidence, 0, j) for j in (0, 1)] == [(0, 1), (0, -1)]
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))

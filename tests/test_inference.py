@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,8 +46,9 @@ def observe(agent, name, j):
     """Outcome j of the named action, as the run loop takes it: the update,
     then the count in the agent's store."""
     a = [action.name for action in agent.menu].index(name)
-    agent.ensemble = bayes_update(agent.ensemble, agent.postulate,
-                                  agent.menu[a].matrix, j, agent.likelihood(a, j))
+    ens = agent.ensemble
+    agent.ensemble = bayes_update(ens, agent.postulate, agent.menu[a].matrix, j,
+                                  ens.likelihood(agent.evidence, a, j))
     agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
 
 
@@ -295,3 +299,47 @@ class TestTomographyConsistency:
                     d30.append(np.linalg.norm(ens.weights @ ens.points - source))
             d200.append(np.linalg.norm(ens.weights @ ens.points - source))
         assert np.median(d200) < np.median(d30)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qbagents"
+BELIEF_CLASSES = {"BetaMixture", "ParticleEnsemble"}
+# The agreement analysis tells count beliefs from ``BetaParams`` operands
+# there, off the step path: (module, function, what is read).
+AGREEMENT_SITES = {("agreement.py", "_mean_of", "isinstance"),
+                   ("agreement.py", "expected_posterior", "isinstance")}
+
+
+def belief_kind_reads(path: Path) -> list[tuple]:
+    """(enclosing function or class, line, what) of every ``isinstance``
+    against a belief class and every ``.grid`` or ``.atoms`` read in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if names & BELIEF_CLASSES:
+                found.append((scope, node.lineno, "isinstance"))
+        if (isinstance(node, ast.Attribute) and node.attr in ("grid", "atoms")
+                and isinstance(node.ctx, ast.Load)):
+            found.append((scope, node.lineno, "." + node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_inference_asks_which_belief_kind():
+    # Each belief kind owns its update, refresh, likelihood form, mean,
+    # summary, agent check and plot data, so no other module asks an agent's
+    # belief which kind it is.
+    outside = {(path.name, scope, what) for path in sorted(SRC.glob("*.py"))
+               if path.name != "inference.py"
+               for scope, _line, what in belief_kind_reads(path)}
+    assert outside <= AGREEMENT_SITES, sorted(outside - AGREEMENT_SITES)
+    # the walk does see such reads where they belong
+    assert {what for _s, _l, what in belief_kind_reads(SRC / "inference.py")} >= {
+        ".grid", ".atoms"}
