@@ -35,6 +35,7 @@ from .errors import (
 )
 from .inference import (
     BetaMixture,
+    Evidence,
     ParticleEnsemble,
     PosteriorSummary,
     bayes_update,

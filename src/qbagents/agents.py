@@ -6,10 +6,12 @@ region, a menu of actions (conditional probability matrices), and a utility
 function over (action, outcome) pairs.  Choice maximizes expected utility;
 ties within ``TIE_TOL`` are broken uniformly at random, which is what turns a
 flat utility function into uniformly random action choice.  The agent owns
-the choice and the count store; the belief (an ``inference.BetaMixture`` or
-``inference.ParticleEnsemble``) owns every phase that depends on its kind:
-the form of the likelihood, the update, the refresh, the mean and the
-summary (see ``inference``).
+the choice and its ``evidence`` (``inference.Evidence``), the one record of
+what it resolved when it was built and what it has observed since; the
+belief (an ``inference.BetaMixture`` or ``inference.ParticleEnsemble``) owns
+every phase that depends on its kind, the update, the refresh, the mean and
+the summary, and reads the agent only through that evidence (see
+``inference``).
 
 Everything the step loop needs is validated and precomputed when the agent is
 built, so a step does only arithmetic:
@@ -20,24 +22,20 @@ built, so a step does only arithmetic:
   update's or a refresh's result, the prior that resample-move assumes, and
   a ``BetaMixture`` needs every likelihood to be theta or 1 - theta (its
   ``prior`` grid runs other rows);
-* each action's utility row is checked and stored (``utility_rows``);
-* each action's likelihood rows ``R[j] @ Phi`` are computed once, classified
-  by ``axis_classes`` (``evidence.axes``), and composed with the region's
-  affine embedding as Python floats (``kernel_rows``), the one form every
-  likelihood is computed from, on either region: ``postulate.outcome_probs``
-  evaluates it at (1, theta); both products are left-to-right sums
-  (``postulate.likelihood_rows``, ``affine_rows``), which no BLAS kernel
-  rounds;
-* the likelihood an update takes is the belief's, read with the agent's
-  ``evidence`` (``ensemble.likelihood(evidence, a, j)``): a ``BetaMixture``'s
-  is the outcome's class, and a weighted ensemble's is the outcome's
-  ``kernel_rows`` over the point columns, computed the first time it is
-  asked for and kept with the point set;
+* each action's utility row is checked once and kept, as Python floats,
+  with its kernel rows for the choice;
+* each action's likelihood rows ``R[j] @ Phi`` are computed once
+  (``Evidence.of``), classified by ``axis_classes`` (``evidence.axes``), and
+  composed with the region's affine embedding as Python floats
+  (``evidence.kernel``), the one form every likelihood is computed from, on
+  either region: ``postulate.outcome_probs`` evaluates it at (1, theta);
+  both products are left-to-right sums (``postulate.likelihood_rows``,
+  ``affine_rows``), which no BLAS kernel rounds;
 * the posterior mean is the belief's ``mean_floats``, computed once per
   belief (updates and refreshes return a new one), and the predictive is the
   likelihood at that mean (exact, since the likelihood is affine in the
-  parameter), the action's ``kernel_rows`` at (1, mean), so a choice costs
-  a few float products instead of a pass over the ensemble; each expected
+  parameter), the action's kernel rows at (1, mean), so a choice costs a
+  few float products instead of a pass over the ensemble; each expected
   utility is the utility row times that predictive, added left to right
   over Python floats;
 * a single-action menu draws nothing, and a menu without a utility table,
@@ -54,15 +52,7 @@ import numpy as np
 from .core_math import PROB_TOL, as_cond_prob_matrix, dot
 from .errors import ValidationError
 from .inference import BetaMixture, Evidence, ParticleEnsemble
-from .postulate import (
-    PhysicalPostulate,
-    affine_rows,
-    axis_classes,
-    ensemble_compatible,
-    likelihood_rows,
-    min_likelihood,
-    outcome_probs,
-)
+from .postulate import PhysicalPostulate, ensemble_compatible, min_likelihood, outcome_probs
 
 # Not called here; bound because perfbench's span recorder wraps
 # ``agents.likelihood_matrix`` and ``agents.as_prob_vector`` by name.
@@ -118,9 +108,9 @@ class UtilityFn:
 class Agent:
     """Postulate + belief + action menu + utility function.
 
-    ``ensemble`` is the belief, a ``ParticleEnsemble`` or a ``BetaMixture``.
-    ``counts`` is the one count store of observed (menu index, outcome) cells,
-    in first-observed order, and ``evidence`` the belief's view of it.
+    ``ensemble`` is the belief, a ``ParticleEnsemble`` or a ``BetaMixture``,
+    and ``evidence`` the agent's one record of its menu's likelihoods and of
+    the (menu index, outcome) cells it has observed (``inference.Evidence``).
     """
 
     id: str
@@ -139,31 +129,24 @@ class Agent:
         if not ensemble_compatible(self.postulate, ens.region):
             raise ValidationError(
                 f"agent {self.id!r}: ensemble region incompatible with postulate")
-        self.utility_rows = {}  # each action's checked utility row, read by every choice
+        utilities = []  # each action's checked utility row, read by every choice
         for action in self.menu:
             if action.matrix.shape[1] != self.postulate.n_outcomes:
                 raise ValidationError(
                     f"agent {self.id!r}: action {action.name!r} has reference "
                     f"dimension {action.matrix.shape[1]}, postulate expects "
                     f"{self.postulate.n_outcomes}")
-            self.utility_rows[action.name] = self.utility.row(action)
+            utilities.append(self.utility.row(action).tolist())
             lowest = min_likelihood(self.postulate, action.matrix)
             if lowest < -PROB_TOL:
                 raise ValidationError(
                     f"agent {self.id!r}: action {action.name!r} gives a negative "
                     f"probability ({lowest:.3e}); not physically valid for this "
                     "postulate")
-        rows = tuple(likelihood_rows(self.postulate, a.matrix) for a in self.menu)
-        axes = tuple(map(axis_classes, rows))
-        ens.check_agent(self.id, axes)
-        # The embedding is affine, so an outcome's probability is its row of
-        # coefficients (constant, gradient) dotted with (1, theta).
-        self.kernel_rows = tuple(affine_rows(ens.region, r) for r in rows)
-        self.counts = {}
-        self.evidence = Evidence(axes, self.counts, self.kernel_rows)
+        self.evidence = Evidence.of(self.postulate, ens.region, [a.matrix for a in self.menu])
+        ens.check_agent(self.id, self.evidence.axes)
         # each menu action's utility row and kernel rows, as the choice reads them
-        self._choices = tuple((self.utility_rows[a.name].tolist(), k)
-                              for a, k in zip(self.menu, self.kernel_rows))
+        self._choices = tuple(zip(utilities, self.evidence.kernel))
         self.menu_index = {a.name: i for i, a in enumerate(self.menu)}
 
     def action(self, name: str) -> Action:
@@ -182,10 +165,10 @@ def predictive(agent: Agent, action: Action) -> np.ndarray:
     """Posterior predictive q(j) = sum_i w_i p(j | theta_i) for a menu action.
 
     The likelihood is affine in theta, so the sum equals the likelihood at the
-    posterior mean: the action's ``kernel_rows`` at (1, mean), one point
-    instead of the whole ensemble.
+    posterior mean: the action's ``evidence.kernel`` rows at (1, mean), one
+    point instead of the whole ensemble.
     """
-    rows = agent.kernel_rows[agent.menu_index[action.name]]
+    rows = agent.evidence.kernel[agent.menu_index[action.name]]
     return np.array(outcome_probs(rows, [1.0, *agent.mean()]))
 
 

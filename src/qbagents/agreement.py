@@ -54,7 +54,8 @@ functions:
   with one interior critical point, where ``_kolmogorov_pairs`` takes its
   exact sup, for many pairs l < k at once.  Both distances are exactly
   symmetric in (k, l) and vanish at k = l;
-* the split-sum boundary values: ``_edge_terms`` over the chi triples.
+* the split-sum boundary values: ``_edge_terms`` over the chi triples, whose
+  margin is the least edge term (1 in exact arithmetic, at k = N or l = 0).
 
 The Kolmogorov pass holds one column per Bernstein index 0..N+2 for each
 (k, l, N) triple, the chi pass one cell per band index l+1..k+1 and the
@@ -441,7 +442,7 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
     rows.append({"claim": f"mean contraction ({n_beta_pairs} random Beta pairs)",
                  "passed": bool(worst >= -CLAIM_TOL), "margin": float(worst)})
 
-    worst, same, edges = [], True, True
+    worst, same, edges, least_edge = [], True, True, math.inf
     for k, l, n in _triple_blocks(chi_max_n):
         cells = _band_cells(k, l, n)
         coefficients = _chi_coefficients(cells)
@@ -450,6 +451,7 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
         first, second = _edge_terms(k, l, n)
         edges &= bool(np.all((np.abs(first - (n + 1 - k)) < 1e-6)
                              & (np.abs(second - (l + 1)) < 1e-6) & (first > 0) & (second > 0)))
+        least_edge = min(least_edge, float(first.min()), float(second.min()))
     rows.append({"claim": f"chi >= 0 by positive Bernstein coefficients (N <= {chi_max_n})",
                  "passed": bool(same and min(worst) > 0), "margin": float(min(worst))})
 
@@ -458,5 +460,5 @@ def verify_appendix_claims(*, chi_max_n: int = 25, kdist_max_n: int = 15,
     rows.append({"claim": f"Kolmogorov contraction (N <= {kdist_max_n})",
                  "passed": bool(worst >= -CLAIM_TOL), "margin": worst})
     rows.append({"claim": f"split-sum boundary positivity (N <= {chi_max_n})",
-                 "passed": edges, "margin": 0.0})
+                 "passed": edges, "margin": least_edge})
     return rows

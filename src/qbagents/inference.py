@@ -1,12 +1,20 @@
 """Exchangeable-prior Bayesian inference over parameter regions.
 
+What an agent learns is the record of outcomes of its own actions, and
+``Evidence`` is that one record: its menu's likelihood rows ``R[j] @ Phi``
+in the two forms resolved once when the agent is built (``Evidence.of``),
+their ``postulate.axis_classes`` and their affine coefficients on the region
+(``postulate.affine_rows``), and the counts of (menu index, outcome) cells
+observed since, which ``Evidence.add`` alone writes.  That one
+classification decides every exact update: a likelihood c0 (1 +- r_a) is
+one more count, for a ``BetaMixture`` as for the refresh.
+
 A belief is a ``BetaMixture`` or a ``ParticleEnsemble``, and each class owns
 every phase of an agent's step that depends on its kind, through one shared
-set of methods:
+set of methods, each of which reads the agent only through its evidence:
 
-* ``likelihood(evidence, a, j)``: p(j | theta) of the agent's menu action a
-  in the form the belief's update takes;
-* ``updated(post, R, j, like)``: the update by outcome j (``bayes_update``);
+* ``updated(evidence, a, j)``: the update by outcome j of menu action a
+  (``bayes_update``);
 * ``refreshed(evidence, rng)``: the refresh (``maybe_resample``);
 * ``mean_floats()``: the posterior mean as Python floats, computed once per
   belief, which the agent chooses by and broadcasts (``Agent.mean``);
@@ -26,12 +34,12 @@ The kinds:
   mixture of truncated Beta pieces, and every coin likelihood is theta or
   1 - theta, so the posterior is the prior times theta^a (1 - theta)^b and
   depends on the counts (a, b) alone (de Finetti).  An update adds one to a
-  count, and rejects a likelihood that is neither; the refresh returns the
-  belief; the mean and variance are the pieces' closed forms
-  (``core_math.beta_piece``), scalars that round the same at any BLAS thread
-  count.  The 10,001-point grid is built in log space from the counts only
-  where something reads it: ESS at recorded steps, curve snapshots and
-  prior-sampling draws;
+  count for the outcome's class (``evidence.axes[a][j]``), and rejects a
+  likelihood that is neither; the refresh returns the belief; the mean and
+  variance are the pieces' closed forms (``core_math.beta_piece``), scalars
+  that round the same at any BLAS thread count.  The 10,001-point grid is
+  built in log space from the counts only where something reads it: ESS at
+  recorded steps, curve snapshots and prior-sampling draws;
 * grid ensembles (``ParticleEnsemble`` with ``grid``, 1-D regions only): a
   fixed uniform grid whose weights track the density exactly at the grid
   points; these are never resampled, since reweighting alone keeps the
@@ -46,16 +54,11 @@ The kinds:
   3 x 3 eigenvalues come from Jacobi rotations over Python floats.
 
 An update of a weighted ensemble returns a new ensemble whose weights are
-the old ones times the postulate likelihood of the observed outcome,
-renormalized; the likelihood at the points is kept with the point set, so
-each (kernel row, point set) pair is computed once.  The observations belong
-to the agent, not to the belief: its one count store, keyed by (menu index,
-outcome), and its actions' likelihood rows ``R[j] @ Phi`` in the two forms
-the agent makes of them once when it is built: their
-``postulate.axis_classes`` and their affine coefficients on the region
-(``postulate.affine_rows``).  ``Evidence`` holds them, reading the counts
-live.  That one classification decides every exact update: a likelihood
-c0 (1 +- r_a) is one more count, for a ``BetaMixture`` as for the refresh.
+the old ones times the likelihood of the observed outcome at the points,
+the outcome's ``evidence.kernel`` row over the point columns
+(``postulate.affine_likelihoods``), renormalized.  The likelihood is kept
+with the point set, keyed by kernel row, so each (kernel row, point set)
+pair is computed once.
 
 The refresh of a particle ensemble takes one of two paths.  When every
 observed outcome has a likelihood c0 (1 +- r_a) on one Bloch axis a (the
@@ -88,10 +91,14 @@ from .postulate import (
     PhysicalPostulate,
     QubitBall,
     affine_likelihoods,
+    affine_rows,
     axis_classes,
     likelihood_rows,
-    likelihood_values,
 )
+
+# Not called here; bound because perfbench's span recorder wraps
+# ``inference.likelihood_values`` by name.
+from .postulate import likelihood_values  # noqa: F401
 
 DEFAULT_BALL_PARTICLES = 10_000
 RESAMPLE_SWEEPS = 10
@@ -103,16 +110,31 @@ JACOBI_MAX_SWEEPS = 50  # a 3 x 3 matrix takes about four
 
 @dataclass(frozen=True)
 class Evidence:
-    """An agent's observations: ``axes[a]``, the ``axis_classes`` of the
-    likelihood rows ``R[j] @ Phi`` of menu action a, the agent's live
-    ``counts`` of (menu index, outcome) cells in first-observed order, the
-    order ``log_posterior_density`` sums them in, and ``kernel[a]``, the rows
-    composed with the region's embedding (``postulate.affine_rows``), which
-    every likelihood is computed from."""
+    """An agent's one record of its observations: ``axes[a]``, the
+    ``axis_classes`` of the likelihood rows ``R[j] @ Phi`` of menu action a;
+    ``counts`` of the observed (menu index, outcome) cells in first-observed
+    order, the order ``log_posterior_density`` sums them in, which ``add``
+    alone writes; and ``kernel[a]``, the rows composed with the region's
+    embedding (``postulate.affine_rows``), which every likelihood is
+    computed from."""
 
     axes: tuple = ()
     counts: dict = field(default_factory=dict)
     kernel: tuple = ()
+
+    @classmethod
+    def of(cls, postulate: PhysicalPostulate, region, matrices) -> "Evidence":
+        """The evidence of a menu of action matrices on the region, with no
+        observations: each action's rows ``R[j] @ Phi`` (left-to-right sums,
+        ``postulate.likelihood_rows``), classified and composed with the
+        region's affine embedding once."""
+        rows = [likelihood_rows(postulate, R) for R in matrices]
+        return cls(tuple(map(axis_classes, rows)), {},
+                   tuple(affine_rows(region, r) for r in rows))
+
+    def add(self, a: int, j: int) -> None:
+        """Count one observation of outcome j of menu action a."""
+        self.counts[a, j] = self.counts.get((a, j), 0) + 1
 
     def axis_counts(self) -> np.ndarray | None:
         """Counts ``[[n+_x, n-_x], [n+_y, n-_y], [n+_z, n-_z]]`` of outcomes
@@ -151,8 +173,8 @@ class ParticleEnsemble(_Weighted):
     the resample-move step leaves them untouched.  ``posterior`` marks an
     ensemble that an update or a refresh returned: it has absorbed evidence,
     even when its weights are equal again, so it is not a prior.  The
-    likelihoods at the points are kept by kernel row (``likelihood``), shared
-    by every ensemble with the same points.
+    likelihoods at the points are kept by kernel row (``_likelihood``),
+    shared by every ensemble with the same points.
     """
 
     points: np.ndarray
@@ -191,36 +213,28 @@ class ParticleEnsemble(_Weighted):
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def likelihood(self, evidence: Evidence, a: int, j: int) -> np.ndarray:
-        """p(j | theta) of menu action ``a`` at the points, the form ``updated``
-        takes: ``affine_likelihoods`` of the outcome's ``evidence.kernel``
-        row, as ``likelihood_values`` computes it.  It is computed the first
-        time that row is asked for on this point set and kept with the points
-        (grid and delta points never move; particles move only when a refresh
-        replaces them)."""
-        rows = evidence.kernel[a][j]
-        like = self._likes.get(rows)
-        if like is None:
-            like = self._likes[rows] = readonly(affine_likelihoods(rows, self.points))
-        return like
-
-    def updated(self, post: PhysicalPostulate, R, j: int,
-                like: np.ndarray | None = None) -> "ParticleEnsemble":
-        """Reweight by the likelihood of outcome j; points never move here.
-
-        ``like`` is that likelihood at the points when the caller has it
-        (``likelihood``); otherwise it is computed.  Raises
-        ``ImpossibleOutcomeError`` when the total posterior weight underflows,
-        i.e. the outcome contradicts the entire support."""
-        if like is None:
-            like = likelihood_values(post, R, j, self.points)
-        w = self.weights * like
+    def updated(self, evidence: Evidence, a: int, j: int) -> "ParticleEnsemble":
+        """Reweight by the likelihood of outcome j of menu action a, its
+        ``evidence.kernel`` row at the points; points never move here.
+        Raises ``ImpossibleOutcomeError`` when the total posterior weight
+        underflows, i.e. the outcome contradicts the entire support."""
+        w = self.weights * self._likelihood(evidence.kernel[a][j])
         total = np.add.reduce(w)
         if not math.isfinite(total) or total < 1e-300:
             raise ImpossibleOutcomeError(
                 f"outcome {j} has zero probability on the whole support")
         w /= total
         return self._with(w)
+
+    def _likelihood(self, rows: tuple) -> np.ndarray:
+        # ``affine_likelihoods`` of a kernel row at the points, computed the
+        # first time the row is asked for on this point set and kept with the
+        # points (grid and delta points never move; particles move only when
+        # a refresh replaces them, which starts an empty store)
+        like = self._likes.get(rows)
+        if like is None:
+            like = self._likes[rows] = readonly(affine_likelihoods(rows, self.points))
+        return like
 
     def refreshed(self, evidence: Evidence, rng: np.random.Generator) -> "ParticleEnsemble":
         """Resample-move step, triggered when ESS drops below n/2.
@@ -280,10 +294,16 @@ class ParticleEnsemble(_Weighted):
         return self._with(equal, pts)
 
     def mean_floats(self) -> tuple[float, ...]:
-        """The weighted mean of the points (``posterior_mean``) as Python
-        floats, computed once per ensemble."""
+        """The weighted mean of the points as Python floats, computed once
+        per ensemble.  The sums go through ``einsum``, over the point
+        columns: they round the same at any BLAS thread count and with any
+        BLAS kernel, where a ``gemv`` rounds by the kernel the CPU selects,
+        and a threaded one splits a long sum between threads."""
         if self._mean is None:
-            object.__setattr__(self, "_mean", tuple(posterior_mean(self).tolist()))
+            w, pts = self.weights, self.points
+            mean = (np.einsum("i,i->", w, pts[:, 0]).reshape(1) if pts.shape[1] == 1
+                    else np.einsum("ki,i->k", pts.T, w))
+            object.__setattr__(self, "_mean", tuple(mean.tolist()))
         return self._mean
 
     def summary(self) -> "PosteriorSummary":
@@ -291,12 +311,12 @@ class ParticleEnsemble(_Weighted):
         the ESS.
 
         Every sum is taken in an order fixed here: the mean as in
-        ``posterior_mean``, each covariance entry of Bloch particles as one
+        ``mean_floats``, each covariance entry of Bloch particles as one
         ``einsum`` of two columns (six of them, the matrix being symmetric),
         and the 3 x 3 eigenvalues by Jacobi rotations (``sym3_eigenvalues``).
         No BLAS or LAPACK call rounds them."""
         w = self.weights
-        mean = posterior_mean(self)
+        mean = np.array(self.mean_floats())
         if self.dim == 1:
             var = np.einsum("i,i->", w, (self.points[:, 0] - mean[0]) ** 2)
             cov = np.array([[var]])
@@ -414,30 +434,22 @@ class BetaMixture(_Weighted):
     def region(self):
         return self.prior.region
 
-    def likelihood(self, evidence: Evidence, a: int, j: int) -> tuple | None:
-        """The ``axis_classes`` class of outcome j of menu action ``a`` (theta
-        or 1 - theta), the form ``updated`` takes."""
-        return evidence.axes[a][j]
+    def updated(self, evidence: Evidence, a: int, j: int) -> "BetaMixture":
+        """One more count for the class of outcome j of menu action a,
+        ``evidence.axes[a][j]`` (``observed``)."""
+        return self.observed(evidence.axes[a][j])
 
-    def updated(self, post: PhysicalPostulate, R, j: int, like=None) -> "BetaMixture":
-        """One more count for the ``axis_classes`` class of outcome j, which the
-        caller may pass as ``like``; otherwise it is classified from the
-        action's rows.  An outcome whose likelihood is neither theta nor
-        1 - theta raises ``ValidationError``."""
-        cls = (like if isinstance(like, tuple)
-               else axis_classes(likelihood_rows(post, R))[j])
-        if cls is None:
+    def observed(self, cls: tuple | None) -> "BetaMixture":
+        """The belief times theta for the ``axis_classes`` class (0, +1), or
+        times 1 - theta for (0, -1).  A likelihood that is neither raises
+        ``ValidationError``."""
+        if cls not in ((0, 1), (0, -1)):
             raise ValidationError(
-                f"outcome {j}'s likelihood is neither theta nor 1 - theta, which a "
+                f"a likelihood of class {cls!r} is neither theta nor 1 - theta, which a "
                 "Beta-count belief cannot absorb")
         a, b = self.counts
         return BetaMixture(self.prior, self.pieces,
                            (a + 1, b) if cls[1] > 0 else (a, b + 1), self._logs)
-
-    def observed(self, cls: tuple) -> "BetaMixture":
-        """The belief times theta for the ``axis_classes`` class (0, +1), or
-        times 1 - theta for (0, -1)."""
-        return self.updated(None, None, None, cls)
 
     def refreshed(self, evidence: Evidence, rng: np.random.Generator) -> "BetaMixture":
         """The belief itself: counts are exact, and the stream is not touched."""
@@ -574,14 +586,14 @@ def delta_ensemble(points, weights, region) -> ParticleEnsemble:
     return ParticleEnsemble(points, w / w.sum(), region, atoms=True)
 
 
-def bayes_update(ens, post: PhysicalPostulate, R, j: int, like=None):
-    """The belief after outcome j of action R (``updated`` of its kind):
-    ``like`` is the outcome's likelihood in the form ``likelihood`` gives,
-    when the caller has it.  A weighted ensemble is reweighted, its points
+def bayes_update(ens, evidence: Evidence, a: int, j: int):
+    """The belief after outcome j of menu action a of the agent whose record
+    is ``evidence`` (``updated`` of its kind).  A weighted ensemble is
+    reweighted by the outcome's likelihood at its points, its points
     unmoved, and raises ``ImpossibleOutcomeError`` when the outcome
     contradicts its entire support; a ``BetaMixture`` adds one count, and
     raises ``ValidationError`` for a likelihood neither theta nor 1 - theta."""
-    return ens.updated(post, R, j, like)
+    return ens.updated(evidence, a, j)
 
 
 def log_posterior_density(ens: ParticleEnsemble, points,
@@ -600,17 +612,6 @@ def log_posterior_density(ens: ParticleEnsemble, points,
             logp += count * np.log(affine_likelihoods(evidence.kernel[a][j], pts))
     logp[~ens.region.contains(pts)] = -np.inf
     return logp
-
-
-def posterior_mean(ens: ParticleEnsemble) -> np.ndarray:
-    """The weighted mean of the points.  The sums go through ``einsum``, over
-    the point columns: they round the same at any BLAS thread count and with
-    any BLAS kernel, where a ``gemv`` rounds by the kernel the CPU selects,
-    and a threaded one splits a long sum between threads."""
-    w, pts = ens.weights, ens.points
-    if pts.shape[1] == 1:
-        return np.einsum("i,i->", w, pts[:, 0]).reshape(1)
-    return np.einsum("ki,i->k", pts.T, w)
 
 
 def posterior_summary(ens) -> PosteriorSummary:

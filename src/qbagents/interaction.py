@@ -40,15 +40,16 @@ never asks which kind an agent holds:
 * choice (``agents``): the agent's expected utilities at the belief's mean,
   its ``mean_floats``, computed once per belief;
 * outcome (here): the receiver's stored rows ``R[j] @ Phi`` at the embedded
-  broadcast (``postulate.outcome_probs`` on the agent's ``kernel_rows``),
+  broadcast (``postulate.outcome_probs`` on the agent's ``evidence.kernel``),
   drawn with one uniform of the agent's outcome stream (``rng.draw_outcome``;
   ``rng.UniformBlocks`` draws those uniforms in blocks of up to 1,024, the
   same doubles as scalar draws);
-* update (the belief): ``bayes_update`` of the likelihood in the form the
-  belief's ``likelihood`` gives, a class for a count belief and values at the
-  points, kept with the point set, for a weighted ensemble; then the agent
-  counts the outcome in its one count store, keyed by (menu index, outcome),
-  which the refresh, the metrics and the trace read;
+* update (the belief): ``bayes_update`` of the belief by (evidence, menu
+  index, outcome), which reads the outcome's class for a count belief and
+  its kernel row at the points, kept with the point set, for a weighted
+  ensemble; then the agent's evidence counts the outcome
+  (``Evidence.add``), keyed by (menu index, outcome), which the refresh,
+  the metrics and the trace read;
 * refresh (the belief): ``maybe_resample``;
 * record (here): one ``posterior_summary`` per agent, the belief's
   ``summary``, and the metrics.
@@ -213,7 +214,7 @@ def _coin_tomography(slots, summaries, step: int) -> dict:
     # Slot 0 is the learner; slot 1 is the source side (an exogenous source or
     # the delta-prior agent standing in for one).
     mean = summaries[0].mean[0]
-    freq = sum(c for (_a, j), c in slots[0].counts.items() if j == 0) / step
+    freq = sum(c for (_a, j), c in slots[0].evidence.counts.items() if j == 0) / step
     return {
         "dist_to_frequency": abs(mean - freq),
         "dist_to_source": abs(mean - _source_point(slots[1], summaries[1])[0]),
@@ -227,7 +228,7 @@ def _qubit_tomography(slots, summaries, step: int) -> dict:
     # running-frequency vector (``frequency_vector``, the Bloch vector of the
     # possibly non-positive ``frequency_operator``).
     state = _mean_state(summaries[0])
-    named = {(slots[0].menu[a].name, j): c for (a, j), c in slots[0].counts.items()}
+    named = {(slots[0].menu[a].name, j): c for (a, j), c in slots[0].evidence.counts.items()}
     freq, _missing = frequency_vector(
         {ax.lower(): (named.get((ax, 0), 0), named.get((ax, 1), 0)) for ax in "XYZ"})
     return {
@@ -369,20 +370,18 @@ def _receive_and_update(agent: Agent, point, streams, step: int) -> tuple[str, i
     # ``point`` is the broadcast as Python floats, already mapped into the
     # agent's parameter space by its slot's regularizer.
     a = choose_action(agent, streams["choice"])
-    action = agent.menu[a]
-    q = outcome_probs(agent.kernel_rows[a], [1.0, *point])
+    evidence = agent.evidence
+    q = outcome_probs(evidence.kernel[a], [1.0, *point])
     outcome = draw_outcome(q, streams["outcome"])
-    ens = agent.ensemble
     try:
-        ens = bayes_update(ens, agent.postulate, action.matrix, outcome,
-                           ens.likelihood(agent.evidence, a, outcome))
+        ens = bayes_update(agent.ensemble, evidence, a, outcome)
     except ImpossibleOutcomeError as err:
         err.step = step
         err.agent_id = agent.id
         raise
-    agent.counts[a, outcome] = agent.counts.get((a, outcome), 0) + 1
-    agent.ensemble = maybe_resample(ens, agent.evidence, streams["resample"])
-    return action.name, outcome
+    evidence.add(a, outcome)
+    agent.ensemble = maybe_resample(ens, evidence, streams["resample"])
+    return agent.menu[a].name, outcome
 
 
 def run(spec: RunSpec, record_steps=None) -> Trace:
@@ -434,7 +433,7 @@ def run(spec: RunSpec, record_steps=None) -> Trace:
     trace.final = {
         "summaries": {s.id: _summary_dict(s) for s in agents},
         "outcome_counts": [
-            {f"{s.menu[a].name}:{j}": c for (a, j), c in s.counts.items()}
+            {f"{s.menu[a].name}:{j}": c for (a, j), c in s.evidence.counts.items()}
             if _is_agent(s) else {} for s in slots],
         "last_metrics": trace.records[-1].metrics if trace.records else {},
     }

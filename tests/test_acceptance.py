@@ -39,11 +39,10 @@ from qbagents.quantum import (
     born_probabilities,
     conditional_matrix,
     pauli_povm,
-    random_density,
-    random_povm,
     sic_d2,
 )
 from qbagents.scenarios import _menu, batch, build_runtime, default_config, run_config
+from random_quantum import random_density, random_povm
 
 S3 = math.sqrt(3.0)
 

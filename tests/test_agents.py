@@ -15,6 +15,7 @@ from qbagents.agents import (
 from qbagents.core_math import BetaParams, beta_pdf
 from qbagents.errors import ValidationError
 from qbagents.inference import (
+    Evidence,
     ParticleEnsemble,
     bayes_update,
     delta_ensemble,
@@ -27,7 +28,8 @@ from qbagents.postulate import (
     QubitBall,
     classical_postulate,
     likelihood_matrix,
-    likelihood_values,
+    likelihood_rows,
+    likelihoods,
     quantum_postulate,
 )
 from qbagents.quantum import conditional_matrix, pauli_povm, sic_d2
@@ -80,8 +82,7 @@ class TestPredictive:
         # the likelihoods over the ensemble
         if make == "ball":
             agent = ball_agent(rng_seed=5, n=3000)
-            agent.ensemble = bayes_update(agent.ensemble, QUANTUM,
-                                          agent.action("X").matrix, 0)
+            agent.ensemble = bayes_update(agent.ensemble, agent.evidence, 0, 0)
         else:
             ens = grid_ensemble(Interval(), 10_001,
                                 pdf=lambda t: beta_pdf(t, BetaParams(3, 5)))
@@ -125,8 +126,8 @@ class TestExpectedUtility:
     def test_rows_checked_once_at_build(self, monkeypatch):
         ens = delta_ensemble([[0.0, 0.0, 1.0]], [1.0], QubitBall())
         agent = Agent("b", QUANTUM, ens, pauli_menu(), UtilityFn({"Z": (0.98, 1.02)}))
-        assert agent.utility_rows["Z"].tolist() == [0.98, 1.02]
-        assert agent.utility_rows["X"].tolist() == [1.0, 1.0]
+        assert [utility for utility, _rows in agent._choices] == [
+            [1.0, 1.0], [1.0, 1.0], [0.98, 1.02]]
 
         def unchecked(*args):
             raise AssertionError("utility row looked up in a choice")
@@ -186,7 +187,7 @@ def _parent_choice(agent, rng):
     # predictive arrays, then argmax with ties within TIE_TOL
     if not agent.utility.table:
         return int(rng.integers(len(agent.menu)))
-    utilities = np.array([float(agent.utility_rows[a.name] @ predictive(agent, a))
+    utilities = np.array([float(agent.utility.row(a) @ predictive(agent, a))
                           for a in agent.menu])
     tied = np.flatnonzero(utilities >= utilities.max() - 1e-12)
     return int(tied[0] if tied.size == 1 else tied[rng.integers(tied.size)])
@@ -263,46 +264,96 @@ class TestChoiceStream:
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
+# Every registry menu on each region it runs on, with the postulates that
+# give it nonnegative probabilities (``sharp_paulis`` is classical only).
+CLASSICAL4 = classical_postulate(4)
+REGISTRY_MENUS = ([(CLASSICAL2, "flip"), (CLASSICAL2, "z_reference")]
+                  + [(QUANTUM, m) for m in ("paulis", "paulis_zx", "sic_reference")]
+                  + [(CLASSICAL4, m) for m in ("paulis", "paulis_zx", "sharp_paulis",
+                                               "sic_reference")])
+# Relative bound on the gap between the update's weights and the reference
+# reweighting: the affine kernel c0 + c . r and the embedded product
+# p(r) @ (R Phi)^T round differently, by a few ulp of the likelihood's
+# terms, which is relatively more where a quantum Pauli likelihood
+# (1 +- r_a)/2 nears zero.  The worst gap over these cases is 3.0e-14.
+UPDATE_RTOL = 1e-13
+
+
+def point_sets(region, rng):
+    """(name, ensemble) of the grid, delta and particle point sets a belief
+    on the region may hold: a grid on the interval only; delta points that
+    include the region's edges and axis poles, where likelihoods vanish."""
+    if region.dim == 1:
+        return [("grid", grid_ensemble(region, 1001, pdf=lambda t: 1.0 + t)),
+                ("delta", delta_ensemble([[0.0], [0.3], [0.8], [1.0]],
+                                         [0.1, 0.2, 0.3, 0.4], region)),
+                ("particles", sample_uniform(region, 500, rng))]
+    poles = [list(s * e) for e in np.eye(3) for s in (1.0, -1.0)]
+    return [("delta", delta_ensemble(poles + [[0.1, -0.2, 0.3]], np.arange(1.0, 8.0),
+                                     region)),
+            ("particles", sample_uniform(region, 500, rng))]
+
+
+def reference_update(post, R, j, ens):
+    """The weights times ``postulate.likelihoods`` of the embedded points and
+    the action's likelihood rows, renormalized."""
+    like = likelihoods(ens.region.to_ref_probs(ens.points), likelihood_rows(post, R).T)[:, j]
+    w = ens.weights * like
+    return w / w.sum()
+
+
+def assert_update_is_the_reference(ens, evidence, post, R, a, j):
+    out = bayes_update(ens, evidence, a, j)
+    expected = reference_update(post, R, j, ens)
+    assert out.points is ens.points
+    assert np.array_equal(out.weights == 0.0, expected == 0.0)
+    assert np.allclose(out.weights, expected, rtol=UPDATE_RTOL, atol=0.0)
+    return out
+
+
 class TestLikelihoodCache:
-    def test_cache_refreshes_after_resample_moves_particles(self):
+    @pytest.mark.parametrize("post,menu", REGISTRY_MENUS,
+                             ids=[f"{'quantum' if p.is_quantum else 'classical'}-{m}"
+                                  for p, m in REGISTRY_MENUS])
+    def test_update_matches_the_reference_reweighting(self, post, menu):
+        # each outcome of each action, twice in a row, so the second update
+        # reads the row the first one stored with the points
+        matrices = [a.matrix for a in _menu(menu)]
+        rng = np.random.default_rng(43)
+        region = Interval() if post.n_outcomes == 2 else QubitBall()
+        for _name, ens in point_sets(region, rng):
+            evidence = Evidence.of(post, region, matrices)
+            for a, R in enumerate(matrices):
+                for j in range(R.shape[0]):
+                    out = assert_update_is_the_reference(ens, evidence, post, R, a, j)
+                    assert_update_is_the_reference(out, evidence, post, R, a, j)
+
+    def test_refresh_that_moves_the_points_clears_the_store(self):
         agent = ball_agent(rng_seed=7, n=500)
-        action = agent.action("Z")
+        a = agent.menu_index["Z"]
         rng = np.random.default_rng(42)
         moved = 0
-        a = agent.menu.index(action)
         for _ in range(40):
             points = agent.ensemble.points
-            ens = bayes_update(agent.ensemble, QUANTUM, action.matrix, 0,
-                               agent.ensemble.likelihood(agent.evidence, a, 0))
-            agent.counts[a, 0] = agent.counts.get((a, 0), 0) + 1
+            ens = bayes_update(agent.ensemble, agent.evidence, a, 0)
+            assert ens._likes is agent.ensemble._likes and ens._likes
+            agent.evidence.add(a, 0)
             agent.ensemble = maybe_resample(ens, agent.evidence, rng)
             if agent.ensemble.points is not points:
                 moved += 1
+                assert agent.ensemble._likes == {}
                 for j in (0, 1):
-                    assert np.array_equal(
-                        agent.ensemble.likelihood(agent.evidence, a, j),
-                        likelihood_values(QUANTUM, action.matrix, j,
-                                          agent.ensemble.points))
+                    assert_update_is_the_reference(agent.ensemble, agent.evidence, QUANTUM,
+                                                   agent.menu[a].matrix, a, j)
         assert moved > 0
 
-    def test_grid_cache_matches_likelihood_values(self):
-        agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 1001), flip_menu())
-        action = agent.menu[0]
-        for j in (0, 1, 0):
-            expected = likelihood_values(CLASSICAL2, action.matrix, j,
-                                         agent.ensemble.points)
-            assert np.array_equal(agent.ensemble.likelihood(agent.evidence, 0, j),
-                                  expected)
-            agent.ensemble = bayes_update(agent.ensemble, CLASSICAL2,
-                                          action.matrix, j, expected)
-
-    def test_assigning_an_ensemble_invalidates_caches(self):
+    def test_assigning_an_ensemble_reads_its_own_points(self):
         agent = Agent("c", CLASSICAL2, grid_ensemble(Interval(), 101), flip_menu())
-        agent.ensemble.likelihood(agent.evidence, 0, 0)
+        bayes_update(agent.ensemble, agent.evidence, 0, 0)
         assert broadcast_point(agent)[0] == pytest.approx(0.5)
         agent.ensemble = delta_ensemble([[0.2], [0.9]], [0.5, 0.5], Interval())
-        assert np.array_equal(agent.ensemble.likelihood(agent.evidence, 0, 0),
-                              [0.2, 0.9])
+        out = bayes_update(agent.ensemble, agent.evidence, 0, 0)
+        assert np.allclose(out.weights, [0.2 / 1.1, 0.9 / 1.1], rtol=1e-15, atol=0)
         assert broadcast_point(agent)[0] == pytest.approx(0.55)
 
     def test_agents_sharing_a_prior_read_their_own_rows(self):
@@ -314,9 +365,9 @@ class TestLikelihoodCache:
         swapped = Agent("b", CLASSICAL2, grid, (Action("swap", np.eye(2)[::-1], ("t", "h")),))
         theta = grid.points[:, 0]
         for agent, first in ((flip, theta), (swapped, 1 - theta), (flip, theta)):
-            for j, expected in enumerate((first, 1 - first)):
-                assert np.allclose(agent.ensemble.likelihood(agent.evidence, 0, j), expected,
-                                   rtol=0, atol=1e-15)
+            for j, like in enumerate((first, 1 - first)):
+                out = bayes_update(agent.ensemble, agent.evidence, 0, j)
+                assert np.allclose(out.weights, like / like.sum(), rtol=0, atol=1e-15)
 
 
 class TestAgentValidation:
@@ -369,11 +420,10 @@ class TestAgentValidation:
         # evidence, so it is not the uniform prior
         agent = Agent("a", QUANTUM, sample_uniform(QubitBall(), 100,
                                                    np.random.default_rng(2)), pauli_menu())
-        r_z = pauli_menu()[2].matrix
         ens = agent.ensemble
         while ens.ess() >= ens.n / 2:
-            ens = bayes_update(ens, QUANTUM, r_z, 0)
-            agent.counts[2, 0] = agent.counts.get((2, 0), 0) + 1
+            ens = bayes_update(ens, agent.evidence, 2, 0)
+            agent.evidence.add(2, 0)
         seen = maybe_resample(ens, agent.evidence, np.random.default_rng(3))
         assert seen is not ens and np.ptp(seen.weights) == 0
         for prior in (ens, seen):

@@ -764,12 +764,13 @@ def scalar_battery(chi_max_n, kdist_max_n, n_beta_pairs, seed):
     kdist_min = min(a - b for a, b in (kolmogorov_contraction_check(k, l, n)
                                        for n in range(1, kdist_max_n + 1)
                                        for k in range(n + 1) for l in range(n + 1) if k != l))
+    edges = [(k, l, n, *chi_edge_terms(k, l, n)) for n in range(1, chi_max_n + 1)
+             for k in range(1, n + 1) for l in range(k)]
     edges_ok = all(abs(first - (n + 1 - k)) < 1e-6 and abs(second - (l + 1)) < 1e-6
-                   and first > 0 and second > 0
-                   for n in range(1, chi_max_n + 1)
-                   for k in range(1, n + 1) for l in range(k)
-                   for first, second in [chi_edge_terms(k, l, n)])
-    return [float(np.min(gaps[:, 0] - gaps[:, 1])), float(chi_min), kdist_min, 0.0], edges_ok
+                   and first > 0 and second > 0 for k, l, n, first, second in edges)
+    edge_min = min(min(first, second) for _k, _l, _n, first, second in edges)
+    return [float(np.min(gaps[:, 0] - gaps[:, 1])), float(chi_min), kdist_min,
+            edge_min], edges_ok
 
 
 class TestBatteryEqualsPublicChecks:

@@ -274,11 +274,9 @@ class TestBetaDraws:
 
 def observe(agent, a, j):
     """Outcome j of menu action a, as the run loop takes it: the update, then
-    the count in the agent's store."""
-    ens = agent.ensemble
-    agent.ensemble = bayes_update(ens, agent.postulate, agent.menu[a].matrix, j,
-                                  ens.likelihood(agent.evidence, a, j))
-    agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
+    the count in the agent's evidence."""
+    agent.ensemble = bayes_update(agent.ensemble, agent.evidence, a, j)
+    agent.evidence.add(a, j)
 
 
 def _pauli_agent(seed, cells, n=N, post=QUANTUM, menu="paulis"):

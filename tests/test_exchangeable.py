@@ -31,11 +31,11 @@ from qbagents.core_math import DEFAULT_GRID_POINTS
 from qbagents.errors import ImpossibleOutcomeError, ValidationError
 from qbagents.inference import (
     BetaMixture,
+    Evidence,
     ParticleEnsemble,
     bayes_update,
     grid_ensemble,
     maybe_resample,
-    posterior_mean,
     posterior_summary,
 )
 from qbagents.interaction import run
@@ -44,6 +44,7 @@ from qbagents.rng import agent_streams
 from qbagents.scenarios import PRIORS, REGISTRY, _menu, build_runtime, default_config
 
 CLASSICAL2 = classical_postulate(2)
+FLIP = Evidence.of(CLASSICAL2, Interval(), [_menu("flip")[0].matrix])
 
 # every continuous 1-D prior kind, with truncations at 0, at 1 and inside
 PRIOR_CASES = {
@@ -208,15 +209,14 @@ def test_grid_at_counts_is_the_reweighted_prior_grid():
     prior = PRIOR_CASES["triangular"]
     start = belief(prior, n=DEFAULT_GRID_POINTS)
     grid = start.prior
-    action = _menu("flip")[0]
     b = start
     for j in [0, 0, 1, 0, 1, 1, 1, 0, 0, 0] * 30:
-        grid = bayes_update(grid, CLASSICAL2, action.matrix, j)
-        b = bayes_update(b, CLASSICAL2, action.matrix, j)
+        grid = bayes_update(grid, FLIP, 0, j)
+        b = bayes_update(b, FLIP, 0, j)
     assert b.counts == (180, 120)
     assert np.allclose(b.weights, grid.weights, rtol=1e-10, atol=1e-300)
     assert b.points is start.points is grid.points
-    assert b.mean() == pytest.approx(posterior_mean(grid)[0], abs=1e-8)
+    assert b.mean() == pytest.approx(grid.mean_floats()[0], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +224,24 @@ def test_grid_at_counts_is_the_reweighted_prior_grid():
 
 def test_update_counts_theta_and_one_minus_theta():
     b = belief(PRIOR_CASES["semicircle"])
-    action = _menu("flip")[0]
-    heads = bayes_update(b, CLASSICAL2, action.matrix, 0)
-    tails = bayes_update(heads, CLASSICAL2, action.matrix, 1, (0, -1))
+    heads = bayes_update(b, FLIP, 0, 0)
+    tails = bayes_update(heads, FLIP, 0, 1)
     assert (b.counts, heads.counts, tails.counts) == ((0, 0), (1, 0), (1, 1))
     assert tails.prior is b.prior and tails.pieces is b.pieces
     assert heads.mean() == pytest.approx(2.5 / 4.0)  # Beta(5/2, 3/2)
     assert maybe_resample(tails, None, None) is tails
-    # the class passed decides; values at the points are ignored and the row
-    # is classified
-    assert bayes_update(b, CLASSICAL2, action.matrix, 0, (0, -1)).counts == (0, 1)
-    assert bayes_update(b, CLASSICAL2, action.matrix, 1, np.ones(b.n)).counts == (0, 1)
+    # the evidence's class decides: a swapped action reads outcome 0 as tails
+    swapped = Evidence.of(CLASSICAL2, Interval(), [np.eye(2)[::-1]])
+    assert bayes_update(b, swapped, 0, 0).counts == (0, 1)
+    assert b.observed((0, 1)).counts == (1, 0)
 
 
 MIXED = np.array([[0.75, 0.25], [0.25, 0.75]])
+
+
+def of(R) -> Evidence:
+    """The record of a coin agent whose one action is R."""
+    return Evidence.of(CLASSICAL2, Interval(), [R])
 
 
 def as_grid(b: BetaMixture) -> ParticleEnsemble:
@@ -247,23 +251,26 @@ def as_grid(b: BetaMixture) -> ParticleEnsemble:
 
 def test_other_likelihood_reweights_the_grid():
     b = belief(PRIOR_CASES["uniform"], (2, 1), n=1001)
-    out = bayes_update(as_grid(b), CLASSICAL2, MIXED, 0)
+    out = bayes_update(as_grid(b), of(MIXED), 0, 0)
     assert not isinstance(out, BetaMixture) and out.grid and out.posterior
     theta = b.points[:, 0]
     expected = b.weights * (0.25 + 0.5 * theta)
     assert np.allclose(out.weights, expected / expected.sum(), rtol=1e-12)
     with pytest.raises(ValidationError, match="neither theta nor 1 - theta"):
-        bayes_update(b, CLASSICAL2, MIXED, 0)
+        bayes_update(b, of(MIXED), 0, 0)
+    for cls in (None, (2, 1), (0, 0)):
+        with pytest.raises(ValidationError, match="neither theta nor 1 - theta"):
+            b.observed(cls)
 
 
 def test_an_outcome_the_support_rules_out_raises():
     b = belief(PRIOR_CASES["uniform"], (2, 1), n=1001)
     never = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ImpossibleOutcomeError):
-        bayes_update(as_grid(b), CLASSICAL2, never, 1)
+        bayes_update(as_grid(b), of(never), 0, 1)
     # a zero row is no class, so the count belief rejects it before any grid
     with pytest.raises(ValidationError, match="neither theta nor 1 - theta"):
-        bayes_update(b, CLASSICAL2, never, 1)
+        bayes_update(b, of(never), 0, 1)
 
 
 def test_agent_with_a_mixed_action_starts_from_the_grid():
@@ -277,7 +284,8 @@ def test_agent_with_a_mixed_action_starts_from_the_grid():
     assert agent.ensemble is b.prior and agent.evidence.axes == ((None, None),)
     counting = Agent("c", CLASSICAL2, b, _menu("flip"))
     assert counting.ensemble is b
-    assert [b.likelihood(counting.evidence, 0, j) for j in (0, 1)] == [(0, 1), (0, -1)]
+    assert counting.evidence.axes == (((0, 1), (0, -1)),)
+    assert [b.updated(counting.evidence, 0, j).counts for j in (0, 1)] == [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -299,7 +307,7 @@ def test_registry_agents_carry_counts_and_read_grids_lazily(name):
     for agent in counting:
         ens = agent.ensemble
         assert isinstance(ens, BetaMixture) and sum(ens.counts) == 30
-        assert sum(agent.counts.values()) == 30
+        assert sum(agent.evidence.counts.values()) == 30
         assert ens._weights is not None  # read once, for the last record's ESS
         assert ens.n == DEFAULT_GRID_POINTS
 
@@ -346,7 +354,7 @@ def test_draw_columns_match_the_grid_engine(name, seed):
             point = (np.asarray(trace.records[step - 1].agents[sender].mean) if step
                      else np.asarray(trace.initial[spec.slots[sender].id]["mean"]))
             point = spec.regularizers[k](point)
-            q = outcome_probs(spec.slots[k].kernel_rows[0], [1.0, *point])
+            q = outcome_probs(spec.slots[k].evidence.kernel[0], [1.0, *point])
             means.append(np.cumsum(q) / sum(q))
         assert any(min(x, y) <= u <= max(x, y) for x, y in zip(*means))
 

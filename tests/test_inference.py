@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from qbagents.core_math import BetaParams, beta_mean, beta_posterior
 from qbagents.errors import ImpossibleOutcomeError, ValidationError
 from qbagents.agents import Action, Agent
 from qbagents.inference import (
+    BetaMixture,
     Evidence,
     ParticleEnsemble,
     bayes_update,
@@ -22,6 +24,7 @@ from qbagents.postulate import (
     Interval,
     QubitBall,
     affine_rows,
+    axis_classes,
     classical_postulate,
     likelihood_rows,
     likelihood_values,
@@ -34,6 +37,13 @@ CLASSICAL4 = classical_postulate(4)
 QUANTUM = quantum_postulate()
 FLIP = np.eye(2)
 PAULI = {ax: conditional_matrix(pauli_povm(ax), sic_d2()) for ax in "XYZ"}
+# the record of a coin agent whose one action reads outcome 0 as heads
+COIN = Evidence.of(CLASSICAL2, Interval(), (FLIP,))
+
+
+def flip(ens, j):
+    """The belief after outcome j of the coin flip."""
+    return bayes_update(ens, COIN, 0, j)
 
 
 def pauli_agent(post, n, rng):
@@ -44,12 +54,10 @@ def pauli_agent(post, n, rng):
 
 def observe(agent, name, j):
     """Outcome j of the named action, as the run loop takes it: the update,
-    then the count in the agent's store."""
+    then the count in the agent's evidence."""
     a = [action.name for action in agent.menu].index(name)
-    ens = agent.ensemble
-    agent.ensemble = bayes_update(ens, agent.postulate, agent.menu[a].matrix, j,
-                                  ens.likelihood(agent.evidence, a, j))
-    agent.counts[a, j] = agent.counts.get((a, j), 0) + 1
+    agent.ensemble = bayes_update(agent.ensemble, agent.evidence, a, j)
+    agent.evidence.add(a, j)
 
 
 class FreeSpace:
@@ -90,29 +98,27 @@ class TestSampling:
 class TestBayesUpdate:
     def test_delta_unchanged(self):
         ens = delta_ensemble([[0.75]], [1.0], Interval())
-        out = bayes_update(ens, CLASSICAL2, FLIP, 0)
+        out = flip(ens, 0)
         assert out.weights[0] == 1.0
         assert np.array_equal(out.points, ens.points)
 
     def test_grid_heads_matches_conjugate(self):
         ens = grid_ensemble(Interval(), 101)
-        out = bayes_update(ens, CLASSICAL2, FLIP, 0)
+        out = flip(ens, 0)
         theta = ens.points[:, 0]
         expected = theta / theta.sum()
         assert np.max(np.abs(out.weights - expected)) < 1e-12
 
     def test_updates_commute(self):
         ens = grid_ensemble(Interval(), 501)
-        heads_then_tails = bayes_update(bayes_update(ens, CLASSICAL2, FLIP, 0),
-                                        CLASSICAL2, FLIP, 1)
-        tails_then_heads = bayes_update(bayes_update(ens, CLASSICAL2, FLIP, 1),
-                                        CLASSICAL2, FLIP, 0)
+        heads_then_tails = flip(flip(ens, 0), 1)
+        tails_then_heads = flip(flip(ens, 1), 0)
         assert np.max(np.abs(heads_then_tails.weights - tails_then_heads.weights)) < 1e-12
 
     def test_update_leaves_its_argument_alone(self):
         ens = grid_ensemble(Interval(), 101)
         before = ens.weights.copy()
-        out = bayes_update(ens, CLASSICAL2, FLIP, 0)
+        out = flip(ens, 0)
         assert out is not ens and out.points is ens.points
         assert out.posterior and not ens.posterior
         assert np.array_equal(ens.weights, before)
@@ -120,13 +126,13 @@ class TestBayesUpdate:
     def test_impossible_outcome(self):
         ens = delta_ensemble([[0.0]], [1.0], Interval())
         with pytest.raises(ImpossibleOutcomeError):
-            bayes_update(ens, CLASSICAL2, FLIP, 0)
+            flip(ens, 0)
 
     def test_support_never_grows(self):
         ens = delta_ensemble([[0.0], [1.0]], [0.5, 0.5], Interval())
-        out = bayes_update(ens, CLASSICAL2, FLIP, 0)
+        out = flip(ens, 0)
         assert out.weights[0] == 0.0
-        again = bayes_update(out, CLASSICAL2, FLIP, 0)
+        again = flip(out, 0)
         assert again.weights[0] == 0.0
 
     def test_conjugacy_oracle_random_sequences(self):
@@ -136,7 +142,7 @@ class TestBayesUpdate:
             outcomes = rng.integers(0, 2, size=60)
             prior = BetaParams(1, 1)
             for j in outcomes:
-                ens = bayes_update(ens, CLASSICAL2, FLIP, int(j))
+                ens = flip(ens, int(j))
             heads = int(np.sum(outcomes == 0))
             analytic = beta_mean(beta_posterior(prior, heads, len(outcomes) - heads))
             particle_mean = float(ens.weights @ ens.points[:, 0])
@@ -191,8 +197,7 @@ class TestEvidence:
         agent = pauli_agent(QUANTUM, 50, np.random.default_rng(13))
         for ax, j in (("Z", 1), ("X", 0), ("Z", 1), ("Z", 0), ("X", 0)):
             observe(agent, ax, j)
-        assert list(agent.counts.items()) == [((2, 1), 2), ((0, 0), 2), ((2, 0), 1)]
-        assert agent.evidence.counts is agent.counts
+        assert list(agent.evidence.counts.items()) == [((2, 1), 2), ((0, 0), 2), ((2, 0), 1)]
         # R[j] @ Phi with each entry added left to right, and the kernel the
         # agent's likelihoods are computed from, those rows on the ball
         phi = QUANTUM.phi.tolist()
@@ -201,6 +206,7 @@ class TestEvidence:
                      + r[3] * phi[3][k] for k in range(4)] for r in PAULI[ax].tolist()]
             assert likelihood_rows(QUANTUM, PAULI[ax]).tolist() == rows
             assert agent.evidence.kernel[a] == affine_rows(QubitBall(), rows)
+            assert agent.evidence.axes[a] == axis_classes(rows)
 
     def test_log_density_matches_per_observation_sum(self):
         # reference: the sum over observed cells of count * log(likelihood),
@@ -229,9 +235,9 @@ class TestResampleMove:
 
     def test_grid_identity(self):
         ens = grid_ensemble(Interval(), 101)
-        skewed = bayes_update(ens, CLASSICAL2, FLIP, 0)
+        skewed = flip(ens, 0)
         for _ in range(40):
-            skewed = bayes_update(skewed, CLASSICAL2, FLIP, 0)
+            skewed = flip(skewed, 0)
         assert maybe_resample(skewed, Evidence(), np.random.default_rng(9)) is skewed
 
     def test_degenerate_weights_restore_ess(self):
@@ -343,3 +349,43 @@ def test_only_inference_asks_which_belief_kind():
     # the walk does see such reads where they belong
     assert {what for _s, _l, what in belief_kind_reads(SRC / "inference.py")} >= {
         ".grid", ".atoms"}
+
+
+def count_writes(path: Path) -> list[tuple]:
+    """(enclosing function, line) of every store into, or mutating call on, an
+    attribute named ``counts`` in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        target = None
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")):
+            target = node.func.value
+        if isinstance(target, ast.Attribute) and target.attr == "counts":
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_the_step_path_reads_the_agent_through_its_evidence():
+    # the evidence is the agent's one record of observations: ``Evidence.add``
+    # alone writes its counts, the agent keeps no copy of them, and the step
+    # hands a belief only (evidence, menu index, outcome)
+    writes = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+              for scope, _line in count_writes(path)]
+    assert writes == [("inference.py", "add")]
+    agent = pauli_agent(QUANTUM, 10, np.random.default_rng(15))
+    assert not {"counts", "kernel_rows", "utility_rows"} & set(vars(agent))
+    for kind in (ParticleEnsemble, BetaMixture):
+        assert list(inspect.signature(kind.updated).parameters) == ["self", "evidence", "a", "j"]
+    step = next(node for node in ast.walk(ast.parse((SRC / "interaction.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "_receive_and_update")
+    assert not {node.attr for node in ast.walk(step) if isinstance(node, ast.Attribute)} & {
+        "postulate", "matrix"}

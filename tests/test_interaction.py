@@ -179,7 +179,7 @@ class TestOutcomeKernel:
                 point = regularize(reg, x)
                 p = ref_probs_of_points(post, point)[0]
                 for a, action in enumerate(agent.menu):
-                    q = np.array(outcome_probs(agent.kernel_rows[a],
+                    q = np.array(outcome_probs(agent.evidence.kernel[a],
                                                [1.0, *point.tolist()]))
                     checked = apply_postulate(post, p, action.matrix)
                     assert np.max(np.abs(q - checked)) <= 1e-15, (reg, x, action.name)

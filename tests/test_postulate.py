@@ -40,11 +40,10 @@ from qbagents.quantum import (
     born_probabilities,
     conditional_matrix,
     pauli_povm,
-    random_density,
-    random_povm,
     sic_d2,
     sic_probs_from_bloch,
 )
+from random_quantum import random_density, random_povm
 
 S3 = math.sqrt(3.0)
 QUANTUM = quantum_postulate()

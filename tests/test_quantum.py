@@ -18,12 +18,11 @@ from qbagents.quantum import (
     density_to_bloch,
     frequency_operator,
     pauli_povm,
-    random_density,
-    random_povm,
     sic_d2,
     sic_probs_from_bloch,
     trace_distance,
 )
+from random_quantum import random_density, random_povm
 
 S3 = math.sqrt(3.0)
 PLUS = bloch_to_density([1.0, 0.0, 0.0])
