@@ -681,11 +681,13 @@ def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarra
     axis by axis by ``_beta_draws`` (uniform on [-1, 1] for an axis without
     counts); points with x*x + y*y + z*z > 1 (the order of
     ``QubitBall.contains``) are rejected, in rounds sized from the acceptance
-    so far, until n are kept.  Each axis of a round is drawn into its own
-    contiguous row, and the kept columns are gathered into a (3, n) array,
-    whose transpose is the (n, 3) F-ordered particle layout.  Returns None
-    when ``EXACT_MAX_DRAWS * n`` candidates have not given n points
-    (evidence that pushes the axis product almost wholly outside the ball).
+    so far but never above n (so a round's arrays stay the ensemble's size
+    however low the acceptance), until n are kept.  Each axis of a round is
+    drawn into its own contiguous row, and the kept columns are gathered
+    into a (3, n) array, whose transpose is the (n, 3) F-ordered particle
+    layout.  Returns None when ``EXACT_MAX_DRAWS * n`` candidates have not
+    given n points (evidence that pushes the axis product almost wholly
+    outside the ball).
     """
     shapes = (np.asarray(counts, dtype=float) + 1.0).tolist()
     out = np.empty((3, n))
@@ -695,7 +697,7 @@ def sample_axis_posterior(counts, n: int, rng: np.random.Generator) -> np.ndarra
         if budget <= 0:
             return None
         size = n if not kept else math.ceil(1.2 * (n - kept) * drawn / kept) + 16
-        size = min(size, budget)
+        size = min(size, budget, n)
         r = np.empty((3, size))
         for a, (alpha, beta) in enumerate(shapes):
             if alpha == beta == 1.0:
@@ -763,4 +765,9 @@ def _beta_draws(out: np.ndarray, a: float, b: float, rng: np.random.Generator) -
 def _systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = weights.size
     positions = (rng.uniform() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    # the last position rounds to 1.0 for u near 1, where the running sum of
+    # normalized weights may end below 1.0 and the search would return n; it
+    # takes the last point of positive weight, which is the largest index
+    # the search returns for a position within the sum
+    last = np.flatnonzero(weights)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), last)

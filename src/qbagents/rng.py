@@ -2,11 +2,21 @@
 
 Every consumer of randomness in a run gets its own named stream (for an agent:
 init, which builds its prior, and the run loop's choice, outcome, resample and
-broadcast).  Streams are backed by the
-counter-based Philox generator, so distinct names give statistically
-independent sequences and the same (seed, name path) always reproduces the
-same stream.  This isolation is what makes a pair interaction with a delta
-source reproduce the single-agent run bit for bit.
+broadcast).  Each stream is keyed by ``SeedSequence((seed, *name path))``, so
+distinct names give statistically independent sequences and the same (seed,
+name path) always reproduces the same stream.  This isolation is what makes a
+pair interaction with a delta source reproduce the single-agent run bit for
+bit.
+
+The bit generator follows the stream's name (``BULK_STREAMS``).  The streams
+that fill particle arrays, ``init`` (the uniform-ball prior) and ``resample``
+(the exact refresh and the Metropolis fallback), draw tens of thousands of
+doubles per call, and there the bits are a large share of the work: 16,384
+doubles take about 32 us from SFC64, 38 us from PCG64 and 79 us from Philox
+(numpy 2.4, 2-core Xeon), so these two run on SFC64.  The per-step streams
+(choice, outcome, broadcast) draw a few doubles a step, and stay on the
+counter-based Philox generator, whose bytes the 1-D traces pin.  Independence
+comes from ``SeedSequence`` hashing the key, whatever the generator.
 
 The run loop draws its outcome uniforms in blocks (``UniformBlocks``):
 ``Generator.random(k)`` returns the doubles of k scalar ``random()`` calls, and
@@ -33,10 +43,17 @@ def _token(part) -> int:
     return zlib.crc32(str(part).encode("utf8"))
 
 
+# the stream names whose bit generator is SFC64 rather than Philox: the two
+# streams that fill particle arrays (see the module docstring)
+BULK_STREAMS = ("init", "resample")
+
+
 def stream(master_seed: int, *path) -> np.random.Generator:
-    """Return the named independent stream for ``(master_seed, *path)``."""
+    """Return the named independent stream for ``(master_seed, *path)``: SFC64
+    when the path ends in one of ``BULK_STREAMS``, Philox otherwise."""
     key = (int(master_seed),) + tuple(_token(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    bits = np.random.SFC64 if path and path[-1] in BULK_STREAMS else np.random.Philox
+    return np.random.Generator(bits(np.random.SeedSequence(key)))
 
 
 def agent_streams(master_seed: int, slot: int) -> dict[str, np.random.Generator]:

@@ -13,6 +13,7 @@ rejection for two-sided ones.  The sampler itself is checked against the
 Beta law at shapes from uniform to the thousands.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -192,20 +193,28 @@ def law_report(*names):
     return report
 
 
+# the bit generators the exact draw must be exact on: PCG64 (``default_rng``)
+# and SFC64, that of the run's ``resample`` stream
+BIT_GENERATORS = pytest.mark.parametrize("bits", [np.random.PCG64, np.random.SFC64],
+                                         ids=["pcg64", "sfc64"])
+
+
 class TestExactnessGate:
+    @BIT_GENERATORS
     @pytest.mark.parametrize("name", COUNT_VECTORS)
-    def test_moments_match_quadrature(self, name):
+    def test_moments_match_quadrature(self, name, bits):
         counts = COUNT_VECTORS[name]
-        pts = sample_axis_posterior(counts, N, np.random.default_rng(20))
+        pts = sample_axis_posterior(counts, N, np.random.Generator(bits(20)))
         assert pts.shape == (N, 3)
         assert np.all(np.einsum("ij,ij->i", pts, pts) <= 1.0)
         assert np.all(moment_z_scores(counts, pts) < 4)
 
+    @BIT_GENERATORS
     @pytest.mark.parametrize("name", COUNT_VECTORS)
     @pytest.mark.parametrize("axis", range(3))
-    def test_axis_marginals_pass_ks(self, name, axis):
+    def test_axis_marginals_pass_ks(self, name, axis, bits):
         counts = COUNT_VECTORS[name]
-        pts = sample_axis_posterior(counts, N, np.random.default_rng(21))
+        pts = sample_axis_posterior(counts, N, np.random.Generator(bits(21)))
         result = stats.kstest(pts[:, axis], marginal_cdf(counts, axis))
         assert result.pvalue > 0.001
 
@@ -222,6 +231,23 @@ class TestExactnessGate:
         for name, law in laws.items():
             assert law["z_max"] < 4, name
             assert law["ks_min"] > 0.001, name
+
+    def test_round_memory_does_not_grow_with_rejection(self):
+        # Beta(13, 1) on x and z puts about 2 % of the axis product in the
+        # ball; a refill round sized from that acceptance would hold about 60
+        # candidates a missing point, where every round is capped at n
+        low_acceptance = np.array([[12, 0], [0, 0], [12, 0]], dtype=float)
+        sample_axis_posterior(np.zeros((3, 2)), 10, np.random.default_rng(25))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for counts in (np.zeros((3, 2)), low_acceptance):
+                tracemalloc.reset_peak()
+                assert sample_axis_posterior(counts, N, np.random.default_rng(25)) is not None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_quadrature_of_the_uniform_ball(self):
         mean, cov = truncated_moments(np.zeros((3, 2)))
@@ -249,10 +275,11 @@ class FirstUniformZero:
 
 
 class TestBetaDraws:
+    @BIT_GENERATORS
     @pytest.mark.parametrize("a,b", BETA_SHAPES)
-    def test_law(self, a, b):
+    def test_law(self, a, b, bits):
         x = np.empty(BETA_DRAWS)
-        _beta_draws(x, float(a), float(b), np.random.default_rng(23))
+        _beta_draws(x, float(a), float(b), np.random.Generator(bits(23)))
         mean = a / (a + b)
         var = a * b / ((a + b) ** 2 * (a + b + 1))
         assert abs(x.mean() - mean) < 4 * np.sqrt(var / x.size)
@@ -306,6 +333,32 @@ def _parent_resample_move(agent, rng):
         pts[accept] = proposal[accept]
         logp[accept] = logp_prop[accept]
     return pts
+
+
+class LastUniform:
+    """A generator whose ``uniform()`` is the largest double below 1."""
+
+    def uniform(self):
+        return 1.0 - 2.0 ** -53
+
+
+class TestSystematicIndices:
+    def test_last_position_stays_in_range(self):
+        # positions reach (u + n - 1) / n, which rounds to 1.0, while these
+        # normalized weights sum to 0.9999999999999998 left to right
+        w = np.random.default_rng(3).random(N)
+        w /= w.sum()
+        assert np.cumsum(w)[-1] < 1.0
+        assert _systematic_indices(w, LastUniform()).max() == N - 1
+
+    def test_last_position_skips_trailing_zero_weights(self):
+        w = np.random.default_rng(3).random(N)
+        w[-3:] = 0.0
+        w /= w.sum()
+        assert np.cumsum(w)[-1] < 1.0
+        idx = _systematic_indices(w, LastUniform())
+        assert idx.max() == N - 4
+        assert np.all(w[idx] > 0)
 
 
 class TestPathSelection:
